@@ -77,14 +77,11 @@ pub struct MmdbConfig {
     /// default for production-shaped runs; [`MmdbConfig::small`] turns it
     /// on so every test runs fully checked.
     pub audit: bool,
-    /// Apply workers for crash recovery. `1` (the default) runs the
-    /// serial replay path — the paper's §4 model made executable and the
-    /// correctness oracle. Higher values partition the committed-REDO
-    /// window by record segment and replay with that many concurrent
-    /// workers, overlapped with backup loading
-    /// ([`mmdb_rescale::recover_parallel`]); the result is bit-identical
-    /// to serial, and any log corruption falls back to the serial path
-    /// wholesale.
+    /// Apply lanes for crash recovery
+    /// ([`mmdb_recovery::recover_parallel`]). `1` (the default) replays
+    /// on the recovering thread; higher values give each lane a
+    /// contiguous run of segments and its own thread. The recovered
+    /// state and the report are bit-identical at every value.
     pub recovery_workers: usize,
     /// Compress backup segment slots as checkpoints write them. Reads
     /// are per-slot self-describing, so the flag can change between

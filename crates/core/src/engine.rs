@@ -1116,26 +1116,15 @@ impl Mmdb {
             None
         };
         let recovery_meter = CostMeter::new(self.config.params.cost);
-        let report = if self.config.recovery_workers > 1 {
-            mmdb_rescale::recover_parallel(
-                &mut self.storage,
-                &mut *self.backup,
-                self.log.get_mut().device_mut(),
-                &self.config.params.disk,
-                &recovery_meter,
-                &self.obs,
-                self.config.recovery_workers,
-            )?
-        } else {
-            mmdb_recovery::recover_observed(
-                &mut self.storage,
-                &mut *self.backup,
-                self.log.get_mut().device_mut(),
-                &self.config.params.disk,
-                &recovery_meter,
-                &self.obs,
-            )?
-        };
+        let report = mmdb_recovery::recover_parallel(
+            &mut self.storage,
+            &mut *self.backup,
+            self.log.get_mut().device_mut(),
+            &self.config.params.disk,
+            &recovery_meter,
+            &self.obs,
+            self.config.recovery_workers,
+        )?;
         if let Some(copies) = copies {
             self.audit.emit(|| AuditEvent::RecoveryChosen {
                 ckpt: report.ckpt,

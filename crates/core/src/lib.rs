@@ -55,7 +55,7 @@ pub use mmdb_obs::{
     render_spans, validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs,
     PaperOverhead, SpanRecord, TraceDumpDoc,
 };
-pub use mmdb_recovery::RecoveryReport;
+pub use mmdb_recovery::{RecoveryReport, Stager};
 pub use mmdb_rescale::{CompactOptions, CompactReport};
 pub use mmdb_storage::{PendingInstall, ReadMirror};
 pub use mmdb_types::{

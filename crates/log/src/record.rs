@@ -252,14 +252,21 @@ impl LogRecord {
     /// the number of bytes consumed. Fails (without panicking) on torn or
     /// corrupt frames.
     pub fn decode(bytes: &[u8]) -> Result<(LogRecord, usize)> {
+        LogRecord::decode_frame(bytes, true)
+    }
+
+    /// [`LogRecord::decode`] for a frame that an earlier `decode` of these
+    /// same bytes accepted: everything is checked again except the
+    /// checksum.
+    pub fn decode_verified(bytes: &[u8]) -> Result<(LogRecord, usize)> {
+        LogRecord::decode_frame(bytes, false)
+    }
+
+    fn decode_frame(bytes: &[u8], verify: bool) -> Result<(LogRecord, usize)> {
         let corrupt = |msg: &str| MmdbError::Corrupt(format!("log record: {msg}"));
-        if bytes.len() < FRAME_OVERHEAD {
-            return Err(corrupt("truncated frame header"));
-        }
-        let total = u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice")) as usize;
-        if total < FRAME_OVERHEAD || total > bytes.len() {
-            return Err(corrupt("bad frame length"));
-        }
+        let total = LogRecord::frame_len(bytes)
+            .filter(|&total| total >= FRAME_OVERHEAD)
+            .ok_or_else(|| corrupt("truncated frame or bad frame length"))?;
         let frame = &bytes[..total];
         let trailer =
             u32::from_le_bytes(frame[total - 4..].try_into().expect("4-byte slice")) as usize;
@@ -282,9 +289,7 @@ impl LogRecord {
         } else {
             body
         };
-        let mut h = Fnv1a::new();
-        h.update(hashed);
-        if h.finish() != stored {
+        if verify && Fnv1a::new().update(hashed).finish() != stored {
             return Err(corrupt("checksum mismatch"));
         }
         if body[0] == TAG_COMPACTED {
@@ -305,10 +310,11 @@ impl LogRecord {
                 let txn = TxnId(r.u64()?);
                 let record = RecordId(r.u64()?);
                 let n = r.u32()? as usize;
-                let mut value = Vec::with_capacity(n);
-                for _ in 0..n {
-                    value.push(r.u32()?);
-                }
+                let value = r
+                    .take(n.saturating_mul(4))?
+                    .chunks_exact(4)
+                    .map(|w| Word::from_le_bytes(w.try_into().expect("4-byte chunk")))
+                    .collect();
                 LogRecord::Update { txn, record, value }
             }
             TAG_COMMIT => LogRecord::Commit {
@@ -371,101 +377,16 @@ impl LogRecord {
         lsn.advance(self.encoded_len() as u64)
     }
 
-    /// Structurally parses one frame from the start of `bytes` *without*
-    /// verifying update-payload checksums: update frames return a
-    /// [`FramePeek::Update`] locating the after-image inside the frame,
-    /// while every other record is fully decoded and verified. This is
-    /// the scan half of the parallel-recovery pipeline — the bulk of the
-    /// log is update payload, and its checksums are verified by the apply
-    /// workers (via [`LogRecord::verify_frame`]) instead of on the
-    /// single-threaded scan path. Returns the peek and the frame length.
-    pub fn peek(bytes: &[u8]) -> Result<(FramePeek, usize)> {
-        let corrupt = |msg: &str| MmdbError::Corrupt(format!("log record: {msg}"));
-        if bytes.len() < FRAME_OVERHEAD {
-            return Err(corrupt("truncated frame header"));
-        }
-        let total = u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice")) as usize;
-        if total < FRAME_OVERHEAD || total > bytes.len() {
-            return Err(corrupt("bad frame length"));
-        }
-        let trailer =
-            u32::from_le_bytes(bytes[total - 4..total].try_into().expect("4-byte slice")) as usize;
-        if trailer != total {
-            return Err(corrupt("trailer length mismatch"));
-        }
-        let body = &bytes[4..total - 12];
-        if body.first() == Some(&TAG_UPDATE) {
-            let mut r = Reader { buf: body, pos: 1 };
-            let txn = TxnId(r.u64()?);
-            let record = RecordId(r.u64()?);
-            let value_words = r.u32()? as usize;
-            if body.len() != 1 + 8 + 8 + 4 + value_words * 4 {
-                return Err(corrupt("update payload length mismatch"));
-            }
-            return Ok((
-                FramePeek::Update {
-                    txn,
-                    record,
-                    value_off: 4 + 1 + 8 + 8 + 4,
-                    value_words,
-                },
-                total,
-            ));
-        }
-        let (rec, used) = LogRecord::decode(bytes)?;
-        Ok((FramePeek::Other(rec), used))
+    /// The total frame length declared by the header at the start of
+    /// `bytes`, when that many bytes are in hand. `None` means the frame
+    /// is longer than `bytes` (a cut mid-frame: more bytes may complete
+    /// it); `Some` with a failing [`LogRecord::decode`] means the whole
+    /// frame is present and corrupt.
+    pub fn frame_len(bytes: &[u8]) -> Option<usize> {
+        let header = bytes.get(..4)?;
+        let total = u32::from_le_bytes(header.try_into().expect("4-byte slice")) as usize;
+        (total <= bytes.len()).then_some(total)
     }
-
-    /// Verifies the checksum of exactly one encoded frame (`frame` must
-    /// cover the frame precisely). The apply half of the pipelined scan:
-    /// see [`LogRecord::peek`].
-    pub fn verify_frame(frame: &[u8]) -> bool {
-        if frame.len() < FRAME_OVERHEAD {
-            return false;
-        }
-        let total = u32::from_le_bytes(frame[0..4].try_into().expect("4-byte slice")) as usize;
-        if total != frame.len() {
-            return false;
-        }
-        let body = &frame[4..total - 12];
-        let stored = u64::from_le_bytes(
-            frame[total - 12..total - 4]
-                .try_into()
-                .expect("8-byte slice"),
-        );
-        let hashed = if body.first() == Some(&TAG_COMPACTED) {
-            match body.get(..9) {
-                Some(h) => h,
-                None => return false,
-            }
-        } else {
-            body
-        };
-        let mut h = Fnv1a::new();
-        h.update(hashed);
-        h.finish() == stored
-    }
-}
-
-/// Result of [`LogRecord::peek`]: a structurally-parsed frame whose
-/// update payload (if any) has not been checksum-verified yet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FramePeek {
-    /// An update frame, located but unverified. The after-image occupies
-    /// `value_words` little-endian words at `value_off` bytes into the
-    /// frame.
-    Update {
-        /// The writing transaction (read from the unverified header).
-        txn: TxnId,
-        /// The updated record (read from the unverified header).
-        record: RecordId,
-        /// Byte offset of the after-image within the frame.
-        value_off: usize,
-        /// After-image length in words.
-        value_words: usize,
-    },
-    /// Any other frame, fully decoded and checksum-verified.
-    Other(LogRecord),
 }
 
 struct Reader<'a> {
@@ -689,7 +610,6 @@ mod tests {
             let (dec, used) = LogRecord::decode(&enc).unwrap();
             assert_eq!(dec, rec);
             assert_eq!(used, enc.len());
-            assert!(LogRecord::verify_frame(&enc));
         }
     }
 
@@ -708,7 +628,6 @@ mod tests {
         let mut bad = rec.encode();
         bad[5] ^= 0x01; // low byte of span
         assert!(LogRecord::decode(&bad).is_err());
-        assert!(!LogRecord::verify_frame(&bad));
     }
 
     #[test]
@@ -735,76 +654,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_locates_update_payload_without_decoding() {
-        let rec = LogRecord::Update {
-            txn: TxnId(7),
-            record: RecordId(33),
-            value: vec![10, 20, 30],
-        };
-        let enc = rec.encode();
-        let (peek, used) = LogRecord::peek(&enc).unwrap();
-        assert_eq!(used, enc.len());
-        match peek {
-            FramePeek::Update {
-                txn,
-                record,
-                value_off,
-                value_words,
-            } => {
-                assert_eq!(txn, TxnId(7));
-                assert_eq!(record, RecordId(33));
-                assert_eq!(value_words, 3);
-                let words: Vec<Word> = enc[value_off..value_off + value_words * 4]
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect();
-                assert_eq!(words, vec![10, 20, 30]);
-            }
-            other => panic!("expected Update peek, got {other:?}"),
+    fn frame_len_tells_a_cut_frame_from_a_whole_one() {
+        let enc = LogRecord::Commit { txn: TxnId(1) }.encode();
+        assert_eq!(LogRecord::frame_len(&enc), Some(enc.len()));
+        for cut in 0..enc.len() {
+            assert_eq!(LogRecord::frame_len(&enc[..cut]), None, "cut at {cut}");
         }
-        assert!(LogRecord::verify_frame(&enc));
-    }
-
-    #[test]
-    fn peek_fully_verifies_non_update_frames() {
-        for rec in samples() {
-            if matches!(rec, LogRecord::Update { .. }) {
-                continue;
-            }
-            let enc = rec.encode();
-            let (peek, used) = LogRecord::peek(&enc).unwrap();
-            assert_eq!(used, enc.len());
-            assert_eq!(peek, FramePeek::Other(rec));
-        }
-        // a corrupt non-update frame fails at peek time
-        let mut enc = LogRecord::Commit { txn: TxnId(1) }.encode();
-        enc[6] ^= 0x01;
-        assert!(LogRecord::peek(&enc).is_err());
-    }
-
-    #[test]
-    fn peek_skips_update_checksum_but_verify_frame_catches_it() {
-        let rec = LogRecord::Update {
-            txn: TxnId(1),
-            record: RecordId(2),
-            value: vec![1, 2, 3, 4],
-        };
-        let mut enc = rec.encode();
-        // flip a bit inside the after-image: peek still succeeds (it is
-        // structural only), verify_frame must fail
-        enc[30] ^= 0x40;
-        assert!(LogRecord::peek(&enc).is_ok());
-        assert!(!LogRecord::verify_frame(&enc));
-        // structural damage (bad length trailer) fails even at peek
-        let rec2 = LogRecord::Update {
-            txn: TxnId(1),
-            record: RecordId(2),
-            value: vec![9],
-        };
-        let enc2 = rec2.encode();
-        for cut in 0..enc2.len() {
-            assert!(LogRecord::peek(&enc2[..cut]).is_err());
-        }
+        // a whole frame with a flipped payload byte is in hand, and corrupt
+        let mut bad = enc.clone();
+        bad[6] ^= 0x01;
+        assert_eq!(LogRecord::frame_len(&bad), Some(bad.len()));
+        assert!(LogRecord::decode(&bad).is_err());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! The scanner tolerates a torn final flush: on construction it walks the
 //! log forward and treats the first undecodable frame as the end of the
 //! durable log. Everything before it is intact (each frame is
-//! checksummed).
+//! checksummed). That rule is the same however many threads share the
+//! checksum work ([`LogScanner::from_device_lanes`]).
 
 use crate::device::LogDevice;
-use crate::record::LogRecord;
+use crate::record::{LogRecord, FRAME_OVERHEAD};
 use mmdb_types::{CheckpointId, Lsn, Result, Timestamp, TxnId};
 
 /// Identity and position of a completed checkpoint found in the log.
@@ -40,14 +41,49 @@ pub struct LogScanner {
     /// Global LSN of `bytes[0]` — non-zero when the log's obsolete
     /// prefix has been truncated away.
     base: u64,
+    /// Every begin-checkpoint marker of the validated window, oldest
+    /// first (noted by the validation pass, which decodes them anyway).
+    marks: Vec<CheckpointMark>,
+}
+
+/// Decodes `bytes` (whose first byte sits at global LSN `at`) frame by
+/// frame up to the first torn or corrupt one: the intact length and the
+/// begin-checkpoint markers inside it.
+fn validate(bytes: &[u8], at: u64) -> (usize, Vec<CheckpointMark>) {
+    let mut pos = 0usize;
+    let mut marks = Vec::new();
+    while pos < bytes.len() {
+        match LogRecord::decode(&bytes[pos..]) {
+            Ok((rec, used)) => {
+                if let LogRecord::BeginCheckpoint { ckpt, tau, active } = rec {
+                    marks.push(CheckpointMark {
+                        ckpt,
+                        begin_lsn: Lsn(at + pos as u64),
+                        tau,
+                        active,
+                    });
+                }
+                pos += used;
+            }
+            Err(_) => break, // torn tail: stop here
+        }
+    }
+    (pos, marks)
 }
 
 impl LogScanner {
     /// Reads and validates the durable log from `device` (honoring its
     /// truncation point: LSNs stay global).
     pub fn from_device(device: &mut dyn LogDevice) -> Result<LogScanner> {
+        LogScanner::from_device_lanes(device, 1)
+    }
+
+    /// [`LogScanner::from_device`] with the frame checksums shared among
+    /// `lanes` threads. The validated window is the same at every lane
+    /// count: it ends at the first bad frame.
+    pub fn from_device_lanes(device: &mut dyn LogDevice, lanes: usize) -> Result<LogScanner> {
         let base = device.start_offset();
-        Ok(LogScanner::from_bytes_at(device.read_all()?, base))
+        Ok(LogScanner::validated(device.read_all()?, base, lanes))
     }
 
     /// Builds a scanner over raw log bytes starting at LSN 0.
@@ -58,17 +94,63 @@ impl LogScanner {
     /// Builds a scanner over raw log bytes whose first byte sits at
     /// global LSN `base` (must be a record boundary).
     pub fn from_bytes_at(bytes: Vec<u8>, base: u64) -> LogScanner {
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            match LogRecord::decode(&bytes[pos..]) {
-                Ok((_, used)) => pos += used,
-                Err(_) => break, // torn tail: stop here
+        LogScanner::validated(bytes, base, 1)
+    }
+
+    fn validated(bytes: Vec<u8>, base: u64, lanes: usize) -> LogScanner {
+        // Cut the log into one share per lane at frame boundaries, found
+        // from the length headers alone. A damaged header can only lead
+        // this walk astray at or after the frame whose checksum fails,
+        // and everything from that frame on is discarded below.
+        let mut cuts = vec![0usize];
+        if lanes > 1 {
+            let share = bytes.len().div_ceil(lanes);
+            let mut pos = 0usize;
+            while let Some(total) =
+                LogRecord::frame_len(&bytes[pos..]).filter(|&t| t >= FRAME_OVERHEAD)
+            {
+                pos += total;
+                if pos >= cuts.len() * share {
+                    cuts.push(pos);
+                }
+            }
+            if cuts.last() != Some(&pos) {
+                cuts.push(pos);
+            }
+        } else {
+            cuts.push(bytes.len());
+        }
+        let spans = || {
+            cuts.windows(2)
+                .map(|w| (&bytes[w[0]..w[1]], base + w[0] as u64))
+        };
+        let shares: Vec<(usize, Vec<CheckpointMark>)> = if lanes > 1 {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = spans()
+                    .map(|(part, at)| scope.spawn(move || validate(part, at)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        } else {
+            spans().map(|(part, at)| validate(part, at)).collect()
+        };
+        let mut valid_len = 0usize;
+        let mut marks = Vec::new();
+        for (w, (len, found)) in cuts.windows(2).zip(shares) {
+            valid_len = w[0] + len;
+            marks.extend(found);
+            if valid_len < w[1] {
+                break; // the first bad frame ends the log
             }
         }
         LogScanner {
             bytes,
-            valid_len: pos,
+            valid_len,
             base,
+            marks,
         }
     }
 
@@ -95,7 +177,8 @@ impl LogScanner {
     }
 
     /// Iterates records forward starting at `from` (must be a record
-    /// boundary; [`Lsn::ZERO`] is always valid).
+    /// boundary; [`Lsn::ZERO`] is always valid). The window was
+    /// checksummed once, at construction; iteration does not repeat it.
     pub fn forward_from(&self, from: Lsn) -> ForwardIter<'_> {
         ForwardIter {
             scanner: self,
@@ -106,10 +189,22 @@ impl LogScanner {
     /// Iterates records backward starting from the end of the validated
     /// prefix.
     pub fn backward(&self) -> BackwardIter<'_> {
+        self.backward_before(self.end_lsn())
+    }
+
+    /// Iterates backward over the records that end at or before `lsn`
+    /// (a record boundary).
+    fn backward_before(&self, lsn: Lsn) -> BackwardIter<'_> {
         BackwardIter {
             scanner: self,
-            end: self.valid_len,
+            end: (lsn.raw().saturating_sub(self.base) as usize).min(self.valid_len),
         }
+    }
+
+    /// The newest begin marker of checkpoint `ckpt` — where recovery from
+    /// the backup copy holding `ckpt` starts looking (paper §3.3).
+    pub fn checkpoint_mark(&self, ckpt: CheckpointId) -> Option<&CheckpointMark> {
+        self.marks.iter().rev().find(|m| m.ckpt == ckpt)
     }
 
     /// Finds the most recently *completed* checkpoint: scans backward,
@@ -147,10 +242,7 @@ impl LogScanner {
         }
         let mut remaining: Vec<TxnId> = mark.active.clone();
         let mut earliest = mark.begin_lsn;
-        for (lsn, rec) in self.backward() {
-            if lsn >= mark.begin_lsn {
-                continue;
-            }
+        for (lsn, rec) in self.backward_before(mark.begin_lsn) {
             if let LogRecord::TxnBegin { txn, .. } = rec {
                 if let Some(i) = remaining.iter().position(|t| *t == txn) {
                     remaining.swap_remove(i);
@@ -187,15 +279,15 @@ impl Iterator for ForwardIter<'_> {
         if self.pos >= self.scanner.valid_len {
             return None;
         }
-        match LogRecord::decode(&self.scanner.bytes[self.pos..self.scanner.valid_len]) {
+        // inside the window every frame passed `validate`
+        match LogRecord::decode_verified(&self.scanner.bytes[self.pos..self.scanner.valid_len]) {
             Ok((rec, used)) => {
                 let lsn = Lsn(self.scanner.base + self.pos as u64);
                 self.pos += used;
                 Some((lsn, rec))
             }
             Err(_) => {
-                // `from` was not a record boundary, or validation already
-                // ended the log here; either way there is nothing more.
+                // `from` was not a record boundary: there is nothing more.
                 self.pos = self.scanner.valid_len;
                 None
             }
@@ -218,7 +310,7 @@ impl Iterator for BackwardIter<'_> {
             return None;
         }
         let start = LogRecord::frame_start_before(&self.scanner.bytes, self.end).ok()?;
-        let (rec, _) = LogRecord::decode(&self.scanner.bytes[start..self.end]).ok()?;
+        let (rec, _) = LogRecord::decode_verified(&self.scanner.bytes[start..self.end]).ok()?;
         self.end = start;
         Some((Lsn(self.scanner.base + start as u64), rec))
     }
@@ -352,6 +444,56 @@ mod tests {
         assert_eq!(sc.valid_len() as usize, full);
         assert_eq!(sc.forward_from(Lsn::ZERO).count(), recs.len());
         assert_eq!(sc.backward().count(), recs.len());
+    }
+
+    #[test]
+    fn validated_window_is_the_same_at_every_lane_count() {
+        let mut recs = sample_log();
+        for i in 0..40u64 {
+            recs.push(LogRecord::Update {
+                txn: TxnId(i),
+                record: RecordId(i),
+                value: vec![i as u32; 8],
+            });
+        }
+        let (buf, lsns) = build(&recs);
+        // intact, torn mid-frame, a flipped payload byte, a flipped
+        // length header (the header walk that cuts the shares derails)
+        let mut damaged = vec![buf.clone(), buf[..buf.len() - 7].to_vec()];
+        for at in [lsns[20].raw() as usize + 30, lsns[12].raw() as usize] {
+            let mut bad = buf.clone();
+            bad[at] ^= 0x04;
+            damaged.push(bad);
+        }
+        for bytes in damaged {
+            let serial = LogScanner::from_bytes_at(bytes.clone(), 500);
+            for lanes in [2, 3, 64] {
+                let fanned = LogScanner::validated(bytes.clone(), 500, lanes);
+                assert_eq!(fanned.valid_len(), serial.valid_len(), "{lanes} lanes");
+                assert_eq!(fanned.marks, serial.marks, "{lanes} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_mark_finds_the_newest_marker_of_that_checkpoint() {
+        let mut recs = sample_log();
+        recs.push(LogRecord::BeginCheckpoint {
+            ckpt: CheckpointId(1),
+            tau: Timestamp(9),
+            active: vec![],
+        });
+        let (buf, lsns) = build(&recs);
+        let sc = LogScanner::from_bytes(buf);
+        assert_eq!(
+            sc.checkpoint_mark(CheckpointId(1)).unwrap().begin_lsn,
+            lsns[6]
+        );
+        assert_eq!(
+            sc.checkpoint_mark(CheckpointId(2)).unwrap().begin_lsn,
+            lsns[5]
+        );
+        assert!(sc.checkpoint_mark(CheckpointId(7)).is_none());
     }
 
     #[test]

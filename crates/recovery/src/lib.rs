@@ -22,14 +22,15 @@
 
 #![warn(missing_docs)]
 
+mod replay;
+
+pub use replay::{recover_parallel, Stager};
+
 use mmdb_disk::BackupStore;
-use mmdb_log::{LogDevice, LogRecord, LogScanner};
+use mmdb_log::LogDevice;
 use mmdb_obs::Obs;
 use mmdb_storage::Storage;
-use mmdb_types::{
-    CheckpointId, CostMeter, DiskParams, Lsn, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
-};
-use std::collections::HashMap;
+use mmdb_types::{CheckpointId, CostMeter, DiskParams, Lsn, RecordId, Result, TxnId, Word};
 
 /// A transaction branch left *in doubt* by the crash: its updates and its
 /// `Prepare` record are durable in the log, but neither a `Commit` nor an
@@ -109,9 +110,7 @@ pub fn recover(
     recover_observed(storage, backup, log_device, disk, meter, &Obs::disabled())
 }
 
-/// [`recover`] with telemetry: emits `recovery.backup_load` and
-/// `recovery.redo_replay` spans and records the report's modeled total
-/// into the `recovery.total_modeled_us` histogram.
+/// [`recover`] with telemetry: [`recover_parallel`] with one lane.
 pub fn recover_observed(
     storage: &mut Storage,
     backup: &mut dyn BackupStore,
@@ -120,156 +119,7 @@ pub fn recover_observed(
     meter: &CostMeter,
     obs: &Obs,
 ) -> Result<RecoveryReport> {
-    let (copy, ckpt) = backup.recovery_copy()?;
-    let db = *storage.db_params();
-
-    // 1–2: read the backup into main memory.
-    let load_timer = obs.timer();
-    let mut buf: Vec<Word> = vec![0; db.s_seg as usize];
-    let mut segments_loaded = 0u64;
-    for sid in storage.segment_ids().collect::<Vec<_>>() {
-        meter.io_op();
-        backup.read_segment(copy, sid, &mut buf)?;
-        storage.load_segment(sid, &buf, Some(copy), meter)?;
-        segments_loaded += 1;
-    }
-    let backup_words = segments_loaded * db.s_seg;
-    obs.span_end(
-        "recovery.backup_load",
-        "recovery.backup_load_ns",
-        load_timer,
-        || format!("{ckpt} copy {copy}: {segments_loaded} segments, {backup_words} words"),
-    );
-
-    // 3: find the begin marker of the restored checkpoint and the replay
-    // start.
-    let replay_timer = obs.timer();
-    let scanner = LogScanner::from_device(log_device)?;
-    let mark = scanner
-        .backward()
-        .find_map(|(lsn, rec)| match rec {
-            LogRecord::BeginCheckpoint {
-                ckpt: c,
-                tau,
-                active,
-            } if c == ckpt => Some(mmdb_log::CheckpointMark {
-                ckpt: c,
-                begin_lsn: lsn,
-                tau,
-                active,
-            }),
-            _ => None,
-        })
-        .ok_or_else(|| {
-            MmdbError::Corrupt(format!(
-                "backup copy {copy} is complete for {ckpt} but the log has no begin marker for it"
-            ))
-        })?;
-    let replay_start = scanner.replay_start(&mark);
-
-    // 4: forward replay, installing each transaction's updates at its
-    // commit record (shadow-copy install order = commit order).
-    let mut staged: HashMap<TxnId, Vec<(RecordId, Vec<Word>, Lsn)>> = HashMap::new();
-    let mut prepared: HashMap<TxnId, u64> = HashMap::new();
-    let mut decided: HashMap<u64, bool> = HashMap::new();
-    let mut max_gid = 0u64;
-    let mut updates_applied = 0u64;
-    let mut txns_replayed = 0u64;
-    for (lsn, rec) in scanner.forward_from(replay_start) {
-        let end_lsn = rec.end_lsn(lsn);
-        match rec {
-            LogRecord::Update { txn, record, value } => {
-                staged
-                    .entry(txn)
-                    .or_default()
-                    .push((record, value, end_lsn));
-            }
-            LogRecord::Commit { txn } => {
-                if let Some(writes) = staged.remove(&txn) {
-                    for (record, value, end_lsn) in writes {
-                        storage.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
-                        updates_applied += 1;
-                    }
-                }
-                prepared.remove(&txn);
-                txns_replayed += 1;
-            }
-            LogRecord::Abort { txn } => {
-                staged.remove(&txn);
-                prepared.remove(&txn);
-            }
-            LogRecord::Prepare { txn, gid } => {
-                prepared.insert(txn, gid);
-                max_gid = max_gid.max(gid);
-            }
-            LogRecord::Decide { gid, commit } => {
-                decided.insert(gid, commit);
-                max_gid = max_gid.max(gid);
-            }
-            _ => {}
-        }
-    }
-    // Prepared branches with no durable outcome are *in doubt*, not
-    // discarded: they wait for the coordinator's decision.
-    let mut in_doubt: Vec<InDoubtTxn> = prepared
-        .iter()
-        .map(|(&txn, &gid)| InDoubtTxn {
-            gid,
-            txn,
-            writes: staged
-                .remove(&txn)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(record, value, _)| (record, value))
-                .collect(),
-        })
-        .collect();
-    in_doubt.sort_by_key(|t| (t.gid, t.txn));
-    let mut decisions: Vec<(u64, bool)> = decided.into_iter().collect();
-    decisions.sort_unstable();
-    let txns_discarded = staged.len() as u64;
-    obs.span_end(
-        "recovery.redo_replay",
-        "recovery.redo_replay_ns",
-        replay_timer,
-        || format!("from {replay_start}: {updates_applied} updates, {txns_replayed} txns"),
-    );
-
-    // Recovery-time model (paper §4): backup read at array bandwidth in
-    // segment-sized I/Os, log read sequentially striped across the disks.
-    let log_words = scanner.words_from(replay_start);
-    let backup_read_seconds = disk.array_time(segments_loaded, db.s_seg);
-    let log_read_seconds = log_read_time(disk, log_words);
-    obs.observe(
-        "recovery.total_modeled_us",
-        ((backup_read_seconds + log_read_seconds) * 1e6) as u64,
-    );
-    obs.counter("recovery.runs", 1);
-
-    Ok(RecoveryReport {
-        ckpt,
-        copy,
-        segments_loaded,
-        backup_words,
-        replay_start,
-        log_words,
-        updates_applied,
-        txns_replayed,
-        txns_discarded,
-        backup_read_seconds,
-        log_read_seconds,
-        in_doubt,
-        decisions,
-        max_gid,
-    })
-}
-
-fn log_read_time(disk: &DiskParams, log_words: u64) -> f64 {
-    if log_words == 0 {
-        0.0
-    } else {
-        disk.t_seek + log_words as f64 * disk.t_trans / disk.n_bdisks as f64
-    }
+    recover_parallel(storage, backup, log_device, disk, meter, obs, 1)
 }
 
 /// Dry-run recovery: rebuilds the database into scratch storage from the
@@ -305,15 +155,17 @@ pub fn dry_run_observed(
 /// read `n_segments` backup segments of `s_seg` words plus `log_words` of
 /// log, with the paper's disk model.
 pub fn recovery_time_model(disk: &DiskParams, n_segments: u64, s_seg: u64, log_words: u64) -> f64 {
-    disk.array_time(n_segments, s_seg) + log_read_time(disk, log_words)
+    disk.array_time(n_segments, s_seg) + replay::log_read_time(disk, log_words)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmdb_disk::MemBackup;
-    use mmdb_log::{LogManager, MemLogDevice};
-    use mmdb_types::{Algorithm, CkptMode, CostParams, LogMode, Params, SegmentId};
+    use mmdb_log::{LogManager, LogRecord, MemLogDevice};
+    use mmdb_types::{
+        Algorithm, CkptMode, CostParams, LogMode, MmdbError, Params, SegmentId, Timestamp,
+    };
 
     /// A miniature engine: storage + log + backup + checkpointer, enough
     /// to produce real crash states for recovery to chew on.

@@ -1,0 +1,411 @@
+//! The one REDO-replay core (paper §3.3; specified in DESIGN.md §6.9.1).
+//!
+//! Three pieces live here and nowhere else:
+//!
+//! * [`Stager`] — per log stream, buffers each transaction's writes until
+//!   its outcome is known, remembering where the transaction started.
+//!   Crash recovery and the standby's continuous replay (`mmdb-repl`)
+//!   both stage through it.
+//! * the resolver — commit installs, abort drops, `Prepare` parks the
+//!   branch, `Decide` is remembered, and whatever is still parked at the
+//!   end of the log is *in doubt* (presumed abort unless a coordinator
+//!   decision says otherwise).
+//! * window and report — the valid log window, the restored checkpoint's
+//!   begin marker, the replay start, and the paper's §4 recovery-time
+//!   terms.
+//!
+//! [`recover_parallel`] drives them at any lane count. One lane installs
+//! inline on the calling thread; with more, each lane owns a contiguous
+//! run of segments ([`Storage::with_lanes`]) and receives its segment
+//! images and its installs, in commit order, over a channel. Records of
+//! different segments are independent once commits are resolved, so the
+//! result is bit-identical at every lane count.
+
+use crate::{InDoubtTxn, RecoveryReport};
+use mmdb_disk::BackupStore;
+use mmdb_log::{LogDevice, LogRecord, LogScanner};
+use mmdb_obs::Obs;
+use mmdb_storage::{Storage, StorageLane};
+use mmdb_types::{
+    CostMeter, DiskParams, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, TxnId, Word,
+};
+use std::collections::HashMap;
+use std::sync::mpsc;
+
+/// Words of segment images or after-images handed to a lane at a time:
+/// waking a lane costs far more than one install.
+const LANE_BATCH_WORDS: usize = 64 * 1024;
+
+/// Batches queued per lane before the resolver waits for the lane to
+/// catch up: bounds the decoded words in flight.
+const LANE_QUEUE_BATCHES: usize = 8;
+
+/// One log stream's undecided transactions: the LSN each was first seen
+/// at and the writes staged for it so far, in log order.
+#[derive(Debug)]
+pub struct Stager<W> {
+    open: HashMap<TxnId, (Lsn, Vec<W>)>,
+}
+
+impl<W> Default for Stager<W> {
+    fn default() -> Self {
+        Stager {
+            open: HashMap::new(),
+        }
+    }
+}
+
+impl<W> Stager<W> {
+    /// Starts (or restarts, on a re-read stream) `txn` at `lsn` with no
+    /// writes.
+    pub fn begin(&mut self, txn: TxnId, lsn: Lsn) {
+        self.open.insert(txn, (lsn, Vec::new()));
+    }
+
+    /// Stages one write. A transaction whose begin frame was never seen
+    /// starts at this write's `lsn`.
+    pub fn update(&mut self, txn: TxnId, lsn: Lsn, write: W) {
+        self.open
+            .entry(txn)
+            .or_insert_with(|| (lsn, Vec::new()))
+            .1
+            .push(write);
+    }
+
+    /// Removes `txn`, handing back its first LSN and staged writes.
+    pub fn take(&mut self, txn: TxnId) -> Option<(Lsn, Vec<W>)> {
+        self.open.remove(&txn)
+    }
+
+    /// Drops `txn` and its writes.
+    pub fn discard(&mut self, txn: TxnId) {
+        self.open.remove(&txn);
+    }
+
+    /// The oldest first-LSN among the staged transactions: re-reading the
+    /// stream from here rebuilds every one of them.
+    pub fn first_lsn(&self) -> Option<Lsn> {
+        self.open.values().map(|(lsn, _)| *lsn).min()
+    }
+
+    /// Number of staged transactions.
+    pub fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.open.is_empty()
+    }
+
+    /// Drops every staged transaction.
+    pub fn clear(&mut self) {
+        self.open.clear();
+    }
+}
+
+/// A staged after-image: the record, its value and the LSN just past its
+/// update frame.
+type Write = (RecordId, Vec<Word>, Lsn);
+
+/// Commit resolution over one log's replay window.
+#[derive(Default)]
+struct Resolver {
+    staged: Stager<Write>,
+    /// Prepared branches with no outcome yet: local txn → gid.
+    prepared: HashMap<TxnId, u64>,
+    /// Coordinator decisions seen: gid → commit.
+    decided: HashMap<u64, bool>,
+    max_gid: u64,
+    updates_applied: u64,
+    txns_replayed: u64,
+}
+
+impl Resolver {
+    /// Feeds the record at `lsn`. A `Commit` returns the transaction's
+    /// writes, to be installed now: install order is commit order.
+    fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
+        let end_lsn = rec.end_lsn(lsn);
+        match rec {
+            LogRecord::Update { txn, record, value } => {
+                self.staged.update(txn, lsn, (record, value, end_lsn));
+            }
+            LogRecord::Commit { txn } => {
+                self.prepared.remove(&txn);
+                self.txns_replayed += 1;
+                let writes = self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w);
+                self.updates_applied += writes.len() as u64;
+                return writes;
+            }
+            LogRecord::Abort { txn } => {
+                self.staged.discard(txn);
+                self.prepared.remove(&txn);
+            }
+            LogRecord::Prepare { txn, gid } => {
+                self.prepared.insert(txn, gid);
+                self.max_gid = self.max_gid.max(gid);
+            }
+            LogRecord::Decide { gid, commit } => {
+                self.decided.insert(gid, commit);
+                self.max_gid = self.max_gid.max(gid);
+            }
+            _ => {}
+        }
+        Vec::new()
+    }
+
+    /// End of the log: prepared branches without an outcome are in doubt
+    /// (kept, with their writes, for the coordinator), everything else
+    /// still staged is discarded. Returns `(in_doubt, decisions,
+    /// txns_discarded)`.
+    fn finish(mut self) -> (Vec<InDoubtTxn>, Vec<(u64, bool)>, u64) {
+        let mut in_doubt: Vec<InDoubtTxn> = self
+            .prepared
+            .iter()
+            .map(|(&txn, &gid)| InDoubtTxn {
+                gid,
+                txn,
+                writes: self
+                    .staged
+                    .take(txn)
+                    .map_or_else(Vec::new, |(_, w)| w)
+                    .into_iter()
+                    .map(|(record, value, _)| (record, value))
+                    .collect(),
+            })
+            .collect();
+        in_doubt.sort_by_key(|t| (t.gid, t.txn));
+        let mut decisions: Vec<(u64, bool)> = self.decided.into_iter().collect();
+        decisions.sort_unstable();
+        (in_doubt, decisions, self.staged.len() as u64)
+    }
+}
+
+/// One step of the restore, applied by whoever owns the segment.
+enum Op {
+    /// A backup segment image and the ping-pong copy it was read from.
+    Load(SegmentId, Vec<Word>, usize),
+    /// A committed after-image.
+    Install(Write),
+}
+
+impl Op {
+    fn words(&self) -> usize {
+        match self {
+            Op::Load(_, words, _) | Op::Install((_, words, _)) => words.len(),
+        }
+    }
+
+    /// Applies the step to `lane` and hands back the buffer it carried.
+    fn apply(self, lane: &mut StorageLane<'_>, meter: &CostMeter) -> Result<Vec<Word>> {
+        match self {
+            Op::Load(sid, image, copy) => {
+                lane.load_segment(sid, &image, Some(copy), meter)?;
+                Ok(image)
+            }
+            Op::Install((record, value, end_lsn)) => {
+                lane.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
+                Ok(value)
+            }
+        }
+    }
+}
+
+pub(crate) fn log_read_time(disk: &DiskParams, log_words: u64) -> f64 {
+    if log_words == 0 {
+        0.0
+    } else {
+        disk.t_seek + log_words as f64 * disk.t_trans / disk.n_bdisks as f64
+    }
+}
+
+/// Restores `storage` from the backup and log with `workers` apply lanes
+/// (`0` and `1` both mean one: everything on the calling thread).
+///
+/// Emits `recovery.backup_load` and `recovery.redo_replay` spans and
+/// records the report's modeled total into the
+/// `recovery.total_modeled_us` histogram. The modeled-time fields use
+/// the paper's formulas at every lane count — lanes change wall-clock,
+/// not the model.
+pub fn recover_parallel(
+    storage: &mut Storage,
+    backup: &mut dyn BackupStore,
+    log_device: &mut dyn LogDevice,
+    disk: &DiskParams,
+    meter: &CostMeter,
+    obs: &Obs,
+    workers: usize,
+) -> Result<RecoveryReport> {
+    let n = workers.max(1);
+    let lane_of: Vec<usize> = storage
+        .segment_ids()
+        .map(|sid| storage.lane_of(sid, n))
+        .collect();
+    storage.with_lanes(n, |mut lanes| {
+        if n == 1 {
+            let lane = &mut lanes[0];
+            return restore(backup, log_device, disk, meter, obs, 1, |_, op| {
+                op.apply(lane, meter)
+            });
+        }
+        std::thread::scope(|scope| {
+            // Lanes hand their spent buffers back to this thread, which
+            // allocated them: freeing them on the lanes contends with the
+            // decoder's allocations and triples the replay time.
+            let (spent_tx, spent_rx) = mpsc::channel::<Vec<Vec<Word>>>();
+            let (senders, handles): (Vec<_>, Vec<_>) = lanes
+                .into_iter()
+                .map(|mut lane| {
+                    let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(LANE_QUEUE_BATCHES);
+                    let spent_tx = spent_tx.clone();
+                    let worker = scope.spawn(move || -> Result<()> {
+                        for batch in rx {
+                            let spent: Result<Vec<_>> = batch
+                                .into_iter()
+                                .map(|op| op.apply(&mut lane, meter))
+                                .collect();
+                            let _ = spent_tx.send(spent?);
+                        }
+                        Ok(())
+                    });
+                    (tx, worker)
+                })
+                .unzip();
+            // A lane that failed has dropped its receiver; its own error,
+            // collected below, is the one to report.
+            let send = |lane: usize, batch: Vec<Op>| {
+                spent_rx.try_iter().for_each(drop);
+                senders[lane]
+                    .send(batch)
+                    .map_err(|_| MmdbError::Invalid(format!("recovery lane {lane} stopped")))
+            };
+            let mut queued: Vec<(Vec<Op>, usize)> = (0..n).map(|_| (Vec::new(), 0)).collect();
+            let report = restore(backup, log_device, disk, meter, obs, n, |sid, op| {
+                let lane = lane_of.get(sid.index()).copied().unwrap_or(0);
+                let (batch, words) = &mut queued[lane];
+                *words += op.words();
+                batch.push(op);
+                if *words >= LANE_BATCH_WORDS {
+                    *words = 0;
+                    send(lane, std::mem::take(batch))?;
+                }
+                Ok(Vec::new())
+            });
+            for (lane, (batch, _)) in queued.into_iter().enumerate() {
+                if report.is_ok() && !batch.is_empty() {
+                    let _ = send(lane, batch);
+                }
+            }
+            drop(senders);
+            for worker in handles {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+            }
+            report
+        })
+    })
+}
+
+/// The restore itself (module docs of the crate, steps 1–4), handing
+/// every segment image and committed install to `apply` together with
+/// the segment it lands in; `apply` returns the buffer if it is done
+/// with it.
+fn restore(
+    backup: &mut dyn BackupStore,
+    log_device: &mut dyn LogDevice,
+    disk: &DiskParams,
+    meter: &CostMeter,
+    obs: &Obs,
+    lanes: usize,
+    mut apply: impl FnMut(SegmentId, Op) -> Result<Vec<Word>>,
+) -> Result<RecoveryReport> {
+    let (copy, ckpt) = backup.recovery_copy()?;
+    let db = backup.shape();
+
+    // 1–2: read the backup into main memory.
+    let load_timer = obs.timer();
+    let segments_loaded = db.n_segments();
+    let mut image: Vec<Word> = Vec::new();
+    for sid in (0..segments_loaded as u32).map(SegmentId) {
+        meter.io_op();
+        // the image is moved to the lane that owns the segment; a lane on
+        // another thread keeps it, so the buffer comes back empty
+        image.resize(db.s_seg as usize, 0);
+        backup.read_segment(copy, sid, &mut image)?;
+        image = apply(sid, Op::Load(sid, image, copy))?;
+    }
+    let backup_words = segments_loaded * db.s_seg;
+    obs.span_end(
+        "recovery.backup_load",
+        "recovery.backup_load_ns",
+        load_timer,
+        || format!("{ckpt} copy {copy}: {segments_loaded} segments, {backup_words} words"),
+    );
+
+    // 3: the valid log window (the first bad frame ends the log), the
+    // restored checkpoint's begin marker and the replay start.
+    let replay_timer = obs.timer();
+    let scanner = LogScanner::from_device_lanes(log_device, lanes)?;
+    let mark = scanner.checkpoint_mark(ckpt).ok_or_else(|| {
+        MmdbError::Corrupt(format!(
+            "backup copy {copy} is complete for {ckpt} but the log has no begin marker for it"
+        ))
+    })?;
+    let replay_start = scanner.replay_start(mark);
+
+    // 4: forward replay, installing each transaction's updates at its
+    // commit record (shadow-copy install order = commit order).
+    let rps = db.records_per_segment();
+    let mut resolver = Resolver::default();
+    for (lsn, rec) in scanner.forward_from(replay_start) {
+        for write in resolver.feed(lsn, rec) {
+            let sid = SegmentId((write.0.raw() / rps) as u32);
+            apply(sid, Op::Install(write))?;
+        }
+    }
+    let (updates_applied, txns_replayed, max_gid) = (
+        resolver.updates_applied,
+        resolver.txns_replayed,
+        resolver.max_gid,
+    );
+    let (in_doubt, decisions, txns_discarded) = resolver.finish();
+    obs.span_end(
+        "recovery.redo_replay",
+        "recovery.redo_replay_ns",
+        replay_timer,
+        || {
+            format!(
+                "from {replay_start}: {updates_applied} updates, {txns_replayed} txns, {lanes} lanes"
+            )
+        },
+    );
+
+    // Recovery-time model (paper §4): backup read at array bandwidth in
+    // segment-sized I/Os, log read sequentially striped across the disks.
+    let log_words = scanner.words_from(replay_start);
+    let backup_read_seconds = disk.array_time(segments_loaded, db.s_seg);
+    let log_read_seconds = log_read_time(disk, log_words);
+    obs.observe(
+        "recovery.total_modeled_us",
+        ((backup_read_seconds + log_read_seconds) * 1e6) as u64,
+    );
+    obs.counter("recovery.runs", 1);
+
+    Ok(RecoveryReport {
+        ckpt,
+        copy,
+        segments_loaded,
+        backup_words,
+        replay_start,
+        log_words,
+        updates_applied,
+        txns_replayed,
+        txns_discarded,
+        backup_read_seconds,
+        log_read_seconds,
+        in_doubt,
+        decisions,
+        max_gid,
+    })
+}

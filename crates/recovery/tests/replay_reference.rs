@@ -1,0 +1,347 @@
+//! Differential test of the replay core against a naive reference
+//! replayer that exists only here: decode everything, index it, sort the
+//! commits by LSN, apply. The reference shares no staging, resolution or
+//! window code with the core; the two must agree on the recovered
+//! contents and on every resolution field of the report at 1, 2 and 3
+//! lanes, on intact, torn and bit-flipped logs alike.
+
+#![allow(clippy::unwrap_used)]
+
+use mmdb_disk::{BackupStore, MemBackup};
+use mmdb_log::{LogDevice, LogRecord, MemLogDevice};
+use mmdb_obs::Obs;
+use mmdb_recovery::{recover_parallel, InDoubtTxn, RecoveryReport};
+use mmdb_storage::Storage;
+use mmdb_types::{
+    hash::fnv1a_words, CheckpointId, CostMeter, CostParams, DbParams, Lsn, Params, RecordId,
+    SegmentId, Timestamp, TxnId, Word,
+};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+const CKPT: CheckpointId = CheckpointId(3);
+
+/// What the naive replayer concludes from a crashed log.
+#[derive(Debug, PartialEq)]
+struct Expected {
+    fingerprint: u64,
+    replay_start: Lsn,
+    in_doubt: Vec<InDoubtTxn>,
+    decisions: Vec<(u64, bool)>,
+    max_gid: u64,
+    txns_replayed: u64,
+    txns_discarded: u64,
+}
+
+/// The database image every test backup holds: segment `s` is all `1000 + s`.
+fn backup_image(db: &DbParams) -> Vec<Word> {
+    (0..db.n_segments())
+        .flat_map(|s| vec![1000 + s as Word; db.s_seg as usize])
+        .collect()
+}
+
+/// The reference: `None` when the valid window holds no begin marker for
+/// [`CKPT`] (recovery must then fail).
+fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
+    // decode everything up to the first bad frame
+    let mut recs: Vec<(u64, LogRecord)> = Vec::new();
+    let mut pos = 0usize;
+    while let Ok((rec, used)) = LogRecord::decode(&log[pos..]) {
+        recs.push((pos as u64, rec));
+        pos += used;
+    }
+    let mark = recs.iter().rposition(
+        |(_, r)| matches!(r, LogRecord::BeginCheckpoint { ckpt, .. } if *ckpt == CKPT),
+    )?;
+    let LogRecord::BeginCheckpoint { active, .. } = &recs[mark].1 else {
+        unreachable!()
+    };
+    // the window opens at the nearest begin of the oldest active transaction
+    let start = active
+        .iter()
+        .filter_map(|t| {
+            recs[..mark]
+                .iter()
+                .rposition(|(_, r)| matches!(r, LogRecord::TxnBegin { txn, .. } if txn == t))
+        })
+        .min()
+        .unwrap_or(mark);
+    let window = &recs[start..];
+
+    // per transaction: the updates since its last outcome, and its parking
+    let mut image = backup_image(db);
+    let mut commits: Vec<(u64, Vec<(RecordId, Vec<Word>)>)> = Vec::new();
+    let mut open: BTreeMap<TxnId, Vec<(RecordId, Vec<Word>)>> = BTreeMap::new();
+    let mut parked: BTreeMap<TxnId, u64> = BTreeMap::new();
+    let mut decisions: BTreeMap<u64, bool> = BTreeMap::new();
+    let mut max_gid = 0;
+    for (lsn, rec) in window {
+        match rec {
+            LogRecord::Update { txn, record, value } => {
+                open.entry(*txn).or_default().push((*record, value.clone()));
+            }
+            LogRecord::Commit { txn } => {
+                commits.push((*lsn, open.remove(txn).unwrap_or_default()));
+                parked.remove(txn);
+            }
+            LogRecord::Abort { txn } => {
+                open.remove(txn);
+                parked.remove(txn);
+            }
+            LogRecord::Prepare { txn, gid } => {
+                parked.insert(*txn, *gid);
+                max_gid = max_gid.max(*gid);
+            }
+            LogRecord::Decide { gid, commit } => {
+                decisions.insert(*gid, *commit);
+                max_gid = max_gid.max(*gid);
+            }
+            _ => {}
+        }
+    }
+    commits.sort_by_key(|(lsn, _)| *lsn);
+    for (record, value) in commits.iter().flat_map(|(_, writes)| writes) {
+        let at = (record.raw() * db.s_rec) as usize;
+        image[at..at + value.len()].copy_from_slice(value);
+    }
+    let mut in_doubt: Vec<InDoubtTxn> = parked
+        .iter()
+        .map(|(&txn, &gid)| InDoubtTxn {
+            gid,
+            txn,
+            writes: open.remove(&txn).unwrap_or_default(),
+        })
+        .collect();
+    in_doubt.sort_by_key(|t| (t.gid, t.txn));
+    Some(Expected {
+        fingerprint: fnv1a_words(&image),
+        replay_start: Lsn(window[0].0),
+        in_doubt,
+        decisions: decisions.into_iter().collect(),
+        max_gid,
+        txns_replayed: commits.len() as u64,
+        txns_discarded: open.len() as u64,
+    })
+}
+
+/// Recovers `log` over the test backup with `lanes` lanes.
+fn recover(
+    db: DbParams,
+    log: &[u8],
+    lanes: usize,
+) -> mmdb_types::Result<(RecoveryReport, Storage)> {
+    let mut backup = MemBackup::new(db);
+    backup.begin_checkpoint(1, CKPT).unwrap();
+    for (s, image) in backup_image(&db).chunks(db.s_seg as usize).enumerate() {
+        backup.write_segment(1, SegmentId(s as u32), image).unwrap();
+    }
+    backup.complete_checkpoint(1, CKPT).unwrap();
+    let mut device = MemLogDevice::new();
+    device.append(log).unwrap();
+    let mut storage = Storage::new(db).unwrap();
+    let report = recover_parallel(
+        &mut storage,
+        &mut backup,
+        &mut device,
+        &Params::small().disk,
+        &CostMeter::new(CostParams::default()),
+        &Obs::disabled(),
+        lanes,
+    )?;
+    Ok((report, storage))
+}
+
+/// The core agrees with the reference, and with itself, at 1, 2, 3 lanes.
+fn check(log: &[u8]) -> Option<Expected> {
+    let db = Params::small().db;
+    let want = reference(&db, log);
+    let mut serial: Option<(RecoveryReport, u64)> = None;
+    for lanes in 1..=3 {
+        let got = recover(db, log, lanes);
+        let Some(want) = &want else {
+            assert!(got.is_err(), "{lanes} lanes recovered without a marker");
+            continue;
+        };
+        let (report, storage) = got.unwrap();
+        let seen = Expected {
+            fingerprint: storage.fingerprint(),
+            replay_start: report.replay_start,
+            in_doubt: report.in_doubt.clone(),
+            decisions: report.decisions.clone(),
+            max_gid: report.max_gid,
+            txns_replayed: report.txns_replayed,
+            txns_discarded: report.txns_discarded,
+        };
+        assert_eq!(&seen, want, "{lanes} lanes vs reference");
+        let this = (report, storage.current_version());
+        assert_eq!(
+            serial.get_or_insert_with(|| this.clone()),
+            &this,
+            "{lanes} lanes vs 1"
+        );
+    }
+    want
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Begin(u64),
+    Update(u64, u64, Word),
+    Commit(u64),
+    Abort(u64),
+    Prepare(u64, u64),
+    Decide(u64, bool),
+}
+
+fn encode(steps: &[Step], out: &mut Vec<u8>) {
+    let s_rec = Params::small().db.s_rec as usize;
+    for step in steps {
+        match *step {
+            Step::Begin(t) => LogRecord::TxnBegin {
+                txn: TxnId(t),
+                tau: Timestamp(t),
+            },
+            Step::Update(t, rid, fill) => LogRecord::Update {
+                txn: TxnId(t),
+                record: RecordId(rid),
+                value: vec![fill; s_rec],
+            },
+            Step::Commit(t) => LogRecord::Commit { txn: TxnId(t) },
+            Step::Abort(t) => LogRecord::Abort { txn: TxnId(t) },
+            Step::Prepare(t, gid) => LogRecord::Prepare { txn: TxnId(t), gid },
+            Step::Decide(gid, commit) => LogRecord::Decide { gid, commit },
+        }
+        .encode_into(out);
+    }
+}
+
+/// `before`, the begin marker of [`CKPT`] listing `active`, then `after`.
+/// Returns the log and the offset just past the marker.
+fn crashed_log(before: &[Step], active: &[u64], after: &[Step]) -> (Vec<u8>, usize) {
+    let mut log = Vec::new();
+    encode(before, &mut log);
+    LogRecord::BeginCheckpoint {
+        ckpt: CKPT,
+        tau: Timestamp(99),
+        active: active.iter().map(|&t| TxnId(t)).collect(),
+    }
+    .encode_into(&mut log);
+    let tail_at = log.len();
+    encode(after, &mut log);
+    (log, tail_at)
+}
+
+/// A whole committed transaction.
+fn txn(t: u64, records: &[u64], fill: Word) -> Vec<Step> {
+    let mut steps = vec![Step::Begin(t)];
+    steps.extend(records.iter().map(|&r| Step::Update(t, r, fill)));
+    steps.push(Step::Commit(t));
+    steps
+}
+
+#[test]
+fn worker_count_sweep_case() {
+    // rescale's `parallel_matches_serial_across_worker_counts` tail
+    let mut after = txn(1, &[0, 550], 8);
+    after.extend(txn(2, &[550, 1, 901], 9));
+    after.extend([
+        Step::Begin(3),
+        Step::Update(3, 2, 99),
+        Step::Update(3, 700, 99),
+    ]);
+    after.push(Step::Abort(3));
+    let want = check(&crashed_log(&txn(0, &[0, 100, 2000], 7), &[], &after).0).unwrap();
+    assert_eq!(want.txns_replayed, 2);
+    assert_eq!(want.txns_discarded, 0);
+}
+
+#[test]
+fn in_doubt_branch_case() {
+    // rescale's `parallel_carries_in_doubt_branches` tail
+    let mut after = txn(1, &[10], 2);
+    after.extend([
+        Step::Begin(2),
+        Step::Update(2, 20, 3),
+        Step::Update(2, 21, 3),
+    ]);
+    after.push(Step::Prepare(2, 77));
+    let want = check(&crashed_log(&[], &[], &after).0).unwrap();
+    assert_eq!(want.in_doubt.len(), 1);
+    assert_eq!((want.in_doubt[0].gid, want.in_doubt[0].txn), (77, TxnId(2)));
+    assert_eq!(want.in_doubt[0].writes.len(), 2);
+    assert_eq!(want.max_gid, 77);
+}
+
+#[test]
+fn corrupt_update_payload_ends_the_log_at_every_lane_count() {
+    // One flipped byte inside the after-image of the first update past
+    // the marker: the frame is structurally whole, its checksum is bad,
+    // so the log ends there and both commits behind it vanish — at one
+    // lane and at three alike.
+    let mut after = txn(1, &[5, 6, 7], 2);
+    after.extend(txn(2, &[5], 3));
+    let (mut log, tail_at) = crashed_log(&txn(0, &[0, 100], 1), &[], &after);
+    let begin_len = LogRecord::TxnBegin {
+        txn: TxnId(1),
+        tau: Timestamp(1),
+    }
+    .encoded_len();
+    log[tail_at + begin_len + 30] ^= 0xff;
+    let want = check(&log).unwrap();
+    assert_eq!(want.txns_replayed, 0);
+    assert_eq!(
+        want.fingerprint,
+        fnv1a_words(&backup_image(&Params::small().db))
+    );
+}
+
+#[test]
+fn fuzzy_marker_extends_the_window_to_the_oldest_active_begin() {
+    // txn 1 began and logged an update before the marker and commits
+    // after it; txn 0 committed before txn 1 began and is outside.
+    let mut before = txn(0, &[9], 4);
+    before.extend([Step::Begin(1), Step::Update(1, 70, 5)]);
+    let after = [Step::Update(1, 71, 5), Step::Commit(1)];
+    let (log, _) = crashed_log(&before, &[1], &after);
+    let want = check(&log).unwrap();
+    assert_eq!(want.txns_replayed, 1);
+    assert!(want.replay_start > Lsn::ZERO);
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let n_records = Params::small().db.n_records();
+    prop_oneof![
+        2 => (0u64..5).prop_map(Step::Begin),
+        6 => (0u64..5, 0..n_records, any::<Word>()).prop_map(|(t, r, f)| Step::Update(t, r, f)),
+        3 => (0u64..5).prop_map(Step::Commit),
+        1 => (0u64..5).prop_map(Step::Abort),
+        2 => (0u64..5, 1u64..4).prop_map(|(t, g)| Step::Prepare(t, g)),
+        1 => (1u64..4, any::<bool>()).prop_map(|(g, c)| Step::Decide(g, c)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Arbitrary interleavings — well-formed or not — around a marker
+    /// with an arbitrary active list, optionally damaged past the marker.
+    #[test]
+    fn core_matches_reference_on_random_interleavings(
+        before in proptest::collection::vec(step_strategy(), 0..20),
+        active in (0u8..32).prop_map(|set| (0u64..5).filter(|t| set >> t & 1 == 1).collect::<Vec<_>>()),
+        after in proptest::collection::vec(step_strategy(), 0..60),
+        damage in 0u8..3,
+        at in any::<usize>(),
+    ) {
+        let (mut log, tail_at) = crashed_log(&before, &active, &after);
+        if log.len() > tail_at {
+            let at = tail_at + at % (log.len() - tail_at);
+            match damage {
+                1 => log.truncate(at), // torn tail
+                2 => log[at] ^= 0x20,  // one flipped byte
+                _ => {}
+            }
+        }
+        check(&log);
+    }
+}

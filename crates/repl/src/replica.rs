@@ -32,6 +32,7 @@
 //! primary is lost, matching what the primary's own recovery would
 //! conclude.
 
+use mmdb_core::Stager;
 use mmdb_shard::ShardedMmdb;
 use mmdb_sync::{LockRank, RankedMutex};
 use mmdb_types::{Lsn, MmdbError, RecordId, Result, Word};
@@ -66,40 +67,31 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(200);
 /// How long [`promote`] waits for the pull threads to drain and exit.
 const PROMOTE_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Replay state shared by every shard's pull thread.
-///
-/// Uncommitted transactions buffer here (`open`), prepared cross-shard
-/// branches park until their decision arrives (`pending`), and
-/// decisions are remembered for branches whose `Prepare` trails the
-/// `Decide` on another shard's stream (`decisions` — unbounded over a
-/// standby's lifetime, bounded in practice by the primary's gid space
-/// actually exercised while attached).
 /// One transaction's (or branch's) after-images.
 type AfterImages = Vec<(RecordId, Vec<Word>)>;
 
-/// An uncommitted transaction buffering on the standby: the primary-log
-/// LSN of its `TxnBegin` frame and the after-images seen so far. The
-/// begin LSN is the shard's persist holdback while the transaction is
-/// open — only the frames from there on can rebuild the images, which
-/// exist nowhere else until the `Commit` installs them.
-struct OpenTxn {
-    begin_lsn: u64,
-    writes: AfterImages,
-}
-
-/// A parked prepared branch: its shard, the primary-log LSN of its
-/// `TxnBegin` frame (the shard's persist holdback: a restart re-pulls
-/// from there so the branch re-buffers its after-images and re-parks —
-/// the `Prepare` frame alone carries none of them), and its
+/// A parked prepared branch: its shard, the primary-log LSN the shard's
+/// stager first saw it at (the shard's persist holdback: a restart
+/// re-pulls from there so the branch re-buffers its after-images and
+/// re-parks — the `Prepare` frame alone carries none of them), and its
 /// after-images.
 type ParkedBranch = (usize, u64, AfterImages);
 
+/// Replay state shared by every shard's pull thread. Staging is the
+/// replay core's ([`Stager`], one per shard stream); what lives here is
+/// only what crosses shards.
 struct Resolver {
-    /// `(shard, primary txn id)` → buffering transaction.
-    open: HashMap<(usize, u64), OpenTxn>,
+    /// Per shard stream: transactions with no outcome yet. A stager's
+    /// first LSN is that shard's persist holdback — only the frames from
+    /// there on can rebuild after-images that exist nowhere else until a
+    /// `Commit` installs them.
+    open: Vec<Stager<(RecordId, Vec<Word>)>>,
     /// `gid` → prepared branches awaiting a decision.
     pending: HashMap<u64, Vec<ParkedBranch>>,
-    /// `gid` → decided outcome (true = commit).
+    /// `gid` → decided outcome (true = commit), remembered for branches
+    /// whose `Prepare` trails the `Decide` on another shard's stream
+    /// (unbounded over a standby's lifetime, bounded in practice by the
+    /// primary's gid space actually exercised while attached).
     decisions: HashMap<u64, bool>,
 }
 
@@ -164,7 +156,7 @@ impl Replica {
                 "repl.resolver",
                 LockRank::REPL_RESOLVER,
                 Resolver {
-                    open: HashMap::new(),
+                    open: (0..shards).map(|_| Stager::default()).collect(),
                     pending: HashMap::new(),
                     decisions,
                 },
@@ -214,10 +206,8 @@ impl Replica {
             let r = self.resolver.lock();
             for (shard, a) in self.applied.iter().enumerate() {
                 let mut v = a.load(Ordering::SeqCst);
-                for (&(open_shard, _), txn) in &r.open {
-                    if open_shard == shard {
-                        v = v.min(txn.begin_lsn);
-                    }
+                if let Some(first) = r.open[shard].first_lsn() {
+                    v = v.min(first.raw());
                 }
                 for branches in r.pending.values() {
                     for &(branch_shard, begin_lsn, _) in branches {
@@ -248,7 +238,9 @@ impl Replica {
     /// Applies one shard's batch of whole log-record frames starting at
     /// primary LSN `base`, returning how many bytes were consumed (a
     /// trailing partial frame — the batch size cap can cut one — is
-    /// left for the next pull).
+    /// left for the next pull). A batch that *starts* with a whole frame
+    /// that fails its checksum is an error (`repl.corrupt_frames`), not
+    /// a reason to ask for more bytes.
     fn apply_batch(
         &self,
         db: &ShardedMmdb,
@@ -265,61 +257,49 @@ impl Replica {
         while off < bytes.len() {
             let (rec, used) = match LogRecord::decode(&bytes[off..]) {
                 Ok(ok) => ok,
-                // a torn tail frame: stop here, re-request from `off`
-                Err(_) => break,
-            };
-            match rec {
-                LogRecord::TxnBegin { txn, .. } => {
-                    r.open.insert(
-                        (shard, txn.raw()),
-                        OpenTxn {
-                            begin_lsn: base + off as u64,
-                            writes: Vec::new(),
-                        },
-                    );
+                // the batch size cap cut this frame: re-request from `off`
+                Err(_) if LogRecord::frame_len(&bytes[off..]).is_none() => break,
+                // the whole frame is in hand and still does not decode: a
+                // larger batch cannot help. Frames applied before it keep
+                // their progress; the pull that starts at it fails.
+                Err(_) if off > 0 => break,
+                Err(e) => {
+                    obs.counter("repl.corrupt_frames", 1);
+                    return Err(e);
                 }
+            };
+            let lsn = Lsn(base + off as u64);
+            match rec {
+                LogRecord::TxnBegin { txn, .. } => r.open[shard].begin(txn, lsn),
+                // An Update without a TxnBegin means the attach point
+                // fell between a transaction's begin and its installs.
+                // The engine appends a transaction's Update run and
+                // Commit contiguously per shard stream (only the begin
+                // frame is written earlier), and every attach point is a
+                // run boundary — so the full after-image set still
+                // follows from here, staged under this frame's own LSN;
+                // only the data-free begin frame is lost.
                 LogRecord::Update { txn, record, value } => {
-                    // An Update without a TxnBegin means the attach
-                    // point fell between a transaction's begin and its
-                    // installs. The engine appends a transaction's
-                    // Update run and Commit contiguously per shard
-                    // stream (only the begin frame is written earlier),
-                    // and every attach point is a run boundary — so the
-                    // full after-image set still follows from here.
-                    // Buffer it under the frame's own LSN; only the
-                    // data-free begin frame is lost.
-                    r.open
-                        .entry((shard, txn.raw()))
-                        .or_insert_with(|| OpenTxn {
-                            begin_lsn: base + off as u64,
-                            writes: Vec::new(),
-                        })
-                        .writes
-                        .push((record, value));
+                    r.open[shard].update(txn, lsn, (record, value));
                 }
                 LogRecord::Commit { txn } => {
                     // absent entry: the phase-two commit of a prepared
                     // branch already installed at Decide time — ignore
-                    if let Some(open) = r.open.remove(&(shard, txn.raw())) {
-                        apply_writes(db, shard, &open.writes)?;
+                    if let Some((_, writes)) = r.open[shard].take(txn) {
+                        apply_writes(db, shard, &writes)?;
                         txns += 1;
                     }
                 }
-                LogRecord::Abort { txn } => {
-                    r.open.remove(&(shard, txn.raw()));
-                }
+                LogRecord::Abort { txn } => r.open[shard].discard(txn),
                 LogRecord::Prepare { txn, gid } => {
-                    // a parked branch's holdback must be its TxnBegin,
-                    // not this Prepare frame: the Prepare carries only
-                    // {txn, gid}, so a restart re-pulling from here
-                    // would re-park the branch with empty writes and a
-                    // later commit decision would install nothing
-                    let (begin_lsn, writes) = match r.open.remove(&(shard, txn.raw())) {
-                        Some(open) => (open.begin_lsn, open.writes),
-                        // attached mid-transaction: nothing buffered,
-                        // and nothing a re-pull could rebuild either
-                        None => (base + off as u64, Vec::new()),
-                    };
+                    // a parked branch's holdback must be where its
+                    // staging began, not this Prepare frame: the Prepare
+                    // carries only {txn, gid}, so a restart re-pulling
+                    // from here would re-park the branch with empty
+                    // writes and a later commit decision would install
+                    // nothing. Attached mid-transaction there is nothing
+                    // staged, and nothing a re-pull could rebuild either.
+                    let (first, writes) = r.open[shard].take(txn).unwrap_or((lsn, Vec::new()));
                     match r.decisions.get(&gid) {
                         Some(true) => {
                             apply_writes(db, shard, &writes)?;
@@ -330,7 +310,7 @@ impl Replica {
                             r.pending
                                 .entry(gid)
                                 .or_default()
-                                .push((shard, begin_lsn, writes));
+                                .push((shard, first.raw(), writes));
                         }
                     }
                 }
@@ -686,10 +666,10 @@ pub fn promote(db: &ShardedMmdb, replica: &Replica) -> Result<()> {
     }
     {
         let mut r = replica.resolver.lock();
-        let aborted = r.pending.len() as u64 + r.open.len() as u64;
+        let aborted = r.pending.len() + r.open.iter().map(Stager::len).sum::<usize>();
         r.pending.clear();
-        r.open.clear();
-        obs.counter("repl.promote_aborted_branches", aborted);
+        r.open.iter_mut().for_each(Stager::clear);
+        obs.counter("repl.promote_aborted_branches", aborted as u64);
     }
     // make everything applied locally durable before accepting writes
     for i in 0..db.shards() {
@@ -944,6 +924,120 @@ mod tests {
             vec![5; words]
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn attach_between_begin_and_updates_holds_back_at_the_first_update() {
+        use mmdb_core::LogRecord;
+        use mmdb_types::TxnId;
+        let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
+        let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
+        let words = standby.record_words();
+        let dir = state_dir("mid-attach");
+        let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
+
+        // the attach point (primary LSN 4096) fell after txn 8's TxnBegin
+        // frame: the stream opens with its update run
+        let attach = 4096u64;
+        let updates = frames(&[
+            LogRecord::Update {
+                txn: TxnId(8),
+                record: RecordId(2),
+                value: vec![6; words],
+            },
+            LogRecord::Update {
+                txn: TxnId(8),
+                record: RecordId(3),
+                value: vec![7; words],
+            },
+        ]);
+        let consumed = replica
+            .apply_batch(&standby, 0, attach, &updates)
+            .expect("updates");
+        assert_eq!(consumed, updates.len());
+        replica.applied[0].store(attach + consumed as u64, Ordering::SeqCst);
+        replica.save_state();
+
+        // only the data-free begin frame is lost: the holdback is the
+        // first update's LSN, and a restart from there still commits
+        let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
+        assert_eq!(resumed.applied[0].load(Ordering::SeqCst), attach);
+        let mut full = updates.clone();
+        LogRecord::Commit { txn: TxnId(8) }.encode_into(&mut full);
+        resumed
+            .apply_batch(&standby, 0, attach, &full)
+            .expect("full");
+        assert_eq!(
+            standby.read_committed(RecordId(3)).expect("read"),
+            vec![7; words]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_shipped_frame_fails_the_pull_instead_of_escalating() {
+        use mmdb_core::LogRecord;
+        use mmdb_types::{Timestamp, TxnId};
+        let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
+        let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
+        let words = standby.record_words();
+        let replica = Replica::new("unused".into(), &standby, None);
+        let corrupt_frames = || {
+            mmdb_obs::MetricsSnapshot::capture(standby.obs())
+                .counter("repl.corrupt_frames")
+                .unwrap_or(0)
+        };
+
+        let txn = |id: u64, record: u64, fill: u32| {
+            frames(&[
+                LogRecord::TxnBegin {
+                    txn: TxnId(id),
+                    tau: Timestamp(id),
+                },
+                LogRecord::Update {
+                    txn: TxnId(id),
+                    record: RecordId(record),
+                    value: vec![fill; words],
+                },
+                LogRecord::Commit { txn: TxnId(id) },
+            ])
+        };
+        let good = txn(1, 0, 11);
+        let mut batch = good.clone();
+        batch.extend_from_slice(&txn(2, 1, 22));
+        // one flipped byte inside txn 2's after-image: the frame is whole
+        // (its length header and trailer agree) and its checksum is bad
+        let begin_len = LogRecord::TxnBegin {
+            txn: TxnId(2),
+            tau: Timestamp(2),
+        }
+        .encoded_len();
+        let bad_at = good.len() + begin_len;
+        batch[bad_at + 30] ^= 0x40;
+
+        // the intact prefix applies and keeps its progress
+        let consumed = replica.apply_batch(&standby, 0, 0, &batch).expect("prefix");
+        assert_eq!(consumed, bad_at);
+        assert_eq!(
+            standby.read_committed(RecordId(0)).expect("read"),
+            vec![11; words]
+        );
+        assert_eq!(corrupt_frames(), 0);
+
+        // the pull that starts at the bad frame is an error the loop must
+        // not answer with a bigger batch
+        let err = replica
+            .apply_batch(&standby, 0, bad_at as u64, &batch[bad_at..])
+            .expect_err("corrupt frame");
+        assert!(matches!(err, MmdbError::Corrupt(_)), "{err:?}");
+        assert_eq!(corrupt_frames(), 1);
+
+        // a frame merely cut by the batch cap is still "ask again"
+        let cut = replica
+            .apply_batch(&standby, 0, bad_at as u64, &batch[bad_at..bad_at + 20])
+            .expect("cut frame");
+        assert_eq!(cut, 0);
+        assert_eq!(corrupt_frames(), 1);
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! Recovery at scale: parallel partitioned replay, live log compaction,
 //! and compressed cold storage.
 //!
-//! The core recovery path (`mmdb-recovery`) is deliberately serial — it
-//! is the paper's §4 cost model made executable, and it doubles as the
-//! correctness oracle for everything here. This crate adds the three
-//! mechanisms a memory-resident database needs once databases and logs
-//! stop being small:
+//! What a memory-resident database needs once databases and logs stop
+//! being small:
 //!
-//! * [`recover_parallel`] — partitions the committed-REDO window by
-//!   record segment and replays with N workers, overlapped with backup
-//!   loading. Bit-identical to the serial path (same fingerprint, same
-//!   report), with an automatic serial fallback on any log corruption.
+//! * [`recover_parallel`] — re-exported from `mmdb-recovery`, whose one
+//!   replay core runs at any lane count; the lane-count identity tests
+//!   live here, next to the compaction tests that share their harness.
 //! * [`compact_device`] — a background pass that rewrites cold log
 //!   chunks, replacing durably-dead frames (aborted, or committed and
 //!   superseded) with length-preserving filler so the REDO window stays
@@ -27,14 +23,13 @@
 
 mod bench;
 mod compact;
-mod parallel;
 
 pub use bench::{
     bench_recovery_json, validate_bench_recovery_json, ParallelEntry, RecoveryBenchReport,
     RecoveryPoint, WindowPoint, BENCH_RECOVERY_SCHEMA,
 };
 pub use compact::{compact_device, CompactOptions, CompactReport};
-pub use parallel::recover_parallel;
+pub use mmdb_recovery::recover_parallel;
 
 #[cfg(test)]
 mod tests {
@@ -252,58 +247,6 @@ mod tests {
         assert_eq!(report.in_doubt[0].gid, 77);
         assert_eq!(report.in_doubt[0].writes.len(), 2);
         assert_eq!(report.max_gid, 77);
-    }
-
-    #[test]
-    fn parallel_falls_back_to_serial_on_corrupt_update_payload() {
-        let mut m = Mini::new();
-        m.txn(&[0, 100], 1);
-        m.checkpoint();
-        m.txn(&[5, 6, 7], 2);
-        m.txn(&[5], 3);
-        m.crash();
-
-        // Flip one byte inside the *value* of the first post-checkpoint
-        // update: structurally intact (peek accepts it), checksum bad.
-        // The serial scanner treats that frame as the end of the log, so
-        // both commits after it vanish — the parallel path must detect
-        // the bad payload and defer to the serial result.
-        let raw = m.log.device_mut().read_all().unwrap();
-        let scanner = LogScanner::from_bytes_at(raw.clone(), 0);
-        let victim = scanner
-            .forward_from(scanner.base_lsn())
-            .find_map(|(lsn, rec)| match rec {
-                LogRecord::Update { value, .. } if value[0] == 2 => Some(lsn.raw() as usize),
-                _ => None,
-            })
-            .unwrap();
-        let mut corrupted = raw;
-        corrupted[victim + 30] ^= 0xff; // inside the after-image
-        let make_dev = || {
-            let mut d = MemLogDevice::new();
-            d.append(&corrupted).unwrap();
-            d
-        };
-
-        let db = *m.storage.db_params();
-        let disk = Params::small().disk;
-        let mut serial = Storage::new(db).unwrap();
-        let serial_report =
-            recover(&mut serial, &mut m.backup, &mut make_dev(), &disk, &m.meter).unwrap();
-        assert_eq!(serial_report.txns_replayed, 0); // torn at the bad frame
-        let mut par = Storage::new(db).unwrap();
-        let par_report = recover_parallel(
-            &mut par,
-            &mut m.backup,
-            &mut make_dev(),
-            &disk,
-            &m.meter,
-            &Obs::disabled(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(serial_report, par_report);
-        assert_eq!(serial.fingerprint(), par.fingerprint());
     }
 
     /// Segmented-device harness with small chunks so rotation and
