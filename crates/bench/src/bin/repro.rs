@@ -14,7 +14,8 @@
 //! plotting. `bench` runs the telemetry-instrumented simulator over
 //! every algorithm and writes `BENCH_repro.json` (overhead per txn,
 //! p50/p99 checkpoint-pass and recovery latencies; `--out <path>` to
-//! redirect).
+//! redirect — `bench --quick --out crates/bench/BENCH_repro.json`
+//! refreshes the checked-in copy a test compares against).
 
 use mmdb_bench::{bench_json, bench_trajectory, cross_validate, render_validation};
 use mmdb_model::figures::{

@@ -1,5 +1,6 @@
-//! Shared harness code for the figure-reproduction binary and the
-//! Criterion benches.
+//! Library half of the figure-reproduction binary (`repro`): the
+//! simulator-vs-model cross-validation and the simulated-clock bench
+//! trajectory checked in as `BENCH_repro.json`.
 
 #![warn(missing_docs)]
 
@@ -8,7 +9,7 @@ use mmdb_model::AnalyticModel;
 use mmdb_obs::json::Value;
 use mmdb_obs::HistSummary;
 use mmdb_sim::{SimConfig, SimResult, Simulator};
-use mmdb_types::{Algorithm, LogMode, Params};
+use mmdb_types::Algorithm;
 
 /// One row of the simulator-vs-model cross-validation (experiment
 /// `simval` in DESIGN.md).
@@ -204,23 +205,6 @@ pub fn bench_json(entries: &[BenchEntry], quick: bool) -> String {
     .to_pretty()
 }
 
-/// The algorithms that are sound under the given log mode.
-pub fn sound_algorithms(log_mode: LogMode) -> Vec<Algorithm> {
-    Algorithm::ALL
-        .into_iter()
-        .filter(|a| a.sound_under(log_mode))
-        .collect()
-}
-
-/// Paper-default parameters with the log mode an algorithm needs.
-pub fn params_for(algorithm: Algorithm) -> Params {
-    let mut p = Params::paper_defaults();
-    if algorithm == Algorithm::FastFuzzy {
-        p.log_mode = LogMode::StableTail;
-    }
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,9 +235,16 @@ mod tests {
         );
     }
 
+    /// The determinism oracle (DESIGN.md lint rule L4): the trajectory
+    /// runs on the simulated clock only, so regenerating it must
+    /// reproduce the checked-in file byte for byte. Refresh it with
+    /// `repro bench --quick --out crates/bench/BENCH_repro.json`.
     #[test]
-    fn sound_algorithm_lists() {
-        assert_eq!(sound_algorithms(LogMode::VolatileTail).len(), 5);
-        assert_eq!(sound_algorithms(LogMode::StableTail).len(), 6);
+    fn bench_trajectory_reproduces_the_checked_in_file_byte_for_byte() {
+        let fresh = bench_json(&bench_trajectory(true), true);
+        assert!(
+            fresh == include_str!("../BENCH_repro.json"),
+            "BENCH_repro.json drifted from what `repro bench --quick` emits"
+        );
     }
 }

@@ -15,21 +15,17 @@
 //!                      [--json] [--remote ADDR]            # dump a live server's traces
 //! mmdb-cli <dir> audit [--txns N] [--seed S] [--updates K]
 //! mmdb-cli <dir> lint                       # dir is the source root
-//! mmdb-cli <dir> fsck [--compare <dir-or-addr>] [--recovery-workers N]  # cross-check fingerprints
+//! mmdb-cli <dir> fsck [--compare DIR-OR-ADDR] [--recovery-workers N]  # cross-check fingerprints
 //! mmdb-cli <dir> dump <archive-file>
-//! mmdb-cli <dir> restore <archive-file>     # dir must be fresh
+//! mmdb-cli <dir> restore <archive-file> [--algorithm A]   # dir must be fresh
 //! mmdb-cli <dir> serve [--addr A] [--workers N] [--ckpt-ms D] [--idle-ms D] [--shards N]
 //!                      [--slow-us U]                          # slow-request trace threshold
 //!                      [--compact-ms D] [--recovery-workers N]  # log maintenance + parallel replay
 //!                      [--replica-of ADDR] [--repl-primary] [--repl-sync]  # replication role (persisted)
 //! mmdb-cli <dir> promote [--addr A]         # replica -> writable primary
 //! mmdb-cli <dir> bench-net [--connections N] [--txns N] [--updates K] [--seed S]
-//!                          [--zipf THETA] [--rate TPS] [--addr A] [--out FILE]
-//!                          [--shards N] [--cross F] [--sweep]
-//!                          [--log-latency-us U] [--group-compare]
-//!                          [--intra-sweep] [--duration-ms D] [--write-every K]
-//! mmdb-cli <dir> bench-repl [--writers N] [--txns N] [--shards N] [--out FILE]
-//! mmdb-cli <dir> bench-recovery [--updates K] [--seed S] [--out FILE]
+//!                          [--zipf THETA] [--rate TPS] [--addr A]
+//!                          [--shards N] [--cross F]   # wire load driver
 //! ```
 //!
 //! Every invocation opens the database (recovering from the on-disk
@@ -41,16 +37,12 @@
 //! A database created with `init --shards N` (N > 1) is hash-partitioned
 //! across N independent engines (`<dir>/shard.<i>/`, topology pinned by
 //! the `<dir>/shards` marker); `serve`, `bench-net` and `fsck` detect
-//! the marker and operate on the whole topology. `bench-net --sweep`
-//! runs the shard-scaling benchmark over fresh scratch topologies at
-//! 1, 2, 4 and 8 shards and emits schema-validated `BENCH_shard.json`;
-//! `bench-net --group-compare` benchmarks group commit against
-//! per-commit forcing on fresh single-shard topologies with a real
-//! (fsynced, unmodeled) log device and emits schema-validated
-//! `BENCH_group.json`; `bench-net --intra-sweep` benchmarks the
-//! within-shard concurrency design (lock-free seqlock reads vs the
-//! forced-locked baseline, 1→8 worker threads against one shard,
-//! in-process) and emits schema-validated `BENCH_intra.json`.
+//! the marker and operate on the whole topology. `bench-net` is a load
+//! driver (closed loop, or open loop with `--rate`) for smoke tests and
+//! live servers: it prints two summary lines and exits non-zero on any
+//! non-transient error. The repo's benchmark is `benchmark/`.
+//!
+//! An unknown `--flag` is an error on every subcommand, never ignored.
 //!
 //! Replication: `serve --replica-of ADDR` runs the directory as a
 //! read-only hot standby of the primary at `ADDR` (same `init` shape
@@ -61,23 +53,15 @@
 //! without a bootstrap gap. `serve --repl-sync` additionally makes the
 //! primary hold each commit until a standby acknowledges it. `promote` flips a
 //! standby writable (via `--addr` for a live server, offline
-//! otherwise), `fsck --compare` cross-checks storage fingerprints
-//! between two databases, and `bench-repl` measures steady-state
-//! replication lag plus failover time and emits schema-validated
-//! `BENCH_repl.json`.
+//! otherwise), and `fsck --compare` cross-checks storage fingerprints
+//! between two databases.
 
 mod persist;
 
 use mmdb_core::{Algorithm, CommitDurability, LogMode, Mmdb, MmdbConfig, RecordId};
 use mmdb_lint::check_workspace;
 use mmdb_log::{LogDevice, LogScanner, SegmentedLogDevice};
-use mmdb_repl::{bench_repl_json, validate_bench_repl_json, ReplBenchReport};
-use mmdb_server::{
-    bench_group_json, bench_intra_json, bench_net_json, bench_shard_json, run_intra_sweep,
-    run_load, validate_bench_group_json, validate_bench_intra_json, validate_bench_net_json,
-    validate_bench_shard_json, GroupCompareEntry, IntraSweepConfig, LoadConfig, ReplOptions,
-    Server, ServerConfig, ShardSweepEntry, WorkloadKind,
-};
+use mmdb_server::{run_load, LoadConfig, ReplOptions, Server, ServerConfig, WorkloadKind};
 use mmdb_shard::{shard_config, ShardedMmdb};
 use mmdb_wire::Client;
 use mmdb_workload::{UniformWorkload, Workload};
@@ -103,98 +87,214 @@ fn run() -> Result<(), String> {
         },
         None => return Err(usage()),
     };
-    match COMMANDS.iter().find(|(name, _, _)| *name == cmd.as_str()) {
-        Some((_, _, handler)) => handler(&dir, &rest),
+    match COMMANDS.iter().find(|c| c.name == cmd.as_str()) {
+        Some(command) => {
+            command.check_flags(&rest)?;
+            (command.handler)(&dir, &rest)
+        }
         None => Err(format!("unknown command {cmd:?}\n{}", usage())),
     }
 }
 
 type Handler = fn(&Path, &[String]) -> Result<(), String>;
 
-/// The single source of truth for dispatch *and* the usage text: every
-/// subcommand is one `(name, one-line help, handler)` row here, so the
-/// help can never drift out of sync with what actually runs.
-const COMMANDS: &[(&str, &str, Handler)] = &[
-    (
-        "init",
-        "create a database (--algorithm A, --segments N, --segment-words N, --record-words N, --full, --shards N, --durability force|lazy|group, --recovery-workers N, --compress-backups, --compress-log)",
-        cmd_init,
-    ),
-    ("put", "<record> <fill-u32> — commit one update", cmd_put),
-    ("get", "<record> — read a committed record", cmd_get),
-    (
-        "workload",
-        "<n-txns> — run a seeded uniform workload (--seed S, --updates K)",
-        cmd_workload,
-    ),
-    ("checkpoint", "take a checkpoint now", cmd_checkpoint),
-    (
-        "compact",
-        "rotate the active log chunk and compact cold ones — superseded committed frames become filler (--compress stores cold chunks LZ-compressed)",
-        cmd_compact,
-    ),
-    (
-        "stats",
-        "print statistics; --json / --prom export the unified metrics snapshot, --remote ADDR fetches a live server's",
-        cmd_stats,
-    ),
-    (
-        "trace",
-        "print request span trees — local instrumented workload, or a live server's flight recorder (--txns N, --seed S, --updates K, --limit N, --slow-us U, --json, --remote ADDR)",
-        cmd_trace,
-    ),
-    (
-        "audit",
-        "run a protocol-audited stress pass (--txns N, --seed S, --updates K)",
-        cmd_audit,
-    ),
-    (
-        "lint",
-        "run the concurrency-discipline source lint over the tree rooted at <dir>",
-        cmd_lint,
-    ),
-    (
-        "fsck",
-        "verify backup checksums, the log window, and dry-run recovery (--compare <dir-or-addr> cross-checks fingerprints, --recovery-workers N recovers in parallel)",
-        cmd_fsck,
-    ),
-    ("dump", "<archive-file> — write a cold archive", cmd_dump),
-    (
-        "restore",
-        "<archive-file> — restore an archive into a fresh directory (--algorithm A)",
-        cmd_restore,
-    ),
-    (
-        "serve",
-        "serve the database over TCP (--addr A, --workers N, --ckpt-ms D, --idle-ms D, --shards N, --slow-us U, --compact-ms D, --recovery-workers N, --replica-of ADDR, --repl-primary, --repl-sync)",
-        cmd_serve,
-    ),
-    (
-        "promote",
-        "promote a replica to writable primary (--addr A for a live server, offline config flip otherwise)",
-        cmd_promote,
-    ),
-    (
-        "bench-net",
-        "network benchmark, closed-loop or open-loop (--connections N, --txns N, --updates K, --seed S, --zipf THETA, --rate TPS, --addr A, --out FILE, --shards N, --cross F, --sweep, --log-latency-us U, --group-compare, --intra-sweep)",
-        cmd_bench_net,
-    ),
-    (
-        "bench-repl",
-        "replication benchmark: primary + live standby, steady-state lag and failover time (--writers N, --txns N, --shards N, --out FILE)",
-        cmd_bench_repl,
-    ),
-    (
-        "bench-recovery",
-        "recovery-at-scale benchmark: serial vs parallel replay across database and log sizes, compressed cold storage, and the bounded-replay-window demo (--updates K, --seed S, --out FILE)",
-        cmd_bench_recovery,
-    ),
+/// One subcommand. [`COMMANDS`] is the single source of truth for
+/// dispatch, flag checking *and* the usage text, so the help can never
+/// drift out of sync with what actually runs.
+struct Command {
+    name: &'static str,
+    /// Positional arguments and what the command does.
+    about: &'static str,
+    /// Every `--flag` the command accepts, written as the help shows it:
+    /// `"--flag"` for a switch, `"--flag VALUE"` for one taking a value.
+    flags: &'static [&'static str],
+    handler: Handler,
+}
+
+impl Command {
+    fn usage_line(&self) -> String {
+        let mut line = format!("{:<11} {}", self.name, self.about);
+        if !self.flags.is_empty() {
+            line.push_str(&format!(" ({})", self.flags.join(", ")));
+        }
+        line
+    }
+
+    /// Fails on any `--flag` the command does not declare: a typo or a
+    /// retired option must not silently run something else.
+    fn check_flags(&self, rest: &[String]) -> Result<(), String> {
+        let mut args = rest.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                continue;
+            }
+            let spec = self
+                .flags
+                .iter()
+                .map(|spec| spec.split_once(' ').unwrap_or((spec, "")))
+                .find(|(name, _)| name == arg);
+            match spec {
+                Some((_, "")) => {}
+                Some(_) => {
+                    args.next(); // the flag's value, whatever it looks like
+                }
+                None => {
+                    return Err(format!(
+                        "unknown flag {arg} for {}\nusage: mmdb-cli <dir> {}",
+                        self.name,
+                        self.usage_line()
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "init",
+        about: "create a database",
+        flags: &[
+            "--algorithm A",
+            "--segments N",
+            "--segment-words N",
+            "--record-words N",
+            "--full",
+            "--shards N",
+            "--durability force|lazy|group",
+            "--recovery-workers N",
+            "--compress-backups",
+            "--compress-log",
+        ],
+        handler: cmd_init,
+    },
+    Command {
+        name: "put",
+        about: "<record> <fill-u32> — commit one update",
+        flags: &[],
+        handler: cmd_put,
+    },
+    Command {
+        name: "get",
+        about: "<record> — read a committed record",
+        flags: &[],
+        handler: cmd_get,
+    },
+    Command {
+        name: "workload",
+        about: "<n-txns> — run a seeded uniform workload",
+        flags: &["--seed S", "--updates K"],
+        handler: cmd_workload,
+    },
+    Command {
+        name: "checkpoint",
+        about: "take a checkpoint now",
+        flags: &[],
+        handler: cmd_checkpoint,
+    },
+    Command {
+        name: "compact",
+        about: "rotate the active log chunk and compact cold ones — superseded committed frames become filler, cold chunks optionally LZ-compressed",
+        flags: &["--compress"],
+        handler: cmd_compact,
+    },
+    Command {
+        name: "stats",
+        about: "print statistics, or export the unified metrics snapshot as JSON / Prometheus text — this directory's or a live server's",
+        flags: &["--json", "--prom", "--remote ADDR"],
+        handler: cmd_stats,
+    },
+    Command {
+        name: "trace",
+        about: "print request span trees — of a local instrumented workload, or from a live server's flight recorder",
+        flags: &[
+            "--txns N",
+            "--seed S",
+            "--updates K",
+            "--limit N",
+            "--slow-us U",
+            "--json",
+            "--remote ADDR",
+        ],
+        handler: cmd_trace,
+    },
+    Command {
+        name: "audit",
+        about: "run a protocol-audited stress pass",
+        flags: &["--txns N", "--seed S", "--updates K"],
+        handler: cmd_audit,
+    },
+    Command {
+        name: "lint",
+        about: "run the concurrency-discipline source lint over the tree rooted at <dir>",
+        flags: &[],
+        handler: cmd_lint,
+    },
+    Command {
+        name: "fsck",
+        about: "verify backup checksums, the log window, and dry-run recovery (optionally in parallel); cross-check fingerprints against another directory or server",
+        flags: &["--compare DIR-OR-ADDR", "--recovery-workers N"],
+        handler: cmd_fsck,
+    },
+    Command {
+        name: "dump",
+        about: "<archive-file> — write a cold archive",
+        flags: &[],
+        handler: cmd_dump,
+    },
+    Command {
+        name: "restore",
+        about: "<archive-file> — restore an archive into a fresh directory",
+        flags: &["--algorithm A"],
+        handler: cmd_restore,
+    },
+    Command {
+        name: "serve",
+        about: "serve the database over TCP",
+        flags: &[
+            "--addr A",
+            "--workers N",
+            "--ckpt-ms D",
+            "--idle-ms D",
+            "--shards N",
+            "--slow-us U",
+            "--compact-ms D",
+            "--recovery-workers N",
+            "--replica-of ADDR",
+            "--repl-primary",
+            "--repl-sync",
+        ],
+        handler: cmd_serve,
+    },
+    Command {
+        name: "promote",
+        about: "promote a replica to writable primary — a live server by address, an offline config flip otherwise",
+        flags: &["--addr A"],
+        handler: cmd_promote,
+    },
+    Command {
+        name: "bench-net",
+        about: "drive a wire load (closed loop, or open loop at a rate) at a self-hosted or running server; fails on any non-transient error",
+        flags: &[
+            "--connections N",
+            "--txns N",
+            "--updates K",
+            "--seed S",
+            "--zipf THETA",
+            "--rate TPS",
+            "--addr A",
+            "--shards N",
+            "--cross F",
+        ],
+        handler: cmd_bench_net,
+    },
 ];
 
 fn usage() -> String {
     let mut out = String::from("usage: mmdb-cli <dir> <command> [args]\ncommands:\n");
-    for (name, help, _) in COMMANDS {
-        out.push_str(&format!("  {name:<11} {help}\n"));
+    for command in COMMANDS {
+        out.push_str(&format!("  {}\n", command.usage_line()));
     }
     out.push_str("run `mmdb-cli <dir> init` first to create a database");
     out
@@ -927,19 +1027,11 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
 /// a fixed intended rate with `--rate` (latency then measured from the
 /// intended send time, immune to coordinated omission). Without
 /// `--addr` it self-hosts a server over `<dir>` on a loopback port;
-/// with `--addr` it drives an already-running server. `--sweep` instead runs the
-/// shard-scaling benchmark (fresh scratch topologies at 1/2/4/8
-/// shards) and emits `BENCH_shard.json`-schema output.
+/// with `--addr` it drives an already-running server. Prints two
+/// summary lines and fails on any non-transient error. It is a load
+/// generator for smoke tests and live servers, not a measurement of
+/// record — that is `benchmark/`.
 fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
-    if rest.iter().any(|a| a == "--sweep") {
-        return run_shard_sweep(dir, rest);
-    }
-    if rest.iter().any(|a| a == "--group-compare") {
-        return run_group_compare(dir, rest);
-    }
-    if rest.iter().any(|a| a == "--intra-sweep") {
-        return run_intra_sweep_cmd(rest);
-    }
     let connections: usize = flag_value(rest, "--connections")
         .map(|v| v.parse().map_err(|e| format!("--connections: {e}")))
         .transpose()?
@@ -960,7 +1052,6 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
         Some(v) => WorkloadKind::Zipf(v.parse().map_err(|e| format!("--zipf: {e}"))?),
         None => WorkloadKind::Uniform,
     };
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
     let cross_fraction: f64 = flag_value(rest, "--cross")
         .map(|v| v.parse().map_err(|e| format!("--cross: {e}")))
         .transpose()?
@@ -1030,16 +1121,10 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
     };
     let report = run_load(&cfg).map_err(|e| format!("load driver: {e}"))?;
 
-    let mut client = Client::connect(&addr).map_err(|e| format!("stats connection: {e}"))?;
-    let info = client.info().map_err(|e| format!("info: {e}"))?;
     let ckpts = match &handle {
         Some(h) => h.checkpoints_completed(),
         None => stats_ckpt_completed(&addr)?.saturating_sub(ckpts_before),
     };
-    drop(client);
-
-    let json = bench_net_json(&cfg, &report, &info, ckpts);
-    validate_bench_net_json(&json).map_err(|e| format!("bench JSON failed validation: {e}"))?;
 
     println!(
         "bench-net: {} conns × {} txns ({} updates each, {}) -> {} committed in {:.3}s ({:.0} txn/s)",
@@ -1062,12 +1147,6 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
         report.errors,
         ckpts
     );
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
-    }
     if let Some(h) = handle {
         h.shutdown_join();
     }
@@ -1076,810 +1155,6 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
             "{} non-transient errors during load",
             report.errors
         ));
-    }
-    Ok(())
-}
-
-/// The within-shard concurrency benchmark behind `bench-net
-/// --intra-sweep`: one in-process single-shard database, `{read, mixed}
-/// × {lockfree, locked} × {1, 2, 4, 8}` worker threads, emitting one
-/// `BENCH_intra.json`-schema document. In-process (no network, no
-/// `<dir>`) because the thing under test is the engine's internal
-/// concurrency — seqlock point reads against the forced-locked
-/// baseline, and per-segment write latches on the mixed leg.
-fn run_intra_sweep_cmd(rest: &[String]) -> Result<(), String> {
-    let duration_ms: u64 = flag_value(rest, "--duration-ms")
-        .map(|v| v.parse().map_err(|e| format!("--duration-ms: {e}")))
-        .transpose()?
-        .unwrap_or(200);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(42);
-    let write_every: u64 = flag_value(rest, "--write-every")
-        .map(|v| v.parse().map_err(|e| format!("--write-every: {e}")))
-        .transpose()?
-        .unwrap_or(8);
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
-
-    let cfg = IntraSweepConfig {
-        duration: std::time::Duration::from_millis(duration_ms),
-        seed,
-        write_every,
-    };
-    let points = run_intra_sweep(&cfg)?;
-    for p in &points {
-        println!(
-            "intra-sweep: {:>5} {:>8} x{}: {:>9.0} ops/s ({} reads, {} commits, {} errors)",
-            p.leg, p.mode, p.threads, p.ops_per_s, p.reads, p.commits, p.errors
-        );
-    }
-    let json = bench_intra_json(&cfg, &points);
-    validate_bench_intra_json(&json).map_err(|e| format!("bench JSON failed validation: {e}"))?;
-    let headline = |leg: &str| {
-        let free = points
-            .iter()
-            .find(|p| p.leg == leg && p.mode == "lockfree" && p.threads == 4);
-        let locked = points
-            .iter()
-            .find(|p| p.leg == leg && p.mode == "locked" && p.threads == 4);
-        match (free, locked) {
-            (Some(f), Some(l)) if l.ops_per_s > 0.0 => f.ops_per_s / l.ops_per_s,
-            _ => 0.0,
-        }
-    };
-    println!(
-        "intra-sweep: lock-free over locked at 4 threads: read {:.2}x, mixed {:.2}x",
-        headline("read"),
-        headline("mixed")
-    );
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
-    }
-    let errors: u64 = points.iter().map(|p| p.errors).sum();
-    if errors > 0 {
-        return Err(format!("{errors} errors during the intra sweep"));
-    }
-    Ok(())
-}
-
-/// The shard-scaling benchmark behind `bench-net --sweep`: for each
-/// shard count in {1, 2, 4, 8}, stand up a fresh durable
-/// (`sync_files=true`) topology under `<dir>/sweep.<N>/`, drive a
-/// shard-affine closed loop at both the uniform and Zipf workloads, and
-/// emit one `BENCH_shard.json`-schema document covering the whole
-/// curve. Durable commits are the point: a single engine serializes
-/// every commit behind one log force, while N shards overlap N of them
-/// — the scaling the topology exists to buy. The log device is the
-/// paper's: real fsyncs plus a modeled per-force latency
-/// (`--log-latency-us`, default 1000), because the paper's commit cost
-/// is a rotational log-disk write, not a virtualized flash flush.
-fn run_shard_sweep(dir: &Path, rest: &[String]) -> Result<(), String> {
-    let txns_per_conn: u64 = flag_value(rest, "--txns")
-        .map(|v| v.parse().map_err(|e| format!("--txns: {e}")))
-        .transpose()?
-        .unwrap_or(400);
-    let updates_per_txn: u32 = flag_value(rest, "--updates")
-        .map(|v| v.parse().map_err(|e| format!("--updates: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(42);
-    let theta: f64 = flag_value(rest, "--zipf")
-        .map(|v| v.parse().map_err(|e| format!("--zipf: {e}")))
-        .transpose()?
-        .unwrap_or(0.8);
-    let fixed_connections: Option<usize> = flag_value(rest, "--connections")
-        .map(|v| v.parse().map_err(|e| format!("--connections: {e}")))
-        .transpose()?;
-    let log_latency_us: u32 = flag_value(rest, "--log-latency-us")
-        .map(|v| v.parse().map_err(|e| format!("--log-latency-us: {e}")))
-        .transpose()?
-        .unwrap_or(1000);
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
-
-    let mut entries: Vec<ShardSweepEntry> = Vec::new();
-    let mut base_cfg = LoadConfig {
-        txns_per_conn,
-        updates_per_txn,
-        seed,
-        ..LoadConfig::default()
-    };
-    for shards in [1usize, 2, 4, 8] {
-        let subdir = dir.join(format!("sweep.{shards}"));
-        if subdir.exists() {
-            std::fs::remove_dir_all(&subdir)
-                .map_err(|e| format!("clearing {}: {e}", subdir.display()))?;
-        }
-        let mut config = MmdbConfig::small(Algorithm::FuzzyCopy);
-        // Durable commits against the paper's log-device model: real
-        // fsyncs plus a modeled per-force latency (default 1 ms). The
-        // paper assumes a log disk whose write latency dominates commit
-        // cost; a modern virtualized flush is so fast — and so heavily
-        // serialized at the device — that it cannot express the regime
-        // the sharding subsystem targets. The knob restores it: each
-        // shard's commits serialize behind their own modeled log device,
-        // and shards overlap those waits. The parameter is recorded in
-        // the emitted JSON so the curve is reproducible.
-        config.sync_files = true;
-        config.log_force_latency_us = log_latency_us;
-        let db = open_sharded(config, &subdir, shards)?;
-        // offered concurrency scales with the topology (2 closed-loop
-        // clients per shard) so every shard's log has work to overlap
-        let connections = fixed_connections.unwrap_or(2 * shards);
-        // Checkpoints stay on (this is a checkpointing paper) but are
-        // paced loosely: each step fsyncs a segment while holding its
-        // shard's engine lock, so a tight interval steals the very
-        // device-flush slots the commit logs are trying to overlap.
-        let server_config = ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: connections + 2,
-            checkpoint_interval: Some(std::time::Duration::from_millis(200)),
-            ..ServerConfig::default()
-        };
-        let handle =
-            Server::spawn_sharded(db, server_config).map_err(|e| format!("cannot serve: {e}"))?;
-        let addr = handle.local_addr().to_string();
-        for workload in [WorkloadKind::Uniform, WorkloadKind::Zipf(theta)] {
-            let cfg = LoadConfig {
-                addr: addr.clone(),
-                connections,
-                workload,
-                shards,
-                ..base_cfg.clone()
-            };
-            let report =
-                run_load(&cfg).map_err(|e| format!("load driver ({shards} shards): {e}"))?;
-            if report.errors > 0 {
-                handle.shutdown_join();
-                return Err(format!(
-                    "{} non-transient errors at {} shards ({})",
-                    report.errors,
-                    shards,
-                    workload.label()
-                ));
-            }
-            eprintln!(
-                "sweep: {:>2} shards, {:7} workload: {:6.0} txn/s (p50 {} us, p99 {} us, {} retries)",
-                shards,
-                workload.label(),
-                report.throughput_tps,
-                report.latency_us.p50,
-                report.latency_us.p99,
-                report.retries
-            );
-            entries.push(ShardSweepEntry::from_report(&cfg, &report));
-        }
-        handle.shutdown_join();
-    }
-    base_cfg.shards = 1; // the config block in the JSON is sweep-wide
-
-    let json = bench_shard_json(&base_cfg, log_latency_us, &entries);
-    validate_bench_shard_json(&json).map_err(|e| format!("sweep JSON failed validation: {e}"))?;
-
-    let tps = |shards: usize| {
-        entries
-            .iter()
-            .find(|e| e.shards == shards && e.workload == WorkloadKind::Uniform)
-            .map_or(0.0, |e| e.throughput_tps)
-    };
-    let base = tps(1);
-    if base > 0.0 {
-        println!(
-            "scaling (uniform, durable commits): 1x -> {:.2}x at 2 shards, {:.2}x at 4, {:.2}x at 8",
-            tps(2) / base,
-            tps(4) / base,
-            tps(8) / base
-        );
-    }
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
-    }
-    Ok(())
-}
-
-/// The group-commit benchmark behind `bench-net --group-compare`: two
-/// identical single-shard closed-loop runs on fresh durable
-/// (`sync_files=true`) topologies — one forcing the log at every commit,
-/// one under [`CommitDurability::Group`] — emitting one
-/// `BENCH_group.json`-schema document. Unlike the shard sweep, *no*
-/// modeled log latency is injected: group commit's claim is about the
-/// real device (every concurrent committer shares one in-flight fsync),
-/// so the comparison runs on exactly what the hardware does.
-fn run_group_compare(dir: &Path, rest: &[String]) -> Result<(), String> {
-    let connections: usize = flag_value(rest, "--connections")
-        .map(|v| v.parse().map_err(|e| format!("--connections: {e}")))
-        .transpose()?
-        .unwrap_or(8);
-    let txns_per_conn: u64 = flag_value(rest, "--txns")
-        .map(|v| v.parse().map_err(|e| format!("--txns: {e}")))
-        .transpose()?
-        .unwrap_or(400);
-    let updates_per_txn: u32 = flag_value(rest, "--updates")
-        .map(|v| v.parse().map_err(|e| format!("--updates: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(42);
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
-
-    let mut legs: Vec<GroupCompareEntry> = Vec::new();
-    let mut json_cfg = None;
-    for (durability, label) in [
-        (CommitDurability::Force, "force"),
-        (CommitDurability::Group, "group"),
-    ] {
-        let subdir = dir.join(format!("group.{label}"));
-        if subdir.exists() {
-            std::fs::remove_dir_all(&subdir)
-                .map_err(|e| format!("clearing {}: {e}", subdir.display()))?;
-        }
-        let mut config = MmdbConfig::small(Algorithm::FuzzyCopy);
-        config.sync_files = true;
-        config.log_force_latency_us = 0; // the real device, nothing modeled
-        config.commit_durability = durability;
-        let db = open_sharded(config, &subdir, 1)?;
-        let server_config = ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: connections + 2,
-            checkpoint_interval: Some(std::time::Duration::from_millis(200)),
-            ..ServerConfig::default()
-        };
-        let handle =
-            Server::spawn_sharded(db, server_config).map_err(|e| format!("cannot serve: {e}"))?;
-        let cfg = LoadConfig {
-            addr: handle.local_addr().to_string(),
-            connections,
-            txns_per_conn,
-            updates_per_txn,
-            seed,
-            shards: 1,
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).map_err(|e| format!("load driver ({label}): {e}"))?;
-        let db = handle.shutdown_join();
-        if report.errors > 0 {
-            return Err(format!(
-                "{} non-transient errors during the {label} leg",
-                report.errors
-            ));
-        }
-        let snap = db.metrics_snapshot();
-        legs.push(GroupCompareEntry::new(
-            label,
-            &report,
-            snap.counter("log.forces").unwrap_or(0),
-            snap.counter("log.group_commit.commits").unwrap_or(0),
-        ));
-        json_cfg = Some(cfg);
-        eprintln!(
-            "group-compare: {label:>5} commits: {:6.0} txn/s (p50 {} us, p99 {} us, {} log forces)",
-            report.throughput_tps,
-            report.latency_us.p50,
-            report.latency_us.p99,
-            legs[legs.len() - 1].log_forces
-        );
-    }
-    let (force, group) = (&legs[0], &legs[1]);
-    let cfg = json_cfg.unwrap_or_default();
-    let json = bench_group_json(&cfg, force, group);
-    validate_bench_group_json(&json).map_err(|e| format!("group JSON failed validation: {e}"))?;
-
-    if force.throughput_tps > 0.0 {
-        println!(
-            "group commit: {:.0} txn/s vs {:.0} forced ({:.2}x), {} forces vs {} for {} commits",
-            group.throughput_tps,
-            force.throughput_tps,
-            group.throughput_tps / force.throughput_tps,
-            group.log_forces,
-            force.log_forces,
-            group.committed
-        );
-    }
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
-    }
-    Ok(())
-}
-
-/// The replication benchmark behind `bench-repl`: a fresh semi-sync
-/// primary plus a live standby on loopback ports, closed-loop writers
-/// driving the primary, then a measured failover — lose the primary,
-/// promote the standby, and verify every client-acknowledged write is
-/// served. Emits one `BENCH_repl.json`-schema document: the lag
-/// distribution is the paper's backup *freshness* and the failover time
-/// its *recovery cost*, both measured rather than modeled. (The
-/// SIGKILL-the-primary variant of the same scenario lives in the crash
-/// -test suite; this command's job is the steady-state numbers.)
-fn cmd_bench_repl(dir: &Path, rest: &[String]) -> Result<(), String> {
-    let writers: usize = flag_value(rest, "--writers")
-        .map(|v| v.parse().map_err(|e| format!("--writers: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let txns: u64 = flag_value(rest, "--txns")
-        .map(|v| v.parse().map_err(|e| format!("--txns: {e}")))
-        .transpose()?
-        .unwrap_or(300);
-    let shards: usize = flag_value(rest, "--shards")
-        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
-        .transpose()?
-        .unwrap_or(2);
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
-
-    let primary_dir = dir.join("repl.primary");
-    let standby_dir = dir.join("repl.standby");
-    for d in [&primary_dir, &standby_dir] {
-        if d.exists() {
-            std::fs::remove_dir_all(d).map_err(|e| format!("clearing {}: {e}", d.display()))?;
-        }
-    }
-    let mut config = MmdbConfig::small(Algorithm::FuzzyCopy);
-    config.telemetry = true;
-
-    let pdb = open_sharded(config, &primary_dir, shards)?;
-    let primary = Server::spawn_sharded(
-        pdb,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            // semi-sync committers park in workers until acks arrive as
-            // requests: the pool must cover clients + pull connections
-            workers: writers + shards + 2,
-            checkpoint_interval: Some(std::time::Duration::from_millis(50)),
-            repl: ReplOptions {
-                repl_sync: true,
-                ..ReplOptions::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("cannot serve primary: {e}"))?;
-    let primary_addr = primary.local_addr().to_string();
-
-    let sdb = open_sharded(config, &standby_dir, shards)?;
-    let standby = Server::spawn_sharded(
-        sdb,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 4,
-            checkpoint_interval: Some(std::time::Duration::from_millis(50)),
-            repl: ReplOptions {
-                replica_of: Some(primary_addr.clone()),
-                ..ReplOptions::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("cannot serve standby: {e}"))?;
-    let standby_addr = standby.local_addr().to_string();
-
-    // every commit after this point rides the semi-sync guarantee
-    wait_repl_engaged(&primary_addr)?;
-    let (n_records, algorithm) = {
-        let mut c =
-            Client::connect(&primary_addr).map_err(|e| format!("connecting primary: {e}"))?;
-        let info = c.info().map_err(|e| format!("info: {e}"))?;
-        (info.n_records, info.algorithm)
-    };
-    let span = (n_records / writers as u64).max(1);
-    eprintln!(
-        "bench-repl: {writers} writers × {txns} txns, {shards} shard(s), \
-         semi-sync primary {primary_addr}, standby {standby_addr}"
-    );
-
-    // Closed-loop writers, each owning a disjoint record range and
-    // writing monotonically increasing fills — so presence of a
-    // record's final fill on the standby proves every acked write to it.
-    let t0 = std::time::Instant::now();
-    let results: Vec<Result<(u64, Vec<(u64, u32)>), String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let addr = primary_addr.clone();
-                s.spawn(move || -> Result<(u64, Vec<(u64, u32)>), String> {
-                    let mut c = Client::connect(&addr).map_err(|e| e.to_string())?;
-                    let words = c.info().map_err(|e| e.to_string())?.record_words as usize;
-                    let base = w as u64 * span;
-                    let mut counts = vec![0u32; span as usize];
-                    let mut total = 0u64;
-                    for i in 0..txns {
-                        let slot = (i % span) as usize;
-                        let rid = base + slot as u64;
-                        if rid >= n_records {
-                            continue;
-                        }
-                        let fill = counts[slot] + 1;
-                        c.retry_transient(1000, |c| c.put(RecordId(rid), &vec![fill; words]))
-                            .map_err(|e| e.to_string())?;
-                        counts[slot] = fill;
-                        total += 1;
-                    }
-                    let acked = counts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &n)| n > 0)
-                        .map(|(slot, &n)| (base + slot as u64, n))
-                        .collect();
-                    Ok((total, acked))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("writer panicked".into())))
-            .collect()
-    });
-    let duration = t0.elapsed();
-    let mut committed = 0u64;
-    let mut acked: Vec<(u64, u32)> = Vec::new();
-    for r in results {
-        let (n, mut a) = r?;
-        committed += n;
-        acked.append(&mut a);
-    }
-
-    // steady-state lag distribution, measured on the primary's clock
-    let lag_us = {
-        let mut c = Client::connect(&primary_addr).map_err(|e| e.to_string())?;
-        let json = c.stats_json().map_err(|e| e.to_string())?;
-        let snap = mmdb_core::MetricsSnapshot::from_json(&json)?;
-        *snap
-            .hist("repl.lag_us")
-            .ok_or("no repl.lag_us samples on the primary — replication never engaged")?
-    };
-
-    // failover: lose the primary, promote the standby, verify no
-    // acknowledged write was lost and the promoted server actually serves
-    let acked_at_kill = committed;
-    primary.shutdown_join();
-    let t1 = std::time::Instant::now();
-    let mut s = Client::connect(&standby_addr).map_err(|e| e.to_string())?;
-    s.promote().map_err(|e| format!("promote: {e}"))?;
-    s.get(RecordId(0))
-        .map_err(|e| format!("post-promote read: {e}"))?;
-    let failover_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let mut present = 0u64;
-    for &(rid, n) in &acked {
-        let v = s.get(RecordId(rid)).map_err(|e| e.to_string())?;
-        present += u64::from(v.first().copied().unwrap_or(0).min(n));
-    }
-    standby.shutdown_join();
-
-    let report = ReplBenchReport {
-        shards: shards as u64,
-        writers: writers as u64,
-        algorithm,
-        n_records,
-        duration_s: duration.as_secs_f64(),
-        committed,
-        throughput_tps: committed as f64 / duration.as_secs_f64().max(1e-9),
-        lag_us,
-        failover_ms,
-        acked_at_kill,
-        present_after_promote: present,
-    };
-    let json = bench_repl_json(&report);
-    validate_bench_repl_json(&json).map_err(|e| format!("repl JSON failed validation: {e}"))?;
-
-    println!(
-        "bench-repl: {} acked commits in {:.3}s ({:.0} txn/s, semi-sync)",
-        committed, report.duration_s, report.throughput_tps
-    );
-    println!(
-        "lag us: p50 {} / p90 {} / p99 {} / p99.9 {} / max {} over {} acks; \
-         failover {:.0} ms, {}/{} acked writes present after promote",
-        report.lag_us.p50,
-        report.lag_us.p90,
-        report.lag_us.p99,
-        report.lag_us.p999,
-        report.lag_us.max,
-        report.lag_us.count,
-        failover_ms,
-        present,
-        acked_at_kill
-    );
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
-    }
-    Ok(())
-}
-
-/// Polls the primary's stats until a standby's `ReplHello` shows up.
-fn wait_repl_engaged(addr: &str) -> Result<(), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let json = client.stats_json().map_err(|e| format!("stats: {e}"))?;
-        let snap = mmdb_core::MetricsSnapshot::from_json(&json)?;
-        if snap.counter("repl.hello").unwrap_or(0) >= 1 {
-            return Ok(());
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err("standby never said hello to the primary".into());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-}
-
-/// Recursively copies a database directory (regular files only — that
-/// is all an engine directory contains).
-fn copy_dir_recursive(src: &Path, dst: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dst).map_err(|e| format!("creating {}: {e}", dst.display()))?;
-    for entry in std::fs::read_dir(src).map_err(|e| format!("reading {}: {e}", src.display()))? {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let from = entry.path();
-        let to = dst.join(entry.file_name());
-        if from.is_dir() {
-            copy_dir_recursive(&from, &to)?;
-        } else {
-            std::fs::copy(&from, &to).map_err(|e| format!("copying {}: {e}", from.display()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Bytes a directory actually occupies on disk, recursively. Uses
-/// allocated blocks rather than file lengths because compressed backup
-/// slots are sparse — the slot grid keeps its logical size while the
-/// unwritten tail of each slot is a hole.
-fn dir_allocated_bytes(dir: &Path) -> Result<u64, String> {
-    let mut total = 0u64;
-    for entry in std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))? {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let path = entry.path();
-        if path.is_dir() {
-            total += dir_allocated_bytes(&path)?;
-        } else {
-            let meta = entry.metadata().map_err(|e| e.to_string())?;
-            #[cfg(unix)]
-            {
-                use std::os::unix::fs::MetadataExt;
-                total += meta.blocks() * 512;
-            }
-            #[cfg(not(unix))]
-            {
-                total += meta.len();
-            }
-        }
-    }
-    Ok(total)
-}
-
-/// Builds one crashed engine directory for the recovery benchmark:
-/// seed checkpoints, a seeded uniform workload with checkpoints
-/// interleaved, an optional rotation+compaction pass, then a simulated
-/// crash. Returns `(window_bytes, total_log_bytes)` — the replay
-/// window at the crash and the log ever written (they diverge once
-/// checkpoints truncate).
-fn build_crashed_dir(
-    base: &Path,
-    config: MmdbConfig,
-    txns: u64,
-    ckpt_every: u64,
-    updates: u32,
-    seed: u64,
-    compact: bool,
-) -> Result<(u64, u64), String> {
-    if base.exists() {
-        std::fs::remove_dir_all(base).map_err(|e| format!("clearing {}: {e}", base.display()))?;
-    }
-    let (mut db, _) = Mmdb::open_dir(config, base).map_err(|e| e.to_string())?;
-    db.checkpoint().map_err(|e| e.to_string())?;
-    db.checkpoint().map_err(|e| e.to_string())?;
-    let words = db.record_words();
-    let mut wl = UniformWorkload::new(db.n_records(), updates, seed);
-    for i in 0..txns {
-        if i > 0 && i % ckpt_every == 0 {
-            db.checkpoint().map_err(|e| e.to_string())?;
-        }
-        let spec = wl.next_txn();
-        db.run_txn(&spec.materialize(words))
-            .map_err(|e| e.to_string())?;
-    }
-    db.force_log().map_err(|e| e.to_string())?;
-    if compact {
-        db.rotate_log().map_err(|e| e.to_string())?;
-        db.compact_log().map_err(|e| e.to_string())?;
-    }
-    db.crash().map_err(|e| e.to_string())?;
-    drop(db);
-    // measure the window from the files themselves, like fsck does
-    let dev = SegmentedLogDevice::open(&base.join("log"), config.log_chunk_bytes, false)
-        .map_err(|e| e.to_string())?;
-    let total = dev.len();
-    let window = total - dev.start_offset();
-    Ok((window, total))
-}
-
-/// Copies the crashed directory aside, times a full restart (open +
-/// recovery) with the given worker count, and returns the wall-clock
-/// seconds plus the recovered fingerprint (so the caller can assert
-/// every worker count converges to the same state).
-fn timed_recovery(
-    src: &Path,
-    mut config: MmdbConfig,
-    workers: usize,
-) -> Result<(f64, u64), String> {
-    let run = src.with_extension("run");
-    if run.exists() {
-        std::fs::remove_dir_all(&run).map_err(|e| e.to_string())?;
-    }
-    copy_dir_recursive(src, &run)?;
-    config.recovery_workers = workers;
-    let t0 = std::time::Instant::now();
-    let (db, recovered) = Mmdb::open_dir(config, &run).map_err(|e| e.to_string())?;
-    let seconds = t0.elapsed().as_secs_f64();
-    if recovered.is_none() {
-        return Err(format!("{} was not a crashed directory", src.display()));
-    }
-    let fingerprint = ShardedMmdb::from_single(db).fingerprint();
-    std::fs::remove_dir_all(&run).map_err(|e| e.to_string())?;
-    Ok((seconds, fingerprint))
-}
-
-/// The recovery-at-scale benchmark behind `bench-recovery`: for each
-/// database-size × log-length point, build a crashed directory under
-/// `<dir>/recovery.<label>/`, then measure wall-clock restart time
-/// serially and at 2/4/8 replay workers (asserting every run converges
-/// to the same fingerprint), plus a 4-worker run on an LZ-compressed
-/// twin (compressed backup slots + compacted, compressed cold log
-/// chunks). A final pair of runs demonstrates the bounded replay
-/// window: 10x the total work with continuous checkpointing leaves
-/// recovery time flat. Emits one `BENCH_recovery.json`-schema document.
-fn cmd_bench_recovery(dir: &Path, rest: &[String]) -> Result<(), String> {
-    let updates: u32 = flag_value(rest, "--updates")
-        .map(|v| v.parse().map_err(|e| format!("--updates: {e}")))
-        .transpose()?
-        .unwrap_or(8);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(42);
-    let out: Option<PathBuf> = flag_value(rest, "--out").map(PathBuf::from);
-
-    const S_REC: u64 = 64;
-    const S_SEG: u64 = 65_536;
-    let algorithm = Algorithm::FuzzyCopy;
-    let shaped = |segments: u64| {
-        let mut config = MmdbConfig::new(algorithm);
-        config.params.db.s_rec = S_REC;
-        config.params.db.s_seg = S_SEG;
-        config.params.db.s_db = segments * S_SEG;
-        config
-    };
-
-    let mut report = mmdb_rescale::RecoveryBenchReport {
-        algorithm: algorithm.name().into(),
-        record_words: S_REC,
-        segment_words: S_SEG,
-        updates_per_txn: updates as u64,
-        ..Default::default()
-    };
-
-    // The sweep: database size and log length grow together; the whole
-    // window stays in the replay path (one mid-run checkpoint ages the
-    // backup without truncating the interesting tail).
-    for (label, segments, txns) in [
-        ("small", 16u64, 2_000u64),
-        ("medium", 64, 8_000),
-        ("large", 128, 24_000),
-    ] {
-        let config = shaped(segments);
-        let base = dir.join(format!("recovery.{label}"));
-        let (window, _) = build_crashed_dir(&base, config, txns, txns / 2, updates, seed, false)?;
-
-        let mut serial_s = 0.0;
-        let mut serial_fp = 0u64;
-        let mut parallel = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let (seconds, fp) = timed_recovery(&base, config, workers)?;
-            if workers == 1 {
-                serial_s = seconds;
-                serial_fp = fp;
-            } else if fp != serial_fp {
-                return Err(format!(
-                    "parallel recovery diverged at {workers} workers on {label}: \
-                     {fp:#018x} vs serial {serial_fp:#018x}"
-                ));
-            }
-            parallel.push(mmdb_rescale::ParallelEntry {
-                workers: workers as u64,
-                seconds,
-                speedup: serial_s / seconds,
-            });
-        }
-
-        // the compressed twin: same workload, compressed backup slots,
-        // plus a rotation+compaction pass so the cold chunks are
-        // compressed (and superseded frames already filler) at crash
-        let mut lz_config = config;
-        lz_config.compress_backups = true;
-        lz_config.compress_log_chunks = true;
-        let lz_base = dir.join(format!("recovery.{label}.lz"));
-        build_crashed_dir(&lz_base, lz_config, txns, txns / 2, updates, seed, true)?;
-        let (compressed_parallel_s, _) = timed_recovery(&lz_base, lz_config, 4)?;
-        let ratio =
-            dir_allocated_bytes(&lz_base)? as f64 / dir_allocated_bytes(&base)?.max(1) as f64;
-
-        let at4 = parallel
-            .iter()
-            .find(|p| p.workers == 4)
-            .map_or(0.0, |p| p.speedup);
-        eprintln!(
-            "bench-recovery: {label:>6}: {segments:3} segments, {txns:5} txns — serial {serial_s:.3}s, \
-             4 workers {at4:.2}x, compressed {compressed_parallel_s:.3}s ({:.0}% of raw disk)",
-            ratio * 100.0
-        );
-        report.points.push(mmdb_rescale::RecoveryPoint {
-            label: label.into(),
-            n_segments: segments,
-            db_bytes: segments * S_SEG * 4,
-            log_txns: txns,
-            log_bytes: window,
-            serial_s,
-            parallel,
-            compressed_parallel_s,
-            compressed_disk_ratio: ratio,
-        });
-    }
-
-    // The bounded-window demo: ten times the total work, same
-    // checkpoint cadence — the log ever written grows 10x while the
-    // replay window (and so recovery time) stays put.
-    let config = shaped(64);
-    for (growth, txns) in [(1u64, 3_000u64), (10, 30_000)] {
-        let base = dir.join(format!("recovery.window.{growth}x"));
-        let (window, total) = build_crashed_dir(&base, config, txns, 500, updates, seed, false)?;
-        let (recovery_s, _) = timed_recovery(&base, config, 4)?;
-        eprintln!(
-            "bench-recovery: window {growth:>2}x work: {total:>9} log bytes written, \
-             {window:>8} in the window, recovery {recovery_s:.3}s"
-        );
-        report.bounded_window.push(mmdb_rescale::WindowPoint {
-            growth,
-            total_log_bytes: total,
-            window_bytes: window,
-            recovery_s,
-        });
-    }
-
-    let json = mmdb_rescale::bench_recovery_json(&report);
-    mmdb_rescale::validate_bench_recovery_json(&json)
-        .map_err(|e| format!("recovery JSON failed validation: {e}"))?;
-
-    let large = report.points.last().ok_or("no sweep points")?;
-    let at4 = large
-        .parallel
-        .iter()
-        .find(|p| p.workers == 4)
-        .map_or(0.0, |p| p.speedup);
-    println!(
-        "parallel replay: {:.2}x at 4 workers on the large point (serial {:.3}s); \
-         10x the work moves recovery {:.3}s -> {:.3}s",
-        at4,
-        large.serial_s,
-        report.bounded_window[0].recovery_s,
-        report.bounded_window[1].recovery_s
-    );
-    if let Some(path) = out {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    } else {
-        print!("{json}");
     }
     Ok(())
 }
@@ -2190,16 +1465,23 @@ mod tests {
     #[test]
     fn usage_lists_every_dispatchable_command_once() {
         let text = usage();
-        for (name, help, _) in COMMANDS {
+        for c in COMMANDS {
             let line = text
                 .lines()
-                .find(|l| l.trim_start().starts_with(&format!("{name} ")))
-                .unwrap_or_else(|| panic!("usage must list {name}"));
-            assert!(line.contains(help), "usage line for {name} lost its help");
+                .find(|l| l.trim_start().starts_with(&format!("{} ", c.name)))
+                .unwrap_or_else(|| panic!("usage must list {}", c.name));
+            assert!(
+                line.contains(c.about),
+                "usage line for {} lost its help",
+                c.name
+            );
+            for flag in c.flags {
+                assert!(line.contains(flag), "usage line for {} lost {flag}", c.name);
+            }
         }
         // no duplicates in the dispatch table (the first match would
         // silently shadow the second)
-        let mut names: Vec<&str> = COMMANDS.iter().map(|(n, _, _)| *n).collect();
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
@@ -2209,24 +1491,31 @@ mod tests {
     fn telemetry_commands_are_dispatchable() {
         for required in ["stats", "trace"] {
             assert!(
-                COMMANDS.iter().any(|(n, _, _)| *n == required),
+                COMMANDS.iter().any(|c| c.name == required),
                 "{required} missing from dispatch table"
             );
         }
     }
 
     #[test]
-    fn module_doc_mentions_every_command() {
+    fn module_doc_mentions_every_command_and_flag() {
         // the ```text block at the top of this file is the README-facing
-        // synopsis; keep it covering the full command set
+        // synopsis; keep it covering the full command and flag set
         let doc = include_str!("main.rs");
         let synopsis_end = doc.find("mod persist").expect("module body");
         let synopsis = &doc[..synopsis_end];
-        for (name, _, _) in COMMANDS {
-            assert!(
-                synopsis.contains(&format!("mmdb-cli <dir> {name}")),
-                "module doc synopsis missing {name}"
-            );
+        for c in COMMANDS {
+            let at = synopsis
+                .find(&format!("mmdb-cli <dir> {}", c.name))
+                .unwrap_or_else(|| panic!("module doc synopsis missing {}", c.name));
+            for flag in c.flags {
+                let name = flag.split(' ').next().unwrap_or(flag);
+                assert!(
+                    synopsis[at..].contains(name),
+                    "module doc synopsis for {} missing {name}",
+                    c.name
+                );
+            }
         }
     }
 }

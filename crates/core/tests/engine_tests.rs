@@ -16,7 +16,7 @@ fn small(algorithm: Algorithm) -> MmdbConfig {
 }
 
 fn db(algorithm: Algorithm) -> Mmdb {
-    Mmdb::open_in_memory(small(algorithm)).unwrap()
+    Mmdb::open_in_memory(small(algorithm)).expect("open in memory")
 }
 
 fn val(db: &Mmdb, fill: u32) -> Vec<u32> {

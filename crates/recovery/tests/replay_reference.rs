@@ -5,7 +5,7 @@
 //! contents and on every resolution field of the report at 1, 2 and 3
 //! lanes, on intact, torn and bit-flipped logs alike.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::type_complexity)]
 
 use mmdb_disk::{BackupStore, MemBackup};
 use mmdb_log::{LogDevice, LogRecord, MemLogDevice};

@@ -40,17 +40,14 @@
 //! The primary stamps every force instant in its tap and measures
 //! `repl.lag_us` when an ack covers it — replication lag attributed
 //! entirely with the primary's clock, no cross-machine clock needed.
-//! `repl.lag_lsn` is the instantaneous byte gap. [`bench`] packages the
-//! lag distribution and a measured failover time as
-//! `BENCH_repl.json` (schema [`BENCH_REPL_SCHEMA`]).
+//! `repl.lag_lsn` is the instantaneous byte gap. Both are live on
+//! `stats` as `repl.*`.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod primary;
 pub mod replica;
 
-pub use bench::{bench_repl_json, validate_bench_repl_json, ReplBenchReport, BENCH_REPL_SCHEMA};
 pub use primary::{
     serve_hello, serve_pull, serve_scan, MAX_REPL_BATCH_BYTES, MAX_REPL_SCAN_RECORDS,
     MAX_REPL_WAIT_MS,

@@ -18,8 +18,15 @@
 //!   `(commit LSN, update LSN)` key also wrote the record. Replay
 //!   installs staged writes in commit order, so dropping a non-winner
 //!   changes intermediate values only, never the recovered state.
+//! * Outcomes bind to a transaction **instance**, never to a bare
+//!   `TxnId`: ids restart at 1 every time the directory is opened, so a
+//!   log written across re-opens reuses them. As in the replay core's
+//!   `Stager`, a `TxnBegin` starts a fresh instance of its id, and a
+//!   `Commit`/`Abort`/`Prepare` resolves the instance opened since that
+//!   id's last begin or outcome. Frames of an instance cut off by a
+//!   later begin have no outcome.
 //! * Everything else is kept: control frames (checkpoint markers,
-//!   begin/commit/abort/prepare/decide), updates of transactions with
+//!   begin/commit/abort/prepare/decide), updates of instances with
 //!   no durable outcome, all updates of prepared transactions, and any
 //!   frame that crosses a chunk boundary (filler never spans chunks —
 //!   chunk rewrites are atomic per chunk).
@@ -80,9 +87,23 @@ struct FrameAt {
 }
 
 enum FrameKind {
-    Update { txn: TxnId, record: RecordId },
+    Update { record: RecordId, outcome: Outcome },
     Filler,
     Keep,
+}
+
+/// Durable fate of the transaction instance that wrote an update.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// None in the validated prefix: keep.
+    Open,
+    Aborted,
+    /// Committed at `lsn`. A prepared branch is never dropped, but its
+    /// images still supersede older ones.
+    Committed {
+        lsn: u64,
+        prepared: bool,
+    },
 }
 
 /// Runs one compaction pass over `device`. Devices without chunk
@@ -106,27 +127,45 @@ pub fn compact_device(
     let scanner = LogScanner::from_device(device)?;
     let valid_end = scanner.end_lsn().raw();
     let mut frames: Vec<FrameAt> = Vec::new();
-    let mut committed: HashMap<TxnId, u64> = HashMap::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
-    let mut prepared: HashSet<TxnId> = HashSet::new();
+    // Per id, the instance open right now: its update frames (indices
+    // into `frames`) and whether it has prepared.
+    let mut open: HashMap<TxnId, (Vec<usize>, bool)> = HashMap::new();
     for (lsn, rec) in scanner.forward_from(scanner.base_lsn()) {
         let len = rec.encoded_len() as u64;
         let kind = match &rec {
-            LogRecord::Update { txn, record, .. } => FrameKind::Update {
-                txn: *txn,
-                record: *record,
-            },
+            LogRecord::TxnBegin { txn, .. } => {
+                // whatever an earlier incarnation left open under this
+                // id stays without an outcome
+                open.insert(*txn, Default::default());
+                FrameKind::Keep
+            }
+            LogRecord::Update { txn, record, .. } => {
+                open.entry(*txn).or_default().0.push(frames.len());
+                FrameKind::Update {
+                    record: *record,
+                    outcome: Outcome::Open,
+                }
+            }
             LogRecord::Compacted { .. } => FrameKind::Filler,
-            LogRecord::Commit { txn } => {
-                committed.insert(*txn, lsn.raw());
-                FrameKind::Keep
-            }
-            LogRecord::Abort { txn } => {
-                aborted.insert(*txn);
-                FrameKind::Keep
-            }
             LogRecord::Prepare { txn, .. } => {
-                prepared.insert(*txn);
+                open.entry(*txn).or_default().1 = true;
+                FrameKind::Keep
+            }
+            LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
+                if let Some((updates, prepared)) = open.remove(txn) {
+                    let resolved = match rec {
+                        LogRecord::Commit { .. } => Outcome::Committed {
+                            lsn: lsn.raw(),
+                            prepared,
+                        },
+                        _ => Outcome::Aborted,
+                    };
+                    for i in updates {
+                        if let FrameKind::Update { outcome, .. } = &mut frames[i].kind {
+                            *outcome = resolved;
+                        }
+                    }
+                }
                 FrameKind::Keep
             }
             _ => FrameKind::Keep,
@@ -139,35 +178,32 @@ pub fn compact_device(
     }
 
     // Winner per record: max (commit LSN, update LSN) among updates of
-    // durably-committed transactions.
+    // durably-committed instances.
     let mut winner: HashMap<RecordId, (u64, u64)> = HashMap::new();
     for f in &frames {
-        if let FrameKind::Update { txn, record } = &f.kind {
-            if let Some(&commit_lsn) = committed.get(txn) {
-                let key = (commit_lsn, f.start);
-                let w = winner.entry(*record).or_insert(key);
-                if key > *w {
-                    *w = key;
-                }
+        if let FrameKind::Update {
+            record,
+            outcome: Outcome::Committed { lsn, .. },
+        } = &f.kind
+        {
+            let key = (*lsn, f.start);
+            let w = winner.entry(*record).or_insert(key);
+            if key > *w {
+                *w = key;
             }
         }
     }
     let droppable = |f: &FrameAt| -> bool {
         match &f.kind {
-            FrameKind::Update { txn, record } => {
-                if aborted.contains(txn) {
-                    return true;
-                }
-                if prepared.contains(txn) {
-                    return false;
-                }
-                match committed.get(txn) {
-                    Some(&commit_lsn) => winner
-                        .get(record)
-                        .is_some_and(|&w| (commit_lsn, f.start) < w),
-                    None => false, // outcome not durable: keep
-                }
-            }
+            FrameKind::Update { record, outcome } => match outcome {
+                Outcome::Aborted => true,
+                Outcome::Committed {
+                    lsn,
+                    prepared: false,
+                } => winner.get(record).is_some_and(|&w| (*lsn, f.start) < w),
+                // a prepared branch, or no durable outcome: keep
+                _ => false,
+            },
             FrameKind::Filler => true, // dead already; merges into runs
             FrameKind::Keep => false,
         }

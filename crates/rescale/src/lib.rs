@@ -21,13 +21,8 @@
 
 #![warn(missing_docs)]
 
-mod bench;
 mod compact;
 
-pub use bench::{
-    bench_recovery_json, validate_bench_recovery_json, ParallelEntry, RecoveryBenchReport,
-    RecoveryPoint, WindowPoint, BENCH_RECOVERY_SCHEMA,
-};
 pub use compact::{compact_device, CompactOptions, CompactReport};
 pub use mmdb_recovery::recover_parallel;
 
@@ -512,6 +507,77 @@ mod tests {
         assert_eq!(report.in_doubt.len(), 1);
         assert_eq!(report.in_doubt[0].txn, prepared);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `TxnTable` ids restart at 1 on every open of a directory, so a
+    /// log written across re-opens reuses them: an outcome belongs to
+    /// the instance it closes, not to every frame carrying that id.
+    #[test]
+    fn compaction_binds_outcomes_per_incarnation_when_ids_are_reused() {
+        /// Writes the same log into a fresh device and recovers it,
+        /// compacted first or not.
+        fn recovered(compact: bool) -> u64 {
+            let (mut m, dir) = segmented_mini(&format!("compact-reinc-{compact}"), 4096);
+            m.txn(&[0], 1);
+            m.checkpoint();
+            // Incarnation 1, ids 1..=8: all commit. Txn 3 overwrites
+            // what txn 2 wrote to record 20.
+            m.next_txn = 0;
+            m.txn(&[10, 11], 101);
+            m.txn(&[20, 21], 102);
+            m.txn(&[20, 30], 103);
+            for fill in 104..=108 {
+                m.txn(&[40, 41, 42, 43], fill);
+            }
+            // Incarnation 2 reuses the ids: 1 aborts, 2 commits other
+            // records, 3 is open at the crash, the rest churn.
+            m.next_txn = 0;
+            m.aborted_txn(&[500, 10], 201);
+            m.txn(&[600], 202);
+            m.next_txn += 1;
+            let open = TxnId(m.next_txn);
+            let tau = m.tau();
+            m.log.append(&LogRecord::TxnBegin { txn: open, tau });
+            let value = vec![203; m.storage.db_params().s_rec as usize];
+            m.log.append(&LogRecord::Update {
+                txn: open,
+                record: RecordId(30),
+                value,
+            });
+            for fill in 204..=230 {
+                m.txn(&[40, 41, 42, 43], fill);
+            }
+            m.log.rotate().unwrap();
+            m.crash();
+            if compact {
+                let report = compact_device(
+                    m.log.device_mut(),
+                    &CompactOptions::default(),
+                    &Obs::disabled(),
+                )
+                .unwrap();
+                assert!(report.frames_dropped > 0, "{report:?}");
+            }
+            let mut s = Storage::new(*m.storage.db_params()).unwrap();
+            recover(
+                &mut s,
+                &mut m.backup,
+                m.log.device_mut(),
+                &Params::small().disk,
+                &m.meter,
+            )
+            .unwrap();
+            for (rid, fill) in [(10, 101), (11, 101), (20, 103), (21, 102), (30, 103)] {
+                assert_eq!(
+                    s.read_record(RecordId(rid)).unwrap()[0],
+                    fill,
+                    "record {rid}, compacted: {compact}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(dir);
+            s.fingerprint()
+        }
+        assert_eq!(recovered(true), recovered(false));
     }
 
     #[test]

@@ -30,19 +30,15 @@
 //! current checkpoint, and [`ServerHandle::shutdown_join`] returns the
 //! sharded database so callers can fingerprint or close it cleanly.
 //!
-//! The crate also hosts the closed-loop network load driver
-//! ([`load`]) used by `mmdb-cli bench-net`.
+//! The crate also hosts the network load driver ([`load`]: closed loop,
+//! or open loop at a target rate) behind `mmdb-cli bench-net` and the
+//! CI smoke legs. It measures nothing for the record — the repo's
+//! benchmark is `benchmark/`.
 
 pub mod conn;
 pub mod load;
 
-pub use load::{
-    bench_group_json, bench_intra_json, bench_net_json, bench_shard_json, run_intra_sweep,
-    run_load, validate_bench_group_json, validate_bench_intra_json, validate_bench_net_json,
-    validate_bench_shard_json, GroupCompareEntry, IntraPoint, IntraSweepConfig, LoadConfig,
-    LoadReport, ShardSweepEntry, WorkloadKind, BENCH_GROUP_SCHEMA, BENCH_INTRA_SCHEMA,
-    BENCH_NET_SCHEMA, BENCH_SHARD_SCHEMA,
-};
+pub use load::{run_load, LoadConfig, LoadReport, WorkloadKind};
 
 use mmdb_core::{Mmdb, StepOutcome};
 use mmdb_repl::Replica;

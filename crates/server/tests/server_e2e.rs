@@ -262,14 +262,9 @@ fn shutdown_is_not_held_hostage_by_a_chatty_client() {
     let addr = handle.local_addr();
     let chatty = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        loop {
-            match c.ping() {
-                // keep hammering through ShuttingDown refusals, exactly
-                // what the bug needed to manifest
-                Ok(()) | Err(WireError::Remote { .. }) => {}
-                Err(_) => break, // server closed the connection
-            }
-        }
+        // keep hammering through ShuttingDown refusals, exactly what the
+        // bug needed to manifest, until the server closes the connection
+        while let Ok(()) | Err(WireError::Remote { .. }) = c.ping() {}
     });
     std::thread::sleep(Duration::from_millis(50)); // let the client get going
     handle.stop();
@@ -298,28 +293,6 @@ fn out_of_range_and_bad_size_map_to_typed_errors() {
     }
     // the connection survives typed errors
     c.ping().unwrap();
-    handle.shutdown_join();
-}
-
-#[test]
-fn bench_net_json_from_a_real_run_validates() {
-    let handle = spawn_server(Algorithm::CouCopy, Some(Duration::from_millis(1)));
-    let addr = handle.local_addr().to_string();
-    let cfg = LoadConfig {
-        addr: addr.clone(),
-        connections: 8,
-        txns_per_conn: 10,
-        updates_per_txn: 2,
-        seed: 3,
-        workload: WorkloadKind::Zipf(0.6),
-        ..LoadConfig::default()
-    };
-    let report = run_load(&cfg).unwrap();
-    assert_eq!(report.errors, 0);
-    let mut c = Client::connect(&addr).unwrap();
-    let info = c.info().unwrap();
-    let json = mmdb_server::bench_net_json(&cfg, &report, &info, handle.checkpoints_completed());
-    mmdb_server::validate_bench_net_json(&json).unwrap();
     handle.shutdown_join();
 }
 

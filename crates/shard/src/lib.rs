@@ -430,7 +430,7 @@ pub struct ShardedMmdb {
     /// over to the locked path.
     mirrors: Vec<Arc<ReadMirror>>,
     /// When false, point reads skip the mirror and take the shard gate —
-    /// the forced-locked baseline the intra-shard bench sweeps against.
+    /// the locked reference path the race driver checks against.
     lockfree_reads: AtomicBool,
     /// Each shard's durable-LSN watermark (cloned from its log at
     /// construction; group committers wait here).
@@ -899,8 +899,8 @@ impl ShardedMmdb {
     }
 
     /// Toggles the lock-free point-read path (on by default). Off forces
-    /// every read through the shard gate — the single-mutex baseline the
-    /// `bench-net --intra-sweep` harness compares against.
+    /// every read through the shard gate — the locked reference path
+    /// `tests/concurrent_driver.rs` checks the racing readers against.
     pub fn set_lockfree_reads(&self, on: bool) {
         self.lockfree_reads.store(on, Ordering::SeqCst);
     }

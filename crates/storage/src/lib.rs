@@ -969,7 +969,7 @@ mod tests {
         s.with_lanes(2, |mut lanes| {
             // lane 1 starts at segment 16; record 0 lives in segment 0
             assert!(lanes[1]
-                .install_record(RecordId(0), &vec![0; 32], Lsn(1), Timestamp(1), &m)
+                .install_record(RecordId(0), &[0; 32], Lsn(1), Timestamp(1), &m)
                 .is_err());
             assert!(lanes[1]
                 .load_segment(SegmentId(0), &image, None, &m)
@@ -1101,7 +1101,7 @@ mod tests {
             let writer = scope.spawn(|| {
                 // Uniform-fill records: any mix of two versions is torn.
                 for k in 1..=20_000u32 {
-                    mirror.publish(RecordId(3), &vec![k as Word; 32]);
+                    mirror.publish(RecordId(3), &[k as Word; 32]);
                 }
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });

@@ -118,14 +118,14 @@ pub mod server {
     pub use mmdb_server::*;
 }
 
-/// Log-shipping replication: primary-side shipping, standby replay,
-/// promotion, and the replication benchmark report.
+/// Log-shipping replication: primary-side shipping, standby replay and
+/// promotion.
 pub mod repl {
     pub use mmdb_repl::*;
 }
 
-/// Recovery at scale: parallel partitioned replay, log compaction with
-/// compressed cold storage, and the recovery benchmark report.
+/// Recovery at scale: parallel partitioned replay and log compaction with
+/// compressed cold storage.
 pub mod rescale {
     pub use mmdb_rescale::*;
 }
