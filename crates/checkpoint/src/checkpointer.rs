@@ -319,8 +319,11 @@ impl Checkpointer {
     /// Begins a checkpoint (paper §3.1/§3.2): writes the begin-checkpoint
     /// marker (with the active-transaction list), durably marks the target
     /// ping-pong copy in-progress, and for the two-color algorithms paints
-    /// the white set. For COU the caller must have quiesced transaction
-    /// processing; `tau_ch` is the fresh checkpoint timestamp.
+    /// the white set. `active_txns` names the transactions with log frames
+    /// before the marker and no outcome yet — the prepared branches; one
+    /// that is not prepared logs nothing until it commits. For COU the
+    /// caller must have quiesced transaction processing; `tau_ch` is the
+    /// fresh checkpoint timestamp.
     pub fn begin(
         &mut self,
         storage: &mut Storage,
@@ -351,7 +354,7 @@ impl Checkpointer {
 
         // Quiesced (TC) COU checkpoints are consistent as of the begin
         // marker and carry no active list (the quiesce guarantees it is
-        // empty); everything else records the active transactions so
+        // empty); everything else records the open prepared branches so
         // recovery can extend its backward scan (§3.3).
         let active_list = if self.algorithm.requires_quiesce() {
             Vec::new()

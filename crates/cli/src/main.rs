@@ -60,7 +60,7 @@ mod persist;
 
 use mmdb_core::{Algorithm, CommitDurability, LogMode, Mmdb, MmdbConfig, RecordId};
 use mmdb_lint::check_workspace;
-use mmdb_log::{LogDevice, LogScanner, SegmentedLogDevice};
+use mmdb_log::{LogDevice, LogRecord, LogScanner, SegmentedLogDevice};
 use mmdb_server::{run_load, LoadConfig, ReplOptions, Server, ServerConfig, WorkloadKind};
 use mmdb_shard::{shard_config, ShardedMmdb};
 use mmdb_wire::Client;
@@ -1359,6 +1359,7 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
             " (torn tail — expected after a crash)"
         }
     );
+    println!("{}", log_composition(&scanner));
     match scanner.last_complete_checkpoint() {
         Some(mark) => println!(
             "log: last complete checkpoint {} (begin marker at {})",
@@ -1408,6 +1409,53 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     }
 
     Ok(problems)
+}
+
+/// What the log window is made of: frames and bytes per frame kind, and
+/// log bytes per committed transaction (what `log_amp` is the ratio of).
+/// Walks the window the scanner already holds; the device is not read again.
+fn log_composition(scanner: &LogScanner) -> String {
+    const KINDS: [&str; 9] = [
+        "begin",
+        "update",
+        "commit",
+        "abort",
+        "txn-commit",
+        "prepare",
+        "decide",
+        "ckpt",
+        "filler",
+    ];
+    let mut tally = [(0u64, 0u64); KINDS.len()];
+    let mut committed = 0u64;
+    for (_, rec) in scanner.forward_from(scanner.base_lsn()) {
+        let kind = match rec {
+            LogRecord::TxnBegin { .. } => 0,
+            LogRecord::Update { .. } => 1,
+            LogRecord::Commit { .. } => 2,
+            LogRecord::Abort { .. } => 3,
+            LogRecord::TxnCommit { .. } => 4,
+            LogRecord::Prepare { .. } => 5,
+            LogRecord::Decide { .. } => 6,
+            LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 7,
+            LogRecord::Compacted { .. } => 8,
+        };
+        tally[kind].0 += 1;
+        tally[kind].1 += rec.encoded_len() as u64;
+        // a transaction is committed by its `Commit` or `TxnCommit` frame
+        if matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. }) {
+            committed += 1;
+        }
+    }
+    let mut line = String::from("log: composition (frames/bytes):");
+    for (kind, (frames, bytes)) in KINDS.iter().zip(tally) {
+        line.push_str(&format!(" {kind}={frames}/{bytes}"));
+    }
+    line.push_str(&format!(
+        "; {:.1} log bytes per committed transaction ({committed} committed)",
+        scanner.valid_len() as f64 / committed.max(1) as f64
+    ));
+    line
 }
 
 fn cmd_dump(dir: &Path, rest: &[String]) -> Result<(), String> {

@@ -365,6 +365,20 @@ fn bad_arguments_are_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Frames of `kind` on `fsck`'s log-composition line (`kind=frames/bytes`).
+fn composition_frames(fsck: &str, kind: &str) -> u64 {
+    let line = fsck
+        .lines()
+        .find(|l| l.starts_with("log: composition"))
+        .unwrap_or_else(|| panic!("no composition line in {fsck}"));
+    let entry = line
+        .split_whitespace()
+        .find_map(|word| word.strip_prefix(&format!("{kind}=")))
+        .unwrap_or_else(|| panic!("no {kind} on {line}"));
+    let frames = entry.split_once('/').map(|(frames, _)| frames.parse());
+    frames.and_then(Result::ok).expect("frames/bytes")
+}
+
 #[test]
 fn bench_net_self_hosts_commits_everything_and_fails_on_a_dead_addr() {
     let dir = tmpdir("bench-net");
@@ -391,6 +405,18 @@ fn bench_net_self_hosts_commits_everything_and_fails_on_a_dead_addr() {
     // the database survives being served: committed work is durable
     let fsck = ok(&dir, &["fsck"]);
     assert!(fsck.contains("fsck: clean"), "{fsck}");
+    // single-shard traffic is one `TxnCommit` frame per transaction: none
+    // of the frames a cross-shard branch (or an older binary) writes
+    for kind in ["begin", "update", "commit", "abort", "prepare"] {
+        assert_eq!(composition_frames(&fsck, kind), 0, "{kind}: {fsck}");
+    }
+    // (the server's checkpoints truncate the older ones away; the newest
+    // are behind at most one complete checkpoint and still there)
+    assert!(composition_frames(&fsck, "txn-commit") > 0, "{fsck}");
+    assert!(
+        fsck.contains("log bytes per committed transaction"),
+        "{fsck}"
+    );
 
     // a port nothing listens on: bound, then released
     let dead = std::net::TcpListener::bind("127.0.0.1:0")

@@ -6,7 +6,9 @@ use crate::metrics::{Meters, OverheadReport};
 use mmdb_audit::{Audit, AuditEvent, AuditReport, AuditViolation, PaintColor};
 use mmdb_checkpoint::{BeginReport, Checkpointer, CkptReport, CkptStats, StepOutcome};
 use mmdb_disk::{summarize, AuditedBackup, BackupStore, FileBackup, MemBackup, ObservedBackup};
-use mmdb_log::{LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice};
+use mmdb_log::{
+    LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice, MAX_TXN_FRAME_BYTES,
+};
 use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, SpanRecord, Timer};
 use mmdb_recovery::RecoveryReport;
 use mmdb_storage::{Color, PendingInstall, ReadMirror, Storage};
@@ -44,11 +46,6 @@ pub struct SegmentStats {
     /// Segments holding a COU old copy right now.
     pub with_old_copy: u64,
 }
-
-/// One deferred install of a prepared transaction branch (record,
-/// segment, after-image, and the LSN just past its update record — the
-/// checkpointer's write-ahead gate needs it at install time).
-type PreparedInstall = (RecordId, SegmentId, Vec<Word>, mmdb_types::Lsn);
 
 /// Outcome of [`Mmdb::run_txn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +98,7 @@ pub struct Mmdb {
     /// Replay floor of the in-progress checkpoint: the earliest LSN
     /// recovery would need if that checkpoint becomes the one restored
     /// from (its begin marker, extended backward to the begin record of
-    /// the oldest transaction active at the marker).
+    /// the oldest branch prepared at the marker).
     pending_floor: Option<(CheckpointId, mmdb_types::Lsn)>,
     /// Replay floors of the newest complete checkpoint per ping-pong
     /// copy; the log before min(both) is unreachable by any future
@@ -112,10 +109,6 @@ pub struct Mmdb {
     /// so log shipping can never be outrun by the checkpointer. Advanced
     /// by standby acks; raw LSN in the atomic.
     repl_truncate_pin: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
-    /// Install lists of *prepared* transaction branches (sharded
-    /// two-phase commit): their update records are already durable, but
-    /// installation waits for the coordinator's decision.
-    prepared_installs: std::collections::HashMap<TxnId, Vec<PreparedInstall>>,
     /// End-LSN of the most recent commit record, as a raw LSN advanced
     /// with `fetch_max` (what group committers wait on; see
     /// [`TxnRun::commit_lsn`]).
@@ -271,7 +264,6 @@ impl Mmdb {
             pending_floor: None,
             replay_floor: [None, None],
             repl_truncate_pin: None,
-            prepared_installs: std::collections::HashMap::new(),
             last_commit_lsn: AtomicU64::new(0),
             audit,
             obs,
@@ -528,16 +520,8 @@ impl Mmdb {
         }
         let t = self.obs.timer();
         let tau = self.next_tau();
-        let id = self.txns.get_mut().begin(tau, mmdb_types::Lsn::ZERO, run);
-        let lsn = self
-            .log
-            .get_mut()
-            .append(&LogRecord::TxnBegin { txn: id, tau });
-        self.txns
-            .get_mut()
-            .get_mut(id)
-            .expect("just created")
-            .begin_lsn = lsn;
+        // Nothing is logged until the transaction commits or prepares.
+        let id = self.txns.get_mut().begin(tau, Lsn::ZERO, run);
         self.obs
             .span_end("txn.begin", "txn.begin_ns", t, || format!("{id} run {run}"));
         Ok(id)
@@ -595,10 +579,86 @@ impl Mmdb {
         Ok(())
     }
 
+    /// Commit-time color revalidation: installs happen (or are promised)
+    /// *now*, so the write set must be color-consistent *now* (colors may
+    /// have advanced since staging). This closes the race between staging
+    /// and the checkpointer's sweep that deferred installs open up.
+    fn revalidate_colors(&mut self, txn: TxnId) -> Result<()> {
+        if self.ckpt.two_color_active() {
+            let t = self.txns.get_mut().get(txn)?;
+            let segs: Vec<SegmentId> = t.writes.iter().map(|w| w.segment).collect();
+            for sid in segs {
+                self.check_color(txn, sid)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses a write set whose `TxnCommit` frame could not cross the
+    /// wire to a standby. Checked before anything is appended.
+    fn check_frame_bound(&self, n_writes: usize) -> Result<()> {
+        let len = LogRecord::txn_commit_len(n_writes, self.record_words());
+        if len > MAX_TXN_FRAME_BYTES {
+            return Err(MmdbError::Invalid(format!(
+                "a transaction of {n_writes} writes needs a {len}-byte log frame; \
+                 the largest is {MAX_TXN_FRAME_BYTES} bytes"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Publishes `commit_lsn` as the newest commit, takes `txn` out of
+    /// the transaction table and installs its after-images into the
+    /// primary database (the shadow-copy "overwrite old with new", §2.6),
+    /// running the COU hook first. `commit_lsn` is the end of the frame
+    /// that committed it: the log must be durable through it before a
+    /// segment holding one of the images is flushed.
+    fn install_committed(&mut self, txn: TxnId, commit_lsn: Lsn, timer: Timer) -> Result<()> {
+        self.last_commit_lsn
+            .fetch_max(commit_lsn.raw(), Ordering::SeqCst);
+        let gating = self
+            .config
+            .algorithm
+            .needs_lsn_gating(self.config.params.log_mode);
+        let t = self.txns.get_mut().finish_commit(txn)?;
+        for w in &t.writes {
+            if self.audit.is_enabled() && self.ckpt.two_color_active() {
+                let color = match self.storage.color(w.segment)? {
+                    Color::White => PaintColor::White,
+                    Color::Black => PaintColor::Black,
+                };
+                self.audit.emit(|| AuditEvent::InstallObserved {
+                    txn,
+                    sid: w.segment,
+                    color,
+                });
+            }
+            self.ckpt
+                .on_before_install(&mut self.storage, w.segment, &self.meters.sync_ckpt)?;
+            self.storage.install_record(
+                w.record,
+                &w.value,
+                commit_lsn,
+                t.tau,
+                &self.meters.base,
+            )?;
+            if gating {
+                // The transaction maintains the segment's LSN for the
+                // checkpointer's write-ahead gate (C_lsn per update, §2.1).
+                self.meters.sync_ckpt.lsn_op();
+            }
+        }
+        self.meters.base.txn_body(self.config.params.txn.c_trans);
+        self.obs.span_end("txn.commit", "txn.commit_ns", timer, || {
+            format!("{txn}: {} writes", t.writes.len())
+        });
+        self.maybe_begin_pending_checkpoint()
+    }
+
     /// Commits a transaction: re-validates two-color consistency of the
-    /// write set, writes the REDO records and the commit record (forced
-    /// under [`CommitDurability::Force`]), then installs the updates into
-    /// the primary database (running the COU hook first).
+    /// write set, writes its one `TxnCommit` frame (forced under
+    /// [`CommitDurability::Force`]), then installs the updates into the
+    /// primary database (running the COU hook first).
     pub fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.ensure_alive()?;
         if self.txns.get_mut().get(txn)?.prepared.is_some() {
@@ -607,98 +667,27 @@ impl Mmdb {
             )));
         }
         let commit_timer = self.obs.timer();
+        self.revalidate_colors(txn)?;
+        let n_writes = self.txns.get_mut().get(txn)?.writes.len();
+        self.check_frame_bound(n_writes)?;
 
-        // Commit-time color revalidation: installs happen *now*, so the
-        // write set must be color-consistent *now* (colors may have
-        // advanced since staging). This closes the race between staging
-        // and the checkpointer's sweep that deferred installs open up.
-        if self.ckpt.two_color_active() {
-            let segs: Vec<SegmentId> = self
-                .txns
-                .get_mut()
-                .get(txn)?
-                .writes
-                .iter()
-                .map(|w| w.segment)
-                .collect();
-            for sid in segs {
-                self.check_color(txn, sid)?;
-            }
-        }
-
-        let gating = self
-            .config
-            .algorithm
-            .needs_lsn_gating(self.config.params.log_mode);
-
-        // REDO records for every staged write, then the commit record.
-        let t = self.txns.get_mut().get(txn)?;
-        let mut installs = Vec::with_capacity(t.writes.len());
-        let writes: Vec<_> = t
-            .writes
-            .iter()
-            .map(|w| (w.record, w.segment, w.value.clone()))
-            .collect();
-        for (record, segment, value) in writes {
-            let rec = LogRecord::Update {
-                txn,
-                record,
-                value: value.clone(),
-            };
-            let lsn = self.log.get_mut().append(&rec);
-            installs.push((record, segment, value, rec.end_lsn(lsn)));
-        }
-        let commit_rec = LogRecord::Commit { txn };
-        let commit_start = match self.config.commit_durability {
-            CommitDurability::Force => self.log.get_mut().append_forced(&commit_rec)?,
+        // The whole transaction is one frame, encoded from the staged
+        // images; every install waits on that frame's end for the WAL gate.
+        let writes = &self.txns.get_mut().get(txn)?.writes;
+        let log = self.log.get_mut();
+        log.append_txn_commit(txn, writes.iter().map(|w| (w.record, &w.value[..])));
+        let commit_lsn = log.next_lsn();
+        if self.config.commit_durability == CommitDurability::Force {
             // Group: append only — the caller releases the engine lock and
             // waits on the durable-LSN watermark for a batched force to
             // cover `last_commit_lsn` before acking (Lazy never waits).
-            CommitDurability::Lazy | CommitDurability::Group => {
-                self.log.get_mut().append(&commit_rec)
-            }
-        };
-        self.last_commit_lsn
-            .fetch_max(commit_rec.end_lsn(commit_start).raw(), Ordering::SeqCst);
-
-        // Install (the shadow-copy "overwrite old with new", §2.6).
-        let tau = self.txns.get_mut().get(txn)?.tau;
-        let installs_len = installs.len();
-        for (record, segment, value, end_lsn) in installs {
-            if self.audit.is_enabled() && self.ckpt.two_color_active() {
-                let color = match self.storage.color(segment)? {
-                    Color::White => PaintColor::White,
-                    Color::Black => PaintColor::Black,
-                };
-                self.audit.emit(|| AuditEvent::InstallObserved {
-                    txn,
-                    sid: segment,
-                    color,
-                });
-            }
-            self.ckpt
-                .on_before_install(&mut self.storage, segment, &self.meters.sync_ckpt)?;
-            self.storage
-                .install_record(record, &value, end_lsn, tau, &self.meters.base)?;
-            if gating {
-                // The transaction maintains the segment's LSN for the
-                // checkpointer's write-ahead gate (C_lsn per update, §2.1).
-                self.meters.sync_ckpt.lsn_op();
-            }
+            log.force()?;
         }
-
-        self.txns.get_mut().finish_commit(txn)?;
-        self.meters.base.txn_body(self.config.params.txn.c_trans);
-        self.obs
-            .span_end("txn.commit", "txn.commit_ns", commit_timer, || {
-                format!("{txn}: {installs_len} writes")
-            });
-        self.maybe_begin_pending_checkpoint()?;
-        Ok(())
+        self.install_committed(txn, commit_lsn, commit_timer)
     }
 
     /// Aborts a transaction (application abort: staged writes are simply
-    /// dropped; an abort record keeps the log scanner's picture clean).
+    /// dropped, and nothing of the transaction is in the log).
     pub fn abort(&mut self, txn: TxnId) -> Result<()> {
         self.ensure_alive()?;
         if self.txns.get_mut().get(txn)?.prepared.is_some() {
@@ -706,7 +695,6 @@ impl Mmdb {
                 "{txn} is prepared; only the coordinator's decision may abort it"
             )));
         }
-        self.log.get_mut().append(&LogRecord::Abort { txn });
         self.txns.get_mut().finish_abort(txn, false)?;
         self.maybe_begin_pending_checkpoint()?;
         Ok(())
@@ -718,7 +706,6 @@ impl Mmdb {
     /// two-color restriction").
     fn abort_two_color(&mut self, txn: TxnId) -> Result<()> {
         let t = self.obs.timer();
-        self.log.get_mut().append(&LogRecord::Abort { txn });
         self.txns.get_mut().finish_abort(txn, true)?;
         self.meters
             .sync_ckpt
@@ -796,54 +783,39 @@ impl Mmdb {
     // the decision lands — exactly the window recovery must be able to
     // replay.
 
-    /// Phase one: re-validates two-color consistency, logs every staged
-    /// update plus a forced `Prepare` record, and marks the transaction
-    /// prepared for global transaction `gid`. After this returns, the
-    /// branch survives any crash and can no longer unilaterally abort;
-    /// finish it with [`Mmdb::commit_prepared`] or
-    /// [`Mmdb::abort_prepared`].
+    /// Phase one: re-validates two-color consistency, logs the branch —
+    /// `TxnBegin`, every staged update and a forced `Prepare` record,
+    /// contiguously — and marks the transaction prepared for global
+    /// transaction `gid`. After this returns, the branch survives any
+    /// crash and can no longer unilaterally abort; finish it with
+    /// [`Mmdb::commit_prepared`] or [`Mmdb::abort_prepared`].
     pub fn prepare_txn(&mut self, txn: TxnId, gid: u64) -> Result<()> {
         self.ensure_alive()?;
         if self.txns.get_mut().get(txn)?.prepared.is_some() {
             return Err(MmdbError::Invalid(format!("{txn} is already prepared")));
         }
-        // Same commit-time color revalidation as `commit`: installs are
-        // promised now, so the write set must be color-consistent now.
-        if self.ckpt.two_color_active() {
-            let segs: Vec<SegmentId> = self
-                .txns
-                .get_mut()
-                .get(txn)?
-                .writes
-                .iter()
-                .map(|w| w.segment)
-                .collect();
-            for sid in segs {
-                self.check_color(txn, sid)?;
-            }
-        }
+        self.revalidate_colors(txn)?;
+        // recovery re-runs an in-doubt branch as one ordinary transaction
+        let n_writes = self.txns.get_mut().get(txn)?.writes.len();
+        self.check_frame_bound(n_writes)?;
 
-        let t = self.txns.get_mut().get(txn)?;
-        let writes: Vec<_> = t
-            .writes
-            .iter()
-            .map(|w| (w.record, w.segment, w.value.clone()))
-            .collect();
-        let mut installs = Vec::with_capacity(writes.len());
-        for (record, segment, value) in writes {
-            let rec = LogRecord::Update {
+        let t = self.txns.get_mut().get_mut(txn)?;
+        let log = self.log.get_mut();
+        t.begin_lsn = log.append(&LogRecord::TxnBegin { txn, tau: t.tau });
+        for w in &t.writes {
+            log.append(&LogRecord::Update {
                 txn,
-                record,
-                value: value.clone(),
-            };
-            let lsn = self.log.get_mut().append(&rec);
-            installs.push((record, segment, value, rec.end_lsn(lsn)));
+                record: w.record,
+                value: w.value.clone(),
+            });
         }
-        self.log
-            .get_mut()
-            .append_forced(&LogRecord::Prepare { txn, gid })?;
-        self.prepared_installs.insert(txn, installs);
-        self.txns.get_mut().get_mut(txn)?.prepared = Some(gid);
+        if let Err(e) = log.append_forced(&LogRecord::Prepare { txn, gid }) {
+            // the branch's frames are in the log: close them, so the
+            // caller's `abort` of the still-unprepared transaction need not
+            log.append(&LogRecord::Abort { txn });
+            return Err(e);
+        }
+        t.prepared = Some(gid);
         self.obs.counter("txn.prepared", 1);
         Ok(())
     }
@@ -870,50 +842,14 @@ impl Mmdb {
             return Err(MmdbError::Invalid(format!("{txn} is not prepared")));
         }
         let commit_timer = self.obs.timer();
-        let gating = self
-            .config
-            .algorithm
-            .needs_lsn_gating(self.config.params.log_mode);
         let commit_rec = LogRecord::Commit { txn };
         let commit_start = self.log.get_mut().append_forced(&commit_rec)?;
-        self.last_commit_lsn
-            .fetch_max(commit_rec.end_lsn(commit_start).raw(), Ordering::SeqCst);
-        let tau = self.txns.get_mut().get(txn)?.tau;
-        let installs = self.prepared_installs.remove(&txn).unwrap_or_default();
-        let installs_len = installs.len();
-        for (record, segment, value, end_lsn) in installs {
-            if self.audit.is_enabled() && self.ckpt.two_color_active() {
-                let color = match self.storage.color(segment)? {
-                    Color::White => PaintColor::White,
-                    Color::Black => PaintColor::Black,
-                };
-                self.audit.emit(|| AuditEvent::InstallObserved {
-                    txn,
-                    sid: segment,
-                    color,
-                });
-            }
-            self.ckpt
-                .on_before_install(&mut self.storage, segment, &self.meters.sync_ckpt)?;
-            self.storage
-                .install_record(record, &value, end_lsn, tau, &self.meters.base)?;
-            if gating {
-                self.meters.sync_ckpt.lsn_op();
-            }
-        }
-        self.txns.get_mut().finish_commit(txn)?;
-        self.meters.base.txn_body(self.config.params.txn.c_trans);
-        self.obs
-            .span_end("txn.commit", "txn.commit_ns", commit_timer, || {
-                format!("{txn}: {installs_len} writes (prepared)")
-            });
-        self.maybe_begin_pending_checkpoint()?;
-        Ok(())
+        self.install_committed(txn, commit_rec.end_lsn(commit_start), commit_timer)
     }
 
     /// Phase two, abort side: drops a prepared branch after the
-    /// coordinator decided abort. The branch's staged installs are
-    /// discarded; an abort record keeps the log scanner's picture clean
+    /// coordinator decided abort. The branch's staged writes are
+    /// dropped; an abort record keeps the log scanner's picture clean
     /// (and, if it reaches the disk, spares recovery the in-doubt
     /// resolution — presumed abort covers it if it does not).
     pub fn abort_prepared(&mut self, txn: TxnId) -> Result<()> {
@@ -922,7 +858,6 @@ impl Mmdb {
             return Err(MmdbError::Invalid(format!("{txn} is not prepared")));
         }
         self.log.get_mut().append(&LogRecord::Abort { txn });
-        self.prepared_installs.remove(&txn);
         self.txns.get_mut().finish_abort(txn, false)?;
         self.maybe_begin_pending_checkpoint()?;
         Ok(())
@@ -969,7 +904,10 @@ impl Mmdb {
             // pre-checkpoint state; wipe them.
             self.txns.get_mut().reset_colors();
         }
-        let active = self.txns.get_mut().active_ids();
+        // Only a prepared branch has frames before the marker; any other
+        // open transaction logs its one frame when it commits.
+        let prepared = self.txns.get_mut().prepared();
+        let active: Vec<TxnId> = prepared.iter().map(|&(id, _)| id).collect();
         let report = self.ckpt.begin(
             &mut self.storage,
             self.log.get_mut(),
@@ -978,14 +916,10 @@ impl Mmdb {
             tau_ch,
         )?;
         // The replay floor: recovery from this checkpoint starts at its
-        // begin marker, or at the begin record of the oldest transaction
-        // active at the marker (fuzzy/2C recovery, §3.3).
-        let mut floor = report.begin_lsn;
-        for id in &active {
-            if let Ok(t) = self.txns.get_mut().get(*id) {
-                floor = floor.min(t.begin_lsn);
-            }
-        }
+        // begin marker, or at the `TxnBegin` of the oldest branch
+        // prepared at the marker (fuzzy/2C recovery, §3.3).
+        let begins = prepared.iter().map(|&(_, begin_lsn)| begin_lsn);
+        let floor = begins.fold(report.begin_lsn, Lsn::min);
         self.pending_floor = Some((report.ckpt, floor));
         self.quiesce_pending = false;
         Ok(report)
@@ -1076,7 +1010,6 @@ impl Mmdb {
         mirror.take_pending();
         self.log.get_mut().crash()?;
         self.txns.get_mut().crash();
-        self.prepared_installs.clear();
         self.ckpt.crash(&mut self.storage);
         self.quiesce_pending = false;
         self.pending_floor = None;
@@ -1203,42 +1136,53 @@ impl Mmdb {
     /// two-color and COU install hooks need `&mut`), when the database
     /// has more segments than the latch rank space covers, or when the
     /// updates are invalid (the exclusive path reports the precise
-    /// error). All of those fields only change under `&mut self`, which
-    /// the engine gate excludes while a shared committer is inside — so
-    /// the admission check cannot race.
+    /// error). Each reason counts into
+    /// `core.commit_shared_fallback.<reason>`. All of those fields only
+    /// change under `&mut self`, which the engine gate excludes while a
+    /// shared committer is inside — so the admission check cannot race.
     ///
     /// Protocol: latch the write set's segments in ascending id order
     /// (descending lock rank — deadlock-free by construction), append
-    /// begin/updates/commit *contiguously* under the interior log lock
-    /// (the pipeline's single serial point: WAL order is decided here,
-    /// and the log reads exactly like a serial execution), install into
-    /// the read mirror plus the pending-sync queue while still latched,
-    /// then finish in the transaction table. Durability matches the
-    /// exclusive path: `Force` forces inside the append; `Group`/`Lazy`
+    /// the transaction's one `TxnCommit` frame under the interior log
+    /// lock (the pipeline's single serial point: WAL order is decided
+    /// here, and the log reads exactly like a serial execution), install
+    /// into the read mirror plus the pending-sync queue while still
+    /// latched, then finish in the transaction table. Durability matches
+    /// the exclusive path: `Force` forces inside the append; `Group`/`Lazy`
     /// return immediately and the caller signals the flusher / waits on
     /// the durable watermark *after* releasing its engine read guard.
     pub fn try_commit_shared<V: AsRef<[Word]>>(
         &self,
         updates: &[(RecordId, V)],
     ) -> Result<Option<TxnRun>> {
-        if self.crashed || self.quiesce_pending || self.ckpt.is_active() {
-            return Ok(None);
+        let fallback = |reason: &'static str| {
+            self.obs.counter(reason, 1);
+            Ok(None)
+        };
+        if self.crashed {
+            return fallback("core.commit_shared_fallback.crashed");
+        }
+        if self.quiesce_pending {
+            return fallback("core.commit_shared_fallback.quiesce");
+        }
+        if self.ckpt.is_active() {
+            return fallback("core.commit_shared_fallback.checkpoint_active");
         }
         if self.latches.len() != self.storage.n_segments() as usize {
-            return Ok(None);
+            return fallback("core.commit_shared_fallback.latch_table");
         }
-        // Validate everything up front: after the first log append the
-        // commit must run to completion.
+        // Validate everything up front: after the log append the commit
+        // must run to completion.
         let s_rec = self.record_words();
         let mut latch_order = Vec::with_capacity(updates.len());
         for (rid, value) in updates {
-            if value.as_ref().len() != s_rec {
-                return Ok(None);
-            }
             match self.storage.segment_of(*rid) {
-                Ok(sid) => latch_order.push(sid.index()),
-                Err(_) => return Ok(None),
+                Ok(sid) if value.as_ref().len() == s_rec => latch_order.push(sid.index()),
+                _ => return fallback("core.commit_shared_fallback.invalid"),
             }
+        }
+        if self.check_frame_bound(updates.len()).is_err() {
+            return fallback("core.commit_shared_fallback.invalid");
         }
         latch_order.sort_unstable();
         latch_order.dedup();
@@ -1256,25 +1200,13 @@ impl Mmdb {
             .map(|&i| self.latches[i].lock())
             .collect();
 
-        let (begin_lsn, commit_lsn, install_lsns) = {
+        let commit_lsn = {
             let mut log = self.log.lock();
-            let begin_lsn = log.append(&LogRecord::TxnBegin { txn, tau });
-            let mut install_lsns = Vec::with_capacity(updates.len());
-            for (rid, value) in updates {
-                let rec = LogRecord::Update {
-                    txn,
-                    record: *rid,
-                    value: value.as_ref().to_vec(),
-                };
-                let lsn = log.append(&rec);
-                install_lsns.push(rec.end_lsn(lsn));
+            log.append_txn_commit(txn, updates.iter().map(|(rid, v)| (*rid, v.as_ref())));
+            if self.config.commit_durability == CommitDurability::Force {
+                log.force()?;
             }
-            let commit_rec = LogRecord::Commit { txn };
-            let commit_start = match self.config.commit_durability {
-                CommitDurability::Force => log.append_forced(&commit_rec)?,
-                CommitDurability::Lazy | CommitDurability::Group => log.append(&commit_rec),
-            };
-            (begin_lsn, commit_rec.end_lsn(commit_start), install_lsns)
+            log.next_lsn()
         };
         self.last_commit_lsn
             .fetch_max(commit_lsn.raw(), Ordering::SeqCst);
@@ -1283,12 +1215,12 @@ impl Mmdb {
         // serializes publishes per record); the authoritative segments
         // catch up at the next exclusive acquisition via `sync_pending`.
         let mirror = self.storage.mirror();
-        for ((rid, value), end_lsn) in updates.iter().zip(install_lsns) {
+        for (rid, value) in updates {
             mirror.publish(*rid, value.as_ref());
             mirror.note_pending(PendingInstall {
                 rid: *rid,
                 tau,
-                lsn: end_lsn,
+                lsn: commit_lsn,
             });
             self.meters.base.move_words(s_rec as u64);
             if gating {
@@ -1297,13 +1229,7 @@ impl Mmdb {
         }
         drop(held);
 
-        {
-            let mut txns = self.txns.lock();
-            if let Ok(t) = txns.get_mut(txn) {
-                t.begin_lsn = begin_lsn;
-            }
-            txns.finish_commit(txn)?;
-        }
+        self.txns.lock().finish_commit(txn)?;
         self.meters.base.txn_body(self.config.params.txn.c_trans);
         self.obs
             .span_end("txn.commit", "txn.commit_ns", commit_timer, || {

@@ -49,7 +49,7 @@ pub use mmdb_checkpoint::{CkptReport, CkptStats, StepOutcome, WalPolicy};
 pub use mmdb_log::ChunkInfo;
 pub use mmdb_log::{
     DurableWatermark, FlakyControl, FlakyLogDevice, LogDevice, LogRecord, PendingForce, ShipTap,
-    TapRead, DEFAULT_TAP_WINDOW_BYTES,
+    TapRead, DEFAULT_TAP_WINDOW_BYTES, MAX_TXN_FRAME_BYTES,
 };
 pub use mmdb_obs::{
     render_spans, validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs,

@@ -3,8 +3,8 @@
 //! observed through the public API.
 
 use mmdb_core::{
-    Algorithm, CheckpointStart, CkptMode, CommitDurability, LogMode, Mmdb, MmdbConfig, MmdbError,
-    RecordId, StepOutcome,
+    Algorithm, CheckpointStart, CkptMode, CommitDurability, LogMode, LogRecord, Lsn, Mmdb,
+    MmdbConfig, MmdbError, RecordId, StepOutcome, MAX_TXN_FRAME_BYTES,
 };
 
 fn small(algorithm: Algorithm) -> MmdbConfig {
@@ -21,6 +21,21 @@ fn db(algorithm: Algorithm) -> Mmdb {
 
 fn val(db: &Mmdb, fill: u32) -> Vec<u32> {
     vec![fill; db.record_words()]
+}
+
+/// Every frame of the (forced) log, with its LSN.
+fn log_frames(db: &mut Mmdb) -> Vec<(Lsn, LogRecord)> {
+    db.force_log().expect("force");
+    let start = db.log_start_lsn();
+    let bytes = db.read_log_range(start, usize::MAX).expect("read log");
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let (rec, used) = LogRecord::decode(&bytes[pos..]).expect("whole frames");
+        frames.push((Lsn(start.raw() + pos as u64), rec));
+        pos += used;
+    }
+    frames
 }
 
 #[test]
@@ -459,26 +474,241 @@ fn couac_begins_without_quiescing() {
 }
 
 #[test]
-fn couac_marker_carries_active_list() {
-    // A transaction active at the (non-quiesced) begin must extend the
-    // recovery scan-back, exactly like a fuzzy checkpoint's marker.
-    let mut db = db(Algorithm::CouAc);
+fn marker_lists_no_unprepared_transaction_and_replay_starts_at_it() {
+    // A transaction open at a non-quiesced begin has nothing in the log
+    // yet: the marker's active list is empty, replay starts *at* the
+    // marker, and the transaction's one frame, written at its commit, lies
+    // behind the marker and is replayed.
+    for algorithm in [
+        Algorithm::FuzzyCopy,
+        Algorithm::TwoColorCopy,
+        Algorithm::CouAc,
+    ] {
+        let mut db = db(algorithm);
+        db.run_txn(&[(RecordId(0), val(&db, 1))]).unwrap();
+        db.checkpoint().unwrap();
+
+        let t = db.begin_txn().unwrap();
+        db.write(t, RecordId(50), &val(&db, 5)).unwrap();
+        let CheckpointStart::Started(begin) = db.try_begin_checkpoint().unwrap() else {
+            panic!("{algorithm} must not quiesce");
+        };
+        db.commit(t).unwrap();
+        while db.is_checkpoint_active() {
+            if db.checkpoint_step().unwrap() == StepOutcome::WaitingForLog {
+                db.force_log().unwrap();
+            }
+        }
+        let marker = log_frames(&mut db)
+            .into_iter()
+            .find(|(lsn, _)| *lsn == begin.begin_lsn)
+            .map(|(_, rec)| rec);
+        let Some(LogRecord::BeginCheckpoint { active, .. }) = marker else {
+            panic!("{algorithm}: no begin marker at {}", begin.begin_lsn);
+        };
+        assert!(active.is_empty(), "{algorithm}: {active:?}");
+
+        let before = db.fingerprint();
+        db.crash().unwrap();
+        let report = db.recover().unwrap();
+        assert_eq!(report.ckpt, begin.ckpt, "{algorithm}");
+        assert_eq!(report.replay_start, begin.begin_lsn, "{algorithm}");
+        assert_eq!(report.txns_replayed, 1, "{algorithm}");
+        assert_eq!(db.fingerprint(), before, "{algorithm}");
+        assert_eq!(db.read_committed(RecordId(50)).unwrap(), val(&db, 5));
+    }
+}
+
+#[test]
+fn prepared_branch_open_at_the_marker_extends_replay_to_its_begin() {
+    let mut db = db(Algorithm::FuzzyCopy);
     db.run_txn(&[(RecordId(0), val(&db, 1))]).unwrap();
     db.checkpoint().unwrap();
 
-    let t = db.begin_txn().unwrap();
-    db.write(t, RecordId(50), &val(&db, 5)).unwrap();
-    db.try_begin_checkpoint().unwrap();
-    db.commit(t).unwrap();
+    let branch = db.begin_txn().unwrap();
+    db.write(branch, RecordId(60), &val(&db, 6)).unwrap();
+    let branch_begin = db.log_durable_lsn();
+    db.prepare_txn(branch, 9).unwrap();
+    let bystander = db.begin_txn().unwrap();
+    let CheckpointStart::Started(begin) = db.try_begin_checkpoint().unwrap() else {
+        panic!("fuzzy checkpoints do not quiesce");
+    };
+    db.log_decision(9, true).unwrap();
+    db.commit_prepared(branch).unwrap();
+    db.abort(bystander).unwrap();
     while db.is_checkpoint_active() {
         db.checkpoint_step().unwrap();
     }
+    let frames = log_frames(&mut db);
+    let marker = frames.iter().find(|(lsn, _)| *lsn == begin.begin_lsn);
+    let Some((_, LogRecord::BeginCheckpoint { active, .. })) = marker else {
+        panic!("no begin marker at {}", begin.begin_lsn);
+    };
+    assert_eq!(active, &[branch], "only the prepared branch is listed");
+    // the branch's frames are one contiguous run written at prepare
+    let run: Vec<&LogRecord> = frames
+        .iter()
+        .filter(|(lsn, _)| (branch_begin..begin.begin_lsn).contains(lsn))
+        .map(|(_, rec)| rec)
+        .collect();
+    assert!(matches!(
+        run[..],
+        [
+            LogRecord::TxnBegin { .. },
+            LogRecord::Update { .. },
+            LogRecord::Prepare { .. }
+        ]
+    ));
+
     let before = db.fingerprint();
     db.crash().unwrap();
     let report = db.recover().unwrap();
+    assert_eq!(report.replay_start, branch_begin);
+    assert!(report.in_doubt.is_empty());
     assert_eq!(db.fingerprint(), before);
-    // the replay had to reach back before the begin marker to T's begin
-    assert!(report.txns_replayed >= 1);
+    assert_eq!(db.read_committed(RecordId(60)).unwrap(), val(&db, 6));
+}
+
+#[test]
+fn unprepared_transactions_write_one_frame_each_and_aborts_write_none() {
+    for durability in [
+        CommitDurability::Force,
+        CommitDurability::Lazy,
+        CommitDurability::Group,
+    ] {
+        let mut cfg = small(Algorithm::FuzzyCopy);
+        cfg.commit_durability = durability;
+        let mut db = Mmdb::open_in_memory(cfg).unwrap();
+        db.run_txn(&[(RecordId(1), val(&db, 1)), (RecordId(2), val(&db, 1))])
+            .unwrap();
+        let shared = db.try_commit_shared(&[(RecordId(3), val(&db, 2))]).unwrap();
+        assert!(shared.is_some(), "{durability:?}");
+        let aborted = db.begin_txn().unwrap();
+        db.write(aborted, RecordId(4), &val(&db, 3)).unwrap();
+        db.abort(aborted).unwrap();
+        let read_only = db.begin_txn().unwrap();
+        db.commit(read_only).unwrap();
+
+        let frames = log_frames(&mut db);
+        assert_eq!(frames.len(), 3, "{durability:?}");
+        for (_, rec) in &frames {
+            assert!(matches!(rec, LogRecord::TxnCommit { .. }), "{rec:?}");
+        }
+        assert_eq!(db.log_stats().bytes, 305 + 169 + 33, "{durability:?}");
+    }
+}
+
+#[test]
+fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
+    let mut db = db(Algorithm::FuzzyCopy);
+    let per_write = 8 + 4 * db.record_words();
+    let too_many = MAX_TXN_FRAME_BYTES / per_write + 1;
+    let image = val(&db, 4);
+    let t = db.begin_txn().unwrap();
+    for i in 0..too_many as u64 {
+        db.write(t, RecordId(i % db.n_records()), &image).unwrap();
+    }
+    let bytes_before = db.log_stats().bytes;
+    let err = db.commit(t).unwrap_err();
+    assert!(
+        matches!(&err, MmdbError::Invalid(msg) if msg.contains("log frame")),
+        "{err}"
+    );
+    assert_eq!(
+        db.prepare_txn(t, 3).unwrap_err().to_string(),
+        err.to_string()
+    );
+    assert_eq!(db.log_stats().bytes, bytes_before, "nothing was appended");
+    // the shared path refuses it too, and counts the fallback
+    let updates: Vec<_> = (0..too_many as u64)
+        .map(|i| (RecordId(i % db.n_records()), &image))
+        .collect();
+    assert!(db.try_commit_shared(&updates).unwrap().is_none());
+    assert_eq!(db.log_stats().bytes, bytes_before);
+    // the transaction is still open and can be given up
+    db.abort(t).unwrap();
+    // one write fewer fits
+    db.run_txn(&updates[1..]).unwrap();
+    assert!(db.log_stats().bytes - bytes_before <= MAX_TXN_FRAME_BYTES as u64);
+}
+
+/// `core.commit_shared_fallback.<reason>` after one refused shared commit.
+fn fallback_count(db: &Mmdb, reason: &str) -> u64 {
+    let name = format!("core.commit_shared_fallback.{reason}");
+    db.metrics_snapshot().counter(&name).unwrap_or(0)
+}
+
+#[test]
+fn shared_commit_fallback_counts_a_crashed_engine() {
+    let mut db = db(Algorithm::FuzzyCopy);
+    let update = [(RecordId(0), val(&db, 1))];
+    db.checkpoint().unwrap();
+    db.crash().unwrap();
+    assert!(db.try_commit_shared(&update).unwrap().is_none());
+    assert_eq!(fallback_count(&db, "crashed"), 1);
+    db.recover().unwrap();
+    assert!(db.try_commit_shared(&update).unwrap().is_some());
+    assert_eq!(fallback_count(&db, "crashed"), 1);
+}
+
+#[test]
+fn shared_commit_fallback_counts_a_pending_quiesce() {
+    let mut db = db(Algorithm::CouCopy);
+    let update = [(RecordId(0), val(&db, 1))];
+    let straggler = db.begin_txn().unwrap();
+    assert_eq!(
+        db.try_begin_checkpoint().unwrap(),
+        CheckpointStart::Quiescing
+    );
+    assert!(db.try_commit_shared(&update).unwrap().is_none());
+    assert_eq!(fallback_count(&db, "quiesce"), 1);
+    assert_eq!(fallback_count(&db, "checkpoint_active"), 0);
+    db.abort(straggler).unwrap();
+}
+
+#[test]
+fn shared_commit_fallback_counts_an_active_checkpoint() {
+    let mut db = db(Algorithm::FuzzyCopy);
+    let update = [(RecordId(0), val(&db, 1))];
+    db.try_begin_checkpoint().unwrap();
+    assert!(db.try_commit_shared(&update).unwrap().is_none());
+    assert!(db.try_commit_shared(&update).unwrap().is_none());
+    assert_eq!(fallback_count(&db, "checkpoint_active"), 2);
+}
+
+#[test]
+fn shared_commit_fallback_counts_a_database_beyond_the_latch_table() {
+    // one-word segments: more of them than the lock-rank space has slots
+    let mut cfg = small(Algorithm::FuzzyCopy);
+    cfg.params.db = mmdb_types::DbParams {
+        s_db: 470_016,
+        s_rec: 1,
+        s_seg: 1,
+    };
+    let db = Mmdb::open_in_memory(cfg).unwrap();
+    assert!(db
+        .try_commit_shared(&[(RecordId(0), vec![1])])
+        .unwrap()
+        .is_none());
+    assert_eq!(fallback_count(&db, "latch_table"), 1);
+}
+
+#[test]
+fn shared_commit_fallback_counts_an_invalid_write_set() {
+    let db = db(Algorithm::FuzzyCopy);
+    let short = vec![1; db.record_words() - 1];
+    assert!(db
+        .try_commit_shared(&[(RecordId(0), short)])
+        .unwrap()
+        .is_none());
+    let beyond = RecordId(db.n_records());
+    assert!(db
+        .try_commit_shared(&[(beyond, val(&db, 1))])
+        .unwrap()
+        .is_none());
+    assert_eq!(fallback_count(&db, "invalid"), 2);
+    let log_bytes = db.log_stats().bytes;
+    assert_eq!(log_bytes, 0, "a refused commit appends nothing");
 }
 
 #[test]

@@ -29,7 +29,7 @@ mod watermark;
 
 pub use device::{ChunkInfo, FileLogDevice, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
-pub use record::{LogRecord, FRAME_OVERHEAD, MIN_COMPACTED_LEN};
+pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 pub use scan::{BackwardIter, CheckpointMark, ForwardIter, LogScanner};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use ship::{ShipTap, TapRead, DEFAULT_TAP_WINDOW_BYTES};

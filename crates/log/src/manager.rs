@@ -10,12 +10,14 @@
 //! update the image contains.
 
 use crate::device::LogDevice;
-use crate::record::LogRecord;
+use crate::record::{LogRecord, MAX_TXN_FRAME_BYTES};
 use crate::ship::ShipTap;
 use crate::watermark::DurableWatermark;
 use mmdb_audit::{Audit, AuditEvent};
 use mmdb_obs::{Obs, Timer};
-use mmdb_types::{CostMeter, LogMode, Lsn, MmdbError, Result, SharedCostMeter};
+use mmdb_types::{
+    CostMeter, LogMode, Lsn, MmdbError, RecordId, Result, SharedCostMeter, TxnId, Word,
+};
 use std::sync::Arc;
 
 /// Statistics maintained by the log manager.
@@ -55,8 +57,8 @@ pub struct LogManager {
     /// A tail-threshold force failure recorded inside [`append`]
     /// (which cannot return `Err`); surfaced by the next explicit force.
     sticky_error: Option<String>,
-    /// Commit records currently sitting in the tail — the group size of
-    /// the next force.
+    /// Commit and `TxnCommit` records currently sitting in the tail — the
+    /// group size of the next force.
     commits_in_tail: u64,
     /// Log-shipping tap: forced bytes are mirrored here (post device
     /// append, pre `tail.clear()`) so the replication shipper reads
@@ -163,10 +165,16 @@ impl LogManager {
     }
 
     /// Reads durable log bytes starting at `from`, cut back to the last
-    /// whole record frame, returning at most `max_bytes` raw bytes. The
-    /// device-read fallback for a shipper that has fallen behind the
-    /// tap window. Fails if `from` has been truncated away (the reader
-    /// must re-seed from an archive) or lies past the durable horizon.
+    /// whole record frame, returning at most `max_bytes` raw bytes — or
+    /// the one frame at `from`, whole, when that frame alone is longer
+    /// and within [`MAX_TXN_FRAME_BYTES`] (a transaction is one frame
+    /// however large; a cut one would never ship). The one frame that can
+    /// be longer than that bound is a `Compacted` filler coalesced from a
+    /// chunk of more than 6 MiB of superseded frames: it cannot cross the
+    /// wire either, and a window short of it still reads empty. The
+    /// device-read fallback for a shipper that has fallen behind the tap
+    /// window. Fails if `from` has been truncated away (the reader must
+    /// re-seed from an archive) or lies past the durable horizon.
     pub fn read_range_aligned(&mut self, from: Lsn, max_bytes: usize) -> Result<Vec<u8>> {
         let start = self.start_lsn();
         if from < start {
@@ -180,11 +188,17 @@ impl LogManager {
         if from >= durable {
             return Ok(Vec::new());
         }
-        let want = ((durable.raw() - from.raw()) as usize).min(max_bytes);
-        let mut buf = vec![0u8; want];
+        let available = (durable.raw() - from.raw()) as usize;
+        let mut buf = vec![0u8; available.min(max_bytes.max(4))];
         self.device.read_at(from.raw(), &mut buf)?;
-        // cut back to whole frames so the receiver never sees a torn
-        // record; a window smaller than one frame yields an empty read
+        let first = buf.get(..4).map_or(0, |header| {
+            u32::from_le_bytes(header.try_into().expect("4-byte slice")) as usize
+        });
+        if first > buf.len() && first <= available.min(MAX_TXN_FRAME_BYTES) {
+            buf.resize(first, 0);
+            self.device.read_at(from.raw(), &mut buf)?;
+        }
+        // cut back to whole frames so the receiver never sees a torn record
         let mut end = 0;
         while end < buf.len() {
             match LogRecord::decode(&buf[end..]) {
@@ -269,14 +283,29 @@ impl LogManager {
     /// the next explicit force or commit — never silently dropped (the
     /// device keeps its durable length consistent either way).
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
+        let commit = matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. });
+        self.append_frame(commit, |tail| rec.encode_into(tail))
+    }
+
+    /// [`append`](Self::append) of the [`LogRecord::TxnCommit`] frame of
+    /// `txn`, encoded straight from the transaction's staged images.
+    pub fn append_txn_commit<'a>(
+        &mut self,
+        txn: TxnId,
+        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])>,
+    ) -> Lsn {
+        self.append_frame(true, |tail| LogRecord::encode_txn_commit(txn, writes, tail))
+    }
+
+    fn append_frame(&mut self, commit: bool, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
         let lsn = self.next_lsn();
-        rec.encode_into(&mut self.tail);
-        self.meter.move_words(rec.encoded_words());
+        let before = self.tail.len();
+        encode(&mut self.tail);
+        let len = (self.tail.len() - before) as u64;
+        self.meter.move_words(len.div_ceil(4));
         self.stats.records += 1;
-        self.stats.bytes += rec.encoded_len() as u64;
-        if matches!(rec, LogRecord::Commit { .. }) {
-            self.commits_in_tail += 1;
-        }
+        self.stats.bytes += len;
+        self.commits_in_tail += u64::from(commit);
         if let Some(limit) = self.tail_threshold {
             if self.tail.len() as u64 >= limit {
                 if let Err(e) = self.force() {
@@ -748,6 +777,50 @@ mod tests {
         pending.complete();
         assert_eq!(w.get(), end);
         assert!(w.wait_for(end, std::time::Duration::ZERO).unwrap());
+    }
+
+    #[test]
+    fn txn_commit_frames_append_from_borrowed_images_and_count_as_commits() {
+        let mut m = mgr(LogMode::VolatileTail);
+        let image = [7 as Word; 32];
+        let writes = [(RecordId(1), &image[..]), (RecordId(2), &image[..])];
+        let lsn = m.append_txn_commit(TxnId(5), writes.iter().copied());
+        assert_eq!(lsn, Lsn::ZERO);
+        assert_eq!(m.next_lsn(), Lsn(305));
+        assert_eq!(m.stats().bytes, 305);
+        m.append(&commit(6));
+        let pending = m.force_group().unwrap().expect("non-empty tail");
+        assert_eq!(pending.commits(), 2);
+        pending.complete();
+        let (rec, used) = LogRecord::decode(&m.device_mut().read_all().unwrap()).unwrap();
+        assert_eq!(used, 305);
+        let expected = writes.map(|(r, image)| (r, image.to_vec())).to_vec();
+        assert_eq!(
+            rec,
+            LogRecord::TxnCommit {
+                txn: TxnId(5),
+                writes: expected
+            }
+        );
+    }
+
+    #[test]
+    fn read_range_aligned_grows_to_the_transaction_frame_it_starts_at() {
+        let mut m = mgr(LogMode::VolatileTail);
+        let image = [1 as Word; 64];
+        let big = m.append_txn_commit(TxnId(1), [(RecordId(0), &image[..])].into_iter());
+        let small = m.append(&commit(2));
+        m.append(&commit(3));
+        m.force().unwrap();
+        // a window smaller than the frame it starts at grows to that one
+        // frame, whole and alone
+        let bytes = m.read_range_aligned(big, 10).unwrap();
+        assert_eq!(bytes.len() as u64, small.raw());
+        assert!(LogRecord::decode(&bytes).is_ok());
+        // otherwise: as many whole frames as fit
+        assert_eq!(m.read_range_aligned(small, 30).unwrap().len(), 25);
+        assert_eq!(m.read_range_aligned(small, 64).unwrap().len(), 50);
+        assert!(m.read_range_aligned(m.next_lsn(), 64).unwrap().is_empty());
     }
 
     #[test]

@@ -4,13 +4,19 @@
 //! the transaction until commit, so no UNDO (before-image) records are
 //! needed. The log carries:
 //!
-//! * transaction begin / commit / abort records,
-//! * update records holding the *after-image* of a record (physical REDO —
-//!   full record images make replay idempotent, which is what lets a fuzzy
-//!   backup be repaired by replaying from the begin-checkpoint marker),
+//! * one `TxnCommit` frame per committed transaction, holding every
+//!   *after-image* it wrote (physical REDO — full record images make
+//!   replay idempotent, which is what lets a fuzzy backup be repaired by
+//!   replaying from the begin-checkpoint marker). The transaction is
+//!   committed because the frame exists and checksums;
+//! * for a branch of a cross-shard transaction, whose outcome is decided
+//!   elsewhere: begin, one update record per after-image and `Prepare`,
+//!   written together at prepare, then commit or abort at the decision.
+//!   Logs written before `TxnCommit` existed use these frames for every
+//!   transaction;
 //! * begin-checkpoint markers carrying the checkpoint's id, timestamp
-//!   `τ(CH)` and the list of transactions active at the marker (used by
-//!   fuzzy recovery to extend the backward scan, §3.3),
+//!   `τ(CH)` and the list of prepared branches open at the marker (used
+//!   by fuzzy recovery to extend the backward scan, §3.3),
 //! * end-checkpoint markers (so recovery can identify the most recently
 //!   *completed* checkpoint, §3.3 footnote).
 //!
@@ -24,17 +30,18 @@
 //!
 //! `len` is the *total* frame length and is repeated at the end so the log
 //! can be scanned backward (paper §3.3 scans the log backward to find the
-//! checkpoint marker). The checksum covers tag + payload and lets recovery
-//! stop cleanly at a torn final record.
+//! checkpoint marker). The checksum covers tag + payload (FNV-1a; over the
+//! tag + span prefix only for a filler) and lets recovery stop cleanly at
+//! a torn final record.
 
 use mmdb_types::{
-    hash::Fnv1a, CheckpointId, Lsn, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
+    hash::fnv1a, CheckpointId, Lsn, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
 };
 
 /// A single log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
-    /// A transaction began.
+    /// A transaction began (prepared branches and pre-`TxnCommit` logs).
     TxnBegin {
         /// The transaction.
         txn: TxnId,
@@ -66,8 +73,9 @@ pub enum LogRecord {
         ckpt: CheckpointId,
         /// The checkpoint timestamp `τ(CH)` (meaningful for COU).
         tau: Timestamp,
-        /// Transactions active when the marker was written. Empty for COU
-        /// checkpoints (the system is quiesced).
+        /// Prepared branches open when the marker was written: their
+        /// frames lie before it, so replay starts at the oldest one's
+        /// `TxnBegin`. Empty for COU checkpoints (the system is quiesced).
         active: Vec<TxnId>,
     },
     /// A checkpoint completed (all segment images durable in its ping-pong
@@ -113,6 +121,15 @@ pub enum LogRecord {
         /// [`MIN_COMPACTED_LEN`](crate::record::MIN_COMPACTED_LEN).
         span: u64,
     },
+    /// A whole committed transaction in one frame: the only thing a
+    /// transaction that is not a cross-shard branch writes. Replay
+    /// installs the images on sight, in frame order.
+    TxnCommit {
+        /// The transaction.
+        txn: TxnId,
+        /// Its after-images in program order, all of one length.
+        writes: Vec<(RecordId, Vec<Word>)>,
+    },
 }
 
 const TAG_TXN_BEGIN: u8 = 1;
@@ -124,6 +141,7 @@ const TAG_END_CKPT: u8 = 6;
 const TAG_PREPARE: u8 = 7;
 const TAG_DECIDE: u8 = 8;
 const TAG_COMPACTED: u8 = 9;
+const TAG_TXN_COMMIT: u8 = 10;
 
 /// Frame overhead: leading len (4) + tag (1) + checksum (8) + trailing len (4).
 pub const FRAME_OVERHEAD: usize = 4 + 1 + 8 + 4;
@@ -133,6 +151,13 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 8 + 4;
 /// larger, so any run of dropped frames can be covered by one filler.
 pub const MIN_COMPACTED_LEN: usize = FRAME_OVERHEAD + 8;
 
+/// Largest [`LogRecord::TxnCommit`] frame the engine writes. A
+/// transaction is one frame however many records it updates, and a
+/// standby receives that frame in one wire message (8 MiB cap), so a
+/// commit whose frame would be longer is refused before anything is
+/// appended.
+pub const MAX_TXN_FRAME_BYTES: usize = 6 << 20;
+
 impl LogRecord {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
@@ -141,9 +166,50 @@ impl LogRecord {
             | LogRecord::Update { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
-            | LogRecord::Prepare { txn, .. } => Some(*txn),
+            | LogRecord::Prepare { txn, .. }
+            | LogRecord::TxnCommit { txn, .. } => Some(*txn),
             _ => None,
         }
+    }
+
+    /// Total length of a [`LogRecord::TxnCommit`] frame holding `n_writes`
+    /// images of `words_per_image` words.
+    pub const fn txn_commit_len(n_writes: usize, words_per_image: usize) -> usize {
+        FRAME_OVERHEAD + 8 + 4 + 4 + n_writes * (8 + 4 * words_per_image)
+    }
+
+    /// Appends the [`LogRecord::TxnCommit`] frame of `txn` to `out`,
+    /// encoded straight from borrowed images.
+    ///
+    /// # Panics
+    ///
+    /// If the images are not all of one length: the frame stores that
+    /// length once.
+    pub fn encode_txn_commit<'a>(
+        txn: TxnId,
+        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])>,
+        out: &mut Vec<u8>,
+    ) {
+        let n_writes = writes.len();
+        let mut writes = writes.peekable();
+        let words = writes.peek().map_or(0, |(_, image)| image.len());
+        write_frame(out, LogRecord::txn_commit_len(n_writes, words), |out| {
+            out.push(TAG_TXN_COMMIT);
+            out.extend_from_slice(&txn.raw().to_le_bytes());
+            out.extend_from_slice(&(n_writes as u32).to_le_bytes());
+            out.extend_from_slice(&(words as u32).to_le_bytes());
+            for (record, image) in writes {
+                assert_eq!(
+                    image.len(),
+                    words,
+                    "images of one transaction differ in length"
+                );
+                out.extend_from_slice(&record.raw().to_le_bytes());
+                for w in image {
+                    out.extend_from_slice(&w.to_le_bytes());
+                }
+            }
+        });
     }
 
     fn payload_len(&self) -> usize {
@@ -156,6 +222,10 @@ impl LogRecord {
             LogRecord::Prepare { .. } => 8 + 8,
             LogRecord::Decide { .. } => 8 + 1,
             LogRecord::Compacted { span } => (*span as usize).saturating_sub(FRAME_OVERHEAD),
+            LogRecord::TxnCommit { writes, .. } => {
+                let words = writes.first().map_or(0, |(_, image)| image.len());
+                LogRecord::txn_commit_len(writes.len(), words) - FRAME_OVERHEAD
+            }
         }
     }
 
@@ -172,10 +242,11 @@ impl LogRecord {
 
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let total = self.encoded_len() as u32;
-        out.extend_from_slice(&total.to_le_bytes());
-        let body_start = out.len();
-        match self {
+        if let LogRecord::TxnCommit { txn, writes } = self {
+            let images = writes.iter().map(|(r, image)| (*r, image.as_slice()));
+            return LogRecord::encode_txn_commit(*txn, images, out);
+        }
+        write_frame(out, self.encoded_len(), |out| match self {
             LogRecord::TxnBegin { txn, tau } => {
                 out.push(TAG_TXN_BEGIN);
                 out.extend_from_slice(&txn.raw().to_le_bytes());
@@ -225,20 +296,10 @@ impl LogRecord {
                 debug_assert!(*span as usize >= MIN_COMPACTED_LEN);
                 out.push(TAG_COMPACTED);
                 out.extend_from_slice(&span.to_le_bytes());
-                out.resize(body_start + self.payload_len() + 1, 0);
+                out.resize(out.len() + *span as usize - MIN_COMPACTED_LEN, 0);
             }
-        }
-        // Filler padding is never trusted, so its checksum covers only the
-        // tag + span prefix — decoding a filler is O(1) in its size.
-        let hashed_end = match self {
-            LogRecord::Compacted { .. } => body_start + 9,
-            _ => out.len(),
-        };
-        let mut h = Fnv1a::new();
-        h.update(&out[body_start..hashed_end]);
-        out.extend_from_slice(&h.finish().to_le_bytes());
-        out.extend_from_slice(&total.to_le_bytes());
-        debug_assert_eq!(out.len() - body_start + 4, total as usize);
+            LogRecord::TxnCommit { .. } => unreachable!("encoded above"),
+        });
     }
 
     /// Encodes into a fresh buffer.
@@ -279,17 +340,10 @@ impl LogRecord {
                 .try_into()
                 .expect("8-byte slice"),
         );
-        if body.is_empty() {
-            return Err(corrupt("empty frame body"));
+        if body.is_empty() || (body[0] == TAG_COMPACTED && body.len() < 9) {
+            return Err(corrupt("empty frame body or short filler frame"));
         }
-        // Filler frames checksum only their tag + span prefix (the zero
-        // padding is never read), so huge fillers scan in O(1).
-        let hashed = if body[0] == TAG_COMPACTED {
-            body.get(..9).ok_or_else(|| corrupt("short filler frame"))?
-        } else {
-            body
-        };
-        if verify && Fnv1a::new().update(hashed).finish() != stored {
+        if verify && checksum(body) != stored {
             return Err(corrupt("checksum mismatch"));
         }
         if body[0] == TAG_COMPACTED {
@@ -310,11 +364,7 @@ impl LogRecord {
                 let txn = TxnId(r.u64()?);
                 let record = RecordId(r.u64()?);
                 let n = r.u32()? as usize;
-                let value = r
-                    .take(n.saturating_mul(4))?
-                    .chunks_exact(4)
-                    .map(|w| Word::from_le_bytes(w.try_into().expect("4-byte chunk")))
-                    .collect();
+                let value = r.words(n)?;
                 LogRecord::Update { txn, record, value }
             }
             TAG_COMMIT => LogRecord::Commit {
@@ -348,6 +398,21 @@ impl LogRecord {
                     b => return Err(corrupt(&format!("bad decide flag {b}"))),
                 };
                 LogRecord::Decide { gid, commit }
+            }
+            TAG_TXN_COMMIT => {
+                let txn = TxnId(r.u64()?);
+                let (n, words) = (r.u32()? as usize, r.u32()? as usize);
+                // bound the allocation by the payload actually in hand
+                let per_write = words.checked_mul(4).and_then(|image| image.checked_add(8));
+                if per_write.and_then(|w| w.checked_mul(n)) != Some(body.len() - r.pos) {
+                    return Err(corrupt("write count disagrees with payload length"));
+                }
+                let mut writes = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let record = RecordId(r.u64()?);
+                    writes.push((record, r.words(words)?));
+                }
+                LogRecord::TxnCommit { txn, writes }
             }
             t => return Err(corrupt(&format!("unknown tag {t}"))),
         };
@@ -389,6 +454,29 @@ impl LogRecord {
     }
 }
 
+/// Appends one frame of `total` bytes to `out`: the envelope around
+/// whatever `body` writes (tag first).
+fn write_frame(out: &mut Vec<u8>, total: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    let len = (total as u32).to_le_bytes();
+    out.extend_from_slice(&len);
+    let body_start = out.len();
+    body(out);
+    let sum = checksum(&out[body_start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out.extend_from_slice(&len);
+    debug_assert_eq!(out.len() - body_start + 4, total);
+}
+
+/// The checksum a frame stores for `body`, its tag + payload.
+fn checksum(body: &[u8]) -> u64 {
+    match body[0] {
+        // Filler padding is never trusted, so the checksum covers only the
+        // tag + span prefix — a filler scans in O(1) whatever its size.
+        TAG_COMPACTED => fnv1a(&body[..9]),
+        _ => fnv1a(body),
+    }
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -402,6 +490,14 @@ impl Reader<'_> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn words(&mut self, n: usize) -> Result<Vec<Word>> {
+        Ok(self
+            .take(n.saturating_mul(4))?
+            .chunks_exact(4)
+            .map(|w| Word::from_le_bytes(w.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     fn u64(&mut self) -> Result<u64> {
@@ -424,6 +520,7 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_types::hash::Fnv1a;
 
     fn samples() -> Vec<LogRecord> {
         vec![
@@ -468,7 +565,90 @@ mod tests {
                 gid: 99,
                 commit: false,
             },
+            txn_commit(2, 4),
+            txn_commit(0, 0),
         ]
+    }
+
+    /// A `TxnCommit` of `n` distinct images of `words` words.
+    fn txn_commit(n: u64, words: usize) -> LogRecord {
+        LogRecord::TxnCommit {
+            txn: TxnId(42),
+            writes: (0..n)
+                .map(|i| (RecordId(100 + i), vec![i as Word + 1; words]))
+                .collect(),
+        }
+    }
+
+    /// Recomputes the checksum of a frame whose payload was edited.
+    fn reseal(enc: &mut [u8]) {
+        let len = enc.len();
+        let sum = checksum(&enc[4..len - 12]);
+        enc[len - 12..len - 4].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn txn_commit_sizes_are_the_documented_ones() {
+        assert_eq!(txn_commit(5, 32).encoded_len(), 713);
+        assert_eq!(txn_commit(1, 32).encoded_len(), 169);
+        assert_eq!(txn_commit(2, 32).encoded_len(), 305);
+        assert_eq!(txn_commit(0, 0).encoded_len(), 33);
+        assert_eq!(LogRecord::txn_commit_len(5, 32), 713);
+        assert_eq!(txn_commit(1, 4).txn(), Some(TxnId(42)));
+    }
+
+    #[test]
+    fn txn_commit_torn_at_every_prefix_and_flipped_at_every_byte() {
+        let enc = txn_commit(3, 4).encode();
+        for cut in 0..enc.len() {
+            assert!(LogRecord::decode(&enc[..cut]).is_err(), "cut at {cut}");
+        }
+        for i in 0..enc.len() {
+            let mut bad = enc.clone();
+            bad[i] ^= 0x10;
+            if let Ok((dec, _)) = LogRecord::decode(&bad) {
+                panic!("flip at byte {i} decoded as {dec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn txn_commit_counts_must_agree_with_the_payload() {
+        let enc = txn_commit(3, 4).encode();
+        // payload: tag(1) txn(8) n_writes(4) words_per_image(4) ...
+        let (n_at, words_at) = (4 + 1 + 8, 4 + 1 + 8 + 4);
+        for (at, value) in [(n_at, 2u32), (n_at, 4), (words_at, 3), (words_at, 5)] {
+            let mut bad = enc.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bad);
+            assert!(LogRecord::decode(&bad).is_err(), "{value} at {at}");
+        }
+        // a count that would overflow the length arithmetic, or ask for a
+        // huge allocation, is refused from the payload length alone
+        let mut bad = enc.clone();
+        bad[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[words_at..words_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bad);
+        assert!(LogRecord::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn txn_commit_trailing_garbage_is_rejected() {
+        // four more payload bytes than the counts account for, lengths
+        // and checksum all consistent
+        let enc = txn_commit(2, 4).encode();
+        let total = (enc.len() + 4) as u32;
+        let mut bad = total.to_le_bytes().to_vec();
+        bad.extend_from_slice(&enc[4..enc.len() - 12]);
+        bad.extend_from_slice(&[0xAB; 4]);
+        bad.extend_from_slice(&[0; 8]);
+        bad.extend_from_slice(&total.to_le_bytes());
+        reseal(&mut bad);
+        assert!(LogRecord::decode(&bad).is_err());
+        // and bytes after a whole frame are simply the next frame's
+        let mut stream = enc.clone();
+        stream.extend_from_slice(&[0xFF; 7]);
+        assert_eq!(LogRecord::decode(&stream).unwrap().1, enc.len());
     }
 
     #[test]

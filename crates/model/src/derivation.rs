@@ -129,12 +129,12 @@
 //! The replay volume spans 1.5 checkpoint intervals on average (the
 //! completed checkpoint's begin marker is uniformly 1–2 intervals old
 //! under ping-pong alternation) at the per-transaction log bulk computed
-//! from the engine's actual record encoding — begin + `N_ru` update
-//! after-images + commit — plus begin/abort records for reruns. The
-//! engine logs updates at commit, so an aborted run leaves only ~15
-//! words; the paper's update-time logging would penalize the two-color
-//! algorithms more (its stated *direction* — 2C recovers slightly
-//! slower — is preserved).
+//! from the engine's actual record encoding — one `TxnCommit` frame of
+//! `N_ru` after-images. The engine logs a transaction only when it
+//! commits, so an aborted run leaves nothing in the log and reruns add
+//! no bulk; the paper's update-time logging penalizes the two-color
+//! algorithms (its stated direction — 2C recovers slightly slower —
+//! holds here with equality).
 //!
 //! # Calibration anchors
 //!
@@ -144,7 +144,7 @@
 //! | FASTFUZZY "a few hundred instructions per transaction" (§4) | 367 |
 //! | COU "no more costly than ... a fuzzy backup" (§4) | 3 454 vs 3 547 |
 //! | two-color "relatively high cost ... from rerunning" (§4) | 17–20 k, 16.7 k of it rerun |
-//! | "recovery times ... vary little" (§4) | 94.0–94.2 s |
+//! | "recovery times ... vary little" (§4) | 93.1 s, all five |
 //! | ~15 MB/s total backup+log bandwidth (§2.3) | 15.4 MB/s |
 //!
 //! The decisive check is the discrete-event testbed (`mmdb-sim`), which

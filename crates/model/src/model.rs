@@ -276,39 +276,19 @@ impl AnalyticModel {
     }
 
     /// Log words per committed transaction, computed from the engine's
-    /// actual record encoding (begin + `N_ru` updates + commit).
+    /// actual record encoding (one `TxnCommit` frame of `N_ru` images).
     pub fn log_words_per_txn(&self) -> f64 {
-        use mmdb_log::LogRecord;
-        use mmdb_types::{RecordId, Timestamp, TxnId};
-        let begin = LogRecord::TxnBegin {
-            txn: TxnId(1),
-            tau: Timestamp(1),
-        }
-        .encoded_words() as f64;
-        let update = LogRecord::Update {
-            txn: TxnId(1),
-            record: RecordId(1),
-            value: vec![0; self.params.db.s_rec as usize],
-        }
-        .encoded_words() as f64;
-        let commit = LogRecord::Commit { txn: TxnId(1) }.encoded_words() as f64;
-        begin + self.params.txn.n_ru as f64 * update + commit
+        let (n_ru, s_rec) = (self.params.txn.n_ru, self.params.db.s_rec);
+        mmdb_log::LogRecord::txn_commit_len(n_ru as usize, s_rec as usize).div_ceil(4) as f64
     }
 
-    /// Log words an aborted (rerun) transaction leaves behind: begin +
-    /// abort records. (The engine logs updates at commit, so an aborted
-    /// run's updates never reach the log — a smaller log-bulk penalty
-    /// than the paper's update-time-logging design, noted in DESIGN.md.)
+    /// Log words an aborted (rerun) transaction leaves behind: none. (The
+    /// engine logs a transaction only when it commits, so an aborted run
+    /// never reaches the log — no log-bulk penalty at all, where the
+    /// paper's update-time-logging design pays the updates, noted in
+    /// DESIGN.md.)
     pub fn log_words_per_abort(&self) -> f64 {
-        use mmdb_log::LogRecord;
-        use mmdb_types::{Timestamp, TxnId};
-        let begin = LogRecord::TxnBegin {
-            txn: TxnId(1),
-            tau: Timestamp(1),
-        }
-        .encoded_words() as f64;
-        let abort = LogRecord::Abort { txn: TxnId(1) }.encoded_words() as f64;
-        begin + abort
+        0.0
     }
 
     /// Log words recovery must replay: the completed checkpoint's begin

@@ -8,13 +8,15 @@
 //!    construction);
 //! 2. read every segment of that copy into main memory;
 //! 3. locate the checkpoint's begin marker in the log and compute the
-//!    replay start — for checkpoints taken with transactions active
-//!    (fuzzy and two-color), the scan extends back to the begin record of
-//!    the oldest transaction in the marker's active list;
-//! 4. replay the log forward, buffering each transaction's update records
-//!    and installing them at its commit record (transactions without a
-//!    durable commit are discarded — REDO-only logging means they never
-//!    touched the database... on disk).
+//!    replay start — the marker itself, or, for a checkpoint taken with
+//!    cross-shard branches prepared (fuzzy and two-color), the begin
+//!    record of the oldest branch in the marker's active list;
+//! 4. replay the log forward, installing each transaction at the frame
+//!    that commits it: a `TxnCommit` frame on sight, the buffered update
+//!    records of a branch (or of a transaction in an older log) at its
+//!    commit record (transactions without a durable commit are discarded
+//!    — REDO-only logging means they never touched the database... on
+//!    disk).
 //!
 //! The paper measures recovery time as pure I/O time: reading the backup
 //! plus reading the relevant portion of the log (§4). [`RecoveryReport`]

@@ -2,11 +2,13 @@
 //!
 //! Three pieces live here and nowhere else:
 //!
-//! * [`Stager`] — per log stream, buffers each transaction's writes until
-//!   its outcome is known, remembering where the transaction started.
-//!   Crash recovery and the standby's continuous replay (`mmdb-repl`)
-//!   both stage through it.
-//! * the resolver — commit installs, abort drops, `Prepare` parks the
+//! * [`Stager`] — per log stream, buffers the writes of each transaction
+//!   that logs them ahead of its outcome (a prepared branch; every
+//!   transaction of a log older than `TxnCommit`), remembering where the
+//!   transaction started. Crash recovery and the standby's continuous
+//!   replay (`mmdb-repl`) both stage through it.
+//! * the resolver — a `TxnCommit` installs on sight; a staged
+//!   transaction's commit installs, abort drops, `Prepare` parks the
 //!   branch, `Decide` is remembered, and whatever is still parked at the
 //!   end of the log is *in doubt* (presumed abort unless a coordinator
 //!   decision says otherwise).
@@ -104,9 +106,8 @@ impl<W> Stager<W> {
     }
 }
 
-/// A staged after-image: the record, its value and the LSN just past its
-/// update frame.
-type Write = (RecordId, Vec<Word>, Lsn);
+/// An after-image: the record and its new value.
+type Write = (RecordId, Vec<Word>);
 
 /// Commit resolution over one log's replay window.
 #[derive(Default)]
@@ -122,20 +123,38 @@ struct Resolver {
 }
 
 impl Resolver {
-    /// Feeds the record at `lsn`. A `Commit` returns the transaction's
-    /// writes, to be installed now: install order is commit order.
+    /// Feeds the record at `lsn`. A commit returns the transaction's
+    /// writes, to be installed now: install order is commit order. A
+    /// `TxnCommit` is its own outcome and is never staged; only the
+    /// frames of prepared branches (and of logs older than `TxnCommit`)
+    /// are.
     fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
-        let end_lsn = rec.end_lsn(lsn);
-        match rec {
-            LogRecord::Update { txn, record, value } => {
-                self.staged.update(txn, lsn, (record, value, end_lsn));
-            }
+        let (txn, writes) = match rec {
+            LogRecord::TxnCommit { txn, writes } => (txn, writes),
             LogRecord::Commit { txn } => {
-                self.prepared.remove(&txn);
-                self.txns_replayed += 1;
-                let writes = self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w);
-                self.updates_applied += writes.len() as u64;
-                return writes;
+                (txn, self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w))
+            }
+            undecided => {
+                self.stage(lsn, undecided);
+                return Vec::new();
+            }
+        };
+        // Ids are unique within an engine incarnation, and each one
+        // resolves its in-doubt branches before running anything: a
+        // branch still parked under a committing id is a resolved one.
+        self.prepared.remove(&txn);
+        self.txns_replayed += 1;
+        self.updates_applied += writes.len() as u64;
+        writes
+    }
+
+    fn stage(&mut self, lsn: Lsn, rec: LogRecord) {
+        match rec {
+            // whatever an earlier incarnation left open under this id
+            // stays without an outcome
+            LogRecord::TxnBegin { txn, .. } => self.staged.begin(txn, lsn),
+            LogRecord::Update { txn, record, value } => {
+                self.staged.update(txn, lsn, (record, value));
             }
             LogRecord::Abort { txn } => {
                 self.staged.discard(txn);
@@ -151,7 +170,6 @@ impl Resolver {
             }
             _ => {}
         }
-        Vec::new()
     }
 
     /// End of the log: prepared branches without an outcome are in doubt
@@ -165,13 +183,7 @@ impl Resolver {
             .map(|(&txn, &gid)| InDoubtTxn {
                 gid,
                 txn,
-                writes: self
-                    .staged
-                    .take(txn)
-                    .map_or_else(Vec::new, |(_, w)| w)
-                    .into_iter()
-                    .map(|(record, value, _)| (record, value))
-                    .collect(),
+                writes: self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w),
             })
             .collect();
         in_doubt.sort_by_key(|t| (t.gid, t.txn));
@@ -185,14 +197,15 @@ impl Resolver {
 enum Op {
     /// A backup segment image and the ping-pong copy it was read from.
     Load(SegmentId, Vec<Word>, usize),
-    /// A committed after-image.
-    Install(Write),
+    /// A committed after-image and the LSN just past the frame that
+    /// committed it.
+    Install(Write, Lsn),
 }
 
 impl Op {
     fn words(&self) -> usize {
         match self {
-            Op::Load(_, words, _) | Op::Install((_, words, _)) => words.len(),
+            Op::Load(_, words, _) | Op::Install((_, words), _) => words.len(),
         }
     }
 
@@ -203,7 +216,7 @@ impl Op {
                 lane.load_segment(sid, &image, Some(copy), meter)?;
                 Ok(image)
             }
-            Op::Install((record, value, end_lsn)) => {
+            Op::Install((record, value), end_lsn) => {
                 lane.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
                 Ok(value)
             }
@@ -354,14 +367,15 @@ fn restore(
     })?;
     let replay_start = scanner.replay_start(mark);
 
-    // 4: forward replay, installing each transaction's updates at its
-    // commit record (shadow-copy install order = commit order).
+    // 4: forward replay, installing each transaction's updates at the
+    // frame that commits it (shadow-copy install order = commit order).
     let rps = db.records_per_segment();
     let mut resolver = Resolver::default();
     for (lsn, rec) in scanner.forward_from(replay_start) {
+        let end_lsn = rec.end_lsn(lsn);
         for write in resolver.feed(lsn, rec) {
             let sid = SegmentId((write.0.raw() / rps) as u32);
-            apply(sid, Op::Install(write))?;
+            apply(sid, Op::Install(write, end_lsn))?;
         }
     }
     let (updates_applied, txns_replayed, max_gid) = (

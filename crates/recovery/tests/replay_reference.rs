@@ -68,7 +68,8 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
         .unwrap_or(mark);
     let window = &recs[start..];
 
-    // per transaction: the updates since its last outcome, and its parking
+    // per transaction: the updates since its last begin or outcome, and
+    // its parking; a `TxnCommit` is a commit of exactly its own writes
     let mut image = backup_image(db);
     let mut commits: Vec<(u64, Vec<(RecordId, Vec<Word>)>)> = Vec::new();
     let mut open: BTreeMap<TxnId, Vec<(RecordId, Vec<Word>)>> = BTreeMap::new();
@@ -77,6 +78,13 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
     let mut max_gid = 0;
     for (lsn, rec) in window {
         match rec {
+            LogRecord::TxnCommit { txn, writes } => {
+                commits.push((*lsn, writes.clone()));
+                parked.remove(txn);
+            }
+            LogRecord::TxnBegin { txn, .. } => {
+                open.insert(*txn, Vec::new());
+            }
             LogRecord::Update { txn, record, value } => {
                 open.entry(*txn).or_default().push((*record, value.clone()));
             }
@@ -185,6 +193,8 @@ fn check(log: &[u8]) -> Option<Expected> {
 
 #[derive(Debug, Clone)]
 enum Step {
+    /// A whole transaction in one `TxnCommit` frame: `(record, fill)` writes.
+    Txn(u64, Vec<(u64, Word)>),
     Begin(u64),
     Update(u64, u64, Word),
     Commit(u64),
@@ -197,6 +207,13 @@ fn encode(steps: &[Step], out: &mut Vec<u8>) {
     let s_rec = Params::small().db.s_rec as usize;
     for step in steps {
         match *step {
+            Step::Txn(t, ref writes) => LogRecord::TxnCommit {
+                txn: TxnId(t),
+                writes: writes
+                    .iter()
+                    .map(|&(rid, fill)| (RecordId(rid), vec![fill; s_rec]))
+                    .collect(),
+            },
             Step::Begin(t) => LogRecord::TxnBegin {
                 txn: TxnId(t),
                 tau: Timestamp(t),
@@ -231,7 +248,8 @@ fn crashed_log(before: &[Step], active: &[u64], after: &[Step]) -> (Vec<u8>, usi
     (log, tail_at)
 }
 
-/// A whole committed transaction.
+/// A whole committed transaction, in the frames of a cross-shard branch
+/// (and of every transaction in a log older than `TxnCommit`).
 fn txn(t: u64, records: &[u64], fill: Word) -> Vec<Step> {
     let mut steps = vec![Step::Begin(t)];
     steps.extend(records.iter().map(|&r| Step::Update(t, r, fill)));
@@ -308,10 +326,72 @@ fn fuzzy_marker_extends_the_window_to_the_oldest_active_begin() {
     assert!(want.replay_start > Lsn::ZERO);
 }
 
+#[test]
+fn reused_id_does_not_commit_an_earlier_incarnations_open_update() {
+    // Ids start over at 1 with every open of a directory. The first
+    // incarnation logged an update of record 40 under id 1 and was killed
+    // before any outcome; the second reuses id 1 for a transaction that
+    // writes record 41 only. Its commit must not install record 40.
+    let db = Params::small().db;
+    let first = [Step::Begin(1), Step::Update(1, 40, 7)];
+    let second = [Step::Begin(1), Step::Update(1, 41, 8), Step::Commit(1)];
+    let (log, _) = crashed_log(&[], &[], &[&first[..], &second[..]].concat());
+    let want = check(&log).unwrap();
+    assert_eq!((want.txns_replayed, want.txns_discarded), (1, 0));
+    let (_, storage) = recover(db, &log, 1).unwrap();
+    let checkpointed = backup_image(&db)[(40 * db.s_rec) as usize];
+    assert_eq!(storage.read_record(RecordId(40)).unwrap()[0], checkpointed);
+    assert_eq!(storage.read_record(RecordId(41)).unwrap()[0], 8);
+}
+
+#[test]
+fn mixed_old_and_txn_commit_frames_replay_in_log_order() {
+    // An old-frame transaction, a `TxnCommit` and a prepared branch take
+    // turns at record 5 around the marker; the last commit in the log wins
+    // and the undecided branch stays in doubt with its image.
+    let mut before = txn(1, &[5, 6], 1);
+    before.push(Step::Txn(2, vec![(5, 2)]));
+    let mut after = vec![Step::Txn(1, vec![(5, 3), (7, 3)])];
+    after.extend(txn(2, &[5], 4));
+    after.extend([Step::Begin(3), Step::Update(3, 5, 9), Step::Prepare(3, 6)]);
+    after.push(Step::Txn(4, vec![]));
+    let (log, _) = crashed_log(&before, &[], &after);
+    let want = check(&log).unwrap();
+    assert_eq!(want.txns_replayed, 3);
+    assert_eq!(want.in_doubt.len(), 1);
+    assert_eq!(want.in_doubt[0].writes, vec![(RecordId(5), vec![9; 32])]);
+    let (_, storage) = recover(Params::small().db, &log, 2).unwrap();
+    assert_eq!(storage.read_record(RecordId(5)).unwrap()[0], 4);
+}
+
+#[test]
+fn torn_txn_commit_is_no_transaction_at_all() {
+    // every cut inside the frame: the transaction before it survives, no
+    // part of the torn one is installed or counted
+    let (intact, tail_at) = crashed_log(&[], &[], &[Step::Txn(1, vec![(3, 5)])]);
+    let (log, _) = crashed_log(
+        &[],
+        &[],
+        &[
+            Step::Txn(1, vec![(3, 5)]),
+            Step::Txn(2, vec![(3, 6), (4, 6)]),
+        ],
+    );
+    for cut in intact.len()..log.len() {
+        let want = check(&log[..cut]).unwrap();
+        assert_eq!((want.txns_replayed, want.txns_discarded), (1, 0), "{cut}");
+    }
+    assert!(tail_at < intact.len());
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     let n_records = Params::small().db.n_records();
+    let write = (0..n_records, any::<Word>());
     prop_oneof![
-        2 => (0u64..5).prop_map(Step::Begin),
+        4 => (0u64..5, proptest::collection::vec(write, 0..4)).prop_map(|(t, w)| Step::Txn(t, w)),
+        // a begin under an id that is still open is a later incarnation
+        // reusing the id
+        3 => (0u64..5).prop_map(Step::Begin),
         6 => (0u64..5, 0..n_records, any::<Word>()).prop_map(|(t, r, f)| Step::Update(t, r, f)),
         3 => (0u64..5).prop_map(Step::Commit),
         1 => (0u64..5).prop_map(Step::Abort),
@@ -323,8 +403,10 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Arbitrary interleavings — well-formed or not — around a marker
-    /// with an arbitrary active list, optionally damaged past the marker.
+    /// Arbitrary interleavings — well-formed or not — of `TxnCommit`
+    /// transactions, old-frame transactions and prepared branches around
+    /// a marker with an arbitrary active list, optionally damaged past
+    /// the marker.
     #[test]
     fn core_matches_reference_on_random_interleavings(
         before in proptest::collection::vec(step_strategy(), 0..20),

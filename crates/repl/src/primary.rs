@@ -14,11 +14,20 @@ use mmdb_wire::{ReplWelcome, ScanRecords, REPL_VERSION};
 use std::time::Duration;
 
 /// Cap on one `ReplBatch`'s payload, regardless of what the standby
-/// asks for. Comfortably under the wire frame cap, and 4× the
-/// standby's default ask so a single oversized record frame (huge
-/// `record_words`) can still ship whole once the standby escalates its
-/// batch size.
+/// asks for — except that a single log frame longer than this ships
+/// whole and alone: a transaction is one frame however large (the engine
+/// bounds it at [`mmdb_core::MAX_TXN_FRAME_BYTES`], under the wire frame
+/// cap), the tap window cannot hold such a frame, and the device read
+/// that serves it instead grows to the frame it starts at. 4× the
+/// standby's default ask, so a frame between the two ships once the
+/// standby escalates its batch size.
 pub const MAX_REPL_BATCH_BYTES: usize = 4 << 20;
+
+// A frame the tap window holds whole must fit a maximal batch, or the
+// standby's escalation would end short of it.
+const _: () = assert!(mmdb_core::DEFAULT_TAP_WINDOW_BYTES <= MAX_REPL_BATCH_BYTES);
+// The longest frame plus the batch header must fit one wire frame.
+const _: () = assert!(mmdb_core::MAX_TXN_FRAME_BYTES + 1024 <= mmdb_wire::MAX_FRAME_BYTES);
 
 /// Cap on how long one pull may park in the tap's long poll. Bounds
 /// worker occupancy; an empty batch tells the standby to ask again.
@@ -103,7 +112,8 @@ pub fn serve_pull(
         mmdb_core::TapRead::Timeout => (applied, tap.durable(), Vec::new()),
         mmdb_core::TapRead::Gap { .. } => {
             // The standby predates the window: one ranged device read,
-            // frame-aligned by the log manager.
+            // frame-aligned by the log manager, which returns the frame
+            // at `applied` whole when it alone is longer than `max`.
             obs.counter("repl.window_misses", 1);
             db.with_shard(i, |e| {
                 let bytes = e.read_log_range(applied, max)?;

@@ -16,14 +16,16 @@
 //! the primary's the moment its local checkpointer writes a marker —
 //! local durable LSN only equals the primary position at first attach
 //! (identical init or a directory copy seeds that alignment). A
-//! shard's persisted watermark is held back to the oldest `TxnBegin`
-//! whose after-images exist only in this process: an open transaction
-//! a batch boundary split before its `Commit`, or a parked undecided
-//! `Prepare`d branch. Only the frames from that `TxnBegin` on can
-//! rebuild the images, so a restart re-pulls them and re-buffers (or
-//! re-parks) the transaction; the decision, which the primary forces
-//! on a *different* shard's log, is replayed from the persisted map
-//! instead.
+//! transaction is one `TxnCommit` frame, applied whole or not at all,
+//! so single-shard traffic holds nothing back. Only a cross-shard
+//! branch logs its after-images ahead of its outcome: a shard's
+//! persisted watermark is held back to the oldest `TxnBegin` of a
+//! branch whose images exist only in this process — one a batch
+//! boundary split before its `Prepare`, or a parked undecided one.
+//! Only the frames from that `TxnBegin` on can rebuild the images, so a
+//! restart re-pulls them and re-buffers (or re-parks) the branch; the
+//! decision, which the primary forces on a *different* shard's log, is
+//! replayed from the persisted map instead.
 //!
 //! Cross-shard transactions replay exactly like sharded crash
 //! recovery: `Prepare`d branches park in the resolver until any
@@ -81,10 +83,10 @@ type ParkedBranch = (usize, u64, AfterImages);
 /// replay core's ([`Stager`], one per shard stream); what lives here is
 /// only what crosses shards.
 struct Resolver {
-    /// Per shard stream: transactions with no outcome yet. A stager's
-    /// first LSN is that shard's persist holdback — only the frames from
-    /// there on can rebuild after-images that exist nowhere else until a
-    /// `Commit` installs them.
+    /// Per shard stream: branches with frames but no `Prepare` or
+    /// outcome yet (empty for single-shard traffic). A stager's first
+    /// LSN is that shard's persist holdback — only the frames from there
+    /// on can rebuild after-images that exist nowhere else.
     open: Vec<Stager<(RecordId, Vec<Word>)>>,
     /// `gid` → prepared branches awaiting a decision.
     pending: HashMap<u64, Vec<ParkedBranch>>,
@@ -192,11 +194,10 @@ impl Replica {
     /// Persists the replication state to `<state_dir>/repl.state`
     /// (atomic tmp + rename; no-op for in-memory standbys). Each
     /// shard's persisted watermark is held back to the oldest
-    /// `TxnBegin` whose after-images live only in this process — an
-    /// open transaction a batch boundary split before its `Commit`, or
-    /// a parked undecided `Prepare`d branch — so a restart re-pulls
-    /// the frames that rebuild them; under-reporting is safe because
-    /// replay is idempotent.
+    /// `TxnBegin` whose after-images live only in this process — a
+    /// branch a batch boundary split, or a parked undecided one — so a
+    /// restart re-pulls the frames that rebuild them; under-reporting
+    /// is safe because replay is idempotent.
     fn save_state(&self) {
         let Some(dir) = &self.state_dir else {
             return;
@@ -270,15 +271,18 @@ impl Replica {
             };
             let lsn = Lsn(base + off as u64);
             match rec {
+                // a whole transaction: its own outcome, installed on sight
+                LogRecord::TxnCommit { writes, .. } => {
+                    apply_writes(db, shard, &writes)?;
+                    txns += 1;
+                }
                 LogRecord::TxnBegin { txn, .. } => r.open[shard].begin(txn, lsn),
                 // An Update without a TxnBegin means the attach point
-                // fell between a transaction's begin and its installs.
-                // The engine appends a transaction's Update run and
-                // Commit contiguously per shard stream (only the begin
-                // frame is written earlier), and every attach point is a
-                // run boundary — so the full after-image set still
-                // follows from here, staged under this frame's own LSN;
-                // only the data-free begin frame is lost.
+                // fell just past a branch's begin frame (a pre-`TxnCommit`
+                // primary wrote that frame well ahead of the updates): the
+                // full after-image set still follows from here, staged
+                // under this frame's own LSN; only the data-free begin
+                // frame is lost.
                 LogRecord::Update { txn, record, value } => {
                     r.open[shard].update(txn, lsn, (record, value));
                 }
@@ -1083,8 +1087,9 @@ mod tests {
     #[test]
     fn oversized_record_frames_ship_after_batch_escalation() {
         use mmdb_types::DbParams;
-        // one record's Update frame (~1.2MB) exceeds the standby's
-        // default 1MB ask
+        // one record's image is ~1.2MB: a one-write `TxnCommit` frame
+        // exceeds the standby's default 1MB ask, a four-write one the
+        // primary's 4MB batch cap, a six-write one the engine's frame bound
         let mut cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         cfg.params.db = DbParams {
             s_db: 600_000,
@@ -1097,33 +1102,62 @@ mod tests {
         let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
         let replica = Replica::new("unused".into(), &standby, None);
         let words = primary.record_words();
-        primary
-            .run_txn(&[(RecordId(0), vec![3; words])])
-            .expect("txn");
-
+        let writes = |n: u32| -> Vec<_> {
+            (0..n)
+                .map(|i| (RecordId(u64::from(i % 2)), vec![3 + i; words]))
+                .collect()
+        };
         // mimic the pull loop: apply whole frames, escalate whenever a
-        // non-empty batch decodes to none
-        let mut ask = PULL_BATCH_BYTES;
-        loop {
-            let applied = replica.applied[0].load(Ordering::SeqCst);
-            let (_, durable, bytes) = serve_pull(&primary, 0, Lsn(applied), ask, 0).expect("pull");
-            if bytes.is_empty() {
-                assert_eq!(applied, durable.raw(), "caught up");
-                break;
+        // non-empty batch decodes to none; returns the escalations it took
+        // and the size of each applied batch
+        let drain = || {
+            let mut ask = PULL_BATCH_BYTES;
+            let (mut escalations, mut batches) = (0, Vec::new());
+            loop {
+                let applied = replica.applied[0].load(Ordering::SeqCst);
+                let (_, durable, bytes) =
+                    serve_pull(&primary, 0, Lsn(applied), ask, 0).expect("pull");
+                if bytes.is_empty() {
+                    assert_eq!(applied, durable.raw(), "caught up");
+                    return (escalations, batches);
+                }
+                let consumed = replica
+                    .apply_batch(&standby, 0, applied, &bytes)
+                    .expect("apply");
+                if consumed == 0 {
+                    ask = escalate_batch_size(ask).expect("a maximal batch must fit the frame");
+                    escalations += 1;
+                    continue;
+                }
+                ask = PULL_BATCH_BYTES;
+                batches.push(consumed);
+                replica.applied[0].fetch_max(applied + consumed as u64, Ordering::SeqCst);
             }
-            let consumed = replica
-                .apply_batch(&standby, 0, applied, &bytes)
-                .expect("apply");
-            if consumed == 0 {
-                ask = escalate_batch_size(ask).expect("a maximal batch must fit the frame");
-                continue;
-            }
-            ask = PULL_BATCH_BYTES;
-            replica.applied[0].fetch_max(applied + consumed as u64, Ordering::SeqCst);
-        }
+        };
+
+        // over the ask, under the cap: one escalation fits it
+        primary.run_txn(&writes(1)).expect("over the ask");
+        let one = mmdb_core::LogRecord::txn_commit_len(1, words);
+        assert_eq!(drain(), (1, vec![one]));
+
+        // over the cap, which no escalation could meet: ships whole and
+        // alone at the first ask
+        primary.run_txn(&writes(4)).expect("over the batch cap");
+        let four = mmdb_core::LogRecord::txn_commit_len(4, words);
+        assert!(four > crate::primary::MAX_REPL_BATCH_BYTES);
+        assert_eq!(drain(), (0, vec![four]));
+
+        // over the engine's frame bound: refused, nothing appended
+        let logged = primary.with_shard(0, |e| e.log_stats().bytes);
+        let err = primary
+            .run_txn(&writes(6))
+            .expect_err("over the frame bound");
+        assert!(err.to_string().contains("log frame"), "{err}");
+        assert_eq!(primary.with_shard(0, |e| e.log_stats().bytes), logged);
+        assert_eq!(drain(), (0, vec![]));
         assert_eq!(
             standby.read_committed(RecordId(0)).expect("read"),
-            vec![3; words]
+            vec![3 + 2; words]
         );
         assert_eq!(primary.fingerprint(), standby.fingerprint());
     }

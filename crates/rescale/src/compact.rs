@@ -11,14 +11,21 @@
 //!
 //! **Drop rules** (conservative by construction):
 //!
-//! * An update frame is dropped iff its transaction durably **aborted**,
-//!   or it durably **committed**, was never **prepared** (two-phase
-//!   branches stay intact for the resolver), and the update is
-//!   **superseded** — a durably-committed transaction with a higher
-//!   `(commit LSN, update LSN)` key also wrote the record. Replay
-//!   installs staged writes in commit order, so dropping a non-winner
-//!   changes intermediate values only, never the recovered state.
-//! * Outcomes bind to a transaction **instance**, never to a bare
+//! * A `TxnCommit` frame carries its own outcome: each of its writes is
+//!   committed at the frame's LSN, and a write is dropped iff it is
+//!   **superseded** — a later durably-committed write (a later frame, or
+//!   a later write of the same frame) hits the same record. Replay
+//!   installs in commit order, so dropping a non-winner changes
+//!   intermediate values only, never the recovered state. The frame is
+//!   re-encoded in place with its surviving writes, its start LSN
+//!   unchanged, and the freed bytes behind it become filler; a frame with
+//!   no surviving write becomes filler whole.
+//! * The update frames of a cross-shard branch (and of every transaction
+//!   in a log older than `TxnCommit`) are classified by the transaction's
+//!   outcome: dropped iff it durably **aborted**, or it durably
+//!   **committed**, was never **prepared** (two-phase branches stay
+//!   intact for the resolver) and the update is superseded.
+//! * Such outcomes bind to a transaction **instance**, never to a bare
 //!   `TxnId`: ids restart at 1 every time the directory is opened, so a
 //!   log written across re-opens reuses them. As in the replay core's
 //!   `Stager`, a `TxnBegin` starts a fresh instance of its id, and a
@@ -48,6 +55,10 @@ use mmdb_obs::Obs;
 use mmdb_types::{MmdbError, RecordId, Result, TxnId};
 use std::collections::{HashMap, HashSet};
 
+/// A `TxnCommit` frame with no writes: what remains of the frame's length
+/// is its after-images.
+const EMPTY_TXN_COMMIT_LEN: u64 = LogRecord::txn_commit_len(0, 0) as u64;
+
 /// What the compactor may touch and how.
 #[derive(Debug, Clone, Default)]
 pub struct CompactOptions {
@@ -67,9 +78,10 @@ pub struct CompactReport {
     pub chunks_examined: u64,
     /// Chunks rewritten (dropped frames and/or newly compressed).
     pub chunks_rewritten: u64,
-    /// Update frames newly replaced by filler this pass.
+    /// After-images newly replaced by filler this pass: update frames,
+    /// and writes cut out of `TxnCommit` frames.
     pub frames_dropped: u64,
-    /// Bytes of dropped frames (the log stays the same logical length —
+    /// Bytes of those images (the log stays the same logical length —
     /// this is dead weight turned into filler, which compression then
     /// collapses).
     pub bytes_reclaimed: u64,
@@ -79,20 +91,27 @@ pub struct CompactReport {
     pub disk_bytes_after: u64,
 }
 
-/// One frame's place and classification, from the validated prefix.
+/// One frame's place and the after-images it carries, from the validated
+/// prefix.
 struct FrameAt {
     start: u64,
     len: u64,
-    kind: FrameKind,
+    /// One image for an update frame, one per write for a `TxnCommit`,
+    /// none for anything else.
+    images: Vec<Image>,
+    /// Filler an earlier pass left: dead already.
+    filler: bool,
 }
 
-enum FrameKind {
-    Update { record: RecordId, outcome: Outcome },
-    Filler,
-    Keep,
+struct Image {
+    record: RecordId,
+    outcome: Outcome,
+    /// Orders the images one transaction wrote: the update frame's LSN,
+    /// or the write's index within its `TxnCommit` frame.
+    pos: u64,
 }
 
-/// Durable fate of the transaction instance that wrote an update.
+/// Durable fate of the transaction instance that wrote an image.
 #[derive(Clone, Copy)]
 enum Outcome {
     /// None in the validated prefix: keep.
@@ -131,81 +150,92 @@ pub fn compact_device(
     // into `frames`) and whether it has prepared.
     let mut open: HashMap<TxnId, (Vec<usize>, bool)> = HashMap::new();
     for (lsn, rec) in scanner.forward_from(scanner.base_lsn()) {
-        let len = rec.encoded_len() as u64;
-        let kind = match &rec {
+        let mut images = Vec::new();
+        match &rec {
             LogRecord::TxnBegin { txn, .. } => {
                 // whatever an earlier incarnation left open under this
                 // id stays without an outcome
                 open.insert(*txn, Default::default());
-                FrameKind::Keep
             }
             LogRecord::Update { txn, record, .. } => {
                 open.entry(*txn).or_default().0.push(frames.len());
-                FrameKind::Update {
+                images.push(Image {
                     record: *record,
                     outcome: Outcome::Open,
-                }
+                    pos: lsn.raw(),
+                });
             }
-            LogRecord::Compacted { .. } => FrameKind::Filler,
-            LogRecord::Prepare { txn, .. } => {
-                open.entry(*txn).or_default().1 = true;
-                FrameKind::Keep
+            // its own outcome: every write is committed at the frame's LSN
+            LogRecord::TxnCommit { writes, .. } => {
+                images.extend(writes.iter().zip(0..).map(|((record, _), pos)| Image {
+                    record: *record,
+                    outcome: Outcome::Committed {
+                        lsn: lsn.raw(),
+                        prepared: false,
+                    },
+                    pos,
+                }));
             }
+            LogRecord::Prepare { txn, .. } => open.entry(*txn).or_default().1 = true,
             LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                if let Some((updates, prepared)) = open.remove(txn) {
-                    let resolved = match rec {
-                        LogRecord::Commit { .. } => Outcome::Committed {
-                            lsn: lsn.raw(),
-                            prepared,
-                        },
-                        _ => Outcome::Aborted,
-                    };
-                    for i in updates {
-                        if let FrameKind::Update { outcome, .. } = &mut frames[i].kind {
-                            *outcome = resolved;
-                        }
-                    }
+                let (updates, prepared) = open.remove(txn).unwrap_or_default();
+                let resolved = match rec {
+                    LogRecord::Commit { .. } => Outcome::Committed {
+                        lsn: lsn.raw(),
+                        prepared,
+                    },
+                    _ => Outcome::Aborted,
+                };
+                for i in updates {
+                    frames[i].images[0].outcome = resolved;
                 }
-                FrameKind::Keep
             }
-            _ => FrameKind::Keep,
-        };
+            _ => {}
+        }
         frames.push(FrameAt {
             start: lsn.raw(),
-            len,
-            kind,
+            len: rec.encoded_len() as u64,
+            images,
+            filler: matches!(rec, LogRecord::Compacted { .. }),
         });
     }
 
-    // Winner per record: max (commit LSN, update LSN) among updates of
-    // durably-committed instances.
+    // Winner per record: max (commit LSN, position) among durably
+    // committed images.
     let mut winner: HashMap<RecordId, (u64, u64)> = HashMap::new();
-    for f in &frames {
-        if let FrameKind::Update {
-            record,
-            outcome: Outcome::Committed { lsn, .. },
-        } = &f.kind
-        {
-            let key = (*lsn, f.start);
-            let w = winner.entry(*record).or_insert(key);
-            if key > *w {
-                *w = key;
-            }
+    for image in frames.iter().flat_map(|f| &f.images) {
+        if let Outcome::Committed { lsn, .. } = image.outcome {
+            let key = (lsn, image.pos);
+            let w = winner.entry(image.record).or_insert(key);
+            *w = key.max(*w);
         }
     }
-    let droppable = |f: &FrameAt| -> bool {
-        match &f.kind {
-            FrameKind::Update { record, outcome } => match outcome {
-                Outcome::Aborted => true,
-                Outcome::Committed {
-                    lsn,
-                    prepared: false,
-                } => winner.get(record).is_some_and(|&w| (*lsn, f.start) < w),
-                // a prepared branch, or no durable outcome: keep
-                _ => false,
+    let lost = |image: &Image| match image.outcome {
+        Outcome::Aborted => true,
+        Outcome::Committed {
+            lsn,
+            prepared: false,
+        } => winner.get(&image.record) != Some(&(lsn, image.pos)),
+        // a prepared branch, or no durable outcome: keep
+        _ => false,
+    };
+    // How many of the frame's images no recovery needs, and the bytes at
+    // the frame's end that go with them: the whole frame when it loses
+    // every image, the freed images of a `TxnCommit` that loses some
+    // (when they make a filler), nothing of a live frame.
+    let dead = |f: &FrameAt| -> (u64, u64) {
+        if f.filler {
+            return (0, f.len); // dead already; merges into runs
+        }
+        let n = f.images.len() as u64;
+        match f.images.iter().filter(|image| lost(image)).count() as u64 {
+            0 => (0, 0),
+            n_lost if n_lost == n => (n_lost, f.len),
+            // a `TxnCommit` losing some of its equal-sized writes
+            n_lost => match n_lost * (f.len - EMPTY_TXN_COMMIT_LEN) / n {
+                freed if freed >= MIN_COMPACTED_LEN as u64 => (n_lost, freed),
+                _ => (0, 0),
             },
-            FrameKind::Filler => true, // dead already; merges into runs
-            FrameKind::Keep => false,
         }
     };
 
@@ -227,26 +257,31 @@ pub fn compact_device(
         report.disk_bytes_before += chunk.disk_bytes;
         examined.insert(chunk.start);
 
-        // Droppable frames fully inside this chunk, merged into
+        // Dead bytes of the frames fully inside this chunk, merged into
         // contiguous runs. Boundary-crossing frames are copied verbatim.
         let mut runs: Vec<(u64, u64)> = Vec::new(); // (start, len), chunk-relative
+        let mut shrunk: Vec<&FrameAt> = Vec::new();
         let mut new_drops = 0u64;
         let mut dropped_bytes = 0u64;
         for f in &frames {
             if f.start < chunk.start || f.start + f.len > end {
                 continue;
             }
-            if !droppable(f) {
+            let (drops, dead_len) = dead(f);
+            if dead_len == 0 {
                 continue;
             }
-            if !matches!(f.kind, FrameKind::Filler) {
-                new_drops += 1;
-                dropped_bytes += f.len;
+            if drops > 0 {
+                new_drops += drops;
+                dropped_bytes += dead_len;
             }
-            let rel = f.start - chunk.start;
+            if dead_len < f.len {
+                shrunk.push(f);
+            }
+            let rel = f.start + f.len - dead_len - chunk.start;
             match runs.last_mut() {
-                Some((s, l)) if *s + *l == rel => *l += f.len,
-                _ => runs.push((rel, f.len)),
+                Some((s, l)) if *s + *l == rel => *l += dead_len,
+                _ => runs.push((rel, dead_len)),
             }
         }
         let recompress = opts.compress && !chunk.compressed;
@@ -256,6 +291,26 @@ pub fn compact_device(
 
         let off = (chunk.start - base) as usize;
         let mut rewritten = bytes[off..off + chunk.len as usize].to_vec();
+        for f in shrunk {
+            // the frame again, at the same LSN, with its winning writes
+            let rel = (f.start - chunk.start) as usize;
+            let (rec, _) = LogRecord::decode(&rewritten[rel..rel + f.len as usize])?;
+            let LogRecord::TxnCommit { txn, writes } = rec else {
+                return Err(MmdbError::Corrupt(format!(
+                    "frame at {} is no longer the TxnCommit it was classified as",
+                    f.start
+                )));
+            };
+            let kept = writes
+                .iter()
+                .zip(&f.images)
+                .filter_map(|((record, image), was)| {
+                    (!lost(was)).then_some((*record, image.as_slice()))
+                });
+            let mut frame = Vec::with_capacity(f.len as usize);
+            LogRecord::encode_txn_commit(txn, kept.collect::<Vec<_>>().into_iter(), &mut frame);
+            rewritten[rel..rel + frame.len()].copy_from_slice(&frame);
+        }
         for &(rel, len) in &runs {
             debug_assert!(len as usize >= MIN_COMPACTED_LEN);
             let mut filler = Vec::with_capacity(len as usize);

@@ -637,4 +637,185 @@ mod tests {
             compact_device(&mut dev, &CompactOptions::default(), &Obs::disabled()).unwrap();
         assert_eq!(report, CompactReport::default());
     }
+
+    // ----- `TxnCommit` frames: what the engine writes for every
+    // transaction that is not a cross-shard branch. The suites above stay
+    // on the older frames, which directories written before still hold.
+
+    impl Mini {
+        /// A committed transaction the way the engine logs one: a single
+        /// forced `TxnCommit` frame of `(record, fill)` writes.
+        fn txn_commit(&mut self, writes: &[(u64, u32)]) {
+            let tau = self.tau();
+            self.next_txn += 1;
+            let s_rec = self.storage.db_params().s_rec as usize;
+            let images: Vec<_> = writes.iter().map(|&(_, fill)| vec![fill; s_rec]).collect();
+            let frame = writes.iter().zip(&images);
+            self.log.append_txn_commit(
+                TxnId(self.next_txn),
+                frame.map(|(&(rid, _), image)| (RecordId(rid), &image[..])),
+            );
+            self.log.force().unwrap();
+            let end_lsn = self.log.next_lsn();
+            for (&(rid, _), image) in writes.iter().zip(&images) {
+                let sid = self.storage.segment_of(RecordId(rid)).unwrap();
+                self.ckpt
+                    .on_before_install(&mut self.storage, sid, &self.meter)
+                    .unwrap();
+                self.storage
+                    .install_record(RecordId(rid), image, end_lsn, tau, &self.meter)
+                    .unwrap();
+            }
+        }
+
+        /// Fingerprint recovered from the crashed state with `workers` lanes.
+        fn recovered(&mut self, workers: usize) -> u64 {
+            let mut s = Storage::new(*self.storage.db_params()).unwrap();
+            recover_parallel(
+                &mut s,
+                &mut self.backup,
+                self.log.device_mut(),
+                &Params::small().disk,
+                &self.meter,
+                &Obs::disabled(),
+                workers,
+            )
+            .unwrap();
+            s.fingerprint()
+        }
+
+        /// `(lsn, frame)` of every `TxnCommit` in the validated log.
+        fn txn_commits(&mut self) -> Vec<(u64, LogRecord)> {
+            let sc = LogScanner::from_device(self.log.device_mut()).unwrap();
+            sc.forward_from(sc.base_lsn())
+                .filter(|(_, rec)| matches!(rec, LogRecord::TxnCommit { .. }))
+                .map(|(lsn, rec)| (lsn.raw(), rec))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn compaction_shrinks_txn_commit_frames_in_place_and_recovery_agrees() {
+        let (mut m, dir) = segmented_mini("compact-txn-commit", 4096);
+        m.txn_commit(&[(0, 1), (1, 1)]);
+        m.checkpoint();
+        // Records 0 and 1 are rewritten every round (superseded by the
+        // next), 100 + round only once (it survives): each frame keeps one
+        // write of three. Every fifth round touches nothing that lasts and
+        // goes whole; one writes a record twice, and its later image wins.
+        for round in 2..40u32 {
+            match round % 5 {
+                0 => m.txn_commit(&[(0, round), (1, round)]),
+                1 => m.txn_commit(&[(2000, round), (0, round), (2000, round + 500)]),
+                _ => m.txn_commit(&[(0, round), (100 + u64::from(round), round), (1, round)]),
+            }
+        }
+        // an older-format transaction is superseded by, and supersedes,
+        // `TxnCommit` writes like any other commit
+        m.txn(&[0, 150], 77);
+        m.txn_commit(&[(150, 78), (1, 78)]);
+        let end_lsn = m.log.next_lsn();
+        m.log.rotate().unwrap();
+        m.crash();
+        let twin = m.recovered(1);
+        let before = m.txn_commits();
+
+        let compress = CompactOptions {
+            pins: Vec::new(),
+            compress: true,
+        };
+        let report = compact_device(m.log.device_mut(), &compress, &Obs::disabled()).unwrap();
+        assert!(report.chunks_rewritten > 0, "{report:?}");
+        assert!(report.frames_dropped > 60, "{report:?}");
+        assert!(report.disk_bytes_after < report.disk_bytes_before);
+
+        // the log covers the same LSNs, and recovers to the uncompacted
+        // twin's state at 1 and 4 lanes
+        let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
+        assert_eq!(sc.end_lsn(), end_lsn);
+        drop(sc);
+        assert_eq!(m.recovered(1), twin);
+        assert_eq!(m.recovered(4), twin);
+
+        // every surviving frame sits at its old LSN under its old id with
+        // a subset of its old writes, in their old order
+        let after = m.txn_commits();
+        assert!(after.len() < before.len(), "some frames went whole");
+        let mut shrunk = 0;
+        for (lsn, rec) in &after {
+            let old = before.iter().find(|(l, _)| l == lsn).expect("same LSN");
+            let (LogRecord::TxnCommit { txn, writes }, LogRecord::TxnCommit { txn: t, writes: w }) =
+                (rec, &old.1)
+            else {
+                unreachable!()
+            };
+            assert_eq!(txn, t);
+            let mut rest = w.iter();
+            assert!(writes.iter().all(|kept| rest.any(|had| had == kept)));
+            shrunk += usize::from(writes.len() < w.len());
+        }
+        assert!(shrunk > 20, "{shrunk} frames shrank in place");
+
+        // a second pass finds nothing new
+        let again = compact_device(m.log.device_mut(), &compress, &Obs::disabled()).unwrap();
+        assert_eq!((again.frames_dropped, again.chunks_rewritten), (0, 0));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn compaction_keeps_a_write_whose_freed_bytes_make_no_filler() {
+        // one-word records: a dropped write frees 12 bytes, fewer than the
+        // smallest filler frame, so a frame losing one or two of its writes
+        // is left alone, one losing three is cut, and one losing all of
+        // them goes whole
+        let dir = scratch_dir("compact-tiny");
+        let dev = SegmentedLogDevice::open(&dir, 4096, false).unwrap();
+        let mut log = LogManager::new(
+            Box::new(dev),
+            LogMode::VolatileTail,
+            CostMeter::shared(CostParams::default()),
+        );
+        let image = [9u32];
+        let frame = |log: &mut LogManager, records: &[u64]| {
+            let writes = records.iter().map(|&r| (RecordId(r), &image[..]));
+            log.append_txn_commit(TxnId(1), writes)
+        };
+        let two_lost = frame(&mut log, &[1, 2, 10]);
+        let three_lost = frame(&mut log, &[1, 2, 3, 11]);
+        let all_lost = frame(&mut log, &[1, 2]);
+        frame(&mut log, &[1, 2, 3]);
+        log.rotate().unwrap();
+        frame(&mut log, &[12]);
+        log.force().unwrap();
+
+        let report = compact_device(
+            log.device_mut(),
+            &CompactOptions::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.frames_dropped, 3 + 2, "{report:?}");
+        let sc = LogScanner::from_device(log.device_mut()).unwrap();
+        let frames: Vec<_> = sc.forward_from(sc.base_lsn()).collect();
+        let records_at = |lsn| {
+            let (_, rec) = frames.iter().find(|(l, _)| *l == lsn).expect("frame");
+            match rec {
+                LogRecord::TxnCommit { writes, .. } => {
+                    writes.iter().map(|(r, _)| r.raw()).collect::<Vec<_>>()
+                }
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(records_at(two_lost), [1, 2, 10]);
+        assert_eq!(records_at(three_lost), [11]);
+        // the cut frame's freed tail and the dead frame behind it are one
+        // filler, so every later frame keeps its LSN
+        let cut_len = LogRecord::txn_commit_len(1, 1) as u64;
+        let (_, filler) = &frames[2];
+        assert_eq!(frames[2].0, three_lost.advance(cut_len));
+        let span = frames[3].0.raw() - frames[2].0.raw();
+        assert_eq!(filler, &LogRecord::Compacted { span });
+        assert!(frames[2].0 < all_lost && all_lost < frames[3].0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

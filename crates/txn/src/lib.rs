@@ -52,7 +52,8 @@ pub struct ActiveTxn {
     /// The transaction timestamp `τ(T)` (assigned at begin; used by the
     /// copy-on-update protocol).
     pub tau: Timestamp,
-    /// LSN of the transaction's begin record in the log.
+    /// LSN of the branch's `TxnBegin` frame once it is prepared; a
+    /// transaction that is not prepared has nothing in the log.
     pub begin_lsn: Lsn,
     /// Buffered updates, in program order.
     pub writes: Vec<StagedWrite>,
@@ -132,8 +133,8 @@ impl TxnTable {
         TxnTable::default()
     }
 
-    /// Begins a transaction with the given timestamp and begin-record
-    /// LSN; returns its id. `run` is 1 for a fresh transaction, >1 for a
+    /// Begins a transaction with the given timestamp and begin LSN (see
+    /// [`ActiveTxn::begin_lsn`]); returns its id. `run` is 1 for a fresh transaction, >1 for a
     /// two-color rerun of the same logical work.
     pub fn begin(&mut self, tau: Timestamp, begin_lsn: Lsn, run: u32) -> TxnId {
         self.next_id += 1;
@@ -203,10 +204,12 @@ impl TxnTable {
         Ok(txn)
     }
 
-    /// Ids of all active transactions (the begin-checkpoint marker's
-    /// active list, §3.1).
-    pub fn active_ids(&self) -> Vec<TxnId> {
-        self.active.keys().copied().collect()
+    /// The prepared branches and the LSN each one's frames begin at (the
+    /// begin-checkpoint marker's active list, §3.1: only they have
+    /// frames before the marker).
+    pub fn prepared(&self) -> Vec<(TxnId, Lsn)> {
+        let prepared = self.active.values().filter(|t| t.prepared.is_some());
+        prepared.map(|t| (t.id, t.begin_lsn)).collect()
     }
 
     /// Number of active transactions.
@@ -257,7 +260,6 @@ mod tests {
         let b = t.begin(Timestamp(2), Lsn(10), 1);
         assert_ne!(a, b);
         assert_eq!(t.active_count(), 2);
-        assert_eq!(t.active_ids(), vec![a, b]);
         assert_eq!(t.stats().begun, 2);
     }
 
@@ -384,6 +386,11 @@ mod tests {
         t.get_mut(id).unwrap().prepared = Some(77);
         assert_eq!(t.get(id).unwrap().prepared, Some(77));
         // commit still drains it like any other transaction
+        // only prepared branches are on the begin-checkpoint marker's list
+        let other = t.begin(Timestamp(2), Lsn(0), 1);
+        t.get_mut(id).unwrap().begin_lsn = Lsn(40);
+        assert_eq!(t.prepared(), vec![(id, Lsn(40))]);
+        t.finish_abort(other, false).unwrap();
         let txn = t.finish_commit(id).unwrap();
         assert_eq!(txn.prepared, Some(77));
     }
