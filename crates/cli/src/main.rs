@@ -1380,6 +1380,14 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     deep_config.telemetry = true;
     match open_with(deep_config, dir) {
         Ok(mut db) => {
+            // what the cold open just above cost in log reads and memory
+            let stream = db.obs().with_registry(|r| {
+                let peak = r.gauge_value("recovery.log_window_peak_bytes")?;
+                Some((peak, r.counter_value("recovery.log_bytes_read")))
+            });
+            if let Some((peak, read)) = stream.flatten() {
+                println!("recovery: log_window_peak_bytes={peak} log_bytes_read={read}");
+            }
             match db.verify_recoverability() {
                 Ok(report) => println!(
                     "deep verify: dry-run recovery reproduces the live state \

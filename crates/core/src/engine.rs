@@ -1029,17 +1029,18 @@ impl Mmdb {
     }
 
     fn recover_internal(&mut self) -> Result<RecoveryReport> {
-        // Keep the pre-crash mirror `Arc` alive across the storage swap,
-        // so lock-free readers holding a handle keep working after
-        // recovery. The gate stays closed (readers fail over to the
-        // locked path) until the rebuilt content is republished below.
-        // `open_dir` reaches here without a crash(); close the gate then.
-        let old_mirror = self.storage.mirror().clone();
-        if !old_mirror.gate_closed() {
-            old_mirror.gate_close();
+        // The gate stays closed (lock-free readers fail over to the
+        // locked path) from here until the rebuilt content is republished
+        // below. `open_dir` reaches here without a crash(); close it then.
+        let mirror = self.storage.mirror();
+        if !mirror.gate_closed() {
+            mirror.gate_close();
         }
-        self.storage = Storage::new(self.config.params.db)?;
-        self.storage.adopt_mirror(old_mirror)?;
+        // The primary database is lost, not its memory: recovery refills
+        // the segments and the mirror this engine already holds, so
+        // reader-held mirror handles stay valid and no second database
+        // is ever allocated.
+        self.storage.reset();
         let copies = if self.audit.is_enabled() {
             Some([
                 summarize(self.backup.copy_status(0)?),

@@ -387,6 +387,75 @@ fn file_backed_engine_survives_process_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Where every record of the primary database lives.
+fn record_addresses(db: &Mmdb) -> Vec<*const u32> {
+    let mut at = Vec::new();
+    db.for_each_record(|_, words| at.push(words.as_ptr()))
+        .expect("live engine");
+    at
+}
+
+#[test]
+fn recovery_refills_the_storage_it_holds_and_reader_handles_outlive_it() {
+    let mut db = db(Algorithm::CouCopy);
+    db.run_txn(&[(RecordId(7), val(&db, 1))]).unwrap();
+    db.checkpoint().unwrap();
+    db.run_txn(&[(RecordId(7), val(&db, 2)), (RecordId(900), val(&db, 3))])
+        .unwrap();
+    let fingerprint = db.fingerprint();
+    let handle = db.read_mirror();
+    let before = record_addresses(&db);
+
+    let mut out = val(&db, 0);
+    for round in 0..2 {
+        db.crash().unwrap();
+        assert!(!handle.try_read(RecordId(7), &mut out), "gate closed");
+        db.recover().unwrap();
+        assert_eq!(db.fingerprint(), fingerprint, "round {round}");
+        // the reset was in place: no segment moved, the handle is the
+        // engine's mirror still and serves the recovered values
+        assert_eq!(record_addresses(&db), before, "round {round}");
+        assert!(std::sync::Arc::ptr_eq(&handle, &db.read_mirror()));
+        assert!(handle.try_read(RecordId(7), &mut out));
+        assert_eq!(out, val(&db, 2));
+        assert!(handle.try_read(RecordId(900), &mut out));
+        assert_eq!(out, val(&db, 3));
+    }
+    // and the recovered engine runs on: new installs reach the handle
+    db.run_txn(&[(RecordId(900), val(&db, 4))]).unwrap();
+    assert!(handle.try_read(RecordId(900), &mut out));
+    assert_eq!(out, val(&db, 4));
+}
+
+#[test]
+fn open_dir_recovery_leaves_the_mirror_in_service() {
+    let dir = std::env::temp_dir().join(format!("mmdb-core-mirror-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = small(Algorithm::CouCopy);
+    {
+        let (mut db, _) = Mmdb::open_dir(config, &dir).unwrap();
+        db.run_txn(&[(RecordId(3), val(&db, 5))]).unwrap();
+        db.checkpoint().unwrap();
+        db.run_txn(&[(RecordId(4), val(&db, 6))]).unwrap();
+    }
+    let (mut db, recovered) = Mmdb::open_dir(config, &dir).unwrap();
+    assert!(recovered.is_some());
+    let handle = db.read_mirror();
+    let mut out = val(&db, 0);
+    for (rid, fill) in [(3, 5), (4, 6), (5, 0)] {
+        assert!(handle.try_read(RecordId(rid), &mut out));
+        assert_eq!(out, val(&db, fill), "record {rid}");
+    }
+    // a crash of the reopened engine recovers into the same memory too
+    let before = record_addresses(&db);
+    db.crash().unwrap();
+    db.recover().unwrap();
+    assert_eq!(record_addresses(&db), before);
+    assert!(handle.try_read(RecordId(4), &mut out));
+    assert_eq!(out, val(&db, 6));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn recover_on_live_engine_rejected() {
     let mut db = db(Algorithm::FuzzyCopy);

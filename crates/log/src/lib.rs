@@ -14,8 +14,12 @@
 //!   committers park on the watermark while a flusher batches forces and
 //!   completes them (modeled latency, watermark publish) outside the
 //!   engine lock,
-//! * [`LogScanner`] — crash-tolerant backward/forward scanning, checkpoint
-//!   marker location, and replay-start computation (paper §3.3).
+//! * [`LogStream`] — recovery's crash-tolerant reader: the log through
+//!   one reused window, checkpoint marker location and replay-start
+//!   computation in a first pass, the frames to replay in a second
+//!   (paper §3.3),
+//! * [`LogScanner`] — the same scan over a log held whole, with backward
+//!   iteration, for tools and tests.
 
 #![warn(missing_docs)]
 
@@ -30,7 +34,7 @@ mod watermark;
 pub use device::{ChunkInfo, FileLogDevice, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
 pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
-pub use scan::{BackwardIter, CheckpointMark, ForwardIter, LogScanner};
+pub use scan::{BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use ship::{ShipTap, TapRead, DEFAULT_TAP_WINDOW_BYTES};
 pub use watermark::DurableWatermark;

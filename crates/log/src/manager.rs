@@ -169,9 +169,10 @@ impl LogManager {
     /// the one frame at `from`, whole, when that frame alone is longer
     /// and within [`MAX_TXN_FRAME_BYTES`] (a transaction is one frame
     /// however large; a cut one would never ship). The one frame that can
-    /// be longer than that bound is a `Compacted` filler coalesced from a
-    /// chunk of more than 6 MiB of superseded frames: it cannot cross the
-    /// wire either, and a window short of it still reads empty. The
+    /// be longer than that bound is a `Compacted` filler an older
+    /// compactor coalesced from more than 6 MiB of superseded frames (the
+    /// compactor now splits such a run): it cannot cross the wire either,
+    /// and a window short of it still reads empty. The
     /// device-read fallback for a shipper that has fallen behind the tap
     /// window. Fails if `from` has been truncated away (the reader must
     /// re-seed from an archive) or lies past the durable horizon.
@@ -191,9 +192,7 @@ impl LogManager {
         let available = (durable.raw() - from.raw()) as usize;
         let mut buf = vec![0u8; available.min(max_bytes.max(4))];
         self.device.read_at(from.raw(), &mut buf)?;
-        let first = buf.get(..4).map_or(0, |header| {
-            u32::from_le_bytes(header.try_into().expect("4-byte slice")) as usize
-        });
+        let first = LogRecord::declared_len(&buf).unwrap_or(0);
         if first > buf.len() && first <= available.min(MAX_TXN_FRAME_BYTES) {
             buf.resize(first, 0);
             self.device.read_at(from.raw(), &mut buf)?;

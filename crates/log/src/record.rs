@@ -109,8 +109,10 @@ pub enum LogRecord {
     /// Compaction rewrites cold log chunks in place: frames whose replay
     /// effect is dead (updates of durably-aborted transactions, or
     /// updates superseded by a later durably-committed write to the same
-    /// record) are replaced by a single filler frame of *exactly the same
-    /// total length*, so every surviving frame keeps its original LSN and
+    /// record) are replaced by filler of *exactly the same total length*
+    /// (one frame, or several where a run of them is longer than
+    /// [`MAX_TXN_FRAME_BYTES`]), so every surviving frame keeps its
+    /// original LSN and
     /// the global offset space stays stable for replication and backward
     /// scans. Replay ignores fillers entirely. The frame checksum covers
     /// only the tag and span (the zero padding is never trusted), so
@@ -118,7 +120,9 @@ pub enum LogRecord {
     Compacted {
         /// Total encoded frame length in bytes — the byte span of the
         /// frames this filler replaced. At least
-        /// [`MIN_COMPACTED_LEN`](crate::record::MIN_COMPACTED_LEN).
+        /// [`MIN_COMPACTED_LEN`](crate::record::MIN_COMPACTED_LEN), and
+        /// at most [`MAX_TXN_FRAME_BYTES`] unless an older compactor,
+        /// which did not split long runs, wrote it.
         span: u64,
     },
     /// A whole committed transaction in one frame: the only thing a
@@ -151,11 +155,11 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 8 + 4;
 /// larger, so any run of dropped frames can be covered by one filler.
 pub const MIN_COMPACTED_LEN: usize = FRAME_OVERHEAD + 8;
 
-/// Largest [`LogRecord::TxnCommit`] frame the engine writes. A
-/// transaction is one frame however many records it updates, and a
-/// standby receives that frame in one wire message (8 MiB cap), so a
-/// commit whose frame would be longer is refused before anything is
-/// appended.
+/// Largest frame the engine or the compactor writes. A transaction is
+/// one [`LogRecord::TxnCommit`] frame however many records it updates,
+/// and a standby receives that frame in one wire message (8 MiB cap), so
+/// a commit whose frame would be longer is refused before anything is
+/// appended; a longer run of compacted frames becomes several fillers.
 pub const MAX_TXN_FRAME_BYTES: usize = 6 << 20;
 
 impl LogRecord {
@@ -448,9 +452,14 @@ impl LogRecord {
     /// it); `Some` with a failing [`LogRecord::decode`] means the whole
     /// frame is present and corrupt.
     pub fn frame_len(bytes: &[u8]) -> Option<usize> {
-        let header = bytes.get(..4)?;
-        let total = u32::from_le_bytes(header.try_into().expect("4-byte slice")) as usize;
-        (total <= bytes.len()).then_some(total)
+        LogRecord::declared_len(bytes).filter(|&total| total <= bytes.len())
+    }
+
+    /// The total frame length the header at the start of `bytes` declares,
+    /// however many of those bytes are in hand; `None` short of a header.
+    pub(crate) fn declared_len(bytes: &[u8]) -> Option<usize> {
+        let header = bytes.first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*header) as usize)
     }
 }
 

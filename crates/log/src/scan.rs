@@ -1,21 +1,33 @@
 //! Log scanning for recovery.
 //!
 //! After a system failure the recovery manager scans the durable log
-//! (paper §3.3): *backward* to locate the begin-checkpoint marker of the
-//! most recently completed checkpoint (skipping incomplete ones), possibly
-//! further backward to the begin record of the oldest transaction active
-//! at that marker (fuzzy checkpoints), then *forward* to replay committed
-//! updates.
+//! (paper §3.3) to locate the begin-checkpoint marker of the checkpoint it
+//! restores, possibly further back to the begin record of the oldest
+//! transaction active at that marker (fuzzy checkpoints), then *forward*
+//! to replay committed updates.
 //!
-//! The scanner tolerates a torn final flush: on construction it walks the
-//! log forward and treats the first undecodable frame as the end of the
-//! durable log. Everything before it is intact (each frame is
-//! checksummed). That rule is the same however many threads share the
-//! checksum work ([`LogScanner::from_device_lanes`]).
+//! Scanning tolerates a torn final flush: the log is walked forward and
+//! the first undecodable frame is the end of the durable log. Everything
+//! before it is intact (each frame is checksummed). That rule lives in
+//! [`step`] and serves both readers of a log:
+//!
+//! * [`LogStream`] — recovery's reader. It holds one reused window of the
+//!   log at a time, so recovering costs a window of memory however long
+//!   the log is. Recovery drives it twice: [`LogStream::validate`] finds
+//!   where the log ends and where replay starts, [`LogStream::replay`]
+//!   hands the frames in between to the replay core.
+//! * [`LogScanner`] — the whole log resident, with backward iteration,
+//!   for tools and tests.
 
 use crate::device::LogDevice;
-use crate::record::{LogRecord, FRAME_OVERHEAD};
-use mmdb_types::{CheckpointId, Lsn, Result, Timestamp, TxnId};
+use crate::record::LogRecord;
+use mmdb_types::{CheckpointId, Lsn, MmdbError, Result, Timestamp, TxnId};
+use std::collections::HashMap;
+
+/// Bytes of log a [`LogStream`] holds at a time. Large enough that a
+/// refill is rare next to the checksum work on what it read; recovery's
+/// memory is the database plus this.
+const STREAM_WINDOW_BYTES: usize = 1 << 20;
 
 /// Identity and position of a completed checkpoint found in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,60 +42,257 @@ pub struct CheckpointMark {
     pub active: Vec<TxnId>,
 }
 
+/// What the frame at the head of some log bytes turned out to be.
+enum Step {
+    /// Whole and intact: the record and its encoded length.
+    Frame(LogRecord, usize),
+    /// The bytes stop inside it: more bytes may complete it. At the end
+    /// of the device this is the torn tail.
+    Cut,
+    /// Whole and corrupt: the log ends here.
+    Bad,
+}
+
+/// Decodes the frame at the head of `bytes`, with its checksum when
+/// `verify` (a frame that already passed once is not summed again).
+fn step(bytes: &[u8], verify: bool) -> Step {
+    let decoded = if verify {
+        LogRecord::decode(bytes)
+    } else {
+        LogRecord::decode_verified(bytes)
+    };
+    match decoded {
+        Ok((rec, used)) => Step::Frame(rec, used),
+        Err(_) if LogRecord::frame_len(bytes).is_none() => Step::Cut,
+        Err(_) => Step::Bad,
+    }
+}
+
+/// The validated window of a log: where it starts and ends, and the
+/// begin-checkpoint markers inside it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct LogWindow {
+    base: u64,
+    end: u64,
+    /// Every begin-checkpoint marker, oldest first, with the LSN replay
+    /// from it starts at.
+    marks: Vec<(CheckpointMark, Lsn)>,
+}
+
+impl LogWindow {
+    /// Global LSN of the first scannable record.
+    pub fn base_lsn(&self) -> Lsn {
+        Lsn(self.base)
+    }
+
+    /// Global LSN just past the last intact record.
+    pub fn end_lsn(&self) -> Lsn {
+        Lsn(self.end)
+    }
+
+    /// The newest begin marker of checkpoint `ckpt` — where recovery from
+    /// the backup copy holding `ckpt` starts looking (paper §3.3) — and
+    /// the LSN to start forward replay from: the smallest begin-LSN among
+    /// the transactions the marker lists as active, or the marker itself
+    /// when it lists none (fuzzy checkpoints must scan "until the
+    /// beginning of the earliest transaction in the active transaction
+    /// list").
+    pub fn checkpoint_mark(&self, ckpt: CheckpointId) -> Option<(&CheckpointMark, Lsn)> {
+        let (mark, start) = self.marks.iter().rev().find(|(m, _)| m.ckpt == ckpt)?;
+        Some((mark, *start))
+    }
+
+    /// Words of log from `from` to the end of the window — the portion
+    /// recovery must read and replay.
+    pub fn words_from(&self, from: Lsn) -> u64 {
+        self.end.saturating_sub(from.raw()).div_ceil(4)
+    }
+}
+
+/// What validation keeps of the frames it has accepted: the markers, and
+/// where each transaction id last began. Walking forward with that map
+/// answers "where does replay from this marker start" at the marker,
+/// with no walk back over frames that may have left memory. The map has
+/// an entry per id that ever wrote a `TxnBegin` — prepared branches only,
+/// in a log a current engine wrote.
+#[derive(Default)]
+struct Marks {
+    found: Vec<(CheckpointMark, Lsn)>,
+    begins: HashMap<TxnId, Lsn>,
+}
+
+impl Marks {
+    fn note(&mut self, lsn: Lsn, rec: LogRecord) {
+        match rec {
+            LogRecord::TxnBegin { txn, .. } => {
+                self.begins.insert(txn, lsn);
+            }
+            LogRecord::BeginCheckpoint { ckpt, tau, active } => {
+                let start = active
+                    .iter()
+                    .filter_map(|txn| self.begins.get(txn).copied())
+                    .min()
+                    .unwrap_or(lsn);
+                let mark = CheckpointMark {
+                    ckpt,
+                    begin_lsn: lsn,
+                    tau,
+                    active,
+                };
+                self.found.push((mark, start));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Recovery's reader: the durable log of a device, one window at a time.
+pub struct LogStream<'a> {
+    device: &'a mut dyn LogDevice,
+    /// The window, reused from refill to refill.
+    buf: Vec<u8>,
+    window: usize,
+    peak: usize,
+    bytes_read: u64,
+}
+
+impl<'a> LogStream<'a> {
+    /// A stream over the readable log of `device`.
+    pub fn new(device: &'a mut dyn LogDevice) -> LogStream<'a> {
+        LogStream::with_window(device, STREAM_WINDOW_BYTES)
+    }
+
+    fn with_window(device: &'a mut dyn LogDevice, window: usize) -> LogStream<'a> {
+        LogStream {
+            device,
+            buf: Vec::new(),
+            window,
+            peak: 0,
+            bytes_read: 0,
+        }
+    }
+
+    /// First pass: checksums the log from the device's truncation point
+    /// up to the first torn or corrupt frame.
+    pub fn validate(&mut self) -> Result<LogWindow> {
+        let base = self.device.start_offset();
+        let limit = self.device.len();
+        let mut marks = Marks::default();
+        let end = self.drive(base, limit, true, |lsn, rec| {
+            marks.note(lsn, rec);
+            Ok(())
+        })?;
+        Ok(LogWindow {
+            base,
+            end,
+            marks: marks.found,
+        })
+    }
+
+    /// Second pass: hands `each` every record of `window` from `from` (a
+    /// record boundary inside it) on, in log order.
+    pub fn replay(
+        &mut self,
+        window: &LogWindow,
+        from: Lsn,
+        each: impl FnMut(Lsn, LogRecord) -> Result<()>,
+    ) -> Result<()> {
+        let end = self.drive(from.raw().max(window.base), window.end, false, each)?;
+        if end < window.end {
+            return Err(MmdbError::Corrupt(format!(
+                "log frame at {end} passed validation and no longer decodes"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The largest window held so far, in bytes.
+    pub fn window_peak_bytes(&self) -> u64 {
+        self.peak as u64
+    }
+
+    /// Bytes read from the device so far, every pass counted.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// Feeds `each` the frames of `[from, limit)` and returns where they
+    /// stop: `limit`, or the first frame that is torn by `limit` or
+    /// corrupt.
+    fn drive(
+        &mut self,
+        from: u64,
+        limit: u64,
+        verify: bool,
+        mut each: impl FnMut(Lsn, LogRecord) -> Result<()>,
+    ) -> Result<u64> {
+        // `buf[pos..]` is the unconsumed log from offset `at + pos` on.
+        let (mut at, mut pos) = (from, 0usize);
+        self.buf.clear();
+        loop {
+            match step(&self.buf[pos..], verify) {
+                Step::Frame(rec, used) => {
+                    each(Lsn(at + pos as u64), rec)?;
+                    pos += used;
+                }
+                Step::Bad => return Ok(at + pos as u64),
+                Step::Cut => {
+                    // carry the cut frame's head to the front, read on
+                    self.buf.drain(..pos);
+                    at += pos as u64;
+                    pos = 0;
+                    let have = self.buf.len();
+                    let ahead = limit.saturating_sub(at);
+                    if ahead == have as u64 {
+                        return Ok(at); // nothing left to read: the torn tail
+                    }
+                    // Fill the window — or, when the frame at its head is
+                    // longer, grow to that one frame: to whatever length
+                    // its header says, once its last four bytes say so too.
+                    let mut fill = self.window.max(4) as u64;
+                    if let Some(total) = LogRecord::declared_len(&self.buf) {
+                        let total = total as u64;
+                        if total > ahead {
+                            return Ok(at); // can never be whole
+                        }
+                        if total > fill {
+                            let mut trailer = [0u8; 4];
+                            self.device.read_at(at + total - 4, &mut trailer)?;
+                            self.bytes_read += 4;
+                            if u64::from(u32::from_le_bytes(trailer)) != total {
+                                return Ok(at);
+                            }
+                            fill = total;
+                        }
+                    }
+                    let fill = fill.min(ahead) as usize;
+                    self.buf.reserve_exact(fill - have);
+                    self.buf.resize(fill, 0);
+                    self.device
+                        .read_at(at + have as u64, &mut self.buf[have..])?;
+                    self.bytes_read += (fill - have) as u64;
+                    self.peak = self.peak.max(fill);
+                }
+            }
+        }
+    }
+}
+
 /// An in-memory view of the durable log, validated up to the first torn
 /// or corrupt frame.
 #[derive(Debug)]
 pub struct LogScanner {
     bytes: Vec<u8>,
-    /// Length of the validated prefix of `bytes` (ends at the last
-    /// intact record).
-    valid_len: usize,
-    /// Global LSN of `bytes[0]` — non-zero when the log's obsolete
-    /// prefix has been truncated away.
-    base: u64,
-    /// Every begin-checkpoint marker of the validated window, oldest
-    /// first (noted by the validation pass, which decodes them anyway).
-    marks: Vec<CheckpointMark>,
-}
-
-/// Decodes `bytes` (whose first byte sits at global LSN `at`) frame by
-/// frame up to the first torn or corrupt one: the intact length and the
-/// begin-checkpoint markers inside it.
-fn validate(bytes: &[u8], at: u64) -> (usize, Vec<CheckpointMark>) {
-    let mut pos = 0usize;
-    let mut marks = Vec::new();
-    while pos < bytes.len() {
-        match LogRecord::decode(&bytes[pos..]) {
-            Ok((rec, used)) => {
-                if let LogRecord::BeginCheckpoint { ckpt, tau, active } = rec {
-                    marks.push(CheckpointMark {
-                        ckpt,
-                        begin_lsn: Lsn(at + pos as u64),
-                        tau,
-                        active,
-                    });
-                }
-                pos += used;
-            }
-            Err(_) => break, // torn tail: stop here
-        }
-    }
-    (pos, marks)
+    /// The validated prefix of `bytes` and the markers in it.
+    window: LogWindow,
 }
 
 impl LogScanner {
     /// Reads and validates the durable log from `device` (honoring its
     /// truncation point: LSNs stay global).
     pub fn from_device(device: &mut dyn LogDevice) -> Result<LogScanner> {
-        LogScanner::from_device_lanes(device, 1)
-    }
-
-    /// [`LogScanner::from_device`] with the frame checksums shared among
-    /// `lanes` threads. The validated window is the same at every lane
-    /// count: it ends at the first bad frame.
-    pub fn from_device_lanes(device: &mut dyn LogDevice, lanes: usize) -> Result<LogScanner> {
         let base = device.start_offset();
-        Ok(LogScanner::validated(device.read_all()?, base, lanes))
+        Ok(LogScanner::from_bytes_at(device.read_all()?, base))
     }
 
     /// Builds a scanner over raw log bytes starting at LSN 0.
@@ -94,86 +303,53 @@ impl LogScanner {
     /// Builds a scanner over raw log bytes whose first byte sits at
     /// global LSN `base` (must be a record boundary).
     pub fn from_bytes_at(bytes: Vec<u8>, base: u64) -> LogScanner {
-        LogScanner::validated(bytes, base, 1)
-    }
-
-    fn validated(bytes: Vec<u8>, base: u64, lanes: usize) -> LogScanner {
-        // Cut the log into one share per lane at frame boundaries, found
-        // from the length headers alone. A damaged header can only lead
-        // this walk astray at or after the frame whose checksum fails,
-        // and everything from that frame on is discarded below.
-        let mut cuts = vec![0usize];
-        if lanes > 1 {
-            let share = bytes.len().div_ceil(lanes);
-            let mut pos = 0usize;
-            while let Some(total) =
-                LogRecord::frame_len(&bytes[pos..]).filter(|&t| t >= FRAME_OVERHEAD)
-            {
-                pos += total;
-                if pos >= cuts.len() * share {
-                    cuts.push(pos);
-                }
-            }
-            if cuts.last() != Some(&pos) {
-                cuts.push(pos);
-            }
-        } else {
-            cuts.push(bytes.len());
-        }
-        let spans = || {
-            cuts.windows(2)
-                .map(|w| (&bytes[w[0]..w[1]], base + w[0] as u64))
-        };
-        let shares: Vec<(usize, Vec<CheckpointMark>)> = if lanes > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = spans()
-                    .map(|(part, at)| scope.spawn(move || validate(part, at)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        } else {
-            spans().map(|(part, at)| validate(part, at)).collect()
-        };
-        let mut valid_len = 0usize;
-        let mut marks = Vec::new();
-        for (w, (len, found)) in cuts.windows(2).zip(shares) {
-            valid_len = w[0] + len;
-            marks.extend(found);
-            if valid_len < w[1] {
-                break; // the first bad frame ends the log
-            }
+        let mut marks = Marks::default();
+        let mut pos = 0usize;
+        // all the bytes there are: a cut frame is the torn tail
+        while let Step::Frame(rec, used) = step(&bytes[pos..], true) {
+            marks.note(Lsn(base + pos as u64), rec);
+            pos += used;
         }
         LogScanner {
             bytes,
-            valid_len,
-            base,
-            marks,
+            window: LogWindow {
+                base,
+                end: base + pos as u64,
+                marks: marks.found,
+            },
         }
+    }
+
+    /// The validated window: its bounds and its checkpoint markers.
+    pub fn window(&self) -> &LogWindow {
+        &self.window
     }
 
     /// Length in bytes of the validated log window.
     pub fn valid_len(&self) -> u64 {
-        self.valid_len as u64
+        self.window.end - self.window.base
+    }
+
+    /// `valid_len` as an index into `bytes`.
+    fn valid(&self) -> usize {
+        self.valid_len() as usize
     }
 
     /// Global LSN of the first scannable record.
     pub fn base_lsn(&self) -> Lsn {
-        Lsn(self.base)
+        self.window.base_lsn()
     }
 
     /// Global LSN just past the last intact record.
     pub fn end_lsn(&self) -> Lsn {
-        Lsn(self.base + self.valid_len as u64)
+        self.window.end_lsn()
     }
 
     /// Log bulk in words of the validated prefix — the recovery-time
     /// metric the paper uses (§4: recovery reads the backup plus "the
     /// appropriate portion of the log").
     pub fn valid_words(&self) -> u64 {
-        (self.valid_len as u64).div_ceil(4)
+        self.valid_len().div_ceil(4)
     }
 
     /// Iterates records forward starting at `from` (must be a record
@@ -182,7 +358,7 @@ impl LogScanner {
     pub fn forward_from(&self, from: Lsn) -> ForwardIter<'_> {
         ForwardIter {
             scanner: self,
-            pos: (from.raw().saturating_sub(self.base) as usize).min(self.valid_len),
+            pos: (from.raw().saturating_sub(self.window.base) as usize).min(self.valid()),
         }
     }
 
@@ -197,14 +373,8 @@ impl LogScanner {
     fn backward_before(&self, lsn: Lsn) -> BackwardIter<'_> {
         BackwardIter {
             scanner: self,
-            end: (lsn.raw().saturating_sub(self.base) as usize).min(self.valid_len),
+            end: (lsn.raw().saturating_sub(self.window.base) as usize).min(self.valid()),
         }
-    }
-
-    /// The newest begin marker of checkpoint `ckpt` — where recovery from
-    /// the backup copy holding `ckpt` starts looking (paper §3.3).
-    pub fn checkpoint_mark(&self, ckpt: CheckpointId) -> Option<&CheckpointMark> {
-        self.marks.iter().rev().find(|m| m.ckpt == ckpt)
     }
 
     /// Finds the most recently *completed* checkpoint: scans backward,
@@ -231,11 +401,11 @@ impl LogScanner {
         None
     }
 
-    /// Finds the LSN to start forward replay from, for a checkpoint whose
-    /// begin marker listed `active` transactions: the smallest begin-LSN
-    /// among those transactions, or the marker itself when the list is
-    /// empty (paper §3.3: fuzzy checkpoints must scan "until the beginning
-    /// of the earliest transaction in the active transaction list").
+    /// The LSN to start forward replay from for `mark`, found the way the
+    /// paper describes it: walking backward from the marker to the begin
+    /// record of each transaction it lists. [`LogWindow::checkpoint_mark`]
+    /// has the same answer from the forward pass; this walk is the
+    /// independent check on it.
     pub fn replay_start(&self, mark: &CheckpointMark) -> Lsn {
         if mark.active.is_empty() {
             return mark.begin_lsn;
@@ -255,14 +425,6 @@ impl LogScanner {
         }
         earliest
     }
-
-    /// Words of log from `from` to the end of the validated window — the
-    /// portion recovery must read and replay.
-    pub fn words_from(&self, from: Lsn) -> u64 {
-        (self.base + self.valid_len as u64)
-            .saturating_sub(from.raw())
-            .div_ceil(4)
-    }
 }
 
 /// Forward record iterator. Yields `(lsn, record)`.
@@ -276,19 +438,20 @@ impl Iterator for ForwardIter<'_> {
     type Item = (Lsn, LogRecord);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.scanner.valid_len {
+        let valid = self.scanner.valid();
+        if self.pos >= valid {
             return None;
         }
-        // inside the window every frame passed `validate`
-        match LogRecord::decode_verified(&self.scanner.bytes[self.pos..self.scanner.valid_len]) {
+        // inside the window every frame passed validation
+        match LogRecord::decode_verified(&self.scanner.bytes[self.pos..valid]) {
             Ok((rec, used)) => {
-                let lsn = Lsn(self.scanner.base + self.pos as u64);
+                let lsn = Lsn(self.scanner.window.base + self.pos as u64);
                 self.pos += used;
                 Some((lsn, rec))
             }
             Err(_) => {
                 // `from` was not a record boundary: there is nothing more.
-                self.pos = self.scanner.valid_len;
+                self.pos = valid;
                 None
             }
         }
@@ -312,7 +475,7 @@ impl Iterator for BackwardIter<'_> {
         let start = LogRecord::frame_start_before(&self.scanner.bytes, self.end).ok()?;
         let (rec, _) = LogRecord::decode_verified(&self.scanner.bytes[start..self.end]).ok()?;
         self.end = start;
-        Some((Lsn(self.scanner.base + start as u64), rec))
+        Some((Lsn(self.scanner.window.base + start as u64), rec))
     }
 }
 
@@ -446,33 +609,201 @@ mod tests {
         assert_eq!(sc.backward().count(), recs.len());
     }
 
+    /// Every kind of frame a log can hold: whole-transaction frames, the
+    /// older begin/update/commit runs (one id used twice), a prepared
+    /// branch open across a marker and decided after it, markers with and
+    /// without active transactions, a filler longer than its neighbours.
+    fn mixed_log() -> Vec<LogRecord> {
+        let image = |fill: u32| vec![fill; 6];
+        let update = |txn: u64, record: u64| LogRecord::Update {
+            txn: TxnId(txn),
+            record: RecordId(record),
+            value: image(record as u32),
+        };
+        let begin = |txn: u64| LogRecord::TxnBegin {
+            txn: TxnId(txn),
+            tau: Timestamp(txn),
+        };
+        vec![
+            LogRecord::TxnCommit {
+                txn: TxnId(1),
+                writes: vec![(RecordId(1), image(1)), (RecordId(2), image(2))],
+            },
+            begin(2),
+            update(2, 3),
+            LogRecord::Commit { txn: TxnId(2) },
+            begin(7),
+            update(7, 4),
+            LogRecord::Abort { txn: TxnId(7) },
+            LogRecord::Compacted { span: 150 },
+            begin(2), // the id again, as after a reopen
+            begin(9),
+            update(9, 5),
+            update(2, 6),
+            LogRecord::Prepare {
+                txn: TxnId(9),
+                gid: 70,
+            },
+            LogRecord::BeginCheckpoint {
+                ckpt: CheckpointId(4),
+                tau: Timestamp(20),
+                active: vec![TxnId(9), TxnId(2), TxnId(55)],
+            },
+            LogRecord::TxnCommit {
+                txn: TxnId(10),
+                writes: vec![(RecordId(8), image(8))],
+            },
+            LogRecord::EndCheckpoint {
+                ckpt: CheckpointId(4),
+            },
+            LogRecord::Decide {
+                gid: 70,
+                commit: true,
+            },
+            LogRecord::Commit { txn: TxnId(9) },
+            LogRecord::BeginCheckpoint {
+                ckpt: CheckpointId(5),
+                tau: Timestamp(30),
+                active: vec![],
+            },
+            LogRecord::TxnCommit {
+                txn: TxnId(11),
+                writes: vec![
+                    (RecordId(9), image(9)),
+                    (RecordId(1), image(7)),
+                    (RecordId(3), image(5)),
+                ],
+            },
+            LogRecord::Commit { txn: TxnId(2) },
+        ]
+    }
+
+    fn longest_frame(records: &[LogRecord]) -> usize {
+        records.iter().map(LogRecord::encoded_len).max().unwrap()
+    }
+
+    /// Streams `bytes` (readable from `base` on) through a window of
+    /// `window` bytes and holds both passes against the resident scanner.
+    fn assert_stream_matches_resident(bytes: &[u8], base: u64, window: usize) {
+        let mut dev = crate::MemLogDevice::new();
+        dev.append(bytes).unwrap();
+        dev.truncate_prefix(base).unwrap();
+        let resident = LogScanner::from_device(&mut dev).unwrap();
+        let longest = resident
+            .forward_from(Lsn::ZERO)
+            .map(|(_, rec)| rec.encoded_len())
+            .max()
+            .unwrap_or(0);
+
+        let mut stream = LogStream::with_window(&mut dev, window);
+        let found = stream.validate().unwrap();
+        assert_eq!(&found, resident.window(), "window {window}");
+        let mut starts = vec![resident.base_lsn()];
+        for (mark, start) in &found.marks {
+            assert_eq!(*start, resident.replay_start(mark), "window {window}");
+            assert_eq!(found.checkpoint_mark(mark.ckpt), Some((mark, *start)));
+            starts.push(*start);
+        }
+        for from in starts {
+            let mut streamed = Vec::new();
+            stream
+                .replay(&found, from, |lsn, rec| {
+                    streamed.push((lsn, rec));
+                    Ok(())
+                })
+                .unwrap();
+            let want: Vec<_> = resident.forward_from(from).collect();
+            assert_eq!(streamed, want, "window {window} from {from}");
+        }
+        // the window only ever grows to the one intact frame at its head
+        assert!(
+            stream.window_peak_bytes() as usize <= window.max(4).max(longest),
+            "window {window} grew to {}",
+            stream.window_peak_bytes()
+        );
+    }
+
     #[test]
-    fn validated_window_is_the_same_at_every_lane_count() {
-        let mut recs = sample_log();
-        for i in 0..40u64 {
-            recs.push(LogRecord::Update {
-                txn: TxnId(i),
-                record: RecordId(i),
-                value: vec![i as u32; 8],
-            });
+    fn stream_equals_resident_on_an_intact_log_at_every_window_size() {
+        let (buf, lsns) = build(&mixed_log());
+        let two_frames = 2 * longest_frame(&mixed_log());
+        for window in 1..=two_frames {
+            assert_stream_matches_resident(&buf, 0, window);
+            // truncated in front of the second use of id 2: the marker's
+            // window opens at that begin, the first readable frame
+            assert_stream_matches_resident(&buf, lsns[8].raw(), window);
         }
-        let (buf, lsns) = build(&recs);
-        // intact, torn mid-frame, a flipped payload byte, a flipped
-        // length header (the header walk that cuts the shares derails)
-        let mut damaged = vec![buf.clone(), buf[..buf.len() - 7].to_vec()];
-        for at in [lsns[20].raw() as usize + 30, lsns[12].raw() as usize] {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x04;
-            damaged.push(bad);
-        }
-        for bytes in damaged {
-            let serial = LogScanner::from_bytes_at(bytes.clone(), 500);
-            for lanes in [2, 3, 64] {
-                let fanned = LogScanner::validated(bytes.clone(), 500, lanes);
-                assert_eq!(fanned.valid_len(), serial.valid_len(), "{lanes} lanes");
-                assert_eq!(fanned.marks, serial.marks, "{lanes} lanes");
+        assert_stream_matches_resident(&buf, 0, buf.len());
+        assert_stream_matches_resident(&buf, 0, STREAM_WINDOW_BYTES);
+        assert_stream_matches_resident(&[], 0, 16);
+    }
+
+    #[test]
+    fn stream_equals_resident_on_a_log_torn_at_every_byte_of_its_last_frame() {
+        let (buf, lsns) = build(&mixed_log());
+        let last = lsns.last().unwrap().raw() as usize;
+        let two_frames = 2 * longest_frame(&mixed_log());
+        for torn_len in last..buf.len() {
+            let torn = &buf[..torn_len];
+            // every window up to two frames, and the windows whose first
+            // edge falls just before, on and just after the tear
+            let near = [
+                last - 1,
+                last,
+                last + 1,
+                torn_len - 1,
+                torn_len,
+                torn_len + 1,
+            ];
+            for window in (1..=two_frames).chain(near) {
+                assert_stream_matches_resident(torn, 0, window);
             }
         }
+    }
+
+    #[test]
+    fn stream_equals_resident_with_one_byte_flipped_around_every_window_edge() {
+        let (buf, lsns) = build(&mixed_log());
+        let frame = |i: usize| lsns[i].raw() as usize;
+        // (offset, bit): length headers made shorter, longer than the log
+        // and longer but still inside it (the stream checks the trailer
+        // before it grows to such a length); a tag; payload bytes; a
+        // checksum; a trailer; the filler's unsummed padding (harmless)
+        let damage = [
+            (frame(2), 0x08),
+            (frame(5) + 2, 0x01),
+            (frame(0) + 1, 0x02),
+            (frame(13) + 1, 0x01),
+            (frame(10) + 4, 0x02),
+            (frame(5) + 20, 0x40),
+            (frame(14) + 40, 0x01),
+            (frame(3) - 6, 0x10),
+            (frame(16) - 1, 0x04),
+            (frame(7) + 60, 0xFF),
+        ];
+        for (at, bit) in damage {
+            let mut bad = buf.clone();
+            bad[at] ^= bit;
+            // every window size puts an edge before, on and after `at`
+            for window in 1..=buf.len() + 1 {
+                assert_stream_matches_resident(&bad, 0, window);
+            }
+        }
+    }
+
+    #[test]
+    fn stream_counts_what_it_reads_and_the_largest_window_it_held() {
+        let (buf, _) = build(&mixed_log());
+        let mut dev = crate::MemLogDevice::new();
+        dev.append(&buf).unwrap();
+        let mut stream = LogStream::with_window(&mut dev, 140);
+        let found = stream.validate().unwrap();
+        // the 150-byte filler is the one frame longer than the window;
+        // growing to it costs one 4-byte look at its trailer
+        assert_eq!(stream.window_peak_bytes(), 150);
+        assert_eq!(stream.bytes_read(), buf.len() as u64 + 4);
+        stream.replay(&found, Lsn::ZERO, |_, _| Ok(())).unwrap();
+        assert_eq!(stream.bytes_read(), 2 * (buf.len() as u64 + 4));
     }
 
     #[test]
@@ -486,14 +817,22 @@ mod tests {
         let (buf, lsns) = build(&recs);
         let sc = LogScanner::from_bytes(buf);
         assert_eq!(
-            sc.checkpoint_mark(CheckpointId(1)).unwrap().begin_lsn,
+            sc.window()
+                .checkpoint_mark(CheckpointId(1))
+                .unwrap()
+                .0
+                .begin_lsn,
             lsns[6]
         );
         assert_eq!(
-            sc.checkpoint_mark(CheckpointId(2)).unwrap().begin_lsn,
+            sc.window()
+                .checkpoint_mark(CheckpointId(2))
+                .unwrap()
+                .0
+                .begin_lsn,
             lsns[5]
         );
-        assert!(sc.checkpoint_mark(CheckpointId(7)).is_none());
+        assert!(sc.window().checkpoint_mark(CheckpointId(7)).is_none());
     }
 
     #[test]
@@ -510,8 +849,11 @@ mod tests {
         let (buf, lsns) = build(&sample_log());
         let total = buf.len() as u64;
         let sc = LogScanner::from_bytes(buf);
-        assert_eq!(sc.words_from(Lsn::ZERO), total.div_ceil(4));
-        assert_eq!(sc.words_from(lsns[5]), (total - lsns[5].raw()).div_ceil(4));
+        assert_eq!(sc.window().words_from(Lsn::ZERO), total.div_ceil(4));
+        assert_eq!(
+            sc.window().words_from(lsns[5]),
+            (total - lsns[5].raw()).div_ceil(4)
+        );
         assert_eq!(sc.valid_words(), total.div_ceil(4));
     }
 
@@ -539,7 +881,7 @@ mod tests {
         let mark = sc.last_complete_checkpoint().unwrap();
         assert_eq!(mark.begin_lsn.raw(), lsns[2].raw() + 1000);
         assert_eq!(
-            sc.words_from(mark.begin_lsn),
+            sc.window().words_from(mark.begin_lsn),
             (sc.end_lsn().raw() - mark.begin_lsn.raw()).div_ceil(4)
         );
     }

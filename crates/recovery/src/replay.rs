@@ -25,7 +25,7 @@
 
 use crate::{InDoubtTxn, RecoveryReport};
 use mmdb_disk::BackupStore;
-use mmdb_log::{LogDevice, LogRecord, LogScanner};
+use mmdb_log::{LogDevice, LogRecord, LogStream};
 use mmdb_obs::Obs;
 use mmdb_storage::{Storage, StorageLane};
 use mmdb_types::{
@@ -357,27 +357,32 @@ fn restore(
     );
 
     // 3: the valid log window (the first bad frame ends the log), the
-    // restored checkpoint's begin marker and the replay start.
+    // restored checkpoint's begin marker and the replay start — one pass
+    // of the stream, which keeps a window of the log and nothing else.
     let replay_timer = obs.timer();
-    let scanner = LogScanner::from_device_lanes(log_device, lanes)?;
-    let mark = scanner.checkpoint_mark(ckpt).ok_or_else(|| {
+    let mut stream = LogStream::new(log_device);
+    let window = stream.validate()?;
+    let (_, replay_start) = window.checkpoint_mark(ckpt).ok_or_else(|| {
         MmdbError::Corrupt(format!(
             "backup copy {copy} is complete for {ckpt} but the log has no begin marker for it"
         ))
     })?;
-    let replay_start = scanner.replay_start(mark);
 
-    // 4: forward replay, installing each transaction's updates at the
-    // frame that commits it (shadow-copy install order = commit order).
+    // 4: forward replay, a second pass of the stream, installing each
+    // transaction's updates at the frame that commits it (shadow-copy
+    // install order = commit order).
     let rps = db.records_per_segment();
     let mut resolver = Resolver::default();
-    for (lsn, rec) in scanner.forward_from(replay_start) {
+    stream.replay(&window, replay_start, |lsn, rec| {
         let end_lsn = rec.end_lsn(lsn);
         for write in resolver.feed(lsn, rec) {
             let sid = SegmentId((write.0.raw() / rps) as u32);
             apply(sid, Op::Install(write, end_lsn))?;
         }
-    }
+        Ok(())
+    })?;
+    obs.gauge("recovery.log_window_peak_bytes", stream.window_peak_bytes());
+    obs.counter("recovery.log_bytes_read", stream.bytes_read());
     let (updates_applied, txns_replayed, max_gid) = (
         resolver.updates_applied,
         resolver.txns_replayed,
@@ -397,7 +402,7 @@ fn restore(
 
     // Recovery-time model (paper §4): backup read at array bandwidth in
     // segment-sized I/Os, log read sequentially striped across the disks.
-    let log_words = scanner.words_from(replay_start);
+    let log_words = window.words_from(replay_start);
     let backup_read_seconds = disk.array_time(segments_loaded, db.s_seg);
     let log_read_seconds = log_read_time(disk, log_words);
     obs.observe(

@@ -50,7 +50,7 @@
 //! droppable, and filler runs full of zeros make compressed chunks
 //! dramatically smaller.
 
-use mmdb_log::{LogDevice, LogRecord, LogScanner, MIN_COMPACTED_LEN};
+use mmdb_log::{LogDevice, LogRecord, LogScanner, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 use mmdb_obs::Obs;
 use mmdb_types::{MmdbError, RecordId, Result, TxnId};
 use std::collections::{HashMap, HashSet};
@@ -311,17 +311,29 @@ pub fn compact_device(
             LogRecord::encode_txn_commit(txn, kept.collect::<Vec<_>>().into_iter(), &mut frame);
             rewritten[rel..rel + frame.len()].copy_from_slice(&frame);
         }
-        for &(rel, len) in &runs {
+        for &(mut rel, mut len) in &runs {
             debug_assert!(len as usize >= MIN_COMPACTED_LEN);
-            let mut filler = Vec::with_capacity(len as usize);
-            LogRecord::Compacted { span: len }.encode_into(&mut filler);
-            if filler.len() as u64 != len {
-                return Err(MmdbError::Invalid(format!(
-                    "filler frame for a {len}-byte run encoded to {} bytes",
-                    filler.len()
-                )));
+            // One filler per run, or several when the run is longer than
+            // any frame a reader is bound to take whole (a standby's
+            // pull, recovery's window): no piece over the bound, none too
+            // short to be a frame.
+            while len > 0 {
+                let mut span = len.min(MAX_TXN_FRAME_BYTES as u64);
+                if len - span > 0 && len - span < MIN_COMPACTED_LEN as u64 {
+                    span -= MIN_COMPACTED_LEN as u64;
+                }
+                let mut filler = Vec::with_capacity(span as usize);
+                LogRecord::Compacted { span }.encode_into(&mut filler);
+                if filler.len() as u64 != span {
+                    return Err(MmdbError::Invalid(format!(
+                        "filler frame for a {span}-byte run encoded to {} bytes",
+                        filler.len()
+                    )));
+                }
+                rewritten[rel as usize..(rel + span) as usize].copy_from_slice(&filler);
+                rel += span;
+                len -= span;
             }
-            rewritten[rel as usize..(rel + len) as usize].copy_from_slice(&filler);
         }
         device.rewrite_chunk(chunk.start, &rewritten, opts.compress)?;
         report.chunks_rewritten += 1;

@@ -763,6 +763,67 @@ mod tests {
     }
 
     #[test]
+    fn compaction_splits_a_filler_run_longer_than_the_frame_bound() {
+        use mmdb_log::{MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
+        // one 8 MiB chunk holding more than 6 MiB of transactions that all
+        // rewrite the same 64 records: everything but the last is dead
+        let (mut m, dir) = segmented_mini("compact-cap", 8 << 20);
+        let writes = |fill: u32| (0..64u64).map(|r| (r, fill)).collect::<Vec<_>>();
+        m.txn_commit(&writes(1));
+        m.checkpoint();
+        let dead_from = m.log.next_lsn();
+        let frame_len = LogRecord::txn_commit_len(64, 32) as u64;
+        let rounds = MAX_TXN_FRAME_BYTES as u64 / frame_len + 40;
+        for round in 0..rounds {
+            m.txn_commit(&writes(2 + round as u32));
+        }
+        let dead_to = m.log.next_lsn();
+        m.txn_commit(&writes(9_999));
+        m.log.rotate().unwrap();
+        m.txn_commit(&[(70, 5)]);
+        m.crash();
+        let twin = m.recovered(1);
+
+        let report = compact_device(
+            m.log.device_mut(),
+            &CompactOptions::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.chunks_rewritten, 1, "{report:?}");
+        // (the frame in front of the checkpoint is dead too)
+        assert_eq!(report.bytes_reclaimed, (rounds + 1) * frame_len);
+
+        // the dead run is tiled by fillers, none over the bound
+        let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
+        let spans: Vec<u64> = sc
+            .forward_from(dead_from)
+            .take_while(|(lsn, _)| *lsn < dead_to)
+            .map(|(_, rec)| match rec {
+                LogRecord::Compacted { span } => span,
+                other => panic!("live frame in the dead run: {other:?}"),
+            })
+            .collect();
+        drop(sc);
+        assert!(spans.len() > 1, "{spans:?}");
+        assert_eq!(spans.iter().sum::<u64>(), dead_to.raw() - dead_from.raw());
+        let legal = MIN_COMPACTED_LEN as u64..=MAX_TXN_FRAME_BYTES as u64;
+        assert!(spans.iter().all(|span| legal.contains(span)), "{spans:?}");
+
+        // a standby pulling from the head of the run gets frames, not the
+        // empty batch an over-long filler reads as
+        let pulled = m.log.read_range_aligned(dead_from, 64 << 10).unwrap();
+        let (first, used) = LogRecord::decode(&pulled).unwrap();
+        assert_eq!(first, LogRecord::Compacted { span: spans[0] });
+        assert_eq!(used, pulled.len());
+
+        // and the compacted log recovers to its uncompacted twin's state
+        assert_eq!(m.recovered(1), twin);
+        assert_eq!(m.recovered(3), twin);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn compaction_keeps_a_write_whose_freed_bytes_make_no_filler() {
         // one-word records: a dropped write frees 12 bytes, fewer than the
         // smallest filler frame, so a frame losing one or two of its writes

@@ -82,31 +82,27 @@ impl Storage {
     }
 
     /// The storage's read mirror. Clone the `Arc` to read lock-free from
-    /// other threads; the handle survives [`Storage::adopt_mirror`]-based
-    /// recovery swaps.
+    /// other threads; the handle stays valid across [`Storage::reset`] and
+    /// the recovery that follows it.
     pub fn mirror(&self) -> &Arc<ReadMirror> {
         &self.mirror
     }
 
-    /// Replaces this (fresh) storage's mirror with one inherited from a
-    /// pre-crash storage, so reader-held `Arc`s stay valid across the
-    /// recovery swap. The inherited pending queue is discarded — those
-    /// installs were logged and recovery replays them. The caller must
-    /// republish (and reopen the gate) once the authoritative content is
-    /// rebuilt.
-    pub fn adopt_mirror(&mut self, mirror: Arc<ReadMirror>) -> Result<()> {
-        if mirror.n_records() != self.n_records() || mirror.s_rec() as u64 != self.db.s_rec {
-            return Err(MmdbError::Invalid(format!(
-                "mirror shape {}x{} does not match database {}x{}",
-                mirror.n_records(),
-                mirror.s_rec(),
-                self.n_records(),
-                self.db.s_rec
-            )));
+    /// Returns the storage, in place, to the state [`Storage::new`] makes:
+    /// zeroed segments with default metadata (COU old copies dropped), the
+    /// version counter at zero, the pending-sync queue empty — what a
+    /// system failure leaves of the primary database. Nothing is
+    /// reallocated: recovery refills the memory it already holds. The
+    /// mirror keeps its content and its `Arc`; the caller closes its gate
+    /// first and republishes once the segments are rebuilt.
+    pub fn reset(&mut self) {
+        for seg in &mut self.segments {
+            seg.data.fill(0);
+            seg.meta = SegmentMeta::default();
         }
-        mirror.take_pending();
-        self.mirror = mirror;
-        Ok(())
+        self.version_counter = 0;
+        // those installs were logged, and recovery replays them
+        self.mirror.take_pending();
     }
 
     /// Republishes every record from the authoritative segments into the
@@ -1047,27 +1043,50 @@ mod tests {
     }
 
     #[test]
-    fn adopt_and_republish_survive_recovery_swap() {
-        let mut pre = small();
+    fn reset_is_in_place_and_the_mirror_handle_survives_it() {
+        let mut s = small();
         let m = meter();
-        pre.install_record(RecordId(0), &rec(&pre, 1), Lsn(1), Timestamp(1), &m)
+        s.install_record(RecordId(0), &rec(&s, 1), Lsn(7), Timestamp(3), &m)
             .unwrap();
-        let handle = pre.mirror().clone();
-        // Crash: gate closes, readers refuse, storage is rebuilt fresh.
+        s.cou_save_old(SegmentId(0), &m).unwrap();
+        s.paint_for_checkpoint(|_| true);
+        let handle = s.mirror().clone();
+        handle.note_pending(PendingInstall {
+            rid: RecordId(5),
+            tau: Timestamp(4),
+            lsn: Lsn(9),
+        });
+        let addresses = |s: &Storage| -> Vec<*const Word> {
+            s.segment_ids()
+                .map(|sid| s.segment_data(sid).unwrap().as_ptr())
+                .collect()
+        };
+        let before = addresses(&s);
+
+        // Crash: gate closes, readers refuse, the segments are wiped.
         handle.gate_close();
         let mut out = vec![0; 32];
         assert!(!handle.try_read(RecordId(0), &mut out));
-        let mut post = small();
-        post.install_record(RecordId(0), &rec(&post, 9), Lsn(1), Timestamp(1), &m)
+        s.reset();
+        assert_eq!(addresses(&s), before, "no segment was reallocated");
+        assert_eq!(s.fingerprint(), small().fingerprint());
+        assert_eq!(s.current_version(), 0);
+        assert_eq!(s.old_copy_words(), 0);
+        assert_eq!(s.white_count(), 0);
+        assert_eq!(handle.pending_len(), 0);
+        let meta = s.segment_meta(SegmentId(0)).unwrap();
+        assert_eq!((meta.version, meta.max_lsn), (0, Lsn::ZERO));
+        assert_eq!((meta.tau, meta.flushed_version), (Timestamp::ZERO, [0, 0]));
+
+        // Recovery rebuilds, republishes and reopens: the old handle
+        // serves the recovered content.
+        s.install_record(RecordId(0), &rec(&s, 9), Lsn(1), Timestamp(1), &m)
             .unwrap();
-        post.adopt_mirror(handle.clone()).unwrap();
-        post.republish_all();
+        s.republish_all();
         handle.gate_open();
         assert!(handle.try_read(RecordId(0), &mut out));
-        assert_eq!(out, rec(&post, 9), "old handle serves recovered content");
-        // Shape mismatch is rejected.
-        let mut other = Storage::new(Params::default().db).unwrap();
-        assert!(other.adopt_mirror(handle).is_err());
+        assert_eq!(out, rec(&s, 9));
+        assert!(Arc::ptr_eq(&handle, s.mirror()));
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ReadMirror {
         }
     }
 
-    /// Record size in words (mirror shape check for adoption).
+    /// Record size in words.
     pub fn s_rec(&self) -> usize {
         self.s_rec
     }
