@@ -259,6 +259,13 @@ impl Checkpointer {
         self.stats
     }
 
+    /// Bytes held right now in a buffered segment image awaiting the log
+    /// (COPY variants under the WAL gate; 0 between steps otherwise).
+    pub fn copy_buffer_bytes(&self) -> u64 {
+        let pending = self.active.as_ref().and_then(|a| a.pending.as_ref());
+        pending.map_or(0, |p| std::mem::size_of_val(&*p.data) as u64)
+    }
+
     /// The id the next checkpoint will get.
     pub fn next_ckpt(&self) -> CheckpointId {
         self.next_ckpt
@@ -733,6 +740,20 @@ impl Checkpointer {
         }
     }
 
+    /// Copies the segment into a freshly allocated I/O buffer (the COPY
+    /// variants' memory copy), charging the allocation and the movement.
+    fn copy_out(&self, storage: &mut Storage, sid: SegmentId) -> Result<PendingFlush> {
+        let cap = storage.capture_copy(sid)?;
+        self.meter.alloc_op();
+        self.meter.move_words(cap.data.len() as u64);
+        Ok(PendingFlush {
+            sid,
+            data: cap.data,
+            version: cap.version,
+            gate: cap.max_lsn,
+        })
+    }
+
     fn is_included(&self, storage: &Storage, sid: SegmentId, copy: usize) -> Result<bool> {
         let full = self
             .active
@@ -792,17 +813,7 @@ impl Checkpointer {
         if !self.is_included(storage, sid, copy)? {
             return Ok(SegmentAction::Skipped);
         }
-        let pending = {
-            let cap = storage.capture(sid)?;
-            self.meter.alloc_op();
-            self.meter.move_words(cap.data.len() as u64);
-            PendingFlush {
-                sid,
-                data: cap.data.into(),
-                version: cap.version,
-                gate: cap.max_lsn,
-            }
-        };
+        let pending = self.copy_out(storage, sid)?;
         self.active.as_mut().expect("checkpoint active").pending = Some(pending);
         match self.try_flush_pending(storage, log, backup)? {
             Some(io_words) => Ok(SegmentAction::Flushed { io_words }),
@@ -828,7 +839,7 @@ impl Checkpointer {
         }
         self.meter.lock_op(); // lock (shared)
         let lock_t = self.obs.timer();
-        let gate = storage.capture(sid)?.max_lsn;
+        let gate = storage.segment_meta(sid)?.max_lsn;
         self.meter.lsn_op();
         let open = log.is_durable(gate);
         let probe_durable = log.durable_lsn();
@@ -893,17 +904,7 @@ impl Checkpointer {
         }
         self.meter.lock_op(); // lock (shared)
         let lock_t = self.obs.timer();
-        let pending = {
-            let cap = storage.capture(sid)?;
-            self.meter.alloc_op();
-            self.meter.move_words(cap.data.len() as u64);
-            PendingFlush {
-                sid,
-                data: cap.data.into(),
-                version: cap.version,
-                gate: cap.max_lsn,
-            }
-        };
+        let pending = self.copy_out(storage, sid)?;
         storage.paint_black(sid)?;
         self.meter.lock_op(); // unlock — before the I/O, the whole point
         self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
@@ -1026,28 +1027,23 @@ impl Checkpointer {
             }
             Algorithm::CouCopy => {
                 // Copy under lock, flush unlocked.
-                let (buf, version, image_max_lsn): (Box<[Word]>, u64, Lsn) = {
-                    let cap = storage.capture(sid)?;
-                    self.meter.alloc_op();
-                    self.meter.move_words(cap.data.len() as u64);
-                    (cap.data.into(), cap.version, cap.max_lsn)
-                };
+                let buf = self.copy_out(storage, sid)?;
                 self.meter.lock_op(); // unlock
                 self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
                 self.meter.io_op();
-                self.flush_observed(backup, copy, sid, &buf)?;
-                storage.mark_flushed(sid, copy, version)?;
+                self.flush_observed(backup, copy, sid, &buf.data)?;
+                storage.mark_flushed(sid, copy, buf.version)?;
                 self.meter.alloc_op(); // free the buffer
                 let durable = log.durable_lsn();
                 self.audit.emit(|| AuditEvent::SegmentFlushed {
                     ckpt,
                     copy,
                     sid,
-                    image_max_lsn,
+                    image_max_lsn: buf.gate,
                     durable,
                     from_old_copy: false,
                 });
-                let words = buf.len() as u64;
+                let words = buf.data.len() as u64;
                 self.record_flush(words, false);
                 Ok(SegmentAction::Flushed { io_words: words })
             }
@@ -1055,17 +1051,7 @@ impl Checkpointer {
                 // Copy under lock, then flush through the WAL gate: the
                 // live content may include post-begin installs whose log
                 // records are not yet durable.
-                let pending = {
-                    let cap = storage.capture(sid)?;
-                    self.meter.alloc_op();
-                    self.meter.move_words(cap.data.len() as u64);
-                    PendingFlush {
-                        sid,
-                        data: cap.data.into(),
-                        version: cap.version,
-                        gate: cap.max_lsn,
-                    }
-                };
+                let pending = self.copy_out(storage, sid)?;
                 self.meter.lock_op(); // unlock before the I/O
                 self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
                 self.active.as_mut().expect("checkpoint active").pending = Some(pending);

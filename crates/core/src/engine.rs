@@ -414,6 +414,12 @@ impl Mmdb {
         snap.put_gauge("seg.white", s.white);
         snap.put_gauge("seg.with_old_copy", s.with_old_copy);
         snap.put_gauge("storage.old_copy_words", self.old_copy_words());
+        let m = self.storage.resident_bytes();
+        snap.put_gauge("mem.records_bytes", m.records);
+        snap.put_gauge("mem.seq_bytes", m.seq_counters);
+        snap.put_gauge("mem.cou_old_copy_bytes", m.cou_old_copies);
+        snap.put_gauge("mem.cou_old_copy_peak_bytes", m.cou_old_copies_peak);
+        snap.put_gauge("ckpt.copy_buffer_bytes", self.ckpt.copy_buffer_bytes());
 
         let r = self.overhead_report();
         snap.paper = Some(PaperOverhead {
@@ -471,7 +477,7 @@ impl Mmdb {
     pub fn for_each_record(&self, mut f: impl FnMut(RecordId, &[Word])) -> Result<()> {
         self.ensure_alive()?;
         for rid in 0..self.storage.n_records() {
-            f(RecordId(rid), self.storage.read_record(RecordId(rid))?);
+            f(RecordId(rid), &self.storage.read_record(RecordId(rid))?);
         }
         Ok(())
     }
@@ -538,7 +544,7 @@ impl Mmdb {
         if let Some(w) = t.writes.iter().rev().find(|w| w.record == rid) {
             return Ok(w.value.clone());
         }
-        Ok(self.storage.read_record(rid)?.to_vec())
+        self.storage.read_record(rid)
     }
 
     /// Stages a write within a transaction (shadow-copy scheme: nothing
@@ -998,15 +1004,13 @@ impl Mmdb {
     /// [`Mmdb::recover`] to come back.
     pub fn crash(&mut self) -> Result<()> {
         self.audit.emit(|| AuditEvent::Crash);
-        // Take the read mirror out of service first: from here until
-        // recovery republishes, lock-free readers must fail over to the
-        // locked path (which reports the crash properly). Queued
-        // shared-mode installs are discarded — they are logged, and
-        // recovery replays them.
+        // Take the record store out of lock-free service first: from here
+        // until recovery has rebuilt it, lock-free readers must fail over
+        // to the locked path (which reports the crash properly). Queued
+        // shared-mode install notes are discarded — the installs are
+        // logged, and recovery replays them.
         let mirror = self.storage.mirror();
-        if !mirror.gate_closed() {
-            mirror.gate_close();
-        }
+        mirror.gate_close();
         mirror.take_pending();
         self.log.get_mut().crash()?;
         self.txns.get_mut().crash();
@@ -1029,17 +1033,12 @@ impl Mmdb {
     }
 
     fn recover_internal(&mut self) -> Result<RecoveryReport> {
-        // The gate stays closed (lock-free readers fail over to the
-        // locked path) from here until the rebuilt content is republished
-        // below. `open_dir` reaches here without a crash(); close it then.
-        let mirror = self.storage.mirror();
-        if !mirror.gate_closed() {
-            mirror.gate_close();
-        }
         // The primary database is lost, not its memory: recovery refills
-        // the segments and the mirror this engine already holds, so
-        // reader-held mirror handles stay valid and no second database
-        // is ever allocated.
+        // the record store this engine already holds, so reader-held
+        // handles stay valid and no second database is ever allocated.
+        // The reset leaves the store's gate closed (`open_dir` reaches
+        // here without a crash() having closed it); it reopens below,
+        // so no lock-free reader sees a zeroed or half-replayed record.
         self.storage.reset();
         let copies = if self.audit.is_enabled() {
             Some([
@@ -1089,11 +1088,8 @@ impl Mmdb {
         self.replay_floor = [None, None];
         self.replay_floor[report.copy & 1] = Some(report.replay_start);
         self.crashed = false;
-        // Recovery rebuilt the authoritative copy record by record; the
-        // mirror saw every install with the gate closed. Republish
-        // wholesale (belt and braces — e.g. restore may shrink content)
-        // and put the mirror back in service.
-        self.storage.republish_all();
+        // Recovery installed every record into the store itself; put it
+        // back in lock-free service.
         self.storage.mirror().gate_open();
         Ok(report)
     }
@@ -1102,26 +1098,26 @@ impl Mmdb {
     /// tooling aid — a real client should use a transaction).
     pub fn read_committed(&self, rid: RecordId) -> Result<Vec<Word>> {
         self.ensure_alive()?;
-        Ok(self.storage.read_record(rid)?.to_vec())
+        self.storage.read_record(rid)
     }
 
     // ----- intra-shard concurrency (shared-mode paths) ---------------------
 
-    /// The storage's read mirror: a seqlock-protected copy of every
-    /// record, readable without any engine lock. Clone the `Arc` once
-    /// and keep it — the handle stays valid across crash and recovery
-    /// (the gate closes while the content is rebuilt, so stale reads
-    /// fail over to the locked path).
+    /// The storage's record store: the seqlock-protected array that holds
+    /// every record, readable without any engine lock. Clone the `Arc`
+    /// once and keep it — the handle stays valid across crash and
+    /// recovery (the gate closes while the content is rebuilt, so stale
+    /// reads fail over to the locked path).
     pub fn read_mirror(&self) -> Arc<ReadMirror> {
         self.storage.mirror().clone()
     }
 
-    /// Copies queued shared-mode installs back into the authoritative
-    /// segments (see [`mmdb_storage::Storage::sync_pending`]). The
-    /// sharded engine calls this on every exclusive acquisition, so the
-    /// checkpointer, recovery, 2PC and quiesce always see fully-synced
-    /// segment data and metadata. Returns the number of installs
-    /// applied.
+    /// Folds the metadata of queued shared-mode installs into their
+    /// segments (see [`mmdb_storage::Storage::sync_pending`]; the data
+    /// is in the store since the commit). The sharded engine calls this
+    /// on every exclusive acquisition, so the checkpointer, recovery,
+    /// 2PC and quiesce always see current versions, `τ(S)` and WAL
+    /// gates. Returns the number of installs applied.
     pub fn sync_pending(&mut self) -> u64 {
         self.storage.sync_pending()
     }
@@ -1146,12 +1142,13 @@ impl Mmdb {
     /// (descending lock rank — deadlock-free by construction), append
     /// the transaction's one `TxnCommit` frame under the interior log
     /// lock (the pipeline's single serial point: WAL order is decided
-    /// here, and the log reads exactly like a serial execution), install
-    /// into the read mirror plus the pending-sync queue while still
-    /// latched, then finish in the transaction table. Durability matches
-    /// the exclusive path: `Force` forces inside the append; `Group`/`Lazy`
-    /// return immediately and the caller signals the flusher / waits on
-    /// the durable watermark *after* releasing its engine read guard.
+    /// here, and the log reads exactly like a serial execution), publish
+    /// into the record store and note the metadata in the pending-sync
+    /// queue while still latched, then finish in the transaction table.
+    /// Durability matches the exclusive path: `Force` forces inside the
+    /// append; `Group`/`Lazy` return immediately and the caller signals
+    /// the flusher / waits on the durable watermark *after* releasing
+    /// its engine read guard.
     pub fn try_commit_shared<V: AsRef<[Word]>>(
         &self,
         updates: &[(RecordId, V)],
@@ -1212,9 +1209,9 @@ impl Mmdb {
         self.last_commit_lsn
             .fetch_max(commit_lsn.raw(), Ordering::SeqCst);
 
-        // Install into the mirror while still latched (the latch is what
-        // serializes publishes per record); the authoritative segments
-        // catch up at the next exclusive acquisition via `sync_pending`.
+        // Publish while still latched (the latch is what serializes
+        // publishes per record); the segment metadata catches up at the
+        // next exclusive acquisition via `sync_pending`.
         let mirror = self.storage.mirror();
         for (rid, value) in updates {
             mirror.publish(*rid, value.as_ref());

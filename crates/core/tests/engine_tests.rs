@@ -388,11 +388,11 @@ fn file_backed_engine_survives_process_restart() {
 }
 
 /// Where every record of the primary database lives.
-fn record_addresses(db: &Mmdb) -> Vec<*const u32> {
-    let mut at = Vec::new();
-    db.for_each_record(|_, words| at.push(words.as_ptr()))
-        .expect("live engine");
-    at
+fn record_addresses(db: &Mmdb) -> Vec<*const std::sync::atomic::AtomicU32> {
+    let store = db.read_mirror();
+    (0..db.n_records())
+        .map(|rid| store.record_addr(RecordId(rid)))
+        .collect()
 }
 
 #[test]
@@ -454,6 +454,86 @@ fn open_dir_recovery_leaves_the_mirror_in_service() {
     assert!(handle.try_read(RecordId(4), &mut out));
     assert_eq!(out, val(&db, 6));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An engine with record 7 committed on the exclusive path and then
+/// records 7 and 900 overwritten on the shared path, nothing drained.
+/// One store: those values are what every `&Mmdb` read returns from the
+/// moment they commit. (With a second, plain copy beside the store, the
+/// three reads below returned the pre-commit values until a drain.)
+fn after_two_shared_commits() -> Mmdb {
+    let mut db = db(Algorithm::CouCopy);
+    db.run_txn(&[(RecordId(7), val(&db, 1))]).expect("commit");
+    for (rid, fill) in [(7, 12), (900, 11)] {
+        let run = db.try_commit_shared(&[(RecordId(rid), val(&db, fill))]);
+        assert!(run.expect("commit").is_some(), "shared path admitted");
+    }
+    assert_eq!(db.read_mirror().pending_len(), 2, "nothing drained");
+    db
+}
+
+#[test]
+fn read_committed_sees_a_shared_commit_before_any_sync() {
+    let db = after_two_shared_commits();
+    assert_eq!(db.read_committed(RecordId(7)).unwrap(), val(&db, 12));
+    assert_eq!(db.read_committed(RecordId(900)).unwrap(), val(&db, 11));
+}
+
+#[test]
+fn for_each_record_sees_a_shared_commit_before_any_sync() {
+    let db = after_two_shared_commits();
+    let mut seen = Vec::new();
+    db.for_each_record(|rid, words| {
+        if words[0] != 0 {
+            seen.push((rid, words.to_vec()));
+        }
+    })
+    .unwrap();
+    let expect = vec![(RecordId(7), val(&db, 12)), (RecordId(900), val(&db, 11))];
+    assert_eq!(seen, expect);
+}
+
+#[test]
+fn fingerprint_sees_a_shared_commit_before_any_sync() {
+    let mut db = after_two_shared_commits();
+    // the fingerprint is the one an exclusive-path twin computes
+    let mut twin = self::db(Algorithm::CouCopy);
+    twin.run_txn(&[(RecordId(7), val(&db, 12))]).unwrap();
+    twin.run_txn(&[(RecordId(900), val(&db, 11))]).unwrap();
+    assert_eq!(db.fingerprint(), twin.fingerprint());
+    // and a drain changes no data
+    assert_eq!(db.sync_pending(), 2);
+    assert_eq!(db.fingerprint(), twin.fingerprint());
+}
+
+/// What the pending-sync queue still carries: the segment metadata. A
+/// shared-path install dirties its segment only when the next exclusive
+/// holder drains the queue, once per install.
+#[test]
+fn shared_commit_metadata_waits_for_sync_pending() {
+    let mut db = db(Algorithm::CouCopy);
+    db.run_txn(&[(RecordId(7), val(&db, 1))]).unwrap();
+    db.checkpoint().unwrap();
+    db.checkpoint().unwrap();
+    assert_eq!(db.segment_stats().dirty_copy0, 0);
+    assert_eq!(db.segment_stats().dirty_copy1, 0);
+
+    let updates = [(RecordId(7), val(&db, 2)), (RecordId(900), val(&db, 3))];
+    assert!(db.try_commit_shared(&updates).unwrap().is_some());
+    assert!(db.try_commit_shared(&updates[..1]).unwrap().is_some());
+    assert_eq!(db.read_mirror().pending_len(), 3);
+    assert_eq!(db.segment_stats().dirty_copy0, 0, "metadata still lags");
+    assert_eq!(db.sync_pending(), 3, "one note per install");
+    let stats = db.segment_stats();
+    assert_eq!((stats.dirty_copy0, stats.dirty_copy1), (2, 2));
+    assert_eq!(db.sync_pending(), 0);
+
+    // the drained metadata is what makes the next checkpoint flush them
+    let fingerprint = db.fingerprint();
+    assert_eq!(db.checkpoint().unwrap().segments_flushed, 2);
+    db.crash().unwrap();
+    db.recover().unwrap();
+    assert_eq!(db.fingerprint(), fingerprint);
 }
 
 #[test]

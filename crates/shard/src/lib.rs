@@ -155,10 +155,11 @@ struct ShardCore {
 
 impl ShardCore {
     /// Exclusive access to shard `i` — the single choke point every
-    /// `&mut Mmdb` path funnels through. Queued shared-mode installs are
-    /// copied back into the authoritative segments *here*, so exclusive
-    /// holders (checkpointer, recovery, 2PC, fsck) always see
-    /// fully-synced segment data and metadata.
+    /// `&mut Mmdb` path funnels through. The metadata of queued
+    /// shared-mode installs (their data is already in the record store)
+    /// is folded into the segments *here*, so exclusive holders
+    /// (checkpointer, recovery, 2PC, fsck) always see current versions,
+    /// `τ(S)` and WAL gates.
     #[track_caller]
     fn lock(&self, i: usize) -> RankedRwWriteGuard<'_, Mmdb> {
         let mut g = self.shards[i].lock();
@@ -423,10 +424,10 @@ impl ReplGate {
 /// commit. All methods take `&self`; locking is internal and per-shard.
 pub struct ShardedMmdb {
     core: Arc<ShardCore>,
-    /// Each shard's seqlock read mirror (cloned from its engine at
+    /// Each shard's seqlock record store (cloned from its engine at
     /// construction): point reads consult it without touching the shard
     /// gate at all. The handle stays valid across crash and recovery —
-    /// the mirror gate closes while content is rebuilt, failing reads
+    /// the store's gate closes while content is rebuilt, failing reads
     /// over to the locked path.
     mirrors: Vec<Arc<ReadMirror>>,
     /// When false, point reads skip the mirror and take the shard gate —
@@ -874,11 +875,11 @@ impl ShardedMmdb {
 
     /// Reads a record's last committed value (no transaction).
     ///
-    /// The hot path is **lock-free**: the shard's seqlock read mirror is
+    /// The hot path is **lock-free**: the shard's seqlock record store is
     /// consulted without taking the shard gate, retrying a handful of
     /// times if a concurrent writer (or the crash/recovery gate)
     /// interferes, then failing over to the exclusive-locked read. The
-    /// mirror only ever holds committed values, so the result is exactly
+    /// store only ever holds committed values, so the result is exactly
     /// what the locked path would have returned at some instant during
     /// the call — the same linearizability contract the mutex gave.
     pub fn read_committed(&self, rid: RecordId) -> Result<Vec<Word>> {

@@ -18,10 +18,12 @@
 //! * each segment carries a **timestamp `τ(S)`** and an **old-copy
 //!   pointer `p(S)`** for the copy-on-update algorithms (§3.2.2).
 //!
-//! The structure is deliberately *not* internally synchronized: the engine
+//! The records exist once, in the seqlock-protected word array
+//! ([`ReadMirror`]) that lock-free readers share through an `Arc`. The
+//! metadata is deliberately *not* internally synchronized: the engine
 //! serializes access (see `mmdb-core`), which keeps crash/interleaving
-//! tests deterministic. All data movement is charged to a caller-supplied
-//! [`CostMeter`] at 1 instruction/word.
+//! tests deterministic. All data movement is charged to a
+//! caller-supplied [`CostMeter`] at 1 instruction/word.
 
 #![warn(missing_docs)]
 
@@ -34,29 +36,39 @@ pub use segment::{Color, OldCopy, SegmentMeta};
 use mmdb_types::{
     hash::Fnv1a, CostMeter, DbParams, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, Word,
 };
-use segment::Segment;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The memory-resident database: all segments plus the global version
-/// counter that dirty tracking is built on.
+/// The memory-resident database: the record store, the per-segment
+/// metadata and the global version counter that dirty tracking is built
+/// on.
 #[derive(Debug)]
 pub struct Storage {
     db: DbParams,
-    segments: Vec<Segment>,
+    /// The only copy of the record data, shared with lock-free readers.
+    /// Every install path publishes into it; exclusive holders read it
+    /// back with plain loads.
+    mirror: Arc<ReadMirror>,
+    segments: Vec<SegmentMeta>,
     /// Monotonic counter bumped on every record install; segment versions
     /// are draws from this counter.
     version_counter: u64,
-    /// Seqlock mirror of the record data for lock-free reads; every
-    /// install path republishes into it.
-    mirror: Arc<ReadMirror>,
+    /// Words currently held in COU old copies, and the most ever held.
+    old_words: u64,
+    old_words_peak: u64,
+    /// One segment image, reused by every [`Storage::capture`].
+    scratch: Vec<Word>,
 }
 
 /// A segment's content captured for flushing, together with the metadata
-/// the checkpointer needs to gate and account the flush.
+/// the checkpointer needs to gate and account the flush. `D` is
+/// `&[Word]` for an image in the storage's reused scratch buffer
+/// ([`Storage::capture`]) and `Box<[Word]>` for one the caller owns
+/// ([`Storage::capture_copy`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Capture<'a> {
-    /// The segment's live words.
-    pub data: &'a [Word],
+pub struct Capture<D> {
+    /// The segment's words at capture time.
+    pub data: D,
     /// The segment version at capture time; pass to
     /// [`Storage::mark_flushed`] once the image is on disk.
     pub version: u64,
@@ -66,90 +78,108 @@ pub struct Capture<'a> {
     pub max_lsn: Lsn,
 }
 
+/// Where a storage's memory is (bytes): [`Storage::resident_bytes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// The record words — the database itself, held once.
+    pub records: u64,
+    /// The per-record seqlock sequence counters.
+    pub seq_counters: u64,
+    /// COU old copies held right now.
+    pub cou_old_copies: u64,
+    /// The most `cou_old_copies` has been since the storage was created.
+    pub cou_old_copies_peak: u64,
+    /// The reused capture image.
+    pub capture_scratch: u64,
+}
+
+/// The index of the segment containing `rid`.
+fn segment_index(db: &DbParams, rid: RecordId) -> Result<usize> {
+    if rid.raw() >= db.n_records() {
+        return Err(MmdbError::RecordOutOfRange {
+            record: rid,
+            n_records: db.n_records(),
+        });
+    }
+    Ok((rid.raw() / db.records_per_segment()) as usize)
+}
+
+/// Checks an install's shape; returns the record's segment index.
+fn check_install(db: &DbParams, rid: RecordId, value: &[Word]) -> Result<usize> {
+    if value.len() as u64 != db.s_rec {
+        return Err(MmdbError::BadRecordSize {
+            expected: db.s_rec,
+            got: value.len() as u64,
+        });
+    }
+    segment_index(db, rid)
+}
+
+impl SegmentMeta {
+    /// The bookkeeping of one record install: a fresh version, and the
+    /// installer's `τ` and LSN folded into the segment's maxima.
+    fn note_install(&mut self, version: u64, lsn: Lsn, tau: Timestamp) {
+        self.version = version;
+        self.tau = self.tau.max(tau);
+        self.max_lsn = self.max_lsn.max(lsn);
+    }
+}
+
 impl Storage {
     /// Creates a zero-filled database of the given shape.
     pub fn new(db: DbParams) -> Result<Storage> {
         db.validate().map_err(MmdbError::Invalid)?;
-        let n = db.n_segments() as usize;
-        let seg_words = db.s_seg as usize;
-        let segments = (0..n).map(|_| Segment::new(seg_words)).collect();
         Ok(Storage {
             mirror: Arc::new(ReadMirror::new(&db)),
-            db,
-            segments,
+            segments: vec![SegmentMeta::default(); db.n_segments() as usize],
             version_counter: 0,
+            old_words: 0,
+            old_words_peak: 0,
+            scratch: vec![0; db.s_seg as usize],
+            db,
         })
     }
 
-    /// The storage's read mirror. Clone the `Arc` to read lock-free from
-    /// other threads; the handle stays valid across [`Storage::reset`] and
-    /// the recovery that follows it.
+    /// The record store. Clone the `Arc` to read lock-free from other
+    /// threads; the handle stays valid across [`Storage::reset`] and the
+    /// recovery that follows it.
     pub fn mirror(&self) -> &Arc<ReadMirror> {
         &self.mirror
     }
 
     /// Returns the storage, in place, to the state [`Storage::new`] makes:
-    /// zeroed segments with default metadata (COU old copies dropped), the
+    /// zeroed records, default metadata (COU old copies dropped), the
     /// version counter at zero, the pending-sync queue empty — what a
     /// system failure leaves of the primary database. Nothing is
-    /// reallocated: recovery refills the memory it already holds. The
-    /// mirror keeps its content and its `Arc`; the caller closes its gate
-    /// first and republishes once the segments are rebuilt.
+    /// reallocated: recovery refills the memory it already holds, and
+    /// reader-held handles stay the storage's own. The store's gate is
+    /// closed (if a crash has not closed it already) before the first
+    /// word is wiped; the caller reopens it once the records are rebuilt.
     pub fn reset(&mut self) {
-        for seg in &mut self.segments {
-            seg.data.fill(0);
-            seg.meta = SegmentMeta::default();
-        }
+        self.mirror.wipe();
+        self.segments.fill(SegmentMeta::default());
         self.version_counter = 0;
+        self.old_words = 0;
         // those installs were logged, and recovery replays them
         self.mirror.take_pending();
     }
 
-    /// Republishes every record from the authoritative segments into the
-    /// mirror (end of recovery / restore, before reopening the gate).
-    pub fn republish_all(&self) {
-        let rps = self.db.records_per_segment();
-        let s_rec = self.db.s_rec as usize;
-        for (i, seg) in self.segments.iter().enumerate() {
-            let first = i as u64 * rps;
-            for (k, chunk) in seg.data.chunks_exact(s_rec).enumerate() {
-                self.mirror.publish(RecordId(first + k as u64), chunk);
-            }
-        }
-    }
-
-    /// Copies queued shared-mode installs back into the authoritative
-    /// segments. Shared-mode committers install into the mirror only (see
-    /// [`ReadMirror::note_pending`]); the next exclusive holder calls this
-    /// before relying on segment data or metadata. Reading the *current*
-    /// mirror value for every entry makes the final content last-writer-
-    /// wins while still bumping version/τ/LSN once per install, so dirty
-    /// tracking and the WAL gate see every commit. Returns the number of
-    /// entries applied. No data movement is charged — the install itself
-    /// was charged when the committer published.
+    /// Folds the queued shared-mode installs into the segment metadata.
+    /// Shared-mode committers publish their records into the store
+    /// directly but hold no `&mut Storage` (see
+    /// [`ReadMirror::note_pending`]); the next exclusive holder calls
+    /// this before relying on versions, `τ(S)` or the WAL gate. Each
+    /// entry bumps the version once, so dirty tracking sees every
+    /// commit. Returns the number of entries applied.
     pub fn sync_pending(&mut self) -> u64 {
         let entries = self.mirror.take_pending();
-        if entries.is_empty() {
-            return 0;
-        }
-        let mut buf = vec![0 as Word; self.db.s_rec as usize];
-        let n = entries.len() as u64;
-        for p in entries {
-            self.mirror.snapshot_record(p.rid, &mut buf);
-            let (seg, range) = self.record_range(p.rid);
+        let rps = self.db.records_per_segment();
+        for p in &entries {
             self.version_counter += 1;
-            let version = self.version_counter;
-            let s = &mut self.segments[seg];
-            s.data[range].copy_from_slice(&buf);
-            s.meta.version = version;
-            if p.tau > s.meta.tau {
-                s.meta.tau = p.tau;
-            }
-            if p.lsn > s.meta.max_lsn {
-                s.meta.max_lsn = p.lsn;
-            }
+            let seg = &mut self.segments[(p.rid.raw() / rps) as usize];
+            seg.note_install(self.version_counter, p.lsn, p.tau);
         }
-        n
+        entries.len() as u64
     }
 
     /// The database shape.
@@ -175,15 +205,7 @@ impl Storage {
 
     /// The segment containing `rid`.
     pub fn segment_of(&self, rid: RecordId) -> Result<SegmentId> {
-        if rid.raw() >= self.n_records() {
-            return Err(MmdbError::RecordOutOfRange {
-                record: rid,
-                n_records: self.n_records(),
-            });
-        }
-        Ok(SegmentId(
-            (rid.raw() / self.db.records_per_segment()) as u32,
-        ))
+        Ok(SegmentId(segment_index(&self.db, rid)? as u32))
     }
 
     fn check_segment(&self, sid: SegmentId) -> Result<()> {
@@ -196,23 +218,24 @@ impl Storage {
         Ok(())
     }
 
-    fn record_range(&self, rid: RecordId) -> (usize, std::ops::Range<usize>) {
-        let rps = self.db.records_per_segment();
-        let seg = (rid.raw() / rps) as usize;
-        let off = (rid.raw() % rps) * self.db.s_rec;
-        (seg, off as usize..(off + self.db.s_rec) as usize)
+    /// The segment's words by plain loads: for `&mut self` callers.
+    fn segment_words(&self, sid: SegmentId) -> impl Iterator<Item = Word> + '_ {
+        let s_seg = self.db.s_seg as usize;
+        self.mirror.load(sid.index() * s_seg, s_seg)
     }
 
-    /// Reads a record's current value.
-    pub fn read_record(&self, rid: RecordId) -> Result<&[Word]> {
-        if rid.raw() >= self.n_records() {
-            return Err(MmdbError::RecordOutOfRange {
-                record: rid,
-                n_records: self.n_records(),
-            });
-        }
-        let (seg, range) = self.record_range(rid);
-        Ok(&self.segments[seg].data[range])
+    /// Reads a record's current value. Safe beside latched shared-mode
+    /// committers: the read waits out a publish in progress and is never
+    /// torn.
+    // `vec![0; n]` is `calloc`, which this glibc serves without its thread
+    // cache: 55 ns of a 140 ns read, against 82 ns this way.
+    #[allow(clippy::slow_vector_initialization)]
+    pub fn read_record(&self, rid: RecordId) -> Result<Vec<Word>> {
+        self.segment_of(rid)?;
+        let mut out = Vec::with_capacity(self.db.s_rec as usize);
+        out.resize(self.db.s_rec as usize, 0);
+        self.mirror.read(rid, &mut out);
+        Ok(out)
     }
 
     /// Installs a committed update into the primary database, bumping the
@@ -229,63 +252,70 @@ impl Storage {
         tau: Timestamp,
         meter: &CostMeter,
     ) -> Result<()> {
-        if value.len() as u64 != self.db.s_rec {
-            return Err(MmdbError::BadRecordSize {
-                expected: self.db.s_rec,
-                got: value.len() as u64,
-            });
-        }
-        if rid.raw() >= self.n_records() {
-            return Err(MmdbError::RecordOutOfRange {
-                record: rid,
-                n_records: self.n_records(),
-            });
-        }
-        let (seg, range) = self.record_range(rid);
+        let seg = check_install(&self.db, rid, value)?;
         self.version_counter += 1;
-        let version = self.version_counter;
-        let seg = &mut self.segments[seg];
-        seg.data[range].copy_from_slice(value);
-        meter.move_words(value.len() as u64);
-        seg.meta.version = version;
-        if tau > seg.meta.tau {
-            seg.meta.tau = tau;
-        }
-        if lsn > seg.meta.max_lsn {
-            seg.meta.max_lsn = lsn;
-        }
         self.mirror.publish(rid, value);
+        meter.move_words(value.len() as u64);
+        self.segments[seg].note_install(self.version_counter, lsn, tau);
         Ok(())
     }
 
-    /// Raw segment words (e.g. for tests and recovery verification).
-    pub fn segment_data(&self, sid: SegmentId) -> Result<&[Word]> {
+    /// A copy of the segment's words (tests and recovery verification),
+    /// record-wise consistent like [`Storage::read_record`].
+    pub fn segment_data(&self, sid: SegmentId) -> Result<Vec<Word>> {
         self.check_segment(sid)?;
-        Ok(&self.segments[sid.index()].data)
+        let mut data = vec![0; self.db.s_seg as usize];
+        self.read_segment(sid, &mut data);
+        Ok(data)
+    }
+
+    /// Record-wise consistent read of a whole segment into `out`.
+    fn read_segment(&self, sid: SegmentId, out: &mut [Word]) {
+        let first = sid.raw() as u64 * self.db.records_per_segment();
+        for (k, rec) in out.chunks_exact_mut(self.db.s_rec as usize).enumerate() {
+            self.mirror.read(RecordId(first + k as u64), rec);
+        }
     }
 
     /// Segment metadata (version, LSN, paint, COU state).
     pub fn segment_meta(&self, sid: SegmentId) -> Result<&SegmentMeta> {
         self.check_segment(sid)?;
-        Ok(&self.segments[sid.index()].meta)
+        Ok(&self.segments[sid.index()])
     }
 
     /// Is the segment dirty with respect to ping-pong copy `copy`
     /// (i.e. modified since it was last flushed there)?
     pub fn is_dirty(&self, sid: SegmentId, copy: usize) -> Result<bool> {
-        self.check_segment(sid)?;
-        let m = &self.segments[sid.index()].meta;
+        let m = self.segment_meta(sid)?;
         Ok(m.version > m.flushed_version[copy & 1])
     }
 
-    /// Captures the live segment content for flushing.
-    pub fn capture(&self, sid: SegmentId) -> Result<Capture<'_>> {
+    /// Captures the live segment content for flushing, into the storage's
+    /// reused scratch image (valid until the next capture).
+    pub fn capture(&mut self, sid: SegmentId) -> Result<Capture<&[Word]>> {
         self.check_segment(sid)?;
-        let s = &self.segments[sid.index()];
+        let s_seg = self.db.s_seg as usize;
+        let words = self.mirror.load(sid.index() * s_seg, s_seg);
+        for (o, w) in self.scratch.iter_mut().zip(words) {
+            *o = w;
+        }
+        let m = &self.segments[sid.index()];
         Ok(Capture {
-            data: &s.data,
-            version: s.meta.version,
-            max_lsn: s.meta.max_lsn,
+            data: &self.scratch,
+            version: m.version,
+            max_lsn: m.max_lsn,
+        })
+    }
+
+    /// Captures the live segment content into a buffer of the caller's
+    /// own (the COPY checkpointers' I/O buffer): one copy, no scratch.
+    pub fn capture_copy(&mut self, sid: SegmentId) -> Result<Capture<Box<[Word]>>> {
+        self.check_segment(sid)?;
+        let m = &self.segments[sid.index()];
+        Ok(Capture {
+            data: self.segment_words(sid).collect(),
+            version: m.version,
+            max_lsn: m.max_lsn,
         })
     }
 
@@ -293,11 +323,8 @@ impl Storage {
     /// copy `copy` (clears the dirty state up to that version).
     pub fn mark_flushed(&mut self, sid: SegmentId, copy: usize, version: u64) -> Result<()> {
         self.check_segment(sid)?;
-        let m = &mut self.segments[sid.index()].meta;
-        let slot = &mut m.flushed_version[copy & 1];
-        if version > *slot {
-            *slot = version;
-        }
+        let slot = &mut self.segments[sid.index()].flushed_version[copy & 1];
+        *slot = (*slot).max(version);
         Ok(())
     }
 
@@ -307,9 +334,8 @@ impl Storage {
     /// the white set become white (to be processed), all others are
     /// immediately black (they are already consistent with the backup).
     pub fn paint_for_checkpoint(&mut self, white: impl Fn(SegmentId) -> bool) {
-        for (i, seg) in self.segments.iter_mut().enumerate() {
-            let sid = SegmentId(i as u32);
-            seg.meta.color = if white(sid) {
+        for (i, meta) in self.segments.iter_mut().enumerate() {
+            meta.color = if white(SegmentId(i as u32)) {
                 Color::White
             } else {
                 Color::Black
@@ -320,21 +346,20 @@ impl Storage {
     /// Paints one segment black (the checkpointer has processed it).
     pub fn paint_black(&mut self, sid: SegmentId) -> Result<()> {
         self.check_segment(sid)?;
-        self.segments[sid.index()].meta.color = Color::Black;
+        self.segments[sid.index()].color = Color::Black;
         Ok(())
     }
 
     /// The segment's current color.
     pub fn color(&self, sid: SegmentId) -> Result<Color> {
-        self.check_segment(sid)?;
-        Ok(self.segments[sid.index()].meta.color)
+        Ok(self.segment_meta(sid)?.color)
     }
 
     /// Number of white segments remaining (test/diagnostic aid).
     pub fn white_count(&self) -> u64 {
         self.segments
             .iter()
-            .filter(|s| s.meta.color == Color::White)
+            .filter(|m| m.color == Color::White)
             .count() as u64
     }
 
@@ -349,27 +374,29 @@ impl Storage {
     /// and a second copy would clobber the snapshot.
     pub fn cou_save_old(&mut self, sid: SegmentId, meter: &CostMeter) -> Result<()> {
         self.check_segment(sid)?;
-        let s = &mut self.segments[sid.index()];
-        if s.meta.old.is_some() {
+        if self.segments[sid.index()].old.is_some() {
             return Err(MmdbError::Invalid(format!(
                 "COU old copy already exists for {sid}"
             )));
         }
         meter.alloc_op();
-        meter.move_words(s.data.len() as u64);
-        s.meta.old = Some(Box::new(OldCopy {
-            data: s.data.clone(),
-            tau: s.meta.tau,
-            version: s.meta.version,
-            max_lsn: s.meta.max_lsn,
+        meter.move_words(self.db.s_seg);
+        let data = self.segment_words(sid).collect();
+        let m = &mut self.segments[sid.index()];
+        m.old = Some(Box::new(OldCopy {
+            data,
+            tau: m.tau,
+            version: m.version,
+            max_lsn: m.max_lsn,
         }));
+        self.old_words += self.db.s_seg;
+        self.old_words_peak = self.old_words_peak.max(self.old_words);
         Ok(())
     }
 
     /// Does the segment currently have a COU old copy?
     pub fn has_old(&self, sid: SegmentId) -> Result<bool> {
-        self.check_segment(sid)?;
-        Ok(self.segments[sid.index()].meta.old.is_some())
+        Ok(self.segment_meta(sid)?.old.is_some())
     }
 
     /// Detaches and returns the segment's COU old copy, if any. Charges
@@ -377,9 +404,10 @@ impl Storage {
     /// flush).
     pub fn take_old(&mut self, sid: SegmentId, meter: &CostMeter) -> Result<Option<Box<OldCopy>>> {
         self.check_segment(sid)?;
-        let old = self.segments[sid.index()].meta.old.take();
+        let old = self.segments[sid.index()].old.take();
         if old.is_some() {
             meter.alloc_op();
+            self.old_words -= self.db.s_seg;
         }
         Ok(old)
     }
@@ -388,12 +416,13 @@ impl Storage {
     /// how many were dropped; each dropped buffer charges a deallocation.
     pub fn drop_all_old(&mut self, meter: &CostMeter) -> u64 {
         let mut n = 0;
-        for s in &mut self.segments {
-            if s.meta.old.take().is_some() {
+        for m in &mut self.segments {
+            if m.old.take().is_some() {
                 meter.alloc_op();
                 n += 1;
             }
         }
+        self.old_words = 0;
         n
     }
 
@@ -401,11 +430,20 @@ impl Storage {
     /// footprint the paper warns about: "Potentially, the snapshot could
     /// grow to be as large as the database itself", §3.2.2).
     pub fn old_copy_words(&self) -> u64 {
-        self.segments
-            .iter()
-            .filter(|s| s.meta.old.is_some())
-            .map(|s| s.data.len() as u64)
-            .sum()
+        self.old_words
+    }
+
+    /// Where this storage's memory is, term by term.
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        let word = std::mem::size_of::<Word>() as u64;
+        let (records, seq_counters) = self.mirror.resident_bytes();
+        ResidentBytes {
+            records,
+            seq_counters,
+            cou_old_copies: self.old_words * word,
+            cou_old_copies_peak: self.old_words_peak * word,
+            capture_scratch: self.scratch.len() as u64 * word,
+        }
     }
 
     // ----- recovery support ------------------------------------------------
@@ -424,27 +462,9 @@ impl Storage {
         source_copy: Option<usize>,
         meter: &CostMeter,
     ) -> Result<()> {
-        self.check_segment(sid)?;
-        if data.len() as u64 != self.db.s_seg {
-            return Err(MmdbError::Invalid(format!(
-                "segment image has {} words, expected {}",
-                data.len(),
-                self.db.s_seg
-            )));
-        }
-        self.version_counter += 1;
-        let version = self.version_counter;
-        let s = &mut self.segments[sid.index()];
-        s.data.copy_from_slice(data);
-        meter.move_words(data.len() as u64);
-        s.meta = SegmentMeta::default();
-        if let Some(copy) = source_copy {
-            s.meta.version = version;
-            s.meta.flushed_version[copy & 1] = version;
-        }
-        self.mirror
-            .publish_segment(self.mirror.segment_first_record(sid.raw()), data);
-        Ok(())
+        self.with_lanes(1, |mut lanes| {
+            lanes[0].load_segment(sid, data, source_copy, meter)
+        })
     }
 
     /// Splits the storage into `n` disjoint *lanes* of contiguous
@@ -460,12 +480,12 @@ impl Storage {
     /// count, trailing lanes are empty.
     pub fn with_lanes<R>(&mut self, n: usize, f: impl FnOnce(Vec<StorageLane<'_>>) -> R) -> R {
         let n = n.max(1);
-        let counter = std::sync::atomic::AtomicU64::new(self.version_counter);
+        let counter = AtomicU64::new(self.version_counter);
         let per = self.segments.len().div_ceil(n);
         let db = self.db;
         let mirror = &self.mirror;
         let mut lanes = Vec::with_capacity(n);
-        let mut rest: &mut [Segment] = &mut self.segments;
+        let mut rest: &mut [SegmentMeta] = &mut self.segments;
         let mut first = 0u32;
         for _ in 0..n {
             let take = per.min(rest.len());
@@ -481,7 +501,7 @@ impl Storage {
             rest = later;
         }
         let r = f(lanes);
-        self.version_counter = counter.load(std::sync::atomic::Ordering::SeqCst);
+        self.version_counter = counter.load(Ordering::SeqCst);
         r
     }
 
@@ -497,18 +517,12 @@ impl Storage {
     /// compare pre-crash and post-recovery states.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for s in &self.segments {
-            h.update_words(&s.data);
+        let mut image = vec![0; self.db.s_seg as usize];
+        for sid in self.segment_ids() {
+            self.read_segment(sid, &mut image);
+            h.update_words(&image);
         }
         h.finish()
-    }
-
-    /// A content fingerprint of one segment.
-    pub fn segment_fingerprint(&self, sid: SegmentId) -> Result<u64> {
-        self.check_segment(sid)?;
-        Ok(mmdb_types::hash::fnv1a_words(
-            &self.segments[sid.index()].data,
-        ))
     }
 
     /// Iterator over all segment ids in sweep order.
@@ -523,12 +537,12 @@ impl Storage {
 #[derive(Debug)]
 pub struct StorageLane<'a> {
     db: DbParams,
-    segments: &'a mut [Segment],
+    segments: &'a mut [SegmentMeta],
     /// Global id of `segments[0]`.
     first: u32,
-    counter: &'a std::sync::atomic::AtomicU64,
-    /// Shared read mirror; lane installs republish into it (lanes own
-    /// disjoint segments, so no two lanes publish the same record).
+    counter: &'a AtomicU64,
+    /// The shared record store; lanes own disjoint segments, so no two
+    /// lanes publish the same record.
     mirror: &'a ReadMirror,
 }
 
@@ -555,7 +569,7 @@ impl StorageLane<'_> {
         first <= i && i < first + self.segments.len()
     }
 
-    fn local(&mut self, sid: SegmentId) -> Result<&mut Segment> {
+    fn local(&mut self, sid: SegmentId) -> Result<&mut SegmentMeta> {
         if !self.owns(sid) {
             return Err(MmdbError::Invalid(format!(
                 "segment {sid} is outside this lane ([{}, {}))",
@@ -569,14 +583,12 @@ impl StorageLane<'_> {
     /// Fresh draw from the shared version counter (post-increment value,
     /// matching the serial `version_counter += 1; version_counter` idiom).
     fn draw(&self) -> u64 {
-        self.counter
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
-            + 1
+        self.counter.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Lane-local mirror of [`Storage::load_segment`]: overwrites the
-    /// segment wholesale, resets its metadata, and marks it clean with
-    /// respect to `source_copy` (dirty for the other ping-pong copy).
+    /// Overwrites the segment wholesale, resets its metadata, and marks
+    /// it clean with respect to `source_copy` (dirty for the other
+    /// ping-pong copy); [`Storage::load_segment`] is this on one lane.
     pub fn load_segment(
         &mut self,
         sid: SegmentId,
@@ -592,22 +604,23 @@ impl StorageLane<'_> {
             )));
         }
         let version = self.draw();
-        let s = self.local(sid)?;
-        s.data.copy_from_slice(data);
-        meter.move_words(data.len() as u64);
-        s.meta = SegmentMeta::default();
+        let meta = self.local(sid)?;
+        *meta = SegmentMeta::default();
         if let Some(copy) = source_copy {
-            s.meta.version = version;
-            s.meta.flushed_version[copy & 1] = version;
+            meta.version = version;
+            meta.flushed_version[copy & 1] = version;
         }
-        self.mirror
-            .publish_segment(self.mirror.segment_first_record(sid.raw()), data);
+        let first = sid.raw() as u64 * self.db.records_per_segment();
+        for (k, value) in data.chunks_exact(self.db.s_rec as usize).enumerate() {
+            self.mirror.publish(RecordId(first + k as u64), value);
+        }
+        meter.move_words(data.len() as u64);
         Ok(())
     }
 
-    /// Lane-local mirror of [`Storage::install_record`] (recovery replay
-    /// installs with the same version/τ/LSN bookkeeping as the live
-    /// path). The record must live in a segment this lane owns.
+    /// Lane-local [`Storage::install_record`] (recovery replay installs
+    /// with the same version/τ/LSN bookkeeping as the live path). The
+    /// record must live in a segment this lane owns.
     pub fn install_record(
         &mut self,
         rid: RecordId,
@@ -616,33 +629,11 @@ impl StorageLane<'_> {
         tau: Timestamp,
         meter: &CostMeter,
     ) -> Result<()> {
-        if value.len() as u64 != self.db.s_rec {
-            return Err(MmdbError::BadRecordSize {
-                expected: self.db.s_rec,
-                got: value.len() as u64,
-            });
-        }
-        if rid.raw() >= self.db.n_records() {
-            return Err(MmdbError::RecordOutOfRange {
-                record: rid,
-                n_records: self.db.n_records(),
-            });
-        }
-        let rps = self.db.records_per_segment();
-        let sid = SegmentId((rid.raw() / rps) as u32);
-        let off = ((rid.raw() % rps) * self.db.s_rec) as usize;
+        let sid = SegmentId(check_install(&self.db, rid, value)? as u32);
         let version = self.draw();
-        let s = self.local(sid)?;
-        s.data[off..off + value.len()].copy_from_slice(value);
-        meter.move_words(value.len() as u64);
-        s.meta.version = version;
-        if tau > s.meta.tau {
-            s.meta.tau = tau;
-        }
-        if lsn > s.meta.max_lsn {
-            s.meta.max_lsn = lsn;
-        }
+        self.local(sid)?.note_install(version, lsn, tau);
         self.mirror.publish(rid, value);
+        meter.move_words(value.len() as u64);
         Ok(())
     }
 }
@@ -795,7 +786,7 @@ mod tests {
         let m = meter();
         s.install_record(RecordId(0), &rec(&s, 7), Lsn(1), Timestamp(3), &m)
             .unwrap();
-        let before = s.segment_fingerprint(SegmentId(0)).unwrap();
+        let before = s.segment_data(SegmentId(0)).unwrap();
 
         s.cou_save_old(SegmentId(0), &m).unwrap();
         assert!(s.has_old(SegmentId(0)).unwrap());
@@ -807,7 +798,7 @@ mod tests {
         s.install_record(RecordId(1), &rec(&s, 9), Lsn(2), Timestamp(5), &m)
             .unwrap();
         let old = s.take_old(SegmentId(0), &m).unwrap().unwrap();
-        assert_eq!(mmdb_types::hash::fnv1a_words(&old.data), before);
+        assert_eq!(old.data[..], before[..]);
         assert_eq!(old.tau, Timestamp(3));
         assert!(!s.has_old(SegmentId(0)).unwrap());
         assert_eq!(s.old_copy_words(), 0);
@@ -1009,11 +1000,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_installs_sync_back() {
+    fn shared_installs_are_read_at_once_and_their_metadata_syncs_back() {
         let mut s = small();
         let mirror = s.mirror().clone();
         // Two shared-mode installs to one record, as a latch-holding
-        // committer would do: mirror publish + pending note, no &mut.
+        // committer would do: publish + pending note, no &mut.
         for (fill, lsn, tau) in [(4u32, 10u64, 2u64), (6, 20, 5)] {
             let v = vec![fill as Word; 32];
             mirror.publish(RecordId(5), &v);
@@ -1024,18 +1015,17 @@ mod tests {
             });
         }
         assert_eq!(mirror.pending_len(), 2);
-        // Authoritative copy still stale until the exclusive drain.
-        assert_eq!(
-            s.read_record(RecordId(5)).unwrap(),
-            &vec![0 as Word; 32][..]
-        );
+        // One store: the storage reads the new value before any drain,
+        // but the segment's metadata still lags.
+        assert_eq!(s.read_record(RecordId(5)).unwrap(), vec![6 as Word; 32]);
+        assert_eq!(s.capture(SegmentId(0)).unwrap().data[5 * 32], 6);
+        assert_eq!(s.segment_meta(SegmentId(0)).unwrap().version, 0);
+        assert!(!s.is_dirty(SegmentId(0), 0).unwrap());
         assert_eq!(s.sync_pending(), 2);
         assert_eq!(mirror.pending_len(), 0);
-        assert_eq!(
-            s.read_record(RecordId(5)).unwrap(),
-            &vec![6 as Word; 32][..]
-        );
+        assert_eq!(s.read_record(RecordId(5)).unwrap(), vec![6 as Word; 32]);
         let meta = s.segment_meta(SegmentId(0)).unwrap();
+        assert_eq!(meta.version, 2, "one version per install");
         assert_eq!(meta.max_lsn, Lsn(20));
         assert_eq!(meta.tau, Timestamp(5));
         assert!(s.is_dirty(SegmentId(0), 0).unwrap());
@@ -1056,19 +1046,19 @@ mod tests {
             tau: Timestamp(4),
             lsn: Lsn(9),
         });
-        let addresses = |s: &Storage| -> Vec<*const Word> {
-            s.segment_ids()
-                .map(|sid| s.segment_data(sid).unwrap().as_ptr())
+        let addresses = |s: &Storage| -> Vec<_> {
+            (0..s.n_records())
+                .map(|r| s.mirror().record_addr(RecordId(r)))
                 .collect()
         };
         let before = addresses(&s);
 
-        // Crash: gate closes, readers refuse, the segments are wiped.
+        // Crash: gate closes, readers refuse, the records are wiped.
         handle.gate_close();
         let mut out = vec![0; 32];
         assert!(!handle.try_read(RecordId(0), &mut out));
         s.reset();
-        assert_eq!(addresses(&s), before, "no segment was reallocated");
+        assert_eq!(addresses(&s), before, "no record was reallocated");
         assert_eq!(s.fingerprint(), small().fingerprint());
         assert_eq!(s.current_version(), 0);
         assert_eq!(s.old_copy_words(), 0);
@@ -1078,15 +1068,102 @@ mod tests {
         assert_eq!((meta.version, meta.max_lsn), (0, Lsn::ZERO));
         assert_eq!((meta.tau, meta.flushed_version), (Timestamp::ZERO, [0, 0]));
 
-        // Recovery rebuilds, republishes and reopens: the old handle
-        // serves the recovered content.
+        // Recovery rebuilds and reopens: the old handle serves the
+        // recovered content, and nothing before the reopening.
         s.install_record(RecordId(0), &rec(&s, 9), Lsn(1), Timestamp(1), &m)
             .unwrap();
-        s.republish_all();
+        assert!(!handle.try_read(RecordId(0), &mut out), "gate still closed");
         handle.gate_open();
         assert!(handle.try_read(RecordId(0), &mut out));
         assert_eq!(out, rec(&s, 9));
         assert!(Arc::ptr_eq(&handle, s.mirror()));
+    }
+
+    #[test]
+    fn resident_bytes_name_one_copy_of_the_records() {
+        let mut s = small();
+        let m = meter();
+        let db_bytes = 32 * 2048 * 4;
+        let r = s.resident_bytes();
+        assert_eq!(r.records, db_bytes);
+        assert_eq!(r.seq_counters, 2048 * 8);
+        assert_eq!(r.capture_scratch, 2048 * 4);
+        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, 0));
+        s.cou_save_old(SegmentId(1), &m).unwrap();
+        s.cou_save_old(SegmentId(2), &m).unwrap();
+        s.take_old(SegmentId(1), &m).unwrap();
+        let r = s.resident_bytes();
+        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (8192, 16384));
+        s.drop_all_old(&m);
+        let r = s.resident_bytes();
+        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, 16384));
+    }
+
+    /// The engine's real discipline under fire: one thread owns
+    /// `&mut Storage` (as under the exclusive gate) and works on the low
+    /// half of the segments, two lock-free readers read those same
+    /// records through the `Arc`, and a latched committer publishes to
+    /// the *other* half. Every capture and old copy must equal what the
+    /// owner last installed, and no successful read may be torn. With
+    /// `racing_readers_never_see_a_torn_publish` this is the TSan target.
+    #[test]
+    fn exclusive_captures_race_readers_and_foreign_publishers() {
+        let mut s = small();
+        let m = meter();
+        let mirror = s.mirror().clone();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        let mine = 16 * 64; // records of segments 0..16
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2u64)
+                .map(|r| {
+                    let (mirror, stop) = (&mirror, &stop);
+                    scope.spawn(move || {
+                        let (mut out, mut ok, mut rid) = (vec![0; 32], 0u64, r);
+                        while !stop.load(relaxed) || ok == 0 {
+                            rid = (rid + 7919) % mine;
+                            if mirror.try_read(RecordId(rid), &mut out) {
+                                assert!(out.iter().all(|&w| w == out[0]), "torn: {out:?}");
+                                ok += 1;
+                            }
+                        }
+                        ok
+                    })
+                })
+                .collect();
+            let publisher = scope.spawn(|| {
+                let mut k = 0u32;
+                while !stop.load(relaxed) {
+                    k += 1;
+                    let rid = mine + u64::from(k) % mine;
+                    mirror.publish(RecordId(rid), &[k; 32]);
+                }
+            });
+            for k in 1..=3_000u32 {
+                let sid = SegmentId(k % 16);
+                let rid = RecordId(u64::from(sid.raw()) * 64 + u64::from(k) % 64);
+                s.install_record(rid, &[k; 32], Lsn(u64::from(k)), Timestamp(1), &m)
+                    .unwrap();
+                let at = (rid.raw() % 64) as usize * 32;
+                let cap = s.capture(sid).unwrap();
+                assert_eq!(cap.data[at..at + 32], [k; 32], "capture lags install");
+                let image = cap.data.to_vec();
+                assert_eq!(s.capture_copy(sid).unwrap().data[..], image[..]);
+                s.cou_save_old(sid, &m).unwrap();
+                let old = s.take_old(sid, &m).unwrap().unwrap();
+                assert_eq!(old.data[..], image[..], "old copy differs from capture");
+                assert_eq!(old.version, u64::from(k));
+                assert_eq!(s.read_record(rid).unwrap(), [k; 32]);
+                if k % 500 == 0 {
+                    s.fingerprint(); // whole-store read beside the publisher
+                }
+            }
+            stop.store(true, relaxed);
+            publisher.join().unwrap();
+            for r in readers {
+                assert!(r.join().unwrap() > 0, "reader starved");
+            }
+        });
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Lock-free read mirror: a seqlock-protected copy of every record that
-//! readers can consult without taking the engine lock.
-//!
-//! The authoritative database (`Storage`'s `Vec<Segment>`) is plain,
-//! unsynchronized memory and stays that way — the engine serializes all
-//! access to it. The mirror is a second, flat copy of the record data
-//! built from atomics, kept up to date by every install path:
+//! The record store: one flat, seqlock-protected array of atomic words
+//! holding every record of the database, exactly once. [`crate::Storage`]
+//! keeps the per-segment metadata; the words live here, behind an `Arc`,
+//! so lock-free readers on other threads and the engine's exclusive
+//! paths work on the same memory:
 //!
 //! * each record has a **sequence counter** (odd = a writer is mid-copy);
 //! * record words are `AtomicU32` (`Word` is `u32`), written with the
@@ -12,29 +10,33 @@
 //!   release fence → even with release) and read with the matching
 //!   reader protocol (acquire seq, relaxed word loads, acquire fence,
 //!   re-check seq);
-//! * a mirror-global **gate** counter (odd = closed) lets crash and
-//!   recovery take the whole mirror out of service so no reader can be
-//!   served a pre-crash value while the authoritative copy is being
-//!   rebuilt.
+//! * a store-global **gate** counter (odd = closed) lets crash and
+//!   recovery take the store out of lock-free service, so no reader is
+//!   served a pre-crash, zeroed or half-replayed value during a rebuild.
 //!
 //! Writers to any one record must be serialized externally (the engine's
 //! per-segment latches, `&mut Storage`, or lane disjointness all provide
-//! this); the seqlock only protects readers from writers.
+//! this); the seqlock only protects readers from writers. A holder of
+//! `&mut Storage` under the engine's exclusive gate has no concurrent
+//! writer at all — every earlier publish happens-before the gate's
+//! acquisition — so it reads with plain `Relaxed` loads and no sequence
+//! check ([`ReadMirror::load`]).
 //!
-//! The mirror also carries the **pending-sync queue**: shared-mode
-//! commits install into the mirror only (they hold no `&mut Storage`)
-//! and enqueue a note per install; the next holder of exclusive access
-//! drains the queue into the authoritative segments via
-//! [`crate::Storage::sync_pending`]. The queue mutex is a leaf: nothing
-//! else is ever acquired while it is held, so it sits outside the ranked
+//! The store also carries the **pending-sync queue**: shared-mode
+//! commits publish their records here directly (they hold no
+//! `&mut Storage`) and enqueue one *metadata* note per install, which
+//! the next exclusive holder folds into the segment metadata
+//! ([`crate::Storage::sync_pending`]). The queue mutex is a leaf: nothing
+//! is ever acquired while it is held, so it sits outside the ranked
 //! hierarchy by construction.
 
 use mmdb_types::{DbParams, Lsn, RecordId, Timestamp, Word};
+use std::mem::size_of_val;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// One shared-mode install awaiting copy-back into the authoritative
-/// segments (see [`crate::Storage::sync_pending`]).
+/// The metadata of one shared-mode install (its data is already in the
+/// store), awaiting [`crate::Storage::sync_pending`].
 #[derive(Debug, Clone, Copy)]
 pub struct PendingInstall {
     /// The installed record.
@@ -45,17 +47,18 @@ pub struct PendingInstall {
     pub lsn: Lsn,
 }
 
-/// The seqlock read mirror. Create via `Storage`; share via `Arc`.
+/// The seqlock record store (the name predates it being the only copy).
+/// Create via `Storage`; share via `Arc`.
 #[derive(Debug)]
 pub struct ReadMirror {
     n_records: u64,
     s_rec: usize,
-    records_per_segment: u64,
-    /// Flat record data: record `r` occupies words `[r*s_rec, (r+1)*s_rec)`.
-    words: Vec<AtomicU32>,
+    /// Flat record data: record `r` occupies words `[r*s_rec, (r+1)*s_rec)`,
+    /// so segment `j` occupies `[j*s_seg, (j+1)*s_seg)`.
+    words: Box<[AtomicU32]>,
     /// Per-record sequence counters; odd while a writer is copying.
-    seqs: Vec<AtomicU64>,
-    /// Mirror-global gate; odd while crash/recovery has the mirror closed.
+    seqs: Box<[AtomicU64]>,
+    /// Store-global gate; odd while crash/recovery has lock-free reads off.
     gate: AtomicU64,
     pending: Mutex<Vec<PendingInstall>>,
 }
@@ -68,7 +71,6 @@ impl ReadMirror {
         ReadMirror {
             n_records,
             s_rec,
-            records_per_segment: db.records_per_segment(),
             words: (0..total).map(|_| AtomicU32::new(0)).collect(),
             seqs: (0..n_records).map(|_| AtomicU64::new(0)).collect(),
             gate: AtomicU64::new(0),
@@ -81,7 +83,7 @@ impl ReadMirror {
         self.s_rec
     }
 
-    /// Number of records mirrored.
+    /// Number of records stored.
     pub fn n_records(&self) -> u64 {
         self.n_records
     }
@@ -89,6 +91,21 @@ impl ReadMirror {
     fn span(&self, rid: RecordId) -> std::ops::Range<usize> {
         let i = rid.raw() as usize * self.s_rec;
         i..i + self.s_rec
+    }
+
+    /// One pass of the seqlock reader protocol over record `rid`; `false`
+    /// when a writer was, or came, mid-publish.
+    fn read_once(&self, rid: RecordId, out: &mut [Word]) -> bool {
+        let seq = &self.seqs[rid.raw() as usize];
+        let seq0 = seq.load(Ordering::Acquire);
+        if seq0 & 1 == 1 {
+            return false;
+        }
+        for (o, w) in out.iter_mut().zip(&self.words[self.span(rid)]) {
+            *o = w.load(Ordering::Relaxed);
+        }
+        fence(Ordering::Acquire);
+        seq.load(Ordering::Relaxed) == seq0
     }
 
     /// One optimistic read attempt. On success `out` holds a consistent
@@ -100,25 +117,24 @@ impl ReadMirror {
             return false;
         }
         let gate0 = self.gate.load(Ordering::Acquire);
-        if gate0 & 1 == 1 {
-            return false;
-        }
-        let seq = &self.seqs[rid.raw() as usize];
-        let seq0 = seq.load(Ordering::Acquire);
-        if seq0 & 1 == 1 {
-            return false;
-        }
-        for (o, w) in out.iter_mut().zip(&self.words[self.span(rid)]) {
-            *o = w.load(Ordering::Relaxed);
-        }
-        fence(Ordering::Acquire);
-        seq.load(Ordering::Relaxed) == seq0 && self.gate.load(Ordering::Relaxed) == gate0
+        gate0 & 1 == 0 && self.read_once(rid, out) && self.gate.load(Ordering::Relaxed) == gate0
     }
 
-    /// Publishes a record value to the mirror. The caller must hold
-    /// whatever serializes writers to this record (segment latch,
-    /// `&mut Storage`, or lane ownership) — concurrent publishes to the
-    /// *same* record are a protocol violation.
+    /// Reads a record's committed value, waiting out a writer that is
+    /// mid-publish. Ignores the gate: this is the path of callers inside
+    /// the engine (`&Storage`), who may share it with latched committers
+    /// but never with a crash or a recovery.
+    pub(crate) fn read(&self, rid: RecordId, out: &mut [Word]) {
+        assert_eq!(out.len(), self.s_rec, "record buffer of the wrong width");
+        while !self.read_once(rid, out) {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Publishes a record value — the only way a record changes. The
+    /// caller must hold whatever serializes writers to this record
+    /// (segment latch, `&mut Storage`, or lane ownership): concurrent
+    /// publishes to the *same* record are a protocol violation.
     pub fn publish(&self, rid: RecordId, value: &[Word]) {
         debug_assert!(rid.raw() < self.n_records);
         debug_assert_eq!(value.len(), self.s_rec);
@@ -133,42 +149,52 @@ impl ReadMirror {
         seq.store(seq0 + 2, Ordering::Release);
     }
 
-    /// Publishes a whole segment image (recovery loading a backup).
-    pub fn publish_segment(&self, first_record: RecordId, data: &[Word]) {
-        debug_assert_eq!(data.len() % self.s_rec, 0);
-        for (k, chunk) in data.chunks_exact(self.s_rec).enumerate() {
-            self.publish(RecordId(first_record.raw() + k as u64), chunk);
+    /// The words `[start, start + len)` by plain `Relaxed` loads, no
+    /// sequence check: only for a caller with no concurrent publisher to
+    /// these words (see the module docs), whom every store happens-before.
+    pub(crate) fn load(&self, start: usize, len: usize) -> impl Iterator<Item = Word> + '_ {
+        self.words[start..start + len]
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed))
+    }
+
+    /// Closes the gate and zeroes every record (a system failure's effect
+    /// on the primary database). A lock-free reader that overlaps the
+    /// wipe fails its gate re-check: the fence orders the closing — even
+    /// an earlier one, by the thread that crashed — before every zero.
+    pub(crate) fn wipe(&self) {
+        self.gate_close();
+        fence(Ordering::Release);
+        for w in self.words.iter() {
+            w.store(0, Ordering::Relaxed);
         }
     }
 
-    /// First record of segment `sid` (publish_segment helper).
-    pub fn segment_first_record(&self, sid: u32) -> RecordId {
-        RecordId(sid as u64 * self.records_per_segment)
+    /// Bytes held by the record words and by the sequence counters.
+    pub(crate) fn resident_bytes(&self) -> (u64, u64) {
+        let (words, seqs) = (&*self.words, &*self.seqs);
+        (size_of_val(words) as u64, size_of_val(seqs) as u64)
     }
 
-    /// Reads a record's current mirror value without the seqlock dance.
-    /// Only sound while the caller holds exclusive access (no concurrent
-    /// publishers) — used by the pending-sync drain.
-    pub fn snapshot_record(&self, rid: RecordId, out: &mut [Word]) {
-        debug_assert!(rid.raw() < self.n_records);
-        for (o, w) in out.iter_mut().zip(&self.words[self.span(rid)]) {
-            *o = w.load(Ordering::Relaxed);
-        }
+    /// Where record `rid`'s first word lives (tests pinning that crash
+    /// and recovery refill this memory instead of replacing it).
+    pub fn record_addr(&self, rid: RecordId) -> *const AtomicU32 {
+        self.words[self.span(rid)].as_ptr()
     }
 
     // ----- gate ------------------------------------------------------------
 
-    /// Closes the gate (crash): every `try_read` fails until the gate
-    /// reopens. Caller must hold exclusive access.
+    /// Closes the gate (crash; a no-op on a closed one): every `try_read`
+    /// fails until the gate reopens. Caller must hold exclusive access.
     pub fn gate_close(&self) {
         let g = self.gate.load(Ordering::Relaxed);
-        debug_assert_eq!(g & 1, 0, "gate already closed");
-        self.gate.store(g + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
+        if g & 1 == 0 {
+            self.gate.store(g + 1, Ordering::Relaxed);
+            fence(Ordering::Release);
+        }
     }
 
-    /// Reopens the gate (end of recovery, after the mirror has been
-    /// republished from the authoritative copy).
+    /// Reopens the gate (end of recovery, once every record is rebuilt).
     pub fn gate_open(&self) {
         let g = self.gate.load(Ordering::Relaxed);
         debug_assert_eq!(g & 1, 1, "gate not closed");
@@ -186,8 +212,7 @@ impl ReadMirror {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues a shared-mode install for later copy-back into the
-    /// authoritative segments.
+    /// Enqueues the metadata of a shared-mode install.
     pub fn note_pending(&self, p: PendingInstall) {
         self.pending_lock().push(p);
     }
@@ -254,7 +279,7 @@ mod tests {
                     let mut x = 0x243F_6A88_85A3_08D3u64 ^ (r + 1);
                     let mut ok = 0u64;
                     let mut out = vec![0; s_rec];
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load(Ordering::Relaxed) || ok == 0 {
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;

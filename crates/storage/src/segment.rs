@@ -1,4 +1,5 @@
-//! A single database segment and its per-segment checkpointing metadata.
+//! Per-segment checkpointing metadata (the segment's words live in the
+//! record store, [`crate::ReadMirror`]).
 
 use mmdb_types::{Lsn, Timestamp, Word};
 
@@ -61,40 +62,18 @@ pub struct SegmentMeta {
     pub old: Option<Box<OldCopy>>,
 }
 
-/// A segment: fixed-size array of words plus metadata.
-#[derive(Debug)]
-pub(crate) struct Segment {
-    pub(crate) data: Box<[Word]>,
-    pub(crate) meta: SegmentMeta,
-}
-
-impl Segment {
-    pub(crate) fn new(words: usize) -> Segment {
-        Segment {
-            data: vec![0; words].into_boxed_slice(),
-            meta: SegmentMeta::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_color_is_black() {
+    fn default_meta_is_black_and_clean() {
         assert_eq!(Color::default(), Color::Black);
-        let s = Segment::new(8);
-        assert_eq!(s.meta.color, Color::Black);
-    }
-
-    #[test]
-    fn new_segment_is_zeroed_and_clean() {
-        let s = Segment::new(16);
-        assert!(s.data.iter().all(|&w| w == 0));
-        assert_eq!(s.meta.version, 0);
-        assert_eq!(s.meta.flushed_version, [0, 0]);
-        assert_eq!(s.meta.max_lsn, Lsn::ZERO);
-        assert!(s.meta.old.is_none());
+        let m = SegmentMeta::default();
+        assert_eq!(m.color, Color::Black);
+        assert_eq!(m.version, 0);
+        assert_eq!(m.flushed_version, [0, 0]);
+        assert_eq!(m.max_lsn, Lsn::ZERO);
+        assert!(m.old.is_none());
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the storage substrate: record addressing,
-//! dirty tracking and COU old copies against a plain reference model,
-//! under arbitrary operation sequences.
+//! dirty tracking, captures and COU old copies against a plain reference
+//! model, under arbitrary operation sequences. Every read is an owned
+//! copy out of the one record store.
 
 use mmdb_storage::Storage;
 use mmdb_types::{CostMeter, CostParams, DbParams, Lsn, RecordId, SegmentId, Timestamp};
@@ -109,7 +110,18 @@ proptest! {
                     let is_dirty = storage.is_dirty(SegmentId(sid), copy as usize).unwrap();
                     let expected = dirty.get(&(sid, copy)).copied().unwrap_or(false);
                     prop_assert_eq!(is_dirty, expected, "dirty bit for segment {} copy {}", sid, copy);
-                    let cap_version = storage.capture(SegmentId(sid)).unwrap().version;
+                    // the image a flush would write is the reference content,
+                    // whichever way it is captured
+                    let owned = storage.capture_copy(SegmentId(sid)).unwrap();
+                    let cap = storage.capture(SegmentId(sid)).unwrap();
+                    prop_assert_eq!(cap.data, &owned.data[..]);
+                    for r in sid as u64 * 64..(sid as u64 + 1) * 64 {
+                        let expected = reference.get(&r).copied().unwrap_or(0);
+                        let off = ((r % 64) * 32) as usize;
+                        prop_assert!(cap.data[off..off + 32].iter().all(|w| *w == expected));
+                    }
+                    let cap_version = cap.version;
+                    prop_assert_eq!(cap_version, owned.version);
                     storage.mark_flushed(SegmentId(sid), copy as usize, cap_version).unwrap();
                     dirty.insert((sid, copy), false);
                 }
