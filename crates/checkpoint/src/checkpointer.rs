@@ -202,9 +202,7 @@ impl Checkpointer {
         let t = self.obs.timer();
         backup.write_segment(copy, sid, data)?;
         self.obs
-            .span_end("ckpt.flush", "ckpt.segment_flush_ns", t, || {
-                format!("{} {sid} copy {copy}", self.algorithm.name())
-            });
+            .phase_hist("ckpt.flush", "ckpt.segment_flush_ns", t, sid.raw().into());
         Ok(())
     }
 
@@ -644,15 +642,8 @@ impl Checkpointer {
         self.stats.old_copies_flushed += report.old_copies_flushed;
         self.stats.io_words += report.io_words;
         self.obs.observe("ckpt.pass_io_words", report.io_words);
-        self.obs.span_end("ckpt.pass", "ckpt.pass_ns", a.timer, || {
-            format!(
-                "{} {ckpt} copy {copy}: {} flushed, {} skipped, {} io words",
-                self.algorithm.name(),
-                report.segments_flushed,
-                report.segments_skipped,
-                report.io_words
-            )
-        });
+        self.obs
+            .phase_hist("ckpt.pass", "ckpt.pass_ns", a.timer, ckpt.raw());
         self.last_report = Some(report);
         Ok(StepOutcome::Done { io_words })
     }

@@ -9,11 +9,11 @@ use mmdb_disk::{summarize, AuditedBackup, BackupStore, FileBackup, MemBackup, Ob
 use mmdb_log::{
     LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice, MAX_TXN_FRAME_BYTES,
 };
-use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, SpanRecord, Timer};
-use mmdb_recovery::RecoveryReport;
+use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, Timer};
+use mmdb_recovery::{InDoubtTxn, RecoveryReport};
 use mmdb_storage::{Color, PendingInstall, ReadMirror, Storage};
 use mmdb_sync::{LockRank, RankedMutex};
-use mmdb_txn::{SeenColor, TxnStats, TxnTable};
+use mmdb_txn::{SeenColor, StagedWrite, TxnStats, TxnTable};
 use mmdb_types::{
     CheckpointId, CostMeter, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, TxnId, Word,
 };
@@ -366,14 +366,6 @@ impl Mmdb {
         self.obs.is_enabled()
     }
 
-    /// The most recent `limit` trace spans plus the count of spans
-    /// dropped by the bounded ring buffer (empty/zero when telemetry is
-    /// disabled).
-    pub fn trace_spans(&self, limit: usize) -> (Vec<SpanRecord>, u64) {
-        let dropped = self.obs.span_stats().1;
-        (self.obs.spans(limit), dropped)
-    }
-
     /// A unified point-in-time metrics snapshot: everything the telemetry
     /// registry accumulated (latency histograms, device counters, spans'
     /// histograms) merged with the engine's own statistics structures
@@ -420,6 +412,28 @@ impl Mmdb {
         snap.put_gauge("mem.cou_old_copy_bytes", m.cou_old_copies);
         snap.put_gauge("mem.cou_old_copy_peak_bytes", m.cou_old_copies_peak);
         snap.put_gauge("ckpt.copy_buffer_bytes", self.ckpt.copy_buffer_bytes());
+
+        // What a crash right now would cost: the durable log past the
+        // replay floor of the newest complete ping-pong copy, through
+        // the paper's recovery-time model (§4) — comparable with the next
+        // `RecoveryReport::total_seconds`.
+        let (log_end, log_start) = {
+            let log = self.log.lock();
+            (log.durable_lsn(), log.start_lsn())
+        };
+        let floor = self.replay_floor.iter().flatten().max();
+        let replay_bytes = log_end
+            .raw()
+            .saturating_sub(floor.unwrap_or(&log_start).raw());
+        snap.put_gauge("recovery.replay_log_bytes", replay_bytes);
+        let db = &self.config.params.db;
+        let predicted = mmdb_recovery::recovery_time_model(
+            &self.config.params.disk,
+            db.n_segments(),
+            db.s_seg,
+            replay_bytes.div_ceil(4),
+        );
+        snap.put_gauge("recovery.predicted_us", (predicted * 1e6) as u64);
 
         let r = self.overhead_report();
         snap.paper = Some(PaperOverhead {
@@ -529,7 +543,7 @@ impl Mmdb {
         // Nothing is logged until the transaction commits or prepares.
         let id = self.txns.get_mut().begin(tau, Lsn::ZERO, run);
         self.obs
-            .span_end("txn.begin", "txn.begin_ns", t, || format!("{id} run {run}"));
+            .phase_hist("txn.begin", "txn.begin_ns", t, id.raw());
         Ok(id)
     }
 
@@ -655,9 +669,8 @@ impl Mmdb {
             }
         }
         self.meters.base.txn_body(self.config.params.txn.c_trans);
-        self.obs.span_end("txn.commit", "txn.commit_ns", timer, || {
-            format!("{txn}: {} writes", t.writes.len())
-        });
+        self.obs
+            .phase_hist("txn.commit", "txn.commit_ns", timer, txn.raw());
         self.maybe_begin_pending_checkpoint()
     }
 
@@ -716,9 +729,8 @@ impl Mmdb {
         self.meters
             .sync_ckpt
             .txn_body(self.config.params.txn.c_trans);
-        self.obs.span_end("txn.abort_rerun", "txn.abort_ns", t, || {
-            format!("{txn} (two-color)")
-        });
+        self.obs
+            .phase_hist("txn.abort_rerun", "txn.abort_ns", t, txn.raw());
         self.maybe_begin_pending_checkpoint()?;
         Ok(())
     }
@@ -869,6 +881,37 @@ impl Mmdb {
         Ok(())
     }
 
+    /// Finishes a branch the last recovery left in doubt
+    /// ([`RecoveryReport::in_doubt`]) under the branch's own id, forced:
+    /// a `Commit` record and the install of its after-images when the
+    /// coordinator decided commit, an `Abort` record otherwise (presumed
+    /// abort). With the outcome in this log, a later recovery over the
+    /// same window resolves the branch at that frame, in log order,
+    /// instead of surfacing it again over whatever committed since. Call
+    /// it before the engine runs anything else: the id belongs to an
+    /// earlier incarnation.
+    pub fn resolve_in_doubt(&mut self, branch: &InDoubtTxn, commit: bool) -> Result<()> {
+        self.ensure_alive()?;
+        let mut writes = Vec::with_capacity(branch.writes.len());
+        for (record, value) in &branch.writes {
+            writes.push(StagedWrite {
+                record: *record,
+                segment: self.storage.segment_of(*record)?,
+                value: value.clone(),
+            });
+        }
+        let tau = self.next_tau();
+        self.txns
+            .get_mut()
+            .adopt_prepared(branch.txn, branch.gid, tau, writes);
+        if commit {
+            self.commit_prepared(branch.txn)
+        } else {
+            self.abort_prepared(branch.txn)?;
+            self.force_log()
+        }
+    }
+
     // ----- checkpointing ---------------------------------------------------
 
     /// Requests a checkpoint. Non-COU algorithms start immediately; COU
@@ -900,9 +943,7 @@ impl Mmdb {
             self.audit.emit(|| AuditEvent::QuiesceEnd);
             let stall = std::mem::take(&mut self.quiesce_timer);
             self.obs
-                .span_end("ckpt.quiesce", "ckpt.quiesce_stall_ns", stall, || {
-                    "COU quiesce drain".to_string()
-                });
+                .phase_hist("ckpt.quiesce", "ckpt.quiesce_stall_ns", stall, 0);
         }
         let tau_ch = self.next_tau();
         if self.config.algorithm.is_two_color() {
@@ -1230,9 +1271,7 @@ impl Mmdb {
         self.txns.lock().finish_commit(txn)?;
         self.meters.base.txn_body(self.config.params.txn.c_trans);
         self.obs
-            .span_end("txn.commit", "txn.commit_ns", commit_timer, || {
-                format!("{txn}: {} writes (shared)", updates.len())
-            });
+            .phase_hist("txn.commit", "txn.commit_ns", commit_timer, txn.raw());
         Ok(Some(TxnRun {
             txn,
             runs: 1,

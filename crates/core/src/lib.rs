@@ -52,8 +52,8 @@ pub use mmdb_log::{
     TapRead, DEFAULT_TAP_WINDOW_BYTES, MAX_TXN_FRAME_BYTES,
 };
 pub use mmdb_obs::{
-    render_spans, validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs,
-    PaperOverhead, SpanRecord, TraceDumpDoc,
+    validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs, PaperOverhead,
+    TraceDumpDoc,
 };
 pub use mmdb_recovery::{RecoveryReport, Stager};
 pub use mmdb_rescale::{CompactOptions, CompactReport};

@@ -1093,3 +1093,45 @@ fn for_each_record_scans_in_order() {
     .unwrap();
     assert_eq!(seen, vec![(5, 55), (9, 99)]);
 }
+
+#[test]
+fn predicted_recovery_time_matches_the_next_recovery() {
+    // a single-record `TxnCommit` frame: the slack the prediction is
+    // allowed against what recovery then measures
+    const FRAME_BYTES: u64 = 169;
+    for alg in Algorithm::ALL_EXTENDED {
+        let mut cfg = small(alg);
+        cfg.commit_durability = CommitDurability::Force;
+        let disk = cfg.params.disk;
+        let mut db = Mmdb::open_in_memory(cfg).unwrap();
+        for i in 0..20u64 {
+            db.run_txn(&[(RecordId(i * 61 % 2048), val(&db, 1 + i as u32))])
+                .unwrap();
+        }
+        // both ping-pong copies complete: the newer one's floor counts
+        db.checkpoint().unwrap();
+        db.checkpoint().unwrap();
+        for i in 0..15u64 {
+            db.run_txn(&[(RecordId(i * 89 % 2048), val(&db, 500 + i as u32))])
+                .unwrap();
+        }
+        let snap = db.metrics_snapshot();
+        let replay_bytes = snap.gauge("recovery.replay_log_bytes").unwrap();
+        let predicted_us = snap.gauge("recovery.predicted_us").unwrap() as f64;
+
+        db.crash().unwrap();
+        let report = db.recover().unwrap();
+        assert!(
+            replay_bytes.abs_diff(report.log_words * 4) <= FRAME_BYTES,
+            "{alg}: gauge {replay_bytes} B, recovery read {} words",
+            report.log_words
+        );
+        let frame_us = FRAME_BYTES as f64 / 4.0 * disk.t_trans / f64::from(disk.n_bdisks) * 1e6;
+        let measured_us = report.total_seconds() * 1e6;
+        assert!(
+            (predicted_us - measured_us).abs() <= frame_us + 1.0,
+            "{alg}: predicted {predicted_us} us, modeled recovery took {measured_us} us"
+        );
+        assert!(replay_bytes >= 15 * FRAME_BYTES, "{alg}: the 15 commits");
+    }
+}

@@ -1,13 +1,11 @@
 //! Log devices: where the durable portion of the log lives.
 //!
 //! The engine writes through [`LogDevice`], so the same log manager runs
-//! against a real file (the executable engine), an in-memory vector (unit
-//! tests, torn-write injection) or the simulator's modeled disks.
+//! against chunk files in a database directory
+//! ([`crate::SegmentedLogDevice`]), an in-memory vector (unit tests,
+//! torn-write injection) or the simulator's modeled disks.
 
 use mmdb_types::{MmdbError, Result};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 /// A durable, append-only byte device holding the stable portion of the
 /// log. Offset 0 is the first byte ever written (LSN 0).
@@ -267,81 +265,6 @@ impl LogDevice for FlakyLogDevice {
     }
 }
 
-/// A file-backed log device.
-///
-/// `sync_on_append` controls whether each append is `fsync`ed. The engine
-/// turns it on for real durability; tests leave it off for speed (crash
-/// injection in tests is done at the API level, not by killing the
-/// process, so buffered writes survive either way).
-#[derive(Debug)]
-pub struct FileLogDevice {
-    file: File,
-    len: u64,
-    sync_on_append: bool,
-}
-
-impl FileLogDevice {
-    /// Opens (or creates) the log file at `path`.
-    pub fn open(path: &Path, sync_on_append: bool) -> Result<FileLogDevice> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
-        Ok(FileLogDevice {
-            file,
-            len,
-            sync_on_append,
-        })
-    }
-
-    /// Creates a fresh (truncated) log file at `path`.
-    pub fn create(path: &Path, sync_on_append: bool) -> Result<FileLogDevice> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(FileLogDevice {
-            file,
-            len: 0,
-            sync_on_append,
-        })
-    }
-}
-
-impl LogDevice for FileLogDevice {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(bytes)?;
-        if self.sync_on_append {
-            self.file.sync_data()?;
-        }
-        self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        if offset + buf.len() as u64 > self.len {
-            return Err(MmdbError::Corrupt(format!(
-                "log read past durable end ({} > {})",
-                offset + buf.len() as u64,
-                self.len
-            )));
-        }
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,39 +290,5 @@ mod tests {
         d.truncate_to(4);
         assert_eq!(d.len(), 4);
         assert_eq!(d.read_all().unwrap(), b"0123");
-    }
-
-    #[test]
-    fn file_device_roundtrip_and_reopen() {
-        let dir = std::env::temp_dir().join(format!("mmdb-log-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.bin");
-
-        let mut d = FileLogDevice::create(&path, false).unwrap();
-        d.append(b"abcdef").unwrap();
-        assert_eq!(d.len(), 6);
-        drop(d);
-
-        let mut d = FileLogDevice::open(&path, false).unwrap();
-        assert_eq!(d.len(), 6, "length survives reopen");
-        let mut buf = [0u8; 3];
-        d.read_at(3, &mut buf).unwrap();
-        assert_eq!(&buf, b"def");
-        d.append(b"gh").unwrap();
-        assert_eq!(d.read_all().unwrap(), b"abcdefgh");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_device_read_past_end_fails() {
-        let dir = std::env::temp_dir().join(format!("mmdb-log-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.bin");
-        let mut d = FileLogDevice::create(&path, false).unwrap();
-        d.append(b"xy").unwrap();
-        let mut buf = [0u8; 3];
-        assert!(d.read_at(0, &mut buf).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,7 +7,7 @@
 //! * [`LogRecord`] — record types and a checksummed, backward-scannable
 //!   frame encoding,
 //! * [`LogDevice`] — the durable byte store ([`MemLogDevice`] for tests and
-//!   simulation, [`FileLogDevice`] for the real engine),
+//!   simulation, [`SegmentedLogDevice`] for a database directory),
 //! * [`LogManager`] — the volatile/stable log tail with LSN-based
 //!   durability tracking (the write-ahead gate for checkpointers),
 //! * [`DurableWatermark`] / [`PendingForce`] — the group-commit split:
@@ -31,7 +31,7 @@ mod segmented;
 mod ship;
 mod watermark;
 
-pub use device::{ChunkInfo, FileLogDevice, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
+pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
 pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 pub use scan::{BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow};

@@ -107,11 +107,8 @@ impl PendingForce {
         if let Some(latency) = self.latency {
             std::thread::sleep(latency);
         }
-        let (bytes, commits) = (self.bytes, self.commits);
         self.obs
-            .span_end("log.force", "log.force_ns", self.timer, || {
-                format!("{bytes} bytes, {commits} commits")
-            });
+            .phase_hist("log.force", "log.force_ns", self.timer, self.bytes);
         self.watermark.advance(self.durable);
     }
 }
@@ -448,9 +445,7 @@ impl LogManager {
         if let Some(latency) = self.force_latency {
             std::thread::sleep(latency);
         }
-        self.obs.span_end("log.force", "log.force_ns", t, || {
-            format!("{drained} bytes (stable-tail drain)")
-        });
+        self.obs.phase_hist("log.force", "log.force_ns", t, drained);
         self.tail_start = self.tail_start.advance(self.tail.len() as u64);
         self.tail.clear();
         self.commits_in_tail = 0;
@@ -486,15 +481,14 @@ impl LogManager {
     /// before it can never be needed by recovery again). The truncation
     /// point is clamped to the durable portion; the volatile tail is
     /// never affected. Actual space reclamation depends on the device
-    /// (segmented logs delete whole chunks; plain files ignore it).
+    /// (segmented logs delete whole chunks; a device may ignore the call).
     pub fn truncate_prefix(&mut self, lsn: Lsn) -> Result<()> {
         let point = lsn.min(self.tail_start);
         let t = self.obs.timer();
         self.device.truncate_prefix(point.raw())?;
         self.obs.counter("log.truncations", 1);
-        self.obs.span_end("log.truncate", "log.truncate_ns", t, || {
-            format!("prefix < {}", point.raw())
-        });
+        self.obs
+            .phase_hist("log.truncate", "log.truncate_ns", t, point.raw());
         Ok(())
     }
 

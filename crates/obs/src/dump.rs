@@ -10,16 +10,20 @@
 //! span id is drawn from the whole range), and the workspace's JSON
 //! number model (like JavaScript's) is only exact to 2^53.
 
+use crate::flight::FlightEvent;
 use crate::json::{self, Value};
 use crate::registry::Obs;
-use crate::trace::SpanRecord;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Schema tag carried by every dump document.
 pub const TRACE_SCHEMA: &str = "mmdb-trace/v1";
 
-/// One span in a dump (the owned-string form of [`SpanRecord`]).
+/// Slow requests and recent spans kept by a dump-on-crash
+/// (`flightrec.json`).
+const FLIGHTREC_LIMIT: usize = 4096;
+
+/// One span in a dump (the owned-string form of a [`FlightEvent`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DumpSpan {
     /// Phase name, e.g. `engine.lock_wait`.
@@ -38,16 +42,20 @@ pub struct DumpSpan {
     pub parent_span: u64,
 }
 
-impl From<&SpanRecord> for DumpSpan {
-    fn from(s: &SpanRecord) -> DumpSpan {
+impl From<&FlightEvent> for DumpSpan {
+    fn from(e: &FlightEvent) -> DumpSpan {
         DumpSpan {
-            name: s.name.to_string(),
-            label: s.label.clone(),
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            trace_id: s.trace_id,
-            span_id: s.span_id,
-            parent_span: s.parent_span,
+            name: e.name.to_string(),
+            label: if e.detail == 0 {
+                e.op.to_string()
+            } else {
+                format!("{} detail={}", e.op, e.detail)
+            },
+            start_ns: e.start_ns,
+            dur_ns: e.dur_ns,
+            trace_id: e.trace_id,
+            span_id: e.span_id,
+            parent_span: e.parent_span,
         }
     }
 }
@@ -269,7 +277,7 @@ pub fn write_flightrec(obs: &Obs, dir: &Path) -> std::io::Result<Option<PathBuf>
     if !obs.is_enabled() {
         return Ok(None);
     }
-    let doc = TraceDumpDoc::capture(obs, crate::trace::DEFAULT_SPAN_CAPACITY);
+    let doc = TraceDumpDoc::capture(obs, FLIGHTREC_LIMIT);
     let path = dir.join("flightrec.json");
     std::fs::write(&path, doc.to_json())?;
     Ok(Some(path))
@@ -422,7 +430,7 @@ mod tests {
     fn capture_and_write_flightrec_round_trip() {
         let obs = Obs::enabled();
         let scope = obs.request_scope("net.request", "net.request_ns", "put", 0, 0);
-        obs.phase("txn.exec", obs.timer());
+        obs.phase_detail("txn.exec", obs.timer(), 0);
         scope.finish();
         let doc = TraceDumpDoc::capture(&obs, 100);
         assert_eq!(doc.recorded, 2);

@@ -18,7 +18,6 @@
 //! flushers, checkpointers) record with a zero trace id and attribute
 //! to the `"system"` pseudo-opcode.
 
-use crate::trace::SpanRecord;
 use mmdb_sync::{leak_name, LockRank, RankedMutex};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,27 +50,6 @@ pub struct FlightEvent {
     pub dur_ns: u64,
     /// Free numeric detail (shard index, byte count, ...).
     pub detail: u64,
-}
-
-impl FlightEvent {
-    /// Convert to the trace-ring span shape for rendering and dumps
-    /// (the only allocating step, taken off the hot path).
-    pub fn to_span(&self, seq: u64) -> SpanRecord {
-        SpanRecord {
-            seq,
-            name: self.name,
-            label: if self.detail == 0 {
-                self.op.to_string()
-            } else {
-                format!("{} detail={}", self.op, self.detail)
-            },
-            start_ns: self.start_ns,
-            dur_ns: self.dur_ns,
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-            parent_span: self.parent_span,
-        }
-    }
 }
 
 /// The request identity carried by a thread-local scope (see

@@ -3,10 +3,12 @@
 //! Three pillars, all built without registry crates (the workspace vendors
 //! only no-op shims):
 //!
-//! 1. **Spans** ([`trace`]): named wall-clock intervals in a bounded ring
-//!    buffer, emitted by the engine, checkpointer, log manager and
-//!    recovery so a `trace` dump explains *where* time goes inside a
-//!    checkpoint pass or a restart.
+//! 1. **Spans** ([`flight`]): named wall-clock intervals recorded once,
+//!    as fixed-size [`FlightEvent`]s in per-thread rings, by the engine,
+//!    checkpointer, log manager and recovery, so a `trace` dump explains
+//!    *where* time goes inside a request, a checkpoint pass or a
+//!    restart. There is one recorder and one way to end a timed span
+//!    ([`Obs::phase_hist`]); [`DumpSpan`] is the only serialized shape.
 //! 2. **Metrics** ([`Obs`] / [`Registry`]): named counters, gauges and
 //!    log-linear [`Histogram`]s (HdrHistogram-style fixed buckets,
 //!    ≤6.25% quantile error).
@@ -17,8 +19,8 @@
 //!
 //! The [`Obs`] handle follows the workspace's audit-handle idiom: a
 //! disabled handle is a `None` and every call on it is a no-op — no lock,
-//! no clock read, no allocation, label closures never invoked — so
-//! telemetry is zero-cost when `MmdbConfig.telemetry` is off.
+//! no clock read, no allocation — so telemetry is zero-cost when
+//! `MmdbConfig.telemetry` is off.
 
 mod dump;
 pub mod flight;
@@ -26,10 +28,9 @@ pub mod hist;
 pub mod json;
 mod registry;
 mod snapshot;
-pub mod trace;
 
 pub use dump::{render_tree, write_flightrec, DumpSpan, SlowEntry, TraceDumpDoc, TRACE_SCHEMA};
-pub use flight::SYSTEM_OP;
+pub use flight::{FlightEvent, SYSTEM_OP};
 pub use hist::{HistSummary, Histogram};
 pub use registry::{
     current_trace_id, AttributionEntry, Obs, Registry, RequestScope, RequestTrace, Timer,
@@ -38,18 +39,3 @@ pub use registry::{
 pub use snapshot::{
     prom_name, to_prometheus_sharded, validate_prometheus, MetricsSnapshot, PaperOverhead,
 };
-pub use trace::SpanRecord;
-
-/// Render spans as a human-readable trace, one line each, plus a footer
-/// noting ring evictions when any occurred.
-pub fn render_spans(spans: &[SpanRecord], dropped: u64) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&s.render());
-        out.push('\n');
-    }
-    if dropped > 0 {
-        out.push_str(&format!("({dropped} older spans evicted from ring)\n"));
-    }
-    out
-}

@@ -2,14 +2,13 @@
 //!
 //! [`Obs`] follows the same idiom as the audit handle: a disabled handle
 //! is an `Option::None` and every operation on it is a no-op that never
-//! takes a lock, allocates, or reads the clock — label closures are not
-//! even invoked. An enabled handle shares one registry + trace buffer
-//! across every component it is cloned into (engine, checkpointer, log
-//! manager, recovery, simulator), so a snapshot sees the whole system.
+//! takes a lock, allocates, or reads the clock. An enabled handle shares
+//! one registry + flight recorder across every component it is cloned
+//! into (engine, checkpointer, log manager, recovery, simulator), so a
+//! snapshot sees the whole system.
 
 use crate::flight::{CurrentCtx, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY, SYSTEM_OP};
 use crate::hist::Histogram;
-use crate::trace::{SpanIds, SpanRecord, TraceBuffer, DEFAULT_SPAN_CAPACITY};
 use mmdb_sync::{ContentionSink, LockRank, RankedMutex};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -54,7 +53,7 @@ pub struct RequestTrace {
     pub total_ns: u64,
     /// The root span plus every phase recorded under it on the
     /// dispatching thread, chronologically.
-    pub spans: Vec<SpanRecord>,
+    pub spans: Vec<FlightEvent>,
 }
 
 /// Bounded slow-request log (oldest evicted first).
@@ -135,7 +134,6 @@ struct ObsInner {
     // no contention sink of their own — the sink *is* this registry, and
     // instrumenting it with itself would recurse.
     metrics: RankedMutex<Registry>,
-    trace: RankedMutex<TraceBuffer>,
     flight: FlightRecorder,
     slow: RankedMutex<SlowLog>,
     attr: RankedMutex<AttrTable>,
@@ -227,13 +225,8 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A live handle with the default span-ring capacity.
+    /// A live handle.
     pub fn enabled() -> Obs {
-        Obs::with_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// A live handle retaining at most `span_capacity` finished spans.
-    pub fn with_capacity(span_capacity: usize) -> Obs {
         Obs {
             inner: Some(Arc::new(ObsInner {
                 epoch: Instant::now(),
@@ -241,11 +234,6 @@ impl Obs {
                     "obs.metrics",
                     LockRank::OBS_METRICS,
                     Registry::default(),
-                ),
-                trace: RankedMutex::new(
-                    "obs.trace",
-                    LockRank::OBS_TRACE,
-                    TraceBuffer::new(span_capacity),
                 ),
                 flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
                 slow: RankedMutex::new(
@@ -318,49 +306,21 @@ impl Obs {
         }
     }
 
-    /// Finish a span started at `timer`: push a trace record named `span`
-    /// (labelled by `label`, which is only invoked when enabled) and
-    /// record the duration into the histogram `hist`.
-    pub fn span_end(
-        &self,
-        span: &'static str,
-        hist: &'static str,
-        timer: Timer,
-        label: impl FnOnce() -> String,
-    ) {
-        if let (Some(inner), Some(started)) = (&self.inner, timer.0) {
-            let dur_ns = elapsed_ns(started);
-            let start_ns = rel_ns(started, inner.epoch);
-            inner.trace.lock().push(span, label(), start_ns, dur_ns);
-            {
-                let mut m = inner.metrics.lock();
-                m.hists.entry(hist).or_default().record(dur_ns);
-            }
-            // Every span is also a flight-recorder phase, routed to the
-            // active request scope if one is installed on this thread:
-            // an inline `log.force` inside commit becomes a child of
-            // the request that paid for it.
-            record_flight(inner, span, started, dur_ns, 0);
-        }
-    }
-
-    /// Record a typed phase event into the flight recorder (routed to
-    /// the active request scope, if any) without touching the trace
-    /// ring or any histogram.
-    pub fn phase(&self, name: &'static str, timer: Timer) {
-        self.phase_detail(name, timer, 0);
-    }
-
-    /// Like [`Obs::phase`], carrying a free numeric detail (shard
-    /// index, byte count, ...).
+    /// Record a typed phase event carrying a free numeric detail
+    /// (shard index, byte count, ...) into the flight recorder (routed
+    /// to the active request scope, if any) without touching any
+    /// histogram.
     pub fn phase_detail(&self, name: &'static str, timer: Timer, detail: u64) {
         if let (Some(inner), Some(started)) = (&self.inner, timer.0) {
             record_flight(inner, name, started, elapsed_ns(started), detail);
         }
     }
 
-    /// Like [`Obs::phase_detail`], also recording the duration into the
-    /// histogram `hist`.
+    /// Finish a timed span: [`Obs::phase_detail`] plus the duration into
+    /// the histogram `hist`. Every span is a flight-recorder phase routed
+    /// to the request scope active on this thread, so an inline
+    /// `log.force` inside commit becomes a child of the request that
+    /// paid for it.
     pub fn phase_hist(&self, name: &'static str, hist: &'static str, timer: Timer, detail: u64) {
         if let (Some(inner), Some(started)) = (&self.inner, timer.0) {
             let dur_ns = elapsed_ns(started);
@@ -403,7 +363,7 @@ impl Obs {
     /// this thread's active scope (routing every subsequent phase on
     /// this thread into the request's tree), and on [`RequestScope::finish`]
     /// (or drop) records the root span into the flight recorder, the
-    /// trace ring, the histogram `hist` and the attribution table — all
+    /// histogram `hist` and the attribution table — all
     /// from the *same* duration measurement, so attribution totals and
     /// the end-to-end histogram reconcile exactly. A request slower
     /// than the slow threshold gets its span tree copied into the
@@ -485,18 +445,13 @@ impl Obs {
     }
 
     /// Merge every thread's flight-recorder ring into one chronological
-    /// span view (most recent `limit`), plus `(recorded, dropped)`.
-    pub fn flight_spans(&self, limit: usize) -> (Vec<SpanRecord>, u64, u64) {
+    /// view (most recent `limit` events), plus `(recorded, dropped)`.
+    pub fn flight_spans(&self, limit: usize) -> (Vec<FlightEvent>, u64, u64) {
         match &self.inner {
             Some(inner) => {
-                let (events, recorded, dropped) = inner.flight.snapshot();
-                let skip = events.len().saturating_sub(limit);
-                let spans = events[skip..]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| e.to_span(i as u64 + 1))
-                    .collect();
-                (spans, recorded, dropped)
+                let (mut events, recorded, dropped) = inner.flight.snapshot();
+                events.drain(..events.len().saturating_sub(limit));
+                (events, recorded, dropped)
             }
             None => (Vec::new(), 0, 0),
         }
@@ -523,25 +478,6 @@ impl Obs {
                     .collect()
             }
             None => Vec::new(),
-        }
-    }
-
-    /// The most recent `limit` finished spans, oldest first.
-    pub fn spans(&self, limit: usize) -> Vec<SpanRecord> {
-        match &self.inner {
-            Some(inner) => inner.trace.lock().recent(limit),
-            None => Vec::new(),
-        }
-    }
-
-    /// Total spans recorded and spans evicted from the ring.
-    pub fn span_stats(&self) -> (u64, u64) {
-        match &self.inner {
-            Some(inner) => {
-                let t = inner.trace.lock();
-                (t.recorded(), t.dropped())
-            }
-            None => (0, 0),
         }
     }
 
@@ -618,17 +554,6 @@ impl RequestScope {
             dur_ns,
             detail: 0,
         });
-        a.inner.trace.lock().push_traced(
-            a.span,
-            a.op.to_string(),
-            start_ns,
-            dur_ns,
-            SpanIds {
-                trace_id: a.trace_id,
-                span_id: a.root_span,
-                parent_span: a.parent_span,
-            },
-        );
         {
             let mut m = a.inner.metrics.lock();
             m.hists.entry(a.hist).or_default().record(dur_ns);
@@ -644,12 +569,7 @@ impl RequestScope {
             // The dispatching thread recorded every phase of this
             // request into its own ring, so the extraction never
             // crosses threads.
-            let events = a.inner.flight.thread_events_under(a.root_span);
-            let spans = events
-                .iter()
-                .enumerate()
-                .map(|(i, e)| e.to_span(i as u64 + 1))
-                .collect();
+            let spans = a.inner.flight.thread_events_under(a.root_span);
             a.inner.slow.lock().push(RequestTrace {
                 trace_id: a.trace_id,
                 op: a.op,
@@ -730,15 +650,10 @@ mod tests {
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
-        let mut called = false;
         obs.counter("c", 1);
         obs.observe("h", 42);
-        obs.span_end("s", "s_ns", obs.timer(), || {
-            called = true;
-            String::new()
-        });
-        assert!(!called, "label closure must not run when disabled");
-        assert!(obs.spans(10).is_empty());
+        obs.phase_hist("s", "s_ns", obs.timer(), 1);
+        assert_eq!(obs.flight_spans(10), (Vec::new(), 0, 0));
         assert_eq!(obs.with_registry(|r| r.counter_value("c")), None);
     }
 
@@ -765,28 +680,43 @@ mod tests {
     }
 
     #[test]
-    fn span_end_records_trace_and_histogram() {
+    fn phase_hist_records_one_event_and_histogram() {
         let obs = Obs::enabled();
         let t = obs.timer();
-        obs.span_end("ckpt.pass", "ckpt.pass_ns", t, || "FUZZY".into());
-        let spans = obs.spans(10);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "ckpt.pass");
-        assert_eq!(spans[0].label, "FUZZY");
+        obs.phase_hist("ckpt.pass", "ckpt.pass_ns", t, 7);
+        let (spans, recorded, dropped) = obs.flight_spans(10);
+        assert_eq!((spans.len(), recorded, dropped), (1, 1, 0));
+        assert_eq!((spans[0].name, spans[0].detail), ("ckpt.pass", 7));
+        let sum = obs
+            .with_registry(|r| r.hist("ckpt.pass_ns").map(|h| h.summary()))
+            .flatten()
+            .expect("histogram");
         assert_eq!(
-            obs.with_registry(|r| r.hist("ckpt.pass_ns").map(|h| h.count())),
-            Some(Some(1))
+            (sum.count, sum.sum),
+            (1, spans[0].dur_ns),
+            "one measurement"
         );
-        assert_eq!(obs.span_stats(), (1, 0));
+    }
+
+    #[test]
+    fn flight_spans_keeps_the_most_recent_limit() {
+        let obs = Obs::enabled();
+        for detail in 1..=5 {
+            obs.phase_detail("p", obs.timer(), detail);
+        }
+        let (spans, recorded, dropped) = obs.flight_spans(2);
+        assert_eq!((recorded, dropped), (5, 0));
+        let details: Vec<u64> = spans.iter().map(|e| e.detail).collect();
+        assert_eq!(details, vec![4, 5]);
     }
 
     #[test]
     fn stale_default_timer_is_ignored() {
         let obs = Obs::enabled();
-        obs.span_end("x", "x_ns", Timer::default(), || "ignored".into());
-        assert!(obs.spans(10).is_empty());
-        obs.phase("p", Timer::default());
+        obs.phase_hist("x", "x_ns", Timer::default(), 0);
+        obs.phase_detail("p", Timer::default(), 0);
         assert_eq!(obs.flight_spans(10).1, 0);
+        assert_eq!(obs.with_registry(|r| r.hist("x_ns").is_some()), Some(false));
     }
 
     #[test]
@@ -816,7 +746,9 @@ mod tests {
             phase.parent_span, root.span_id,
             "phase is a child of the root"
         );
-        assert_eq!(phase.label, "batch detail=3");
+        assert_eq!((phase.op, phase.detail), ("batch", 3));
+        assert_eq!(crate::DumpSpan::from(phase).label, "batch detail=3");
+        assert_eq!(crate::DumpSpan::from(root).label, "batch");
 
         // >= 2 ms end to end beats the default 1 ms threshold
         let (slow, slow_recorded) = obs.slow_requests(8);
@@ -824,13 +756,7 @@ mod tests {
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].op, "batch");
         assert_eq!(slow[0].trace_id, 0xABCD);
-        assert_eq!(slow[0].spans.len(), 2, "root plus its phase");
-
-        // the trace ring carries the same root with trace identity
-        let ring = obs.spans(16);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring[0].trace_id, 0xABCD);
-        assert_eq!(ring[0].span_id, root.span_id);
+        assert_eq!(slow[0].spans, [*phase, *root], "in recording order");
     }
 
     #[test]
@@ -840,7 +766,7 @@ mod tests {
         for _ in 0..5 {
             let scope = obs.request_scope("net.request", "net.request_ns", "put", 0, 0);
             let t = obs.timer();
-            obs.phase("txn.exec", t);
+            obs.phase_detail("txn.exec", t, 0);
             scope.finish();
         }
         let attr = obs.attribution();
@@ -864,7 +790,7 @@ mod tests {
             let _scope = router.request_scope("net.request", "net.request_ns", "commit", 99, 0);
             // recorded via a different handle, as the engine does for
             // an inline log force
-            engine.span_end("log.force", "log.force_ns", engine.timer(), String::new);
+            engine.phase_hist("log.force", "log.force_ns", engine.timer(), 512);
         }
         let (spans, _, _) = router.flight_spans(16);
         let force = spans
@@ -872,10 +798,13 @@ mod tests {
             .find(|s| s.name == "log.force")
             .expect("routed");
         assert_eq!(force.trace_id, 99);
-        assert_eq!(force.label, "commit");
-        // the engine's own recorder saw nothing; its trace ring did
+        assert_eq!((force.op, force.detail), ("commit", 512));
+        // the engine's own recorder saw nothing; its histogram did
         assert_eq!(engine.flight_spans(16).1, 0);
-        assert_eq!(engine.spans(16).len(), 1);
+        assert_eq!(
+            engine.with_registry(|r| r.hist("log.force_ns").map(|h| h.count())),
+            Some(Some(1))
+        );
         // attribution for the phase landed on the router under the op
         let row = router
             .attribution()
@@ -891,11 +820,11 @@ mod tests {
     #[test]
     fn unscoped_phases_attribute_to_system() {
         let obs = Obs::enabled();
-        obs.phase("log.force", obs.timer());
+        obs.phase_detail("log.force", obs.timer(), 0);
         let (spans, recorded, _) = obs.flight_spans(4);
         assert_eq!(recorded, 1);
         assert_eq!(spans[0].trace_id, 0);
-        assert_eq!(spans[0].label, crate::flight::SYSTEM_OP);
+        assert_eq!(spans[0].op, crate::flight::SYSTEM_OP);
         assert_eq!(current_trace_id(), 0);
         let row = &obs.attribution()[0];
         assert_eq!(row.op, crate::flight::SYSTEM_OP);

@@ -722,7 +722,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.set_slow_threshold_us(0);
         let scope = obs.request_scope("net.request", "net.request_ns", "batch", 0, 0);
-        obs.phase("txn.exec", obs.timer());
+        obs.phase_detail("txn.exec", obs.timer(), 0);
         scope.finish();
         let snap = MetricsSnapshot::capture(&obs);
         let text = snap.to_json_pretty();

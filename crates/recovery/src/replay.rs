@@ -257,7 +257,7 @@ pub fn recover_parallel(
     storage.with_lanes(n, |mut lanes| {
         if n == 1 {
             let lane = &mut lanes[0];
-            return restore(backup, log_device, disk, meter, obs, 1, |_, op| {
+            return restore(backup, log_device, disk, meter, obs, |_, op| {
                 op.apply(lane, meter)
             });
         }
@@ -293,7 +293,7 @@ pub fn recover_parallel(
                     .map_err(|_| MmdbError::Invalid(format!("recovery lane {lane} stopped")))
             };
             let mut queued: Vec<(Vec<Op>, usize)> = (0..n).map(|_| (Vec::new(), 0)).collect();
-            let report = restore(backup, log_device, disk, meter, obs, n, |sid, op| {
+            let report = restore(backup, log_device, disk, meter, obs, |sid, op| {
                 let lane = lane_of.get(sid.index()).copied().unwrap_or(0);
                 let (batch, words) = &mut queued[lane];
                 *words += op.words();
@@ -330,7 +330,6 @@ fn restore(
     disk: &DiskParams,
     meter: &CostMeter,
     obs: &Obs,
-    lanes: usize,
     mut apply: impl FnMut(SegmentId, Op) -> Result<Vec<Word>>,
 ) -> Result<RecoveryReport> {
     let (copy, ckpt) = backup.recovery_copy()?;
@@ -349,11 +348,11 @@ fn restore(
         image = apply(sid, Op::Load(sid, image, copy))?;
     }
     let backup_words = segments_loaded * db.s_seg;
-    obs.span_end(
+    obs.phase_hist(
         "recovery.backup_load",
         "recovery.backup_load_ns",
         load_timer,
-        || format!("{ckpt} copy {copy}: {segments_loaded} segments, {backup_words} words"),
+        segments_loaded,
     );
 
     // 3: the valid log window (the first bad frame ends the log), the
@@ -389,15 +388,11 @@ fn restore(
         resolver.max_gid,
     );
     let (in_doubt, decisions, txns_discarded) = resolver.finish();
-    obs.span_end(
+    obs.phase_hist(
         "recovery.redo_replay",
         "recovery.redo_replay_ns",
         replay_timer,
-        || {
-            format!(
-                "from {replay_start}: {updates_applied} updates, {txns_replayed} txns, {lanes} lanes"
-            )
-        },
+        txns_replayed,
     );
 
     // Recovery-time model (paper §4): backup read at array bandwidth in

@@ -351,14 +351,11 @@ pub fn compact_device(
     obs.counter("compact.frames_dropped", report.frames_dropped);
     obs.counter("compact.chunks_rewritten", report.chunks_rewritten);
     obs.counter("compact.bytes_reclaimed", report.bytes_reclaimed);
-    obs.span_end("compact.pass", "compact.pass_ns", timer, || {
-        format!(
-            "{} chunks examined, {} rewritten, {} frames dropped ({} bytes)",
-            report.chunks_examined,
-            report.chunks_rewritten,
-            report.frames_dropped,
-            report.bytes_reclaimed
-        )
-    });
+    obs.phase_hist(
+        "compact.pass",
+        "compact.pass_ns",
+        timer,
+        report.chunks_rewritten,
+    );
     Ok(report)
 }

@@ -430,9 +430,6 @@ pub struct ShardedMmdb {
     /// the store's gate closes while content is rebuilt, failing reads
     /// over to the locked path.
     mirrors: Vec<Arc<ReadMirror>>,
-    /// When false, point reads skip the mirror and take the shard gate —
-    /// the locked reference path the race driver checks against.
-    lockfree_reads: AtomicBool,
     /// Each shard's durable-LSN watermark (cloned from its log at
     /// construction; group committers wait here).
     watermarks: Vec<Arc<DurableWatermark>>,
@@ -617,7 +614,6 @@ impl ShardedMmdb {
             taps: OnceLock::new(),
             core,
             mirrors,
-            lockfree_reads: AtomicBool::new(true),
             watermarks,
             group,
             flushers,
@@ -635,10 +631,12 @@ impl ShardedMmdb {
     }
 
     /// Pools decision records across every shard's recovery window and
-    /// finishes each in-doubt prepared branch: re-install its
-    /// after-images as a fresh committed transaction if some shard saw
-    /// `Decide{gid, commit: true}`, otherwise presume abort (nothing to
-    /// do — a prepared branch installs nothing until committed).
+    /// finishes each in-doubt prepared branch under its own id, forced,
+    /// before the shard serves: committed if some shard saw
+    /// `Decide{gid, commit: true}`, otherwise presumed aborted
+    /// ([`Mmdb::resolve_in_doubt`]). The logged outcome is what keeps a
+    /// second recovery over the same window from finding the branch in
+    /// doubt again.
     fn resolve_in_doubt(&self, reports: Vec<Option<RecoveryReport>>) -> Result<ShardedRecovery> {
         let mut decisions: HashMap<u64, bool> = HashMap::new();
         let mut max_gid = 0u64;
@@ -656,19 +654,9 @@ impl ShardedMmdb {
         for (i, report) in reports.iter().enumerate() {
             let Some(report) = report else { continue };
             for entry in &report.in_doubt {
-                if decisions.get(&entry.gid).copied().unwrap_or(false) {
-                    // Writes are absolute after-images in shard-local id
-                    // space: replaying them as a fresh transaction is
-                    // idempotent across repeated recoveries. The flushers
-                    // are not guaranteed running yet, so under group
-                    // commit the resolution is forced inline.
-                    {
-                        let mut g = self.lock(i);
-                        g.run_txn(&entry.writes)?;
-                        if self.group {
-                            g.force_log()?;
-                        }
-                    }
+                let commit = decisions.get(&entry.gid).copied().unwrap_or(false);
+                self.lock(i).resolve_in_doubt(entry, commit)?;
+                if commit {
                     committed += 1;
                 } else {
                     aborted += 1;
@@ -885,25 +873,16 @@ impl ShardedMmdb {
     pub fn read_committed(&self, rid: RecordId) -> Result<Vec<Word>> {
         let shard = self.shard_of(rid)?;
         let local = self.local_rid(rid);
-        if self.lockfree_reads.load(Ordering::Relaxed) {
-            let mirror = &self.mirrors[shard];
-            let mut out = vec![0; self.record_words];
-            for _ in 0..LOCKFREE_READ_RETRIES {
-                if mirror.try_read(local, &mut out) {
-                    self.obs.counter("router.reads_lockfree", 1);
-                    return Ok(out);
-                }
+        let mirror = &self.mirrors[shard];
+        let mut out = vec![0; self.record_words];
+        for _ in 0..LOCKFREE_READ_RETRIES {
+            if mirror.try_read(local, &mut out) {
+                self.obs.counter("router.reads_lockfree", 1);
+                return Ok(out);
             }
-            self.obs.counter("router.reads_lockfree_fallback", 1);
         }
+        self.obs.counter("router.reads_lockfree_fallback", 1);
         self.lock(shard).read_committed(local)
-    }
-
-    /// Toggles the lock-free point-read path (on by default). Off forces
-    /// every read through the shard gate — the locked reference path
-    /// `tests/concurrent_driver.rs` checks the racing readers against.
-    pub fn set_lockfree_reads(&self, on: bool) {
-        self.lockfree_reads.store(on, Ordering::SeqCst);
     }
 
     // ----- batch transactions ----------------------------------------------
@@ -1595,6 +1574,17 @@ mod tests {
         assert!(db.commit(TxnId(u64::MAX)).is_err());
     }
 
+    /// Six single-record transactions (three per shard of two), so the
+    /// branches prepared next get ids the next incarnation's first
+    /// transactions do not reuse.
+    fn spend_txn_ids(db: &ShardedMmdb) {
+        let w = db.record_words();
+        for rid in 2..8u64 {
+            db.run_txn(&[(RecordId(rid), fill(w, rid as u32))])
+                .expect("txn");
+        }
+    }
+
     #[test]
     fn prepared_without_decision_presumed_abort_after_crash() {
         let dir = tmpdir("presumed-abort");
@@ -1603,6 +1593,7 @@ mod tests {
             let (db, _) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("open");
             w = db.record_words();
             db.checkpoint_all().expect("seed backups");
+            spend_txn_ids(&db);
             // Tear a cross-shard transaction open by hand: both branches
             // prepared (durably), no decision anywhere.
             for shard in [0usize, 1] {
@@ -1615,13 +1606,19 @@ mod tests {
             }
             // db dropped here: the crash. Prepare records were forced.
         }
-        let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
-        assert_eq!(rec.in_doubt_aborted, 2, "both branches presumed abort");
-        assert_eq!(rec.in_doubt_committed, 0);
-        for rid in [0u64, 1] {
-            let v = db.read_committed(RecordId(rid)).expect("read");
-            assert_ne!(v, fill(w, 0xdead), "rid {rid} must not show torn writes");
+        {
+            let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
+            assert_eq!(rec.in_doubt_aborted, 2, "both branches presumed abort");
+            assert_eq!(rec.in_doubt_committed, 0);
+            for rid in [0u64, 1] {
+                let v = db.read_committed(RecordId(rid)).expect("read");
+                assert_ne!(v, fill(w, 0xdead), "rid {rid} must not show torn writes");
+            }
         }
+        // A second crash inside the same replay window: the abort was
+        // logged under each branch's own id, so nothing is in doubt.
+        let (_db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("second reopen");
+        assert_eq!((rec.in_doubt_aborted, rec.in_doubt_committed), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1633,6 +1630,7 @@ mod tests {
             let (db, _) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("open");
             w = db.record_words();
             db.checkpoint_all().expect("seed backups");
+            spend_txn_ids(&db);
             for shard in [0usize, 1] {
                 db.with_shard(shard, |e| -> Result<()> {
                     let t = e.begin_txn()?;
@@ -1646,15 +1644,35 @@ mod tests {
             db.with_shard(0, |e| e.log_decision(99, true))
                 .expect("decide");
         }
-        let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
-        assert_eq!(rec.in_doubt_committed, 2, "decision commits both branches");
-        assert_eq!(rec.in_doubt_aborted, 0);
-        // Global rids 0 and 1 are local rid 0 on shards 0 and 1.
-        for rid in [0u64, 1] {
-            let v = db.read_committed(RecordId(rid)).expect("read");
-            assert_eq!(v, fill(w, 0xbeef), "rid {rid} shows the decided write");
+        {
+            let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
+            assert_eq!(rec.in_doubt_committed, 2, "decision commits both branches");
+            assert_eq!(rec.in_doubt_aborted, 0);
+            // Global rids 0 and 1 are local rid 0 on shards 0 and 1.
+            for rid in [0u64, 1] {
+                let v = db.read_committed(RecordId(rid)).expect("read");
+                assert_eq!(v, fill(w, 0xbeef), "rid {rid} shows the decided write");
+            }
+            assert!(db.audit_violations().is_empty());
+            // An acked commit over a resolved record, then a second crash
+            // inside the same replay window.
+            db.run_txn(&[(RecordId(0), fill(w, 0xf00d))]).expect("txn");
         }
-        assert!(db.audit_violations().is_empty());
+        let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("second reopen");
+        assert_eq!(
+            (rec.in_doubt_committed, rec.in_doubt_aborted),
+            (0, 0),
+            "each branch was finished under its own id"
+        );
+        assert_eq!(
+            db.read_committed(RecordId(0)).expect("read"),
+            fill(w, 0xf00d),
+            "the resolved branch is not re-applied over the later commit"
+        );
+        assert_eq!(
+            db.read_committed(RecordId(1)).expect("read"),
+            fill(w, 0xbeef)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1921,7 +1939,7 @@ mod tests {
         let (spans, _, _) = db.obs().flight_spans(256);
         let mine: Vec<&str> = spans
             .iter()
-            .filter(|s| s.label.starts_with("txn ") || s.label == "txn")
+            .filter(|s| s.op == "txn")
             .map(|s| s.name)
             .collect();
         for phase in [

@@ -69,7 +69,6 @@ mod detect;
 /// | 5 000 | [`LockRank::AUDIT`] — audit event recorder |
 /// | 40 | [`LockRank::OBS_SLOW`] — slow-request log |
 /// | 30 | [`LockRank::OBS_FLIGHT`] — flight-recorder thread ring |
-/// | 20 | [`LockRank::OBS_TRACE`] — telemetry span ring |
 /// | 15 | [`LockRank::OBS_ATTR`] — latency-attribution table |
 /// | 10 | [`LockRank::OBS_METRICS`] — telemetry metrics registry |
 ///
@@ -119,8 +118,6 @@ impl LockRank {
     /// (each thread owns its ring; the snapshotter is the only other
     /// taker).
     pub const OBS_FLIGHT: LockRank = LockRank(Some(30));
-    /// The telemetry span ring (never nests with the metrics registry).
-    pub const OBS_TRACE: LockRank = LockRank(Some(20));
     /// The latency-attribution table, keyed `(opcode, phase)`.
     pub const OBS_ATTR: LockRank = LockRank(Some(15));
     /// The telemetry metrics registry — the innermost lock in the
@@ -199,7 +196,6 @@ impl LockRank {
             ("audit", 5_000),
             ("obs-slow", 40),
             ("obs-flight", 30),
-            ("obs-trace", 20),
             ("obs-attr", 15),
             ("obs-metrics", 10),
         ]

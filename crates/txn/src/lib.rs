@@ -155,6 +155,34 @@ impl TxnTable {
         id
     }
 
+    /// Re-enters a prepared branch of global transaction `gid` that
+    /// recovery found in doubt, under the id an earlier incarnation gave
+    /// it, so that it can be finished like any prepared branch (and is
+    /// counted as begun, like one). The caller finishes it before
+    /// beginning anything else: `id` is not reserved against
+    /// [`TxnTable::begin`].
+    pub fn adopt_prepared(
+        &mut self,
+        id: TxnId,
+        gid: u64,
+        tau: Timestamp,
+        writes: Vec<StagedWrite>,
+    ) {
+        self.active.insert(
+            id,
+            ActiveTxn {
+                id,
+                tau,
+                begin_lsn: Lsn::ZERO,
+                writes,
+                color_seen: None,
+                run: 1,
+                prepared: Some(gid),
+            },
+        );
+        self.stats.begun += 1;
+    }
+
     /// The active transaction with the given id.
     pub fn get(&self, id: TxnId) -> Result<&ActiveTxn> {
         self.active.get(&id).ok_or(MmdbError::NoSuchTxn(id))

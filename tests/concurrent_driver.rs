@@ -311,10 +311,10 @@ fn intra_shard_readers_and_committers_race_a_live_checkpoint() {
     let violations = db.audit_violations();
     assert!(violations.is_empty(), "audit violations: {violations:?}");
 
-    // ...every record is still uniform through the locked read path...
-    db.set_lockfree_reads(false);
+    // ...every record is still uniform through the locked read path
+    // (one shard: global and local record ids coincide)...
     for r in 0..n {
-        let value = db.read_committed(RecordId(r)).unwrap();
+        let value = db.with_shard(0, |e| e.read_committed(RecordId(r))).unwrap();
         assert!(
             value.iter().all(|&w| w == value[0]),
             "non-uniform record {r} after the race: {value:?}"

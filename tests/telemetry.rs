@@ -1,4 +1,4 @@
-//! The telemetry layer's two load-bearing contracts, checked for every
+//! The telemetry layer's three load-bearing contracts, checked for every
 //! algorithm:
 //!
 //! 1. **Reconciliation** — the `paper` section of a `MetricsSnapshot`
@@ -10,10 +10,14 @@
 //!    workload with telemetry on and off must produce identical
 //!    database fingerprints and identical paper-cost totals. Telemetry
 //!    observes; it must never perturb.
+//! 3. **One recorder** — an enabled engine records each timed span
+//!    exactly once: one flight-recorder event, one histogram sample,
+//!    from one measurement, carrying the span's numeric detail.
 
 // Test helpers exercise infallible setup paths; panicking on them is the point.
 #![allow(clippy::unwrap_used)]
 
+use mmdb::obs::{DumpSpan, TraceDumpDoc};
 use mmdb::{Algorithm, LogMode, Mmdb, MmdbConfig, RecordId, StepOutcome};
 
 fn config(algorithm: Algorithm, telemetry: bool) -> MmdbConfig {
@@ -189,7 +193,69 @@ fn disabled_telemetry_is_invisible_to_the_engine() {
             "{algorithm}"
         );
         assert!(snap.paper.is_some(), "{algorithm}");
-        let (spans, dropped) = off.trace_spans(100);
-        assert!(spans.is_empty() && dropped == 0, "{algorithm}");
+        let dump = TraceDumpDoc::capture(off.obs(), 100);
+        assert!(
+            dump.recorded == 0 && dump.recent.is_empty() && dump.slow.is_empty(),
+            "{algorithm}"
+        );
+    }
+}
+
+/// The numeric detail a dumped span carries (`"<op> detail=<n>"`; a zero
+/// detail is not printed).
+fn detail(span: &DumpSpan) -> u64 {
+    span.label
+        .split_once(" detail=")
+        .map_or(0, |(_, n)| n.parse().unwrap())
+}
+
+#[test]
+fn each_engine_span_is_recorded_exactly_once_with_its_detail() {
+    for algorithm in Algorithm::ALL_EXTENDED {
+        let mut db = Mmdb::open_in_memory(config(algorithm, true)).unwrap();
+        // short enough that no per-thread ring wraps
+        for i in 0..30u64 {
+            db.run_txn(&[(RecordId(i * 67 % 2048), val(&db, 1 + i as u32))])
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        for i in 0..5u64 {
+            db.run_txn(&[(RecordId(i * 131 % 2048), val(&db, 70 + i as u32))])
+                .unwrap();
+        }
+
+        let dump = TraceDumpDoc::capture(db.obs(), 4096);
+        assert_eq!(dump.dropped, 0, "{algorithm}: a ring wrapped");
+        assert_eq!(dump.recorded, dump.recent.len() as u64, "{algorithm}");
+        let named = |name: &'static str| dump.recent.iter().filter(move |s| s.name == name);
+
+        // one interval, one event, one histogram sample
+        let snap = db.metrics_snapshot();
+        let committed = snap.counter("txn.committed").unwrap();
+        assert_eq!(committed, 35, "{algorithm}");
+        assert_eq!(named("txn.commit").count() as u64, committed, "{algorithm}");
+        assert_eq!(
+            snap.hist("txn.commit_ns").unwrap().count,
+            committed,
+            "{algorithm}"
+        );
+        let commit_ns: u64 = named("txn.commit").map(|s| s.dur_ns).sum();
+        assert_eq!(snap.hist("txn.commit_ns").unwrap().sum, commit_ns);
+        assert!(named("txn.commit").all(|s| detail(s) > 0), "{algorithm}");
+
+        let flushed = snap.counter("ckpt.segments_flushed").unwrap();
+        assert!(flushed > 0, "{algorithm}");
+        assert_eq!(named("ckpt.flush").count() as u64, flushed, "{algorithm}");
+        assert!(
+            named("ckpt.flush").all(|s| detail(s) < db.n_segments()),
+            "{algorithm}: ckpt.flush detail is a segment id"
+        );
+        assert_eq!(named("ckpt.pass").count(), 1, "{algorithm}");
+
+        assert!(named("log.force").count() > 0, "{algorithm}");
+        assert!(
+            named("log.force").all(|s| detail(s) > 0),
+            "{algorithm}: log.force carries its byte count"
+        );
     }
 }
