@@ -4,7 +4,7 @@
 //! mmdb-cli <dir> init [--algorithm FUZZYCOPY|2CFLUSH|2CCOPY|COUFLUSH|COUCOPY|FASTFUZZY]
 //!                     [--segments N] [--segment-words N] [--record-words N] [--full]
 //!                     [--shards N] [--durability force|lazy|group]
-//!                     [--recovery-workers N] [--compress-backups] [--compress-log]
+//!                     [--compress-backups] [--compress-log]
 //! mmdb-cli <dir> put <record> <fill-u32>
 //! mmdb-cli <dir> get <record>
 //! mmdb-cli <dir> workload <n-txns> [--seed S] [--updates K]
@@ -15,12 +15,12 @@
 //!                      [--json] [--remote ADDR]            # dump a live server's traces
 //! mmdb-cli <dir> audit [--txns N] [--seed S] [--updates K]
 //! mmdb-cli <dir> lint                       # dir is the source root
-//! mmdb-cli <dir> fsck [--compare DIR-OR-ADDR] [--recovery-workers N]  # cross-check fingerprints
+//! mmdb-cli <dir> fsck [--compare DIR-OR-ADDR]  # cross-check fingerprints
 //! mmdb-cli <dir> dump <archive-file>
 //! mmdb-cli <dir> restore <archive-file> [--algorithm A]   # dir must be fresh
 //! mmdb-cli <dir> serve [--addr A] [--workers N] [--ckpt-ms D] [--idle-ms D] [--shards N]
 //!                      [--slow-us U]                          # slow-request trace threshold
-//!                      [--compact-ms D] [--recovery-workers N]  # log maintenance + parallel replay
+//!                      [--compact-ms D]                       # log maintenance
 //!                      [--replica-of ADDR] [--repl-primary] [--repl-sync]  # replication role (persisted)
 //! mmdb-cli <dir> promote [--addr A]         # replica -> writable primary
 //! mmdb-cli <dir> bench-net [--connections N] [--txns N] [--updates K] [--seed S]
@@ -163,7 +163,6 @@ const COMMANDS: &[Command] = &[
             "--full",
             "--shards N",
             "--durability force|lazy|group",
-            "--recovery-workers N",
             "--compress-backups",
             "--compress-log",
         ],
@@ -233,8 +232,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "fsck",
-        about: "verify backup checksums, the log window, and dry-run recovery (optionally in parallel); cross-check fingerprints against another directory or server",
-        flags: &["--compare DIR-OR-ADDR", "--recovery-workers N"],
+        about: "verify backup checksums, the log window, and dry-run recovery; cross-check fingerprints against another directory or server",
+        flags: &["--compare DIR-OR-ADDR"],
         handler: cmd_fsck,
     },
     Command {
@@ -260,7 +259,6 @@ const COMMANDS: &[Command] = &[
             "--shards N",
             "--slow-us U",
             "--compact-ms D",
-            "--recovery-workers N",
             "--replica-of ADDR",
             "--repl-primary",
             "--repl-sync",
@@ -397,9 +395,6 @@ fn cmd_init(dir: &Path, rest: &[String]) -> Result<(), String> {
                 ))
             }
         };
-    }
-    if let Some(v) = flag_value(rest, "--recovery-workers") {
-        config.recovery_workers = v.parse().map_err(|e| format!("--recovery-workers: {e}"))?;
     }
     if rest.iter().any(|a| a == "--compress-backups") {
         config.compress_backups = true;
@@ -897,12 +892,6 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
 
     let mut config = persist::load(dir)?;
     config.telemetry = true; // request spans must show up in `stats --json`
-    if let Some(v) = flag_value(rest, "--recovery-workers") {
-        // runtime override for this open only — the persisted knob
-        // (set at `init`) is untouched
-        config.recovery_workers = v.parse().map_err(|e| format!("--recovery-workers: {e}"))?;
-        config.validate()?;
-    }
     let marker = marker_shards(dir)?;
     let shards: usize = flag_value(rest, "--shards")
         .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
@@ -1211,16 +1200,8 @@ fn cmd_promote(dir: &Path, rest: &[String]) -> Result<(), String> {
 }
 
 /// Computes the storage fingerprint of the database in `dir` (sharded
-/// or not), offline.
-fn dir_fingerprint(dir: &Path) -> Result<u64, String> {
-    dir_fingerprint_with(persist::load(dir)?, dir)
-}
-
-/// [`dir_fingerprint`] under a caller-adjusted config (e.g. `fsck
-/// --recovery-workers N --compare <serial-dir>` recovers the local side
-/// in parallel and the target with its own persisted settings — the
-/// fingerprint-identity check).
-fn dir_fingerprint_with(config: MmdbConfig, dir: &Path) -> Result<u64, String> {
+/// or not, created with `config`), offline.
+fn dir_fingerprint(config: MmdbConfig, dir: &Path) -> Result<u64, String> {
     match marker_shards(dir)? {
         Some(shards) => Ok(open_sharded(config, dir, shards)?.fingerprint()),
         None => Ok(ShardedMmdb::from_single(open_with(config, dir)?).fingerprint()),
@@ -1243,21 +1224,14 @@ fn step_checkpoint(db: &mut Mmdb) -> Result<(), String> {
 }
 
 fn cmd_fsck(dir: &Path, rest: &[String]) -> Result<(), String> {
-    let mut config = persist::load(dir)?;
-    // Run the deep verify's dry-run recovery through the parallel path
-    // (the fingerprint-identity check: recover with N workers, then
-    // `--compare` against a serially-recovered copy).
-    if let Some(v) = flag_value(rest, "--recovery-workers") {
-        config.recovery_workers = v.parse().map_err(|e| format!("--recovery-workers: {e}"))?;
-        config.validate()?;
-    }
+    let config = persist::load(dir)?;
     let mut problems = 0u64;
 
     // --compare cross-checks this database's storage fingerprint
     // against another database directory or a live server (addr with a
     // ':'): the one-line answer to "is my standby byte-equivalent?"
     if let Some(target) = flag_value(rest, "--compare") {
-        let local = dir_fingerprint_with(config, dir)?;
+        let local = dir_fingerprint(config, dir)?;
         let (what, other) = if target.contains(':') {
             let mut client =
                 Client::connect(&target).map_err(|e| format!("connecting {target}: {e}"))?;
@@ -1267,7 +1241,10 @@ fn cmd_fsck(dir: &Path, rest: &[String]) -> Result<(), String> {
             (format!("server {target}"), fp)
         } else {
             let other_dir = PathBuf::from(&target);
-            (target.clone(), dir_fingerprint(&other_dir)?)
+            (
+                target.clone(),
+                dir_fingerprint(persist::load(&other_dir)?, &other_dir)?,
+            )
         };
         if local == other {
             println!("compare: fingerprints match ({local:#018x})");

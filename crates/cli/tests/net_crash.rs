@@ -881,33 +881,24 @@ fn kill_nine_mid_cross_shard_transfers_leaves_no_torn_transfer() {
     assert!(fsck_out.contains("fsck: clean"), "{fsck_out}");
     assert!(fsck_out.contains("topology: 4 shards"), "{fsck_out}");
 
-    // fingerprint identity on the real crash state: the same sharded
-    // directory — in-doubt cross-shard branches and all — recovered
-    // with 2 and 8 workers per shard must match the serially-recovered
-    // original bit for bit (the in-doubt resolver sees the identical
-    // branch set either way)
-    for workers in ["2", "8"] {
-        let par = tmpdir(&format!("kill9-sharded-{workers}w"));
-        copy_dir(&dir, &par);
-        let cmp = Command::new(bin())
-            .arg(&par)
-            .args([
-                "fsck",
-                "--recovery-workers",
-                workers,
-                "--compare",
-                &dir.to_string_lossy(),
-            ])
-            .output()
-            .expect("fsck --compare");
-        let cmp_out = String::from_utf8_lossy(&cmp.stdout).into_owned()
-            + &String::from_utf8_lossy(&cmp.stderr);
-        assert!(
-            cmp.status.success() && cmp_out.contains("compare: fingerprints match"),
-            "{workers}-worker recovery diverged from serial on the sharded crash state:\n{cmp_out}"
-        );
-        let _ = std::fs::remove_dir_all(&par);
-    }
+    // fingerprint identity on the real crash state: a twin copy of the
+    // sharded directory — in-doubt cross-shard branches and all — must
+    // recover to the original's fingerprint bit for bit (the in-doubt
+    // resolver sees the identical branch set either way)
+    let twin = tmpdir("kill9-sharded-twin");
+    copy_dir(&dir, &twin);
+    let cmp = Command::new(bin())
+        .arg(&twin)
+        .args(["fsck", "--compare", &dir.to_string_lossy()])
+        .output()
+        .expect("fsck --compare");
+    let cmp_out =
+        String::from_utf8_lossy(&cmp.stdout).into_owned() + &String::from_utf8_lossy(&cmp.stderr);
+    assert!(
+        cmp.status.success() && cmp_out.contains("compare: fingerprints match"),
+        "twin recovery diverged on the sharded crash state:\n{cmp_out}"
+    );
+    let _ = std::fs::remove_dir_all(&twin);
 
     // re-serve (parallel shard recovery + in-doubt resolution happens
     // here) and audit every transfer group over the wire

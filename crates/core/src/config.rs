@@ -77,11 +77,9 @@ pub struct MmdbConfig {
     /// default for production-shaped runs; [`MmdbConfig::small`] turns it
     /// on so every test runs fully checked.
     pub audit: bool,
-    /// Apply lanes for crash recovery
-    /// ([`mmdb_recovery::recover_parallel`]). `1` (the default) replays
-    /// on the recovering thread; higher values give each lane a
-    /// contiguous run of segments and its own thread. The recovered
-    /// state and the report are bit-identical at every value.
+    /// Ignored; recovery replays on one lane; deleted by the next
+    /// `benchmark`-archetype PR (`benchmark/` still assigns it).
+    #[doc(hidden)]
     pub recovery_workers: usize,
     /// Compress backup segment slots as checkpoints write them. Reads
     /// are per-slot self-describing, so the flag can change between
@@ -141,9 +139,6 @@ impl MmdbConfig {
                 "{} requires a stable log tail (set params.log_mode = LogMode::StableTail)",
                 self.algorithm
             ));
-        }
-        if self.recovery_workers == 0 {
-            return Err("recovery_workers must be at least 1".into());
         }
         Ok(())
     }

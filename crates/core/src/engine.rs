@@ -1090,14 +1090,13 @@ impl Mmdb {
             None
         };
         let recovery_meter = CostMeter::new(self.config.params.cost);
-        let report = mmdb_recovery::recover_parallel(
+        let report = mmdb_recovery::recover_observed(
             &mut self.storage,
             &mut *self.backup,
             self.log.get_mut().device_mut(),
             &self.config.params.disk,
             &recovery_meter,
             &self.obs,
-            self.config.recovery_workers,
         )?;
         if let Some(copies) = copies {
             self.audit.emit(|| AuditEvent::RecoveryChosen {

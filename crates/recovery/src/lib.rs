@@ -18,6 +18,10 @@
 //!    — REDO-only logging means they never touched the database... on
 //!    disk).
 //!
+//! All four steps run on the recovering thread, into the `Storage` the
+//! caller holds, through one function: [`recover_observed`] ([`recover`]
+//! and [`dry_run`] are it without telemetry and into scratch storage).
+//!
 //! The paper measures recovery time as pure I/O time: reading the backup
 //! plus reading the relevant portion of the log (§4). [`RecoveryReport`]
 //! carries both the byte counts and that modeled time.
@@ -26,7 +30,7 @@
 
 mod replay;
 
-pub use replay::{recover_parallel, Stager};
+pub use replay::{recover_observed, Stager};
 
 use mmdb_disk::BackupStore;
 use mmdb_log::LogDevice;
@@ -110,18 +114,6 @@ pub fn recover(
     meter: &CostMeter,
 ) -> Result<RecoveryReport> {
     recover_observed(storage, backup, log_device, disk, meter, &Obs::disabled())
-}
-
-/// [`recover`] with telemetry: [`recover_parallel`] with one lane.
-pub fn recover_observed(
-    storage: &mut Storage,
-    backup: &mut dyn BackupStore,
-    log_device: &mut dyn LogDevice,
-    disk: &DiskParams,
-    meter: &CostMeter,
-    obs: &Obs,
-) -> Result<RecoveryReport> {
-    recover_parallel(storage, backup, log_device, disk, meter, obs, 1)
 }
 
 /// Dry-run recovery: rebuilds the database into scratch storage from the

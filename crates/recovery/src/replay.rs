@@ -16,31 +16,19 @@
 //!   begin marker, the replay start, and the paper's §4 recovery-time
 //!   terms.
 //!
-//! [`recover_parallel`] drives them at any lane count. One lane installs
-//! inline on the calling thread; with more, each lane owns a contiguous
-//! run of segments ([`Storage::with_lanes`]) and receives its segment
-//! images and its installs, in commit order, over a channel. Records of
-//! different segments are independent once commits are resolved, so the
-//! result is bit-identical at every lane count.
+//! [`recover_observed`] drives them on the recovering thread: it loads
+//! each backup segment and installs each committed after-image, in commit
+//! order, straight into the `Storage` it holds.
 
 use crate::{InDoubtTxn, RecoveryReport};
 use mmdb_disk::BackupStore;
 use mmdb_log::{LogDevice, LogRecord, LogStream};
 use mmdb_obs::Obs;
-use mmdb_storage::{Storage, StorageLane};
+use mmdb_storage::Storage;
 use mmdb_types::{
     CostMeter, DiskParams, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, TxnId, Word,
 };
 use std::collections::HashMap;
-use std::sync::mpsc;
-
-/// Words of segment images or after-images handed to a lane at a time:
-/// waking a lane costs far more than one install.
-const LANE_BATCH_WORDS: usize = 64 * 1024;
-
-/// Batches queued per lane before the resolver waits for the lane to
-/// catch up: bounds the decoded words in flight.
-const LANE_QUEUE_BATCHES: usize = 8;
 
 /// One log stream's undecided transactions: the LSN each was first seen
 /// at and the writes staged for it so far, in log order.
@@ -193,37 +181,6 @@ impl Resolver {
     }
 }
 
-/// One step of the restore, applied by whoever owns the segment.
-enum Op {
-    /// A backup segment image and the ping-pong copy it was read from.
-    Load(SegmentId, Vec<Word>, usize),
-    /// A committed after-image and the LSN just past the frame that
-    /// committed it.
-    Install(Write, Lsn),
-}
-
-impl Op {
-    fn words(&self) -> usize {
-        match self {
-            Op::Load(_, words, _) | Op::Install((_, words), _) => words.len(),
-        }
-    }
-
-    /// Applies the step to `lane` and hands back the buffer it carried.
-    fn apply(self, lane: &mut StorageLane<'_>, meter: &CostMeter) -> Result<Vec<Word>> {
-        match self {
-            Op::Load(sid, image, copy) => {
-                lane.load_segment(sid, &image, Some(copy), meter)?;
-                Ok(image)
-            }
-            Op::Install((record, value), end_lsn) => {
-                lane.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
-                Ok(value)
-            }
-        }
-    }
-}
-
 pub(crate) fn log_read_time(disk: &DiskParams, log_words: u64) -> f64 {
     if log_words == 0 {
         0.0
@@ -232,120 +189,31 @@ pub(crate) fn log_read_time(disk: &DiskParams, log_words: u64) -> f64 {
     }
 }
 
-/// Restores `storage` from the backup and log with `workers` apply lanes
-/// (`0` and `1` both mean one: everything on the calling thread).
+/// [`recover`](crate::recover) with telemetry: the restore itself (crate
+/// docs, steps 1–4), on the calling thread.
 ///
 /// Emits `recovery.backup_load` and `recovery.redo_replay` spans and
 /// records the report's modeled total into the
-/// `recovery.total_modeled_us` histogram. The modeled-time fields use
-/// the paper's formulas at every lane count — lanes change wall-clock,
-/// not the model.
-pub fn recover_parallel(
+/// `recovery.total_modeled_us` histogram.
+pub fn recover_observed(
     storage: &mut Storage,
     backup: &mut dyn BackupStore,
     log_device: &mut dyn LogDevice,
     disk: &DiskParams,
     meter: &CostMeter,
     obs: &Obs,
-    workers: usize,
-) -> Result<RecoveryReport> {
-    let n = workers.max(1);
-    let lane_of: Vec<usize> = storage
-        .segment_ids()
-        .map(|sid| storage.lane_of(sid, n))
-        .collect();
-    storage.with_lanes(n, |mut lanes| {
-        if n == 1 {
-            let lane = &mut lanes[0];
-            return restore(backup, log_device, disk, meter, obs, |_, op| {
-                op.apply(lane, meter)
-            });
-        }
-        std::thread::scope(|scope| {
-            // Lanes hand their spent buffers back to this thread, which
-            // allocated them: freeing them on the lanes contends with the
-            // decoder's allocations and triples the replay time.
-            let (spent_tx, spent_rx) = mpsc::channel::<Vec<Vec<Word>>>();
-            let (senders, handles): (Vec<_>, Vec<_>) = lanes
-                .into_iter()
-                .map(|mut lane| {
-                    let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(LANE_QUEUE_BATCHES);
-                    let spent_tx = spent_tx.clone();
-                    let worker = scope.spawn(move || -> Result<()> {
-                        for batch in rx {
-                            let spent: Result<Vec<_>> = batch
-                                .into_iter()
-                                .map(|op| op.apply(&mut lane, meter))
-                                .collect();
-                            let _ = spent_tx.send(spent?);
-                        }
-                        Ok(())
-                    });
-                    (tx, worker)
-                })
-                .unzip();
-            // A lane that failed has dropped its receiver; its own error,
-            // collected below, is the one to report.
-            let send = |lane: usize, batch: Vec<Op>| {
-                spent_rx.try_iter().for_each(drop);
-                senders[lane]
-                    .send(batch)
-                    .map_err(|_| MmdbError::Invalid(format!("recovery lane {lane} stopped")))
-            };
-            let mut queued: Vec<(Vec<Op>, usize)> = (0..n).map(|_| (Vec::new(), 0)).collect();
-            let report = restore(backup, log_device, disk, meter, obs, |sid, op| {
-                let lane = lane_of.get(sid.index()).copied().unwrap_or(0);
-                let (batch, words) = &mut queued[lane];
-                *words += op.words();
-                batch.push(op);
-                if *words >= LANE_BATCH_WORDS {
-                    *words = 0;
-                    send(lane, std::mem::take(batch))?;
-                }
-                Ok(Vec::new())
-            });
-            for (lane, (batch, _)) in queued.into_iter().enumerate() {
-                if report.is_ok() && !batch.is_empty() {
-                    let _ = send(lane, batch);
-                }
-            }
-            drop(senders);
-            for worker in handles {
-                worker
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
-            }
-            report
-        })
-    })
-}
-
-/// The restore itself (module docs of the crate, steps 1–4), handing
-/// every segment image and committed install to `apply` together with
-/// the segment it lands in; `apply` returns the buffer if it is done
-/// with it.
-fn restore(
-    backup: &mut dyn BackupStore,
-    log_device: &mut dyn LogDevice,
-    disk: &DiskParams,
-    meter: &CostMeter,
-    obs: &Obs,
-    mut apply: impl FnMut(SegmentId, Op) -> Result<Vec<Word>>,
 ) -> Result<RecoveryReport> {
     let (copy, ckpt) = backup.recovery_copy()?;
     let db = backup.shape();
 
-    // 1–2: read the backup into main memory.
+    // 1–2: read the backup into main memory through one reused image.
     let load_timer = obs.timer();
     let segments_loaded = db.n_segments();
-    let mut image: Vec<Word> = Vec::new();
+    let mut image: Vec<Word> = vec![0; db.s_seg as usize];
     for sid in (0..segments_loaded as u32).map(SegmentId) {
         meter.io_op();
-        // the image is moved to the lane that owns the segment; a lane on
-        // another thread keeps it, so the buffer comes back empty
-        image.resize(db.s_seg as usize, 0);
         backup.read_segment(copy, sid, &mut image)?;
-        image = apply(sid, Op::Load(sid, image, copy))?;
+        storage.load_segment(sid, &image, Some(copy), meter)?;
     }
     let backup_words = segments_loaded * db.s_seg;
     obs.phase_hist(
@@ -370,13 +238,11 @@ fn restore(
     // 4: forward replay, a second pass of the stream, installing each
     // transaction's updates at the frame that commits it (shadow-copy
     // install order = commit order).
-    let rps = db.records_per_segment();
     let mut resolver = Resolver::default();
     stream.replay(&window, replay_start, |lsn, rec| {
         let end_lsn = rec.end_lsn(lsn);
-        for write in resolver.feed(lsn, rec) {
-            let sid = SegmentId((write.0.raw() / rps) as u32);
-            apply(sid, Op::Install(write, end_lsn))?;
+        for (record, value) in resolver.feed(lsn, rec) {
+            storage.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
         }
         Ok(())
     })?;

@@ -8,7 +8,7 @@
 use mmdb_disk::{BackupStore, MemBackup};
 use mmdb_log::{LogDevice, LogRecord, MemLogDevice};
 use mmdb_obs::Obs;
-use mmdb_recovery::recover_parallel;
+use mmdb_recovery::recover_observed;
 use mmdb_storage::Storage;
 use mmdb_types::{
     CheckpointId, CostMeter, CostParams, Params, RecordId, Result, SegmentId, Timestamp, TxnId,
@@ -85,43 +85,37 @@ fn recovery_reads_a_long_log_one_window_at_a_time() {
     }
     let log_len = device.len();
 
-    let mut fingerprints = Vec::new();
-    for lanes in [1, 3] {
-        let obs = Obs::enabled();
-        let mut storage = Storage::new(db).unwrap();
-        let report = recover_parallel(
-            &mut storage,
-            &mut backup,
-            &mut device,
-            &Params::small().disk,
-            &CostMeter::new(CostParams::default()),
-            &obs,
-            lanes,
-        )
-        .unwrap();
-        assert_eq!(report.txns_replayed, n_frames as u64, "{lanes} lanes");
-        fingerprints.push(storage.fingerprint());
+    let obs = Obs::enabled();
+    let mut storage = Storage::new(db).unwrap();
+    let report = recover_observed(
+        &mut storage,
+        &mut backup,
+        &mut device,
+        &Params::small().disk,
+        &CostMeter::new(CostParams::default()),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(report.txns_replayed, n_frames as u64);
 
-        let (window, read) = obs
-            .with_registry(|r| {
-                (
-                    r.gauge_value("recovery.log_window_peak_bytes").unwrap(),
-                    r.counter_value("recovery.log_bytes_read"),
-                )
-            })
-            .unwrap();
-        assert!(
-            log_len >= 20 * window,
-            "a {log_len}-byte log is no test of a {window}-byte window"
-        );
-        assert_eq!(device.read_alls, 0, "{lanes} lanes read the log whole");
-        assert!(
-            device.largest_read as u64 <= window + frame_len as u64,
-            "{lanes} lanes: one read of {} bytes, window {window}",
-            device.largest_read
-        );
-        // two passes, both from the marker at the head of the log
-        assert_eq!(read, 2 * log_len, "{lanes} lanes");
-    }
-    assert_eq!(fingerprints[0], fingerprints[1]);
+    let (window, read) = obs
+        .with_registry(|r| {
+            (
+                r.gauge_value("recovery.log_window_peak_bytes").unwrap(),
+                r.counter_value("recovery.log_bytes_read"),
+            )
+        })
+        .unwrap();
+    assert!(
+        log_len >= 20 * window,
+        "a {log_len}-byte log is no test of a {window}-byte window"
+    );
+    assert_eq!(device.read_alls, 0, "the log was read whole");
+    assert!(
+        device.largest_read as u64 <= window + frame_len as u64,
+        "one read of {} bytes, window {window}",
+        device.largest_read
+    );
+    // two passes, both from the marker at the head of the log
+    assert_eq!(read, 2 * log_len);
 }

@@ -2,15 +2,15 @@
 //! replayer that exists only here: decode everything, index it, sort the
 //! commits by LSN, apply. The reference shares no staging, resolution or
 //! window code with the core; the two must agree on the recovered
-//! contents and on every resolution field of the report at 1, 2 and 3
-//! lanes, on intact, torn and bit-flipped logs alike.
+//! contents and on every resolution field of the report, on intact, torn
+//! and bit-flipped logs alike.
 
 #![allow(clippy::unwrap_used, clippy::type_complexity)]
 
 use mmdb_disk::{BackupStore, MemBackup};
 use mmdb_log::{LogDevice, LogRecord, MemLogDevice};
 use mmdb_obs::Obs;
-use mmdb_recovery::{recover_parallel, InDoubtTxn, RecoveryReport};
+use mmdb_recovery::{recover_observed, InDoubtTxn, RecoveryReport};
 use mmdb_storage::Storage;
 use mmdb_types::{
     hash::fnv1a_words, CheckpointId, CostMeter, CostParams, DbParams, Lsn, Params, RecordId,
@@ -132,12 +132,8 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
     })
 }
 
-/// Recovers `log` over the test backup with `lanes` lanes.
-fn recover(
-    db: DbParams,
-    log: &[u8],
-    lanes: usize,
-) -> mmdb_types::Result<(RecoveryReport, Storage)> {
+/// Recovers `log` over the test backup.
+fn recover(db: DbParams, log: &[u8]) -> mmdb_types::Result<(RecoveryReport, Storage)> {
     let mut backup = MemBackup::new(db);
     backup.begin_checkpoint(1, CKPT).unwrap();
     for (s, image) in backup_image(&db).chunks(db.s_seg as usize).enumerate() {
@@ -147,48 +143,38 @@ fn recover(
     let mut device = MemLogDevice::new();
     device.append(log).unwrap();
     let mut storage = Storage::new(db).unwrap();
-    let report = recover_parallel(
+    let report = recover_observed(
         &mut storage,
         &mut backup,
         &mut device,
         &Params::small().disk,
         &CostMeter::new(CostParams::default()),
         &Obs::disabled(),
-        lanes,
     )?;
     Ok((report, storage))
 }
 
-/// The core agrees with the reference, and with itself, at 1, 2, 3 lanes.
+/// The core agrees with the reference.
 fn check(log: &[u8]) -> Option<Expected> {
     let db = Params::small().db;
     let want = reference(&db, log);
-    let mut serial: Option<(RecoveryReport, u64)> = None;
-    for lanes in 1..=3 {
-        let got = recover(db, log, lanes);
-        let Some(want) = &want else {
-            assert!(got.is_err(), "{lanes} lanes recovered without a marker");
-            continue;
-        };
-        let (report, storage) = got.unwrap();
-        let seen = Expected {
-            fingerprint: storage.fingerprint(),
-            replay_start: report.replay_start,
-            in_doubt: report.in_doubt.clone(),
-            decisions: report.decisions.clone(),
-            max_gid: report.max_gid,
-            txns_replayed: report.txns_replayed,
-            txns_discarded: report.txns_discarded,
-        };
-        assert_eq!(&seen, want, "{lanes} lanes vs reference");
-        let this = (report, storage.current_version());
-        assert_eq!(
-            serial.get_or_insert_with(|| this.clone()),
-            &this,
-            "{lanes} lanes vs 1"
-        );
-    }
-    want
+    let got = recover(db, log);
+    let Some(want) = want else {
+        assert!(got.is_err(), "recovered without a marker");
+        return None;
+    };
+    let (report, storage) = got.unwrap();
+    let seen = Expected {
+        fingerprint: storage.fingerprint(),
+        replay_start: report.replay_start,
+        in_doubt: report.in_doubt,
+        decisions: report.decisions,
+        max_gid: report.max_gid,
+        txns_replayed: report.txns_replayed,
+        txns_discarded: report.txns_discarded,
+    };
+    assert_eq!(seen, want, "core vs reference");
+    Some(want)
 }
 
 #[derive(Debug, Clone)]
@@ -258,8 +244,8 @@ fn txn(t: u64, records: &[u64], fill: Word) -> Vec<Step> {
 }
 
 #[test]
-fn worker_count_sweep_case() {
-    // rescale's `parallel_matches_serial_across_worker_counts` tail
+fn aborted_tail_case() {
+    // a crash state whose tail holds two commits and an abort
     let mut after = txn(1, &[0, 550], 8);
     after.extend(txn(2, &[550, 1, 901], 9));
     after.extend([
@@ -275,7 +261,7 @@ fn worker_count_sweep_case() {
 
 #[test]
 fn in_doubt_branch_case() {
-    // rescale's `parallel_carries_in_doubt_branches` tail
+    // a prepared branch with no outcome behind a commit
     let mut after = txn(1, &[10], 2);
     after.extend([
         Step::Begin(2),
@@ -291,11 +277,10 @@ fn in_doubt_branch_case() {
 }
 
 #[test]
-fn corrupt_update_payload_ends_the_log_at_every_lane_count() {
+fn corrupt_update_payload_ends_the_log() {
     // One flipped byte inside the after-image of the first update past
     // the marker: the frame is structurally whole, its checksum is bad,
-    // so the log ends there and both commits behind it vanish — at one
-    // lane and at three alike.
+    // so the log ends there and both commits behind it vanish.
     let mut after = txn(1, &[5, 6, 7], 2);
     after.extend(txn(2, &[5], 3));
     let (mut log, tail_at) = crashed_log(&txn(0, &[0, 100], 1), &[], &after);
@@ -338,7 +323,7 @@ fn reused_id_does_not_commit_an_earlier_incarnations_open_update() {
     let (log, _) = crashed_log(&[], &[], &[&first[..], &second[..]].concat());
     let want = check(&log).unwrap();
     assert_eq!((want.txns_replayed, want.txns_discarded), (1, 0));
-    let (_, storage) = recover(db, &log, 1).unwrap();
+    let (_, storage) = recover(db, &log).unwrap();
     let checkpointed = backup_image(&db)[(40 * db.s_rec) as usize];
     assert_eq!(storage.read_record(RecordId(40)).unwrap()[0], checkpointed);
     assert_eq!(storage.read_record(RecordId(41)).unwrap()[0], 8);
@@ -360,7 +345,7 @@ fn mixed_old_and_txn_commit_frames_replay_in_log_order() {
     assert_eq!(want.txns_replayed, 3);
     assert_eq!(want.in_doubt.len(), 1);
     assert_eq!(want.in_doubt[0].writes, vec![(RecordId(5), vec![9; 32])]);
-    let (_, storage) = recover(Params::small().db, &log, 2).unwrap();
+    let (_, storage) = recover(Params::small().db, &log).unwrap();
     assert_eq!(storage.read_record(RecordId(5)).unwrap()[0], 4);
 }
 

@@ -1,12 +1,8 @@
-//! Recovery at scale: parallel partitioned replay, live log compaction,
-//! and compressed cold storage.
+//! Recovery at scale: live log compaction and compressed cold storage.
 //!
-//! What a memory-resident database needs once databases and logs stop
-//! being small:
+//! What a memory-resident database needs once logs stop being small
+//! (replay itself is `mmdb-recovery`'s, on one lane):
 //!
-//! * [`recover_parallel`] — re-exported from `mmdb-recovery`, whose one
-//!   replay core runs at any lane count; the lane-count identity tests
-//!   live here, next to the compaction tests that share their harness.
 //! * [`compact_device`] — a background pass that rewrites cold log
 //!   chunks, replacing durably-dead frames (aborted, or committed and
 //!   superseded) with length-preserving filler so the REDO window stays
@@ -24,20 +20,38 @@
 mod compact;
 
 pub use compact::{compact_device, CompactOptions, CompactReport};
-pub use mmdb_recovery::recover_parallel;
+
+use mmdb_disk::BackupStore;
+use mmdb_log::LogDevice;
+use mmdb_obs::Obs;
+use mmdb_recovery::RecoveryReport;
+use mmdb_storage::Storage;
+use mmdb_types::{CostMeter, DiskParams, Result};
+
+/// [`mmdb_recovery::recover_observed`] under the name `benchmark/` pins.
+/// `workers` is ignored; recovery replays on one lane; deleted by the
+/// next `benchmark`-archetype PR.
+#[doc(hidden)]
+pub fn recover_parallel(
+    storage: &mut Storage,
+    backup: &mut dyn BackupStore,
+    log_device: &mut dyn LogDevice,
+    disk: &DiskParams,
+    meter: &CostMeter,
+    obs: &Obs,
+    _workers: usize,
+) -> Result<RecoveryReport> {
+    mmdb_recovery::recover_observed(storage, backup, log_device, disk, meter, obs)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_disk::{BackupStore, MemBackup};
-    use mmdb_log::{
-        LogDevice, LogManager, LogRecord, LogScanner, MemLogDevice, SegmentedLogDevice,
-    };
-    use mmdb_obs::Obs;
-    use mmdb_recovery::{recover, RecoveryReport};
-    use mmdb_storage::Storage;
+    use mmdb_disk::MemBackup;
+    use mmdb_log::{LogManager, LogRecord, LogScanner, MemLogDevice, SegmentedLogDevice};
+    use mmdb_recovery::recover;
     use mmdb_types::{
-        Algorithm, CkptMode, CostMeter, CostParams, LogMode, Params, RecordId, Timestamp, TxnId,
+        Algorithm, CkptMode, CostParams, LogMode, Params, RecordId, Timestamp, TxnId,
     };
     use std::path::PathBuf;
 
@@ -61,10 +75,6 @@ mod tests {
     }
 
     impl Mini {
-        fn new() -> Mini {
-            Mini::with_device(Box::new(MemLogDevice::new()))
-        }
-
         fn with_device(device: Box<dyn LogDevice>) -> Mini {
             let p = Params::small();
             Mini {
@@ -174,74 +184,25 @@ mod tests {
             self.log.crash().unwrap();
             self.ckpt.crash(&mut self.storage);
         }
-    }
 
-    /// Serial and parallel recovery of the same crash state must agree
-    /// on the report and the storage fingerprint.
-    fn assert_parallel_matches_serial(m: &mut Mini, workers: usize) -> (RecoveryReport, Storage) {
-        let db = *m.storage.db_params();
-        let disk = Params::small().disk;
-        let mut serial = Storage::new(db).unwrap();
-        let serial_report = recover(
-            &mut serial,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-        )
-        .unwrap();
-        let mut par = Storage::new(db).unwrap();
-        let par_report = recover_parallel(
-            &mut par,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-            &Obs::disabled(),
-            workers,
-        )
-        .unwrap();
-        assert_eq!(serial_report, par_report, "{workers}-worker report");
-        assert_eq!(
-            serial.fingerprint(),
-            par.fingerprint(),
-            "{workers}-worker fingerprint"
-        );
-        assert_eq!(serial.current_version(), par.current_version());
-        (par_report, par)
-    }
-
-    #[test]
-    fn parallel_matches_serial_across_worker_counts() {
-        let mut m = Mini::new();
-        m.txn(&[0, 100, 2000], 7);
-        m.checkpoint();
-        m.txn(&[0, 550], 8);
-        m.txn(&[550, 1, 901], 9);
-        m.aborted_txn(&[2, 700], 99);
-        let pre_crash = m.storage.fingerprint();
-        m.crash();
-        for workers in [1, 2, 3, 8] {
-            let (report, recovered) = assert_parallel_matches_serial(&mut m, workers);
-            assert_eq!(recovered.fingerprint(), pre_crash);
-            assert_eq!(report.txns_replayed, 2); // the two post-checkpoint commits
+        /// Recovers the crashed state into fresh storage.
+        fn recovery(&mut self) -> (RecoveryReport, Storage) {
+            let mut s = Storage::new(*self.storage.db_params()).unwrap();
+            let report = recover(
+                &mut s,
+                &mut self.backup,
+                self.log.device_mut(),
+                &Params::small().disk,
+                &self.meter,
+            )
+            .unwrap();
+            (report, s)
         }
-    }
 
-    #[test]
-    fn parallel_carries_in_doubt_branches() {
-        let mut m = Mini::new();
-        m.txn(&[0, 64], 1);
-        m.checkpoint();
-        m.txn(&[10], 2);
-        let txn = m.prepared_txn(&[20, 21], 3, 77);
-        m.crash();
-        let (report, _) = assert_parallel_matches_serial(&mut m, 4);
-        assert_eq!(report.in_doubt.len(), 1);
-        assert_eq!(report.in_doubt[0].txn, txn);
-        assert_eq!(report.in_doubt[0].gid, 77);
-        assert_eq!(report.in_doubt[0].writes.len(), 2);
-        assert_eq!(report.max_gid, 77);
+        /// Fingerprint recovered from the crashed state.
+        fn recovered(&mut self) -> u64 {
+            self.recovery().1.fingerprint()
+        }
     }
 
     /// Segmented-device harness with small chunks so rotation and
@@ -264,19 +225,7 @@ mod tests {
         }
         m.log.rotate().unwrap();
         m.crash();
-
-        let pre = {
-            let mut s = Storage::new(*m.storage.db_params()).unwrap();
-            recover(
-                &mut s,
-                &mut m.backup,
-                m.log.device_mut(),
-                &Params::small().disk,
-                &m.meter,
-            )
-            .unwrap();
-            s.fingerprint()
-        };
+        let pre = m.recovered();
 
         let report = compact_device(
             m.log.device_mut(),
@@ -290,31 +239,7 @@ mod tests {
 
         // Length-preserving: the log's logical extent is unchanged and
         // recovery over the compacted log reaches the same state.
-        let (mut serial, mut par) = (
-            Storage::new(*m.storage.db_params()).unwrap(),
-            Storage::new(*m.storage.db_params()).unwrap(),
-        );
-        let disk = Params::small().disk;
-        recover(
-            &mut serial,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-        )
-        .unwrap();
-        assert_eq!(serial.fingerprint(), pre);
-        recover_parallel(
-            &mut par,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-            &Obs::disabled(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(par.fingerprint(), pre);
+        assert_eq!(m.recovered(), pre);
 
         // A second pass finds nothing new.
         let again = compact_device(
@@ -412,18 +337,7 @@ mod tests {
             chunks.len() - 1
         };
 
-        let pre = {
-            let mut s = Storage::new(*m.storage.db_params()).unwrap();
-            recover(
-                &mut s,
-                &mut m.backup,
-                m.log.device_mut(),
-                &Params::small().disk,
-                &m.meter,
-            )
-            .unwrap();
-            s.fingerprint()
-        };
+        let pre = m.recovered();
 
         let report = compact_device(
             m.log.device_mut(),
@@ -436,32 +350,8 @@ mod tests {
         assert_eq!(report.chunks_examined, cold as u64 - 1);
         assert!(report.chunks_rewritten > 0, "{report:?}");
 
-        // Recovery over the truncated-then-compacted log is unchanged,
-        // serial and parallel alike.
-        let db = *m.storage.db_params();
-        let disk = Params::small().disk;
-        let mut serial = Storage::new(db).unwrap();
-        recover(
-            &mut serial,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-        )
-        .unwrap();
-        assert_eq!(serial.fingerprint(), pre);
-        let mut par = Storage::new(db).unwrap();
-        recover_parallel(
-            &mut par,
-            &mut m.backup,
-            m.log.device_mut(),
-            &disk,
-            &m.meter,
-            &Obs::disabled(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(par.fingerprint(), pre);
+        // Recovery over the truncated-then-compacted log is unchanged.
+        assert_eq!(m.recovered(), pre);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -493,17 +383,7 @@ mod tests {
             .collect();
         assert_eq!(kept.len(), 2);
         // And recovery still reports it in doubt.
-        let mut s = Storage::new(*m.storage.db_params()).unwrap();
-        let report = recover_parallel(
-            &mut s,
-            &mut m.backup,
-            m.log.device_mut(),
-            &Params::small().disk,
-            &m.meter,
-            &Obs::disabled(),
-            4,
-        )
-        .unwrap();
+        let (report, _) = m.recovery();
         assert_eq!(report.in_doubt.len(), 1);
         assert_eq!(report.in_doubt[0].txn, prepared);
         let _ = std::fs::remove_dir_all(dir);
@@ -558,15 +438,7 @@ mod tests {
                 .unwrap();
                 assert!(report.frames_dropped > 0, "{report:?}");
             }
-            let mut s = Storage::new(*m.storage.db_params()).unwrap();
-            recover(
-                &mut s,
-                &mut m.backup,
-                m.log.device_mut(),
-                &Params::small().disk,
-                &m.meter,
-            )
-            .unwrap();
+            let (_, s) = m.recovery();
             for (rid, fill) in [(10, 101), (11, 101), (20, 103), (21, 102), (30, 103)] {
                 assert_eq!(
                     s.read_record(RecordId(rid)).unwrap()[0],
@@ -590,18 +462,7 @@ mod tests {
         }
         m.log.rotate().unwrap();
         m.crash();
-        let pre = {
-            let mut s = Storage::new(*m.storage.db_params()).unwrap();
-            recover(
-                &mut s,
-                &mut m.backup,
-                m.log.device_mut(),
-                &Params::small().disk,
-                &m.meter,
-            )
-            .unwrap();
-            s.fingerprint()
-        };
+        let pre = m.recovered();
         let report = compact_device(
             m.log.device_mut(),
             &CompactOptions {
@@ -617,16 +478,7 @@ mod tests {
             "{report:?}"
         );
         // Logical layout intact: recovery agrees bit for bit.
-        let mut s = Storage::new(*m.storage.db_params()).unwrap();
-        recover(
-            &mut s,
-            &mut m.backup,
-            m.log.device_mut(),
-            &Params::small().disk,
-            &m.meter,
-        )
-        .unwrap();
-        assert_eq!(s.fingerprint(), pre);
+        assert_eq!(m.recovered(), pre);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -668,22 +520,6 @@ mod tests {
             }
         }
 
-        /// Fingerprint recovered from the crashed state with `workers` lanes.
-        fn recovered(&mut self, workers: usize) -> u64 {
-            let mut s = Storage::new(*self.storage.db_params()).unwrap();
-            recover_parallel(
-                &mut s,
-                &mut self.backup,
-                self.log.device_mut(),
-                &Params::small().disk,
-                &self.meter,
-                &Obs::disabled(),
-                workers,
-            )
-            .unwrap();
-            s.fingerprint()
-        }
-
         /// `(lsn, frame)` of every `TxnCommit` in the validated log.
         fn txn_commits(&mut self) -> Vec<(u64, LogRecord)> {
             let sc = LogScanner::from_device(self.log.device_mut()).unwrap();
@@ -717,7 +553,7 @@ mod tests {
         let end_lsn = m.log.next_lsn();
         m.log.rotate().unwrap();
         m.crash();
-        let twin = m.recovered(1);
+        let twin = m.recovered();
         let before = m.txn_commits();
 
         let compress = CompactOptions {
@@ -730,12 +566,11 @@ mod tests {
         assert!(report.disk_bytes_after < report.disk_bytes_before);
 
         // the log covers the same LSNs, and recovers to the uncompacted
-        // twin's state at 1 and 4 lanes
+        // twin's state
         let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
         assert_eq!(sc.end_lsn(), end_lsn);
         drop(sc);
-        assert_eq!(m.recovered(1), twin);
-        assert_eq!(m.recovered(4), twin);
+        assert_eq!(m.recovered(), twin);
 
         // every surviving frame sits at its old LSN under its old id with
         // a subset of its old writes, in their old order
@@ -782,7 +617,7 @@ mod tests {
         m.log.rotate().unwrap();
         m.txn_commit(&[(70, 5)]);
         m.crash();
-        let twin = m.recovered(1);
+        let twin = m.recovered();
 
         let report = compact_device(
             m.log.device_mut(),
@@ -818,8 +653,7 @@ mod tests {
         assert_eq!(used, pulled.len());
 
         // and the compacted log recovers to its uncompacted twin's state
-        assert_eq!(m.recovered(1), twin);
-        assert_eq!(m.recovered(3), twin);
+        assert_eq!(m.recovered(), twin);
         let _ = std::fs::remove_dir_all(dir);
     }
 

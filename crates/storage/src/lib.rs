@@ -36,7 +36,6 @@ pub use segment::{Color, OldCopy, SegmentMeta};
 use mmdb_types::{
     hash::Fnv1a, CostMeter, DbParams, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, Word,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The memory-resident database: the record store, the per-segment
@@ -449,7 +448,7 @@ impl Storage {
     // ----- recovery support ------------------------------------------------
 
     /// Overwrites a segment's content wholesale (recovery loading a backup
-    /// image) and resets the segment metadata.
+    /// image) and resets the segment metadata, dropping any COU old copy.
     ///
     /// When `source_copy` is given, the segment is marked clean with
     /// respect to that ping-pong copy but *dirty* with respect to the
@@ -462,55 +461,31 @@ impl Storage {
         source_copy: Option<usize>,
         meter: &CostMeter,
     ) -> Result<()> {
-        self.with_lanes(1, |mut lanes| {
-            lanes[0].load_segment(sid, data, source_copy, meter)
-        })
-    }
-
-    /// Splits the storage into `n` disjoint *lanes* of contiguous
-    /// segments and runs `f` on them; each lane can be handed to its own
-    /// apply worker (parallel recovery partitions the committed-REDO
-    /// window by segment, and segments are independent after commit
-    /// resolution). The global version counter is shared atomically so
-    /// per-segment dirty-tracking invariants hold exactly as in the
-    /// serial path; it is folded back into the storage when `f` returns.
-    ///
-    /// Lane boundaries come from [`Storage::lane_of`]: lane `i` covers
-    /// segments `[i*ceil(S/n), …)`. With `n` larger than the segment
-    /// count, trailing lanes are empty.
-    pub fn with_lanes<R>(&mut self, n: usize, f: impl FnOnce(Vec<StorageLane<'_>>) -> R) -> R {
-        let n = n.max(1);
-        let counter = AtomicU64::new(self.version_counter);
-        let per = self.segments.len().div_ceil(n);
-        let db = self.db;
-        let mirror = &self.mirror;
-        let mut lanes = Vec::with_capacity(n);
-        let mut rest: &mut [SegmentMeta] = &mut self.segments;
-        let mut first = 0u32;
-        for _ in 0..n {
-            let take = per.min(rest.len());
-            let (now, later) = rest.split_at_mut(take);
-            lanes.push(StorageLane {
-                db,
-                segments: now,
-                first,
-                counter: &counter,
-                mirror,
-            });
-            first += take as u32;
-            rest = later;
+        // the image comes from disk: its size is not the caller's promise
+        if data.len() as u64 != self.db.s_seg {
+            return Err(MmdbError::Invalid(format!(
+                "segment image has {} words, expected {}",
+                data.len(),
+                self.db.s_seg
+            )));
         }
-        let r = f(lanes);
-        self.version_counter = counter.load(Ordering::SeqCst);
-        r
-    }
-
-    /// The lane (under [`Storage::with_lanes`] with the same `n`) that
-    /// owns segment `sid`.
-    pub fn lane_of(&self, sid: SegmentId, n: usize) -> usize {
-        let n = n.max(1);
-        let per = self.segments.len().div_ceil(n).max(1);
-        (sid.raw() as usize) / per
+        self.check_segment(sid)?;
+        self.version_counter += 1;
+        let meta = &mut self.segments[sid.index()];
+        if meta.old.is_some() {
+            self.old_words -= self.db.s_seg;
+        }
+        *meta = SegmentMeta::default();
+        if let Some(copy) = source_copy {
+            meta.version = self.version_counter;
+            meta.flushed_version[copy & 1] = self.version_counter;
+        }
+        let first = sid.raw() as u64 * self.db.records_per_segment();
+        for (k, value) in data.chunks_exact(self.db.s_rec as usize).enumerate() {
+            self.mirror.publish(RecordId(first + k as u64), value);
+        }
+        meter.move_words(data.len() as u64);
+        Ok(())
     }
 
     /// A content fingerprint of the whole database — used by tests to
@@ -528,113 +503,6 @@ impl Storage {
     /// Iterator over all segment ids in sweep order.
     pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> {
         (0..self.n_segments() as u32).map(SegmentId)
-    }
-}
-
-/// One worker's disjoint view of the storage: a contiguous run of
-/// segments plus the shared version counter. Created by
-/// [`Storage::with_lanes`]; safe to move to a scoped thread.
-#[derive(Debug)]
-pub struct StorageLane<'a> {
-    db: DbParams,
-    segments: &'a mut [SegmentMeta],
-    /// Global id of `segments[0]`.
-    first: u32,
-    counter: &'a AtomicU64,
-    /// The shared record store; lanes own disjoint segments, so no two
-    /// lanes publish the same record.
-    mirror: &'a ReadMirror,
-}
-
-impl StorageLane<'_> {
-    /// Global id of the first segment this lane owns.
-    pub fn first_segment(&self) -> SegmentId {
-        SegmentId(self.first)
-    }
-
-    /// Number of segments in the lane (possibly zero).
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True when the lane owns no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Does this lane own segment `sid`?
-    pub fn owns(&self, sid: SegmentId) -> bool {
-        let i = sid.raw() as usize;
-        let first = self.first as usize;
-        first <= i && i < first + self.segments.len()
-    }
-
-    fn local(&mut self, sid: SegmentId) -> Result<&mut SegmentMeta> {
-        if !self.owns(sid) {
-            return Err(MmdbError::Invalid(format!(
-                "segment {sid} is outside this lane ([{}, {}))",
-                self.first,
-                self.first as usize + self.segments.len()
-            )));
-        }
-        Ok(&mut self.segments[sid.raw() as usize - self.first as usize])
-    }
-
-    /// Fresh draw from the shared version counter (post-increment value,
-    /// matching the serial `version_counter += 1; version_counter` idiom).
-    fn draw(&self) -> u64 {
-        self.counter.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Overwrites the segment wholesale, resets its metadata, and marks
-    /// it clean with respect to `source_copy` (dirty for the other
-    /// ping-pong copy); [`Storage::load_segment`] is this on one lane.
-    pub fn load_segment(
-        &mut self,
-        sid: SegmentId,
-        data: &[Word],
-        source_copy: Option<usize>,
-        meter: &CostMeter,
-    ) -> Result<()> {
-        if data.len() as u64 != self.db.s_seg {
-            return Err(MmdbError::Invalid(format!(
-                "segment image has {} words, expected {}",
-                data.len(),
-                self.db.s_seg
-            )));
-        }
-        let version = self.draw();
-        let meta = self.local(sid)?;
-        *meta = SegmentMeta::default();
-        if let Some(copy) = source_copy {
-            meta.version = version;
-            meta.flushed_version[copy & 1] = version;
-        }
-        let first = sid.raw() as u64 * self.db.records_per_segment();
-        for (k, value) in data.chunks_exact(self.db.s_rec as usize).enumerate() {
-            self.mirror.publish(RecordId(first + k as u64), value);
-        }
-        meter.move_words(data.len() as u64);
-        Ok(())
-    }
-
-    /// Lane-local [`Storage::install_record`] (recovery replay installs
-    /// with the same version/τ/LSN bookkeeping as the live path). The
-    /// record must live in a segment this lane owns.
-    pub fn install_record(
-        &mut self,
-        rid: RecordId,
-        value: &[Word],
-        lsn: Lsn,
-        tau: Timestamp,
-        meter: &CostMeter,
-    ) -> Result<()> {
-        let sid = SegmentId(check_install(&self.db, rid, value)? as u32);
-        let version = self.draw();
-        self.local(sid)?.note_install(version, lsn, tau);
-        self.mirror.publish(rid, value);
-        meter.move_words(value.len() as u64);
-        Ok(())
     }
 }
 
@@ -868,6 +736,19 @@ mod tests {
     }
 
     #[test]
+    fn load_segment_uncounts_the_old_copy_it_drops() {
+        let mut s = small();
+        let m = meter();
+        s.cou_save_old(SegmentId(2), &m).unwrap();
+        assert_eq!(s.old_copy_words(), 2048);
+        s.load_segment(SegmentId(2), &[5; 2048], Some(0), &m)
+            .unwrap();
+        assert!(!s.has_old(SegmentId(2)).unwrap());
+        assert_eq!(s.old_copy_words(), 0);
+        assert_eq!(s.resident_bytes().cou_old_copies, 0);
+    }
+
+    #[test]
     fn fingerprint_changes_with_content() {
         let mut s = small();
         let m = meter();
@@ -875,97 +756,6 @@ mod tests {
         s.install_record(RecordId(0), &rec(&s, 1), Lsn(1), Timestamp(1), &m)
             .unwrap();
         assert_ne!(s.fingerprint(), f0);
-    }
-
-    #[test]
-    fn lanes_partition_all_segments() {
-        let mut s = small();
-        for n in [1, 2, 3, 8, 32, 100] {
-            let total: usize = s.with_lanes(n, |lanes| {
-                assert_eq!(lanes.len(), n);
-                lanes.iter().map(|l| l.len()).sum()
-            });
-            assert_eq!(total, 32, "n = {n}");
-        }
-        // lane_of agrees with ownership
-        s.with_lanes(3, |lanes| {
-            for sid in (0..32u32).map(SegmentId) {
-                let idx = lanes.iter().position(|l| l.owns(sid)).unwrap();
-                assert_eq!(
-                    idx,
-                    (sid.raw() as usize) / 32usize.div_ceil(3),
-                    "segment {sid}"
-                );
-            }
-        });
-        for sid in (0..32u32).map(SegmentId) {
-            let expect = (sid.raw() as usize) / 32usize.div_ceil(3);
-            assert_eq!(s.lane_of(sid, 3), expect);
-        }
-    }
-
-    #[test]
-    fn lane_installs_match_serial_semantics() {
-        let m = meter();
-        let mut serial = small();
-        let mut parallel = small();
-        let v1 = rec(&serial, 5);
-        let v2 = rec(&serial, 9);
-        serial
-            .install_record(RecordId(0), &v1, Lsn(10), Timestamp(2), &m)
-            .unwrap();
-        serial
-            .install_record(RecordId(2000), &v2, Lsn(20), Timestamp(3), &m)
-            .unwrap();
-
-        parallel.with_lanes(2, |mut lanes| {
-            std::thread::scope(|scope| {
-                let (a, b) = {
-                    let mut it = lanes.drain(..);
-                    (it.next().unwrap(), it.next().unwrap())
-                };
-                let m1 = meter();
-                let m2 = meter();
-                let t1 = scope.spawn(move || {
-                    let mut a = a;
-                    a.install_record(RecordId(0), &v1, Lsn(10), Timestamp(2), &m1)
-                });
-                let t2 = scope.spawn(move || {
-                    let mut b = b;
-                    b.install_record(RecordId(2000), &v2, Lsn(20), Timestamp(3), &m2)
-                });
-                t1.join().unwrap().unwrap();
-                t2.join().unwrap().unwrap();
-            });
-        });
-        assert_eq!(parallel.fingerprint(), serial.fingerprint());
-        assert_eq!(parallel.current_version(), serial.current_version());
-        for sid in [SegmentId(0), SegmentId(31)] {
-            let sm = serial.segment_meta(sid).unwrap();
-            let pm = parallel.segment_meta(sid).unwrap();
-            assert_eq!(sm.max_lsn, pm.max_lsn);
-            assert_eq!(sm.tau, pm.tau);
-        }
-    }
-
-    #[test]
-    fn lane_rejects_foreign_segment() {
-        let mut s = small();
-        let m = meter();
-        let image = vec![1 as Word; 2048];
-        s.with_lanes(2, |mut lanes| {
-            // lane 1 starts at segment 16; record 0 lives in segment 0
-            assert!(lanes[1]
-                .install_record(RecordId(0), &[0; 32], Lsn(1), Timestamp(1), &m)
-                .is_err());
-            assert!(lanes[1]
-                .load_segment(SegmentId(0), &image, None, &m)
-                .is_err());
-            assert!(lanes[0]
-                .load_segment(SegmentId(0), &image, None, &m)
-                .is_ok());
-        });
-        assert_eq!(s.segment_data(SegmentId(0)).unwrap(), &image[..]);
     }
 
     #[test]
@@ -1164,28 +954,6 @@ mod tests {
                 assert!(r.join().unwrap() > 0, "reader starved");
             }
         });
-    }
-
-    #[test]
-    fn lane_installs_publish_to_mirror() {
-        let mut s = small();
-        let m = meter();
-        let v = rec(&s, 3);
-        let image = vec![8 as Word; 2048];
-        s.with_lanes(2, |mut lanes| {
-            lanes[0]
-                .install_record(RecordId(1), &v, Lsn(1), Timestamp(1), &m)
-                .unwrap();
-            lanes[1]
-                .load_segment(SegmentId(20), &image, None, &m)
-                .unwrap();
-        });
-        let mirror = s.mirror().clone();
-        let mut out = vec![0; 32];
-        assert!(mirror.try_read(RecordId(1), &mut out));
-        assert_eq!(out, v);
-        assert!(mirror.try_read(RecordId(20 * 64), &mut out));
-        assert_eq!(out, vec![8 as Word; 32]);
     }
 
     #[test]

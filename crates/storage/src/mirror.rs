@@ -15,8 +15,7 @@
 //!   served a pre-crash, zeroed or half-replayed value during a rebuild.
 //!
 //! Writers to any one record must be serialized externally (the engine's
-//! per-segment latches, `&mut Storage`, or lane disjointness all provide
-//! this); the seqlock only protects readers from writers. A holder of
+//! per-segment latches or `&mut Storage` provide this); the seqlock only protects readers from writers. A holder of
 //! `&mut Storage` under the engine's exclusive gate has no concurrent
 //! writer at all — every earlier publish happens-before the gate's
 //! acquisition — so it reads with plain `Relaxed` loads and no sequence
@@ -133,7 +132,7 @@ impl ReadMirror {
 
     /// Publishes a record value — the only way a record changes. The
     /// caller must hold whatever serializes writers to this record
-    /// (segment latch, `&mut Storage`, or lane ownership): concurrent
+    /// (segment latch or `&mut Storage`): concurrent
     /// publishes to the *same* record are a protocol violation.
     pub fn publish(&self, rid: RecordId, value: &[Word]) {
         debug_assert!(rid.raw() < self.n_records);
