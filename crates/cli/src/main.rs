@@ -3,7 +3,7 @@
 //! ```text
 //! mmdb-cli <dir> init [--algorithm FUZZYCOPY|2CFLUSH|2CCOPY|COUFLUSH|COUCOPY|FASTFUZZY]
 //!                     [--segments N] [--segment-words N] [--record-words N] [--full]
-//!                     [--shards N] [--durability force|lazy|group]
+//!                     [--shards N] [--durability force|group]
 //!                     [--compress-backups] [--compress-log]
 //! mmdb-cli <dir> put <record> <fill-u32>
 //! mmdb-cli <dir> get <record>
@@ -24,7 +24,7 @@
 //!                      [--replica-of ADDR] [--repl-primary] [--repl-sync]  # replication role (persisted)
 //! mmdb-cli <dir> promote [--addr A]         # replica -> writable primary
 //! mmdb-cli <dir> bench-net [--connections N] [--txns N] [--updates K] [--seed S]
-//!                          [--zipf THETA] [--rate TPS] [--addr A]
+//!                          [--zipf THETA] [--addr A]
 //!                          [--shards N] [--cross F]   # wire load driver
 //! ```
 //!
@@ -37,10 +37,10 @@
 //! A database created with `init --shards N` (N > 1) is hash-partitioned
 //! across N independent engines (`<dir>/shard.<i>/`, topology pinned by
 //! the `<dir>/shards` marker); `serve`, `bench-net` and `fsck` detect
-//! the marker and operate on the whole topology. `bench-net` is a load
-//! driver (closed loop, or open loop with `--rate`) for smoke tests and
-//! live servers: it prints two summary lines and exits non-zero on any
-//! non-transient error. The repo's benchmark is `benchmark/`.
+//! the marker and operate on the whole topology. `bench-net` is a
+//! closed-loop load driver for smoke tests and live servers: it prints
+//! two summary lines and exits non-zero on any non-transient error. The
+//! repo's benchmark is `benchmark/`.
 //!
 //! An unknown `--flag` is an error on every subcommand, never ignored.
 //!
@@ -162,7 +162,7 @@ const COMMANDS: &[Command] = &[
             "--record-words N",
             "--full",
             "--shards N",
-            "--durability force|lazy|group",
+            "--durability force|group",
             "--compress-backups",
             "--compress-log",
         ],
@@ -273,14 +273,13 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench-net",
-        about: "drive a wire load (closed loop, or open loop at a rate) at a self-hosted or running server; fails on any non-transient error",
+        about: "drive a closed-loop wire load at a self-hosted or running server; fails on any non-transient error",
         flags: &[
             "--connections N",
             "--txns N",
             "--updates K",
             "--seed S",
             "--zipf THETA",
-            "--rate TPS",
             "--addr A",
             "--shards N",
             "--cross F",
@@ -387,13 +386,8 @@ fn cmd_init(dir: &Path, rest: &[String]) -> Result<(), String> {
     if let Some(v) = flag_value(rest, "--durability") {
         config.commit_durability = match v.as_str() {
             "force" => CommitDurability::Force,
-            "lazy" => CommitDurability::Lazy,
             "group" => CommitDurability::Group,
-            other => {
-                return Err(format!(
-                    "--durability: expected force|lazy|group, got {other}"
-                ))
-            }
+            other => return Err(format!("--durability: expected force|group, got {other}")),
         };
     }
     if rest.iter().any(|a| a == "--compress-backups") {
@@ -1012,14 +1006,12 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the network load driver — closed-loop by default, open-loop at
-/// a fixed intended rate with `--rate` (latency then measured from the
-/// intended send time, immune to coordinated omission). Without
-/// `--addr` it self-hosts a server over `<dir>` on a loopback port;
-/// with `--addr` it drives an already-running server. Prints two
-/// summary lines and fails on any non-transient error. It is a load
-/// generator for smoke tests and live servers, not a measurement of
-/// record — that is `benchmark/`.
+/// Runs the closed-loop network load driver. Without `--addr` it
+/// self-hosts a server over `<dir>` on a loopback port; with `--addr` it
+/// drives an already-running server. Prints two summary lines and fails
+/// on any non-transient error. It is a load generator for smoke tests
+/// and live servers, not a measurement of record — that is
+/// `benchmark/`.
 fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
     let connections: usize = flag_value(rest, "--connections")
         .map(|v| v.parse().map_err(|e| format!("--connections: {e}")))
@@ -1043,13 +1035,6 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
     };
     let cross_fraction: f64 = flag_value(rest, "--cross")
         .map(|v| v.parse().map_err(|e| format!("--cross: {e}")))
-        .transpose()?
-        .unwrap_or(0.0);
-    // --rate switches each connection to an open-loop schedule at TPS
-    // intended sends per second, with latency measured from the intended
-    // send time — the coordinated-omission-free mode. 0 = closed loop.
-    let target_rate_per_conn: f64 = flag_value(rest, "--rate")
-        .map(|v| v.parse().map_err(|e| format!("--rate: {e}")))
         .transpose()?
         .unwrap_or(0.0);
 
@@ -1105,7 +1090,6 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
         workload,
         shards,
         cross_fraction,
-        target_rate_per_conn,
         ..LoadConfig::default()
     };
     let report = run_load(&cfg).map_err(|e| format!("load driver: {e}"))?;

@@ -301,6 +301,26 @@ fn unknown_subcommand_prints_full_usage_and_fails() {
 }
 
 #[test]
+fn retired_lazy_durability_and_load_rate_are_refused() {
+    let dir = tmpdir("retired-lazy-rate");
+    let out = cli(&dir, &["init", "--durability", "lazy"]);
+    assert!(!out.status.success(), "init --durability lazy must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("expected force|group"), "{stderr}");
+    assert!(!dir.join("mmdb.conf").exists(), "nothing initialized");
+
+    ok(&dir, &["init", "--durability", "group"]);
+    let out = cli(&dir, &["bench-net", "--rate", "200"]);
+    assert!(!out.status.success(), "bench-net --rate must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --rate for bench-net"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flags_fail_with_the_commands_usage_line() {
     let dir = tmpdir("unknown-flag");
     ok(&dir, &["init"]);

@@ -11,24 +11,21 @@ pub enum CommitDurability {
     /// what the durability property tests assume.
     #[default]
     Force,
-    /// Group commit: the commit record stays in the volatile tail until
-    /// some later force. A crash may lose a suffix of committed
-    /// transactions, but recovery still lands on a consistent prefix —
-    /// the paper notes the desire to avoid "forcing transaction updates
-    /// to disk before commit" (§1); this mode is that trade.
-    Lazy,
     /// Group commit with full durability: `commit()` only appends the
-    /// commit record (like [`Lazy`](Self::Lazy)), but the *caller* — the
-    /// shard router or server worker — then releases the engine lock and
-    /// waits on the log's durable-LSN watermark
-    /// ([`mmdb_log::DurableWatermark`]) until a batched force covers the
-    /// commit's end-LSN. The ack is therefore exactly as durable as
-    /// [`Force`](Self::Force), but one real force is amortized over every
-    /// commit that arrived while the previous force was in flight. Only
+    /// commit record, and the *caller* — the shard router or server
+    /// worker — then releases the engine lock and waits on the log's
+    /// durable-LSN watermark ([`mmdb_log::DurableWatermark`]) until a
+    /// batched force covers the commit's end-LSN. The ack is therefore
+    /// exactly as durable as [`Force`](Self::Force), but one real force is
+    /// amortized over every commit that arrived while the previous force
+    /// was in flight — the paper's wish to avoid "forcing transaction
+    /// updates to disk before commit" (§1) without its cost. Only
     /// meaningful with a volatile tail (a stable tail is durable on
-    /// append); engines used directly (not through `mmdb-shard` /
-    /// `mmdb-server`) must do their own watermark wait or the commit is
-    /// effectively lazy.
+    /// append). An engine used directly (not through `mmdb-shard` /
+    /// `mmdb-server`) does no wait: its commit becomes durable at the
+    /// next force ([`Mmdb::force_log`](crate::Mmdb::force_log), a full
+    /// tail), and a crash before then loses a suffix of committed
+    /// transactions but lands on a consistent prefix.
     Group,
 }
 

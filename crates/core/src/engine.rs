@@ -699,7 +699,7 @@ impl Mmdb {
         if self.config.commit_durability == CommitDurability::Force {
             // Group: append only — the caller releases the engine lock and
             // waits on the durable-LSN watermark for a batched force to
-            // cover `last_commit_lsn` before acking (Lazy never waits).
+            // cover `last_commit_lsn` before acking.
             log.force()?;
         }
         self.install_committed(txn, commit_lsn, commit_timer)
@@ -851,7 +851,7 @@ impl Mmdb {
 
     /// Phase two, commit side: writes a *forced* commit record and
     /// installs the branch's updates. The force is deliberate even under
-    /// lazy durability: once the branch's own log carries the commit, a
+    /// group durability: once the branch's own log carries the commit, a
     /// later truncation of the coordinator's `Decide` record can never
     /// orphan it.
     pub fn commit_prepared(&mut self, txn: TxnId) -> Result<()> {
@@ -1186,7 +1186,7 @@ impl Mmdb {
     /// into the record store and note the metadata in the pending-sync
     /// queue while still latched, then finish in the transaction table.
     /// Durability matches the exclusive path: `Force` forces inside the
-    /// append; `Group`/`Lazy` return immediately and the caller signals
+    /// append; `Group` returns immediately and the caller signals
     /// the flusher / waits on the durable watermark *after* releasing
     /// its engine read guard.
     pub fn try_commit_shared<V: AsRef<[Word]>>(
@@ -1279,10 +1279,11 @@ impl Mmdb {
     }
 
     /// Forces the log tail to the log disks — the group-commit daemon's
-    /// hook. Under [`CommitDurability::Lazy`], committed transactions
-    /// become durable at the next force. Publishes the durable-LSN
-    /// watermark, so group committers parked on
-    /// [`log_watermark`](Self::log_watermark) are released too.
+    /// hook. On an engine used directly under
+    /// [`CommitDurability::Group`], committed transactions become durable
+    /// at the next force. Publishes the durable-LSN watermark, so group
+    /// committers parked on [`log_watermark`](Self::log_watermark) are
+    /// released too.
     pub fn force_log(&mut self) -> Result<()> {
         self.ensure_alive()?;
         self.log.get_mut().force()

@@ -55,7 +55,7 @@ pub use mmdb_obs::{
     validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs, PaperOverhead,
     TraceDumpDoc,
 };
-pub use mmdb_recovery::{RecoveryReport, Stager};
+pub use mmdb_recovery::{RecoveryReport, Resolver};
 pub use mmdb_rescale::{CompactOptions, CompactReport};
 pub use mmdb_storage::{PendingInstall, ReadMirror};
 pub use mmdb_types::{

@@ -293,14 +293,15 @@ fn two_color_same_color_txns_pass() {
 }
 
 #[test]
-fn lazy_commit_loses_only_a_suffix() {
+fn unforced_group_commit_loses_only_a_suffix() {
+    // a bare engine under Group: nobody waits on the watermark
     let mut config = small(Algorithm::FuzzyCopy);
-    config.commit_durability = CommitDurability::Lazy;
+    config.commit_durability = CommitDurability::Group;
     let mut db = Mmdb::open_in_memory(config).unwrap();
 
     db.run_txn(&[(RecordId(0), val(&db, 1))]).unwrap();
     db.checkpoint().unwrap();
-    // two lazy commits that never get forced
+    // two commits that never get forced
     db.run_txn(&[(RecordId(10), val(&db, 2))]).unwrap();
     db.run_txn(&[(RecordId(20), val(&db, 3))]).unwrap();
 
@@ -720,11 +721,7 @@ fn prepared_branch_open_at_the_marker_extends_replay_to_its_begin() {
 
 #[test]
 fn unprepared_transactions_write_one_frame_each_and_aborts_write_none() {
-    for durability in [
-        CommitDurability::Force,
-        CommitDurability::Lazy,
-        CommitDurability::Group,
-    ] {
+    for durability in [CommitDurability::Force, CommitDurability::Group] {
         let mut cfg = small(Algorithm::FuzzyCopy);
         cfg.commit_durability = durability;
         let mut db = Mmdb::open_in_memory(cfg).unwrap();
@@ -862,12 +859,13 @@ fn shared_commit_fallback_counts_an_invalid_write_set() {
 
 #[test]
 fn wait_policy_blocks_until_commit_forces_the_log() {
-    // WalPolicy::Wait + lazy commits: the checkpointer must not flush a
-    // segment image whose log records are still in the volatile tail.
-    // It reports WaitingForLog until a group-commit force catches up.
+    // WalPolicy::Wait + unforced group commits on a bare engine: the
+    // checkpointer must not flush a segment image whose log records are
+    // still in the volatile tail. It reports WaitingForLog until a
+    // group-commit force catches up.
     let mut cfg = small(Algorithm::FuzzyCopy);
     cfg.wal_policy = mmdb_core::WalPolicy::Wait;
-    cfg.commit_durability = CommitDurability::Lazy;
+    cfg.commit_durability = CommitDurability::Group;
     let mut db = Mmdb::open_in_memory(cfg).unwrap();
 
     db.run_txn(&[(RecordId(0), val(&db, 1))]).unwrap();
@@ -875,7 +873,7 @@ fn wait_policy_blocks_until_commit_forces_the_log() {
     db.checkpoint().unwrap();
     db.checkpoint().unwrap(); // seed both copies (forces internally)
 
-    // a lazy commit that stays in the tail
+    // a commit that stays in the tail
     db.run_txn(&[(RecordId(64), val(&db, 2))]).unwrap();
     db.try_begin_checkpoint().unwrap();
     // the only dirty segment's image is gated

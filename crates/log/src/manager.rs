@@ -44,7 +44,8 @@ pub struct LogManager {
     stats: LogStats,
     /// Auto-force when the tail grows past this many bytes (group
     /// commit's backstop: bounds both tail memory and the window of
-    /// commits a crash can lose under lazy durability).
+    /// commits a crash can lose on an engine that commits without
+    /// forcing and nobody waits on).
     tail_threshold: Option<u64>,
     /// Modeled log-device latency added to every non-empty force,
     /// standing in for the paper-era rotational log disk (see

@@ -30,7 +30,7 @@
 
 mod replay;
 
-pub use replay::{recover_observed, Stager};
+pub use replay::{recover_observed, Resolver};
 
 use mmdb_disk::BackupStore;
 use mmdb_log::LogDevice;
@@ -300,8 +300,8 @@ mod tests {
         let consistent_state = m.storage.fingerprint();
 
         // A transaction whose commit record stays in the volatile tail:
-        // append without forcing, install anyway (an engine running lazy
-        // group commit would do exactly this).
+        // append without forcing, install anyway (a group-commit engine
+        // used directly does exactly this until its next force).
         let tau = m.tau();
         let txn = TxnId(9999);
         m.log.append(&LogRecord::TxnBegin { txn, tau });

@@ -1,17 +1,18 @@
 //! The one REDO-replay core (paper §3.3; specified in DESIGN.md §6.9.1).
 //!
-//! Three pieces live here and nowhere else:
+//! Two pieces live here and nowhere else:
 //!
-//! * [`Stager`] — per log stream, buffers the writes of each transaction
-//!   that logs them ahead of its outcome (a prepared branch; every
-//!   transaction of a log older than `TxnCommit`), remembering where the
-//!   transaction started. Crash recovery and the standby's continuous
-//!   replay (`mmdb-repl`) both stage through it.
-//! * the resolver — a `TxnCommit` installs on sight; a staged
-//!   transaction's commit installs, abort drops, `Prepare` parks the
-//!   branch, `Decide` is remembered, and whatever is still parked at the
-//!   end of the log is *in doubt* (presumed abort unless a coordinator
-//!   decision says otherwise).
+//! * [`Resolver`] — the only commit-resolution state machine. A
+//!   `TxnCommit` installs on sight. A transaction that logs its writes
+//!   ahead of its outcome (a prepared branch; every transaction of a log
+//!   older than `TxnCommit`) is staged under the LSN it was first seen at
+//!   and installs at its own `Commit` frame, or drops at its `Abort`.
+//!   `Prepare` parks a branch, `Decide` is remembered, and whatever is
+//!   still parked at the end of the stream is *in doubt* (presumed abort
+//!   unless a coordinator decision says otherwise). Crash recovery drives
+//!   one over its replay window; the standby (`mmdb-repl`) drives one per
+//!   shard stream and holds its persisted progress back to
+//!   [`Resolver::first_lsn`].
 //! * window and report — the valid log window, the restored checkpoint's
 //!   begin marker, the replay start, and the paper's §4 recovery-time
 //!   terms.
@@ -30,77 +31,18 @@ use mmdb_types::{
 };
 use std::collections::HashMap;
 
-/// One log stream's undecided transactions: the LSN each was first seen
-/// at and the writes staged for it so far, in log order.
-#[derive(Debug)]
-pub struct Stager<W> {
-    open: HashMap<TxnId, (Lsn, Vec<W>)>,
-}
-
-impl<W> Default for Stager<W> {
-    fn default() -> Self {
-        Stager {
-            open: HashMap::new(),
-        }
-    }
-}
-
-impl<W> Stager<W> {
-    /// Starts (or restarts, on a re-read stream) `txn` at `lsn` with no
-    /// writes.
-    pub fn begin(&mut self, txn: TxnId, lsn: Lsn) {
-        self.open.insert(txn, (lsn, Vec::new()));
-    }
-
-    /// Stages one write. A transaction whose begin frame was never seen
-    /// starts at this write's `lsn`.
-    pub fn update(&mut self, txn: TxnId, lsn: Lsn, write: W) {
-        self.open
-            .entry(txn)
-            .or_insert_with(|| (lsn, Vec::new()))
-            .1
-            .push(write);
-    }
-
-    /// Removes `txn`, handing back its first LSN and staged writes.
-    pub fn take(&mut self, txn: TxnId) -> Option<(Lsn, Vec<W>)> {
-        self.open.remove(&txn)
-    }
-
-    /// Drops `txn` and its writes.
-    pub fn discard(&mut self, txn: TxnId) {
-        self.open.remove(&txn);
-    }
-
-    /// The oldest first-LSN among the staged transactions: re-reading the
-    /// stream from here rebuilds every one of them.
-    pub fn first_lsn(&self) -> Option<Lsn> {
-        self.open.values().map(|(lsn, _)| *lsn).min()
-    }
-
-    /// Number of staged transactions.
-    pub fn len(&self) -> usize {
-        self.open.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.open.is_empty()
-    }
-
-    /// Drops every staged transaction.
-    pub fn clear(&mut self) {
-        self.open.clear();
-    }
-}
-
 /// An after-image: the record and its new value.
 type Write = (RecordId, Vec<Word>);
 
-/// Commit resolution over one log's replay window.
+/// Commit resolution over one log stream, fed in log order: crash
+/// recovery drives one over its replay window, the standby one per
+/// shard stream, for as long as it is attached.
 #[derive(Default)]
-struct Resolver {
-    staged: Stager<Write>,
+pub struct Resolver {
+    /// Transactions whose writes precede their outcome (prepared
+    /// branches; every transaction of a log older than `TxnCommit`): the
+    /// LSN each instance was first seen at and its writes, in log order.
+    staged: HashMap<TxnId, (Lsn, Vec<Write>)>,
     /// Prepared branches with no outcome yet: local txn → gid.
     prepared: HashMap<TxnId, u64>,
     /// Coordinator decisions seen: gid → commit.
@@ -113,15 +55,16 @@ struct Resolver {
 impl Resolver {
     /// Feeds the record at `lsn`. A commit returns the transaction's
     /// writes, to be installed now: install order is commit order. A
-    /// `TxnCommit` is its own outcome and is never staged; only the
-    /// frames of prepared branches (and of logs older than `TxnCommit`)
-    /// are.
-    fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
+    /// `TxnCommit` is its own outcome and is never staged; a staged
+    /// transaction (a prepared branch included) installs at its own
+    /// `Commit` frame and nowhere else.
+    pub fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
         let (txn, writes) = match rec {
             LogRecord::TxnCommit { txn, writes } => (txn, writes),
-            LogRecord::Commit { txn } => {
-                (txn, self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w))
-            }
+            LogRecord::Commit { txn } => (
+                txn,
+                self.staged.remove(&txn).map_or_else(Vec::new, |(_, w)| w),
+            ),
             undecided => {
                 self.stage(lsn, undecided);
                 return Vec::new();
@@ -140,12 +83,18 @@ impl Resolver {
         match rec {
             // whatever an earlier incarnation left open under this id
             // stays without an outcome
-            LogRecord::TxnBegin { txn, .. } => self.staged.begin(txn, lsn),
-            LogRecord::Update { txn, record, value } => {
-                self.staged.update(txn, lsn, (record, value));
+            LogRecord::TxnBegin { txn, .. } => {
+                self.staged.insert(txn, (lsn, Vec::new()));
             }
+            // an instance whose begin frame was never seen starts here
+            LogRecord::Update { txn, record, value } => self
+                .staged
+                .entry(txn)
+                .or_insert_with(|| (lsn, Vec::new()))
+                .1
+                .push((record, value)),
             LogRecord::Abort { txn } => {
-                self.staged.discard(txn);
+                self.staged.remove(&txn);
                 self.prepared.remove(&txn);
             }
             LogRecord::Prepare { txn, gid } => {
@@ -160,18 +109,30 @@ impl Resolver {
         }
     }
 
-    /// End of the log: prepared branches without an outcome are in doubt
-    /// (kept, with their writes, for the coordinator), everything else
-    /// still staged is discarded. Returns `(in_doubt, decisions,
+    /// The oldest first-LSN among the staged instances: re-reading the
+    /// stream from here rebuilds every one of them, so it is a stream
+    /// consumer's holdback for what it may call applied.
+    pub fn first_lsn(&self) -> Option<Lsn> {
+        self.staged.values().map(|(lsn, _)| *lsn).min()
+    }
+
+    /// The coordinator decisions fed so far, as `(gid, commit)` pairs.
+    pub fn decisions(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.decided.iter().map(|(&gid, &commit)| (gid, commit))
+    }
+
+    /// End of the stream: prepared branches without an outcome are in
+    /// doubt (kept, with their writes, for the coordinator), everything
+    /// else still staged is discarded. Returns `(in_doubt, decisions,
     /// txns_discarded)`.
-    fn finish(mut self) -> (Vec<InDoubtTxn>, Vec<(u64, bool)>, u64) {
+    pub fn finish(mut self) -> (Vec<InDoubtTxn>, Vec<(u64, bool)>, u64) {
         let mut in_doubt: Vec<InDoubtTxn> = self
             .prepared
             .iter()
             .map(|(&txn, &gid)| InDoubtTxn {
                 gid,
                 txn,
-                writes: self.staged.take(txn).map_or_else(Vec::new, |(_, w)| w),
+                writes: self.staged.remove(&txn).map_or_else(Vec::new, |(_, w)| w),
             })
             .collect();
         in_doubt.sort_by_key(|t| (t.gid, t.txn));

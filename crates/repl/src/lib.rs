@@ -24,16 +24,19 @@
 //! ## Replay (standby side, [`replica`])
 //!
 //! One pull connection per shard drains that shard's log stream into a
-//! shared [`replica::Replica`]: updates buffer per transaction and
-//! install at `Commit` (engine-level re-execution of the after-images —
-//! idempotent, so restart-and-replay-from-anywhere is safe), prepared
-//! branches park until some shard's stream carries the `Decide`, and
-//! checkpoint markers are ignored (the standby checkpoints its own
-//! engines on its own schedule). The standby serves read-only gets at
-//! its tracked applied watermark and rejects writes until
-//! [`replica::promote`] stops the pull loops, drains them, presumes
-//! abort for undecided branches, and flips it writable — sub-second,
-//! because a continuously replaying standby has no log backlog.
+//! shared [`replica::Replica`], through the same
+//! [`Resolver`](mmdb_core::Resolver) crash recovery replays with, one
+//! per shard stream: a transaction installs at the frame that commits
+//! it on that shard (engine-level re-execution of the after-images —
+//! idempotent, so restart-and-replay-from-anywhere is safe), and
+//! checkpoint markers resolve to nothing (the standby checkpoints its
+//! own engines on its own schedule). The standby serves read-only gets
+//! at its tracked applied watermark and rejects writes until
+//! [`replica::promote`] stops the pull loops, drains them, resolves the
+//! branches still prepared as sharded recovery would (commit if any
+//! stream decided commit, presumed abort otherwise), and flips it
+//! writable — sub-second, because a continuously replaying standby has
+//! no log backlog.
 //!
 //! ## Lag accounting
 //!

@@ -10,32 +10,34 @@
 //! fingerprint converges to the primary's. Re-applying an after-image
 //! is idempotent, so under-reporting progress is always safe.
 //!
+//! Commit resolution is crash recovery's: each shard stream feeds its
+//! own [`Resolver`], and the after-images it hands back install on that
+//! shard, in commit order. A `TxnCommit` frame installs on sight; a
+//! cross-shard branch installs at its own `Commit` frame on its own
+//! shard — as on the primary and in recovery — so every install lands
+//! on the shard being pulled, and that batch's force covers it before
+//! the watermark moves.
+//!
 //! The applied positions live in the *primary's* LSN space and are
-//! persisted (with the decided-outcome map) to `<dir>/repl.state`
-//! after every batch, because the standby's own log drifts ahead of
-//! the primary's the moment its local checkpointer writes a marker —
-//! local durable LSN only equals the primary position at first attach
-//! (identical init or a directory copy seeds that alignment). A
-//! transaction is one `TxnCommit` frame, applied whole or not at all,
-//! so single-shard traffic holds nothing back. Only a cross-shard
-//! branch logs its after-images ahead of its outcome: a shard's
-//! persisted watermark is held back to the oldest `TxnBegin` of a
-//! branch whose images exist only in this process — one a batch
-//! boundary split before its `Prepare`, or a parked undecided one.
-//! Only the frames from that `TxnBegin` on can rebuild the images, so a
-//! restart re-pulls them and re-buffers (or re-parks) the branch; the
+//! persisted (with the coordinator decisions seen so far) to
+//! `<dir>/repl.state` after every batch, because the standby's own log
+//! drifts ahead of the primary's the moment its local checkpointer
+//! writes a marker — local durable LSN only equals the primary position
+//! at first attach (identical init or a directory copy seeds that
+//! alignment). A shard's persisted watermark is held back to its
+//! resolver's [`first_lsn`](Resolver::first_lsn): a branch logs its
+//! after-images ahead of its outcome, and until then they exist only in
+//! this process, so a restart re-pulls the frames that rebuild them. The
 //! decision, which the primary forces on a *different* shard's log, is
 //! replayed from the persisted map instead.
 //!
-//! Cross-shard transactions replay exactly like sharded crash
-//! recovery: `Prepare`d branches park in the resolver until any
-//! shard's stream carries the `Decide`, then install (or drop) — and
-//! [`promote`] presumes abort for branches still undecided when the
-//! primary is lost, matching what the primary's own recovery would
-//! conclude.
+//! [`promote`] finishes every shard's resolver the way sharded crash
+//! recovery finishes its reports: a branch still prepared commits if any
+//! stream (or the persisted map) carried a commit decision for it, and
+//! is presumed aborted otherwise.
 
-use mmdb_core::Stager;
-use mmdb_shard::ShardedMmdb;
+use mmdb_core::{LogRecord, Resolver};
+use mmdb_shard::{pool_decisions, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedMutex};
 use mmdb_types::{Lsn, MmdbError, RecordId, Result, Word};
 use mmdb_wire::Client;
@@ -69,36 +71,27 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(200);
 /// How long [`promote`] waits for the pull threads to drain and exit.
 const PROMOTE_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// One transaction's (or branch's) after-images.
-type AfterImages = Vec<(RecordId, Vec<Word>)>;
+/// Replay state shared by every shard's pull thread.
+struct Replay {
+    /// One resolver per shard stream.
+    streams: Vec<Resolver>,
+    /// `gid` → decided outcome, as `repl.state` held it at start: a
+    /// restarted stream may never carry these `Decide`s again (the
+    /// watermark that persisted them is past them).
+    loaded: HashMap<u64, bool>,
+}
 
-/// A parked prepared branch: its shard, the primary-log LSN the shard's
-/// stager first saw it at (the shard's persist holdback: a restart
-/// re-pulls from there so the branch re-buffers its after-images and
-/// re-parks — the `Prepare` frame alone carries none of them), and its
-/// after-images.
-type ParkedBranch = (usize, u64, AfterImages);
-
-/// Replay state shared by every shard's pull thread. Staging is the
-/// replay core's ([`Stager`], one per shard stream); what lives here is
-/// only what crosses shards.
-struct Resolver {
-    /// Per shard stream: branches with frames but no `Prepare` or
-    /// outcome yet (empty for single-shard traffic). A stager's first
-    /// LSN is that shard's persist holdback — only the frames from there
-    /// on can rebuild after-images that exist nowhere else.
-    open: Vec<Stager<(RecordId, Vec<Word>)>>,
-    /// `gid` → prepared branches awaiting a decision.
-    pending: HashMap<u64, Vec<ParkedBranch>>,
-    /// `gid` → decided outcome (true = commit), remembered for branches
-    /// whose `Prepare` trails the `Decide` on another shard's stream
-    /// (unbounded over a standby's lifetime, bounded in practice by the
-    /// primary's gid space actually exercised while attached).
-    decisions: HashMap<u64, bool>,
+impl Replay {
+    /// Every coordinator decision known: the loaded ones and every
+    /// stream's since.
+    fn decisions(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let loaded = self.loaded.iter().map(|(&gid, &commit)| (gid, commit));
+        loaded.chain(self.streams.iter().flat_map(Resolver::decisions))
+    }
 }
 
 /// A standby's replication state: per-shard applied positions (in the
-/// *primary's* LSN space), the shared cross-shard resolver, and the
+/// *primary's* LSN space), the per-shard resolvers, and the
 /// stop/writable switches promotion flips.
 pub struct Replica {
     peer: String,
@@ -114,7 +107,7 @@ pub struct Replica {
     /// Distinguishes concurrent [`Replica::save_state`] tmp files so
     /// racing savers never interleave writes on one path.
     save_seq: AtomicU64,
-    resolver: RankedMutex<Resolver>,
+    replay: RankedMutex<Replay>,
 }
 
 impl std::fmt::Debug for Replica {
@@ -154,13 +147,12 @@ impl Replica {
             applied: applied.into_iter().map(AtomicU64::new).collect(),
             state_dir,
             save_seq: AtomicU64::new(0),
-            resolver: RankedMutex::new(
+            replay: RankedMutex::new(
                 "repl.resolver",
                 LockRank::REPL_RESOLVER,
-                Resolver {
-                    open: (0..shards).map(|_| Stager::default()).collect(),
-                    pending: HashMap::new(),
-                    decisions,
+                Replay {
+                    streams: (0..shards).map(|_| Resolver::default()).collect(),
+                    loaded: decisions,
                 },
             ),
         })
@@ -193,34 +185,27 @@ impl Replica {
 
     /// Persists the replication state to `<state_dir>/repl.state`
     /// (atomic tmp + rename; no-op for in-memory standbys). Each
-    /// shard's persisted watermark is held back to the oldest
-    /// `TxnBegin` whose after-images live only in this process — a
-    /// branch a batch boundary split, or a parked undecided one — so a
-    /// restart re-pulls the frames that rebuild them; under-reporting
-    /// is safe because replay is idempotent.
+    /// shard's persisted watermark is held back to its resolver's
+    /// [`first_lsn`](Resolver::first_lsn) — the oldest instance whose
+    /// after-images live only in this process — so a restart re-pulls
+    /// the frames that rebuild them; under-reporting is safe because
+    /// replay is idempotent.
     fn save_state(&self) {
         let Some(dir) = &self.state_dir else {
             return;
         };
         let mut out = String::from("# mmdb replication state (primary-LSN applied watermarks)\n");
         {
-            let r = self.resolver.lock();
+            let r = self.replay.lock();
             for (shard, a) in self.applied.iter().enumerate() {
-                let mut v = a.load(Ordering::SeqCst);
-                if let Some(first) = r.open[shard].first_lsn() {
-                    v = v.min(first.raw());
-                }
-                for branches in r.pending.values() {
-                    for &(branch_shard, begin_lsn, _) in branches {
-                        if branch_shard == shard {
-                            v = v.min(begin_lsn);
-                        }
-                    }
-                }
+                let applied = a.load(Ordering::SeqCst);
+                let v = r.streams[shard]
+                    .first_lsn()
+                    .map_or(applied, |first| applied.min(first.raw()));
                 out.push_str(&format!("applied.{shard}={v}\n"));
             }
-            for (gid, commit) in &r.decisions {
-                out.push_str(&format!("decision.{gid}={}\n", u8::from(*commit)));
+            for (gid, commit) in pool_decisions(r.decisions()) {
+                out.push_str(&format!("decision.{gid}={}\n", u8::from(commit)));
             }
         }
         // every saver renames its own tmp file: the shard pull threads
@@ -249,12 +234,11 @@ impl Replica {
         base: u64,
         bytes: &[u8],
     ) -> Result<usize> {
-        use mmdb_core::LogRecord;
         let obs = db.obs();
         let t = obs.timer();
         let mut off = 0usize;
         let mut txns = 0u64;
-        let mut r = self.resolver.lock();
+        let mut r = self.replay.lock();
         while off < bytes.len() {
             let (rec, used) = match LogRecord::decode(&bytes[off..]) {
                 Ok(ok) => ok,
@@ -269,90 +253,12 @@ impl Replica {
                     return Err(e);
                 }
             };
-            let lsn = Lsn(base + off as u64);
-            match rec {
-                // a whole transaction: its own outcome, installed on sight
-                LogRecord::TxnCommit { writes, .. } => {
-                    apply_writes(db, shard, &writes)?;
-                    txns += 1;
-                }
-                LogRecord::TxnBegin { txn, .. } => r.open[shard].begin(txn, lsn),
-                // An Update without a TxnBegin means the attach point
-                // fell just past a branch's begin frame (a pre-`TxnCommit`
-                // primary wrote that frame well ahead of the updates): the
-                // full after-image set still follows from here, staged
-                // under this frame's own LSN; only the data-free begin
-                // frame is lost.
-                LogRecord::Update { txn, record, value } => {
-                    r.open[shard].update(txn, lsn, (record, value));
-                }
-                LogRecord::Commit { txn } => {
-                    // absent entry: the phase-two commit of a prepared
-                    // branch already installed at Decide time — ignore
-                    if let Some((_, writes)) = r.open[shard].take(txn) {
-                        apply_writes(db, shard, &writes)?;
-                        txns += 1;
-                    }
-                }
-                LogRecord::Abort { txn } => r.open[shard].discard(txn),
-                LogRecord::Prepare { txn, gid } => {
-                    // a parked branch's holdback must be where its
-                    // staging began, not this Prepare frame: the Prepare
-                    // carries only {txn, gid}, so a restart re-pulling
-                    // from here would re-park the branch with empty
-                    // writes and a later commit decision would install
-                    // nothing. Attached mid-transaction there is nothing
-                    // staged, and nothing a re-pull could rebuild either.
-                    let (first, writes) = r.open[shard].take(txn).unwrap_or((lsn, Vec::new()));
-                    match r.decisions.get(&gid) {
-                        Some(true) => {
-                            apply_writes(db, shard, &writes)?;
-                            txns += 1;
-                        }
-                        Some(false) => {}
-                        None => {
-                            r.pending
-                                .entry(gid)
-                                .or_default()
-                                .push((shard, first.raw(), writes));
-                        }
-                    }
-                }
-                LogRecord::Decide { gid, commit } => {
-                    r.decisions.insert(gid, commit);
-                    if let Some(branches) = r.pending.remove(&gid) {
-                        let mut installed: Vec<usize> = Vec::new();
-                        for (branch_shard, _, writes) in branches {
-                            if commit {
-                                apply_writes(db, branch_shard, &writes)?;
-                                txns += 1;
-                                if !writes.is_empty() && !installed.contains(&branch_shard) {
-                                    installed.push(branch_shard);
-                                }
-                            }
-                        }
-                        // force every branch shard that received
-                        // installs while the resolver is still locked:
-                        // the moment it unlocks, a concurrent
-                        // save_state can persist this decision with
-                        // the branch shard's watermark already past
-                        // its Prepare, and a crash before that shard's
-                        // own force would lose the install with no
-                        // replay path (the decided map makes the
-                        // re-pull a no-op). The pulled shard's batch
-                        // force below comes too late for that window.
-                        for branch_shard in installed {
-                            db.with_shard(branch_shard, |e| e.force_log())?;
-                        }
-                    }
-                }
-                // the standby checkpoints its own engines on its own
-                // schedule; the primary's markers carry no replay work.
-                // Compaction fillers are length-preserving by design, so
-                // shipping one costs bytes but never desynchronizes LSNs.
-                LogRecord::BeginCheckpoint { .. }
-                | LogRecord::EndCheckpoint { .. }
-                | LogRecord::Compacted { .. } => {}
+            // checkpoint markers and compaction fillers resolve to
+            // nothing: the standby checkpoints on its own schedule
+            let writes = r.streams[shard].feed(Lsn(base + off as u64), rec);
+            if !writes.is_empty() {
+                apply_writes(db, shard, &writes)?;
+                txns += 1;
             }
             off += used;
         }
@@ -420,7 +326,7 @@ fn bootstrap_shard(
 ) -> Option<u64> {
     let zero = vec![0; db.record_words()];
     let mut rewritten = 0u64;
-    let mut batch: AfterImages = Vec::new();
+    let mut batch: Vec<(RecordId, Vec<Word>)> = Vec::new();
     let mut from = 0u64;
     while from < db.n_records() {
         if replica.stopping() {
@@ -648,11 +554,12 @@ pub fn pull_shard_loop(replica: &Arc<Replica>, db: &ShardedMmdb, shard: usize) {
 }
 
 /// Promotes the standby: stop the pull loops, wait for them to drain
-/// and exit, presume abort for cross-shard branches still undecided
-/// (exactly what the lost primary's own recovery would conclude), and
-/// flip the server writable. Sub-second in the failover case: the pull
-/// loops exit within one long-poll round, and a continuously replaying
-/// standby has no log backlog to scan.
+/// and exit, resolve the branches still prepared the way sharded crash
+/// recovery does (a commit decision on any stream or in the persisted
+/// map commits; none presumes abort), and flip the server writable.
+/// Sub-second in the failover case: the pull loops exit within one
+/// long-poll round, and a continuously replaying standby has no log
+/// backlog to scan.
 pub fn promote(db: &ShardedMmdb, replica: &Replica) -> Result<()> {
     let obs = db.obs();
     let t = obs.timer();
@@ -668,13 +575,28 @@ pub fn promote(db: &ShardedMmdb, replica: &Replica) -> Result<()> {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    {
-        let mut r = replica.resolver.lock();
-        let aborted = r.pending.len() + r.open.iter().map(Stager::len).sum::<usize>();
-        r.pending.clear();
-        r.open.iter_mut().for_each(Stager::clear);
-        obs.counter("repl.promote_aborted_branches", aborted as u64);
+    let (decisions, in_doubt, mut aborted) = {
+        let mut r = replica.replay.lock();
+        let decisions = pool_decisions(r.decisions());
+        let (mut in_doubt, mut discarded) = (Vec::new(), 0u64);
+        for (shard, stream) in r.streams.iter_mut().enumerate() {
+            let (branches, _, unprepared) = std::mem::take(stream).finish();
+            in_doubt.extend(branches.into_iter().map(|b| (shard, b)));
+            discarded += unprepared;
+        }
+        (decisions, in_doubt, discarded)
+    };
+    let mut committed = 0u64;
+    for (shard, branch) in in_doubt {
+        if decisions.get(&branch.gid) == Some(&true) {
+            apply_writes(db, shard, &branch.writes)?;
+            committed += 1;
+        } else {
+            aborted += 1;
+        }
     }
+    obs.counter("repl.promote_committed_branches", committed);
+    obs.counter("repl.promote_aborted_branches", aborted);
     // make everything applied locally durable before accepting writes
     for i in 0..db.shards() {
         db.with_shard(i, |e| e.force_log())?;
@@ -728,32 +650,43 @@ mod tests {
 
     #[test]
     fn repl_state_round_trips_and_holds_back_parked_prepares() {
+        use mmdb_core::LogRecord;
         let (_primary, standby) = pair(2);
-        let dir = std::env::temp_dir().join(format!("mmdb-repl-state-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-
+        let words = standby.record_words();
+        let dir = state_dir("state");
         let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
+
+        // shard 0 carries two decisions; shard 1 an undecided branch
+        // whose TxnBegin sits at LSN 555
+        let decisions = frames(&[
+            LogRecord::Decide {
+                gid: 4,
+                commit: true,
+            },
+            LogRecord::Decide {
+                gid: 5,
+                commit: false,
+            },
+        ]);
+        replica
+            .apply_batch(&standby, 0, 700, &decisions)
+            .expect("decisions");
+        let branch = prepared_branch(3, 9, RecordId(1), vec![2; words]);
+        replica
+            .apply_batch(&standby, 1, 555, &branch)
+            .expect("branch");
         replica.applied[0].store(777, Ordering::SeqCst);
         replica.applied[1].store(888, Ordering::SeqCst);
-        {
-            let mut r = replica.resolver.lock();
-            // an undecided branch parked on shard 1, its TxnBegin at LSN 555
-            r.pending
-                .insert(9, vec![(1, 555, vec![(RecordId(1), vec![2; 4])])]);
-            r.decisions.insert(4, true);
-            r.decisions.insert(5, false);
-        }
         replica.save_state();
 
         // a restarted standby resumes from the file: shard 0 exactly,
-        // shard 1 held back to the parked Prepare so it re-pulls and
-        // re-parks the branch, and the decisions map intact
+        // shard 1 held back to the parked branch's TxnBegin so it
+        // re-pulls and re-stages the branch, and the decisions intact
         let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
         assert_eq!(resumed.applied[0].load(Ordering::SeqCst), 777);
         assert_eq!(resumed.applied[1].load(Ordering::SeqCst), 555);
-        assert_eq!(resumed.resolver.lock().decisions.get(&4), Some(&true));
-        assert_eq!(resumed.resolver.lock().decisions.get(&5), Some(&false));
+        assert_eq!(resumed.replay.lock().loaded.get(&4), Some(&true));
+        assert_eq!(resumed.replay.lock().loaded.get(&5), Some(&false));
 
         // promotion invalidates the state: the file must be gone
         promote(&standby, &resumed).expect("promote");
@@ -821,6 +754,28 @@ mod tests {
         dir
     }
 
+    /// A cross-shard branch as its shard's log carries it up to its
+    /// `Prepare`: begin, one update, prepare.
+    fn prepared_branch(txn: u64, gid: u64, record: RecordId, value: Vec<Word>) -> Vec<u8> {
+        use mmdb_core::LogRecord;
+        use mmdb_types::{Timestamp, TxnId};
+        frames(&[
+            LogRecord::TxnBegin {
+                txn: TxnId(txn),
+                tau: Timestamp(txn),
+            },
+            LogRecord::Update {
+                txn: TxnId(txn),
+                record,
+                value,
+            },
+            LogRecord::Prepare {
+                txn: TxnId(txn),
+                gid,
+            },
+        ])
+    }
+
     #[test]
     fn save_state_holds_back_open_transactions_split_across_batches() {
         use mmdb_core::LogRecord;
@@ -873,28 +828,14 @@ mod tests {
     #[test]
     fn restart_reparks_prepared_branches_with_their_after_images() {
         use mmdb_core::LogRecord;
-        use mmdb_types::{Timestamp, TxnId};
+        use mmdb_types::TxnId;
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
         let words = standby.record_words();
         let dir = state_dir("repark");
         let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
 
-        let buf = frames(&[
-            LogRecord::TxnBegin {
-                txn: TxnId(3),
-                tau: Timestamp(1),
-            },
-            LogRecord::Update {
-                txn: TxnId(3),
-                record: RecordId(1),
-                value: vec![5; words],
-            },
-            LogRecord::Prepare {
-                txn: TxnId(3),
-                gid: 7,
-            },
-        ]);
+        let buf = prepared_branch(3, 7, RecordId(1), vec![5; words]);
         let consumed = replica.apply_batch(&standby, 0, 0, &buf).expect("apply");
         assert_eq!(consumed, buf.len());
         replica.applied[0].store(buf.len() as u64, Ordering::SeqCst);
@@ -902,32 +843,118 @@ mod tests {
 
         // the persisted holdback is the branch's TxnBegin: re-pulling
         // from the Prepare frame alone could never rebuild the
-        // after-images, and the branch would re-park empty
+        // after-images, and the branch would re-stage empty
         let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
         assert_eq!(resumed.applied[0].load(Ordering::SeqCst), 0);
         let consumed = resumed.apply_batch(&standby, 0, 0, &buf).expect("replay");
         assert_eq!(consumed, buf.len());
-        {
-            let r = resumed.resolver.lock();
-            let parked = &r.pending[&7];
-            assert_eq!(parked.len(), 1);
-            assert_eq!(parked[0].1, 0, "holdback at the TxnBegin frame");
-            assert_eq!(parked[0].2, vec![(RecordId(1), vec![5; words])]);
-        }
-        // the decision arrives on some stream: the branch's writes
-        // must install, not an empty re-park
-        let decide = frames(&[LogRecord::Decide {
-            gid: 7,
-            commit: true,
-        }]);
+        assert_eq!(
+            resumed.replay.lock().streams[0].first_lsn(),
+            Some(Lsn(0)),
+            "holdback at the TxnBegin frame"
+        );
+        assert_ne!(
+            standby.read_committed(RecordId(1)).expect("read"),
+            vec![5; words],
+            "a prepared branch is not installed"
+        );
+        // the decision and the branch's own Commit arrive: the re-staged
+        // writes must install, not an empty branch
+        let outcome = frames(&[
+            LogRecord::Decide {
+                gid: 7,
+                commit: true,
+            },
+            LogRecord::Commit { txn: TxnId(3) },
+        ]);
         resumed
-            .apply_batch(&standby, 0, buf.len() as u64, &decide)
-            .expect("decide");
+            .apply_batch(&standby, 0, buf.len() as u64, &outcome)
+            .expect("outcome");
         assert_eq!(
             standby.read_committed(RecordId(1)).expect("read"),
             vec![5; words]
         );
+        assert_eq!(resumed.replay.lock().streams[0].first_lsn(), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn abort_after_prepare_releases_the_holdback() {
+        use mmdb_core::LogRecord;
+        use mmdb_types::TxnId;
+        let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
+        let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
+        let words = standby.record_words();
+        let dir = state_dir("abort-after-prepare");
+        let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
+
+        // what the primary writes when a later shard's prepare fails:
+        // this branch prepared, then aborted, with no Decide anywhere
+        let mut buf = prepared_branch(3, 7, RecordId(1), vec![5; words]);
+        LogRecord::Abort { txn: TxnId(3) }.encode_into(&mut buf);
+        let consumed = replica.apply_batch(&standby, 0, 0, &buf).expect("apply");
+        assert_eq!(consumed, buf.len());
+        replica.applied[0].store(buf.len() as u64, Ordering::SeqCst);
+        replica.save_state();
+
+        // the branch has its outcome: nothing pins the watermark, and a
+        // restart resumes past every frame consumed
+        let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
+        assert_eq!(resumed.applied[0].load(Ordering::SeqCst), buf.len() as u64);
+        assert_eq!(replica.replay.lock().streams[0].first_lsn(), None);
+        assert_ne!(
+            standby.read_committed(RecordId(1)).expect("read"),
+            vec![5; words]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 2-shard standby whose shard 1 stream ends with a prepared
+    /// branch writing local record 3 (global 7) and no `Commit`; shard 0
+    /// carries `decision` for it, if any. Returns global record 7 after
+    /// [`promote`].
+    fn promote_over_a_prepared_branch(decision: Option<bool>) -> Vec<Word> {
+        use mmdb_core::LogRecord;
+        let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
+        let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
+        let words = standby.record_words();
+        let replica = Replica::new("unused".into(), &standby, None);
+        if let Some(commit) = decision {
+            let decide = frames(&[LogRecord::Decide { gid: 5, commit }]);
+            replica
+                .apply_batch(&standby, 0, 0, &decide)
+                .expect("decide");
+        }
+        let branch = prepared_branch(2, 5, RecordId(3), vec![8; words]);
+        replica
+            .apply_batch(&standby, 1, 0, &branch)
+            .expect("branch");
+        assert_ne!(
+            standby.read_committed(RecordId(7)).expect("read"),
+            vec![8; words],
+            "nothing installs before the branch's Commit"
+        );
+        promote(&standby, &replica).expect("promote");
+        assert!(replica
+            .replay
+            .lock()
+            .streams
+            .iter()
+            .all(|s| s.first_lsn().is_none()));
+        standby.read_committed(RecordId(7)).expect("read")
+    }
+
+    #[test]
+    fn promote_installs_a_branch_decided_on_another_shard() {
+        let words = MmdbConfig::small(Algorithm::FuzzyCopy).params.db.s_rec as usize;
+        assert_eq!(promote_over_a_prepared_branch(Some(true)), vec![8; words]);
+    }
+
+    #[test]
+    fn promote_presumes_abort_without_a_decision() {
+        let words = MmdbConfig::small(Algorithm::FuzzyCopy).params.db.s_rec as usize;
+        assert_ne!(promote_over_a_prepared_branch(None), vec![8; words]);
+        assert_ne!(promote_over_a_prepared_branch(Some(false)), vec![8; words]);
     }
 
     #[test]
@@ -1166,21 +1193,21 @@ mod tests {
     fn promote_flips_writable_and_aborts_undecided() {
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
+        let words = standby.record_words();
         let replica = Replica::new("unused".into(), &standby, None);
-        // a branch parked without a decision
+        // a branch prepared on shard 0 without a decision
+        let branch = prepared_branch(1, 42, RecordId(0), vec![1; words]);
         replica
-            .resolver
-            .lock()
-            .pending
-            .insert(42, vec![(0, 0, vec![(RecordId(0), vec![1; 4])])]);
+            .apply_batch(&standby, 0, 0, &branch)
+            .expect("branch");
         assert!(!replica.is_writable());
         promote(&standby, &replica).expect("promote");
         assert!(replica.is_writable());
-        assert!(replica.resolver.lock().pending.is_empty());
+        assert_eq!(replica.replay.lock().streams[0].first_lsn(), None);
         // the undecided branch must NOT have been installed
         assert_ne!(
             standby.read_committed(RecordId(0)).expect("read"),
-            vec![1; standby.record_words()]
+            vec![1; words]
         );
     }
 }

@@ -28,7 +28,7 @@
 //! * Such outcomes bind to a transaction **instance**, never to a bare
 //!   `TxnId`: ids restart at 1 every time the directory is opened, so a
 //!   log written across re-opens reuses them. As in the replay core's
-//!   `Stager`, a `TxnBegin` starts a fresh instance of its id, and a
+//!   `Resolver`, a `TxnBegin` starts a fresh instance of its id, and a
 //!   `Commit`/`Abort`/`Prepare` resolves the instance opened since that
 //!   id's last begin or outcome. Frames of an instance cut off by a
 //!   later begin have no outcome.

@@ -30,9 +30,8 @@
 //! current checkpoint, and [`ServerHandle::shutdown_join`] returns the
 //! sharded database so callers can fingerprint or close it cleanly.
 //!
-//! The crate also hosts the network load driver ([`load`]: closed loop,
-//! or open loop at a target rate) behind `mmdb-cli bench-net` and the
-//! CI smoke legs. It measures nothing for the record — the repo's
+//! The crate also hosts the closed-loop network load driver ([`load`])
+//! behind `mmdb-cli bench-net` and the CI smoke legs. It measures nothing for the record — the repo's
 //! benchmark is `benchmark/`.
 
 pub mod conn;

@@ -1,16 +1,12 @@
-//! Network load driver (closed loop, or open loop at a target rate).
+//! Closed-loop network load driver.
 //!
 //! Spawns one thread per connection; each thread replays a
 //! [`mmdb_workload`] update stream (Uniform or Zipf, deterministic per
-//! seed) as `Batch` transactions over its own [`Client`]. By default it
-//! is a closed loop — each commit acks before the next send, so offered
-//! load tracks service capacity. With
-//! [`LoadConfig::target_rate_per_conn`] set, each connection instead
-//! follows a fixed schedule (transaction `k` is due at `start + k/rate`)
-//! and latency is measured **from the due time**: a stall charges the
-//! server for every request it delayed, where a closed loop would
-//! silently stop offering load during the stall and under-report tail
-//! latency (coordinated omission).
+//! seed) as `Batch` transactions over its own [`Client`]. Each commit
+//! acks before the next send, so offered load tracks service capacity:
+//! a smoke-test load generator, not a latency measurement (a closed
+//! loop stops offering load during a stall, so it under-reports tail
+//! latency; the measurement of record is `benchmark/`).
 //!
 //! Transient server errors (two-color aborts surfacing through a
 //! quiesce, COU quiesce refusals) are retried and *counted as retries*,
@@ -74,13 +70,6 @@ pub struct LoadConfig {
     /// exercising the two-phase cross-shard commit path. Ignored when
     /// `shards == 1`.
     pub cross_fraction: f64,
-    /// Target send rate per connection, transactions per second. `0.0`
-    /// keeps the closed loop. When positive, transaction `k` is due at
-    /// `start + k/rate` and its latency is measured from that due time
-    /// (the coordinated-omission-free measurement); a connection that
-    /// falls behind sends immediately and the backlog shows up as tail
-    /// latency instead of vanishing.
-    pub target_rate_per_conn: f64,
 }
 
 impl Default for LoadConfig {
@@ -96,7 +85,6 @@ impl Default for LoadConfig {
             timeout: Duration::from_secs(30),
             shards: 1,
             cross_fraction: 0.0,
-            target_rate_per_conn: 0.0,
         }
     }
 }
@@ -231,10 +219,7 @@ fn run_connection(
     if cross_rng == 0 {
         cross_rng = 0x9E37_79B9_7F4A_7C15;
     }
-    let period = (cfg.target_rate_per_conn > 0.0)
-        .then(|| Duration::from_secs_f64(1.0 / cfg.target_rate_per_conn));
-    let schedule_start = Instant::now();
-    for k in 0..cfg.txns_per_conn {
+    for _ in 0..cfg.txns_per_conn {
         let mut updates: Vec<(RecordId, Vec<Word>)> = workload.next_txn().materialize(s_rec);
         if cfg.shards > 1 {
             cross_rng ^= cross_rng << 13;
@@ -244,21 +229,7 @@ fn run_connection(
                 && ((cross_rng >> 11) as f64) / ((1u64 << 53) as f64) < cfg.cross_fraction;
             remap_to_shards(&mut updates, index, cfg.shards, n_records, cross);
         }
-        // Open loop: latency is anchored at the transaction's *due* time
-        // under the schedule, not the actual send — the fix for
-        // coordinated omission. A connection running behind does not
-        // sleep; the accumulated delay is charged to every late request.
-        let t0 = match period {
-            Some(p) => {
-                let due = schedule_start + p.mul_f64(k as f64);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                due
-            }
-            None => Instant::now(),
-        };
+        let t0 = Instant::now();
         match client.retry_transient(cfg.max_retries, |c| c.batch(&updates)) {
             Ok((_committed, retries)) => {
                 out.committed += 1;

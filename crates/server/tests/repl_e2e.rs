@@ -360,3 +360,47 @@ fn semi_sync_commits_complete_with_standby_attached() {
     standby.shutdown_join();
     primary.shutdown_join();
 }
+
+#[test]
+fn semi_sync_cross_shard_batches_replay_while_the_primary_checkpoints() {
+    // Every batch spans both shards, so each is a two-phase commit: a
+    // prepared branch per shard, the decision on shard 0, and a `Commit`
+    // per branch. The standby must install each branch at its own
+    // `Commit` and converge while the primary's checkpointers run.
+    let primary = spawn_primary(true);
+    let standby = spawn_standby(&primary);
+    let primary_addr = primary.local_addr().to_string();
+    let standby_addr = standby.local_addr().to_string();
+
+    let mut c = Client::connect(&primary_addr).unwrap();
+    let words = c.info().unwrap().record_words as usize;
+    // at least 40 batches, and on until two checkpoints completed
+    // beside them
+    let ckpts_before = primary.checkpoints_completed();
+    let mut batches = 0u64;
+    while batches < 40 || primary.checkpoints_completed() < ckpts_before + 2 {
+        assert!(batches < 100_000, "the primary never checkpointed");
+        let (rid, fill) = (2 * (batches % 16), batches as u32 + 1);
+        let batch = vec![
+            (RecordId(rid), vec![fill; words]),
+            (RecordId(rid + 1), vec![fill; words]),
+        ];
+        c.retry_transient(200, |c| c.batch(&batch)).unwrap();
+        batches += 1;
+    }
+    let fp = wait_converged(&primary_addr, &standby_addr);
+    assert_ne!(fp, 0, "non-trivial converged state");
+    let last = batches - 1;
+    let mut s = Client::connect(&standby_addr).unwrap();
+    assert_eq!(
+        s.get(RecordId(2 * (last % 16) + 1)).unwrap(),
+        vec![last as u32 + 1; words]
+    );
+
+    let standby_db = standby.shutdown_join();
+    let primary_db = primary.shutdown_join();
+    let cross = primary_db.metrics_snapshot().counter("router.txns_cross");
+    assert_eq!(cross, Some(batches), "every batch was a cross-shard commit");
+    let applied = standby_db.metrics_snapshot().counter("repl.applied_txns");
+    assert!(applied.unwrap_or(0) > 0, "{applied:?}");
+}

@@ -109,6 +109,18 @@ pub fn shard_config(global: &MmdbConfig, shards: usize) -> MmdbConfig {
     cfg
 }
 
+/// Pools two-phase-commit decisions read from several shard logs: a gid
+/// is committed if any log carries `Decide{gid, commit: true}`. A branch
+/// whose gid maps to `false`, or is absent, is presumed aborted.
+pub fn pool_decisions(decisions: impl IntoIterator<Item = (u64, bool)>) -> HashMap<u64, bool> {
+    let mut pooled = HashMap::new();
+    for (gid, commit) in decisions {
+        let d = pooled.entry(gid).or_insert(false);
+        *d = *d || commit;
+    }
+    pooled
+}
+
 /// Report of one coordinated sharded recovery.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedRecovery {
@@ -638,15 +650,13 @@ impl ShardedMmdb {
     /// second recovery over the same window from finding the branch in
     /// doubt again.
     fn resolve_in_doubt(&self, reports: Vec<Option<RecoveryReport>>) -> Result<ShardedRecovery> {
-        let mut decisions: HashMap<u64, bool> = HashMap::new();
-        let mut max_gid = 0u64;
-        for report in reports.iter().flatten() {
-            for &(gid, commit) in &report.decisions {
-                let d = decisions.entry(gid).or_insert(false);
-                *d = *d || commit;
-            }
-            max_gid = max_gid.max(report.max_gid);
-        }
+        let decisions = pool_decisions(
+            reports
+                .iter()
+                .flatten()
+                .flat_map(|r| r.decisions.iter().copied()),
+        );
+        let max_gid = reports.iter().flatten().fold(0, |m, r| m.max(r.max_gid));
         self.next_gid.store(max_gid + 1, Ordering::SeqCst);
 
         let mut committed = 0u64;

@@ -237,7 +237,7 @@ impl Simulator {
         // Group commit: the paper's premise is that transactions do not
         // synchronously force the log (§1); the periodic forces below
         // play the group-commit daemon.
-        engine_cfg.commit_durability = CommitDurability::Lazy;
+        engine_cfg.commit_durability = CommitDurability::Group;
         engine_cfg.audit = cfg.audit;
         engine_cfg.telemetry = cfg.telemetry;
         let mut db = Mmdb::open_in_memory(engine_cfg)?;
