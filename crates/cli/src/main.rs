@@ -60,11 +60,12 @@ mod persist;
 
 use mmdb_core::{Algorithm, CommitDurability, LogMode, Mmdb, MmdbConfig, RecordId};
 use mmdb_lint::check_workspace;
-use mmdb_log::{LogDevice, LogRecord, LogScanner, SegmentedLogDevice};
+use mmdb_log::{LogDevice, LogRecord, LogStream, SegmentedLogDevice};
 use mmdb_server::{run_load, LoadConfig, ReplOptions, Server, ServerConfig, WorkloadKind};
 use mmdb_shard::{shard_config, ShardedMmdb};
 use mmdb_wire::Client;
 use mmdb_workload::{UniformWorkload, Workload};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -194,7 +195,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "compact",
-        about: "rotate the active log chunk and compact cold ones — superseded committed frames become filler, cold chunks optionally LZ-compressed",
+        about: "rotate the active log chunk and compact cold ones — superseded TxnCommit writes become filler, cold chunks optionally LZ-compressed",
         flags: &["--compress"],
         handler: cmd_compact,
     },
@@ -554,8 +555,8 @@ fn cmd_checkpoint(dir: &Path, _rest: &[String]) -> Result<(), String> {
 }
 
 /// Offline log maintenance: seal each shard's active chunk, then
-/// rewrite cold chunks with superseded committed frames (and durably
-/// aborted ones) turned into length-preserving filler. Every LSN
+/// rewrite cold chunks with superseded `TxnCommit` writes turned into
+/// length-preserving filler. Every LSN
 /// survives, so replication and recovery are oblivious; a lagging
 /// standby's truncation pin stalls the rewrite rather than losing
 /// bytes. `--compress` additionally stores the rewritten cold chunks
@@ -1308,8 +1309,27 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     let mut dev = SegmentedLogDevice::open(&dir.join("log"), config.log_chunk_bytes, false)
         .map_err(|e| e.to_string())?;
     let window = dev.len() - dev.start_offset();
-    let scanner = LogScanner::from_device(&mut dev).map_err(|e| e.to_string())?;
-    let intact = scanner.valid_len();
+    // One validation pass tallies the composition and finds the newest
+    // begin marker an end marker completed (paper §3.3's footnote).
+    let mut composition = Composition::default();
+    let mut begun: HashMap<u64, u64> = HashMap::new(); // ckpt -> newest begin LSN
+    let mut complete: Option<(u64, u64)> = None; // (begin LSN, ckpt)
+    let log = LogStream::new(&mut dev)
+        .validate(|lsn, rec| {
+            composition.note(rec);
+            match rec {
+                LogRecord::BeginCheckpoint { ckpt, .. } => {
+                    begun.insert(ckpt.raw(), lsn.raw());
+                }
+                LogRecord::EndCheckpoint { ckpt } => {
+                    let done = begun.get(&ckpt.raw()).map(|&at| (at, ckpt.raw()));
+                    complete = complete.max(done);
+                }
+                _ => {}
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    let intact = log.end_lsn().raw() - log.base_lsn().raw();
     println!(
         "log: {} of {} window bytes intact{}",
         intact,
@@ -1320,13 +1340,11 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
             " (torn tail — expected after a crash)"
         }
     );
-    println!("{}", log_composition(&scanner));
-    match scanner.last_complete_checkpoint() {
-        Some(mark) => println!(
-            "log: last complete checkpoint {} (begin marker at {})",
-            mark.ckpt.raw(),
-            mark.begin_lsn.raw()
-        ),
+    println!("{}", composition.line(intact));
+    match complete {
+        Some((begin_lsn, ckpt)) => {
+            println!("log: last complete checkpoint {ckpt} (begin marker at {begin_lsn})")
+        }
         None => {
             println!("log: NO complete checkpoint marker in the readable window");
             problems += 1;
@@ -1382,9 +1400,15 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
 
 /// What the log window is made of: frames and bytes per frame kind, and
 /// log bytes per committed transaction (what `log_amp` is the ratio of).
-/// Walks the window the scanner already holds; the device is not read again.
-fn log_composition(scanner: &LogScanner) -> String {
-    const KINDS: [&str; 9] = [
+/// Tallied frame by frame off `fsck`'s validation pass.
+#[derive(Default)]
+struct Composition {
+    tally: [(u64, u64); Composition::KINDS.len()],
+    committed: u64,
+}
+
+impl Composition {
+    const KINDS: [&'static str; 9] = [
         "begin",
         "update",
         "commit",
@@ -1395,9 +1419,8 @@ fn log_composition(scanner: &LogScanner) -> String {
         "ckpt",
         "filler",
     ];
-    let mut tally = [(0u64, 0u64); KINDS.len()];
-    let mut committed = 0u64;
-    for (_, rec) in scanner.forward_from(scanner.base_lsn()) {
+
+    fn note(&mut self, rec: &LogRecord) {
         let kind = match rec {
             LogRecord::TxnBegin { .. } => 0,
             LogRecord::Update { .. } => 1,
@@ -1409,22 +1432,27 @@ fn log_composition(scanner: &LogScanner) -> String {
             LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 7,
             LogRecord::Compacted { .. } => 8,
         };
-        tally[kind].0 += 1;
-        tally[kind].1 += rec.encoded_len() as u64;
+        self.tally[kind].0 += 1;
+        self.tally[kind].1 += rec.encoded_len() as u64;
         // a transaction is committed by its `Commit` or `TxnCommit` frame
         if matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. }) {
-            committed += 1;
+            self.committed += 1;
         }
     }
-    let mut line = String::from("log: composition (frames/bytes):");
-    for (kind, (frames, bytes)) in KINDS.iter().zip(tally) {
-        line.push_str(&format!(" {kind}={frames}/{bytes}"));
+
+    /// The `fsck` line for a window of `valid_len` bytes.
+    fn line(&self, valid_len: u64) -> String {
+        let mut line = String::from("log: composition (frames/bytes):");
+        for (kind, (frames, bytes)) in Composition::KINDS.iter().zip(self.tally) {
+            line.push_str(&format!(" {kind}={frames}/{bytes}"));
+        }
+        line.push_str(&format!(
+            "; {:.1} log bytes per committed transaction ({} committed)",
+            valid_len as f64 / self.committed.max(1) as f64,
+            self.committed
+        ));
+        line
     }
-    line.push_str(&format!(
-        "; {:.1} log bytes per committed transaction ({committed} committed)",
-        scanner.valid_len() as f64 / committed.max(1) as f64
-    ));
-    line
 }
 
 fn cmd_dump(dir: &Path, rest: &[String]) -> Result<(), String> {

@@ -1316,10 +1316,10 @@ impl Mmdb {
         self.log.get_mut().rotate()
     }
 
-    /// Runs one compaction pass over the cold log chunks: frames that no
-    /// future recovery can need (durably aborted, or durably committed
-    /// and superseded by a later committed write to the same record) are
-    /// rewritten as length-preserving filler, so the REDO window stays
+    /// Runs one compaction pass over the cold log chunks: `TxnCommit`
+    /// writes that no future recovery can need (superseded by a later
+    /// `TxnCommit` write to the same record) are rewritten as
+    /// length-preserving filler, so the REDO window stays
     /// bounded while every LSN survives. The pass is clamped below the
     /// replication truncation pin — a lagging standby stalls compaction
     /// exactly as it stalls truncation — and with

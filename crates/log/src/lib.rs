@@ -14,12 +14,14 @@
 //!   committers park on the watermark while a flusher batches forces and
 //!   completes them (modeled latency, watermark publish) outside the
 //!   engine lock,
-//! * [`LogStream`] — recovery's crash-tolerant reader: the log through
+//! * [`LogStream`] — the crash-tolerant reader: the log through
 //!   one reused window, checkpoint marker location and replay-start
 //!   computation in a first pass, the frames to replay in a second
 //!   (paper §3.3),
+//! * [`step`] — the one rule for reading a frame off raw log bytes
+//!   (whole, cut short, or corrupt), shared by every reader,
 //! * [`LogScanner`] — the same scan over a log held whole, with backward
-//!   iteration, for tools and tests.
+//!   iteration, for tests and the benchmark only.
 
 #![warn(missing_docs)]
 
@@ -34,7 +36,9 @@ mod watermark;
 pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
 pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
-pub use scan::{BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow};
+pub use scan::{
+    step, BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow, Step,
+};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use ship::{ShipTap, TapRead, DEFAULT_TAP_WINDOW_BYTES};
 pub use watermark::DurableWatermark;

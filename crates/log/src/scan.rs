@@ -9,15 +9,17 @@
 //! Scanning tolerates a torn final flush: the log is walked forward and
 //! the first undecodable frame is the end of the durable log. Everything
 //! before it is intact (each frame is checksummed). That rule lives in
-//! [`step`] and serves both readers of a log:
+//! [`step`], which every reader of log bytes shares (a standby's pulled
+//! batches too):
 //!
-//! * [`LogStream`] — recovery's reader. It holds one reused window of the
-//!   log at a time, so recovering costs a window of memory however long
-//!   the log is. Recovery drives it twice: [`LogStream::validate`] finds
+//! * [`LogStream`] — the log's reader. It holds one reused window of the
+//!   log at a time, so a pass costs a window of memory however long the
+//!   log is. Recovery drives it twice: [`LogStream::validate`] finds
 //!   where the log ends and where replay starts, [`LogStream::replay`]
-//!   hands the frames in between to the replay core.
+//!   hands the frames in between to the replay core. Compaction and
+//!   `fsck` watch the validation pass frame by frame.
 //! * [`LogScanner`] — the whole log resident, with backward iteration,
-//!   for tools and tests.
+//!   for tests and the benchmark's scan-rate probe only.
 
 use crate::device::LogDevice;
 use crate::record::LogRecord;
@@ -43,19 +45,19 @@ pub struct CheckpointMark {
 }
 
 /// What the frame at the head of some log bytes turned out to be.
-enum Step {
+pub enum Step {
     /// Whole and intact: the record and its encoded length.
     Frame(LogRecord, usize),
     /// The bytes stop inside it: more bytes may complete it. At the end
     /// of the device this is the torn tail.
     Cut,
     /// Whole and corrupt: the log ends here.
-    Bad,
+    Bad(MmdbError),
 }
 
 /// Decodes the frame at the head of `bytes`, with its checksum when
 /// `verify` (a frame that already passed once is not summed again).
-fn step(bytes: &[u8], verify: bool) -> Step {
+pub fn step(bytes: &[u8], verify: bool) -> Step {
     let decoded = if verify {
         LogRecord::decode(bytes)
     } else {
@@ -64,7 +66,7 @@ fn step(bytes: &[u8], verify: bool) -> Step {
     match decoded {
         Ok((rec, used)) => Step::Frame(rec, used),
         Err(_) if LogRecord::frame_len(bytes).is_none() => Step::Cut,
-        Err(_) => Step::Bad,
+        Err(e) => Step::Bad(e),
     }
 }
 
@@ -173,12 +175,14 @@ impl<'a> LogStream<'a> {
     }
 
     /// First pass: checksums the log from the device's truncation point
-    /// up to the first torn or corrupt frame.
-    pub fn validate(&mut self) -> Result<LogWindow> {
+    /// up to the first torn or corrupt frame, showing `each` every frame
+    /// it accepts, in log order.
+    pub fn validate(&mut self, mut each: impl FnMut(Lsn, &LogRecord)) -> Result<LogWindow> {
         let base = self.device.start_offset();
         let limit = self.device.len();
         let mut marks = Marks::default();
         let end = self.drive(base, limit, true, |lsn, rec| {
+            each(lsn, &rec);
             marks.note(lsn, rec);
             Ok(())
         })?;
@@ -235,7 +239,7 @@ impl<'a> LogStream<'a> {
                     each(Lsn(at + pos as u64), rec)?;
                     pos += used;
                 }
-                Step::Bad => return Ok(at + pos as u64),
+                Step::Bad(_) => return Ok(at + pos as u64),
                 Step::Cut => {
                     // carry the cut frame's head to the front, read on
                     self.buf.drain(..pos);
@@ -696,7 +700,7 @@ mod tests {
             .unwrap_or(0);
 
         let mut stream = LogStream::with_window(&mut dev, window);
-        let found = stream.validate().unwrap();
+        let found = stream.validate(|_, _| {}).unwrap();
         assert_eq!(&found, resident.window(), "window {window}");
         let mut starts = vec![resident.base_lsn()];
         for (mark, start) in &found.marks {
@@ -797,7 +801,7 @@ mod tests {
         let mut dev = crate::MemLogDevice::new();
         dev.append(&buf).unwrap();
         let mut stream = LogStream::with_window(&mut dev, 140);
-        let found = stream.validate().unwrap();
+        let found = stream.validate(|_, _| {}).unwrap();
         // the 150-byte filler is the one frame longer than the window;
         // growing to it costs one 4-byte look at its trailer
         assert_eq!(stream.window_peak_bytes(), 150);

@@ -189,7 +189,7 @@ pub fn recover_observed(
     // of the stream, which keeps a window of the log and nothing else.
     let replay_timer = obs.timer();
     let mut stream = LogStream::new(log_device);
-    let window = stream.validate()?;
+    let window = stream.validate(|_, _| {})?;
     let (_, replay_start) = window.checkpoint_mark(ckpt).ok_or_else(|| {
         MmdbError::Corrupt(format!(
             "backup copy {copy} is complete for {ckpt} but the log has no begin marker for it"

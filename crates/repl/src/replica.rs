@@ -36,7 +36,7 @@
 //! stream (or the persisted map) carried a commit decision for it, and
 //! is presumed aborted otherwise.
 
-use mmdb_core::{LogRecord, Resolver};
+use mmdb_core::{step, Resolver, Step};
 use mmdb_shard::{pool_decisions, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedMutex};
 use mmdb_types::{Lsn, MmdbError, RecordId, Result, Word};
@@ -240,15 +240,15 @@ impl Replica {
         let mut txns = 0u64;
         let mut r = self.replay.lock();
         while off < bytes.len() {
-            let (rec, used) = match LogRecord::decode(&bytes[off..]) {
-                Ok(ok) => ok,
+            let (rec, used) = match step(&bytes[off..], true) {
+                Step::Frame(rec, used) => (rec, used),
                 // the batch size cap cut this frame: re-request from `off`
-                Err(_) if LogRecord::frame_len(&bytes[off..]).is_none() => break,
+                Step::Cut => break,
                 // the whole frame is in hand and still does not decode: a
                 // larger batch cannot help. Frames applied before it keep
                 // their progress; the pull that starts at it fails.
-                Err(_) if off > 0 => break,
-                Err(e) => {
+                Step::Bad(_) if off > 0 => break,
+                Step::Bad(e) => {
                     obs.counter("repl.corrupt_frames", 1);
                     return Err(e);
                 }

@@ -4,9 +4,10 @@
 //! (replay itself is `mmdb-recovery`'s, on one lane):
 //!
 //! * [`compact_device`] — a background pass that rewrites cold log
-//!   chunks, replacing durably-dead frames (aborted, or committed and
-//!   superseded) with length-preserving filler so the REDO window stays
-//!   bounded while every LSN survives. Clamped below replication pins.
+//!   chunks, replacing superseded `TxnCommit` writes with
+//!   length-preserving filler so the REDO window stays bounded while
+//!   every LSN survives. It streams the log (one validation window, then
+//!   one chunk at a time) and is clamped below replication pins.
 //! * Compression — cold chunks and backup segments use the
 //!   dependency-free block codec in [`mmdb_types::lz`]; compaction's
 //!   zero-filled filler is exactly what makes compressed cold chunks
@@ -103,8 +104,16 @@ mod tests {
         }
 
         /// Runs a whole committed transaction updating `records` with
-        /// `fill`, with commit-time log force.
+        /// `fill` the way the engine logs one: a single forced `TxnCommit`.
         fn txn(&mut self, records: &[u64], fill: u32) {
+            let writes: Vec<_> = records.iter().map(|&rid| (rid, fill)).collect();
+            self.txn_commit(&writes);
+        }
+
+        /// [`Mini::txn`] the way an engine before `TxnCommit` logged it
+        /// (and a cross-shard branch still does): begin, one update frame
+        /// per record, a forced commit.
+        fn legacy_txn(&mut self, records: &[u64], fill: u32) {
             let tau = self.tau();
             self.next_txn += 1;
             let txn = TxnId(self.next_txn);
@@ -202,6 +211,33 @@ mod tests {
         /// Fingerprint recovered from the crashed state.
         fn recovered(&mut self) -> u64 {
             self.recovery().1.fingerprint()
+        }
+
+        /// `(lsn, raw bytes)` of every frame in the validated log that is
+        /// neither a `TxnCommit` nor a filler: what compaction must leave
+        /// byte for byte.
+        fn verbatim_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
+            let dev = self.log.device_mut();
+            let sc = LogScanner::from_device(dev).unwrap();
+            let spans: Vec<_> = sc
+                .forward_from(sc.base_lsn())
+                .filter(|(_, rec)| {
+                    !matches!(
+                        rec,
+                        LogRecord::TxnCommit { .. } | LogRecord::Compacted { .. }
+                    )
+                })
+                .map(|(lsn, rec)| (lsn.raw(), rec.encoded_len()))
+                .collect();
+            drop(sc);
+            spans
+                .into_iter()
+                .map(|(lsn, len)| {
+                    let mut bytes = vec![0; len];
+                    dev.read_at(lsn, &mut bytes).unwrap();
+                    (lsn, bytes)
+                })
+                .collect()
         }
     }
 
@@ -390,30 +426,33 @@ mod tests {
     }
 
     /// `TxnTable` ids restart at 1 on every open of a directory, so a
-    /// log written across re-opens reuses them: an outcome belongs to
-    /// the instance it closes, not to every frame carrying that id.
+    /// log written across re-opens reuses them. A log written before
+    /// `TxnCommit` holds such reused ids in begin/update/commit runs:
+    /// compaction leaves every one of those frames as it was, and
+    /// recovery over the compacted log agrees with the uncompacted one.
     #[test]
     fn compaction_binds_outcomes_per_incarnation_when_ids_are_reused() {
         /// Writes the same log into a fresh device and recovers it,
         /// compacted first or not.
         fn recovered(compact: bool) -> u64 {
             let (mut m, dir) = segmented_mini(&format!("compact-reinc-{compact}"), 4096);
-            m.txn(&[0], 1);
+            m.legacy_txn(&[0], 1);
             m.checkpoint();
             // Incarnation 1, ids 1..=8: all commit. Txn 3 overwrites
             // what txn 2 wrote to record 20.
             m.next_txn = 0;
-            m.txn(&[10, 11], 101);
-            m.txn(&[20, 21], 102);
-            m.txn(&[20, 30], 103);
+            m.legacy_txn(&[10, 11], 101);
+            m.legacy_txn(&[20, 21], 102);
+            m.legacy_txn(&[20, 30], 103);
             for fill in 104..=108 {
-                m.txn(&[40, 41, 42, 43], fill);
+                m.legacy_txn(&[40, 41, 42, 43], fill);
             }
             // Incarnation 2 reuses the ids: 1 aborts, 2 commits other
-            // records, 3 is open at the crash, the rest churn.
+            // records, 3 is open at the crash, the rest churn in the
+            // current one-frame shape.
             m.next_txn = 0;
             m.aborted_txn(&[500, 10], 201);
-            m.txn(&[600], 202);
+            m.legacy_txn(&[600], 202);
             m.next_txn += 1;
             let open = TxnId(m.next_txn);
             let tau = m.tau();
@@ -430,13 +469,15 @@ mod tests {
             m.log.rotate().unwrap();
             m.crash();
             if compact {
+                let before = m.verbatim_frames();
                 let report = compact_device(
                     m.log.device_mut(),
                     &CompactOptions::default(),
                     &Obs::disabled(),
                 )
                 .unwrap();
-                assert!(report.frames_dropped > 0, "{report:?}");
+                assert!(report.chunks_rewritten > 0, "{report:?}");
+                assert_eq!(m.verbatim_frames(), before);
             }
             let (_, s) = m.recovery();
             for (rid, fill) in [(10, 101), (11, 101), (20, 103), (21, 102), (30, 103)] {
@@ -490,9 +531,145 @@ mod tests {
         assert_eq!(report, CompactReport::default());
     }
 
-    // ----- `TxnCommit` frames: what the engine writes for every
-    // transaction that is not a cross-shard branch. The suites above stay
-    // on the older frames, which directories written before still hold.
+    #[test]
+    fn compaction_keeps_writes_only_a_branch_supersedes_and_branches_verbatim() {
+        let (mut m, dir) = segmented_mini("compact-branches", 4096);
+        m.txn(&[0, 1], 1);
+        m.checkpoint();
+        // record 5's last `TxnCommit` write is superseded only by a
+        // committed 2PC branch; 6 and 7 are written by an aborted and an
+        // in-doubt branch over `TxnCommit` writes
+        m.txn(&[5, 6, 7], 2);
+        let committed = m.prepared_txn(&[5], 3, 1);
+        m.log
+            .append_forced(&LogRecord::Commit { txn: committed })
+            .unwrap();
+        let aborted = m.prepared_txn(&[6], 4, 2);
+        m.log
+            .append_forced(&LogRecord::Abort { txn: aborted })
+            .unwrap();
+        m.prepared_txn(&[7], 5, 3);
+        for round in 10..40 {
+            m.txn(&[0, 1], round);
+        }
+        m.log.rotate().unwrap();
+        m.crash();
+        let (twin, twin_state) = m.recovery();
+        assert_eq!(twin_state.read_record(RecordId(5)).unwrap()[0], 3);
+        let before = m.verbatim_frames();
+
+        let report = compact_device(
+            m.log.device_mut(),
+            &CompactOptions::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
+        assert!(report.frames_dropped > 0, "{report:?}");
+        // the branches' frames are all still there, byte for byte, and so
+        // is the `TxnCommit` write the committed branch replaces
+        assert_eq!(m.verbatim_frames(), before);
+        let writes_to = |rid: u64, frames: &[(u64, LogRecord)]| {
+            frames
+                .iter()
+                .filter(|(_, rec)| match rec {
+                    LogRecord::TxnCommit { writes, .. } => {
+                        writes.iter().any(|(r, _)| *r == RecordId(rid))
+                    }
+                    _ => false,
+                })
+                .count()
+        };
+        let after = m.txn_commits();
+        assert_eq!((writes_to(5, &after), writes_to(6, &after)), (1, 1));
+        let (report, state) = m.recovery();
+        assert_eq!(report.in_doubt, twin.in_doubt);
+        assert_eq!(state.fingerprint(), twin_state.fingerprint());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A log device that remembers how it was read.
+    struct Counting<'a> {
+        inner: &'a mut dyn LogDevice,
+        largest_read: usize,
+        read_alls: u64,
+    }
+
+    impl LogDevice for Counting<'_> {
+        fn append(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner.append(bytes)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn start_offset(&self) -> u64 {
+            self.inner.start_offset()
+        }
+
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.largest_read = self.largest_read.max(buf.len());
+            self.inner.read_at(offset, buf)
+        }
+
+        fn read_all(&mut self) -> Result<Vec<u8>> {
+            self.read_alls += 1;
+            self.inner.read_all()
+        }
+
+        fn chunk_map(&self) -> Vec<mmdb_log::ChunkInfo> {
+            self.inner.chunk_map()
+        }
+
+        fn rewrite_chunk(&mut self, start: u64, bytes: &[u8], compress: bool) -> Result<()> {
+            self.inner.rewrite_chunk(start, bytes, compress)
+        }
+    }
+
+    #[test]
+    fn compaction_streams_the_log_and_reads_one_chunk_at_a_time() {
+        let dir = scratch_dir("compact-stream");
+        let chunk_bytes = 64 << 10;
+        let dev = SegmentedLogDevice::open(&dir, chunk_bytes, false).unwrap();
+        let mut log = LogManager::new(
+            Box::new(dev),
+            LogMode::VolatileTail,
+            CostMeter::shared(CostParams::default()),
+        );
+        // well over the stream's 1 MiB window of transactions that keep
+        // rewriting the same 64 records
+        let image = &[7u32; 32][..];
+        let writes = |t: u64| (0..16u32).map(move |k| (RecordId(t % 4 * 16 + u64::from(k)), image));
+        for t in 0..1_500 {
+            log.append_txn_commit(TxnId(t + 1), writes(t));
+        }
+        log.rotate().unwrap();
+        log.append_txn_commit(TxnId(9_999), writes(0));
+        log.force().unwrap();
+        let log_len = log.device_mut().len();
+        assert!(log_len > 2 << 20, "a {log_len}-byte log is too short");
+
+        let mut device = Counting {
+            inner: log.device_mut(),
+            largest_read: 0,
+            read_alls: 0,
+        };
+        let largest_chunk = device.chunk_map().iter().map(|c| c.len).max().unwrap();
+        let report =
+            compact_device(&mut device, &CompactOptions::default(), &Obs::disabled()).unwrap();
+        assert!(report.frames_dropped > 0, "{report:?}");
+        assert_eq!(device.read_alls, 0, "the log was read whole");
+        let bound = largest_chunk.max(1 << 20);
+        assert!(
+            device.largest_read as u64 <= bound,
+            "one read of {} bytes, bound {bound}",
+            device.largest_read
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // ----- `TxnCommit` frames in detail: how a frame shrinks, splits and
+    // keeps its LSN.
 
     impl Mini {
         /// A committed transaction the way the engine logs one: a single
@@ -546,9 +723,9 @@ mod tests {
                 _ => m.txn_commit(&[(0, round), (100 + u64::from(round), round), (1, round)]),
             }
         }
-        // an older-format transaction is superseded by, and supersedes,
-        // `TxnCommit` writes like any other commit
-        m.txn(&[0, 150], 77);
+        // an older-format transaction survives whole, and recovery still
+        // orders it between the `TxnCommit` writes around it
+        m.legacy_txn(&[0, 150], 77);
         m.txn_commit(&[(150, 78), (1, 78)]);
         let end_lsn = m.log.next_lsn();
         m.log.rotate().unwrap();

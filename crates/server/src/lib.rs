@@ -80,7 +80,7 @@ pub struct ServerConfig {
     pub slow_trace_us: u64,
     /// Pause between background log-maintenance passes. `Some(d)`: a
     /// dedicated thread rotates each shard's active log chunk and then
-    /// compacts cold chunks (superseded committed frames become filler,
+    /// compacts cold chunks (superseded `TxnCommit` writes become filler,
     /// optionally compressed — see
     /// [`compact_log`](mmdb_core::Mmdb::compact_log)) every `d`,
     /// taking each shard's mutex only for the duration of one shard's
