@@ -1347,13 +1347,6 @@ impl Mmdb {
         self.log.lock().device().chunk_map()
     }
 
-    /// Attaches a log-shipping tap: every force mirrors the freshly
-    /// durable bytes into the tap window for the replication shipper
-    /// (see [`mmdb_log::ShipTap`]).
-    pub fn set_ship_tap(&mut self, tap: std::sync::Arc<mmdb_log::ShipTap>) {
-        self.log.get_mut().set_ship_tap(tap);
-    }
-
     /// Attaches the replication truncation pin (raw-LSN atomic, shared
     /// with the replication gate): while set, auto-truncation never cuts
     /// at or above the pin, so an attached standby's unshipped log bytes
@@ -1375,12 +1368,17 @@ impl Mmdb {
     }
 
     /// Reads durable log bytes starting at `from`, cut to whole record
-    /// frames — the shipper's device-read fallback when a standby has
-    /// fallen behind the tap window. See
+    /// frames, with the device end the read was cut against — the
+    /// replication shipper's read path. Takes only the interior log
+    /// lock, so a shared gate holder may call it. See
     /// [`mmdb_log::LogManager::read_range_aligned`].
-    pub fn read_log_range(&mut self, from: mmdb_types::Lsn, max_bytes: usize) -> Result<Vec<u8>> {
+    pub fn read_log_range(
+        &self,
+        from: mmdb_types::Lsn,
+        max_bytes: usize,
+    ) -> Result<(mmdb_types::Lsn, Vec<u8>)> {
         self.ensure_alive()?;
-        self.log.get_mut().read_range_aligned(from, max_bytes)
+        self.log.lock().read_range_aligned(from, max_bytes)
     }
 
     /// End-LSN of the most recent commit record this engine wrote (see

@@ -48,8 +48,8 @@ pub use mmdb_audit::{Audit, AuditReport, AuditViolation, CheckerId};
 pub use mmdb_checkpoint::{CkptReport, CkptStats, StepOutcome, WalPolicy};
 pub use mmdb_log::ChunkInfo;
 pub use mmdb_log::{
-    step, DurableWatermark, FlakyControl, FlakyLogDevice, LogDevice, LogRecord, PendingForce,
-    ShipTap, Step, TapRead, DEFAULT_TAP_WINDOW_BYTES, MAX_TXN_FRAME_BYTES,
+    step, DurableWatermark, FlakyControl, FlakyLogDevice, LogDevice, LogRecord, PendingForce, Step,
+    MAX_TXN_FRAME_BYTES,
 };
 pub use mmdb_obs::{
     validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs, PaperOverhead,

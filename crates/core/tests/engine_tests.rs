@@ -27,7 +27,7 @@ fn val(db: &Mmdb, fill: u32) -> Vec<u32> {
 fn log_frames(db: &mut Mmdb) -> Vec<(Lsn, LogRecord)> {
     db.force_log().expect("force");
     let start = db.log_start_lsn();
-    let bytes = db.read_log_range(start, usize::MAX).expect("read log");
+    let (_, bytes) = db.read_log_range(start, usize::MAX).expect("read log");
     let mut frames = Vec::new();
     let mut pos = 0;
     while pos < bytes.len() {

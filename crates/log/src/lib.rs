@@ -13,7 +13,10 @@
 //! * [`DurableWatermark`] / [`PendingForce`] — the group-commit split:
 //!   committers park on the watermark while a flusher batches forces and
 //!   completes them (modeled latency, watermark publish) outside the
-//!   engine lock,
+//!   engine lock. A replication shipper long-polls the same watermark,
+//!   reads what it ships from the device
+//!   ([`LogManager::read_range_aligned`], the log's only copy), and
+//!   times standby acks against the watermark's lag marks,
 //! * [`LogStream`] — the crash-tolerant reader: the log through
 //!   one reused window, checkpoint marker location and replay-start
 //!   computation in a first pass, the frames to replay in a second
@@ -30,7 +33,6 @@ mod manager;
 mod record;
 mod scan;
 mod segmented;
-mod ship;
 mod watermark;
 
 pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
@@ -40,5 +42,4 @@ pub use scan::{
     step, BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow, Step,
 };
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
-pub use ship::{ShipTap, TapRead, DEFAULT_TAP_WINDOW_BYTES};
 pub use watermark::DurableWatermark;

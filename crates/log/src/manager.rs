@@ -11,7 +11,6 @@
 
 use crate::device::LogDevice;
 use crate::record::{LogRecord, MAX_TXN_FRAME_BYTES};
-use crate::ship::ShipTap;
 use crate::watermark::DurableWatermark;
 use mmdb_audit::{Audit, AuditEvent};
 use mmdb_obs::{Obs, Timer};
@@ -61,10 +60,6 @@ pub struct LogManager {
     /// Commit and `TxnCommit` records currently sitting in the tail — the
     /// group size of the next force.
     commits_in_tail: u64,
-    /// Log-shipping tap: forced bytes are mirrored here (post device
-    /// append, pre `tail.clear()`) so the replication shipper reads
-    /// them without a second device read.
-    ship: Option<Arc<ShipTap>>,
     audit: Audit,
     obs: Obs,
 }
@@ -148,18 +143,9 @@ impl LogManager {
             watermark: Arc::new(DurableWatermark::new(durable)),
             sticky_error: None,
             commits_in_tail: 0,
-            ship: None,
             audit: Audit::disabled(),
             obs: Obs::disabled(),
         }
-    }
-
-    /// Attaches a log-shipping tap: every subsequent force mirrors the
-    /// just-appended bytes into the tap's window. Bytes forced before
-    /// attachment are *not* replayed into the tap — a reader below the
-    /// window falls back to [`LogManager::read_range_aligned`].
-    pub fn set_ship_tap(&mut self, tap: Arc<ShipTap>) {
-        self.ship = Some(tap);
     }
 
     /// Reads durable log bytes starting at `from`, cut back to the last
@@ -170,11 +156,11 @@ impl LogManager {
     /// be longer than that bound is a `Compacted` filler an older
     /// compactor coalesced from more than 6 MiB of superseded frames (the
     /// compactor now splits such a run): it cannot cross the wire either,
-    /// and a window short of it still reads empty. The
-    /// device-read fallback for a shipper that has fallen behind the tap
-    /// window. Fails if `from` has been truncated away (the reader must
-    /// re-seed from an archive) or lies past the durable horizon.
-    pub fn read_range_aligned(&mut self, from: Lsn, max_bytes: usize) -> Result<Vec<u8>> {
+    /// and a window short of it still reads empty. Returns the device end
+    /// the read was cut against with the bytes: the replication
+    /// shipper's only read path. Fails if `from` has been truncated away
+    /// (the reader must re-seed); empty at or past the device end.
+    pub fn read_range_aligned(&mut self, from: Lsn, max_bytes: usize) -> Result<(Lsn, Vec<u8>)> {
         let start = self.start_lsn();
         if from < start {
             return Err(MmdbError::Invalid(format!(
@@ -185,7 +171,7 @@ impl LogManager {
         }
         let durable = self.tail_start;
         if from >= durable {
-            return Ok(Vec::new());
+            return Ok((durable, Vec::new()));
         }
         let available = (durable.raw() - from.raw()) as usize;
         let mut buf = vec![0u8; available.min(max_bytes.max(4))];
@@ -204,7 +190,7 @@ impl LogManager {
             }
         }
         buf.truncate(end);
-        Ok(buf)
+        Ok((durable, buf))
     }
 
     /// The shared durable-LSN watermark. Group committers clone this
@@ -403,11 +389,6 @@ impl LogManager {
         let bytes = self.tail.len() as u64;
         let timer = self.obs.timer();
         self.device.append(&self.tail)?;
-        if let Some(tap) = &self.ship {
-            // the bytes are device-durable as of the append above: safe
-            // to expose to the shipper before the tail is cleared
-            tap.push(self.tail_start, &self.tail);
-        }
         self.tail_start = self.tail_start.advance(bytes);
         self.tail.clear();
         self.stats.forces += 1;
@@ -440,9 +421,6 @@ impl LogManager {
         let drained = self.tail.len() as u64;
         let t = self.obs.timer();
         self.device.append(&self.tail)?;
-        if let Some(tap) = &self.ship {
-            tap.push(self.tail_start, &self.tail);
-        }
         if let Some(latency) = self.force_latency {
             std::thread::sleep(latency);
         }
@@ -808,13 +786,14 @@ mod tests {
         m.force().unwrap();
         // a window smaller than the frame it starts at grows to that one
         // frame, whole and alone
-        let bytes = m.read_range_aligned(big, 10).unwrap();
+        let (durable, bytes) = m.read_range_aligned(big, 10).unwrap();
+        assert_eq!(durable, m.next_lsn(), "cut against the device end");
         assert_eq!(bytes.len() as u64, small.raw());
         assert!(LogRecord::decode(&bytes).is_ok());
         // otherwise: as many whole frames as fit
-        assert_eq!(m.read_range_aligned(small, 30).unwrap().len(), 25);
-        assert_eq!(m.read_range_aligned(small, 64).unwrap().len(), 50);
-        assert!(m.read_range_aligned(m.next_lsn(), 64).unwrap().is_empty());
+        assert_eq!(m.read_range_aligned(small, 30).unwrap().1.len(), 25);
+        assert_eq!(m.read_range_aligned(small, 64).unwrap().1.len(), 50);
+        assert!(m.read_range_aligned(m.next_lsn(), 64).unwrap().1.is_empty());
     }
 
     #[test]

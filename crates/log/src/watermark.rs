@@ -14,11 +14,21 @@
 //! ([`DurableWatermark::fail`]) so waiters surface the I/O failure
 //! rather than hanging; durability is checked *before* the error slot,
 //! so commits the device already covers still ack.
+//!
+//! The watermark is also what a replication shipper long-polls, and
+//! once [`DurableWatermark::enable_lag_marks`] has run it stamps each
+//! advance with its instant, so [`DurableWatermark::ack_lag`] can
+//! attribute replication lag (force completion to the standby ack that
+//! covers it) with the primary's clock alone.
 
 use mmdb_sync::{ContentionSink, LockRank, RankedCondvar, RankedGuard, RankedMutex};
 use mmdb_types::{Lsn, MmdbError, Result};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bound on the lag marks kept for replication-lag attribution.
+const MAX_LAG_MARKS: usize = 4096;
 
 #[derive(Debug, Default)]
 struct WatermarkState {
@@ -26,6 +36,10 @@ struct WatermarkState {
     /// Set when a force fails after commits were appended; cleared by the
     /// next successful advance.
     error: Option<String>,
+    /// `(end LSN, instant)` per advance, oldest first — `None` until
+    /// replication is enabled on this log, so an engine without a
+    /// standby records nothing.
+    marks: Option<VecDeque<(Lsn, Instant)>>,
 }
 
 /// A monotone durable-LSN shared between the log manager (publisher) and
@@ -52,6 +66,7 @@ impl DurableWatermark {
                 WatermarkState {
                     durable,
                     error: None,
+                    marks: None,
                 },
             ),
             cv: RankedCondvar::new(),
@@ -77,11 +92,18 @@ impl DurableWatermark {
     /// Publishes durability through `to` and wakes every waiter. Monotone:
     /// a stale publisher can never move the watermark backwards. A
     /// successful force also clears any sticky error — the device is
-    /// demonstrably writable again.
+    /// demonstrably writable again. With lag marks enabled, a move
+    /// forward is stamped with its instant.
     pub fn advance(&self, to: Lsn) {
         let mut s = self.lock();
         if to > s.durable {
             s.durable = to;
+            if let Some(marks) = &mut s.marks {
+                marks.push_back((to, Instant::now()));
+                if marks.len() > MAX_LAG_MARKS {
+                    marks.pop_front();
+                }
+            }
         }
         s.error = None;
         drop(s);
@@ -117,6 +139,30 @@ impl DurableWatermark {
             let (guard, _) = self.cv.wait_timeout(s, deadline - now);
             s = guard;
         }
+    }
+
+    /// Starts stamping advances for [`ack_lag`](Self::ack_lag)
+    /// (idempotent). Called when replication is enabled on this log;
+    /// advances before it record nothing.
+    pub fn enable_lag_marks(&self) {
+        self.lock().marks.get_or_insert_with(VecDeque::new);
+    }
+
+    /// Drains the marks a standby's acknowledged LSN covers, returning
+    /// the time since the *oldest* advance the ack newly covers — the
+    /// standby's replication lag as the primary sees it.
+    pub fn ack_lag(&self, acked: Lsn) -> Option<Duration> {
+        let mut s = self.lock();
+        let marks = s.marks.as_mut()?;
+        let mut oldest = None;
+        while let Some(&(end, at)) = marks.front() {
+            if end > acked {
+                break;
+            }
+            oldest.get_or_insert(at);
+            marks.pop_front();
+        }
+        oldest.map(|at| at.elapsed())
     }
 }
 
@@ -181,5 +227,23 @@ mod tests {
         for h in waiters {
             assert!(h.join().expect("waiter panicked").unwrap());
         }
+    }
+
+    #[test]
+    fn ack_lag_drains_covered_marks() {
+        let w = DurableWatermark::new(Lsn::ZERO);
+        w.advance(Lsn(1));
+        w.enable_lag_marks();
+        assert!(
+            w.ack_lag(Lsn(1)).is_none(),
+            "advances before enabling record nothing"
+        );
+        w.advance(Lsn(2));
+        w.advance(Lsn(2));
+        w.advance(Lsn(4));
+        assert!(w.ack_lag(Lsn(1)).is_none(), "no mark fully covered yet");
+        let lag = w.ack_lag(Lsn(4)).expect("both marks covered");
+        assert!(lag < Duration::from_secs(5));
+        assert!(w.ack_lag(Lsn(4)).is_none(), "marks drain once");
     }
 }

@@ -10,16 +10,15 @@
 //!
 //! ## Shipping (primary side, [`primary`])
 //!
-//! Only **durable** bytes ever ship. The force path feeds each shard's
-//! [`ShipTap`](mmdb_core::ShipTap) as the tail moves to the device, so
-//! the shipper serves standbys from memory without a second device
-//! read; a standby that has fallen behind the tap window falls back to
-//! a ranged, frame-aligned device read. Standbys *pull*: each
-//! `ReplAck{shard, applied, …}` both acknowledges everything below
-//! `applied` (releasing semi-sync committers parked on the
-//! [`ReplGate`](mmdb_shard::ReplGate)) and long-polls for the next
-//! batch — one request/response round per batch, over the ordinary
-//! server port.
+//! Only **durable** bytes ever ship, and they ship from the log device,
+//! the log's only copy (paper §3.3: recovery reads the log from the log
+//! disks too). Standbys *pull*: each `ReplAck{shard, applied, …}` both
+//! acknowledges everything below `applied` (releasing semi-sync
+//! committers parked on the [`ReplGate`](mmdb_shard::ReplGate)) and
+//! long-polls the shard's durable-LSN watermark — the one every force
+//! already publishes to — for the next batch, which is one ranged read
+//! cut to whole frames under the shard's shared gate. One
+//! request/response round per batch, over the ordinary server port.
 //!
 //! ## Replay (standby side, [`replica`])
 //!
@@ -40,9 +39,10 @@
 //!
 //! ## Lag accounting
 //!
-//! The primary stamps every force instant in its tap and measures
-//! `repl.lag_us` when an ack covers it — replication lag attributed
-//! entirely with the primary's clock, no cross-machine clock needed.
+//! Once replication is enabled, each shard's durable watermark stamps
+//! every force completion, and the primary measures `repl.lag_us` when
+//! an ack covers it — replication lag attributed entirely with the
+//! primary's clock, no cross-machine clock needed.
 //! `repl.lag_lsn` is the instantaneous byte gap. Both are live on
 //! `stats` as `repl.*`.
 

@@ -1,12 +1,14 @@
 //! The primary's half of replication: answering `ReplHello`,
-//! `ReplAck`, and `ReplScan` requests against the per-shard ship taps
-//! and the committed store.
+//! `ReplAck`, and `ReplScan` requests against the per-shard logs and
+//! the committed store.
 //!
 //! These functions are called from the server's dispatch path on an
-//! ordinary worker thread. `serve_pull` may park in the tap's long poll
-//! for up to [`MAX_REPL_WAIT_MS`]; it holds no shard lock while parked,
-//! but it does occupy a worker — size the worker pool at or above
-//! `client connections + shards` when standbys are attached.
+//! ordinary worker thread. `serve_pull` long-polls the shard's
+//! durable-LSN watermark for up to [`MAX_REPL_WAIT_MS`], then reads the
+//! batch from the log device — the log's only copy — under the shard's
+//! shared gate. It holds no shard lock while parked, but it does occupy
+//! a worker — size the worker pool at or above `client connections +
+//! shards` when standbys are attached.
 
 use mmdb_shard::ShardedMmdb;
 use mmdb_types::{Lsn, MmdbError, RecordId, Result};
@@ -14,22 +16,18 @@ use mmdb_wire::{ReplWelcome, ScanRecords, REPL_VERSION};
 use std::time::Duration;
 
 /// Cap on one `ReplBatch`'s payload, regardless of what the standby
-/// asks for — except that a single log frame longer than this ships
-/// whole and alone: a transaction is one frame however large (the engine
+/// asks for (the standby asks for exactly this). A cap, not an
+/// allocation: the read buffer is sized to what is durable. A batch is
+/// always whole frames, and a single frame longer than this ships whole
+/// and alone: a transaction is one frame however large (the engine
 /// bounds it at [`mmdb_core::MAX_TXN_FRAME_BYTES`], under the wire frame
-/// cap), the tap window cannot hold such a frame, and the device read
-/// that serves it instead grows to the frame it starts at. 4× the
-/// standby's default ask, so a frame between the two ships once the
-/// standby escalates its batch size.
+/// cap), and the device read grows to the frame it starts at.
 pub const MAX_REPL_BATCH_BYTES: usize = 4 << 20;
 
-// A frame the tap window holds whole must fit a maximal batch, or the
-// standby's escalation would end short of it.
-const _: () = assert!(mmdb_core::DEFAULT_TAP_WINDOW_BYTES <= MAX_REPL_BATCH_BYTES);
 // The longest frame plus the batch header must fit one wire frame.
 const _: () = assert!(mmdb_core::MAX_TXN_FRAME_BYTES + 1024 <= mmdb_wire::MAX_FRAME_BYTES);
 
-/// Cap on how long one pull may park in the tap's long poll. Bounds
+/// Cap on how long one pull may park on the durable watermark. Bounds
 /// worker occupancy; an empty batch tells the standby to ask again.
 pub const MAX_REPL_WAIT_MS: u32 = 250;
 
@@ -43,9 +41,9 @@ pub const MAX_REPL_SCAN_RECORDS: u32 = 4096;
 /// one request.
 const MAX_REPL_SCAN_IDS: u64 = 64 * 1024;
 
-/// Serves `ReplHello`: negotiates the replication version, attaches
-/// ship taps to every shard (idempotent), engages the semi-sync gate,
-/// and reports the topology the standby must match plus each shard's
+/// Serves `ReplHello`: negotiates the replication version, enables the
+/// replication slots (idempotent), engages the semi-sync gate, and
+/// reports the topology the standby must match plus each shard's
 /// `(start, durable)` log LSNs.
 pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWelcome> {
     if ver_min > ver_max || ver_min > REPL_VERSION {
@@ -54,7 +52,7 @@ pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWel
              this primary speaks 1..={REPL_VERSION}"
         )));
     }
-    db.enable_ship_taps();
+    db.enable_repl_slots();
     db.repl_gate().engage();
     db.obs().counter("repl.hello", 1);
     let shard_lsns = (0..db.shards())
@@ -70,12 +68,11 @@ pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWel
 }
 
 /// Serves one `ReplAck`: publishes the standby's applied LSN to the
-/// semi-sync gate, records lag, then reads the next batch — from the
-/// tap window when it covers `applied`, long-polling up to `wait_ms`
-/// when the standby is caught up, or from the device when the standby
-/// has fallen behind the window. Returns `(start, durable, bytes)`;
-/// `bytes` may end mid-frame when the size cap cuts a record — the
-/// standby applies the whole frames and re-requests the rest.
+/// semi-sync gate, records lag, long-polls the shard's durable
+/// watermark up to `wait_ms` for bytes past `applied`, then reads the
+/// next batch from the log device. Returns `(start, durable, bytes)`:
+/// `bytes` are whole frames (empty when nothing new became durable in
+/// time), `durable` the device end the read was cut against.
 pub fn serve_pull(
     db: &ShardedMmdb,
     shard: u32,
@@ -90,43 +87,34 @@ pub fn serve_pull(
             db.shards()
         )));
     }
-    let Some(tap) = db.ship_tap(i) else {
+    if !db.repl_gate().is_engaged() {
         return Err(MmdbError::Invalid(
             "replication not initialized on this server (send ReplHello first)".into(),
         ));
-    };
+    }
     let obs = db.obs();
     db.repl_gate().advance(i, applied);
-    if let Some(lag) = tap.ack_lag(applied) {
+    let watermark = db.log_watermark(i);
+    if let Some(lag) = watermark.ack_lag(applied) {
         obs.observe_duration_us("repl.lag_us", lag);
     }
     let t = obs.timer();
     let max = (max_bytes as usize).clamp(1, MAX_REPL_BATCH_BYTES);
     let wait = Duration::from_millis(u64::from(wait_ms.min(MAX_REPL_WAIT_MS)));
-    let (start, durable, bytes) = match tap.read_from(applied, max, wait) {
-        mmdb_core::TapRead::Bytes {
-            start,
-            durable,
-            bytes,
-        } => (start, durable, bytes),
-        mmdb_core::TapRead::Timeout => (applied, tap.durable(), Vec::new()),
-        mmdb_core::TapRead::Gap { .. } => {
-            // The standby predates the window: one ranged device read,
-            // frame-aligned by the log manager, which returns the frame
-            // at `applied` whole when it alone is longer than `max`.
-            obs.counter("repl.window_misses", 1);
-            db.with_shard(i, |e| {
-                let bytes = e.read_log_range(applied, max)?;
-                Ok::<_, MmdbError>((applied, e.log_durable_lsn(), bytes))
-            })?
-        }
-    };
+    if watermark.wait_for(applied.advance(1), wait).is_err() {
+        // a failed force is answered like a timeout: park out the
+        // budget instead of handing the standby a hot retry loop
+        std::thread::sleep(wait);
+    }
+    // one device read, frame-aligned by the log manager, which returns
+    // the frame at `applied` whole when it alone is longer than `max`
+    let (durable, bytes) = db.read_log_range(i, applied, max)?;
     obs.counter("repl.batches", 1);
     obs.counter("repl.batch_bytes", bytes.len() as u64);
     obs.observe("repl.batch_size", bytes.len() as u64);
     obs.gauge("repl.lag_lsn", durable.raw().saturating_sub(applied.raw()));
     obs.phase_detail("repl.ship", t, i as u64);
-    Ok((start, durable, bytes))
+    Ok((applied, durable, bytes))
 }
 
 /// Serves one `ReplScan`: walks record ids from `from`, collecting the
@@ -222,5 +210,75 @@ mod tests {
         // the ack side: a later pull at `durable` publishes it
         let _ = serve_pull(&db, 0, durable, 1 << 16, 0).expect("pull");
         assert_eq!(db.repl_gate().acked(0), durable);
+    }
+
+    #[test]
+    fn a_parked_pull_wakes_on_the_watermark_not_the_timeout() {
+        let db = db();
+        serve_hello(&db, 1, 1).expect("hello");
+        let caught_up = db.with_shard(0, |e| e.log_durable_lsn());
+        let wait = Duration::from_millis(u64::from(MAX_REPL_WAIT_MS));
+        std::thread::scope(|s| {
+            let puller = s.spawn(|| {
+                let t = std::time::Instant::now();
+                let pulled = serve_pull(&db, 0, caught_up, 1 << 16, MAX_REPL_WAIT_MS);
+                (pulled, t.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            db.run_txn(&[(RecordId(0), vec![7; db.record_words()])])
+                .expect("txn");
+            let (pulled, waited) = puller.join().expect("puller");
+            let (start, durable, bytes) = pulled.expect("pull");
+            assert_eq!(start, caught_up);
+            assert!(!bytes.is_empty(), "the commit's bytes, not an empty batch");
+            assert!(durable.raw() >= caught_up.raw() + bytes.len() as u64);
+            assert!(
+                waited < wait,
+                "woke after {waited:?}: the timeout, not the force"
+            );
+        });
+    }
+
+    #[test]
+    fn a_published_force_error_is_answered_like_a_timeout() {
+        let db = db();
+        serve_hello(&db, 1, 1).expect("hello");
+        let caught_up = db.with_shard(0, |e| e.log_durable_lsn());
+        db.log_watermark(0).fail("injected force failure".into());
+        let t = std::time::Instant::now();
+        let (start, _, bytes) = serve_pull(&db, 0, caught_up, 1 << 16, 30).expect("empty batch");
+        assert_eq!(start, caught_up);
+        assert!(bytes.is_empty());
+        assert!(
+            t.elapsed() >= Duration::from_millis(30),
+            "the wait budget is parked out, not returned at once"
+        );
+    }
+
+    #[test]
+    fn lag_is_observed_only_for_forces_after_hello() {
+        let db = db();
+        let lag_observations = || {
+            mmdb_core::MetricsSnapshot::capture(db.obs())
+                .hist("repl.lag_us")
+                .map_or(0, |h| h.count)
+        };
+        let commit = |fill: u32| {
+            db.run_txn(&[(RecordId(0), vec![fill; db.record_words()])])
+                .expect("txn")
+        };
+        commit(1);
+        serve_hello(&db, 1, 1).expect("hello");
+        let at_hello = db.with_shard(0, |e| e.log_durable_lsn());
+        assert!(at_hello > Lsn::ZERO);
+        // an ack covering a force made before the hello measures nothing
+        let _ = serve_pull(&db, 0, at_hello, 1 << 16, 0).expect("pull");
+        assert_eq!(lag_observations(), 0);
+
+        commit(2);
+        let (_, durable, _) = serve_pull(&db, 0, at_hello, 1 << 16, 0).expect("pull");
+        assert_eq!(lag_observations(), 0, "shipped, not yet acked");
+        let _ = serve_pull(&db, 0, durable, 1 << 16, 0).expect("ack");
+        assert_eq!(lag_observations(), 1);
     }
 }

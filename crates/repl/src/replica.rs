@@ -36,6 +36,7 @@
 //! stream (or the persisted map) carried a commit decision for it, and
 //! is presumed aborted otherwise.
 
+use crate::primary::MAX_REPL_BATCH_BYTES;
 use mmdb_core::{step, Resolver, Step};
 use mmdb_shard::{pool_decisions, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedMutex};
@@ -46,15 +47,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How much a standby asks for per pull. This is the *initial* ask:
-/// a non-empty batch that decodes to zero whole frames means a single
-/// record is larger than it, and the pull loop escalates toward the
-/// primary's [`MAX_REPL_BATCH_BYTES`] cap rather than spinning on a
-/// mid-frame cut forever.
-///
-/// [`MAX_REPL_BATCH_BYTES`]: crate::primary::MAX_REPL_BATCH_BYTES
-const PULL_BATCH_BYTES: u32 = 1 << 20;
 
 /// The standby's long-poll budget per pull: long enough to batch, short
 /// enough that stop/promote requests are honored promptly.
@@ -127,12 +119,22 @@ impl Replica {
     /// *local durable LSN*: at that moment — before the standby's own
     /// checkpointer has appended a marker — the local log is LSN-aligned
     /// with the primary's, whether the directory was seeded by an
-    /// identical `init` or by copying the primary's directory.
+    /// identical `init` or by copying the primary's directory. A state
+    /// file that exists but does not parse, or does not cover every
+    /// shard, is not a first attach — the local log may have drifted —
+    /// so every shard resumes from LSN 0 (`repl.state_invalid`):
+    /// after-images are idempotent, and a primary that truncated past 0
+    /// triggers the re-seed.
     pub fn new(peer: String, db: &ShardedMmdb, state_dir: Option<PathBuf>) -> Arc<Replica> {
         let shards = db.shards();
-        let (applied, decisions) = match state_dir.as_ref().and_then(|d| load_state(d, shards)) {
-            Some(state) => state,
-            None => (
+        let (applied, decisions) = match &state_dir {
+            Some(dir) if dir.join("repl.state").exists() => {
+                load_state(dir, shards).unwrap_or_else(|| {
+                    db.obs().counter("repl.state_invalid", 1);
+                    (vec![0; shards], HashMap::new())
+                })
+            }
+            _ => (
                 (0..shards)
                     .map(|i| db.with_shard(i, |e| e.log_durable_lsn().raw()))
                     .collect(),
@@ -223,10 +225,10 @@ impl Replica {
 
     /// Applies one shard's batch of whole log-record frames starting at
     /// primary LSN `base`, returning how many bytes were consumed (a
-    /// trailing partial frame — the batch size cap can cut one — is
-    /// left for the next pull). A batch that *starts* with a whole frame
-    /// that fails its checksum is an error (`repl.corrupt_frames`), not
-    /// a reason to ask for more bytes.
+    /// trailing partial frame is left for the next pull; this primary
+    /// never sends one, but the bytes come from another process). A
+    /// batch that *starts* with a whole frame that fails its checksum is
+    /// an error (`repl.corrupt_frames`).
     fn apply_batch(
         &self,
         db: &ShardedMmdb,
@@ -242,11 +244,11 @@ impl Replica {
         while off < bytes.len() {
             let (rec, used) = match step(&bytes[off..], true) {
                 Step::Frame(rec, used) => (rec, used),
-                // the batch size cap cut this frame: re-request from `off`
+                // this frame is cut short: re-request from `off`
                 Step::Cut => break,
-                // the whole frame is in hand and still does not decode: a
-                // larger batch cannot help. Frames applied before it keep
-                // their progress; the pull that starts at it fails.
+                // the whole frame is in hand and still does not decode.
+                // Frames applied before it keep their progress; the pull
+                // that starts at it fails.
                 Step::Bad(_) if off > 0 => break,
                 Step::Bad(e) => {
                     obs.counter("repl.corrupt_frames", 1);
@@ -372,9 +374,9 @@ fn bootstrap_shard(
     Some(rewritten)
 }
 
-/// Loads `<dir>/repl.state`. Returns `None` (first attach) when the
-/// file is absent, unreadable, or does not cover all `shards` — a
-/// partial file from a different topology must not seed anything.
+/// Loads `<dir>/repl.state`. Returns `None` when the file is absent,
+/// unreadable, or does not cover all `shards` — a partial file from a
+/// different topology must not seed anything.
 fn load_state(dir: &std::path::Path, shards: usize) -> Option<(Vec<u64>, HashMap<u64, bool>)> {
     let text = std::fs::read_to_string(dir.join("repl.state")).ok()?;
     let mut applied = vec![None; shards];
@@ -396,20 +398,6 @@ fn load_state(dir: &std::path::Path, shards: usize) -> Option<(Vec<u64>, HashMap
     }
     let applied: Option<Vec<u64>> = applied.into_iter().collect();
     Some((applied?, decisions))
-}
-
-/// The next batch size to ask for after a non-empty pull decoded zero
-/// whole frames (a single record bigger than the ask, cut mid-frame):
-/// double toward the primary's per-batch cap, `None` once already
-/// there — a record that cannot ship inside one maximal batch is a
-/// hard pull error.
-fn escalate_batch_size(current: u32) -> Option<u32> {
-    let max = crate::primary::MAX_REPL_BATCH_BYTES as u32;
-    if current >= max {
-        None
-    } else {
-        Some(current.saturating_mul(2).min(max))
-    }
 }
 
 /// Sleeps `total` in small slices, returning early once the replica is
@@ -487,13 +475,15 @@ pub fn pull_shard_loop(replica: &Arc<Replica>, db: &ShardedMmdb, shard: usize) {
             }
         }
 
-        let mut batch_bytes = PULL_BATCH_BYTES;
         loop {
             if replica.stopping() {
                 break;
             }
             let applied = replica.applied[shard].load(Ordering::SeqCst);
-            match client.repl_pull(shard as u32, applied, batch_bytes, PULL_WAIT_MS) {
+            // the ask is a cap: the primary sends whole frames, sized to
+            // what is durable, and a longer frame alone
+            let ask = MAX_REPL_BATCH_BYTES as u32;
+            match client.repl_pull(shard as u32, applied, ask, PULL_WAIT_MS) {
                 Ok((start, durable, bytes)) => {
                     if bytes.is_empty() {
                         obs.gauge("repl.lag_lsn", durable.saturating_sub(applied));
@@ -507,7 +497,6 @@ pub fn pull_shard_loop(replica: &Arc<Replica>, db: &ShardedMmdb, shard: usize) {
                     }
                     match replica.apply_batch(db, shard, applied, &bytes) {
                         Ok(consumed) if consumed > 0 => {
-                            batch_bytes = PULL_BATCH_BYTES;
                             replica.applied[shard]
                                 .fetch_max(applied + consumed as u64, Ordering::SeqCst);
                             replica.save_state();
@@ -520,17 +509,9 @@ pub fn pull_shard_loop(replica: &Arc<Replica>, db: &ShardedMmdb, shard: usize) {
                             );
                         }
                         Ok(_) => {
-                            // a non-empty batch that decoded to zero
-                            // whole frames: one record is larger than
-                            // the ask and came back as a mid-frame
-                            // cut. Ask bigger (up to the primary's
-                            // cap) instead of spinning forever on a
-                            // batch that can never contain it.
-                            if let Some(larger) = escalate_batch_size(batch_bytes) {
-                                obs.counter("repl.batch_escalations", 1);
-                                batch_bytes = larger;
-                                continue;
-                            }
+                            // a non-empty batch with no whole frame: the
+                            // primary never cuts one, so asking again
+                            // would only spin
                             obs.counter("repl.pull_errors", 1);
                             break;
                         }
@@ -1099,24 +1080,56 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_escalates_to_the_cap_then_fails() {
-        let mut size = PULL_BATCH_BYTES;
-        let mut steps = 0;
-        while let Some(larger) = escalate_batch_size(size) {
-            assert!(larger > size);
-            size = larger;
-            steps += 1;
-            assert!(steps < 16, "escalation must terminate");
+    fn invalid_repl_state_resumes_every_shard_from_lsn_zero() {
+        let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
+        let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
+        let words = standby.record_words();
+        for i in 0..4u64 {
+            standby
+                .run_txn(&[(RecordId(i), vec![9; words])])
+                .expect("local commit");
         }
-        assert_eq!(size as usize, crate::primary::MAX_REPL_BATCH_BYTES);
+        let local: Vec<Lsn> = (0..2)
+            .map(|i| {
+                standby.with_shard(i, |e| {
+                    e.force_log().expect("force");
+                    e.log_durable_lsn()
+                })
+            })
+            .collect();
+        assert!(local.iter().all(|&lsn| lsn > Lsn::ZERO));
+        let invalid = || {
+            mmdb_obs::MetricsSnapshot::capture(standby.obs())
+                .counter("repl.state_invalid")
+                .unwrap_or(0)
+        };
+
+        // a present-but-garbage file is not a first attach: the local
+        // durable LSN may have drifted past the primary position
+        let dir = state_dir("invalid");
+        std::fs::write(dir.join("repl.state"), "applied.0=twelve\n").expect("write");
+        let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
+        for i in 0..2 {
+            assert_eq!(replica.applied_lsn(i), Lsn(0));
+        }
+        assert_eq!(invalid(), 1);
+
+        // an absent file still seeds a first attach from the local log
+        std::fs::remove_file(dir.join("repl.state")).expect("rm");
+        let fresh = Replica::new("unused".into(), &standby, Some(dir.clone()));
+        for (i, &lsn) in local.iter().enumerate() {
+            assert_eq!(fresh.applied_lsn(i), lsn);
+        }
+        assert_eq!(invalid(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn oversized_record_frames_ship_after_batch_escalation() {
+    fn oversized_record_frames_ship_whole_at_the_first_ask() {
         use mmdb_types::DbParams;
         // one record's image is ~1.2MB: a one-write `TxnCommit` frame
-        // exceeds the standby's default 1MB ask, a four-write one the
-        // primary's 4MB batch cap, a six-write one the engine's frame bound
+        // exceeds 1MB, a four-write one the primary's 4MB batch cap, a
+        // six-write one the engine's frame bound
         let mut cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         cfg.params.db = DbParams {
             s_db: 600_000,
@@ -1134,45 +1147,40 @@ mod tests {
                 .map(|i| (RecordId(u64::from(i % 2)), vec![3 + i; words]))
                 .collect()
         };
-        // mimic the pull loop: apply whole frames, escalate whenever a
-        // non-empty batch decodes to none; returns the escalations it took
-        // and the size of each applied batch
+        // mimic the pull loop: ask for the cap and apply; every batch
+        // must be whole frames, so nothing is ever re-asked. Returns the
+        // size of each applied batch.
         let drain = || {
-            let mut ask = PULL_BATCH_BYTES;
-            let (mut escalations, mut batches) = (0, Vec::new());
+            let mut batches = Vec::new();
             loop {
                 let applied = replica.applied[0].load(Ordering::SeqCst);
+                let ask = MAX_REPL_BATCH_BYTES as u32;
                 let (_, durable, bytes) =
                     serve_pull(&primary, 0, Lsn(applied), ask, 0).expect("pull");
                 if bytes.is_empty() {
                     assert_eq!(applied, durable.raw(), "caught up");
-                    return (escalations, batches);
+                    return batches;
                 }
                 let consumed = replica
                     .apply_batch(&standby, 0, applied, &bytes)
                     .expect("apply");
-                if consumed == 0 {
-                    ask = escalate_batch_size(ask).expect("a maximal batch must fit the frame");
-                    escalations += 1;
-                    continue;
-                }
-                ask = PULL_BATCH_BYTES;
+                assert_eq!(consumed, bytes.len(), "a batch is whole frames");
                 batches.push(consumed);
                 replica.applied[0].fetch_max(applied + consumed as u64, Ordering::SeqCst);
             }
         };
 
-        // over the ask, under the cap: one escalation fits it
-        primary.run_txn(&writes(1)).expect("over the ask");
+        // over 1MB, under the cap: one batch
+        primary.run_txn(&writes(1)).expect("over 1MB");
         let one = mmdb_core::LogRecord::txn_commit_len(1, words);
-        assert_eq!(drain(), (1, vec![one]));
+        assert!(one > 1 << 20);
+        assert_eq!(drain(), vec![one]);
 
-        // over the cap, which no escalation could meet: ships whole and
-        // alone at the first ask
+        // over the cap: ships whole and alone at the first ask
         primary.run_txn(&writes(4)).expect("over the batch cap");
         let four = mmdb_core::LogRecord::txn_commit_len(4, words);
-        assert!(four > crate::primary::MAX_REPL_BATCH_BYTES);
-        assert_eq!(drain(), (0, vec![four]));
+        assert!(four > MAX_REPL_BATCH_BYTES);
+        assert_eq!(drain(), vec![four]);
 
         // over the engine's frame bound: refused, nothing appended
         let logged = primary.with_shard(0, |e| e.log_stats().bytes);
@@ -1181,7 +1189,7 @@ mod tests {
             .expect_err("over the frame bound");
         assert!(err.to_string().contains("log frame"), "{err}");
         assert_eq!(primary.with_shard(0, |e| e.log_stats().bytes), logged);
-        assert_eq!(drain(), (0, vec![]));
+        assert_eq!(drain(), Vec::<usize>::new());
         assert_eq!(
             standby.read_committed(RecordId(0)).expect("read"),
             vec![3 + 2; words]

@@ -824,7 +824,7 @@ mod tests {
 
         // a standby pulling from the head of the run gets frames, not the
         // empty batch an over-long filler reads as
-        let pulled = m.log.read_range_aligned(dead_from, 64 << 10).unwrap();
+        let (_, pulled) = m.log.read_range_aligned(dead_from, 64 << 10).unwrap();
         let (first, used) = LogRecord::decode(&pulled).unwrap();
         assert_eq!(first, LogRecord::Compacted { span: spans[0] });
         assert_eq!(used, pulled.len());

@@ -105,7 +105,7 @@ pub struct ReplOptions {
     /// `client connections + shards` — the acks arrive as ordinary
     /// requests and must find a free worker.
     pub repl_sync: bool,
-    /// Declared primary: enable the ship taps (and with them the
+    /// Declared primary: enable the replication slots (the
     /// log-truncation pins) from startup rather than at the first
     /// standby hello. This is the replication-slot contract — a standby
     /// seeded from an identical `init` or a directory copy can attach
@@ -212,10 +212,10 @@ impl Server {
         }
         if config.repl.repl_sync || config.repl.primary {
             // A declared (or semi-sync) primary expects a standby:
-            // enable the ship taps (and with them the log-truncation
-            // pins) from the first commit, so a standby that attaches a
+            // enable the replication slots (the log-truncation pins)
+            // from the first commit, so a standby that attaches a
             // little late never finds its bytes already truncated away.
-            db.enable_ship_taps();
+            db.enable_repl_slots();
         }
         let replica = config
             .repl

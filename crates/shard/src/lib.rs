@@ -59,7 +59,7 @@
 use mmdb_audit::{Audit, AuditEvent, AuditViolation};
 use mmdb_core::{
     CheckpointStart, CkptReport, CommitDurability, CompactReport, DurableWatermark, LogMode, Mmdb,
-    MmdbConfig, ReadMirror, RecoveryReport, ShipTap, StepOutcome, TxnRun, DEFAULT_TAP_WINDOW_BYTES,
+    MmdbConfig, ReadMirror, RecoveryReport, StepOutcome, TxnRun,
 };
 use mmdb_obs::{to_prometheus_sharded, MetricsSnapshot, Obs};
 use mmdb_sync::{
@@ -70,7 +70,7 @@ use mmdb_types::{DbParams, Lsn, MmdbError, RecordId, Result, TxnId, Word};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// Name of the topology marker file written at the root of a sharded
@@ -374,7 +374,7 @@ pub struct ReplGate {
     /// one standby, exactly its applied position).
     acks: Vec<Arc<DurableWatermark>>,
     /// Per-shard log-truncation pins (raw LSNs), shared with each shard
-    /// engine once ship taps are enabled: auto-truncation never cuts at
+    /// engine once replication slots are enabled: auto-truncation never cuts at
     /// or above the pin, and standby acks raise it — replication-slot
     /// semantics, so the checkpointer can never outrun the shipper.
     pins: Vec<Arc<AtomicU64>>,
@@ -471,10 +471,8 @@ pub struct ShardedMmdb {
     /// The semi-sync replication gate (inert unless the server enables
     /// it and a standby attaches).
     repl: Arc<ReplGate>,
-    /// Per-shard log-shipping taps, attached lazily by
-    /// [`ShardedMmdb::enable_ship_taps`] when the server runs as a
-    /// replication primary.
-    taps: OnceLock<Vec<Arc<ShipTap>>>,
+    /// Runs [`ShardedMmdb::enable_repl_slots`]'s work once.
+    repl_slots: Once,
 }
 
 impl std::fmt::Debug for ShardedMmdb {
@@ -623,7 +621,7 @@ impl ShardedMmdb {
         };
         let db = ShardedMmdb {
             repl: ReplGate::new(n),
-            taps: OnceLock::new(),
+            repl_slots: Once::new(),
             core,
             mirrors,
             watermarks,
@@ -812,41 +810,38 @@ impl ShardedMmdb {
         &self.repl
     }
 
-    /// Attaches a log-shipping tap to every shard engine (idempotent).
-    /// From here on, each force feeds its freshly durable bytes into the
-    /// shard's tap, so the replication shipper serves standbys without a
-    /// second device read. Called by the server when it starts as a
-    /// replication primary.
-    pub fn enable_ship_taps(&self) {
-        self.taps.get_or_init(|| {
-            (0..self.shards())
-                .map(|i| {
-                    let tap = self.with_shard(i, |e| {
-                        let tap = ShipTap::new(
-                            leak_name(format!("ship_tap.{i}")),
-                            e.log_durable_lsn(),
-                            DEFAULT_TAP_WINDOW_BYTES,
-                        );
-                        e.set_ship_tap(Arc::clone(&tap));
-                        // Pin truncation at the shard's current log
-                        // start (under the shard lock, so no checkpoint
-                        // races the seed): from here on the standby's
-                        // acks decide what the checkpointer may cut.
-                        let pin = &self.repl.pins[i];
-                        pin.fetch_max(e.log_start_lsn().raw(), Ordering::SeqCst);
-                        e.set_repl_truncate_pin(Arc::clone(pin));
-                        tap
-                    });
-                    tap
-                })
-                .collect()
+    /// Makes every shard's log a replication slot (idempotent): pins
+    /// its truncation and starts its watermark's lag marks. Called at
+    /// the first standby hello, or at startup by a declared primary.
+    pub fn enable_repl_slots(&self) {
+        self.repl_slots.call_once(|| {
+            for i in 0..self.shards() {
+                self.with_shard(i, |e| {
+                    // Pin truncation at the shard's current log start
+                    // (under the shard lock, so no checkpoint races the
+                    // seed): from here on the standby's acks decide what
+                    // the checkpointer may cut.
+                    let pin = &self.repl.pins[i];
+                    pin.fetch_max(e.log_start_lsn().raw(), Ordering::SeqCst);
+                    e.set_repl_truncate_pin(Arc::clone(pin));
+                });
+                self.watermarks[i].enable_lag_marks();
+            }
         });
     }
 
-    /// Shard `i`'s log-shipping tap, if [`ShardedMmdb::enable_ship_taps`]
-    /// has run.
-    pub fn ship_tap(&self, i: usize) -> Option<&Arc<ShipTap>> {
-        self.taps.get().map(|taps| &taps[i])
+    /// Shard `i`'s durable-LSN watermark: group committers park on it,
+    /// and a replication pull long-polls it.
+    pub fn log_watermark(&self, i: usize) -> &DurableWatermark {
+        &self.watermarks[i]
+    }
+
+    /// Reads shard `i`'s durable log from `from`, cut to whole frames,
+    /// with the device end the read was cut against
+    /// ([`Mmdb::read_log_range`]). Takes the shard's gate **shared**, so
+    /// a replication pull never takes the exclusive gate.
+    pub fn read_log_range(&self, i: usize, from: Lsn, max_bytes: usize) -> Result<(Lsn, Vec<u8>)> {
+        self.read_shard(i).read_log_range(from, max_bytes)
     }
 
     /// Runs `f` with shard `i` locked — the access path for per-shard

@@ -64,8 +64,6 @@ mod detect;
 /// | 120 000 | [`LockRank::ENGINE_LOG`] — engine log manager |
 /// | 100 000 − *i* | [`LockRank::flusher_signal`] — shard *i*'s doorbell |
 /// | 10 000 | [`LockRank::WATERMARK`] — durable-LSN watermark |
-/// | 9 500 | [`LockRank::REPL_STATE`] — replication bookkeeping |
-/// | 9 000 | [`LockRank::SHIP_TAP`] — log-shipping tap window |
 /// | 5 000 | [`LockRank::AUDIT`] — audit event recorder |
 /// | 40 | [`LockRank::OBS_SLOW`] — slow-request log |
 /// | 30 | [`LockRank::OBS_FLIGHT`] — flight-recorder thread ring |
@@ -100,14 +98,9 @@ impl LockRank {
     /// transaction table, above the flusher doorbell.
     pub const ENGINE_LOG: LockRank = LockRank(Some(120_000));
     /// Per-shard durable-LSN watermark state (taken under the engine
-    /// lock by the force path; alone by parked committers).
+    /// lock by the force path; alone by parked committers and
+    /// replication pulls).
     pub const WATERMARK: LockRank = LockRank(Some(10_000));
-    /// Primary-side replication bookkeeping (per-standby lag trackers);
-    /// never held across an engine or tap acquisition.
-    pub const REPL_STATE: LockRank = LockRank(Some(9_500));
-    /// The log-shipping tap window: pushed to from the force path (under
-    /// an engine lock), long-polled alone by replication servers.
-    pub const SHIP_TAP: LockRank = LockRank(Some(9_000));
     /// The audit subsystem's shared event recorder (emitted to from
     /// under engine locks).
     pub const AUDIT: LockRank = LockRank(Some(5_000));
@@ -191,8 +184,6 @@ impl LockRank {
             ("engine-log", 120_000),
             ("flusher-signal[i] = 100_000 - i", 100_000),
             ("watermark", 10_000),
-            ("repl-state", 9_500),
-            ("ship-tap", 9_000),
             ("audit", 5_000),
             ("obs-slow", 40),
             ("obs-flight", 30),
