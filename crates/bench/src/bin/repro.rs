@@ -331,7 +331,9 @@ fn run_simval(quick: bool, csv: Option<&std::path::Path>) {
     println!(
         "The simulator runs the real engine (real paint bits, COU copies, \
          aborts, REDO log) under Poisson load at scaled parameters; the model \
-         column is the analytic prediction at the same parameters.\n"
+         column is the analytic prediction at the same parameters, with COU \
+         copies charged per record as the engine pays them (Figure 4a keeps \
+         the paper's per-segment copies).\n"
     );
 }
 
@@ -444,7 +446,7 @@ fn run_costs() {
 /// paper's crossing: 2CFLUSH cheap at low load, costly at high) on real
 /// algorithm executions, not just the model.
 fn run_simsweep(quick: bool, csv: Option<&std::path::Path>) {
-    use mmdb_model::AnalyticModel;
+    use mmdb_model::{AnalyticModel, CouGranularity};
     use mmdb_sim::{SimConfig, Simulator};
 
     let algorithms = [
@@ -480,7 +482,8 @@ fn run_simsweep(quick: bool, csv: Option<&std::path::Path>) {
             cfg.params.txn.lambda = lambda;
             cfg.duration = if quick { 150.0 } else { 300.0 };
             cfg.warmup = 60.0;
-            let model = AnalyticModel::new(cfg.params, algorithm).evaluate(None);
+            let model = AnalyticModel::new(cfg.params, algorithm)
+                .evaluate_with(None, CouGranularity::Record);
             let sim = Simulator::new(cfg).run().expect("simulation failed");
             row.push(format!("{:.0}", model.overhead_per_txn()));
             row.push(format!("{:.0}", sim.overhead_per_txn()));

@@ -5,7 +5,7 @@
 #![warn(missing_docs)]
 
 use mmdb_model::render::Table;
-use mmdb_model::AnalyticModel;
+use mmdb_model::{AnalyticModel, CouGranularity};
 use mmdb_obs::json::Value;
 use mmdb_obs::HistSummary;
 use mmdb_sim::{SimConfig, SimResult, Simulator};
@@ -45,12 +45,15 @@ impl ValidationRow {
 }
 
 /// Runs the simulator and the analytic model at the same scaled
-/// parameters and returns the comparison.
+/// parameters and returns the comparison. The simulator runs the engine,
+/// so the model charges COU copies the way the engine pays them
+/// ([`CouGranularity::Record`]).
 pub fn cross_validate(algorithm: Algorithm, duration: f64) -> ValidationRow {
     let mut cfg = SimConfig::validation(algorithm);
     cfg.duration = duration;
     let sim: SimResult = Simulator::new(cfg).run().expect("simulation failed");
-    let model = AnalyticModel::new(cfg.params, algorithm).evaluate(None);
+    let model =
+        AnalyticModel::new(cfg.params, algorithm).evaluate_with(None, CouGranularity::Record);
     ValidationRow {
         algorithm,
         model_overhead: model.overhead_per_txn(),
@@ -212,6 +215,15 @@ mod tests {
     #[test]
     fn cross_validation_agrees_for_fastfuzzy() {
         let row = cross_validate(Algorithm::FastFuzzy, 120.0);
+        assert!(
+            (0.8..1.25).contains(&row.overhead_ratio()),
+            "sim and model should agree within ~20%: {row:?}"
+        );
+    }
+
+    #[test]
+    fn cross_validation_agrees_for_cou_copy() {
+        let row = cross_validate(Algorithm::CouCopy, 120.0);
         assert!(
             (0.8..1.25).contains(&row.overhead_ratio()),
             "sim and model should agree within ~20%: {row:?}"

@@ -6,7 +6,7 @@ use mmdb_log::{LogManager, LogRecord};
 use mmdb_obs::{Obs, Timer};
 use mmdb_storage::{Color, Storage};
 use mmdb_types::{
-    Algorithm, CheckpointId, CkptMode, CostMeter, Lsn, MmdbError, Result, SegmentId,
+    Algorithm, CheckpointId, CkptMode, CostMeter, Lsn, MmdbError, RecordId, Result, SegmentId,
     SharedCostMeter, Timestamp, TxnId, Word,
 };
 
@@ -284,19 +284,20 @@ impl Checkpointer {
     }
 
     /// The copy-on-update transaction hook (Figure 3.2): called by the
-    /// engine *before* installing a committed update into segment `sid`.
-    /// If a COU checkpoint is active, the segment has not yet been swept
-    /// (`S > CUR_SEG` — here `sid ≥ cursor`, since the cursor points at
-    /// the next unprocessed segment and steps are atomic), and the
-    /// segment has not been updated since the checkpoint began
-    /// (`τ(S) ≤ τ(CH)`), the transaction saves the segment's old copy.
+    /// engine *before* installing a committed update into record `rid`.
+    /// If a COU checkpoint is active and the segment has not yet been
+    /// swept (`S > CUR_SEG` — here `sid ≥ cursor`, since the cursor points
+    /// at the next unprocessed segment and steps are atomic), the
+    /// transaction saves the record's old value — not, as the paper, the
+    /// whole segment — opening the segment's old copy if it has not been
+    /// updated since the checkpoint began (`τ(S) ≤ τ(CH)`).
     ///
     /// The copy is *synchronous* work done on behalf of the transaction,
     /// so it is charged to `sync_meter`, not the checkpointer's meter.
     pub fn on_before_install(
         &self,
         storage: &mut Storage,
-        sid: SegmentId,
+        rid: RecordId,
         sync_meter: &CostMeter,
     ) -> Result<()> {
         if !self.algorithm.is_cou() {
@@ -305,19 +306,21 @@ impl Checkpointer {
         let Some(active) = &self.active else {
             return Ok(());
         };
+        let sid = storage.segment_of(rid)?;
         if sid.raw() < active.cursor {
             return Ok(()); // already swept: the snapshot no longer needs it
         }
-        let meta = storage.segment_meta(sid)?;
-        if meta.version > active.snapshot_version {
-            return Ok(()); // already updated since begin ⇒ old copy exists
+        if !storage.has_old(sid)? {
+            if storage.segment_meta(sid)?.version > active.snapshot_version {
+                return Ok(()); // updated since begin with no copy: the sweep reports it
+            }
+            storage.cou_save_old(sid, sync_meter)?;
+            self.obs.counter("ckpt.old_copy_saves", 1);
+            self.audit.emit(|| AuditEvent::OldCopyCreated { sid });
         }
-        if meta.old.is_some() {
-            return Ok(());
+        if storage.cou_save_record(rid, sync_meter)? {
+            self.obs.counter("ckpt.old_record_saves", 1);
         }
-        storage.cou_save_old(sid, sync_meter)?;
-        self.obs.counter("ckpt.old_copy_saves", 1);
-        self.audit.emit(|| AuditEvent::OldCopyCreated { sid });
         Ok(())
     }
 
@@ -955,39 +958,34 @@ impl Checkpointer {
 
         if seg_version > snapshot_version {
             // Updated since the checkpoint began: the snapshot content is
-            // in the old copy (the updating transaction saved it). Its
-            // log records predate the begin force, so no LSN gate.
-            self.meter.lock_op(); // unlock; the old copy is private
-            self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
-            let old = storage.take_old(sid, &self.meter)?.ok_or_else(|| {
-                MmdbError::Invalid(format!(
-                    "COU protocol violation: {sid} updated after the snapshot has no old copy"
-                ))
-            })?;
-            self.audit.emit(|| AuditEvent::OldCopySwept { sid });
+            // in the old copy. Its log records predate the begin force,
+            // so no LSN gate.
             let flushed = storage.segment_meta(sid)?.flushed_version[copy & 1];
-            if full || old.version > flushed {
-                self.meter.io_op();
-                self.flush_observed(backup, copy, sid, &old.data)?;
-                self.obs
-                    .counter("ckpt.old_copy_flush_words", old.data.len() as u64);
-                storage.mark_flushed(sid, copy, old.version)?;
-                let durable = log.durable_lsn();
-                self.audit.emit(|| AuditEvent::SegmentFlushed {
-                    ckpt,
-                    copy,
-                    sid,
-                    image_max_lsn: old.max_lsn,
-                    durable,
-                    from_old_copy: true,
-                });
-                let words = old.data.len() as u64;
-                self.record_flush(words, true);
-                return Ok(SegmentAction::Flushed { io_words: words });
+            let old = storage.take_old(sid, &self.meter)?;
+            self.meter.lock_op(); // unlock; the snapshot image is private
+            self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
+            self.audit.emit(|| AuditEvent::OldCopySwept { sid });
+            let (version, image_max_lsn, words) = (old.version, old.max_lsn, old.data.len() as u64);
+            if !full && version <= flushed {
+                // Old copy predates the last flush to this ping-pong
+                // copy: the backup already has this content.
+                return Ok(SegmentAction::Skipped);
             }
-            // Old copy predates the last flush to this ping-pong copy:
-            // the backup already has this content.
-            return Ok(SegmentAction::Skipped);
+            self.meter.io_op();
+            self.flush_observed(backup, copy, sid, old.data)?;
+            self.obs.counter("ckpt.old_copy_flush_words", words);
+            storage.mark_flushed(sid, copy, version)?;
+            let durable = log.durable_lsn();
+            self.audit.emit(|| AuditEvent::SegmentFlushed {
+                ckpt,
+                copy,
+                sid,
+                image_max_lsn,
+                durable,
+                from_old_copy: true,
+            });
+            self.record_flush(words, true);
+            return Ok(SegmentAction::Flushed { io_words: words });
         }
 
         // Untouched since the checkpoint began (and dirty, per the
@@ -1074,7 +1072,7 @@ mod tests {
     use mmdb_disk::{BackupStore, CopyStatus, MemBackup};
     use mmdb_log::{LogManager, MemLogDevice};
     use mmdb_storage::Storage;
-    use mmdb_types::{CostCategory, CostParams, LogMode, Params, RecordId};
+    use mmdb_types::{CostCategory, CostParams, LogMode, Params};
 
     struct Rig {
         storage: Storage,
@@ -1125,9 +1123,8 @@ mod tests {
             };
             let lsn = self.log.append(&rec);
             let end_lsn = rec.end_lsn(lsn);
-            let sid = self.storage.segment_of(RecordId(rid)).unwrap();
             self.ckpt
-                .on_before_install(&mut self.storage, sid, &self.sync_meter)
+                .on_before_install(&mut self.storage, RecordId(rid), &self.sync_meter)
                 .unwrap();
             self.storage
                 .install_record(RecordId(rid), &value, end_lsn, tau, &self.sync_meter)

@@ -654,7 +654,7 @@ impl Mmdb {
                 });
             }
             self.ckpt
-                .on_before_install(&mut self.storage, w.segment, &self.meters.sync_ckpt)?;
+                .on_before_install(&mut self.storage, w.record, &self.meters.sync_ckpt)?;
             self.storage.install_record(
                 w.record,
                 &w.value,
@@ -1098,6 +1098,10 @@ impl Mmdb {
             &recovery_meter,
             &self.obs,
         )?;
+        // A torn frame ends the valid log; appending after it would put
+        // the next commits where the next recovery never reads.
+        let torn = self.log.get_mut().truncate_suffix(report.log_end)?;
+        self.obs.counter("recovery.torn_tail_bytes", torn);
         if let Some(copies) = copies {
             self.audit.emit(|| AuditEvent::RecoveryChosen {
                 ckpt: report.ckpt,

@@ -6,6 +6,9 @@ use mmdb_core::{
     Algorithm, CheckpointStart, CkptMode, CommitDurability, LogMode, LogRecord, Lsn, Mmdb,
     MmdbConfig, MmdbError, RecordId, StepOutcome, MAX_TXN_FRAME_BYTES,
 };
+use mmdb_disk::{BackupStore, FileBackup};
+use mmdb_storage::Storage;
+use mmdb_types::{CostMeter, DbParams};
 
 fn small(algorithm: Algorithm) -> MmdbConfig {
     let mut c = MmdbConfig::small(algorithm);
@@ -585,6 +588,126 @@ fn old_copy_buffer_is_bounded_by_database_size() {
         db.checkpoint_step().unwrap();
     }
     assert_eq!(db.old_copy_words(), 0, "all old copies consumed");
+}
+
+/// Record-granular COU: a pass raced by uniform 5-update transactions
+/// (8 per step, as in the benchmark's `embedded_update`) keeps only the
+/// records they overwrite — a copy of every segment they touched held
+/// the whole database at its peak — and still writes the begin-time
+/// snapshot.
+#[test]
+fn a_raced_cou_pass_holds_only_the_overwritten_records() {
+    let dir = std::env::temp_dir().join(format!("mmdb-core-cou-peak-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut config = small(Algorithm::CouCopy);
+    // 16 segments of 256 records
+    config.params.db = DbParams {
+        s_db: 128 << 10,
+        s_rec: 32,
+        s_seg: 8192,
+    };
+    let (mut db, _) = Mmdb::open_dir(config, &dir).unwrap();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut txn = |db: &mut Mmdb| {
+        let updates: Vec<_> = (0..5)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (RecordId(x % db.n_records()), val(db, x as u32))
+            })
+            .collect();
+        db.run_txn(&updates).unwrap();
+    };
+    for _ in 0..400 {
+        txn(&mut db);
+    }
+    let CheckpointStart::Started(begun) = db.try_begin_checkpoint().unwrap() else {
+        panic!("no transaction is open")
+    };
+    let snapshot = db.fingerprint();
+    while db.is_checkpoint_active() {
+        for _ in 0..8 {
+            txn(&mut db);
+        }
+        db.checkpoint_step().unwrap();
+    }
+
+    let m = db.metrics_snapshot();
+    let peak = m.gauge("mem.cou_old_copy_peak_bytes").unwrap();
+    let records = m.gauge("mem.records_bytes").unwrap();
+    assert!(
+        peak > 0 && peak * 10 <= records,
+        "peak {peak} of {records} B"
+    );
+    assert!(
+        m.counter("ckpt.old_record_saves").unwrap() > m.counter("ckpt.old_copy_saves").unwrap()
+    );
+    let shape = config.params.db;
+    let mut backup = FileBackup::open(&dir.join("backup"), shape, false).unwrap();
+    let mut image = Storage::new(shape).unwrap();
+    let mut words = vec![0; shape.s_seg as usize];
+    let meter = CostMeter::new(config.params.cost);
+    for sid in image.segment_ids().collect::<Vec<_>>() {
+        backup.read_segment(begun.copy, sid, &mut words).unwrap();
+        image.load_segment(sid, &words, None, &meter).unwrap();
+    }
+    assert_eq!(
+        image.fingerprint(),
+        snapshot,
+        "the backup is the begin-time state"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash mid-write leaves a torn frame at the log's end. The next open
+/// stops there and cuts it off, so the commits acked after that open are
+/// where the open after them reads.
+#[test]
+fn a_torn_log_tail_is_cut_before_the_next_commit() {
+    let dir = std::env::temp_dir().join(format!("mmdb-core-torn-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = small(Algorithm::CouCopy);
+    {
+        let (mut db, _) = Mmdb::open_dir(config, &dir).unwrap();
+        db.run_txn(&[(RecordId(1), val(&db, 1))]).unwrap();
+        db.checkpoint().unwrap();
+        db.run_txn(&[(RecordId(2), val(&db, 2))]).unwrap();
+        db.force_log().unwrap();
+    }
+    // a frame that declares 169 bytes, of which 64 reached the disk
+    let mut chunks: Vec<_> = std::fs::read_dir(dir.join("log"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    chunks.sort();
+    let mut torn = 169u32.to_le_bytes().to_vec();
+    torn.extend([0xA5; 60]);
+    let last = chunks.last().unwrap();
+    let mut bytes = std::fs::read(last).unwrap();
+    bytes.extend(&torn);
+    std::fs::write(last, bytes).unwrap();
+    {
+        let (mut db, recovered) = Mmdb::open_dir(config, &dir).unwrap();
+        assert!(recovered.is_some());
+        assert_eq!(db.read_committed(RecordId(2)).unwrap(), val(&db, 2));
+        let cut = db.metrics_snapshot().counter("recovery.torn_tail_bytes");
+        assert_eq!(cut, Some(torn.len() as u64));
+        db.run_txn(&[(RecordId(3), val(&db, 3))]).unwrap();
+        db.force_log().unwrap();
+    }
+    let (db, _) = Mmdb::open_dir(config, &dir).unwrap();
+    assert_eq!(
+        db.read_committed(RecordId(3)).unwrap(),
+        val(&db, 3),
+        "the acked commit"
+    );
+    assert_eq!(
+        db.metrics_snapshot().counter("recovery.torn_tail_bytes"),
+        Some(0)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The engine writes through [`LogDevice`], so the same log manager runs
 //! against chunk files in a database directory
-//! ([`crate::SegmentedLogDevice`]), an in-memory vector (unit tests,
-//! torn-write injection) or the simulator's modeled disks.
+//! ([`crate::SegmentedLogDevice`]), an in-memory vector (unit tests) or
+//! the simulator's modeled disks.
 
 use mmdb_types::{MmdbError, Result};
 
@@ -36,6 +36,20 @@ pub trait LogDevice: Send + Sync {
     fn truncate_prefix(&mut self, offset: u64) -> Result<()> {
         let _ = offset;
         Ok(())
+    }
+
+    /// Discards the bytes from `end` on (`start_offset ≤ end ≤ len`):
+    /// recovery cuts a torn tail back to the log's valid end, so the next
+    /// append continues the valid log. Idempotent, so a crash mid-cut
+    /// leaves a tail the next recovery cuts again. Devices that cannot
+    /// cut refuse every `end` but `len` (the default).
+    fn truncate_suffix(&mut self, end: u64) -> Result<()> {
+        if end == self.len() {
+            return Ok(());
+        }
+        Err(MmdbError::Invalid(format!(
+            "this log device cannot cut its end back to {end}"
+        )))
     }
 
     /// Reads exactly `buf.len()` bytes starting at `offset`; fails if the
@@ -96,8 +110,8 @@ pub struct ChunkInfo {
     pub disk_bytes: u64,
 }
 
-/// An in-memory log device for tests and simulation. Supports torn-write
-/// injection via [`MemLogDevice::truncate_to`] and prefix truncation.
+/// An in-memory log device for tests and simulation. Supports prefix and
+/// suffix truncation.
 #[derive(Debug, Default)]
 pub struct MemLogDevice {
     data: Vec<u8>,
@@ -109,13 +123,6 @@ impl MemLogDevice {
     /// An empty device.
     pub fn new() -> MemLogDevice {
         MemLogDevice::default()
-    }
-
-    /// Simulates a torn write: discards everything past global offset
-    /// `len`, as if the crash interrupted the flush that wrote those
-    /// bytes.
-    pub fn truncate_to(&mut self, len: u64) {
-        self.data.truncate(len.saturating_sub(self.base) as usize);
     }
 
     /// Borrow the raw bytes (test assertions).
@@ -149,6 +156,18 @@ impl LogDevice for MemLogDevice {
             self.data.drain(..(offset - self.base) as usize);
             self.base = offset;
         }
+        Ok(())
+    }
+
+    fn truncate_suffix(&mut self, end: u64) -> Result<()> {
+        if end < self.base || end > self.len() {
+            return Err(MmdbError::Invalid(format!(
+                "truncate_suffix({end}) outside [{}, {}]",
+                self.base,
+                self.len()
+            )));
+        }
+        self.data.truncate((end - self.base) as usize);
         Ok(())
     }
 
@@ -284,11 +303,17 @@ mod tests {
     }
 
     #[test]
-    fn mem_device_truncate_simulates_torn_write() {
+    fn mem_device_truncate_suffix_cuts_the_tail() {
         let mut d = MemLogDevice::new();
         d.append(b"0123456789").unwrap();
-        d.truncate_to(4);
+        d.truncate_prefix(2).unwrap();
+        d.truncate_suffix(4).unwrap();
+        d.truncate_suffix(4).unwrap(); // idempotent
         assert_eq!(d.len(), 4);
-        assert_eq!(d.read_all().unwrap(), b"0123");
+        assert_eq!(d.read_all().unwrap(), b"23");
+        assert!(d.truncate_suffix(5).is_err(), "past the end");
+        assert!(d.truncate_suffix(1).is_err(), "before the start");
+        d.append(b"x").unwrap();
+        assert_eq!(d.read_all().unwrap(), b"23x");
     }
 }

@@ -471,6 +471,20 @@ impl LogManager {
         Ok(())
     }
 
+    /// Cuts the durable log back to `end`, recovery's valid end (where
+    /// the first torn or corrupt frame began), so the next append
+    /// continues the valid log instead of landing after garbage that the
+    /// next recovery would stop at. Returns the bytes cut. Call with
+    /// nothing appended since the crash.
+    pub fn truncate_suffix(&mut self, end: Lsn) -> Result<u64> {
+        debug_assert!(self.tail.is_empty(), "a cut under an unforced tail");
+        let cut = self.device.len().saturating_sub(end.raw());
+        self.device.truncate_suffix(end.raw())?;
+        self.tail_start = end;
+        self.watermark.cut_back(end);
+        Ok(cut)
+    }
+
     /// The device's first readable LSN (0 unless truncated).
     pub fn start_lsn(&self) -> Lsn {
         Lsn(self.device.start_offset())

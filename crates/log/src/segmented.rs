@@ -336,6 +336,46 @@ impl LogDevice for SegmentedLogDevice {
         Ok(())
     }
 
+    fn truncate_suffix(&mut self, end: u64) -> Result<()> {
+        if end < self.logical_start || end > self.len() {
+            return Err(MmdbError::Invalid(format!(
+                "truncate_suffix({end}) outside [{}, {}]",
+                self.logical_start,
+                self.len()
+            )));
+        }
+        if end == self.len() {
+            return Ok(());
+        }
+        // Frames span chunks: the cut deletes the whole chunks past the
+        // one holding `end`, newest first so the survivors stay contiguous
+        // across a crash, then cuts that one.
+        let keep = self.chunks.iter().rposition(|c| c.start < end).unwrap_or(0);
+        let holder = &self.chunks[keep];
+        let cut = end - holder.start;
+        if holder.compressed && cut < holder.len {
+            return Err(MmdbError::Corrupt(format!(
+                "the log's valid end {end} lies inside the compressed chunk {:?}",
+                holder.path
+            )));
+        }
+        self.active = None;
+        self.cache = None;
+        while self.chunks.len() > keep + 1 {
+            std::fs::remove_file(&self.chunks.last().expect("past the kept chunk").path)?;
+            self.chunks.pop();
+        }
+        let last = &mut self.chunks[keep];
+        if last.len > cut {
+            let file = OpenOptions::new().write(true).open(&last.path)?;
+            file.set_len(cut)?;
+            file.sync_all()?;
+            last.len = cut;
+            last.disk_bytes = cut;
+        }
+        Ok(())
+    }
+
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
         if offset < self.start_offset() || offset + buf.len() as u64 > self.len() {
             return Err(MmdbError::Corrupt(format!(
@@ -554,6 +594,30 @@ mod tests {
         let mut d = SegmentedLogDevice::open(&dir, 10, false).unwrap();
         d.append(&[0u8; 5]).unwrap();
         assert!(d.truncate_prefix(6).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncate_suffix_cuts_the_holding_chunk_and_deletes_later_ones() {
+        let dir = tmp("suffix");
+        let mut d = SegmentedLogDevice::open(&dir, 10, false).unwrap();
+        d.append(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ").unwrap(); // 4 chunks
+        d.truncate_suffix(37).unwrap_err();
+        d.truncate_suffix(14).unwrap();
+        d.truncate_suffix(14).unwrap(); // idempotent
+        assert_eq!((d.len(), d.chunk_count()), (14, 2));
+        d.append(b"!").unwrap();
+        drop(d);
+        let mut d = SegmentedLogDevice::open(&dir, 10, false).unwrap();
+        assert_eq!(d.read_all().unwrap(), b"0123456789ABCD!");
+        // a cut on a chunk boundary keeps the chunk before it whole
+        d.truncate_suffix(10).unwrap();
+        assert_eq!((d.len(), d.chunk_count()), (10, 1));
+        // the valid end inside a compressed chunk is rot, not a torn tail
+        d.append(b"xyz").unwrap();
+        d.rewrite_chunk(0, b"0123456789", true).unwrap();
+        assert!(d.truncate_suffix(5).is_err());
+        assert_eq!(d.len(), 13, "nothing cut");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -110,6 +110,14 @@ impl DurableWatermark {
         self.cv.notify_all();
     }
 
+    /// Moves the watermark back to `to`: recovery cut a torn tail off the
+    /// log, so the bytes past `to` were never a durable log. The one move
+    /// backwards, made before the engine takes a commit.
+    pub fn cut_back(&self, to: Lsn) {
+        let mut s = self.lock();
+        s.durable = s.durable.min(to);
+    }
+
     /// Publishes a force failure and wakes every waiter so they can
     /// surface the error instead of waiting out their timeout.
     pub fn fail(&self, msg: String) {
@@ -181,6 +189,10 @@ mod tests {
         assert_eq!(w.get(), Lsn(20));
         // already durable: returns immediately regardless of timeout
         assert!(w.wait_for(Lsn(20), Duration::ZERO).unwrap());
+        // only a recovery cut moves it back
+        w.cut_back(Lsn(15));
+        w.cut_back(Lsn(30));
+        assert_eq!(w.get(), Lsn(15));
     }
 
     #[test]

@@ -91,6 +91,14 @@
 //!   transactions. Of the copied segments, the flush fraction
 //!   `n_flush/N_seg` is written from the old copy (the rest already
 //!   match the target ping-pong copy and are skipped).
+//!
+//!   That is the paper's term, and Figures 4a–4e keep it. The engine
+//!   copies per record ([`crate::CouGranularity::Record`]): the first
+//!   update opens an empty copy (`C_alloc`), each update saves the record
+//!   it overwrites once (`S_rec`), and the sweep builds each copy's
+//!   `S_seg` image — asynchronous work. A record is saved iff updated
+//!   before its segment is swept, so `E[saves]` is `E[copies]` with
+//!   `N_rec` for `N_seg` and `ν = λ·N_ru/N_rec` for `μ`.
 //! * **Two-color reruns**: at begin the white fraction is
 //!   `w₀ = n_flush/N_seg` (clean segments are painted black instantly —
 //!   their backup images already match) and decays linearly to zero over

@@ -23,4 +23,4 @@ pub mod figures;
 mod model;
 pub mod render;
 
-pub use model::{AnalyticModel, ModelPoint};
+pub use model::{AnalyticModel, CouGranularity, ModelPoint};

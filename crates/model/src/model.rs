@@ -37,6 +37,9 @@ pub struct ModelPoint {
     pub segments_flushed: f64,
     /// Expected COU old-copy saves per checkpoint (0 for non-COU).
     pub cou_copies: f64,
+    /// Expected COU record saves per checkpoint (0 for non-COU, and
+    /// under [`CouGranularity::Segment`]).
+    pub cou_record_saves: f64,
     /// Probability an arriving transaction is aborted at least once by
     /// the two-color rule (0 for non-2C).
     pub p_restart: f64,
@@ -59,6 +62,18 @@ impl ModelPoint {
     pub fn overhead_per_txn(&self) -> f64 {
         self.sync_per_txn + self.async_per_txn
     }
+}
+
+/// What a COU checkpoint copies for a racing update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CouGranularity {
+    /// The paper's: the first update after the begin copies its whole
+    /// segment, `C_alloc + S_seg` on the transaction.
+    Segment,
+    /// The engine's: the first update opens an empty copy (`C_alloc`),
+    /// each update saves the record it overwrites once (`S_rec`), both on
+    /// the transaction; the sweep builds the `S_seg` snapshot image.
+    Record,
 }
 
 /// The analytic model for one algorithm at one parameter set.
@@ -139,14 +154,26 @@ impl AnalyticModel {
     /// copied iff updated before being swept, so
     /// `E[copies] = N_seg − (N_seg/(μ·D_act))·(1 − e^{−μ·D_act})`.
     pub fn expected_cou_copies(&self, d_act: f64) -> f64 {
+        self.updated_before_swept(self.n_seg(), d_act)
+    }
+
+    /// Expected COU record saves during one checkpoint: the same sweep
+    /// with records for segments, `ν = λ·N_ru/N_rec` for `μ`.
+    pub fn expected_cou_record_saves(&self, d_act: f64) -> f64 {
+        self.updated_before_swept(self.params.db.n_records() as f64, d_act)
+    }
+
+    /// Of `n` uniformly updated units swept over `d_act`, how many are
+    /// updated before the sweep reaches them (0 for non-COU).
+    fn updated_before_swept(&self, n: f64, d_act: f64) -> f64 {
         if !self.algorithm.is_cou() {
             return 0.0;
         }
-        let x = self.mu() * d_act;
+        let x = self.params.txn.lambda * self.params.txn.n_ru as f64 / n * d_act;
         if x < 1e-12 {
             return 0.0;
         }
-        self.n_seg() * (1.0 - (1.0 - (-x).exp()) / x)
+        n * (1.0 - (1.0 - (-x).exp()) / x)
     }
 
     /// Average probability that an arriving transaction straddles colors
@@ -167,10 +194,17 @@ impl AnalyticModel {
         (active_fraction * p).clamp(0.0, 1.0 - 1e-9)
     }
 
-    /// Evaluates the model. `interval` requests a checkpoint duration;
-    /// values below the minimum are clamped up to it (`None` = minimum,
-    /// the paper's "as quickly as possible").
+    /// Evaluates the model with the paper's segment-granular COU copies.
+    /// `interval` requests a checkpoint duration; values below the
+    /// minimum are clamped up to it (`None` = minimum, the paper's "as
+    /// quickly as possible").
     pub fn evaluate(&self, interval: Option<f64>) -> ModelPoint {
+        self.evaluate_with(interval, CouGranularity::Segment)
+    }
+
+    /// [`evaluate`](Self::evaluate) with COU copies of the given
+    /// granularity: [`CouGranularity::Record`] is what the engine pays.
+    pub fn evaluate_with(&self, interval: Option<f64>, cou: CouGranularity) -> ModelPoint {
         let p = &self.params;
         let c = &p.cost;
         let d_min = self.min_duration();
@@ -232,7 +266,25 @@ impl AnalyticModel {
                     + old_flushes * per_flush(2.0, 1.0, 0.0, 0.0)
             }
         };
-        let async_per_ckpt = scan + paint + fixed_io * c.c_io as f64 + async_flush_cost;
+        // COU old-copy saves: the paper's alloc + full-segment copy on the
+        // transaction, or the engine's alloc + record saves on the
+        // transaction and the snapshot image on the sweep.
+        let move_word = c.c_move_per_word as f64;
+        let (cou_record_saves, sync_cou_per_ckpt, cou_images) = match cou {
+            CouGranularity::Segment => (
+                0.0,
+                cou_copies * (c.c_alloc as f64 + s_seg * move_word),
+                0.0,
+            ),
+            CouGranularity::Record => {
+                let saves = self.expected_cou_record_saves(d_act);
+                let s_rec = p.db.s_rec as f64;
+                let sync = cou_copies * c.c_alloc as f64 + saves * s_rec * move_word;
+                (saves, sync, cou_copies * s_seg * move_word)
+            }
+        };
+        let async_per_ckpt =
+            scan + paint + fixed_io * c.c_io as f64 + async_flush_cost + cou_images;
         let async_per_txn = async_per_ckpt / txns_per_interval;
 
         // ----- synchronous (transaction-side) cost per transaction -------
@@ -242,9 +294,7 @@ impl AnalyticModel {
         } else {
             0.0
         };
-        // COU old-copy saves: alloc + full-segment copy, amortized.
-        let sync_cou =
-            cou_copies * (c.c_alloc as f64 + s_seg * c.c_move_per_word as f64) / txns_per_interval;
+        let sync_cou = sync_cou_per_ckpt / txns_per_interval;
         // Two-color reruns: each reruns the whole transaction (body + its
         // synchronous LSN work).
         let w0 = (n_flush / self.n_seg()).min(1.0);
@@ -266,6 +316,7 @@ impl AnalyticModel {
             active_duration: d_act,
             segments_flushed: n_flush,
             cou_copies,
+            cou_record_saves,
             p_restart,
             expected_reruns,
             sync_per_txn,
@@ -403,6 +454,29 @@ mod tests {
                 cou < fuzzy * 1.15,
                 "{alg}: {cou} should be ≈≤ fuzzy {fuzzy}"
             );
+        }
+    }
+
+    #[test]
+    fn record_granular_cou_moves_the_segment_copy_to_the_sweep() {
+        for alg in Algorithm::ALL_EXTENDED {
+            let m = model(alg);
+            let (paper, engine) = (
+                m.evaluate(None),
+                m.evaluate_with(None, CouGranularity::Record),
+            );
+            if !alg.is_cou() {
+                assert_eq!(paper, engine, "{alg}: no COU term");
+                continue;
+            }
+            // each copied segment saves some of its records, never more
+            let per_copy = engine.cou_record_saves / engine.cou_copies;
+            assert!(per_copy > 1.0 && per_copy < 256.0, "{alg}: {per_copy}");
+            // the S_seg copy leaves the transaction for the sweep's image
+            assert!(engine.sync_per_txn < paper.sync_per_txn / 10.0, "{alg}");
+            assert!(engine.async_per_txn > paper.async_per_txn, "{alg}");
+            let ratio = engine.overhead_per_txn() / paper.overhead_per_txn();
+            assert!((0.9..1.1).contains(&ratio), "{alg}: {ratio}");
         }
     }
 

@@ -69,6 +69,10 @@ pub struct RecoveryReport {
     pub backup_words: u64,
     /// LSN replay started from.
     pub replay_start: Lsn,
+    /// End of the valid log: where the first torn or corrupt frame
+    /// begins, or the device end. Anything past it is cut before the next
+    /// append.
+    pub log_end: Lsn,
     /// Words of log read and replayed.
     pub log_words: u64,
     /// Update records applied (from committed transactions).
@@ -222,9 +226,8 @@ mod tests {
             }
             self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
             for (rid, value, end_lsn) in installs {
-                let sid = self.storage.segment_of(rid).unwrap();
                 self.ckpt
-                    .on_before_install(&mut self.storage, sid, &self.meter)
+                    .on_before_install(&mut self.storage, rid, &self.meter)
                     .unwrap();
                 self.storage
                     .install_record(rid, &value, end_lsn, tau, &self.meter)

@@ -239,6 +239,7 @@ pub fn recover_observed(
         segments_loaded,
         backup_words,
         replay_start,
+        log_end: window.end_lsn(),
         log_words,
         updates_applied,
         txns_replayed,

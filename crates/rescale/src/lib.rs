@@ -132,9 +132,8 @@ mod tests {
             }
             self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
             for (rid, value, end_lsn) in installs {
-                let sid = self.storage.segment_of(rid).unwrap();
                 self.ckpt
-                    .on_before_install(&mut self.storage, sid, &self.meter)
+                    .on_before_install(&mut self.storage, rid, &self.meter)
                     .unwrap();
                 self.storage
                     .install_record(rid, &value, end_lsn, tau, &self.meter)
@@ -687,9 +686,8 @@ mod tests {
             self.log.force().unwrap();
             let end_lsn = self.log.next_lsn();
             for (&(rid, _), image) in writes.iter().zip(&images) {
-                let sid = self.storage.segment_of(RecordId(rid)).unwrap();
                 self.ckpt
-                    .on_before_install(&mut self.storage, sid, &self.meter)
+                    .on_before_install(&mut self.storage, RecordId(rid), &self.meter)
                     .unwrap();
                 self.storage
                     .install_record(RecordId(rid), image, end_lsn, tau, &self.meter)

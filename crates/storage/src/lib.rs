@@ -31,7 +31,7 @@ mod mirror;
 mod segment;
 
 pub use mirror::{PendingInstall, ReadMirror};
-pub use segment::{Color, OldCopy, SegmentMeta};
+pub use segment::{Color, OldRecords, SegmentMeta};
 
 use mmdb_types::{
     hash::Fnv1a, CostMeter, DbParams, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, Word,
@@ -52,10 +52,10 @@ pub struct Storage {
     /// Monotonic counter bumped on every record install; segment versions
     /// are draws from this counter.
     version_counter: u64,
-    /// Words currently held in COU old copies, and the most ever held.
+    /// Words held in COU old copies, by capacity, and the most ever held.
     old_words: u64,
     old_words_peak: u64,
-    /// One segment image, reused by every [`Storage::capture`].
+    /// One segment image, reused by every capture and `take_old`.
     scratch: Vec<Word>,
 }
 
@@ -91,6 +91,9 @@ pub struct ResidentBytes {
     /// The reused capture image.
     pub capture_scratch: u64,
 }
+
+/// Records of room an old copy opens with, so that saves rarely regrow it.
+const OLD_COPY_RESERVE: usize = 8;
 
 /// The index of the segment containing `rid`.
 fn segment_index(db: &DbParams, rid: RecordId) -> Result<usize> {
@@ -217,12 +220,6 @@ impl Storage {
         Ok(())
     }
 
-    /// The segment's words by plain loads: for `&mut self` callers.
-    fn segment_words(&self, sid: SegmentId) -> impl Iterator<Item = Word> + '_ {
-        let s_seg = self.db.s_seg as usize;
-        self.mirror.load(sid.index() * s_seg, s_seg)
-    }
-
     /// Reads a record's current value. Safe beside latched shared-mode
     /// committers: the read waits out a publish in progress and is never
     /// torn.
@@ -310,9 +307,9 @@ impl Storage {
     /// own (the COPY checkpointers' I/O buffer): one copy, no scratch.
     pub fn capture_copy(&mut self, sid: SegmentId) -> Result<Capture<Box<[Word]>>> {
         self.check_segment(sid)?;
-        let m = &self.segments[sid.index()];
+        let (m, s_seg) = (&self.segments[sid.index()], self.db.s_seg as usize);
         Ok(Capture {
-            data: self.segment_words(sid).collect(),
+            data: self.mirror.load(sid.index() * s_seg, s_seg).collect(),
             version: m.version,
             max_lsn: m.max_lsn,
         })
@@ -364,33 +361,59 @@ impl Storage {
 
     // ----- copy-on-update protocol ----------------------------------------
 
-    /// Saves an old copy of the segment for the COU snapshot: allocates a
-    /// buffer, copies the live content, and hangs it off `p(S)`
-    /// (Figure 3.2). Charges one allocation and `S_seg` words of movement.
+    /// Opens the segment's old copy for the COU snapshot, empty, and hangs
+    /// it off `p(S)` (Figure 3.2); [`Storage::cou_save_record`] fills it.
+    /// Charges one allocation.
     ///
     /// Returns an error if an old copy already exists — the COU update
     /// protocol guarantees at most one copy per segment per checkpoint,
     /// and a second copy would clobber the snapshot.
     pub fn cou_save_old(&mut self, sid: SegmentId, meter: &CostMeter) -> Result<()> {
         self.check_segment(sid)?;
-        if self.segments[sid.index()].old.is_some() {
+        let m = &mut self.segments[sid.index()];
+        if m.old.is_some() {
             return Err(MmdbError::Invalid(format!(
                 "COU old copy already exists for {sid}"
             )));
         }
         meter.alloc_op();
-        meter.move_words(self.db.s_seg);
-        let data = self.segment_words(sid).collect();
-        let m = &mut self.segments[sid.index()];
-        m.old = Some(Box::new(OldCopy {
-            data,
+        let old = OldRecords {
             tau: m.tau,
             version: m.version,
             max_lsn: m.max_lsn,
-        }));
-        self.old_words += self.db.s_seg;
+            saved: vec![0; (self.db.records_per_segment() as usize).div_ceil(64)].into(),
+            records: Vec::with_capacity(OLD_COPY_RESERVE * (1 + self.db.s_rec as usize)),
+        };
+        self.old_words += old.words();
+        m.old = Some(old);
         self.old_words_peak = self.old_words_peak.max(self.old_words);
         Ok(())
+    }
+
+    /// Saves the pre-image of `rid`, which an install is about to
+    /// overwrite, into its segment's old copy, unless it is saved already.
+    /// Returns whether it saved, charging `S_rec` words of movement if so.
+    /// Fails if the segment has no old copy open.
+    pub fn cou_save_record(&mut self, rid: RecordId, meter: &CostMeter) -> Result<bool> {
+        let seg = segment_index(&self.db, rid)?;
+        let s_rec = self.db.s_rec as usize;
+        let slot = (rid.raw() % self.db.records_per_segment()) as usize;
+        let old = self.segments[seg].old.as_mut().ok_or_else(|| {
+            MmdbError::Invalid(format!("no COU old copy open for the segment of {rid}"))
+        })?;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if old.saved[word] & bit != 0 {
+            return Ok(false);
+        }
+        old.saved[word] |= bit;
+        let before = old.words();
+        old.records.push(slot as Word);
+        old.records
+            .extend(self.mirror.load(rid.raw() as usize * s_rec, s_rec));
+        meter.move_words(s_rec as u64);
+        self.old_words += old.words() - before;
+        self.old_words_peak = self.old_words_peak.max(self.old_words);
+        Ok(true)
     }
 
     /// Does the segment currently have a COU old copy?
@@ -398,17 +421,28 @@ impl Storage {
         Ok(self.segment_meta(sid)?.old.is_some())
     }
 
-    /// Detaches and returns the segment's COU old copy, if any. Charges
-    /// the buffer deallocation (the caller is about to free it after the
-    /// flush).
-    pub fn take_old(&mut self, sid: SegmentId, meter: &CostMeter) -> Result<Option<Box<OldCopy>>> {
-        self.check_segment(sid)?;
-        let old = self.segments[sid.index()].old.take();
-        if old.is_some() {
-            meter.alloc_op();
-            self.old_words -= self.db.s_seg;
+    /// Detaches the segment's COU old copy and returns the snapshot image
+    /// — the live words overlaid with the saved records — in the scratch
+    /// image (valid until the next capture). Charges the deallocation and
+    /// `S_seg` words of movement. Fails if the segment has no old copy.
+    pub fn take_old(&mut self, sid: SegmentId, meter: &CostMeter) -> Result<Capture<&[Word]>> {
+        self.capture(sid)?; // the live words into the scratch image
+        let old = self.segments[sid.index()].old.take().ok_or_else(|| {
+            MmdbError::Invalid(format!("COU protocol violation: {sid} has no old copy"))
+        })?;
+        meter.alloc_op();
+        meter.move_words(self.db.s_seg);
+        self.old_words -= old.words();
+        let s_rec = self.db.s_rec as usize;
+        for saved in old.records.chunks_exact(1 + s_rec) {
+            let at = saved[0] as usize * s_rec;
+            self.scratch[at..at + s_rec].copy_from_slice(&saved[1..]);
         }
-        Ok(old)
+        Ok(Capture {
+            data: &self.scratch,
+            version: old.version,
+            max_lsn: old.max_lsn,
+        })
     }
 
     /// Drops any leftover old copies (end of a COU checkpoint). Returns
@@ -425,9 +459,9 @@ impl Storage {
         n
     }
 
-    /// Total words currently held in COU old copies (the snapshot-buffer
-    /// footprint the paper warns about: "Potentially, the snapshot could
-    /// grow to be as large as the database itself", §3.2.2).
+    /// Total words currently held in COU old copies, by capacity (the
+    /// snapshot-buffer footprint the paper warns about: "Potentially, the
+    /// snapshot could grow to be as large as the database itself", §3.2.2).
     pub fn old_copy_words(&self) -> u64 {
         self.old_words
     }
@@ -472,8 +506,8 @@ impl Storage {
         self.check_segment(sid)?;
         self.version_counter += 1;
         let meta = &mut self.segments[sid.index()];
-        if meta.old.is_some() {
-            self.old_words -= self.db.s_seg;
+        if let Some(old) = &meta.old {
+            self.old_words -= old.words();
         }
         *meta = SegmentMeta::default();
         if let Some(copy) = source_copy {
@@ -648,6 +682,19 @@ mod tests {
         assert_eq!(s.white_count(), 3);
     }
 
+    /// Words of an open old copy on the small shape before it regrows: 8
+    /// reserved records of slot + 32 words, and a one-`u64` bitset.
+    const OPEN_COPY_WORDS: u64 = 8 * 33 + 2;
+
+    /// Saves `rid`'s pre-image, then installs `fill` over it: the COU
+    /// hook's order.
+    fn save_and_install(s: &mut Storage, rid: u64, fill: Word, m: &CostMeter) {
+        s.cou_save_record(RecordId(rid), m).unwrap();
+        let v = rec(s, fill);
+        s.install_record(RecordId(rid), &v, Lsn(9), Timestamp(9), m)
+            .unwrap();
+    }
+
     #[test]
     fn cou_old_copy_lifecycle() {
         let mut s = small();
@@ -658,18 +705,26 @@ mod tests {
 
         s.cou_save_old(SegmentId(0), &m).unwrap();
         assert!(s.has_old(SegmentId(0)).unwrap());
-        assert_eq!(s.old_copy_words(), 2048);
-        // double-save is a protocol violation
+        assert_eq!(s.old_copy_words(), OPEN_COPY_WORDS);
+        // double-open is a protocol violation
         assert!(s.cou_save_old(SegmentId(0), &m).is_err());
 
-        // mutate the live segment; the old copy must keep the snapshot
-        s.install_record(RecordId(1), &rec(&s, 9), Lsn(2), Timestamp(5), &m)
-            .unwrap();
-        let old = s.take_old(SegmentId(0), &m).unwrap().unwrap();
-        assert_eq!(old.data[..], before[..]);
-        assert_eq!(old.tau, Timestamp(3));
+        // overwrite records of the live segment, one twice; the old copy
+        // keeps each pre-image once, and the snapshot with them
+        save_and_install(&mut s, 1, 9, &m);
+        save_and_install(&mut s, 0, 8, &m);
+        save_and_install(&mut s, 1, 10, &m);
+        let old = s.segment_meta(SegmentId(0)).unwrap().old.as_ref().unwrap();
+        assert_eq!((old.tau, old.version), (Timestamp(3), 1));
+        assert_eq!(old.records.len(), 2 * 33, "two records saved, once each");
+        let image = s.take_old(SegmentId(0), &m).unwrap();
+        assert_eq!(image.data, &before[..], "the begin-time segment");
+        assert_eq!((image.version, image.max_lsn), (1, Lsn(1)));
         assert!(!s.has_old(SegmentId(0)).unwrap());
         assert_eq!(s.old_copy_words(), 0);
+        assert_eq!(s.read_record(RecordId(1)).unwrap(), rec(&s, 10));
+        // with no copy open, a record save is a protocol violation
+        assert!(s.cou_save_record(RecordId(1), &m).is_err());
     }
 
     #[test]
@@ -679,10 +734,20 @@ mod tests {
         s.cou_save_old(SegmentId(0), &m).unwrap();
         let snap = m.snapshot();
         assert_eq!(snap.get(CostCategory::Alloc), 100);
-        assert_eq!(snap.get(CostCategory::Move), 2048);
-        // take_old charges the deallocation
+        assert_eq!(snap.get(CostCategory::Move), 0, "an empty copy opens");
+        assert!(s.cou_save_record(RecordId(5), &m).unwrap());
+        assert_eq!(m.snapshot().get(CostCategory::Move), 32, "one record");
+        assert!(!s.cou_save_record(RecordId(5), &m).unwrap());
+        assert_eq!(
+            m.snapshot().get(CostCategory::Move),
+            32,
+            "a re-save is free"
+        );
+        // take_old charges the deallocation and the S_seg image
         s.take_old(SegmentId(0), &m).unwrap();
-        assert_eq!(m.snapshot().get(CostCategory::Alloc), 200);
+        let snap = m.snapshot();
+        assert_eq!(snap.get(CostCategory::Alloc), 200);
+        assert_eq!(snap.get(CostCategory::Move), 32 + 2048);
     }
 
     #[test]
@@ -740,7 +805,8 @@ mod tests {
         let mut s = small();
         let m = meter();
         s.cou_save_old(SegmentId(2), &m).unwrap();
-        assert_eq!(s.old_copy_words(), 2048);
+        save_and_install(&mut s, 130, 4, &m);
+        assert_eq!(s.old_copy_words(), OPEN_COPY_WORDS);
         s.load_segment(SegmentId(2), &[5; 2048], Some(0), &m)
             .unwrap();
         assert!(!s.has_old(SegmentId(2)).unwrap());
@@ -881,12 +947,25 @@ mod tests {
         assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, 0));
         s.cou_save_old(SegmentId(1), &m).unwrap();
         s.cou_save_old(SegmentId(2), &m).unwrap();
+        let open = OPEN_COPY_WORDS * 4;
+        assert_eq!(s.resident_bytes().cou_old_copies, 2 * open);
+        // a ninth saved record regrows segment 2's copy: counted by
+        // capacity, so the bytes exceed the nine records' own
+        for rid in 128..137 {
+            save_and_install(&mut s, rid, 3, &m);
+        }
+        let grown = s.resident_bytes().cou_old_copies - open;
+        assert!(grown > 9 * 33 * 4 + 8, "{grown}");
+        assert_eq!(s.old_copy_words() * 4, open + grown);
         s.take_old(SegmentId(1), &m).unwrap();
         let r = s.resident_bytes();
-        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (8192, 16384));
+        assert_eq!(
+            (r.cou_old_copies, r.cou_old_copies_peak),
+            (grown, open + grown)
+        );
         s.drop_all_old(&m);
         let r = s.resident_bytes();
-        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, 16384));
+        assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, open + grown));
     }
 
     /// The engine's real discipline under fire: one thread owns
@@ -937,13 +1016,17 @@ mod tests {
                 let at = (rid.raw() % 64) as usize * 32;
                 let cap = s.capture(sid).unwrap();
                 assert_eq!(cap.data[at..at + 32], [k; 32], "capture lags install");
-                let image = cap.data.to_vec();
+                let (image, version) = (cap.data.to_vec(), cap.version);
                 assert_eq!(s.capture_copy(sid).unwrap().data[..], image[..]);
+                // a racing update saves the record it overwrites
                 s.cou_save_old(sid, &m).unwrap();
-                let old = s.take_old(sid, &m).unwrap().unwrap();
-                assert_eq!(old.data[..], image[..], "old copy differs from capture");
-                assert_eq!(old.version, u64::from(k));
-                assert_eq!(s.read_record(rid).unwrap(), [k; 32]);
+                s.cou_save_record(rid, &m).unwrap();
+                s.install_record(rid, &[!k; 32], Lsn(u64::from(k)), Timestamp(1), &m)
+                    .unwrap();
+                let old = s.take_old(sid, &m).unwrap();
+                assert_eq!(old.data, &image[..], "old copy differs from capture");
+                assert_eq!(old.version, version);
+                assert_eq!(s.read_record(rid).unwrap(), [!k; 32]);
                 if k % 500 == 0 {
                     s.fingerprint(); // whole-store read beside the publisher
                 }
@@ -995,6 +1078,7 @@ mod tests {
         assert!(s.capture(bad).is_err());
         assert!(s.paint_black(bad).is_err());
         assert!(s.cou_save_old(bad, &m).is_err());
+        assert!(s.cou_save_record(RecordId(2048), &m).is_err());
         assert!(s.is_dirty(bad, 0).is_err());
     }
 }

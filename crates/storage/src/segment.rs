@@ -19,24 +19,32 @@ pub enum Color {
     Black,
 }
 
-/// A copy-on-update "old copy": the pre-update image of a segment saved by
-/// the first transaction to update it after a COU checkpoint began
-/// (Figure 3.2's special buffer, reached through `p(S)`).
+/// A copy-on-update "old copy" (Figure 3.2's special buffer, reached
+/// through `p(S)`), kept per record: each update after a COU checkpoint
+/// began saves the pre-image of the record it overwrites, once. The live
+/// segment overlaid with the saved records is the snapshot image.
 #[derive(Debug, Clone)]
-pub struct OldCopy {
-    /// The snapshot content of the segment.
-    pub data: Box<[Word]>,
-    /// `τ(S)` at the time the copy was made — the timestamp of the most
-    /// recent transaction to have updated the segment *before* the
-    /// checkpoint began.
+pub struct OldRecords {
+    /// `τ(S)` when the copy opened: the newest updater before the begin.
     pub tau: Timestamp,
-    /// The segment version at the time the copy was made; used for
-    /// ping-pong dirty accounting when the old copy is flushed.
+    /// The segment version when the copy opened; used for ping-pong
+    /// dirty accounting when the old copy is flushed.
     pub version: u64,
-    /// Highest LSN contained in the copied image. All of it predates the
+    /// Highest LSN in the snapshot image. All of it predates the
     /// checkpoint's begin-log force, so flushing an old copy never needs
     /// the WAL gate — this field lets the audit stream verify that.
     pub max_lsn: Lsn,
+    /// One bit per record slot, set once the slot's pre-image is saved.
+    pub(crate) saved: Box<[u64]>,
+    /// Each saved record's slot, then its `S_rec` words, in save order.
+    pub(crate) records: Vec<Word>,
+}
+
+impl OldRecords {
+    /// Words held, by capacity: the saved records and the bitset.
+    pub(crate) fn words(&self) -> u64 {
+        (self.records.capacity() + 2 * self.saved.len()) as u64
+    }
 }
 
 /// Per-segment checkpointing metadata.
@@ -59,7 +67,7 @@ pub struct SegmentMeta {
     /// Two-color paint bit.
     pub color: Color,
     /// `p(S)`: the COU old copy, if one exists.
-    pub old: Option<Box<OldCopy>>,
+    pub old: Option<OldRecords>,
 }
 
 #[cfg(test)]

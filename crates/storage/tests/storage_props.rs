@@ -1,12 +1,12 @@
 //! Property-based tests of the storage substrate: record addressing,
-//! dirty tracking, captures and COU old copies against a plain reference
-//! model, under arbitrary operation sequences. Every read is an owned
-//! copy out of the one record store.
+//! dirty tracking, captures and record-granular COU old copies against a
+//! plain reference model, under arbitrary operation sequences. Every read
+//! is an owned copy out of the one record store.
 
 use mmdb_storage::Storage;
 use mmdb_types::{CostMeter, CostParams, DbParams, Lsn, RecordId, SegmentId, Timestamp};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 const N_RECORDS: u64 = 256; // 4 segments × 64 records
 fn shape() -> DbParams {
@@ -41,9 +41,10 @@ proptest! {
     fn storage_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let mut storage = Storage::new(shape()).unwrap();
         let meter = CostMeter::new(CostParams::default());
-        // reference: record → fill, plus saved COU snapshots per segment
+        // reference: record → fill, plus per open COU copy the segment's
+        // snapshot and the records saved into it so far
         let mut reference: HashMap<u64, u32> = HashMap::new();
-        let mut old_copies: HashMap<u32, HashMap<u64, u32>> = HashMap::new();
+        let mut old_copies: HashMap<u32, (HashMap<u64, u32>, HashSet<u64>)> = HashMap::new();
         // per (segment, copy): set of records modified since last flush
         let mut dirty: HashMap<(u32, u8), bool> = HashMap::new();
         let mut lsn = 0u64;
@@ -54,6 +55,15 @@ proptest! {
                 Op::Install { rid, fill } => {
                     lsn += 1;
                     tau += 1;
+                    let sid = (rid / 64) as u32;
+                    // the COU hook's discipline: an install into a segment
+                    // with an open copy saves the record's pre-image first,
+                    // once per copy
+                    let save = storage.cou_save_record(RecordId(rid), &meter);
+                    match old_copies.get_mut(&sid) {
+                        Some((_, saved)) => prop_assert_eq!(save.unwrap(), saved.insert(rid)),
+                        None => prop_assert!(save.is_err(), "save with no copy open"),
+                    }
                     storage
                         .install_record(
                             RecordId(rid),
@@ -64,7 +74,6 @@ proptest! {
                         )
                         .unwrap();
                     reference.insert(rid, fill);
-                    let sid = (rid / 64) as u32;
                     dirty.insert((sid, 0), true);
                     dirty.insert((sid, 1), true);
                 }
@@ -79,13 +88,13 @@ proptest! {
                         let snap: HashMap<u64, u32> = (sid as u64 * 64..(sid as u64 + 1) * 64)
                             .filter_map(|r| reference.get(&r).map(|f| (r, *f)))
                             .collect();
-                        old_copies.insert(sid, snap);
+                        old_copies.insert(sid, (snap, HashSet::new()));
                     }
                 }
                 Op::TakeOld { sid } => {
-                    let taken = storage.take_old(SegmentId(sid), &meter).unwrap();
+                    let taken = storage.take_old(SegmentId(sid), &meter).ok();
                     match (taken, old_copies.remove(&sid)) {
-                        (Some(old), Some(snap)) => {
+                        (Some(old), Some((snap, _))) => {
                             // the old copy must hold the snapshot content
                             for r in sid as u64 * 64..(sid as u64 + 1) * 64 {
                                 let expected = snap.get(&r).copied().unwrap_or(0);

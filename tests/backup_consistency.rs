@@ -114,9 +114,8 @@ impl Rig {
         }
         self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
         for (rid, value, end_lsn) in installs {
-            let sid = self.storage.segment_of(rid).unwrap();
             self.ckpt
-                .on_before_install(&mut self.storage, sid, &self.meter)
+                .on_before_install(&mut self.storage, rid, &self.meter)
                 .unwrap();
             self.storage
                 .install_record(rid, &value, end_lsn, tau, &self.meter)
