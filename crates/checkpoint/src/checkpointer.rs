@@ -363,7 +363,7 @@ impl Checkpointer {
         // Quiesced (TC) COU checkpoints are consistent as of the begin
         // marker and carry no active list (the quiesce guarantees it is
         // empty); everything else records the open prepared branches so
-        // recovery can extend its backward scan (§3.3).
+        // recovery can extend its replay window back to them (§3.3).
         let active_list = if self.algorithm.requires_quiesce() {
             Vec::new()
         } else {
@@ -1121,8 +1121,8 @@ mod tests {
                 record: RecordId(rid),
                 value: value.clone(),
             };
-            let lsn = self.log.append(&rec);
-            let end_lsn = rec.end_lsn(lsn);
+            self.log.append(&rec);
+            let end_lsn = self.log.next_lsn();
             self.ckpt
                 .on_before_install(&mut self.storage, RecordId(rid), &self.sync_meter)
                 .unwrap();
@@ -1634,7 +1634,7 @@ mod tests {
             )
             .unwrap();
         r.run();
-        // ...and the marker records them for recovery's backward scan
+        // ...and the marker records them for recovery's replay window
         let scanner = mmdb_log::LogScanner::from_device(r.log.device_mut()).unwrap();
         let mark = scanner.last_complete_checkpoint().unwrap();
         assert_eq!(mark.active, vec![TxnId(41), TxnId(42)]);

@@ -1315,8 +1315,8 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     let mut begun: HashMap<u64, u64> = HashMap::new(); // ckpt -> newest begin LSN
     let mut complete: Option<(u64, u64)> = None; // (begin LSN, ckpt)
     let log = LogStream::new(&mut dev)
-        .validate(|lsn, rec| {
-            composition.note(rec);
+        .validate(|lsn, rec, end| {
+            composition.note(rec, end.raw() - lsn.raw());
             match rec {
                 LogRecord::BeginCheckpoint { ckpt, .. } => {
                     begun.insert(ckpt.raw(), lsn.raw());
@@ -1420,7 +1420,9 @@ impl Composition {
         "filler",
     ];
 
-    fn note(&mut self, rec: &LogRecord) {
+    /// Counts `rec`, a frame of `len` bytes (an older frame is longer
+    /// than this build would encode it).
+    fn note(&mut self, rec: &LogRecord, len: u64) {
         let kind = match rec {
             LogRecord::TxnBegin { .. } => 0,
             LogRecord::Update { .. } => 1,
@@ -1433,16 +1435,17 @@ impl Composition {
             LogRecord::Compacted { .. } => 8,
         };
         self.tally[kind].0 += 1;
-        self.tally[kind].1 += rec.encoded_len() as u64;
+        self.tally[kind].1 += len;
         // a transaction is committed by its `Commit` or `TxnCommit` frame
         if matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. }) {
             self.committed += 1;
         }
     }
 
-    /// The `fsck` line for a window of `valid_len` bytes.
+    /// The `fsck` line for a window of `valid_len` bytes, which the
+    /// per-kind byte totals sum to.
     fn line(&self, valid_len: u64) -> String {
-        let mut line = String::from("log: composition (frames/bytes):");
+        let mut line = format!("log: composition of {valid_len} bytes (frames/bytes):");
         for (kind, (frames, bytes)) in Composition::KINDS.iter().zip(self.tally) {
             line.push_str(&format!(" {kind}={frames}/{bytes}"));
         }

@@ -615,9 +615,14 @@ impl Mmdb {
     }
 
     /// Refuses a write set whose `TxnCommit` frame could not cross the
-    /// wire to a standby. Checked before anything is appended.
-    fn check_frame_bound(&self, n_writes: usize) -> Result<()> {
-        let len = LogRecord::txn_commit_len(n_writes, self.record_words());
+    /// wire to a standby. Checked before anything is appended, and before
+    /// a shared commit has its id: the widest id stands in for it.
+    fn check_frame_bound(
+        words: usize,
+        records: impl ExactSizeIterator<Item = RecordId>,
+    ) -> Result<()> {
+        let n_writes = records.len();
+        let len = LogRecord::txn_commit_len(TxnId(u64::MAX), records, words);
         if len > MAX_TXN_FRAME_BYTES {
             return Err(MmdbError::Invalid(format!(
                 "a transaction of {n_writes} writes needs a {len}-byte log frame; \
@@ -687,8 +692,9 @@ impl Mmdb {
         }
         let commit_timer = self.obs.timer();
         self.revalidate_colors(txn)?;
-        let n_writes = self.txns.get_mut().get(txn)?.writes.len();
-        self.check_frame_bound(n_writes)?;
+        let words = self.record_words();
+        let writes = &self.txns.get_mut().get(txn)?.writes;
+        Mmdb::check_frame_bound(words, writes.iter().map(|w| w.record))?;
 
         // The whole transaction is one frame, encoded from the staged
         // images; every install waits on that frame's end for the WAL gate.
@@ -814,8 +820,9 @@ impl Mmdb {
         }
         self.revalidate_colors(txn)?;
         // recovery re-runs an in-doubt branch as one ordinary transaction
-        let n_writes = self.txns.get_mut().get(txn)?.writes.len();
-        self.check_frame_bound(n_writes)?;
+        let words = self.record_words();
+        let writes = &self.txns.get_mut().get(txn)?.writes;
+        Mmdb::check_frame_bound(words, writes.iter().map(|w| w.record))?;
 
         let t = self.txns.get_mut().get_mut(txn)?;
         let log = self.log.get_mut();
@@ -860,9 +867,10 @@ impl Mmdb {
             return Err(MmdbError::Invalid(format!("{txn} is not prepared")));
         }
         let commit_timer = self.obs.timer();
-        let commit_rec = LogRecord::Commit { txn };
-        let commit_start = self.log.get_mut().append_forced(&commit_rec)?;
-        self.install_committed(txn, commit_rec.end_lsn(commit_start), commit_timer)
+        let log = self.log.get_mut();
+        log.append_forced(&LogRecord::Commit { txn })?;
+        let commit_end = log.next_lsn();
+        self.install_committed(txn, commit_end, commit_timer)
     }
 
     /// Phase two, abort side: drops a prepared branch after the
@@ -1223,7 +1231,7 @@ impl Mmdb {
                 _ => return fallback("core.commit_shared_fallback.invalid"),
             }
         }
-        if self.check_frame_bound(updates.len()).is_err() {
+        if Mmdb::check_frame_bound(s_rec, updates.iter().map(|(rid, _)| *rid)).is_err() {
             return fallback("core.commit_shared_fallback.invalid");
         }
         latch_order.sort_unstable();

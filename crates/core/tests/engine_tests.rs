@@ -4,7 +4,7 @@
 
 use mmdb_core::{
     Algorithm, CheckpointStart, CkptMode, CommitDurability, LogMode, LogRecord, Lsn, Mmdb,
-    MmdbConfig, MmdbError, RecordId, StepOutcome, MAX_TXN_FRAME_BYTES,
+    MmdbConfig, MmdbError, RecordId, StepOutcome, TxnId, MAX_TXN_FRAME_BYTES,
 };
 use mmdb_disk::{BackupStore, FileBackup};
 use mmdb_storage::Storage;
@@ -863,15 +863,28 @@ fn unprepared_transactions_write_one_frame_each_and_aborts_write_none() {
         for (_, rec) in &frames {
             assert!(matches!(rec, LogRecord::TxnCommit { .. }), "{rec:?}");
         }
-        assert_eq!(db.log_stats().bytes, 305 + 169 + 33, "{durability:?}");
+        assert_eq!(db.log_stats().bytes, 269 + 140 + 11, "{durability:?}");
     }
 }
 
 #[test]
 fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
     let mut db = db(Algorithm::FuzzyCopy);
-    let per_write = 8 + 4 * db.record_words();
-    let too_many = MAX_TXN_FRAME_BYTES / per_write + 1;
+    // the fewest writes whose frame, under the widest txn id the bound
+    // assumes, is longer than the bound
+    let frame_len = |n: u64| {
+        let records = (0..n).map(|i| RecordId(i % db.n_records()));
+        LogRecord::txn_commit_len(TxnId(u64::MAX), records, db.record_words())
+    };
+    let (mut lo, mut hi) = (0, MAX_TXN_FRAME_BYTES as u64);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match frame_len(mid) > MAX_TXN_FRAME_BYTES {
+            true => hi = mid,
+            false => lo = mid + 1,
+        }
+    }
+    let too_many = lo as usize;
     let image = val(&db, 4);
     let t = db.begin_txn().unwrap();
     for i in 0..too_many as u64 {
@@ -897,7 +910,7 @@ fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
     // the transaction is still open and can be given up
     db.abort(t).unwrap();
     // one write fewer fits
-    db.run_txn(&updates[1..]).unwrap();
+    db.run_txn(&updates[..too_many - 1]).unwrap();
     assert!(db.log_stats().bytes - bytes_before <= MAX_TXN_FRAME_BYTES as u64);
 }
 
@@ -1219,7 +1232,7 @@ fn for_each_record_scans_in_order() {
 fn predicted_recovery_time_matches_the_next_recovery() {
     // a single-record `TxnCommit` frame: the slack the prediction is
     // allowed against what recovery then measures
-    const FRAME_BYTES: u64 = 169;
+    const FRAME_BYTES: u64 = 140;
     for alg in Algorithm::ALL_EXTENDED {
         let mut cfg = small(alg);
         cfg.commit_durability = CommitDurability::Force;

@@ -4,8 +4,8 @@
 //! mean old versions are never overwritten before commit, so UNDO
 //! information is unnecessary. This crate provides:
 //!
-//! * [`LogRecord`] — record types and a checksummed, backward-scannable
-//!   frame encoding,
+//! * [`LogRecord`] — record types and a compact, CRC-32C-checksummed
+//!   frame encoding (the older FNV-1a envelope still decodes),
 //! * [`LogDevice`] — the durable byte store ([`MemLogDevice`] for tests and
 //!   simulation, [`SegmentedLogDevice`] for a database directory),
 //! * [`LogManager`] — the volatile/stable log tail with LSN-based
@@ -23,8 +23,8 @@
 //!   (paper §3.3),
 //! * [`step`] — the one rule for reading a frame off raw log bytes
 //!   (whole, cut short, or corrupt), shared by every reader,
-//! * [`LogScanner`] — the same scan over a log held whole, with backward
-//!   iteration, for tests and the benchmark only.
+//! * [`LogScanner`] — the same forward scan over a log held whole, for
+//!   tests and the benchmark only.
 
 #![warn(missing_docs)]
 
@@ -38,8 +38,6 @@ mod watermark;
 pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
 pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
-pub use scan::{
-    step, BackwardIter, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow, Step,
-};
+pub use scan::{step, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow, Step};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use watermark::DurableWatermark;

@@ -275,7 +275,7 @@ impl LogManager {
     pub fn append_txn_commit<'a>(
         &mut self,
         txn: TxnId,
-        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])>,
+        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
     ) -> Lsn {
         self.append_frame(true, |tail| LogRecord::encode_txn_commit(txn, writes, tail))
     }
@@ -641,7 +641,7 @@ mod tests {
         m.append(&rec);
         assert_eq!(
             meter.snapshot().get(CostCategory::Move),
-            rec.encoded_words()
+            rec.encoded_len().div_ceil(4) as u64
         );
     }
 
@@ -682,8 +682,8 @@ mod tests {
     #[test]
     fn tail_threshold_bounds_the_tail() {
         let mut m = mgr(LogMode::VolatileTail);
-        m.set_tail_threshold(Some(60));
-        // each commit record is 25 bytes; the third append crosses 60
+        m.set_tail_threshold(Some(40));
+        // each commit record is 17 bytes; the third append crosses 40
         m.append(&commit(1));
         m.append(&commit(2));
         assert_eq!(
@@ -710,10 +710,10 @@ mod tests {
             LogMode::VolatileTail,
             CostMeter::shared(CostParams::default()),
         );
-        m.set_tail_threshold(Some(40));
+        m.set_tail_threshold(Some(30));
         control.fail_after_next(0); // every append now fails
         m.append(&commit(1));
-        m.append(&commit(2)); // crosses 40 bytes: deferred force fails
+        m.append(&commit(2)); // crosses 30 bytes: deferred force fails
         assert!(m.tail_len() > 0, "failed force must keep the tail intact");
         // the failure surfaces exactly once, on the next explicit force
         let err = m.force().expect_err("sticky error must surface");
@@ -735,7 +735,7 @@ mod tests {
         );
         m.set_tail_threshold(Some(10));
         control.fail_after_next(0);
-        m.append(&commit(1)); // 25 bytes ≥ 10: deferred force fails
+        m.append(&commit(1)); // 17 bytes ≥ 10: deferred force fails
         let ckpt_meter = CostMeter::new(CostParams::default());
         assert!(m.force_charged_to(&ckpt_meter).is_err());
         assert_eq!(
@@ -772,14 +772,14 @@ mod tests {
         let writes = [(RecordId(1), &image[..]), (RecordId(2), &image[..])];
         let lsn = m.append_txn_commit(TxnId(5), writes.iter().copied());
         assert_eq!(lsn, Lsn::ZERO);
-        assert_eq!(m.next_lsn(), Lsn(305));
-        assert_eq!(m.stats().bytes, 305);
+        assert_eq!(m.next_lsn(), Lsn(269));
+        assert_eq!(m.stats().bytes, 269);
         m.append(&commit(6));
         let pending = m.force_group().unwrap().expect("non-empty tail");
         assert_eq!(pending.commits(), 2);
         pending.complete();
         let (rec, used) = LogRecord::decode(&m.device_mut().read_all().unwrap()).unwrap();
-        assert_eq!(used, 305);
+        assert_eq!(used, 269);
         let expected = writes.map(|(r, image)| (r, image.to_vec())).to_vec();
         assert_eq!(
             rec,
@@ -805,8 +805,8 @@ mod tests {
         assert_eq!(bytes.len() as u64, small.raw());
         assert!(LogRecord::decode(&bytes).is_ok());
         // otherwise: as many whole frames as fit
-        assert_eq!(m.read_range_aligned(small, 30).unwrap().1.len(), 25);
-        assert_eq!(m.read_range_aligned(small, 64).unwrap().1.len(), 50);
+        assert_eq!(m.read_range_aligned(small, 30).unwrap().1.len(), 17);
+        assert_eq!(m.read_range_aligned(small, 64).unwrap().1.len(), 34);
         assert!(m.read_range_aligned(m.next_lsn(), 64).unwrap().1.is_empty());
     }
 

@@ -16,26 +16,31 @@
 //!   transaction;
 //! * begin-checkpoint markers carrying the checkpoint's id, timestamp
 //!   `τ(CH)` and the list of prepared branches open at the marker (used
-//!   by fuzzy recovery to extend the backward scan, §3.3),
+//!   by fuzzy recovery to extend the replay window, §3.3),
 //! * end-checkpoint markers (so recovery can identify the most recently
 //!   *completed* checkpoint, §3.3 footnote).
 //!
-//! Frame layout (all little-endian):
+//! Frame layout (little-endian), a 9-byte header and no trailer:
 //!
 //! ```text
-//! +--------+------+-------------+----------+--------+
-//! | len u32| tag  |   payload   | fnv  u64 | len u32|
-//! +--------+------+-------------+----------+--------+
+//! len u32 (bit 31 set) · crc32c u32 · tag u8 · payload
+//! TxnCommit payload:     txn varint · n varint · n × record varint · n × image
 //! ```
 //!
-//! `len` is the *total* frame length and is repeated at the end so the log
-//! can be scanned backward (paper §3.3 scans the log backward to find the
-//! checkpoint marker). The checksum covers tag + payload (FNV-1a; over the
-//! tag + span prefix only for a filler) and lets recovery stop cleanly at
-//! a torn final record.
+//! The CRC-32C covers `len`, the tag and the payload (a `Compacted`
+//! filler's, `len` and the tag: its padding is never trusted), and lets
+//! recovery stop cleanly at a torn final record. Varints are canonical
+//! LEB128; an image's length is the rest of the payload split evenly.
+//! The paper's 5 × 32-word transaction with 3-byte ids is 668 bytes, one
+//! such record 144, none 11. With bit 31 clear a frame has the older
+//! envelope, `len · tag · payload · fnv64 · len`, a fixed-width
+//! `TxnCommit` and an 8-byte filler span: it still decodes, but is never
+//! written. An older binary ends its log at the first new frame, so
+//! **downgrade is unsupported** (replication version 2).
 
 use mmdb_types::{
-    hash::fnv1a, CheckpointId, Lsn, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
+    hash::{crc32c, crc32c_append, fnv1a},
+    CheckpointId, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
 };
 
 /// A single log record.
@@ -112,10 +117,9 @@ pub enum LogRecord {
     /// record) are replaced by filler of *exactly the same total length*
     /// (one frame, or several where a run of them is longer than
     /// [`MAX_TXN_FRAME_BYTES`]), so every surviving frame keeps its
-    /// original LSN and
-    /// the global offset space stays stable for replication and backward
-    /// scans. Replay ignores fillers entirely. The frame checksum covers
-    /// only the tag and span (the zero padding is never trusted), so
+    /// original LSN and the global offset space stays stable for
+    /// replication. Replay ignores fillers entirely. The frame checksum
+    /// covers only the header (the zero padding is never trusted), so
     /// scanning a filler costs O(1) regardless of its size.
     Compacted {
         /// Total encoded frame length in bytes — the byte span of the
@@ -147,13 +151,19 @@ const TAG_DECIDE: u8 = 8;
 const TAG_COMPACTED: u8 = 9;
 const TAG_TXN_COMMIT: u8 = 10;
 
-/// Frame overhead: leading len (4) + tag (1) + checksum (8) + trailing len (4).
-pub const FRAME_OVERHEAD: usize = 4 + 1 + 8 + 4;
+/// Bit 31 of a frame's `len`: set on every frame this build writes.
+const ENVELOPE_BIT: u32 = 1 << 31;
 
-/// Smallest legal [`LogRecord::Compacted`] frame: overhead plus the
-/// 8-byte span field. Every droppable frame (updates are ≥ 41 bytes) is
-/// larger, so any run of dropped frames can be covered by one filler.
-pub const MIN_COMPACTED_LEN: usize = FRAME_OVERHEAD + 8;
+/// Frame overhead: len (4) + crc32c (4) + tag (1).
+pub const FRAME_OVERHEAD: usize = 4 + 4 + 1;
+
+/// Overhead of an older frame: len (4) + tag (1) + fnv64 (8) + len (4).
+const LEGACY_OVERHEAD: usize = 4 + 1 + 8 + 4;
+
+/// Smallest legal [`LogRecord::Compacted`] frame: the bare header. No
+/// frame is shorter, so any run of dropped frames can be covered by one
+/// filler.
+pub const MIN_COMPACTED_LEN: usize = FRAME_OVERHEAD;
 
 /// Largest frame the engine or the compactor writes. A transaction is
 /// one [`LogRecord::TxnCommit`] frame however many records it updates,
@@ -161,6 +171,19 @@ pub const MIN_COMPACTED_LEN: usize = FRAME_OVERHEAD + 8;
 /// a commit whose frame would be longer is refused before anything is
 /// appended; a longer run of compacted frames becomes several fillers.
 pub const MAX_TXN_FRAME_BYTES: usize = 6 << 20;
+
+/// Bytes of `v` as a LEB128 varint.
+const fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
 
 impl LogRecord {
     /// The transaction this record belongs to, if any.
@@ -176,10 +199,23 @@ impl LogRecord {
         }
     }
 
-    /// Total length of a [`LogRecord::TxnCommit`] frame holding `n_writes`
-    /// images of `words_per_image` words.
-    pub const fn txn_commit_len(n_writes: usize, words_per_image: usize) -> usize {
-        FRAME_OVERHEAD + 8 + 4 + 4 + n_writes * (8 + 4 * words_per_image)
+    /// Total length of the [`LogRecord::TxnCommit`] frame of `txn` writing
+    /// `records`, each an image of `words_per_image` words.
+    pub fn txn_commit_len(
+        txn: TxnId,
+        records: impl IntoIterator<Item = RecordId>,
+        words_per_image: usize,
+    ) -> usize {
+        let (mut n, mut ids) = (0, 0);
+        for record in records {
+            n += 1;
+            ids += varint_len(record.raw());
+        }
+        FRAME_OVERHEAD
+            + varint_len(txn.raw())
+            + varint_len(n as u64)
+            + ids
+            + n * 4 * words_per_image
     }
 
     /// Appends the [`LogRecord::TxnCommit`] frame of `txn` to `out`,
@@ -187,28 +223,27 @@ impl LogRecord {
     ///
     /// # Panics
     ///
-    /// If the images are not all of one length: the frame stores that
-    /// length once.
+    /// If the images are not all of one length: the frame derives that
+    /// length from its size.
     pub fn encode_txn_commit<'a>(
         txn: TxnId,
-        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])>,
+        writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
         out: &mut Vec<u8>,
     ) {
-        let n_writes = writes.len();
-        let mut writes = writes.peekable();
-        let words = writes.peek().map_or(0, |(_, image)| image.len());
-        write_frame(out, LogRecord::txn_commit_len(n_writes, words), |out| {
+        write_frame(out, |out| {
             out.push(TAG_TXN_COMMIT);
-            out.extend_from_slice(&txn.raw().to_le_bytes());
-            out.extend_from_slice(&(n_writes as u32).to_le_bytes());
-            out.extend_from_slice(&(words as u32).to_le_bytes());
-            for (record, image) in writes {
+            put_varint(out, txn.raw());
+            put_varint(out, writes.len() as u64);
+            for (record, _) in writes.clone() {
+                put_varint(out, record.raw());
+            }
+            let mut words = None;
+            for (_, image) in writes {
                 assert_eq!(
+                    *words.get_or_insert(image.len()),
                     image.len(),
-                    words,
                     "images of one transaction differ in length"
                 );
-                out.extend_from_slice(&record.raw().to_le_bytes());
                 for w in image {
                     out.extend_from_slice(&w.to_le_bytes());
                 }
@@ -226,22 +261,20 @@ impl LogRecord {
             LogRecord::Prepare { .. } => 8 + 8,
             LogRecord::Decide { .. } => 8 + 1,
             LogRecord::Compacted { span } => (*span as usize).saturating_sub(FRAME_OVERHEAD),
-            LogRecord::TxnCommit { writes, .. } => {
+            LogRecord::TxnCommit { txn, writes } => {
                 let words = writes.first().map_or(0, |(_, image)| image.len());
-                LogRecord::txn_commit_len(writes.len(), words) - FRAME_OVERHEAD
+                let records = writes.iter().map(|(record, _)| *record);
+                LogRecord::txn_commit_len(*txn, records, words) - FRAME_OVERHEAD
             }
         }
     }
 
-    /// Total encoded frame length in bytes.
+    /// Total length of the frame [`encode_into`](Self::encode_into)
+    /// writes. For a decoded record that is the length it was decoded
+    /// from only if this envelope wrote it: an older frame re-encodes
+    /// shorter, so log positions come from the bytes a decode consumed.
     pub fn encoded_len(&self) -> usize {
         FRAME_OVERHEAD + self.payload_len()
-    }
-
-    /// Encoded frame length in words (for the paper's log-bulk
-    /// accounting, which measures the log in words).
-    pub fn encoded_words(&self) -> u64 {
-        self.encoded_len().div_ceil(4) as u64
     }
 
     /// Appends the encoded frame to `out`.
@@ -250,7 +283,7 @@ impl LogRecord {
             let images = writes.iter().map(|(r, image)| (*r, image.as_slice()));
             return LogRecord::encode_txn_commit(*txn, images, out);
         }
-        write_frame(out, self.encoded_len(), |out| match self {
+        write_frame(out, |out| match self {
             LogRecord::TxnBegin { txn, tau } => {
                 out.push(TAG_TXN_BEGIN);
                 out.extend_from_slice(&txn.raw().to_le_bytes());
@@ -299,7 +332,6 @@ impl LogRecord {
             LogRecord::Compacted { span } => {
                 debug_assert!(*span as usize >= MIN_COMPACTED_LEN);
                 out.push(TAG_COMPACTED);
-                out.extend_from_slice(&span.to_le_bytes());
                 out.resize(out.len() + *span as usize - MIN_COMPACTED_LEN, 0);
             }
             LogRecord::TxnCommit { .. } => unreachable!("encoded above"),
@@ -330,36 +362,51 @@ impl LogRecord {
     fn decode_frame(bytes: &[u8], verify: bool) -> Result<(LogRecord, usize)> {
         let corrupt = |msg: &str| MmdbError::Corrupt(format!("log record: {msg}"));
         let total = LogRecord::frame_len(bytes)
-            .filter(|&total| total >= FRAME_OVERHEAD)
-            .ok_or_else(|| corrupt("truncated frame or bad frame length"))?;
+            .filter(|&total| total <= bytes.len())
+            .ok_or_else(|| corrupt("truncated frame"))?;
         let frame = &bytes[..total];
-        let trailer =
-            u32::from_le_bytes(frame[total - 4..].try_into().expect("4-byte slice")) as usize;
-        if trailer != total {
-            return Err(corrupt("trailer length mismatch"));
-        }
-        let body = &frame[4..total - 12];
-        let stored = u64::from_le_bytes(
-            frame[total - 12..total - 4]
-                .try_into()
-                .expect("8-byte slice"),
-        );
-        if body.is_empty() || (body[0] == TAG_COMPACTED && body.len() < 9) {
-            return Err(corrupt("empty frame body or short filler frame"));
-        }
-        if verify && checksum(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-        if body[0] == TAG_COMPACTED {
-            let span = u64::from_le_bytes(body[1..9].try_into().expect("8-byte slice"));
-            if span as usize != total || total < MIN_COMPACTED_LEN {
-                return Err(corrupt("filler span disagrees with frame length"));
+        let legacy = LogRecord::is_legacy(frame);
+        // the envelope's content: tag + payload (a filler's is padding)
+        let body = if legacy {
+            if total < LEGACY_OVERHEAD {
+                return Err(corrupt("bad frame length"));
             }
-            return Ok((LogRecord::Compacted { span }, total));
-        }
+            let body = &frame[4..total - 12];
+            let stored = &frame[total - 12..total - 4];
+            let stored = u64::from_le_bytes(stored.try_into().expect("8-byte slice"));
+            let trailer = u32::from_le_bytes(frame[total - 4..].try_into().expect("4-byte slice"));
+            if trailer as usize != total || (body[0] == TAG_COMPACTED && body.len() < 9) {
+                return Err(corrupt("trailer length mismatch or short filler frame"));
+            }
+            let summed = if body[0] == TAG_COMPACTED {
+                &body[..9]
+            } else {
+                body
+            };
+            if verify && fnv1a(summed) != stored {
+                return Err(corrupt("checksum mismatch"));
+            }
+            body
+        } else {
+            if !(FRAME_OVERHEAD..=MAX_TXN_FRAME_BYTES).contains(&total) {
+                return Err(corrupt("bad frame length"));
+            }
+            let stored = u32::from_le_bytes(frame[4..8].try_into().expect("4-byte slice"));
+            if verify && frame_crc(frame) != stored {
+                return Err(corrupt("checksum mismatch"));
+            }
+            &frame[8..]
+        };
 
         let mut r = Reader { buf: body, pos: 1 };
         let rec = match body[0] {
+            TAG_COMPACTED => {
+                let span = if legacy { r.u64()? } else { total as u64 };
+                if span as usize != total {
+                    return Err(corrupt("filler span disagrees with frame length"));
+                }
+                return Ok((LogRecord::Compacted { span }, total));
+            }
             TAG_TXN_BEGIN => LogRecord::TxnBegin {
                 txn: TxnId(r.u64()?),
                 tau: Timestamp(r.u64()?),
@@ -381,7 +428,7 @@ impl LogRecord {
                 let ckpt = CheckpointId(r.u64()?);
                 let tau = Timestamp(r.u64()?);
                 let n = r.u32()? as usize;
-                let mut active = Vec::with_capacity(n);
+                let mut active = Vec::with_capacity(n.min(body.len() / 8));
                 for _ in 0..n {
                     active.push(TxnId(r.u64()?));
                 }
@@ -403,7 +450,7 @@ impl LogRecord {
                 };
                 LogRecord::Decide { gid, commit }
             }
-            TAG_TXN_COMMIT => {
+            TAG_TXN_COMMIT if legacy => {
                 let txn = TxnId(r.u64()?);
                 let (n, words) = (r.u32()? as usize, r.u32()? as usize);
                 // bound the allocation by the payload actually in hand
@@ -418,6 +465,28 @@ impl LogRecord {
                 }
                 LogRecord::TxnCommit { txn, writes }
             }
+            TAG_TXN_COMMIT => {
+                let txn = TxnId(r.varint()?);
+                let n = r.varint()?;
+                // every id takes a byte: bound the allocation by the
+                // payload actually in hand
+                if n > (body.len() - r.pos) as u64 {
+                    return Err(corrupt("write count exceeds payload length"));
+                }
+                let records = (0..n)
+                    .map(|_| r.varint().map(RecordId))
+                    .collect::<Result<Vec<_>>>()?;
+                let rest = body.len() - r.pos;
+                let words = match rest.checked_div(4 * records.len()) {
+                    Some(words) if words * 4 * records.len() == rest => words,
+                    None if rest == 0 => 0,
+                    _ => return Err(corrupt("images do not divide the payload")),
+                };
+                let writes = (records.into_iter())
+                    .map(|record| Ok((record, r.words(words)?)))
+                    .collect::<Result<_>>()?;
+                LogRecord::TxnCommit { txn, writes }
+            }
             t => return Err(corrupt(&format!("unknown tag {t}"))),
         };
         if r.pos != body.len() {
@@ -426,64 +495,54 @@ impl LogRecord {
         Ok((rec, total))
     }
 
-    /// Reads the frame length stored in the *last* 4 bytes of a frame
-    /// ending at `end` within `bytes`, for backward scanning. Returns the
-    /// frame start offset.
-    pub fn frame_start_before(bytes: &[u8], end: usize) -> Result<usize> {
-        if end < FRAME_OVERHEAD || end > bytes.len() {
-            return Err(MmdbError::Corrupt("backward scan out of range".into()));
-        }
-        let len =
-            u32::from_le_bytes(bytes[end - 4..end].try_into().expect("4-byte slice")) as usize;
-        if len < FRAME_OVERHEAD || len > end {
-            return Err(MmdbError::Corrupt("bad trailing frame length".into()));
-        }
-        Ok(end - len)
-    }
-
-    /// The LSN just past this record, given the record's own LSN.
-    pub fn end_lsn(&self, lsn: Lsn) -> Lsn {
-        lsn.advance(self.encoded_len() as u64)
-    }
-
     /// The total frame length declared by the header at the start of
     /// `bytes`, when that many bytes are in hand. `None` means the frame
     /// is longer than `bytes` (a cut mid-frame: more bytes may complete
-    /// it); `Some` with a failing [`LogRecord::decode`] means the whole
-    /// frame is present and corrupt.
+    /// it); `Some` with a failing [`LogRecord::decode`] means the frame is
+    /// corrupt: whole and failing its checks, or declaring a length past
+    /// [`MAX_TXN_FRAME_BYTES`], which no frame of this envelope has.
     pub fn frame_len(bytes: &[u8]) -> Option<usize> {
-        LogRecord::declared_len(bytes).filter(|&total| total <= bytes.len())
+        let total = LogRecord::declared_len(bytes)?;
+        let never = !LogRecord::is_legacy(bytes) && total > MAX_TXN_FRAME_BYTES;
+        (total <= bytes.len() || never).then_some(total)
     }
 
     /// The total frame length the header at the start of `bytes` declares,
     /// however many of those bytes are in hand; `None` short of a header.
     pub(crate) fn declared_len(bytes: &[u8]) -> Option<usize> {
-        let header = bytes.first_chunk::<4>()?;
-        Some(u32::from_le_bytes(*header) as usize)
+        let header = u32::from_le_bytes(*bytes.first_chunk::<4>()?);
+        Some((header & !ENVELOPE_BIT) as usize)
+    }
+
+    /// Whether the frame at the start of `bytes` has the older envelope,
+    /// which repeats its length in its last four bytes.
+    pub(crate) fn is_legacy(bytes: &[u8]) -> bool {
+        bytes.get(3).is_some_and(|&b| b & 0x80 == 0)
     }
 }
 
-/// Appends one frame of `total` bytes to `out`: the envelope around
-/// whatever `body` writes (tag first).
-fn write_frame(out: &mut Vec<u8>, total: usize, body: impl FnOnce(&mut Vec<u8>)) {
-    let len = (total as u32).to_le_bytes();
-    out.extend_from_slice(&len);
-    let body_start = out.len();
+/// Appends one frame to `out`: room for the header, whatever `body`
+/// writes (tag first), then the header's length and checksum.
+fn write_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
     body(out);
-    let sum = checksum(&out[body_start..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out.extend_from_slice(&len);
-    debug_assert_eq!(out.len() - body_start + 4, total);
+    let total = out.len() - start;
+    debug_assert!(total < ENVELOPE_BIT as usize);
+    out[start..start + 4].copy_from_slice(&(total as u32 | ENVELOPE_BIT).to_le_bytes());
+    let sum = frame_crc(&out[start..]);
+    out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// The checksum a frame stores for `body`, its tag + payload.
-fn checksum(body: &[u8]) -> u64 {
-    match body[0] {
-        // Filler padding is never trusted, so the checksum covers only the
-        // tag + span prefix — a filler scans in O(1) whatever its size.
-        TAG_COMPACTED => fnv1a(&body[..9]),
-        _ => fnv1a(body),
-    }
+/// The CRC-32C a frame stores: over `len`, the tag and the payload — for
+/// a filler, `len` and the tag only (its padding is never trusted, so a
+/// filler scans in O(1) whatever its size).
+fn frame_crc(frame: &[u8]) -> u32 {
+    let body = match frame[8] {
+        TAG_COMPACTED => &frame[8..9],
+        _ => &frame[8..],
+    };
+    crc32c_append(crc32c(&frame[..4]), body)
 }
 
 struct Reader<'a> {
@@ -493,7 +552,7 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(MmdbError::Corrupt("log record: short payload".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -524,12 +583,79 @@ impl Reader<'_> {
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+
+    /// A canonical LEB128 varint: at most ten bytes, no bit past the
+    /// 64th, no needless trailing zero group — so decoding then encoding
+    /// is the identity.
+    fn varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            if i == 9 && b > 1 {
+                break; // past 64 bits, or an eleventh byte
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    break; // overlong
+                }
+                return Ok(v);
+            }
+        }
+        Err(MmdbError::Corrupt(
+            "log record: overlong or overflowing varint".into(),
+        ))
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mmdb_types::hash::Fnv1a;
+
+    /// `rec` in the older envelope, built by hand: what a log an older
+    /// binary wrote holds.
+    pub(crate) fn legacy(rec: &LogRecord) -> Vec<u8> {
+        let mut body = match rec {
+            LogRecord::TxnCommit { txn, writes } => {
+                let words = writes.first().map_or(0, |(_, image)| image.len());
+                let mut body = vec![TAG_TXN_COMMIT];
+                body.extend_from_slice(&txn.raw().to_le_bytes());
+                body.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+                body.extend_from_slice(&(words as u32).to_le_bytes());
+                for (record, image) in writes {
+                    body.extend_from_slice(&record.raw().to_le_bytes());
+                    body.extend(image.iter().flat_map(|w| w.to_le_bytes()));
+                }
+                body
+            }
+            LogRecord::Compacted { span } => {
+                let mut body = vec![TAG_COMPACTED];
+                body.extend_from_slice(&span.to_le_bytes());
+                body.resize(*span as usize - (LEGACY_OVERHEAD - 1), 0);
+                body
+            }
+            // every other payload is the same in both envelopes
+            _ => rec.encode()[8..].to_vec(),
+        };
+        let total = (body.len() + LEGACY_OVERHEAD - 1) as u32;
+        let sum = fnv1a(if body[0] == TAG_COMPACTED {
+            &body[..9]
+        } else {
+            &body
+        });
+        let mut out = total.to_le_bytes().to_vec();
+        out.append(&mut body);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out.extend_from_slice(&total.to_le_bytes());
+        out
+    }
+
+    /// A new-envelope frame around `body` (tag + payload), whatever it says.
+    fn seal(body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, |out| out.extend_from_slice(body));
+        out
+    }
 
     fn samples() -> Vec<LogRecord> {
         vec![
@@ -574,8 +700,13 @@ mod tests {
                 gid: 99,
                 commit: false,
             },
+            LogRecord::Compacted { span: 64 },
             txn_commit(2, 4),
             txn_commit(0, 0),
+            LogRecord::TxnCommit {
+                txn: TxnId(u64::MAX),
+                writes: vec![(RecordId(u64::MAX), vec![]), (RecordId(0), vec![])],
+            },
         ]
     }
 
@@ -589,41 +720,182 @@ mod tests {
         }
     }
 
-    /// Recomputes the checksum of a frame whose payload was edited.
-    fn reseal(enc: &mut [u8]) {
-        let len = enc.len();
-        let sum = checksum(&enc[4..len - 12]);
-        enc[len - 12..len - 4].copy_from_slice(&sum.to_le_bytes());
+    /// The paper's transaction shape: `n` images of 32 words, its id and
+    /// record ids three varint bytes each.
+    fn paper_txn(n: u64) -> LogRecord {
+        LogRecord::TxnCommit {
+            txn: TxnId((1 << 21) - 1),
+            writes: (0..n)
+                .map(|i| (RecordId((1 << 14) + i * 100_000), vec![7; 32]))
+                .collect(),
+        }
     }
 
     #[test]
-    fn txn_commit_sizes_are_the_documented_ones() {
-        assert_eq!(txn_commit(5, 32).encoded_len(), 713);
-        assert_eq!(txn_commit(1, 32).encoded_len(), 169);
-        assert_eq!(txn_commit(2, 32).encoded_len(), 305);
-        assert_eq!(txn_commit(0, 0).encoded_len(), 33);
-        assert_eq!(LogRecord::txn_commit_len(5, 32), 713);
+    fn frame_sizes_are_the_documented_ones() {
+        assert_eq!(paper_txn(5).encoded_len(), 668);
+        assert_eq!(paper_txn(1).encoded_len(), 144);
+        assert_eq!(txn_commit(0, 0).encoded_len(), 11);
+        let ids = (0..5).map(|i| RecordId((1 << 14) + i * 100_000));
+        assert_eq!(
+            LogRecord::txn_commit_len(TxnId((1 << 21) - 1), ids, 32),
+            668
+        );
+        for n in [0, 1, 5] {
+            assert_eq!(paper_txn(n).encode().len(), paper_txn(n).encoded_len());
+        }
+        assert_eq!(LogRecord::Compacted { span: 9 }.encode().len(), 9);
+        assert_eq!(MIN_COMPACTED_LEN, 9);
+        assert_eq!(LogRecord::Commit { txn: TxnId(1) }.encoded_len(), 17);
         assert_eq!(txn_commit(1, 4).txn(), Some(TxnId(42)));
     }
 
     #[test]
-    fn txn_commit_torn_at_every_prefix_and_flipped_at_every_byte() {
-        let enc = txn_commit(3, 4).encode();
-        for cut in 0..enc.len() {
-            assert!(LogRecord::decode(&enc[..cut]).is_err(), "cut at {cut}");
+    fn txn_commit_bytes_are_pinned() {
+        let rec = LogRecord::TxnCommit {
+            txn: TxnId(5),
+            writes: vec![(RecordId(300), vec![7])],
+        };
+        let enc = rec.encode();
+        let (head, body) = enc.split_at(8);
+        assert_eq!(body, [10, 5, 1, 0xAC, 0x02, 7, 0, 0, 0]);
+        assert_eq!(head[..4], [17, 0, 0, 0x80]);
+        let sum = crc32c(&[&head[..4], body].concat());
+        assert_eq!(head[4..], sum.to_le_bytes());
+    }
+
+    #[test]
+    fn roundtrip_all_variants_is_the_identity() {
+        for rec in samples() {
+            let enc = rec.encode();
+            assert_eq!(enc.len(), rec.encoded_len(), "{rec:?}");
+            let (dec, used) = LogRecord::decode(&enc).unwrap();
+            assert_eq!(dec, rec);
+            assert_eq!(used, enc.len());
+            assert_eq!(dec.encode(), enc, "{rec:?}");
         }
-        for i in 0..enc.len() {
-            let mut bad = enc.clone();
-            bad[i] ^= 0x10;
-            if let Ok((dec, _)) = LogRecord::decode(&bad) {
-                panic!("flip at byte {i} decoded as {dec:?}");
+    }
+
+    #[test]
+    fn hand_built_older_frames_decode_for_every_tag() {
+        // one spelled out byte by byte: Commit of txn 1
+        let mut commit = vec![25, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 0];
+        commit.extend(fnv1a(&commit[4..]).to_le_bytes());
+        commit.extend([25, 0, 0, 0]);
+        assert_eq!(commit, legacy(&LogRecord::Commit { txn: TxnId(1) }));
+        let mut older = samples();
+        older.extend([
+            LogRecord::Compacted { span: 25 },
+            LogRecord::Compacted { span: 4096 },
+        ]);
+        for rec in older {
+            let old = legacy(&rec);
+            assert_eq!(LogRecord::decode(&old).unwrap(), (rec.clone(), old.len()));
+            assert_eq!(LogRecord::decode_verified(&old).unwrap().1, old.len());
+            // the writer's envelope is the shorter one: a position comes
+            // from the bytes consumed, never from `encoded_len`
+            if !matches!(rec, LogRecord::Compacted { .. }) {
+                assert!(rec.encoded_len() < old.len(), "{rec:?}");
             }
         }
     }
 
     #[test]
-    fn txn_commit_counts_must_agree_with_the_payload() {
-        let enc = txn_commit(3, 4).encode();
+    fn torn_at_every_prefix_and_flipped_at_every_bit() {
+        for enc in [
+            txn_commit(3, 4).encode(),
+            LogRecord::Compacted { span: 9 }.encode(),
+            legacy(&txn_commit(2, 3)),
+        ] {
+            for cut in 0..enc.len() {
+                assert!(LogRecord::decode(&enc[..cut]).is_err(), "cut at {cut}");
+            }
+            for i in 0..enc.len() {
+                for bit in 0..8 {
+                    let mut bad = enc.clone();
+                    bad[i] ^= 1 << bit;
+                    if let Ok((dec, _)) = LogRecord::decode(&bad) {
+                        panic!("flip of bit {bit} of byte {i} decoded as {dec:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn varints_must_be_canonical() {
+        // tag, txn varint, n = 0: the empty transaction
+        assert!(LogRecord::decode(&seal(&[10, 5, 0])).is_ok());
+        for txn in [
+            &[0x85, 0x00][..],                                             // overlong 5
+            &[0x80, 0x80, 0x00],                                           // overlong 0
+            &[0xFF; 11],                                                   // eleven bytes
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02], // past 64 bits
+            &[0x80; 10],                                                   // never ends
+        ] {
+            let mut body = vec![10];
+            body.extend_from_slice(txn);
+            body.push(0);
+            assert!(LogRecord::decode(&seal(&body)).is_err(), "{txn:?}");
+        }
+        // the largest id, in ten bytes, is canonical
+        let mut body = vec![10];
+        body.extend([0xFF; 9]);
+        body.extend([0x01, 0]);
+        let (rec, _) = LogRecord::decode(&seal(&body)).unwrap();
+        assert_eq!(rec.txn(), Some(TxnId(u64::MAX)));
+        assert_eq!(rec.encode(), seal(&body));
+    }
+
+    #[test]
+    fn images_must_divide_the_payload_and_counts_must_fit_it() {
+        // n = 2, ids 1 and 2, then 12 image bytes: 6 per image, not words
+        let mut body = vec![10, 42, 2, 1, 2];
+        body.extend([0; 12]);
+        assert!(LogRecord::decode(&seal(&body)).is_err());
+        body.extend([0; 4]);
+        let (rec, _) = LogRecord::decode(&seal(&body)).unwrap();
+        assert_eq!(
+            rec,
+            LogRecord::TxnCommit {
+                txn: TxnId(42),
+                writes: vec![(RecordId(1), vec![0, 0]), (RecordId(2), vec![0, 0])],
+            }
+        );
+        // no writes and something left over
+        assert!(LogRecord::decode(&seal(&[10, 42, 0, 0, 0, 0, 0])).is_err());
+        // a huge count is refused from the payload length, before any
+        // allocation
+        let mut huge = vec![10, 42];
+        huge.extend([0xFF; 9]);
+        huge.extend([0x01, 1, 2, 3]);
+        assert!(LogRecord::decode(&seal(&huge)).is_err());
+        // ids cut short by the frame's end
+        assert!(LogRecord::decode(&seal(&[10, 42, 2, 1, 0x80])).is_err());
+    }
+
+    #[test]
+    fn a_length_past_the_frame_bound_is_corrupt_not_cut() {
+        let len = (MAX_TXN_FRAME_BYTES as u32 + 1) | ENVELOPE_BIT;
+        let head = len.to_le_bytes();
+        assert_eq!(LogRecord::frame_len(&head), Some(MAX_TXN_FRAME_BYTES + 1));
+        assert!(LogRecord::decode(&head).is_err());
+        // at the bound it is a cut frame, more bytes may complete it
+        let at = (MAX_TXN_FRAME_BYTES as u32 | ENVELOPE_BIT).to_le_bytes();
+        assert_eq!(LogRecord::frame_len(&at), None);
+        // an older frame has no such bound
+        let old = (MAX_TXN_FRAME_BYTES as u32 + 1).to_le_bytes();
+        assert_eq!(LogRecord::frame_len(&old), None);
+    }
+
+    #[test]
+    fn legacy_txn_commit_counts_must_agree_with_the_payload() {
+        let enc = legacy(&txn_commit(3, 4));
+        let reseal = |bad: &mut Vec<u8>| {
+            let len = bad.len();
+            let sum = fnv1a(&bad[4..len - 12]);
+            bad[len - 12..len - 4].copy_from_slice(&sum.to_le_bytes());
+        };
         // payload: tag(1) txn(8) n_writes(4) words_per_image(4) ...
         let (n_at, words_at) = (4 + 1 + 8, 4 + 1 + 8 + 4);
         for (at, value) in [(n_at, 2u32), (n_at, 4), (words_at, 3), (words_at, 5)] {
@@ -632,8 +904,6 @@ mod tests {
             reseal(&mut bad);
             assert!(LogRecord::decode(&bad).is_err(), "{value} at {at}");
         }
-        // a count that would overflow the length arithmetic, or ask for a
-        // huge allocation, is refused from the payload length alone
         let mut bad = enc.clone();
         bad[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         bad[words_at..words_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -642,18 +912,12 @@ mod tests {
     }
 
     #[test]
-    fn txn_commit_trailing_garbage_is_rejected() {
-        // four more payload bytes than the counts account for, lengths
-        // and checksum all consistent
+    fn trailing_garbage_is_rejected() {
         let enc = txn_commit(2, 4).encode();
-        let total = (enc.len() + 4) as u32;
-        let mut bad = total.to_le_bytes().to_vec();
-        bad.extend_from_slice(&enc[4..enc.len() - 12]);
-        bad.extend_from_slice(&[0xAB; 4]);
-        bad.extend_from_slice(&[0; 8]);
-        bad.extend_from_slice(&total.to_le_bytes());
-        reseal(&mut bad);
-        assert!(LogRecord::decode(&bad).is_err());
+        // a Commit with four bytes too many, sealed
+        let mut body = LogRecord::Commit { txn: TxnId(3) }.encode()[8..].to_vec();
+        body.extend([0xAB; 4]);
+        assert!(LogRecord::decode(&seal(&body)).is_err());
         // and bytes after a whole frame are simply the next frame's
         let mut stream = enc.clone();
         stream.extend_from_slice(&[0xFF; 7]);
@@ -661,22 +925,11 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_variants() {
-        for rec in samples() {
-            let enc = rec.encode();
-            assert_eq!(enc.len(), rec.encoded_len(), "{rec:?}");
-            let (dec, used) = LogRecord::decode(&enc).unwrap();
-            assert_eq!(dec, rec);
-            assert_eq!(used, enc.len());
-        }
-    }
-
-    #[test]
     fn decode_from_stream_with_following_data() {
         let a = LogRecord::Commit { txn: TxnId(1) };
         let b = LogRecord::Abort { txn: TxnId(2) };
         let mut buf = a.encode();
-        buf.extend_from_slice(&b.encode());
+        buf.extend_from_slice(&legacy(&b));
         let (dec, used) = LogRecord::decode(&buf).unwrap();
         assert_eq!(dec, a);
         let (dec2, _) = LogRecord::decode(&buf[used..]).unwrap();
@@ -684,104 +937,37 @@ mod tests {
     }
 
     #[test]
-    fn torn_frame_detected() {
-        let rec = LogRecord::Update {
-            txn: TxnId(1),
-            record: RecordId(2),
-            value: vec![1, 2, 3, 4, 5, 6, 7, 8],
-        };
-        let enc = rec.encode();
-        for cut in 0..enc.len() {
-            assert!(
-                LogRecord::decode(&enc[..cut]).is_err(),
-                "truncation at {cut} not detected"
-            );
-        }
-    }
-
-    #[test]
-    fn bitflip_detected() {
-        let rec = LogRecord::Commit { txn: TxnId(77) };
-        let enc = rec.encode();
-        // flip one bit in each byte of the tag/payload/checksum region
-        for i in 4..enc.len() - 4 {
-            let mut bad = enc.clone();
-            bad[i] ^= 0x10;
-            match LogRecord::decode(&bad) {
-                Err(_) => {}
-                Ok((dec, _)) => panic!("bitflip at byte {i} decoded as {dec:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn backward_frame_lookup() {
-        let mut buf = Vec::new();
-        let recs = samples();
-        let mut starts = Vec::new();
-        for r in &recs {
-            starts.push(buf.len());
-            r.encode_into(&mut buf);
-        }
-        // walk backward from the end recovering each start offset
-        let mut end = buf.len();
-        for (&start, rec) in starts.iter().zip(&recs).rev() {
-            let s = LogRecord::frame_start_before(&buf, end).unwrap();
-            assert_eq!(s, start);
-            let (dec, _) = LogRecord::decode(&buf[s..]).unwrap();
-            assert_eq!(&dec, rec);
-            end = s;
-        }
-        assert_eq!(end, 0);
-    }
-
-    #[test]
     fn txn_accessor() {
         assert_eq!(LogRecord::Commit { txn: TxnId(3) }.txn(), Some(TxnId(3)));
-        assert_eq!(
-            LogRecord::EndCheckpoint {
-                ckpt: CheckpointId(1)
-            }
-            .txn(),
-            None
-        );
-        assert_eq!(
-            LogRecord::Prepare {
-                txn: TxnId(8),
-                gid: 1
-            }
-            .txn(),
-            Some(TxnId(8))
-        );
-        assert_eq!(
-            LogRecord::Decide {
-                gid: 1,
-                commit: true
-            }
-            .txn(),
-            None
-        );
+        let end = LogRecord::EndCheckpoint {
+            ckpt: CheckpointId(1),
+        };
+        assert_eq!(end.txn(), None);
+        let prepare = LogRecord::Prepare {
+            txn: TxnId(8),
+            gid: 1,
+        };
+        assert_eq!(prepare.txn(), Some(TxnId(8)));
+        let decide = LogRecord::Decide {
+            gid: 1,
+            commit: true,
+        };
+        assert_eq!(decide.txn(), None);
+        assert_eq!(LogRecord::Compacted { span: 64 }.txn(), None);
     }
 
     #[test]
     fn decide_flag_byte_validated() {
-        let rec = LogRecord::Decide {
+        let enc = LogRecord::Decide {
             gid: 5,
             commit: false,
-        };
-        let mut enc = rec.encode();
-        // the flag byte is the last payload byte: total - trailer(4) - fnv(8) - 1
-        let flag_at = enc.len() - 4 - 8 - 1;
-        assert_eq!(enc[flag_at], 0);
-        // a non-boolean flag byte must be rejected even with a valid checksum
-        enc[flag_at] = 7;
-        let body = &enc[4..enc.len() - 12];
-        let mut h = Fnv1a::new();
-        h.update(body);
-        let sum = h.finish().to_le_bytes();
-        let len = enc.len();
-        enc[len - 12..len - 4].copy_from_slice(&sum);
-        assert!(LogRecord::decode(&enc).is_err());
+        }
+        .encode();
+        // the flag byte is the last payload byte; a non-boolean one must
+        // be rejected even under a valid checksum
+        let mut body = enc[8..].to_vec();
+        *body.last_mut().unwrap() = 7;
+        assert!(LogRecord::decode(&seal(&body)).is_err());
     }
 
     #[test]
@@ -805,67 +991,50 @@ mod tests {
     #[test]
     fn compacted_padding_is_untrusted() {
         // corrupting the zero padding must NOT invalidate the frame — the
-        // checksum deliberately covers only the tag + span prefix, so a
-        // compactor never has to hash the dead bytes it overwrites.
-        let rec = LogRecord::Compacted { span: 200 };
-        let mut enc = rec.encode();
-        enc[60] = 0xAB;
-        enc[150] ^= 0xFF;
-        let (dec, _) = LogRecord::decode(&enc).unwrap();
-        assert_eq!(dec, rec);
-        // but the hashed prefix (tag + span) is protected
-        let mut bad = rec.encode();
-        bad[5] ^= 0x01; // low byte of span
-        assert!(LogRecord::decode(&bad).is_err());
+        // checksum deliberately covers only the header, so a compactor
+        // never has to hash the dead bytes it overwrites
+        for enc in [
+            LogRecord::Compacted { span: 200 }.encode(),
+            legacy(&LogRecord::Compacted { span: 200 }),
+        ] {
+            let mut padded = enc.clone();
+            padded[60] = 0xAB;
+            padded[150] ^= 0xFF;
+            let (dec, _) = LogRecord::decode(&padded).unwrap();
+            assert_eq!(dec, LogRecord::Compacted { span: 200 });
+            // but the length is protected
+            let mut bad = enc.clone();
+            bad[0] ^= 0x01;
+            assert!(LogRecord::decode(&bad).is_err());
+        }
     }
 
     #[test]
-    fn compacted_span_must_match_frame_length() {
+    fn legacy_compacted_span_must_match_frame_length() {
         // a filler whose span field disagrees with the frame length would
         // desynchronize the LSN space — forge one and ensure it's rejected
-        let span = 64u64;
-        let total = 80usize;
-        let mut enc = Vec::new();
-        enc.extend_from_slice(&(total as u32).to_le_bytes());
-        enc.push(TAG_COMPACTED);
-        enc.extend_from_slice(&span.to_le_bytes());
-        enc.resize(total - 12, 0);
-        let mut h = Fnv1a::new();
-        h.update(&enc[4..13]);
-        enc.extend_from_slice(&h.finish().to_le_bytes());
-        enc.extend_from_slice(&(total as u32).to_le_bytes());
+        let mut enc = legacy(&LogRecord::Compacted { span: 80 });
+        enc[5..13].copy_from_slice(&64u64.to_le_bytes());
+        let sum = fnv1a(&enc[4..13]);
+        enc[80 - 12..80 - 4].copy_from_slice(&sum.to_le_bytes());
         assert!(LogRecord::decode(&enc).is_err());
     }
 
     #[test]
-    fn compacted_has_no_txn() {
-        assert_eq!(LogRecord::Compacted { span: 64 }.txn(), None);
-    }
-
-    #[test]
     fn frame_len_tells_a_cut_frame_from_a_whole_one() {
-        let enc = LogRecord::Commit { txn: TxnId(1) }.encode();
-        assert_eq!(LogRecord::frame_len(&enc), Some(enc.len()));
-        for cut in 0..enc.len() {
-            assert_eq!(LogRecord::frame_len(&enc[..cut]), None, "cut at {cut}");
+        for enc in [
+            LogRecord::Commit { txn: TxnId(1) }.encode(),
+            legacy(&LogRecord::Commit { txn: TxnId(1) }),
+        ] {
+            assert_eq!(LogRecord::frame_len(&enc), Some(enc.len()));
+            for cut in 0..enc.len() {
+                assert_eq!(LogRecord::frame_len(&enc[..cut]), None, "cut at {cut}");
+            }
+            // a whole frame with a flipped payload byte is in hand, and corrupt
+            let mut bad = enc.clone();
+            bad[10] ^= 0x01;
+            assert_eq!(LogRecord::frame_len(&bad), Some(bad.len()));
+            assert!(LogRecord::decode(&bad).is_err());
         }
-        // a whole frame with a flipped payload byte is in hand, and corrupt
-        let mut bad = enc.clone();
-        bad[6] ^= 0x01;
-        assert_eq!(LogRecord::frame_len(&bad), Some(bad.len()));
-        assert!(LogRecord::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn encoded_words_rounds_up() {
-        let rec = LogRecord::Commit { txn: TxnId(1) };
-        assert_eq!(rec.encoded_len(), 25);
-        assert_eq!(rec.encoded_words(), 7);
-    }
-
-    #[test]
-    fn end_lsn_advances_by_frame_len() {
-        let rec = LogRecord::Commit { txn: TxnId(1) };
-        assert_eq!(rec.end_lsn(Lsn(100)), Lsn(100 + 25));
     }
 }

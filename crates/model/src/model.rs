@@ -18,7 +18,7 @@
 //! simulator can cross-validate the model: the same lock/alloc/IO/LSN/
 //! move charges appear in both.
 
-use mmdb_types::{Algorithm, CkptMode, Params};
+use mmdb_types::{Algorithm, CkptMode, Params, RecordId, TxnId};
 
 /// Words assumed per backup header I/O (begin/complete markers). The
 /// headers bound the minimum checkpoint duration at very low loads.
@@ -327,10 +327,14 @@ impl AnalyticModel {
     }
 
     /// Log words per committed transaction, computed from the engine's
-    /// actual record encoding (one `TxnCommit` frame of `N_ru` images).
+    /// actual record encoding (one `TxnCommit` frame of `N_ru` images),
+    /// every id as wide as the database's largest record id.
     pub fn log_words_per_txn(&self) -> f64 {
-        let (n_ru, s_rec) = (self.params.txn.n_ru, self.params.db.s_rec);
-        mmdb_log::LogRecord::txn_commit_len(n_ru as usize, s_rec as usize).div_ceil(4) as f64
+        let (n_ru, db) = (self.params.txn.n_ru as usize, &self.params.db);
+        let widest = db.n_records() - 1;
+        let records = std::iter::repeat(RecordId(widest)).take(n_ru);
+        let len = mmdb_log::LogRecord::txn_commit_len(TxnId(widest), records, db.s_rec as usize);
+        len.div_ceil(4) as f64
     }
 
     /// Log words an aborted (rerun) transaction leaves behind: none. (The

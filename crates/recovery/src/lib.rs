@@ -221,8 +221,8 @@ mod tests {
                     record: RecordId(rid),
                     value: value.clone(),
                 };
-                let lsn = self.log.append(&rec);
-                installs.push((RecordId(rid), value, rec.end_lsn(lsn)));
+                self.log.append(&rec);
+                installs.push((RecordId(rid), value, self.log.next_lsn()));
             }
             self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
             for (rid, value, end_lsn) in installs {
@@ -314,10 +314,11 @@ mod tests {
             record: RecordId(500),
             value: value.clone(),
         };
-        let lsn = m.log.append(&rec);
+        m.log.append(&rec);
+        let end = m.log.next_lsn();
         m.log.append(&LogRecord::Commit { txn });
         m.storage
-            .install_record(RecordId(500), &value, rec.end_lsn(lsn), tau, &m.meter)
+            .install_record(RecordId(500), &value, end, tau, &m.meter)
             .unwrap();
         assert_ne!(m.storage.fingerprint(), consistent_state);
 
@@ -425,7 +426,8 @@ mod tests {
             record: RecordId(50),
             value: v1.clone(),
         };
-        let l1 = m.log.append(&r1);
+        m.log.append(&r1);
+        let e1 = m.log.next_lsn();
         m.log.append(&LogRecord::TxnBegin { txn: t2, tau: tau2 });
         let v2 = vec![222u32; s_rec];
         let r2 = LogRecord::Update {
@@ -433,16 +435,17 @@ mod tests {
             record: RecordId(50),
             value: v2.clone(),
         };
-        let l2 = m.log.append(&r2);
+        m.log.append(&r2);
+        let e2 = m.log.next_lsn();
         // T2 commits first and installs
         m.log.append_forced(&LogRecord::Commit { txn: t2 }).unwrap();
         m.storage
-            .install_record(RecordId(50), &v2, r2.end_lsn(l2), tau2, &m.meter)
+            .install_record(RecordId(50), &v2, e2, tau2, &m.meter)
             .unwrap();
         // then T1 commits and installs
         m.log.append_forced(&LogRecord::Commit { txn: t1 }).unwrap();
         m.storage
-            .install_record(RecordId(50), &v1, r1.end_lsn(l1), tau1, &m.meter)
+            .install_record(RecordId(50), &v1, e1, tau1, &m.meter)
             .unwrap();
 
         let pre_crash = m.storage.fingerprint();
@@ -532,7 +535,8 @@ mod tests {
             record: RecordId(301),
             value: value.clone(),
         };
-        let lsn = m.log.append(&rec);
+        m.log.append(&rec);
+        let end = m.log.next_lsn();
         m.log
             .append_forced(&LogRecord::Prepare { txn, gid: 7 })
             .unwrap();
@@ -544,7 +548,7 @@ mod tests {
             .unwrap();
         m.log.append_forced(&LogRecord::Commit { txn }).unwrap();
         m.storage
-            .install_record(RecordId(301), &value, rec.end_lsn(lsn), tau, &m.meter)
+            .install_record(RecordId(301), &value, end, tau, &m.meter)
             .unwrap();
 
         let pre_crash = m.storage.fingerprint();

@@ -189,7 +189,7 @@ pub fn recover_observed(
     // of the stream, which keeps a window of the log and nothing else.
     let replay_timer = obs.timer();
     let mut stream = LogStream::new(log_device);
-    let window = stream.validate(|_, _| {})?;
+    let window = stream.validate(|_, _, _| {})?;
     let (_, replay_start) = window.checkpoint_mark(ckpt).ok_or_else(|| {
         MmdbError::Corrupt(format!(
             "backup copy {copy} is complete for {ckpt} but the log has no begin marker for it"
@@ -200,8 +200,7 @@ pub fn recover_observed(
     // transaction's updates at the frame that commits it (shadow-copy
     // install order = commit order).
     let mut resolver = Resolver::default();
-    stream.replay(&window, replay_start, |lsn, rec| {
-        let end_lsn = rec.end_lsn(lsn);
+    stream.replay(&window, replay_start, |lsn, rec, end_lsn| {
         for (record, value) in resolver.feed(lsn, rec) {
             storage.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
         }

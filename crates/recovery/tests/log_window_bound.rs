@@ -78,8 +78,8 @@ fn recovery_reads_a_long_log_one_window_at_a_time() {
             .encode()
         })
         .collect();
-    let frame_len = frames[0].len();
-    let n_frames = 2_500usize;
+    let frame_len = frames.iter().map(Vec::len).max().unwrap();
+    let n_frames = 2_600usize;
     for frame in frames.iter().cycle().take(n_frames) {
         device.append(frame).unwrap();
     }

@@ -46,10 +46,12 @@ const MAX_REPL_SCAN_IDS: u64 = 64 * 1024;
 /// reports the topology the standby must match plus each shard's
 /// `(start, durable)` log LSNs.
 pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWelcome> {
-    if ver_min > ver_max || ver_min > REPL_VERSION {
+    // The log this primary ships holds CRC-32C frames, which a version-1
+    // standby reads as corrupt: it speaks only the newest version.
+    if !(ver_min..=ver_max).contains(&REPL_VERSION) {
         return Err(MmdbError::Invalid(format!(
-            "no common replication version: standby speaks {ver_min}..={ver_max}, \
-             this primary speaks 1..={REPL_VERSION}"
+            "no common replication version: standby speaks {ver_min}..={ver_max}, this \
+             primary only {REPL_VERSION} (it ships the CRC-32C log frame format)"
         )));
     }
     db.enable_repl_slots();
@@ -59,7 +61,7 @@ pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWel
         .map(|i| db.with_shard(i, |e| (e.log_start_lsn().raw(), e.log_durable_lsn().raw())))
         .collect();
     Ok(ReplWelcome {
-        ver: REPL_VERSION.min(ver_max),
+        ver: REPL_VERSION,
         shards: db.shards() as u32,
         n_records: db.n_records(),
         record_words: db.record_words() as u32,
@@ -187,20 +189,24 @@ mod tests {
         let db = db();
         assert!(serve_hello(&db, REPL_VERSION + 1, REPL_VERSION + 3).is_err());
         assert!(serve_hello(&db, 3, 1).is_err(), "inverted range");
+        // a version-1 standby would read every shipped frame as corrupt
+        let old = serve_hello(&db, 1, 1).expect_err("version 1 refused");
+        assert!(old.to_string().contains("frame format"), "{old}");
+        assert!(!db.repl_gate().is_engaged(), "a refusal engages nothing");
     }
 
     #[test]
     fn pull_requires_hello_and_valid_shard() {
         let db = db();
         assert!(serve_pull(&db, 0, Lsn::ZERO, 1024, 0).is_err(), "no hello");
-        serve_hello(&db, 1, 1).expect("hello");
+        serve_hello(&db, 1, REPL_VERSION).expect("hello");
         assert!(serve_pull(&db, 7, Lsn::ZERO, 1024, 0).is_err(), "bad shard");
     }
 
     #[test]
     fn pull_returns_forced_bytes_and_advances_the_gate() {
         let db = db();
-        serve_hello(&db, 1, 1).expect("hello");
+        serve_hello(&db, 1, REPL_VERSION).expect("hello");
         db.run_txn(&[(RecordId(0), vec![7; db.record_words()])])
             .expect("txn");
         let (start, durable, bytes) = serve_pull(&db, 0, Lsn::ZERO, 1 << 16, 0).expect("pull");
@@ -215,7 +221,7 @@ mod tests {
     #[test]
     fn a_parked_pull_wakes_on_the_watermark_not_the_timeout() {
         let db = db();
-        serve_hello(&db, 1, 1).expect("hello");
+        serve_hello(&db, 1, REPL_VERSION).expect("hello");
         let caught_up = db.with_shard(0, |e| e.log_durable_lsn());
         let wait = Duration::from_millis(u64::from(MAX_REPL_WAIT_MS));
         std::thread::scope(|s| {
@@ -242,7 +248,7 @@ mod tests {
     #[test]
     fn a_published_force_error_is_answered_like_a_timeout() {
         let db = db();
-        serve_hello(&db, 1, 1).expect("hello");
+        serve_hello(&db, 1, REPL_VERSION).expect("hello");
         let caught_up = db.with_shard(0, |e| e.log_durable_lsn());
         db.log_watermark(0).fail("injected force failure".into());
         let t = std::time::Instant::now();
@@ -268,7 +274,7 @@ mod tests {
                 .expect("txn")
         };
         commit(1);
-        serve_hello(&db, 1, 1).expect("hello");
+        serve_hello(&db, 1, REPL_VERSION).expect("hello");
         let at_hello = db.with_shard(0, |e| e.log_durable_lsn());
         assert!(at_hello > Lsn::ZERO);
         // an ack covering a force made before the hello measures nothing

@@ -604,7 +604,7 @@ mod tests {
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let primary = ShardedMmdb::open_in_memory(cfg, shards).expect("primary");
         let standby = ShardedMmdb::open_in_memory(cfg, shards).expect("standby");
-        serve_hello(&primary, 1, 1).expect("hello");
+        serve_hello(&primary, 1, mmdb_wire::REPL_VERSION).expect("hello");
         (primary, standby)
     }
 
@@ -1126,7 +1126,7 @@ mod tests {
 
     #[test]
     fn oversized_record_frames_ship_whole_at_the_first_ask() {
-        use mmdb_types::DbParams;
+        use mmdb_types::{DbParams, TxnId};
         // one record's image is ~1.2MB: a one-write `TxnCommit` frame
         // exceeds 1MB, a four-write one the primary's 4MB batch cap, a
         // six-write one the engine's frame bound
@@ -1138,7 +1138,7 @@ mod tests {
         };
         cfg.params.txn.n_ru = 1;
         let primary = ShardedMmdb::open_in_memory(cfg, 1).expect("primary");
-        serve_hello(&primary, 1, 1).expect("hello");
+        serve_hello(&primary, 1, mmdb_wire::REPL_VERSION).expect("hello");
         let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
         let replica = Replica::new("unused".into(), &standby, None);
         let words = primary.record_words();
@@ -1172,13 +1172,18 @@ mod tests {
 
         // over 1MB, under the cap: one batch
         primary.run_txn(&writes(1)).expect("over 1MB");
-        let one = mmdb_core::LogRecord::txn_commit_len(1, words);
+        // the engine's first transactions: one-byte ids throughout
+        let frame_len = |n: u64| {
+            let records = (0..n).map(|i| RecordId(i % 2));
+            mmdb_core::LogRecord::txn_commit_len(TxnId(1), records, words)
+        };
+        let one = frame_len(1);
         assert!(one > 1 << 20);
         assert_eq!(drain(), vec![one]);
 
         // over the cap: ships whole and alone at the first ask
         primary.run_txn(&writes(4)).expect("over the batch cap");
-        let four = mmdb_core::LogRecord::txn_commit_len(4, words);
+        let four = frame_len(4);
         assert!(four > MAX_REPL_BATCH_BYTES);
         assert_eq!(drain(), vec![four]);
 

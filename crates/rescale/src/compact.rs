@@ -105,7 +105,7 @@ pub fn compact_device(
     let mut winner: HashMap<RecordId, (u64, usize)> = HashMap::new();
     // per chunk, the first frame boundary at or after its start
     let mut heads: Vec<u64> = Vec::with_capacity(chunks.len());
-    let window = LogStream::new(&mut *device).validate(|lsn, rec| {
+    let window = LogStream::new(&mut *device).validate(|lsn, rec, _| {
         let lsn = lsn.raw();
         while heads.len() < chunks.len() && chunks[heads.len()].start <= lsn {
             heads.push(lsn);

@@ -127,8 +127,8 @@ mod tests {
                     record: RecordId(rid),
                     value: value.clone(),
                 };
-                let lsn = self.log.append(&rec);
-                installs.push((RecordId(rid), value, rec.end_lsn(lsn)));
+                self.log.append(&rec);
+                installs.push((RecordId(rid), value, self.log.next_lsn()));
             }
             self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
             for (rid, value, end_lsn) in installs {
@@ -218,15 +218,16 @@ mod tests {
         fn verbatim_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
             let dev = self.log.device_mut();
             let sc = LogScanner::from_device(dev).unwrap();
-            let spans: Vec<_> = sc
-                .forward_from(sc.base_lsn())
-                .filter(|(_, rec)| {
+            let frames: Vec<_> = sc.forward_from(sc.base_lsn()).collect();
+            let ends = frames.iter().skip(1).map(|(lsn, _)| *lsn);
+            let spans: Vec<_> = (frames.iter().zip(ends.chain([sc.end_lsn()])))
+                .filter(|((_, rec), _)| {
                     !matches!(
                         rec,
                         LogRecord::TxnCommit { .. } | LogRecord::Compacted { .. }
                     )
                 })
-                .map(|(lsn, rec)| (lsn.raw(), rec.encoded_len()))
+                .map(|((lsn, _), end)| (lsn.raw(), (end.raw() - lsn.raw()) as usize))
                 .collect();
             drop(sc);
             spans
@@ -350,12 +351,12 @@ mod tests {
         let cut = {
             let scanner = LogScanner::from_device(dev).unwrap();
             let marker = scanner
-                .backward()
-                .find_map(|(lsn, rec)| match rec {
-                    LogRecord::BeginCheckpoint { ckpt: c, .. } if c == ckpt => Some(lsn.raw()),
-                    _ => None,
-                })
-                .unwrap();
+                .window()
+                .checkpoint_mark(ckpt)
+                .unwrap()
+                .0
+                .begin_lsn
+                .raw();
             scanner
                 .forward_from(scanner.base_lsn())
                 .map(|(lsn, _)| lsn.raw())
@@ -779,10 +780,12 @@ mod tests {
         // rewrite the same 64 records: everything but the last is dead
         let (mut m, dir) = segmented_mini("compact-cap", 8 << 20);
         let writes = |fill: u32| (0..64u64).map(|r| (r, fill)).collect::<Vec<_>>();
+        let first = m.log.next_lsn();
         m.txn_commit(&writes(1));
+        let first_len = m.log.next_lsn().raw() - first.raw();
         m.checkpoint();
         let dead_from = m.log.next_lsn();
-        let frame_len = LogRecord::txn_commit_len(64, 32) as u64;
+        let frame_len = LogRecord::txn_commit_len(TxnId(1), (0..64).map(RecordId), 32) as u64;
         let rounds = MAX_TXN_FRAME_BYTES as u64 / frame_len + 40;
         for round in 0..rounds {
             m.txn_commit(&writes(2 + round as u32));
@@ -802,7 +805,8 @@ mod tests {
         .unwrap();
         assert_eq!(report.chunks_rewritten, 1, "{report:?}");
         // (the frame in front of the checkpoint is dead too)
-        assert_eq!(report.bytes_reclaimed, (rounds + 1) * frame_len);
+        let dead = dead_to.raw() - dead_from.raw();
+        assert_eq!(report.bytes_reclaimed, first_len + dead);
 
         // the dead run is tiled by fillers, none over the bound
         let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
@@ -834,10 +838,10 @@ mod tests {
 
     #[test]
     fn compaction_keeps_a_write_whose_freed_bytes_make_no_filler() {
-        // one-word records: a dropped write frees 12 bytes, fewer than the
-        // smallest filler frame, so a frame losing one or two of its writes
-        // is left alone, one losing three is cut, and one losing all of
-        // them goes whole
+        // one-word records: a dropped write frees 5 bytes (its id and its
+        // image), fewer than the smallest filler frame, so a frame losing
+        // one of its writes is left alone, one losing two is cut, and one
+        // losing all of them goes whole
         let dir = scratch_dir("compact-tiny");
         let dev = SegmentedLogDevice::open(&dir, 4096, false).unwrap();
         let mut log = LogManager::new(
@@ -850,10 +854,10 @@ mod tests {
             let writes = records.iter().map(|&r| (RecordId(r), &image[..]));
             log.append_txn_commit(TxnId(1), writes)
         };
-        let two_lost = frame(&mut log, &[1, 2, 10]);
-        let three_lost = frame(&mut log, &[1, 2, 3, 11]);
+        let one_lost = frame(&mut log, &[1, 10]);
+        let two_lost = frame(&mut log, &[1, 2, 11]);
         let all_lost = frame(&mut log, &[1, 2]);
-        frame(&mut log, &[1, 2, 3]);
+        frame(&mut log, &[1, 2]);
         log.rotate().unwrap();
         frame(&mut log, &[12]);
         log.force().unwrap();
@@ -864,7 +868,7 @@ mod tests {
             &Obs::disabled(),
         )
         .unwrap();
-        assert_eq!(report.frames_dropped, 3 + 2, "{report:?}");
+        assert_eq!(report.frames_dropped, 2 + 2, "{report:?}");
         let sc = LogScanner::from_device(log.device_mut()).unwrap();
         let frames: Vec<_> = sc.forward_from(sc.base_lsn()).collect();
         let records_at = |lsn| {
@@ -876,13 +880,13 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         };
-        assert_eq!(records_at(two_lost), [1, 2, 10]);
-        assert_eq!(records_at(three_lost), [11]);
+        assert_eq!(records_at(one_lost), [1, 10]);
+        assert_eq!(records_at(two_lost), [11]);
         // the cut frame's freed tail and the dead frame behind it are one
         // filler, so every later frame keeps its LSN
-        let cut_len = LogRecord::txn_commit_len(1, 1) as u64;
+        let cut_len = LogRecord::txn_commit_len(TxnId(1), [RecordId(11)], 1) as u64;
         let (_, filler) = &frames[2];
-        assert_eq!(frames[2].0, three_lost.advance(cut_len));
+        assert_eq!(frames[2].0, two_lost.advance(cut_len));
         let span = frames[3].0.raw() - frames[2].0.raw();
         assert_eq!(filler, &LogRecord::Compacted { span });
         assert!(frames[2].0 < all_lost && all_lost < frames[3].0);

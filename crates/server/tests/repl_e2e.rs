@@ -220,6 +220,19 @@ fn version_negotiation_is_in_protocol_and_picks_the_newest_common() {
         }
         other => panic!("disjoint version range must be refused, got {other:?}"),
     }
+    // a version-1 standby is refused too: it would read the frames this
+    // primary ships as corrupt and stall
+    let version_one = Request::ReplHello {
+        ver_min: 1,
+        ver_max: 1,
+    };
+    match c.request(&version_one) {
+        Err(WireError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Invalid);
+            assert!(message.contains("frame format"), "{message}");
+        }
+        other => panic!("a version-1 standby must be refused, got {other:?}"),
+    }
     // ... and an inverted range is malformed, same structured refusal
     let inverted = Request::ReplHello {
         ver_min: REPL_VERSION,

@@ -1,10 +1,10 @@
 //! Small, dependency-free checksums used by the log and backup formats.
 //!
 //! Crash recovery must detect torn writes: a segment image or log record
-//! that was only partially written when the system failed. We use 64-bit
-//! FNV-1a — not cryptographic, but ample for distinguishing a torn or
-//! stale image from a complete one, and fast enough to checksum every
-//! record the log writes.
+//! that was only partially written when the system failed. Log frames
+//! carry a CRC-32C (Castagnoli), computed slicing-by-8 in portable code;
+//! backups, and log frames written before it, carry 64-bit FNV-1a. Neither
+//! is cryptographic; both tell a torn or stale image from a complete one.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -75,6 +75,54 @@ pub fn fnv1a_words(words: &[u32]) -> u64 {
     h.finish()
 }
 
+/// Slicing-by-8 tables of the reflected CRC-32C polynomial: `T[0]` is the
+/// byte-at-a-time table, `T[k][i]` is `T[k-1][i]` advanced by one zero byte.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        t[k][b] = if k == 0 {
+            let mut c = b as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                c = (c >> 1) ^ (0x82F6_3B78 & (c & 1).wrapping_neg());
+                bit += 1;
+            }
+            c
+        } else {
+            (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize]
+        };
+        i += 1;
+    }
+    t
+}
+
+/// Extends `crc`, the CRC-32C (Castagnoli) of some bytes (0 for none),
+/// over `bytes`, eight at a time.
+pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut c = !crc;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ u64::from(c);
+        let b = |k: u32| (x >> (8 * k)) as usize & 0xFF;
+        c = t[7][b(0)] ^ t[6][b(1)] ^ t[5][b(2)] ^ t[4][b(3)];
+        c ^= t[3][b(4)] ^ t[2][b(5)] ^ t[1][b(6)] ^ t[0][b(7)];
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !c
+}
+
+/// One-shot CRC-32C over a byte slice.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_append(0, bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +154,25 @@ mod tests {
         let a = fnv1a(b"checkpoint");
         let b = fnv1a(b"checkpoinu");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn crc32c_known_answers() {
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
+        assert_eq!(crc32c(&[0; 32]), 0x8A91_36AA);
+        assert_eq!(crc32c(&[0xFF; 32]), 0x62A8_AB43);
+    }
+
+    #[test]
+    fn crc32c_slicing_equals_bytewise_at_every_split() {
+        let bytes: Vec<u8> = (0..67u32).map(|i| (i * 37 + 11) as u8).collect();
+        let bytewise = (bytes.iter()).fold(0, |crc, b| crc32c_append(crc, std::slice::from_ref(b)));
+        assert_eq!(bytewise, crc32c(&bytes));
+        for split in 0..=bytes.len() {
+            let crc = crc32c_append(crc32c(&bytes[..split]), &bytes[split..]);
+            assert_eq!(crc, bytewise, "split at {split}");
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ impl Rig {
                 record: RecordId(*rid),
                 value: value.clone(),
             };
-            let lsn = self.log.append(&rec);
-            installs.push((RecordId(*rid), value, rec.end_lsn(lsn)));
+            self.log.append(&rec);
+            installs.push((RecordId(*rid), value, self.log.next_lsn()));
         }
         self.log.append_forced(&LogRecord::Commit { txn }).unwrap();
         for (rid, value, end_lsn) in installs {

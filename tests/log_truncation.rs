@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used)]
 
 use mmdb::log::{LogDevice, LogRecord, SegmentedLogDevice};
-use mmdb::{Algorithm, LogMode, Mmdb, MmdbConfig, RecordId};
+use mmdb::{Algorithm, LogMode, Mmdb, MmdbConfig, RecordId, TxnId};
 
 fn config(algorithm: Algorithm) -> MmdbConfig {
     let mut cfg = MmdbConfig::small(algorithm);
@@ -54,8 +54,9 @@ fn log_disk_usage_stays_bounded_across_checkpoint_cycles() {
                 peak_after_ckpt.push(db.log_stats().bytes);
             }
             // total log *written* grows without bound: every transaction's
-            // frame, plus the checkpoint markers
-            let txn_bytes = 12 * 60 * LogRecord::txn_commit_len(1, words) as u64;
+            // frame (none shorter than this one), plus the checkpoint markers
+            let shortest = LogRecord::txn_commit_len(TxnId(0), [RecordId(0)], words);
+            let txn_bytes = 12 * 60 * shortest as u64;
             assert!(peak_after_ckpt.last().unwrap() > &txn_bytes);
         }
         // ...but the disk footprint is bounded by ~2 checkpoint intervals
