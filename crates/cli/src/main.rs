@@ -1408,12 +1408,13 @@ struct Composition {
 }
 
 impl Composition {
-    const KINDS: [&'static str; 9] = [
+    const KINDS: [&'static str; 10] = [
         "begin",
         "update",
         "commit",
         "abort",
         "txn-commit",
+        "txn-prepare",
         "prepare",
         "decide",
         "ckpt",
@@ -1429,10 +1430,11 @@ impl Composition {
             LogRecord::Commit { .. } => 2,
             LogRecord::Abort { .. } => 3,
             LogRecord::TxnCommit { .. } => 4,
-            LogRecord::Prepare { .. } => 5,
-            LogRecord::Decide { .. } => 6,
-            LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 7,
-            LogRecord::Compacted { .. } => 8,
+            LogRecord::TxnPrepare { .. } => 5,
+            LogRecord::Prepare { .. } => 6,
+            LogRecord::Decide { .. } => 7,
+            LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 8,
+            LogRecord::Compacted { .. } => 9,
         };
         self.tally[kind].0 += 1;
         self.tally[kind].1 += len;

@@ -614,15 +614,18 @@ impl Mmdb {
         Ok(())
     }
 
-    /// Refuses a write set whose `TxnCommit` frame could not cross the
-    /// wire to a standby. Checked before anything is appended, and before
-    /// a shared commit has its id: the widest id stands in for it.
+    /// Refuses a write set whose `TxnCommit` frame — or, for a branch of
+    /// global transaction `gid`, whose `TxnPrepare` frame — could not
+    /// cross the wire to a standby. Checked before anything is appended,
+    /// and before a shared commit has its id: the widest id stands in for
+    /// it.
     fn check_frame_bound(
         words: usize,
+        gid: Option<u64>,
         records: impl ExactSizeIterator<Item = RecordId>,
     ) -> Result<()> {
         let n_writes = records.len();
-        let len = LogRecord::txn_commit_len(TxnId(u64::MAX), records, words);
+        let len = LogRecord::txn_len(TxnId(u64::MAX), gid, records, words);
         if len > MAX_TXN_FRAME_BYTES {
             return Err(MmdbError::Invalid(format!(
                 "a transaction of {n_writes} writes needs a {len}-byte log frame; \
@@ -694,13 +697,13 @@ impl Mmdb {
         self.revalidate_colors(txn)?;
         let words = self.record_words();
         let writes = &self.txns.get_mut().get(txn)?.writes;
-        Mmdb::check_frame_bound(words, writes.iter().map(|w| w.record))?;
+        Mmdb::check_frame_bound(words, None, writes.iter().map(|w| w.record))?;
 
         // The whole transaction is one frame, encoded from the staged
         // images; every install waits on that frame's end for the WAL gate.
         let writes = &self.txns.get_mut().get(txn)?.writes;
         let log = self.log.get_mut();
-        log.append_txn_commit(txn, writes.iter().map(|w| (w.record, &w.value[..])));
+        log.append_txn(txn, None, writes.iter().map(|w| (w.record, &w.value[..])));
         let commit_lsn = log.next_lsn();
         if self.config.commit_durability == CommitDurability::Force {
             // Group: append only — the caller releases the engine lock and
@@ -807,36 +810,28 @@ impl Mmdb {
     // the decision lands — exactly the window recovery must be able to
     // replay.
 
-    /// Phase one: re-validates two-color consistency, logs the branch —
-    /// `TxnBegin`, every staged update and a forced `Prepare` record,
-    /// contiguously — and marks the transaction prepared for global
-    /// transaction `gid`. After this returns, the branch survives any
-    /// crash and can no longer unilaterally abort; finish it with
-    /// [`Mmdb::commit_prepared`] or [`Mmdb::abort_prepared`].
+    /// Phase one: re-validates two-color consistency, logs the branch as
+    /// one forced `TxnPrepare` frame holding every staged update, and
+    /// marks the transaction prepared for global transaction `gid`. After
+    /// this returns, the branch survives any crash and can no longer
+    /// unilaterally abort; finish it with [`Mmdb::commit_prepared`] or
+    /// [`Mmdb::abort_prepared`].
     pub fn prepare_txn(&mut self, txn: TxnId, gid: u64) -> Result<()> {
         self.ensure_alive()?;
         if self.txns.get_mut().get(txn)?.prepared.is_some() {
             return Err(MmdbError::Invalid(format!("{txn} is already prepared")));
         }
         self.revalidate_colors(txn)?;
-        // recovery re-runs an in-doubt branch as one ordinary transaction
         let words = self.record_words();
-        let writes = &self.txns.get_mut().get(txn)?.writes;
-        Mmdb::check_frame_bound(words, writes.iter().map(|w| w.record))?;
-
         let t = self.txns.get_mut().get_mut(txn)?;
+        Mmdb::check_frame_bound(words, Some(gid), t.writes.iter().map(|w| w.record))?;
+
         let log = self.log.get_mut();
-        t.begin_lsn = log.append(&LogRecord::TxnBegin { txn, tau: t.tau });
-        for w in &t.writes {
-            log.append(&LogRecord::Update {
-                txn,
-                record: w.record,
-                value: w.value.clone(),
-            });
-        }
-        if let Err(e) = log.append_forced(&LogRecord::Prepare { txn, gid }) {
-            // the branch's frames are in the log: close them, so the
-            // caller's `abort` of the still-unprepared transaction need not
+        let images = t.writes.iter().map(|w| (w.record, &w.value[..]));
+        t.begin_lsn = log.append_txn(txn, Some(gid), images);
+        if let Err(e) = log.force() {
+            // the branch's frame is in the log: close it, so the caller's
+            // `abort` of the still-unprepared transaction need not
             log.append(&LogRecord::Abort { txn });
             return Err(e);
         }
@@ -971,7 +966,7 @@ impl Mmdb {
             tau_ch,
         )?;
         // The replay floor: recovery from this checkpoint starts at its
-        // begin marker, or at the `TxnBegin` of the oldest branch
+        // begin marker, or at the `TxnPrepare` of the oldest branch
         // prepared at the marker (fuzzy/2C recovery, §3.3).
         let begins = prepared.iter().map(|&(_, begin_lsn)| begin_lsn);
         let floor = begins.fold(report.begin_lsn, Lsn::min);
@@ -1231,7 +1226,7 @@ impl Mmdb {
                 _ => return fallback("core.commit_shared_fallback.invalid"),
             }
         }
-        if Mmdb::check_frame_bound(s_rec, updates.iter().map(|(rid, _)| *rid)).is_err() {
+        if Mmdb::check_frame_bound(s_rec, None, updates.iter().map(|(rid, _)| *rid)).is_err() {
             return fallback("core.commit_shared_fallback.invalid");
         }
         latch_order.sort_unstable();
@@ -1252,7 +1247,7 @@ impl Mmdb {
 
         let commit_lsn = {
             let mut log = self.log.lock();
-            log.append_txn_commit(txn, updates.iter().map(|(rid, v)| (*rid, v.as_ref())));
+            log.append_txn(txn, None, updates.iter().map(|(rid, v)| (*rid, v.as_ref())));
             if self.config.commit_durability == CommitDurability::Force {
                 log.force()?;
             }

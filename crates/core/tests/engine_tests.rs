@@ -818,20 +818,20 @@ fn prepared_branch_open_at_the_marker_extends_replay_to_its_begin() {
         panic!("no begin marker at {}", begin.begin_lsn);
     };
     assert_eq!(active, &[branch], "only the prepared branch is listed");
-    // the branch's frames are one contiguous run written at prepare
+    // the branch is one frame, written at prepare
     let run: Vec<&LogRecord> = frames
         .iter()
         .filter(|(lsn, _)| (branch_begin..begin.begin_lsn).contains(lsn))
         .map(|(_, rec)| rec)
         .collect();
-    assert!(matches!(
-        run[..],
-        [
-            LogRecord::TxnBegin { .. },
-            LogRecord::Update { .. },
-            LogRecord::Prepare { .. }
-        ]
-    ));
+    assert_eq!(
+        run,
+        [&LogRecord::TxnPrepare {
+            txn: branch,
+            gid: 9,
+            writes: vec![(RecordId(60), val(&db, 6))],
+        }]
+    );
 
     let before = db.fingerprint();
     db.crash().unwrap();
@@ -874,7 +874,7 @@ fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
     // assumes, is longer than the bound
     let frame_len = |n: u64| {
         let records = (0..n).map(|i| RecordId(i % db.n_records()));
-        LogRecord::txn_commit_len(TxnId(u64::MAX), records, db.record_words())
+        LogRecord::txn_len(TxnId(u64::MAX), None, records, db.record_words())
     };
     let (mut lo, mut hi) = (0, MAX_TXN_FRAME_BYTES as u64);
     while lo < hi {
@@ -896,9 +896,10 @@ fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
         matches!(&err, MmdbError::Invalid(msg) if msg.contains("log frame")),
         "{err}"
     );
-    assert_eq!(
-        db.prepare_txn(t, 3).unwrap_err().to_string(),
-        err.to_string()
+    let prepare_err = db.prepare_txn(t, 3).unwrap_err();
+    assert!(
+        matches!(&prepare_err, MmdbError::Invalid(msg) if msg.contains("log frame")),
+        "{prepare_err}"
     );
     assert_eq!(db.log_stats().bytes, bytes_before, "nothing was appended");
     // the shared path refuses it too, and counts the fallback
@@ -912,6 +913,44 @@ fn commit_over_the_frame_bound_is_refused_with_nothing_appended() {
     // one write fewer fits
     db.run_txn(&updates[..too_many - 1]).unwrap();
     assert!(db.log_stats().bytes - bytes_before <= MAX_TXN_FRAME_BYTES as u64);
+}
+
+#[test]
+fn prepare_is_bounded_by_its_own_frame_gid_included() {
+    let mut db = db(Algorithm::FuzzyCopy);
+    let words = db.record_words();
+    // the most writes of record 0 whose `TxnCommit` frame fits the bound
+    let commit_len = |records: &[RecordId]| {
+        LogRecord::txn_len(TxnId(u64::MAX), None, records.iter().copied(), words)
+    };
+    let mut records = vec![RecordId(0); MAX_TXN_FRAME_BYTES / (4 * words + 1)];
+    while commit_len(&records) > MAX_TXN_FRAME_BYTES {
+        records.pop();
+    }
+    // two-byte record ids use up all but 4 bytes of the slack: the
+    // frame fits a `TxnCommit`, but not a `TxnPrepare` with a 10-byte gid
+    let slack = MAX_TXN_FRAME_BYTES - commit_len(&records) - 4;
+    records[..slack].fill(RecordId(1000));
+    let gid = u64::MAX;
+    assert_eq!(commit_len(&records), MAX_TXN_FRAME_BYTES - 4);
+    let branch_len = LogRecord::txn_len(TxnId(u64::MAX), Some(gid), records.clone(), words);
+    assert_eq!(branch_len, MAX_TXN_FRAME_BYTES + 6);
+
+    let image = val(&db, 4);
+    let t = db.begin_txn().unwrap();
+    for &record in &records {
+        db.write(t, record, &image).unwrap();
+    }
+    let bytes_before = db.log_stats().bytes;
+    let err = db.prepare_txn(t, gid).unwrap_err();
+    assert!(
+        matches!(&err, MmdbError::Invalid(msg) if msg.contains(&format!("{branch_len}-byte"))),
+        "{err}"
+    );
+    assert_eq!(db.log_stats().bytes, bytes_before, "nothing was appended");
+    // the branch is still open and unprepared; as a transaction it fits
+    db.commit(t).unwrap();
+    assert_eq!(db.read_committed(RecordId(1000)).unwrap(), image);
 }
 
 /// `core.commit_shared_fallback.<reason>` after one refused shared commit.

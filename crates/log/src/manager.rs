@@ -271,13 +271,16 @@ impl LogManager {
     }
 
     /// [`append`](Self::append) of the [`LogRecord::TxnCommit`] frame of
-    /// `txn`, encoded straight from the transaction's staged images.
-    pub fn append_txn_commit<'a>(
+    /// `txn` — with a `gid`, the [`LogRecord::TxnPrepare`] frame — encoded
+    /// straight from the transaction's staged images.
+    pub fn append_txn<'a>(
         &mut self,
         txn: TxnId,
+        gid: Option<u64>,
         writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
     ) -> Lsn {
-        self.append_frame(true, |tail| LogRecord::encode_txn_commit(txn, writes, tail))
+        let commit = gid.is_none();
+        self.append_frame(commit, |tail| LogRecord::encode_txn(txn, gid, writes, tail))
     }
 
     fn append_frame(&mut self, commit: bool, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
@@ -770,7 +773,7 @@ mod tests {
         let mut m = mgr(LogMode::VolatileTail);
         let image = [7 as Word; 32];
         let writes = [(RecordId(1), &image[..]), (RecordId(2), &image[..])];
-        let lsn = m.append_txn_commit(TxnId(5), writes.iter().copied());
+        let lsn = m.append_txn(TxnId(5), None, writes.iter().copied());
         assert_eq!(lsn, Lsn::ZERO);
         assert_eq!(m.next_lsn(), Lsn(269));
         assert_eq!(m.stats().bytes, 269);
@@ -794,7 +797,7 @@ mod tests {
     fn read_range_aligned_grows_to_the_transaction_frame_it_starts_at() {
         let mut m = mgr(LogMode::VolatileTail);
         let image = [1 as Word; 64];
-        let big = m.append_txn_commit(TxnId(1), [(RecordId(0), &image[..])].into_iter());
+        let big = m.append_txn(TxnId(1), None, [(RecordId(0), &image[..])].into_iter());
         let small = m.append(&commit(2));
         m.append(&commit(3));
         m.force().unwrap();

@@ -9,11 +9,11 @@
 //!   replay idempotent, which is what lets a fuzzy backup be repaired by
 //!   replaying from the begin-checkpoint marker). The transaction is
 //!   committed because the frame exists and checksums;
-//! * for a branch of a cross-shard transaction, whose outcome is decided
-//!   elsewhere: begin, one update record per after-image and `Prepare`,
-//!   written together at prepare, then commit or abort at the decision.
-//!   Logs written before `TxnCommit` existed use these frames for every
-//!   transaction;
+//! * one forced `TxnPrepare` frame per branch of a cross-shard
+//!   transaction, whose outcome is decided elsewhere, then commit or
+//!   abort at the decision. Older logs hold a branch as begin, updates
+//!   and `Prepare` (and, before `TxnCommit`, every transaction as begin,
+//!   updates and commit): those still decode, but are never written;
 //! * begin-checkpoint markers carrying the checkpoint's id, timestamp
 //!   `τ(CH)` and the list of prepared branches open at the marker (used
 //!   by fuzzy recovery to extend the replay window, §3.3),
@@ -25,18 +25,20 @@
 //! ```text
 //! len u32 (bit 31 set) · crc32c u32 · tag u8 · payload
 //! TxnCommit payload:     txn varint · n varint · n × record varint · n × image
+//! TxnPrepare payload:    txn varint · gid varint · n varint · n × record varint · n × image
 //! ```
 //!
-//! The CRC-32C covers `len`, the tag and the payload (a `Compacted`
+//! Written: `TxnCommit`, `TxnPrepare`, control frames. The CRC-32C covers `len`, the tag and the payload (a `Compacted`
 //! filler's, `len` and the tag: its padding is never trusted), and lets
 //! recovery stop cleanly at a torn final record. Varints are canonical
 //! LEB128; an image's length is the rest of the payload split evenly.
 //! The paper's 5 × 32-word transaction with 3-byte ids is 668 bytes, one
-//! such record 144, none 11. With bit 31 clear a frame has the older
+//! such record 144, none 11; a branch writing that one record under a
+//! gid below 2¹⁴ is 146. With bit 31 clear a frame has the older
 //! envelope, `len · tag · payload · fnv64 · len`, a fixed-width
 //! `TxnCommit` and an 8-byte filler span: it still decodes, but is never
 //! written. An older binary ends its log at the first new frame, so
-//! **downgrade is unsupported** (replication version 2).
+//! **downgrade is unsupported** (replication version 3).
 
 use mmdb_types::{
     hash::{crc32c, crc32c_append, fnv1a},
@@ -46,7 +48,7 @@ use mmdb_types::{
 /// A single log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
-    /// A transaction began (prepared branches and pre-`TxnCommit` logs).
+    /// A transaction began (older logs only).
     TxnBegin {
         /// The transaction.
         txn: TxnId,
@@ -80,7 +82,7 @@ pub enum LogRecord {
         tau: Timestamp,
         /// Prepared branches open when the marker was written: their
         /// frames lie before it, so replay starts at the oldest one's
-        /// `TxnBegin`. Empty for COU checkpoints (the system is quiesced).
+        /// first frame. Empty for COU checkpoints (the system is quiesced).
         active: Vec<TxnId>,
     },
     /// A checkpoint completed (all segment images durable in its ping-pong
@@ -91,8 +93,8 @@ pub enum LogRecord {
     },
     /// The transaction is *prepared* as a participant branch of a
     /// cross-shard (global) transaction: all of its `Update` records are
-    /// durable and the branch can no longer unilaterally abort. Written
-    /// forced during phase one of the sharded engine's two-phase commit.
+    /// durable and the branch can no longer unilaterally abort (older
+    /// logs only: [`LogRecord::TxnPrepare`] replaces it).
     Prepare {
         /// The local participant transaction.
         txn: TxnId,
@@ -138,6 +140,17 @@ pub enum LogRecord {
         /// Its after-images in program order, all of one length.
         writes: Vec<(RecordId, Vec<Word>)>,
     },
+    /// A whole participant branch of a cross-shard transaction, forced in
+    /// phase one of two-phase commit: replay stages its images until the
+    /// branch's own `Commit` frame.
+    TxnPrepare {
+        /// The local participant transaction.
+        txn: TxnId,
+        /// The global transaction id shared by every participant branch.
+        gid: u64,
+        /// Its after-images in program order, all of one length.
+        writes: Vec<(RecordId, Vec<Word>)>,
+    },
 }
 
 const TAG_TXN_BEGIN: u8 = 1;
@@ -150,6 +163,7 @@ const TAG_PREPARE: u8 = 7;
 const TAG_DECIDE: u8 = 8;
 const TAG_COMPACTED: u8 = 9;
 const TAG_TXN_COMMIT: u8 = 10;
+const TAG_TXN_PREPARE: u8 = 11;
 
 /// Bit 31 of a frame's `len`: set on every frame this build writes.
 const ENVELOPE_BIT: u32 = 1 << 31;
@@ -194,15 +208,18 @@ impl LogRecord {
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
             | LogRecord::Prepare { txn, .. }
-            | LogRecord::TxnCommit { txn, .. } => Some(*txn),
+            | LogRecord::TxnCommit { txn, .. }
+            | LogRecord::TxnPrepare { txn, .. } => Some(*txn),
             _ => None,
         }
     }
 
-    /// Total length of the [`LogRecord::TxnCommit`] frame of `txn` writing
-    /// `records`, each an image of `words_per_image` words.
-    pub fn txn_commit_len(
+    /// Total length of the frame [`encode_txn`](Self::encode_txn) writes
+    /// for `txn` and `gid` with `records`, each an image of
+    /// `words_per_image` words.
+    pub fn txn_len(
         txn: TxnId,
+        gid: Option<u64>,
         records: impl IntoIterator<Item = RecordId>,
         words_per_image: usize,
     ) -> usize {
@@ -213,26 +230,31 @@ impl LogRecord {
         }
         FRAME_OVERHEAD
             + varint_len(txn.raw())
+            + gid.map_or(0, varint_len)
             + varint_len(n as u64)
             + ids
             + n * 4 * words_per_image
     }
 
-    /// Appends the [`LogRecord::TxnCommit`] frame of `txn` to `out`,
-    /// encoded straight from borrowed images.
+    /// Appends the `TxnCommit` frame of `txn` to `out` — with a `gid`, the
+    /// `TxnPrepare` frame — encoded straight from borrowed images.
     ///
     /// # Panics
     ///
     /// If the images are not all of one length: the frame derives that
     /// length from its size.
-    pub fn encode_txn_commit<'a>(
+    pub fn encode_txn<'a>(
         txn: TxnId,
+        gid: Option<u64>,
         writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
         out: &mut Vec<u8>,
     ) {
         write_frame(out, |out| {
-            out.push(TAG_TXN_COMMIT);
+            out.push(gid.map_or(TAG_TXN_COMMIT, |_| TAG_TXN_PREPARE));
             put_varint(out, txn.raw());
+            if let Some(gid) = gid {
+                put_varint(out, gid);
+            }
             put_varint(out, writes.len() as u64);
             for (record, _) in writes.clone() {
                 put_varint(out, record.raw());
@@ -252,6 +274,11 @@ impl LogRecord {
     }
 
     fn payload_len(&self) -> usize {
+        let txn_len = |txn, gid, writes: &[(RecordId, Vec<Word>)]| {
+            let words = writes.first().map_or(0, |(_, image)| image.len());
+            let records = writes.iter().map(|(record, _)| *record);
+            LogRecord::txn_len(txn, gid, records, words) - FRAME_OVERHEAD
+        };
         match self {
             LogRecord::TxnBegin { .. } => 8 + 8,
             LogRecord::Update { value, .. } => 8 + 8 + 4 + value.len() * 4,
@@ -261,11 +288,8 @@ impl LogRecord {
             LogRecord::Prepare { .. } => 8 + 8,
             LogRecord::Decide { .. } => 8 + 1,
             LogRecord::Compacted { span } => (*span as usize).saturating_sub(FRAME_OVERHEAD),
-            LogRecord::TxnCommit { txn, writes } => {
-                let words = writes.first().map_or(0, |(_, image)| image.len());
-                let records = writes.iter().map(|(record, _)| *record);
-                LogRecord::txn_commit_len(*txn, records, words) - FRAME_OVERHEAD
-            }
+            LogRecord::TxnCommit { txn, writes } => txn_len(*txn, None, writes),
+            LogRecord::TxnPrepare { txn, gid, writes } => txn_len(*txn, Some(*gid), writes),
         }
     }
 
@@ -279,10 +303,17 @@ impl LogRecord {
 
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        if let LogRecord::TxnCommit { txn, writes } = self {
-            let images = writes.iter().map(|(r, image)| (*r, image.as_slice()));
-            return LogRecord::encode_txn_commit(*txn, images, out);
-        }
+        let (txn, gid, writes) = match self {
+            LogRecord::TxnCommit { txn, writes } => (*txn, None, writes),
+            LogRecord::TxnPrepare { txn, gid, writes } => (*txn, Some(*gid), writes),
+            _ => return self.encode_other(out),
+        };
+        let images = writes.iter().map(|(r, image)| (*r, image.as_slice()));
+        LogRecord::encode_txn(txn, gid, images, out);
+    }
+
+    /// Appends the frame of any record but a `TxnCommit` or `TxnPrepare`.
+    fn encode_other(&self, out: &mut Vec<u8>) {
         write_frame(out, |out| match self {
             LogRecord::TxnBegin { txn, tau } => {
                 out.push(TAG_TXN_BEGIN);
@@ -334,7 +365,9 @@ impl LogRecord {
                 out.push(TAG_COMPACTED);
                 out.resize(out.len() + *span as usize - MIN_COMPACTED_LEN, 0);
             }
-            LogRecord::TxnCommit { .. } => unreachable!("encoded above"),
+            LogRecord::TxnCommit { .. } | LogRecord::TxnPrepare { .. } => {
+                unreachable!("encode_txn")
+            }
         });
     }
 
@@ -465,8 +498,9 @@ impl LogRecord {
                 }
                 LogRecord::TxnCommit { txn, writes }
             }
-            TAG_TXN_COMMIT => {
+            tag @ (TAG_TXN_COMMIT | TAG_TXN_PREPARE) if !legacy => {
                 let txn = TxnId(r.varint()?);
+                let gid = (tag == TAG_TXN_PREPARE).then(|| r.varint()).transpose()?;
                 let n = r.varint()?;
                 // every id takes a byte: bound the allocation by the
                 // payload actually in hand
@@ -485,7 +519,10 @@ impl LogRecord {
                 let writes = (records.into_iter())
                     .map(|record| Ok((record, r.words(words)?)))
                     .collect::<Result<_>>()?;
-                LogRecord::TxnCommit { txn, writes }
+                match gid {
+                    None => LogRecord::TxnCommit { txn, writes },
+                    Some(gid) => LogRecord::TxnPrepare { txn, gid, writes },
+                }
             }
             t => return Err(corrupt(&format!("unknown tag {t}"))),
         };
@@ -707,7 +744,25 @@ pub(crate) mod tests {
                 txn: TxnId(u64::MAX),
                 writes: vec![(RecordId(u64::MAX), vec![]), (RecordId(0), vec![])],
             },
+            txn_prepare(2, 4),
+            LogRecord::TxnPrepare {
+                txn: TxnId(u64::MAX),
+                gid: u64::MAX,
+                writes: vec![],
+            },
         ]
+    }
+
+    /// A `TxnPrepare` of `n` distinct images of `words` words.
+    fn txn_prepare(n: u64, words: usize) -> LogRecord {
+        let LogRecord::TxnCommit { txn, writes } = txn_commit(n, words) else {
+            unreachable!()
+        };
+        LogRecord::TxnPrepare {
+            txn,
+            gid: 300,
+            writes,
+        }
     }
 
     /// A `TxnCommit` of `n` distinct images of `words` words.
@@ -737,10 +792,7 @@ pub(crate) mod tests {
         assert_eq!(paper_txn(1).encoded_len(), 144);
         assert_eq!(txn_commit(0, 0).encoded_len(), 11);
         let ids = (0..5).map(|i| RecordId((1 << 14) + i * 100_000));
-        assert_eq!(
-            LogRecord::txn_commit_len(TxnId((1 << 21) - 1), ids, 32),
-            668
-        );
+        assert_eq!(LogRecord::txn_len(TxnId((1 << 21) - 1), None, ids, 32), 668);
         for n in [0, 1, 5] {
             assert_eq!(paper_txn(n).encode().len(), paper_txn(n).encoded_len());
         }
@@ -748,6 +800,20 @@ pub(crate) mod tests {
         assert_eq!(MIN_COMPACTED_LEN, 9);
         assert_eq!(LogRecord::Commit { txn: TxnId(1) }.encoded_len(), 17);
         assert_eq!(txn_commit(1, 4).txn(), Some(TxnId(42)));
+        // a branch writing one such record under a two-byte gid
+        let LogRecord::TxnCommit { txn, writes } = paper_txn(1) else {
+            unreachable!()
+        };
+        let records = writes.iter().map(|(r, _)| *r).collect::<Vec<_>>();
+        let branch = LogRecord::TxnPrepare {
+            txn,
+            gid: 1 << 13,
+            writes,
+        };
+        assert_eq!(branch.encoded_len(), 146);
+        assert_eq!(branch.encode().len(), 146);
+        assert_eq!(LogRecord::txn_len(txn, Some(1 << 13), records, 32), 146);
+        assert_eq!(branch.txn(), Some(txn));
     }
 
     #[test]
@@ -762,6 +828,13 @@ pub(crate) mod tests {
         assert_eq!(head[..4], [17, 0, 0, 0x80]);
         let sum = crc32c(&[&head[..4], body].concat());
         assert_eq!(head[4..], sum.to_le_bytes());
+        // the branch's frame: the same body with the gid after the txn id
+        let rec = LogRecord::TxnPrepare {
+            txn: TxnId(5),
+            gid: 9,
+            writes: vec![(RecordId(300), vec![7])],
+        };
+        assert_eq!(rec.encode()[8..], [11, 5, 9, 1, 0xAC, 0x02, 7, 0, 0, 0]);
     }
 
     #[test]
@@ -788,6 +861,12 @@ pub(crate) mod tests {
             LogRecord::Compacted { span: 25 },
             LogRecord::Compacted { span: 4096 },
         ]);
+        // no older binary wrote a branch as one frame
+        let (branches, older): (Vec<_>, Vec<_>) =
+            (older.into_iter()).partition(|rec| matches!(rec, LogRecord::TxnPrepare { .. }));
+        for rec in branches {
+            assert!(LogRecord::decode(&legacy(&rec)).is_err(), "{rec:?}");
+        }
         for rec in older {
             let old = legacy(&rec);
             assert_eq!(LogRecord::decode(&old).unwrap(), (rec.clone(), old.len()));
@@ -804,6 +883,7 @@ pub(crate) mod tests {
     fn torn_at_every_prefix_and_flipped_at_every_bit() {
         for enc in [
             txn_commit(3, 4).encode(),
+            txn_prepare(1, 32).encode(),
             LogRecord::Compacted { span: 9 }.encode(),
             legacy(&txn_commit(2, 3)),
         ] {
@@ -837,6 +917,14 @@ pub(crate) mod tests {
             body.extend_from_slice(txn);
             body.push(0);
             assert!(LogRecord::decode(&seal(&body)).is_err(), "{txn:?}");
+        }
+        // a branch's gid is held to the same rule: tag, txn 5, gid, n = 0
+        assert!(LogRecord::decode(&seal(&[11, 5, 3, 0])).is_ok());
+        for gid in [&[0x83, 0x00][..], &[0x80; 10], &[0xFF; 11]] {
+            let mut body = vec![11, 5];
+            body.extend_from_slice(gid);
+            body.push(0);
+            assert!(LogRecord::decode(&seal(&body)).is_err(), "{gid:?}");
         }
         // the largest id, in ten bytes, is canonical
         let mut body = vec![10];
@@ -872,6 +960,24 @@ pub(crate) mod tests {
         assert!(LogRecord::decode(&seal(&huge)).is_err());
         // ids cut short by the frame's end
         assert!(LogRecord::decode(&seal(&[10, 42, 2, 1, 0x80])).is_err());
+
+        // a branch's frame, gid 7 after the txn id, by the same rules
+        let mut body = vec![11, 42, 7, 2, 1, 2];
+        body.extend([0; 12]);
+        assert!(LogRecord::decode(&seal(&body)).is_err());
+        body.extend([0; 4]);
+        let (rec, _) = LogRecord::decode(&seal(&body)).unwrap();
+        assert!(
+            matches!(rec, LogRecord::TxnPrepare { gid: 7, ref writes, .. }
+            if writes == &[(RecordId(1), vec![0, 0]), (RecordId(2), vec![0, 0])])
+        );
+        assert!(LogRecord::decode(&seal(&[11, 42, 7, 0, 0, 0, 0])).is_err());
+        let mut huge = vec![11, 42, 7];
+        huge.extend([0xFF; 9]);
+        huge.extend([0x01, 1, 2, 3]);
+        assert!(LogRecord::decode(&seal(&huge)).is_err());
+        // the gid cut short
+        assert!(LogRecord::decode(&seal(&[11, 42, 0x80])).is_err());
     }
 
     #[test]
@@ -953,6 +1059,7 @@ pub(crate) mod tests {
             commit: true,
         };
         assert_eq!(decide.txn(), None);
+        assert_eq!(txn_prepare(1, 1).txn(), Some(TxnId(42)));
         assert_eq!(LogRecord::Compacted { span: 64 }.txn(), None);
     }
 

@@ -113,11 +113,11 @@ impl LogWindow {
 }
 
 /// What validation keeps of the frames it has accepted: the markers, and
-/// where each transaction id last began. Walking forward with that map
+/// where each open transaction id began. Walking forward with that map
 /// answers "where does replay from this marker start" at the marker,
-/// with no walk back over frames that may have left memory. The map has
-/// an entry per id that ever wrote a `TxnBegin` — prepared branches only,
-/// in a log a current engine wrote.
+/// with no walk back over frames that may have left memory. Only a
+/// prepared, undecided branch can be on a later marker's list, so an id
+/// leaves the map at its outcome.
 #[derive(Default)]
 struct Marks {
     found: Vec<(CheckpointMark, Lsn)>,
@@ -127,8 +127,13 @@ struct Marks {
 impl Marks {
     fn note(&mut self, lsn: Lsn, rec: LogRecord) {
         match rec {
-            LogRecord::TxnBegin { txn, .. } => {
+            LogRecord::TxnBegin { txn, .. } | LogRecord::TxnPrepare { txn, .. } => {
                 self.begins.insert(txn, lsn);
+            }
+            LogRecord::Commit { txn }
+            | LogRecord::Abort { txn }
+            | LogRecord::TxnCommit { txn, .. } => {
+                self.begins.remove(&txn);
             }
             LogRecord::BeginCheckpoint { ckpt, tau, active } => {
                 let start = active
@@ -427,14 +432,15 @@ mod tests {
     use mmdb_types::RecordId;
 
     /// The frames of `records`, every other one in the older envelope: a
-    /// log an older binary began and this one carried on.
+    /// log an older binary began and this one carried on. A `TxnPrepare`
+    /// has only the new one.
     fn build(records: &[LogRecord]) -> (Vec<u8>, Vec<Lsn>) {
         let mut buf = Vec::new();
         let mut lsns = Vec::new();
         for (i, r) in records.iter().enumerate() {
             lsns.push(Lsn(buf.len() as u64));
-            match i % 2 {
-                0 => r.encode_into(&mut buf),
+            match (i % 2, r) {
+                (0, _) | (_, LogRecord::TxnPrepare { .. }) => r.encode_into(&mut buf),
                 _ => buf.extend_from_slice(&legacy(r)),
             }
         }
@@ -614,6 +620,19 @@ mod tests {
                 ],
             },
             LogRecord::Commit { txn: TxnId(2) },
+            // a branch in one frame; ids 7 and 2 on the marker's list
+            // have their outcomes behind them, so its frame opens replay
+            LogRecord::TxnPrepare {
+                txn: TxnId(12),
+                gid: 71,
+                writes: vec![(RecordId(7), image(7))],
+            },
+            LogRecord::BeginCheckpoint {
+                ckpt: CheckpointId(6),
+                tau: Timestamp(40),
+                active: vec![TxnId(7), TxnId(12), TxnId(2)],
+            },
+            LogRecord::Commit { txn: TxnId(12) },
         ]
     }
 
@@ -647,15 +666,19 @@ mod tests {
         assert_eq!(&found, resident.window(), "window {window}");
         let mut starts = vec![resident.base_lsn()];
         for (mark, start) in &found.marks {
-            // the newest begin of each listed transaction before the marker
+            // the newest begin of each listed transaction before the
+            // marker, unless an outcome of it follows that begin
             let begins = |txn: &TxnId| {
-                (resident.forward_from(Lsn::ZERO))
-                    .take_while(|(lsn, _)| *lsn < mark.begin_lsn)
-                    .filter(
-                        |(_, rec)| matches!(rec, LogRecord::TxnBegin { txn: t, .. } if t == txn),
-                    )
-                    .map(|(lsn, _)| lsn)
-                    .last()
+                let before = resident.forward_from(Lsn::ZERO);
+                let before = before.take_while(|(lsn, _)| *lsn < mark.begin_lsn);
+                before.fold(None, |begin, (lsn, rec)| match rec {
+                    _ if rec.txn() != Some(*txn) => begin,
+                    LogRecord::TxnBegin { .. } | LogRecord::TxnPrepare { .. } => Some(lsn),
+                    LogRecord::Commit { .. }
+                    | LogRecord::Abort { .. }
+                    | LogRecord::TxnCommit { .. } => None,
+                    _ => begin,
+                })
             };
             let oldest = mark.active.iter().filter_map(begins).min();
             assert_eq!(*start, oldest.unwrap_or(mark.begin_lsn), "window {window}");
@@ -761,6 +784,78 @@ mod tests {
                 assert_stream_matches_resident(&bad, 0, window);
             }
         }
+    }
+
+    #[test]
+    fn a_branch_frame_opens_replay_and_decided_ids_are_forgotten() {
+        let recs = mixed_log();
+        let (buf, lsns) = build(&recs);
+        let sc = LogScanner::from_bytes(buf);
+        let (_, start) = sc.window().checkpoint_mark(CheckpointId(6)).unwrap();
+        assert_eq!(start, lsns[recs.len() - 3], "the TxnPrepare frame");
+        let (_, start) = sc.window().checkpoint_mark(CheckpointId(4)).unwrap();
+        assert_eq!(start, lsns[8], "the second begin of id 2");
+    }
+
+    #[test]
+    fn begins_hold_only_transactions_without_an_outcome() {
+        // 10 000 transactions in the frames of a log older than
+        // `TxnCommit`, every seventh aborted, one branch left prepared
+        let mut buf = Vec::new();
+        for t in 0..10_000u64 {
+            let txn = TxnId(t % 4_000);
+            let outcome = match t % 7 {
+                0 => LogRecord::Abort { txn },
+                _ => LogRecord::Commit { txn },
+            };
+            for rec in [
+                LogRecord::TxnBegin {
+                    txn,
+                    tau: Timestamp(t),
+                },
+                LogRecord::Update {
+                    txn,
+                    record: RecordId(t),
+                    value: vec![1; 2],
+                },
+                outcome,
+            ] {
+                buf.extend_from_slice(&legacy(&rec));
+            }
+        }
+        let open = [
+            LogRecord::TxnBegin {
+                txn: TxnId(1),
+                tau: Timestamp(1),
+            },
+            LogRecord::Prepare {
+                txn: TxnId(1),
+                gid: 3,
+            },
+            LogRecord::TxnPrepare {
+                txn: TxnId(2),
+                gid: 4,
+                writes: vec![],
+            },
+        ];
+        let at = buf.len() as u64;
+        for rec in &open {
+            rec.encode_into(&mut buf);
+        }
+        let mut marks = Marks::default();
+        let mut pos = 0;
+        while let Step::Frame(rec, used) = step(&buf[pos..], true) {
+            marks.note(Lsn(pos as u64), rec);
+            pos += used;
+        }
+        assert_eq!(pos, buf.len());
+        let branch_at = at
+            + open[..2]
+                .iter()
+                .map(|r| r.encoded_len() as u64)
+                .sum::<u64>();
+        let want = HashMap::from([(TxnId(1), Lsn(at)), (TxnId(2), Lsn(branch_at))]);
+        assert_eq!(marks.begins, want);
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl AnalyticModel {
         let (n_ru, db) = (self.params.txn.n_ru as usize, &self.params.db);
         let widest = db.n_records() - 1;
         let records = std::iter::repeat(RecordId(widest)).take(n_ru);
-        let len = mmdb_log::LogRecord::txn_commit_len(TxnId(widest), records, db.s_rec as usize);
+        let len = mmdb_log::LogRecord::txn_len(TxnId(widest), None, records, db.s_rec as usize);
         len.div_ceil(4) as f64
     }
 

@@ -9,13 +9,13 @@
 //! 2. read every segment of that copy into main memory;
 //! 3. locate the checkpoint's begin marker in the log and compute the
 //!    replay start — the marker itself, or, for a checkpoint taken with
-//!    cross-shard branches prepared (fuzzy and two-color), the begin
-//!    record of the oldest branch in the marker's active list;
+//!    cross-shard branches prepared (fuzzy and two-color), the first
+//!    frame of the oldest branch in the marker's active list;
 //! 4. replay the log forward, installing each transaction at the frame
-//!    that commits it: a `TxnCommit` frame on sight, the buffered update
-//!    records of a branch (or of a transaction in an older log) at its
-//!    commit record (transactions without a durable commit are discarded
-//!    — REDO-only logging means they never touched the database... on
+//!    that commits it: a `TxnCommit` frame on sight, a branch's images
+//!    (its `TxnPrepare`'s, or an older log's updates) at its commit
+//!    record (transactions without a durable commit are discarded —
+//!    REDO-only logging means they never touched the database... on
 //!    disk).
 //!
 //! All four steps run on the recovering thread, into the `Storage` the

@@ -7,12 +7,12 @@
 //!   ahead of its outcome (a prepared branch; every transaction of a log
 //!   older than `TxnCommit`) is staged under the LSN it was first seen at
 //!   and installs at its own `Commit` frame, or drops at its `Abort`.
-//!   `Prepare` parks a branch, `Decide` is remembered, and whatever is
-//!   still parked at the end of the stream is *in doubt* (presumed abort
-//!   unless a coordinator decision says otherwise). Crash recovery drives
-//!   one over its replay window; the standby (`mmdb-repl`) drives one per
-//!   shard stream and holds its persisted progress back to
-//!   [`Resolver::first_lsn`].
+//!   `TxnPrepare` (an older log's `Prepare`) parks a branch, `Decide` is
+//!   remembered, and whatever is still parked at the end of the stream is
+//!   *in doubt* (presumed abort unless a coordinator decision says
+//!   otherwise). Crash recovery drives one over its replay window; the
+//!   standby (`mmdb-repl`) drives one per shard stream and holds its
+//!   persisted progress back to [`Resolver::first_lsn`].
 //! * window and report — the valid log window, the restored checkpoint's
 //!   begin marker, the replay start, and the paper's §4 recovery-time
 //!   terms.
@@ -97,16 +97,22 @@ impl Resolver {
                 self.staged.remove(&txn);
                 self.prepared.remove(&txn);
             }
-            LogRecord::Prepare { txn, gid } => {
-                self.prepared.insert(txn, gid);
-                self.max_gid = self.max_gid.max(gid);
+            LogRecord::TxnPrepare { txn, gid, writes } => {
+                self.staged.insert(txn, (lsn, writes));
+                self.park(txn, gid);
             }
+            LogRecord::Prepare { txn, gid } => self.park(txn, gid),
             LogRecord::Decide { gid, commit } => {
                 self.decided.insert(gid, commit);
                 self.max_gid = self.max_gid.max(gid);
             }
             _ => {}
         }
+    }
+
+    fn park(&mut self, txn: TxnId, gid: u64) {
+        self.prepared.insert(txn, gid);
+        self.max_gid = self.max_gid.max(gid);
     }
 
     /// The oldest first-LSN among the staged instances: re-reading the

@@ -56,13 +56,31 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
     let LogRecord::BeginCheckpoint { active, .. } = &recs[mark].1 else {
         unreachable!()
     };
-    // the window opens at the nearest begin of the oldest active transaction
+    // the window opens at the nearest begin of the oldest active
+    // transaction, when no outcome of it lies between that begin and the
+    // marker (a transaction with an outcome is no longer active)
     let start = active
         .iter()
         .filter_map(|t| {
-            recs[..mark]
+            let last = recs[..mark]
                 .iter()
-                .rposition(|(_, r)| matches!(r, LogRecord::TxnBegin { txn, .. } if txn == t))
+                .rposition(|(_, r)| r.txn() == Some(*t))?;
+            let begins = |r: &LogRecord| {
+                matches!(r, LogRecord::TxnBegin { .. } | LogRecord::TxnPrepare { .. })
+            };
+            let decides = |r: &LogRecord| {
+                matches!(
+                    r,
+                    LogRecord::Commit { .. }
+                        | LogRecord::Abort { .. }
+                        | LogRecord::TxnCommit { .. }
+                )
+            };
+            let ours = recs[..=last].iter().enumerate().rev();
+            let mut ours = ours.filter(|(_, (_, r))| r.txn() == Some(*t));
+            ours.find(|(_, (_, r))| begins(r) || decides(r))
+                .filter(|(_, (_, r))| begins(r))
+                .map(|(i, _)| i)
         })
         .min()
         .unwrap_or(mark);
@@ -84,6 +102,11 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
             }
             LogRecord::TxnBegin { txn, .. } => {
                 open.insert(*txn, Vec::new());
+            }
+            LogRecord::TxnPrepare { txn, gid, writes } => {
+                open.insert(*txn, writes.clone());
+                parked.insert(*txn, *gid);
+                max_gid = max_gid.max(*gid);
             }
             LogRecord::Update { txn, record, value } => {
                 open.entry(*txn).or_default().push((*record, value.clone()));
@@ -181,6 +204,8 @@ fn check(log: &[u8]) -> Option<Expected> {
 enum Step {
     /// A whole transaction in one `TxnCommit` frame: `(record, fill)` writes.
     Txn(u64, Vec<(u64, Word)>),
+    /// A whole prepared branch in one `TxnPrepare` frame: txn, gid, writes.
+    Branch(u64, u64, Vec<(u64, Word)>),
     Begin(u64),
     Update(u64, u64, Word),
     Commit(u64),
@@ -191,14 +216,21 @@ enum Step {
 
 fn encode(steps: &[Step], out: &mut Vec<u8>) {
     let s_rec = Params::small().db.s_rec as usize;
+    let images = |writes: &[(u64, Word)]| {
+        (writes.iter())
+            .map(|&(rid, fill)| (RecordId(rid), vec![fill; s_rec]))
+            .collect()
+    };
     for step in steps {
         match *step {
             Step::Txn(t, ref writes) => LogRecord::TxnCommit {
                 txn: TxnId(t),
-                writes: writes
-                    .iter()
-                    .map(|&(rid, fill)| (RecordId(rid), vec![fill; s_rec]))
-                    .collect(),
+                writes: images(writes),
+            },
+            Step::Branch(t, gid, ref writes) => LogRecord::TxnPrepare {
+                txn: TxnId(t),
+                gid,
+                writes: images(writes),
             },
             Step::Begin(t) => LogRecord::TxnBegin {
                 txn: TxnId(t),
@@ -234,8 +266,8 @@ fn crashed_log(before: &[Step], active: &[u64], after: &[Step]) -> (Vec<u8>, usi
     (log, tail_at)
 }
 
-/// A whole committed transaction, in the frames of a cross-shard branch
-/// (and of every transaction in a log older than `TxnCommit`).
+/// A whole committed transaction, in the frames an older engine wrote for
+/// a cross-shard branch (and, before `TxnCommit`, for every transaction).
 fn txn(t: u64, records: &[u64], fill: Word) -> Vec<Step> {
     let mut steps = vec![Step::Begin(t)];
     steps.extend(records.iter().map(|&r| Step::Update(t, r, fill)));
@@ -350,6 +382,52 @@ fn mixed_old_and_txn_commit_frames_replay_in_log_order() {
 }
 
 #[test]
+fn branches_of_both_shapes_reuse_ids_and_stay_in_doubt() {
+    // Before the marker: an older-shape branch of id 1 that commits, and
+    // a one-frame branch of id 2 still open at the marker, which lists 1
+    // and 2. After it: id 1 again as a one-frame branch that commits, id
+    // 3 in doubt in each shape (the one-frame one reusing the id of the
+    // older one, which a crash left without a `Prepare`), and id 4 in
+    // doubt in the older shape.
+    let before = [
+        Step::Begin(1),
+        Step::Update(1, 10, 1),
+        Step::Prepare(1, 5),
+        Step::Commit(1),
+        Step::Branch(2, 6, vec![(11, 2), (12, 2)]),
+    ];
+    let after = [
+        Step::Decide(6, true),
+        Step::Commit(2),
+        Step::Branch(1, 7, vec![(10, 3)]),
+        Step::Commit(1),
+        Step::Begin(3),
+        Step::Update(3, 13, 4),
+        Step::Branch(3, 8, vec![(14, 5)]),
+        Step::Begin(4),
+        Step::Update(4, 15, 6),
+        Step::Prepare(4, 9),
+    ];
+    let (log, _) = crashed_log(&before, &[1, 2], &after);
+    let want = check(&log).unwrap();
+    // id 1's first commit lies before the window
+    assert_eq!((want.txns_replayed, want.txns_discarded), (2, 0));
+    let in_doubt: Vec<_> = (want.in_doubt.iter())
+        .map(|t| (t.gid, t.txn, t.writes.len()))
+        .collect();
+    assert_eq!(in_doubt, [(8, TxnId(3), 1), (9, TxnId(4), 1)]);
+    assert_eq!(want.in_doubt[0].writes[0].0, RecordId(14));
+    assert_eq!(want.max_gid, 9);
+    // replay opens at the one-frame branch, the only listed id still open
+    let mut head = Vec::new();
+    encode(&before[..4], &mut head);
+    assert_eq!(want.replay_start, Lsn(head.len() as u64));
+    let (_, storage) = recover(Params::small().db, &log).unwrap();
+    assert_eq!(storage.read_record(RecordId(10)).unwrap()[0], 3);
+    assert_eq!(storage.read_record(RecordId(12)).unwrap()[0], 2);
+}
+
+#[test]
 fn torn_txn_commit_is_no_transaction_at_all() {
     // every cut inside the frame: the transaction before it survives, no
     // part of the torn one is installed or counted
@@ -369,11 +447,51 @@ fn torn_txn_commit_is_no_transaction_at_all() {
     assert!(tail_at < intact.len());
 }
 
+/// The ids an engine could list at a marker after `before`: those whose
+/// latest begin (`TxnBegin` or `TxnPrepare`) follows any outcome of theirs.
+fn open_ids(before: &[Step]) -> Vec<u64> {
+    let mut open = BTreeMap::new();
+    for step in before {
+        match *step {
+            Step::Begin(t) | Step::Branch(t, ..) => open.insert(t, true),
+            Step::Txn(t, _) | Step::Commit(t) | Step::Abort(t) => open.insert(t, false),
+            _ => None,
+        };
+    }
+    open.into_iter()
+        .filter(|&(_, o)| o)
+        .map(|(t, _)| t)
+        .collect()
+}
+
+/// The window rule that ignores outcomes: replay opens at the nearest
+/// begin before the marker of the oldest listed id.
+fn nearest_begin(before: &[Step], active: &[u64]) -> Lsn {
+    let (mut at, mut begins) = (0, BTreeMap::new());
+    for step in before {
+        if let Step::Begin(t) | Step::Branch(t, ..) = *step {
+            begins.insert(t, at);
+        }
+        let mut frame = Vec::new();
+        encode(std::slice::from_ref(step), &mut frame);
+        at += frame.len() as u64;
+    }
+    Lsn(active
+        .iter()
+        .filter_map(|t| begins.get(t))
+        .min()
+        .copied()
+        .unwrap_or(at))
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     let n_records = Params::small().db.n_records();
     let write = (0..n_records, any::<Word>());
     prop_oneof![
-        4 => (0u64..5, proptest::collection::vec(write, 0..4)).prop_map(|(t, w)| Step::Txn(t, w)),
+        4 => (0u64..5, proptest::collection::vec(write.clone(), 0..4)).prop_map(|(t, w)| Step::Txn(t, w)),
+        // a one-frame branch, under an id an older-shape one may hold
+        3 => (0u64..5, 1u64..4, proptest::collection::vec(write, 0..4))
+            .prop_map(|(t, g, w)| Step::Branch(t, g, w)),
         // a begin under an id that is still open is a later incarnation
         // reusing the id
         3 => (0u64..5).prop_map(Step::Begin),
@@ -389,7 +507,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Arbitrary interleavings — well-formed or not — of `TxnCommit`
-    /// transactions, old-frame transactions and prepared branches around
+    /// transactions, old-frame transactions and prepared branches of
+    /// both shapes around
     /// a marker with an arbitrary active list, optionally damaged past
     /// the marker.
     #[test]
@@ -410,5 +529,25 @@ proptest! {
             }
         }
         check(&log);
+    }
+
+    /// On a log an engine could write — every listed id still open at the
+    /// marker — outcomes never move the window: it opens at the nearest
+    /// begin of the oldest listed id, as it did before ids were dropped
+    /// at their outcomes.
+    #[test]
+    fn engine_shaped_markers_open_replay_at_the_nearest_begin(
+        before in proptest::collection::vec(step_strategy(), 0..20),
+        set in any::<u8>(),
+        after in proptest::collection::vec(step_strategy(), 0..20),
+    ) {
+        let open = open_ids(&before);
+        let active: Vec<_> = (open.iter().enumerate())
+            .filter(|(i, _)| set >> i & 1 == 1)
+            .map(|(_, &t)| t)
+            .collect();
+        let (log, _) = crashed_log(&before, &active, &after);
+        let want = check(&log).unwrap();
+        prop_assert_eq!(want.replay_start, nearest_begin(&before, &active));
     }
 }

@@ -46,12 +46,12 @@ const MAX_REPL_SCAN_IDS: u64 = 64 * 1024;
 /// reports the topology the standby must match plus each shard's
 /// `(start, durable)` log LSNs.
 pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWelcome> {
-    // The log this primary ships holds CRC-32C frames, which a version-1
-    // standby reads as corrupt: it speaks only the newest version.
+    // A version-1 standby reads this primary's CRC-32C frames as corrupt,
+    // a version-2 one its `TxnPrepare` frames: it speaks only the newest.
     if !(ver_min..=ver_max).contains(&REPL_VERSION) {
         return Err(MmdbError::Invalid(format!(
             "no common replication version: standby speaks {ver_min}..={ver_max}, this \
-             primary only {REPL_VERSION} (it ships the CRC-32C log frame format)"
+             primary only {REPL_VERSION} (it ships TxnPrepare frames, CRC-32C log frame format)"
         )));
     }
     db.enable_repl_slots();
@@ -192,6 +192,10 @@ mod tests {
         // a version-1 standby would read every shipped frame as corrupt
         let old = serve_hello(&db, 1, 1).expect_err("version 1 refused");
         assert!(old.to_string().contains("frame format"), "{old}");
+        // a version-2 standby would read the first branch's frame as
+        // corrupt and stall there
+        let two = serve_hello(&db, 1, 2).expect_err("version 2 refused");
+        assert!(two.to_string().contains("TxnPrepare"), "{two}");
         assert!(!db.repl_gate().is_engaged(), "a refusal engages nothing");
     }
 

@@ -631,14 +631,20 @@ mod tests {
 
     #[test]
     fn repl_state_round_trips_and_holds_back_parked_prepares() {
+        for older in [false, true] {
+            repl_state_round_trips(older);
+        }
+    }
+
+    fn repl_state_round_trips(older: bool) {
         use mmdb_core::LogRecord;
         let (_primary, standby) = pair(2);
         let words = standby.record_words();
-        let dir = state_dir("state");
+        let dir = state_dir(&format!("state-{older}"));
         let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
 
         // shard 0 carries two decisions; shard 1 an undecided branch
-        // whose TxnBegin sits at LSN 555
+        // whose first frame sits at LSN 555
         let decisions = frames(&[
             LogRecord::Decide {
                 gid: 4,
@@ -652,7 +658,7 @@ mod tests {
         replica
             .apply_batch(&standby, 0, 700, &decisions)
             .expect("decisions");
-        let branch = prepared_branch(3, 9, RecordId(1), vec![2; words]);
+        let branch = prepared_branch(older, 3, 9, RecordId(1), vec![2; words]);
         replica
             .apply_batch(&standby, 1, 555, &branch)
             .expect("branch");
@@ -661,7 +667,7 @@ mod tests {
         replica.save_state();
 
         // a restarted standby resumes from the file: shard 0 exactly,
-        // shard 1 held back to the parked branch's TxnBegin so it
+        // shard 1 held back to the parked branch's first frame so it
         // re-pulls and re-stages the branch, and the decisions intact
         let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
         assert_eq!(resumed.applied[0].load(Ordering::SeqCst), 777);
@@ -736,24 +742,29 @@ mod tests {
     }
 
     /// A cross-shard branch as its shard's log carries it up to its
-    /// `Prepare`: begin, one update, prepare.
-    fn prepared_branch(txn: u64, gid: u64, record: RecordId, value: Vec<Word>) -> Vec<u8> {
+    /// outcome: one `TxnPrepare` frame of one write, or with `older` the
+    /// begin, update and `Prepare` an older primary wrote.
+    fn prepared_branch(
+        older: bool,
+        txn: u64,
+        gid: u64,
+        record: RecordId,
+        value: Vec<Word>,
+    ) -> Vec<u8> {
         use mmdb_core::LogRecord;
         use mmdb_types::{Timestamp, TxnId};
+        let txn = TxnId(txn);
+        if !older {
+            let writes = vec![(record, value)];
+            return frames(&[LogRecord::TxnPrepare { txn, gid, writes }]);
+        }
         frames(&[
             LogRecord::TxnBegin {
-                txn: TxnId(txn),
-                tau: Timestamp(txn),
+                txn,
+                tau: Timestamp(txn.raw()),
             },
-            LogRecord::Update {
-                txn: TxnId(txn),
-                record,
-                value,
-            },
-            LogRecord::Prepare {
-                txn: TxnId(txn),
-                gid,
-            },
+            LogRecord::Update { txn, record, value },
+            LogRecord::Prepare { txn, gid },
         ])
     }
 
@@ -808,31 +819,47 @@ mod tests {
 
     #[test]
     fn restart_reparks_prepared_branches_with_their_after_images() {
+        for older in [false, true] {
+            restart_reparks_a_prepared_branch(older);
+        }
+    }
+
+    fn restart_reparks_a_prepared_branch(older: bool) {
         use mmdb_core::LogRecord;
         use mmdb_types::TxnId;
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
         let words = standby.record_words();
-        let dir = state_dir("repark");
+        let dir = state_dir(&format!("repark-{older}"));
         let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
 
-        let buf = prepared_branch(3, 7, RecordId(1), vec![5; words]);
+        let buf = prepared_branch(older, 3, 7, RecordId(1), vec![5; words]);
         let consumed = replica.apply_batch(&standby, 0, 0, &buf).expect("apply");
         assert_eq!(consumed, buf.len());
         replica.applied[0].store(buf.len() as u64, Ordering::SeqCst);
         replica.save_state();
 
-        // the persisted holdback is the branch's TxnBegin: re-pulling
-        // from the Prepare frame alone could never rebuild the
+        // the persisted holdback is the branch's first frame — the
+        // TxnPrepare, or an older branch's TxnBegin: re-pulling from an
+        // older branch's Prepare frame alone could never rebuild the
         // after-images, and the branch would re-stage empty
         let resumed = Replica::new("unused".into(), &standby, Some(dir.clone()));
         assert_eq!(resumed.applied[0].load(Ordering::SeqCst), 0);
+        if older {
+            let prepare_at = (buf.len()
+                - LogRecord::Prepare {
+                    txn: TxnId(3),
+                    gid: 7,
+                }
+                .encoded_len()) as u64;
+            assert!(prepare_at > 0, "the Prepare follows the begin and update");
+        }
         let consumed = resumed.apply_batch(&standby, 0, 0, &buf).expect("replay");
         assert_eq!(consumed, buf.len());
         assert_eq!(
             resumed.replay.lock().streams[0].first_lsn(),
             Some(Lsn(0)),
-            "holdback at the TxnBegin frame"
+            "holdback at the branch's first frame"
         );
         assert_ne!(
             standby.read_committed(RecordId(1)).expect("read"),
@@ -860,18 +887,89 @@ mod tests {
     }
 
     #[test]
+    fn one_frame_branches_leave_no_unprepared_instance_staged() {
+        use mmdb_core::LogRecord;
+        use mmdb_types::TxnId;
+        let (primary, standby) = pair(2);
+        let words = primary.record_words();
+        let replica = Replica::new("unused".into(), &standby, None);
+        for i in 0..20u64 {
+            // even records live on shard 0, odd ones on shard 1
+            let fill = vec![i as u32; words];
+            let (a, b) = (RecordId(2 * i), RecordId(2 * i + 1));
+            primary
+                .run_txn(&[(a, fill.clone()), (b, fill)])
+                .expect("cross");
+        }
+        drain(&primary, &standby, &replica);
+        assert_eq!(primary.fingerprint(), standby.fingerprint());
+
+        // what a crashed primary incarnation leaves behind on shard 0: a
+        // committed branch, an aborted one, one in doubt and one torn
+        let at = replica.applied[0].load(Ordering::SeqCst);
+        let mut tail = prepared_branch(false, 901, 501, RecordId(2), vec![1; words]);
+        LogRecord::Commit { txn: TxnId(901) }.encode_into(&mut tail);
+        tail.extend(prepared_branch(
+            false,
+            902,
+            502,
+            RecordId(4),
+            vec![2; words],
+        ));
+        LogRecord::Abort { txn: TxnId(902) }.encode_into(&mut tail);
+        let parked_at = at + tail.len() as u64;
+        tail.extend(prepared_branch(
+            false,
+            903,
+            503,
+            RecordId(6),
+            vec![3; words],
+        ));
+        let whole = tail.len();
+        let torn = prepared_branch(false, 904, 504, RecordId(8), vec![4; words]);
+        tail.extend_from_slice(&torn[..torn.len() - 1]);
+        let consumed = replica.apply_batch(&standby, 0, at, &tail).expect("tail");
+        assert_eq!(consumed, whole);
+        assert_eq!(
+            replica.replay.lock().streams[0].first_lsn(),
+            Some(Lsn(parked_at))
+        );
+
+        // a branch is staged only together with its `Prepare`, so no
+        // stream holds an instance that would pin its position until
+        // the id is reused
+        let streams = std::mem::take(&mut replica.replay.lock().streams);
+        for (shard, stream) in streams.into_iter().enumerate() {
+            let (in_doubt, _, discarded) = stream.finish();
+            assert_eq!(discarded, 0, "shard {shard}");
+            let parked: Vec<_> = in_doubt.iter().map(|t| (t.gid, t.txn)).collect();
+            let want = match shard {
+                0 => vec![(503, TxnId(903))],
+                _ => vec![],
+            };
+            assert_eq!(parked, want, "shard {shard}");
+        }
+    }
+
+    #[test]
     fn abort_after_prepare_releases_the_holdback() {
+        for older in [false, true] {
+            abort_after_prepare_releases(older);
+        }
+    }
+
+    fn abort_after_prepare_releases(older: bool) {
         use mmdb_core::LogRecord;
         use mmdb_types::TxnId;
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 1).expect("standby");
         let words = standby.record_words();
-        let dir = state_dir("abort-after-prepare");
+        let dir = state_dir(&format!("abort-after-prepare-{older}"));
         let replica = Replica::new("unused".into(), &standby, Some(dir.clone()));
 
         // what the primary writes when a later shard's prepare fails:
         // this branch prepared, then aborted, with no Decide anywhere
-        let mut buf = prepared_branch(3, 7, RecordId(1), vec![5; words]);
+        let mut buf = prepared_branch(older, 3, 7, RecordId(1), vec![5; words]);
         LogRecord::Abort { txn: TxnId(3) }.encode_into(&mut buf);
         let consumed = replica.apply_batch(&standby, 0, 0, &buf).expect("apply");
         assert_eq!(consumed, buf.len());
@@ -892,9 +990,9 @@ mod tests {
 
     /// A 2-shard standby whose shard 1 stream ends with a prepared
     /// branch writing local record 3 (global 7) and no `Commit`; shard 0
-    /// carries `decision` for it, if any. Returns global record 7 after
-    /// [`promote`].
-    fn promote_over_a_prepared_branch(decision: Option<bool>) -> Vec<Word> {
+    /// carries `decision` for it, if any; with `older` the branch has an
+    /// older primary's shape. Returns global record 7 after [`promote`].
+    fn promote_over_a_prepared_branch(older: bool, decision: Option<bool>) -> Vec<Word> {
         use mmdb_core::LogRecord;
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
@@ -906,7 +1004,7 @@ mod tests {
                 .apply_batch(&standby, 0, 0, &decide)
                 .expect("decide");
         }
-        let branch = prepared_branch(2, 5, RecordId(3), vec![8; words]);
+        let branch = prepared_branch(older, 2, 5, RecordId(3), vec![8; words]);
         replica
             .apply_batch(&standby, 1, 0, &branch)
             .expect("branch");
@@ -928,14 +1026,21 @@ mod tests {
     #[test]
     fn promote_installs_a_branch_decided_on_another_shard() {
         let words = MmdbConfig::small(Algorithm::FuzzyCopy).params.db.s_rec as usize;
-        assert_eq!(promote_over_a_prepared_branch(Some(true)), vec![8; words]);
+        for older in [false, true] {
+            let installed = promote_over_a_prepared_branch(older, Some(true));
+            assert_eq!(installed, vec![8; words], "older: {older}");
+        }
     }
 
     #[test]
     fn promote_presumes_abort_without_a_decision() {
         let words = MmdbConfig::small(Algorithm::FuzzyCopy).params.db.s_rec as usize;
-        assert_ne!(promote_over_a_prepared_branch(None), vec![8; words]);
-        assert_ne!(promote_over_a_prepared_branch(Some(false)), vec![8; words]);
+        for older in [false, true] {
+            for decision in [None, Some(false)] {
+                let installed = promote_over_a_prepared_branch(older, decision);
+                assert_ne!(installed, vec![8; words], "older: {older}, {decision:?}");
+            }
+        }
     }
 
     #[test]
@@ -1175,7 +1280,7 @@ mod tests {
         // the engine's first transactions: one-byte ids throughout
         let frame_len = |n: u64| {
             let records = (0..n).map(|i| RecordId(i % 2));
-            mmdb_core::LogRecord::txn_commit_len(TxnId(1), records, words)
+            mmdb_core::LogRecord::txn_len(TxnId(1), None, records, words)
         };
         let one = frame_len(1);
         assert!(one > 1 << 20);
@@ -1204,12 +1309,18 @@ mod tests {
 
     #[test]
     fn promote_flips_writable_and_aborts_undecided() {
+        for older in [false, true] {
+            promote_flips_writable(older);
+        }
+    }
+
+    fn promote_flips_writable(older: bool) {
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
         let words = standby.record_words();
         let replica = Replica::new("unused".into(), &standby, None);
         // a branch prepared on shard 0 without a decision
-        let branch = prepared_branch(1, 42, RecordId(0), vec![1; words]);
+        let branch = prepared_branch(older, 1, 42, RecordId(0), vec![1; words]);
         replica
             .apply_batch(&standby, 0, 0, &branch)
             .expect("branch");

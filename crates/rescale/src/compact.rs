@@ -20,12 +20,14 @@
 //! frame with no surviving write becomes filler whole.
 //!
 //! Every other frame survives verbatim: control frames (checkpoint
-//! markers, prepare/decide), the begin/update/commit/abort runs of
-//! cross-shard branches — committed, aborted or in doubt — and of logs
-//! written before `TxnCommit` existed, and any frame that crosses a chunk
-//! boundary (filler never spans chunks — chunk rewrites are atomic per
-//! chunk). A branch's updates never count as superseding a `TxnCommit`
-//! write, so whichever of the two commits last still replays last.
+//! markers, prepare/decide), cross-shard branches — their `TxnPrepare`
+//! frames, or an older log's begin/update/prepare runs, and their
+//! commit/abort, whether committed, aborted or in doubt — the
+//! transactions of logs written before `TxnCommit` existed, and any frame
+//! that crosses a chunk boundary (filler never spans chunks — chunk
+//! rewrites are atomic per chunk). A branch's writes never count as
+//! superseding a `TxnCommit` write, so whichever of the two commits last
+//! still replays last.
 //!
 //! **Eligibility:** only *cold* chunks (not the active tail) that lie
 //! entirely below every pin — the replication truncation pins of
@@ -167,7 +169,7 @@ pub fn compact_device(
                         // winning writes — when the bytes it frees make
                         // a filler
                         frame.clear();
-                        LogRecord::encode_txn_commit(txn, kept.into_iter(), &mut frame);
+                        LogRecord::encode_txn(txn, None, kept.into_iter(), &mut frame);
                         match used - frame.len() {
                             freed if freed >= MIN_COMPACTED_LEN => {
                                 buf[rel..rel + frame.len()].copy_from_slice(&frame);

@@ -111,8 +111,8 @@ mod tests {
         }
 
         /// [`Mini::txn`] the way an engine before `TxnCommit` logged it
-        /// (and a cross-shard branch still does): begin, one update frame
-        /// per record, a forced commit.
+        /// (and an older engine logged a cross-shard branch): begin, one
+        /// update frame per record, a forced commit.
         fn legacy_txn(&mut self, records: &[u64], fill: u32) {
             let tau = self.tau();
             self.next_txn += 1;
@@ -158,13 +158,22 @@ mod tests {
             self.log.append_forced(&LogRecord::Abort { txn }).unwrap();
         }
 
-        /// A prepared branch with no durable outcome (in doubt).
-        fn prepared_txn(&mut self, records: &[u64], fill: u32, gid: u64) -> TxnId {
+        /// A prepared branch with no durable outcome (in doubt): one
+        /// forced `TxnPrepare` frame, or with `older` the begin, updates
+        /// and forced `Prepare` an older engine wrote.
+        fn prepared_txn(&mut self, records: &[u64], fill: u32, gid: u64, older: bool) -> TxnId {
             let tau = self.tau();
             self.next_txn += 1;
             let txn = TxnId(self.next_txn);
-            self.log.append(&LogRecord::TxnBegin { txn, tau });
             let s_rec = self.storage.db_params().s_rec as usize;
+            if !older {
+                let image = vec![fill; s_rec];
+                let writes = records.iter().map(|&rid| (RecordId(rid), &image[..]));
+                self.log.append_txn(txn, Some(gid), writes);
+                self.log.force().unwrap();
+                return txn;
+            }
+            self.log.append(&LogRecord::TxnBegin { txn, tau });
             for &rid in records {
                 self.log.append(&LogRecord::Update {
                     txn,
@@ -393,10 +402,16 @@ mod tests {
 
     #[test]
     fn compaction_keeps_prepared_and_undecided_branches() {
-        let (mut m, dir) = segmented_mini("compact-prep", 4096);
+        for older in [false, true] {
+            keeps_prepared_and_undecided_branches(older);
+        }
+    }
+
+    fn keeps_prepared_and_undecided_branches(older: bool) {
+        let (mut m, dir) = segmented_mini(&format!("compact-prep-{older}"), 4096);
         m.txn(&[0, 1], 1);
         m.checkpoint();
-        let prepared = m.prepared_txn(&[0, 1], 42, 9);
+        let prepared = m.prepared_txn(&[0, 1], 42, 9, older);
         for round in 2..30 {
             m.txn(&[0, 1], round);
         }
@@ -410,14 +425,15 @@ mod tests {
         .unwrap();
         // The prepared branch's updates survive compaction verbatim.
         let scanner = LogScanner::from_device(m.log.device_mut()).unwrap();
-        let kept: Vec<_> = scanner
+        let kept: usize = scanner
             .forward_from(scanner.base_lsn())
-            .filter_map(|(_, rec)| match rec {
-                LogRecord::Update { txn, .. } if txn == prepared => Some(txn),
-                _ => None,
+            .map(|(_, rec)| match rec {
+                LogRecord::Update { txn, .. } if txn == prepared => 1,
+                LogRecord::TxnPrepare { txn, writes, .. } if txn == prepared => writes.len(),
+                _ => 0,
             })
-            .collect();
-        assert_eq!(kept.len(), 2);
+            .sum();
+        assert_eq!(kept, 2);
         // And recovery still reports it in doubt.
         let (report, _) = m.recovery();
         assert_eq!(report.in_doubt.len(), 1);
@@ -533,22 +549,30 @@ mod tests {
 
     #[test]
     fn compaction_keeps_writes_only_a_branch_supersedes_and_branches_verbatim() {
-        let (mut m, dir) = segmented_mini("compact-branches", 4096);
+        for older in [false, true] {
+            keeps_writes_only_a_branch_supersedes(older);
+        }
+    }
+
+    /// A `TxnPrepare` (with `older`, an `Update`) write of a record never
+    /// supersedes an earlier `TxnCommit` write of it.
+    fn keeps_writes_only_a_branch_supersedes(older: bool) {
+        let (mut m, dir) = segmented_mini(&format!("compact-branches-{older}"), 4096);
         m.txn(&[0, 1], 1);
         m.checkpoint();
         // record 5's last `TxnCommit` write is superseded only by a
         // committed 2PC branch; 6 and 7 are written by an aborted and an
         // in-doubt branch over `TxnCommit` writes
         m.txn(&[5, 6, 7], 2);
-        let committed = m.prepared_txn(&[5], 3, 1);
+        let committed = m.prepared_txn(&[5], 3, 1, older);
         m.log
             .append_forced(&LogRecord::Commit { txn: committed })
             .unwrap();
-        let aborted = m.prepared_txn(&[6], 4, 2);
+        let aborted = m.prepared_txn(&[6], 4, 2, older);
         m.log
             .append_forced(&LogRecord::Abort { txn: aborted })
             .unwrap();
-        m.prepared_txn(&[7], 5, 3);
+        m.prepared_txn(&[7], 5, 3, older);
         for round in 10..40 {
             m.txn(&[0, 1], round);
         }
@@ -641,10 +665,10 @@ mod tests {
         let image = &[7u32; 32][..];
         let writes = |t: u64| (0..16u32).map(move |k| (RecordId(t % 4 * 16 + u64::from(k)), image));
         for t in 0..1_500 {
-            log.append_txn_commit(TxnId(t + 1), writes(t));
+            log.append_txn(TxnId(t + 1), None, writes(t));
         }
         log.rotate().unwrap();
-        log.append_txn_commit(TxnId(9_999), writes(0));
+        log.append_txn(TxnId(9_999), None, writes(0));
         log.force().unwrap();
         let log_len = log.device_mut().len();
         assert!(log_len > 2 << 20, "a {log_len}-byte log is too short");
@@ -680,8 +704,9 @@ mod tests {
             let s_rec = self.storage.db_params().s_rec as usize;
             let images: Vec<_> = writes.iter().map(|&(_, fill)| vec![fill; s_rec]).collect();
             let frame = writes.iter().zip(&images);
-            self.log.append_txn_commit(
+            self.log.append_txn(
                 TxnId(self.next_txn),
+                None,
                 frame.map(|(&(rid, _), image)| (RecordId(rid), &image[..])),
             );
             self.log.force().unwrap();
@@ -785,7 +810,7 @@ mod tests {
         let first_len = m.log.next_lsn().raw() - first.raw();
         m.checkpoint();
         let dead_from = m.log.next_lsn();
-        let frame_len = LogRecord::txn_commit_len(TxnId(1), (0..64).map(RecordId), 32) as u64;
+        let frame_len = LogRecord::txn_len(TxnId(1), None, (0..64).map(RecordId), 32) as u64;
         let rounds = MAX_TXN_FRAME_BYTES as u64 / frame_len + 40;
         for round in 0..rounds {
             m.txn_commit(&writes(2 + round as u32));
@@ -852,7 +877,7 @@ mod tests {
         let image = [9u32];
         let frame = |log: &mut LogManager, records: &[u64]| {
             let writes = records.iter().map(|&r| (RecordId(r), &image[..]));
-            log.append_txn_commit(TxnId(1), writes)
+            log.append_txn(TxnId(1), None, writes)
         };
         let one_lost = frame(&mut log, &[1, 10]);
         let two_lost = frame(&mut log, &[1, 2, 11]);
@@ -884,7 +909,7 @@ mod tests {
         assert_eq!(records_at(two_lost), [11]);
         // the cut frame's freed tail and the dead frame behind it are one
         // filler, so every later frame keeps its LSN
-        let cut_len = LogRecord::txn_commit_len(TxnId(1), [RecordId(11)], 1) as u64;
+        let cut_len = LogRecord::txn_len(TxnId(1), None, [RecordId(11)], 1) as u64;
         let (_, filler) = &frames[2];
         assert_eq!(frames[2].0, two_lost.advance(cut_len));
         let span = frames[3].0.raw() - frames[2].0.raw();

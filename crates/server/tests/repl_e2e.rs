@@ -233,6 +233,19 @@ fn version_negotiation_is_in_protocol_and_picks_the_newest_common() {
         }
         other => panic!("a version-1 standby must be refused, got {other:?}"),
     }
+    // ... and so is a version-2 one, which would stall at the first
+    // `TxnPrepare` frame
+    let version_two = Request::ReplHello {
+        ver_min: 1,
+        ver_max: 2,
+    };
+    match c.request(&version_two) {
+        Err(WireError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Invalid);
+            assert!(message.contains("TxnPrepare"), "{message}");
+        }
+        other => panic!("a version-2 standby must be refused, got {other:?}"),
+    }
     // ... and an inverted range is malformed, same structured refusal
     let inverted = Request::ReplHello {
         ver_min: REPL_VERSION,

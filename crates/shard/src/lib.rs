@@ -26,8 +26,8 @@
 //!   transaction on it. Shards never interact.
 //! * **cross-shard**: acquire the participating shard locks in
 //!   ascending index order (deadlock-free), then run two-phase commit
-//!   over the per-shard logs: prepare every branch (forced `Prepare`
-//!   record), force a `Decide` record on the lowest participating shard
+//!   over the per-shard logs: prepare every branch (one forced
+//!   `TxnPrepare` frame), force a `Decide` record on the lowest participating shard
 //!   (the commit point), commit every prepared branch, release the
 //!   locks in reverse order. No torn cross-shard state is ever logged:
 //!   until the decision is durable, every branch is in-doubt and
@@ -458,7 +458,7 @@ pub struct ShardedMmdb {
     n_records: u64,
     record_words: usize,
     /// Global-transaction-id source for cross-shard 2PC (`gid` in the
-    /// log's `Prepare`/`Decide` records). Seeded past every gid seen in
+    /// log's `TxnPrepare`/`Decide` records). Seeded past every gid seen in
     /// any shard's recovery window, so decisions are never confused
     /// across incarnations.
     next_gid: AtomicU64,
@@ -978,8 +978,8 @@ impl ShardedMmdb {
                     "cross-shard transaction failed to commit after {max_runs} reruns"
                 )));
             }
-            // A fresh gid per attempt: an aborted attempt's Prepare
-            // records must never alias a later attempt's decision.
+            // A fresh gid per attempt: an aborted attempt's TxnPrepare
+            // frames must never alias a later attempt's decision.
             let gid = self.next_gid.fetch_add(1, Ordering::SeqCst);
             match self.try_cross_once(gid, by_shard) {
                 Ok(txn) => {
@@ -995,7 +995,7 @@ impl ShardedMmdb {
                             self.repl_wait(shard, lsn)?;
                         }
                     }
-                    // 2PC branches force their Prepare and Decide records
+                    // 2PC branches force their TxnPrepare and Decide records
                     // inline — already durable, nothing to wait for.
                     return Ok(TxnRun {
                         txn,
@@ -1609,7 +1609,7 @@ mod tests {
                 })
                 .expect("prepare branch");
             }
-            // db dropped here: the crash. Prepare records were forced.
+            // db dropped here: the crash. TxnPrepare frames were forced.
         }
         {
             let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
@@ -1900,7 +1900,7 @@ mod tests {
         db.run_txn(&[(RecordId(1), fill(w, 2))])
             .expect("seed shard 1");
 
-        // The next append on shard 1's device (the Prepare force)
+        // The next append on shard 1's device (the TxnPrepare force)
         // succeeds; the one after (the commit_prepared force) fails —
         // i.e. the failure lands *after* the durable decision.
         control.fail_after_next(1);

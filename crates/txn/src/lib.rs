@@ -52,7 +52,8 @@ pub struct ActiveTxn {
     /// The transaction timestamp `τ(T)` (assigned at begin; used by the
     /// copy-on-update protocol).
     pub tau: Timestamp,
-    /// LSN of the branch's `TxnBegin` frame once it is prepared; a
+    /// LSN of the branch's `TxnPrepare` frame once it is prepared — the
+    /// replay floor a checkpoint begun while it is open must keep; a
     /// transaction that is not prepared has nothing in the log.
     pub begin_lsn: Lsn,
     /// Buffered updates, in program order.

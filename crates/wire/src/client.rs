@@ -257,7 +257,7 @@ impl Client {
     }
 
     /// Introduces this connection as a replication standby and
-    /// negotiates the replication version (this build offers exactly
+    /// negotiates the replication version (this build offers 1 through
     /// [`REPL_VERSION`]). Returns the primary's welcome: negotiated
     /// version plus topology facts the standby must match.
     pub fn repl_hello(&mut self) -> WireResult<ReplWelcome> {

@@ -91,3 +91,43 @@ fn dump_without_checkpoint_fails() {
     ));
     let _ = std::fs::remove_file(&archive);
 }
+
+#[test]
+fn archive_carries_one_frame_branches() {
+    let src_dir = tmp("src3");
+    let dst_dir = tmp("dst3");
+    let archive = tmp("file3.mmdbarch");
+    let config = MmdbConfig::small(Algorithm::FuzzyCopy);
+    let fingerprint = {
+        let (mut db, _) = Mmdb::open_dir(config, &src_dir).unwrap();
+        let words = db.record_words();
+        db.checkpoint().unwrap();
+        // two cross-shard branches, each one `TxnPrepare` frame in the
+        // slice: one committed by its coordinator, one aborted
+        for (gid, commit) in [(5, true), (6, false)] {
+            let branch = db.begin_txn().unwrap();
+            db.write(branch, RecordId(gid), &vec![gid as u32; words])
+                .unwrap();
+            db.prepare_txn(branch, gid).unwrap();
+            db.log_decision(gid, commit).unwrap();
+            match commit {
+                true => db.commit_prepared(branch).unwrap(),
+                false => db.abort_prepared(branch).unwrap(),
+            }
+        }
+        db.dump_archive(&archive).unwrap();
+        db.fingerprint()
+    };
+
+    let (db, report) = Mmdb::restore_archive_dir(config, &dst_dir, &archive).unwrap();
+    assert_eq!(report.txns_replayed, 1);
+    assert_eq!(report.decisions, vec![(5, true), (6, false)]);
+    assert_eq!(db.fingerprint(), fingerprint, "bit-identical restore");
+    assert_eq!(db.read_committed(RecordId(5)).unwrap()[0], 5);
+    assert_ne!(db.read_committed(RecordId(6)).unwrap()[0], 6);
+
+    for p in [&src_dir, &dst_dir] {
+        let _ = std::fs::remove_dir_all(p);
+    }
+    let _ = std::fs::remove_file(&archive);
+}

@@ -56,6 +56,19 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
                     .map(|r| (RecordId(r), vec![fill; words]))
                     .collect(),
             }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec(any::<u64>(), 0..6),
+            0usize..9,
+        )
+            .prop_map(|(t, gid, records, words)| LogRecord::TxnPrepare {
+                txn: TxnId(t),
+                gid,
+                writes: (records.into_iter())
+                    .map(|r| (RecordId(r), vec![r as u32; words]))
+                    .collect(),
+            }),
     ]
 }
 
@@ -95,13 +108,14 @@ fn legacy(rec: &LogRecord) -> Vec<u8> {
     out
 }
 
-/// The frames of `recs`, those picked by `older` in the older envelope,
-/// and the offset each frame ends at.
+/// The frames of `recs`, those picked by `older` in the older envelope
+/// (never a `TxnPrepare`, which no older binary wrote), and the offset
+/// each frame ends at.
 fn mixed(recs: &[LogRecord], older: &[bool]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut ends = Vec::new();
     for (r, &old) in recs.iter().zip(older.iter().cycle()) {
-        match old {
+        match old && !matches!(r, LogRecord::TxnPrepare { .. }) {
             true => bytes.extend(legacy(r)),
             false => r.encode_into(&mut bytes),
         }

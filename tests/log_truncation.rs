@@ -55,7 +55,7 @@ fn log_disk_usage_stays_bounded_across_checkpoint_cycles() {
             }
             // total log *written* grows without bound: every transaction's
             // frame (none shorter than this one), plus the checkpoint markers
-            let shortest = LogRecord::txn_commit_len(TxnId(0), [RecordId(0)], words);
+            let shortest = LogRecord::txn_len(TxnId(0), None, [RecordId(0)], words);
             let txn_bytes = 12 * 60 * shortest as u64;
             assert!(peak_after_ckpt.last().unwrap() > &txn_bytes);
         }
