@@ -1565,8 +1565,9 @@ mod tests {
         // backup headers: ckpt 1 on copy 1, ckpt 2 on copy 0
         assert_eq!(r.backup.recovery_copy().unwrap(), (0, CheckpointId(2)));
         // the log contains matching begin/end markers
-        let scanner = mmdb_log::LogScanner::from_device(r.log.device_mut()).unwrap();
-        let mark = scanner.last_complete_checkpoint().unwrap();
+        let mut log = mmdb_log::LogStream::new(r.log.device_mut());
+        let window = log.validate(|_, _, _| {}).unwrap();
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.ckpt, CheckpointId(2));
     }
 
@@ -1589,8 +1590,9 @@ mod tests {
             )
             .unwrap();
         r.run();
-        let scanner = mmdb_log::LogScanner::from_device(r.log.device_mut()).unwrap();
-        let mark = scanner.last_complete_checkpoint().unwrap();
+        let mut log = mmdb_log::LogStream::new(r.log.device_mut());
+        let window = log.validate(|_, _, _| {}).unwrap();
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.active, vec![TxnId(7), TxnId(9)]);
     }
 
@@ -1635,8 +1637,9 @@ mod tests {
             .unwrap();
         r.run();
         // ...and the marker records them for recovery's replay window
-        let scanner = mmdb_log::LogScanner::from_device(r.log.device_mut()).unwrap();
-        let mark = scanner.last_complete_checkpoint().unwrap();
+        let mut log = mmdb_log::LogStream::new(r.log.device_mut());
+        let window = log.validate(|_, _, _| {}).unwrap();
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.active, vec![TxnId(41), TxnId(42)]);
     }
 

@@ -65,7 +65,6 @@ use mmdb_server::{run_load, LoadConfig, ReplOptions, Server, ServerConfig, Workl
 use mmdb_shard::{shard_config, ShardedMmdb};
 use mmdb_wire::Client;
 use mmdb_workload::{UniformWorkload, Workload};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -1312,22 +1311,8 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     // One validation pass tallies the composition and finds the newest
     // begin marker an end marker completed (paper §3.3's footnote).
     let mut composition = Composition::default();
-    let mut begun: HashMap<u64, u64> = HashMap::new(); // ckpt -> newest begin LSN
-    let mut complete: Option<(u64, u64)> = None; // (begin LSN, ckpt)
     let log = LogStream::new(&mut dev)
-        .validate(|lsn, rec, end| {
-            composition.note(rec, end.raw() - lsn.raw());
-            match rec {
-                LogRecord::BeginCheckpoint { ckpt, .. } => {
-                    begun.insert(ckpt.raw(), lsn.raw());
-                }
-                LogRecord::EndCheckpoint { ckpt } => {
-                    let done = begun.get(&ckpt.raw()).map(|&at| (at, ckpt.raw()));
-                    complete = complete.max(done);
-                }
-                _ => {}
-            }
-        })
+        .validate(|lsn, rec, end| composition.note(rec, end.raw() - lsn.raw()))
         .map_err(|e| e.to_string())?;
     let intact = log.end_lsn().raw() - log.base_lsn().raw();
     println!(
@@ -1341,10 +1326,12 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
         }
     );
     println!("{}", composition.line(intact));
-    match complete {
-        Some((begin_lsn, ckpt)) => {
-            println!("log: last complete checkpoint {ckpt} (begin marker at {begin_lsn})")
-        }
+    match log.last_complete_checkpoint() {
+        Some(mark) => println!(
+            "log: last complete checkpoint {} (begin marker at {})",
+            mark.ckpt.raw(),
+            mark.begin_lsn.raw()
+        ),
         None => {
             println!("log: NO complete checkpoint marker in the readable window");
             problems += 1;

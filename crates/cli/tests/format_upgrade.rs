@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use mmdb_log::{LogDevice, LogScanner, SegmentedLogDevice};
+use mmdb_log::{LogDevice, LogStream, SegmentedLogDevice};
 use mmdb_wire::Client;
 
 /// What the fixture recovers to, as the binary that wrote it reported.
@@ -101,14 +101,17 @@ fn log_is_mixed(dir: &Path, i: usize) -> bool {
     let log = dir.join(format!("shard.{i}/log"));
     let mut dev = SegmentedLogDevice::open(&log, mmdb_log::DEFAULT_CHUNK_BYTES, false)
         .expect("open shard log");
-    let scanner = LogScanner::from_device(&mut dev).expect("scan");
-    let last = (scanner.forward_from(scanner.base_lsn()).last()).expect("frames");
+    let mut last = None;
+    let window = (LogStream::new(&mut dev))
+        .validate(|lsn, _, _| last = Some(lsn))
+        .expect("scan");
+    let last = last.expect("frames");
     let mut envelope = |lsn: u64| {
         let mut head = [0u8; 4];
         dev.read_at(lsn, &mut head).expect("read header");
         u32::from_le_bytes(head) >> 31
     };
-    envelope(scanner.base_lsn().raw()) == 0 && envelope(last.0.raw()) == 1
+    envelope(window.base_lsn().raw()) == 0 && envelope(last.raw()) == 1
 }
 
 #[test]

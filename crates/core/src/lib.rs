@@ -48,14 +48,14 @@ pub use mmdb_audit::{Audit, AuditReport, AuditViolation, CheckerId};
 pub use mmdb_checkpoint::{CkptReport, CkptStats, StepOutcome, WalPolicy};
 pub use mmdb_log::ChunkInfo;
 pub use mmdb_log::{
-    step, DurableWatermark, FlakyControl, FlakyLogDevice, LogDevice, LogRecord, PendingForce, Step,
-    MAX_TXN_FRAME_BYTES,
+    DurableWatermark, FlakyControl, FlakyLogDevice, LogDevice, LogRecord, LogStream, PendingForce,
+    Stop, MAX_TXN_FRAME_BYTES,
 };
 pub use mmdb_obs::{
     validate_prometheus, write_flightrec, HistSummary, MetricsSnapshot, Obs, PaperOverhead,
     TraceDumpDoc,
 };
-pub use mmdb_recovery::{RecoveryReport, Resolver};
+pub use mmdb_recovery::{replay_frames, RecoveryReport, Resolver};
 pub use mmdb_rescale::{CompactOptions, CompactReport};
 pub use mmdb_storage::{PendingInstall, ReadMirror};
 pub use mmdb_types::{

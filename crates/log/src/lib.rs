@@ -17,14 +17,13 @@
 //!   reads what it ships from the device
 //!   ([`LogManager::read_range_aligned`], the log's only copy), and
 //!   times standby acks against the watermark's lag marks,
-//! * [`LogStream`] — the crash-tolerant reader: the log through
-//!   one reused window, checkpoint marker location and replay-start
-//!   computation in a first pass, the frames to replay in a second
+//! * [`LogStream`] — the log's one reader: a device's log, or a byte
+//!   string at a base LSN (a standby's pulled batch), through one reused
+//!   window. Its validation pass locates the checkpoint markers and
+//!   computes replay starts; a second pass reads the frames to replay
 //!   (paper §3.3),
-//! * [`step`] — the one rule for reading a frame off raw log bytes
-//!   (whole, cut short, or corrupt), shared by every reader,
-//! * [`LogScanner`] — the same forward scan over a log held whole, for
-//!   tests and the benchmark only.
+//! * [`LogScanner`] — a shim over the stream, kept only because the
+//!   benchmark names it.
 
 #![warn(missing_docs)]
 
@@ -38,6 +37,6 @@ mod watermark;
 pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
 pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
-pub use scan::{step, CheckpointMark, ForwardIter, LogScanner, LogStream, LogWindow, Step};
+pub use scan::{CheckpointMark, LogScanner, LogStream, LogWindow, Stop};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use watermark::DurableWatermark;

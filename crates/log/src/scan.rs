@@ -9,18 +9,15 @@
 //!
 //! Scanning tolerates a torn final flush: the log is walked forward and
 //! the first undecodable frame is the end of the durable log. Everything
-//! before it is intact (each frame is checksummed). That rule lives in
-//! [`step`], which every reader of log bytes shares (a standby's pulled
-//! batches too):
-//!
-//! * [`LogStream`] — the log's reader. It holds one reused window of the
-//!   log at a time, so a pass costs a window of memory however long the
-//!   log is. Recovery drives it twice: [`LogStream::validate`] finds
-//!   where the log ends and where replay starts, [`LogStream::replay`]
-//!   hands the frames in between to the replay core. Compaction and
-//!   `fsck` watch the validation pass frame by frame.
-//! * [`LogScanner`] — the whole log resident, for tests and the
-//!   benchmark's scan-rate probe only.
+//! before it is intact (each frame is checksummed). [`LogStream`] is the
+//! one reader: of a device, or of a standby's pulled batch at its base
+//! LSN, through one reused window, so a pass costs a window of memory
+//! however long the log is. Recovery reads a device twice:
+//! [`LogStream::validate`] finds the end, the markers and the replay
+//! starts, and the replay core [`read`](LogStream::read)s the frames in
+//! between. Compaction and `fsck` watch the validation pass; a standby
+//! reads each batch once. [`LogScanner`] is a shim over it that only
+//! `benchmark/` uses.
 
 use crate::device::LogDevice;
 use crate::record::LogRecord;
@@ -45,41 +42,44 @@ pub struct CheckpointMark {
     pub active: Vec<TxnId>,
 }
 
-/// What the frame at the head of some log bytes turned out to be.
-pub enum Step {
-    /// Whole and intact: the record and its encoded length.
-    Frame(LogRecord, usize),
-    /// The bytes stop inside it: more bytes may complete it. At the end
-    /// of the device this is the torn tail.
+/// Why a pass over a [`LogStream`] stopped.
+#[derive(Debug)]
+pub enum Stop {
+    /// At the end of its input, on a frame boundary.
+    End,
+    /// Inside a frame the input ends before: a device's torn tail, or a
+    /// frame the next pulled batch completes.
     Cut,
-    /// Whole and corrupt: the log ends here.
+    /// At a whole frame that does not decode: the log ends here.
     Bad(MmdbError),
 }
 
-/// Decodes the frame at the head of `bytes`, with its checksum when
-/// `verify` (a frame that already passed once is not summed again).
-pub fn step(bytes: &[u8], verify: bool) -> Step {
+/// The one rule for reading log bytes: the frame at the head of `bytes`
+/// and its length, or why there is none (never `End`), summing its
+/// checksum when `verify` (a frame that passed once is not summed again).
+fn step(bytes: &[u8], verify: bool) -> std::result::Result<(LogRecord, usize), Stop> {
     let decoded = if verify {
         LogRecord::decode(bytes)
     } else {
         LogRecord::decode_verified(bytes)
     };
-    match decoded {
-        Ok((rec, used)) => Step::Frame(rec, used),
-        Err(_) if LogRecord::frame_len(bytes).is_none() => Step::Cut,
-        Err(e) => Step::Bad(e),
-    }
+    decoded.map_err(|e| match LogRecord::frame_len(bytes) {
+        None => Stop::Cut,
+        Some(_) => Stop::Bad(e),
+    })
 }
 
 /// The validated window of a log: where it starts and ends, and the
-/// begin-checkpoint markers inside it.
-#[derive(Debug, PartialEq, Eq)]
+/// checkpoint markers inside it.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct LogWindow {
     base: u64,
     end: u64,
     /// Every begin-checkpoint marker, oldest first, with the LSN replay
     /// from it starts at.
     marks: Vec<(CheckpointMark, Lsn)>,
+    /// The newest of `marks` an end marker of the same checkpoint follows.
+    complete: Option<usize>,
 }
 
 impl LogWindow {
@@ -105,58 +105,86 @@ impl LogWindow {
         Some((mark, *start))
     }
 
+    /// The most recently *completed* checkpoint: the newest begin marker
+    /// an end marker of the same checkpoint follows (paper §3.3 and its
+    /// footnote).
+    pub fn last_complete_checkpoint(&self) -> Option<&CheckpointMark> {
+        Some(&self.marks[self.complete?].0)
+    }
+
     /// Words of log from `from` to the end of the window — the portion
     /// recovery must read and replay.
     pub fn words_from(&self, from: Lsn) -> u64 {
         self.end.saturating_sub(from.raw()).div_ceil(4)
     }
-}
 
-/// What validation keeps of the frames it has accepted: the markers, and
-/// where each open transaction id began. Walking forward with that map
-/// answers "where does replay from this marker start" at the marker,
-/// with no walk back over frames that may have left memory. Only a
-/// prepared, undecided branch can be on a later marker's list, so an id
-/// leaves the map at its outcome.
-#[derive(Default)]
-struct Marks {
-    found: Vec<(CheckpointMark, Lsn)>,
-    begins: HashMap<TxnId, Lsn>,
-}
-
-impl Marks {
-    fn note(&mut self, lsn: Lsn, rec: LogRecord) {
+    /// Notes the frame validation accepted at `lsn`, with `begins` where
+    /// each open transaction id began. Walking forward with that map
+    /// answers "where does replay from this marker start" at the marker,
+    /// with no walk back over frames that may have left memory. Only a
+    /// prepared, undecided branch can be on a later marker's list, so an
+    /// id leaves the map at its outcome.
+    fn note(&mut self, begins: &mut HashMap<TxnId, Lsn>, lsn: Lsn, rec: &LogRecord) {
         match rec {
             LogRecord::TxnBegin { txn, .. } | LogRecord::TxnPrepare { txn, .. } => {
-                self.begins.insert(txn, lsn);
+                begins.insert(*txn, lsn);
             }
             LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
             | LogRecord::TxnCommit { txn, .. } => {
-                self.begins.remove(&txn);
+                begins.remove(txn);
             }
             LogRecord::BeginCheckpoint { ckpt, tau, active } => {
                 let start = active
                     .iter()
-                    .filter_map(|txn| self.begins.get(txn).copied())
+                    .filter_map(|txn| begins.get(txn).copied())
                     .min()
                     .unwrap_or(lsn);
                 let mark = CheckpointMark {
-                    ckpt,
+                    ckpt: *ckpt,
                     begin_lsn: lsn,
-                    tau,
-                    active,
+                    tau: *tau,
+                    active: active.clone(),
                 };
-                self.found.push((mark, start));
+                self.marks.push((mark, start));
+            }
+            LogRecord::EndCheckpoint { ckpt } => {
+                let begun = self.marks.iter().rposition(|(m, _)| m.ckpt == *ckpt);
+                self.complete = self.complete.max(begun);
             }
             _ => {}
         }
     }
 }
 
-/// Recovery's reader: the durable log of a device, one window at a time.
+/// Where a [`LogStream`] reads from.
+enum Source<'a> {
+    Device(&'a mut dyn LogDevice),
+    /// Log bytes whose first byte sits at the LSN given.
+    Bytes(u64, &'a [u8]),
+}
+
+impl Source<'_> {
+    fn read_at(&mut self, at: u64, buf: &mut [u8]) -> Result<()> {
+        match self {
+            Source::Device(device) => device.read_at(at, buf),
+            Source::Bytes(base, bytes) => {
+                buf.copy_from_slice(&bytes[(at - *base) as usize..][..buf.len()]);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The log's one reader: a device's durable log, or a byte string at a
+/// base LSN, one window at a time.
 pub struct LogStream<'a> {
-    device: &'a mut dyn LogDevice,
+    source: Source<'a>,
+    /// The input's first readable offset and its end.
+    start: u64,
+    limit: u64,
+    /// Where validation found the log to end, once it has run.
+    valid_end: Option<u64>,
     /// The window, reused from refill to refill.
     buf: Vec<u8>,
     window: usize,
@@ -167,12 +195,25 @@ pub struct LogStream<'a> {
 impl<'a> LogStream<'a> {
     /// A stream over the readable log of `device`.
     pub fn new(device: &'a mut dyn LogDevice) -> LogStream<'a> {
-        LogStream::with_window(device, STREAM_WINDOW_BYTES)
+        LogStream::with_window(Source::Device(device), STREAM_WINDOW_BYTES)
     }
 
-    fn with_window(device: &'a mut dyn LogDevice, window: usize) -> LogStream<'a> {
+    /// A stream over `bytes`, whose first byte sits at LSN `base` (a
+    /// frame boundary): a standby's pulled batch.
+    pub fn over(base: Lsn, bytes: &'a [u8]) -> LogStream<'a> {
+        LogStream::with_window(Source::Bytes(base.raw(), bytes), STREAM_WINDOW_BYTES)
+    }
+
+    fn with_window(source: Source<'a>, window: usize) -> LogStream<'a> {
+        let (start, limit) = match &source {
+            Source::Device(device) => (device.start_offset(), device.len()),
+            Source::Bytes(base, bytes) => (*base, base + bytes.len() as u64),
+        };
         LogStream {
-            device,
+            source,
+            start,
+            limit,
+            valid_end: None,
             buf: Vec::new(),
             window,
             peak: 0,
@@ -180,41 +221,20 @@ impl<'a> LogStream<'a> {
         }
     }
 
-    /// First pass: checksums the log from the device's truncation point
-    /// up to the first torn or corrupt frame, showing `each` every frame
-    /// it accepts, in log order, with where it starts and ends.
+    /// First pass: checksums the input up to the first torn or corrupt
+    /// frame, showing `each` every frame it accepts, in log order, with
+    /// where it starts and ends.
     pub fn validate(&mut self, mut each: impl FnMut(Lsn, &LogRecord, Lsn)) -> Result<LogWindow> {
-        let base = self.device.start_offset();
-        let limit = self.device.len();
-        let mut marks = Marks::default();
-        let end = self.drive(base, limit, true, |lsn, rec, end| {
+        let (mut window, mut begins) = (LogWindow::default(), HashMap::new());
+        self.valid_end = None;
+        let (end, _) = self.read(Lsn::ZERO, |lsn, rec, end| {
             each(lsn, &rec, end);
-            marks.note(lsn, rec);
+            window.note(&mut begins, lsn, &rec);
             Ok(())
         })?;
-        Ok(LogWindow {
-            base,
-            end,
-            marks: marks.found,
-        })
-    }
-
-    /// Second pass: hands `each` every record of `window` from `from` (a
-    /// record boundary inside it) on, in log order, with where it starts
-    /// and ends.
-    pub fn replay(
-        &mut self,
-        window: &LogWindow,
-        from: Lsn,
-        each: impl FnMut(Lsn, LogRecord, Lsn) -> Result<()>,
-    ) -> Result<()> {
-        let end = self.drive(from.raw().max(window.base), window.end, false, each)?;
-        if end < window.end {
-            return Err(MmdbError::Corrupt(format!(
-                "log frame at {end} passed validation and no longer decodes"
-            )));
-        }
-        Ok(())
+        (window.base, window.end) = (self.start, end.raw());
+        self.valid_end = Some(window.end);
+        Ok(window)
     }
 
     /// The largest window held so far, in bytes.
@@ -222,206 +242,116 @@ impl<'a> LogStream<'a> {
         self.peak as u64
     }
 
-    /// Bytes read from the device so far, every pass counted.
+    /// Bytes read from the source so far, every pass counted.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
-    /// Feeds `each` the frames of `[from, limit)` and returns where they
-    /// stop: `limit`, or the first frame that is torn by `limit` or
-    /// corrupt.
-    fn drive(
+    /// Hands `each` the frames from `from` (a frame boundary; the input's
+    /// start at most) on, in log order, with where each starts and ends,
+    /// and returns where and why they stop. Before
+    /// [`validate`](Self::validate) it sums every frame up to the end of
+    /// the input; after, it reads only what validation accepted, without
+    /// summing it again, and a frame there that no longer decodes is an
+    /// error.
+    pub fn read(
         &mut self,
-        from: u64,
-        limit: u64,
-        verify: bool,
+        from: Lsn,
         mut each: impl FnMut(Lsn, LogRecord, Lsn) -> Result<()>,
-    ) -> Result<u64> {
+    ) -> Result<(Lsn, Stop)> {
+        let to = self.valid_end.unwrap_or(self.limit);
         // `buf[pos..]` is the unconsumed log from offset `at + pos` on.
-        let (mut at, mut pos) = (from, 0usize);
+        let (mut at, mut pos) = (from.raw().max(self.start), 0usize);
         self.buf.clear();
-        loop {
-            match step(&self.buf[pos..], verify) {
-                Step::Frame(rec, used) => {
+        let (end, stop) = loop {
+            match step(&self.buf[pos..], self.valid_end.is_none()) {
+                Ok((rec, used)) => {
                     let start = at + pos as u64;
                     each(Lsn(start), rec, Lsn(start + used as u64))?;
                     pos += used;
+                    continue;
                 }
-                Step::Bad(_) => return Ok(at + pos as u64),
-                Step::Cut => {
-                    // carry the cut frame's head to the front, read on
-                    self.buf.drain(..pos);
-                    at += pos as u64;
-                    pos = 0;
-                    let have = self.buf.len();
-                    let ahead = limit.saturating_sub(at);
-                    if ahead == have as u64 {
-                        return Ok(at); // nothing left to read: the torn tail
-                    }
-                    // Fill the window — or, when the frame at its head is
-                    // longer, grow to that one frame: to whatever length
-                    // its header says (at most `MAX_TXN_FRAME_BYTES`, or
-                    // `step` has called it bad), once an older frame's
-                    // last four bytes say so too.
-                    let mut fill = self.window.max(4) as u64;
-                    if let Some(total) = LogRecord::declared_len(&self.buf) {
-                        let total = total as u64;
-                        if total > ahead {
-                            return Ok(at); // can never be whole
-                        }
-                        if total > fill && LogRecord::is_legacy(&self.buf) {
-                            let mut trailer = [0u8; 4];
-                            self.device.read_at(at + total - 4, &mut trailer)?;
-                            self.bytes_read += 4;
-                            if u64::from(u32::from_le_bytes(trailer)) != total {
-                                return Ok(at);
-                            }
-                        }
-                        fill = fill.max(total);
-                    }
-                    let fill = fill.min(ahead) as usize;
-                    self.buf.reserve_exact(fill - have);
-                    self.buf.resize(fill, 0);
-                    self.device
-                        .read_at(at + have as u64, &mut self.buf[have..])?;
-                    self.bytes_read += (fill - have) as u64;
-                    self.peak = self.peak.max(fill);
-                }
+                Err(Stop::Cut) => {}
+                Err(stop) => break (at + pos as u64, stop),
             }
+            // carry the cut frame's head to the front, read on
+            self.buf.drain(..pos);
+            at += pos as u64;
+            pos = 0;
+            let have = self.buf.len();
+            let ahead = to.saturating_sub(at);
+            if ahead == have as u64 {
+                // nothing left to read: the end, or the torn tail
+                break (at, if have == 0 { Stop::End } else { Stop::Cut });
+            }
+            // Fill the window — or, when the frame at its head is longer,
+            // grow to that one frame: to whatever length its header says
+            // (at most `MAX_TXN_FRAME_BYTES`, or `step` has called it
+            // bad), once an older frame's last four bytes say so too.
+            let mut fill = self.window.max(4) as u64;
+            if let Some(total) = LogRecord::declared_len(&self.buf) {
+                let total = total as u64;
+                if total > ahead {
+                    break (at, Stop::Cut); // can never be whole
+                }
+                if total > fill && LogRecord::is_legacy(&self.buf) {
+                    let mut trailer = [0u8; 4];
+                    self.source.read_at(at + total - 4, &mut trailer)?;
+                    self.bytes_read += 4;
+                    if u64::from(u32::from_le_bytes(trailer)) != total {
+                        let e = format!("log frame at {at}: its trailer disagrees with its length");
+                        break (at, Stop::Bad(MmdbError::Corrupt(e)));
+                    }
+                }
+                fill = fill.max(total);
+            }
+            let fill = fill.min(ahead) as usize;
+            self.buf.reserve_exact(fill - have);
+            self.buf.resize(fill, 0);
+            self.source
+                .read_at(at + have as u64, &mut self.buf[have..])?;
+            self.bytes_read += (fill - have) as u64;
+            self.peak = self.peak.max(fill);
+        };
+        if self.valid_end.is_some() && end < to {
+            return Err(MmdbError::Corrupt(format!(
+                "log frame at {end} passed validation and no longer decodes"
+            )));
         }
+        Ok((Lsn(end), stop))
     }
 }
 
-/// An in-memory view of the durable log, validated up to the first torn
-/// or corrupt frame.
+/// A device's validated log, decoded whole: a shim over [`LogStream`]
+/// that only `benchmark/` uses (its scan-rate probe names it).
 #[derive(Debug)]
 pub struct LogScanner {
-    bytes: Vec<u8>,
-    /// The validated prefix of `bytes` and the markers in it.
     window: LogWindow,
+    frames: Vec<(Lsn, LogRecord)>,
 }
 
 impl LogScanner {
-    /// Reads and validates the durable log from `device` (honoring its
-    /// truncation point: LSNs stay global).
+    /// Reads and validates the durable log of `device`.
     pub fn from_device(device: &mut dyn LogDevice) -> Result<LogScanner> {
-        let base = device.start_offset();
-        Ok(LogScanner::from_bytes_at(device.read_all()?, base))
+        let mut frames = Vec::new();
+        let window =
+            LogStream::new(device).validate(|lsn, rec, _| frames.push((lsn, rec.clone())))?;
+        Ok(LogScanner { window, frames })
     }
 
-    /// Builds a scanner over raw log bytes starting at LSN 0.
-    pub fn from_bytes(bytes: Vec<u8>) -> LogScanner {
-        LogScanner::from_bytes_at(bytes, 0)
-    }
-
-    /// Builds a scanner over raw log bytes whose first byte sits at
-    /// global LSN `base` (must be a record boundary).
-    pub fn from_bytes_at(bytes: Vec<u8>, base: u64) -> LogScanner {
-        let mut marks = Marks::default();
-        let mut pos = 0usize;
-        // all the bytes there are: a cut frame is the torn tail
-        while let Step::Frame(rec, used) = step(&bytes[pos..], true) {
-            marks.note(Lsn(base + pos as u64), rec);
-            pos += used;
-        }
-        LogScanner {
-            bytes,
-            window: LogWindow {
-                base,
-                end: base + pos as u64,
-                marks: marks.found,
-            },
-        }
-    }
-
-    /// The validated window: its bounds and its checkpoint markers.
-    pub fn window(&self) -> &LogWindow {
-        &self.window
-    }
-
-    /// Length in bytes of the validated log window.
-    pub fn valid_len(&self) -> u64 {
-        self.window.end - self.window.base
-    }
-
-    /// `valid_len` as an index into `bytes`.
-    fn valid(&self) -> usize {
-        self.valid_len() as usize
-    }
-
-    /// Global LSN of the first scannable record.
+    /// Global LSN of the first record.
     pub fn base_lsn(&self) -> Lsn {
         self.window.base_lsn()
     }
 
-    /// Global LSN just past the last intact record.
-    pub fn end_lsn(&self) -> Lsn {
-        self.window.end_lsn()
+    /// Bytes of the validated log.
+    pub fn valid_len(&self) -> u64 {
+        self.window.end - self.window.base
     }
 
-    /// Log bulk in words of the validated prefix — the recovery-time
-    /// metric the paper uses (§4: recovery reads the backup plus "the
-    /// appropriate portion of the log").
-    pub fn valid_words(&self) -> u64 {
-        self.valid_len().div_ceil(4)
-    }
-
-    /// Iterates records forward starting at `from` (must be a record
-    /// boundary; [`Lsn::ZERO`] is always valid). The window was
-    /// checksummed once, at construction; iteration does not repeat it.
-    pub fn forward_from(&self, from: Lsn) -> ForwardIter<'_> {
-        ForwardIter {
-            scanner: self,
-            pos: (from.raw().saturating_sub(self.window.base) as usize).min(self.valid()),
-        }
-    }
-
-    /// Finds the most recently *completed* checkpoint: the newest begin
-    /// marker that an end marker of the same checkpoint follows (paper
-    /// §3.3 and its footnote).
-    pub fn last_complete_checkpoint(&self) -> Option<CheckpointMark> {
-        let begun = |ckpt, end| {
-            let mut marks = self.window.marks.iter().rev().map(|(mark, _)| mark);
-            marks.find(|mark| mark.ckpt == ckpt && mark.begin_lsn < end)
-        };
-        self.forward_from(Lsn::ZERO)
-            .filter_map(|(lsn, rec)| match rec {
-                LogRecord::EndCheckpoint { ckpt } => begun(ckpt, lsn),
-                _ => None,
-            })
-            .max_by_key(|mark| mark.begin_lsn)
-            .cloned()
-    }
-}
-
-/// Forward record iterator. Yields `(lsn, record)`.
-#[derive(Debug)]
-pub struct ForwardIter<'a> {
-    scanner: &'a LogScanner,
-    pos: usize,
-}
-
-impl Iterator for ForwardIter<'_> {
-    type Item = (Lsn, LogRecord);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let valid = self.scanner.valid();
-        if self.pos >= valid {
-            return None;
-        }
-        // inside the window every frame passed validation
-        match LogRecord::decode_verified(&self.scanner.bytes[self.pos..valid]) {
-            Ok((rec, used)) => {
-                let lsn = Lsn(self.scanner.window.base + self.pos as u64);
-                self.pos += used;
-                Some((lsn, rec))
-            }
-            Err(_) => {
-                // `from` was not a record boundary: there is nothing more.
-                self.pos = valid;
-                None
-            }
-        }
+    /// The records from `from` on, with their LSNs.
+    pub fn forward_from(&self, from: Lsn) -> impl Iterator<Item = &(Lsn, LogRecord)> {
+        self.frames.iter().skip_while(move |(lsn, _)| *lsn < from)
     }
 }
 
@@ -480,9 +410,7 @@ mod tests {
     fn forward_scan_of_a_mixed_format_log_round_trips() {
         let recs = sample_log();
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-
-        let fwd: Vec<_> = sc.forward_from(Lsn::ZERO).collect();
+        let (_, fwd) = scan(&buf);
         let want: Vec<_> = lsns.into_iter().zip(recs).collect();
         assert_eq!(fwd, want);
     }
@@ -491,8 +419,8 @@ mod tests {
     fn forward_from_mid_lsn() {
         let recs = sample_log();
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-        let fwd: Vec<_> = sc.forward_from(lsns[3]).collect();
+        let (window, _) = scan(&buf);
+        let fwd = replayed(&buf, 0, &window, lsns[3]);
         assert_eq!(fwd.len(), 3);
         assert_eq!(fwd[0].1, recs[3]);
     }
@@ -500,8 +428,8 @@ mod tests {
     #[test]
     fn skips_incomplete_checkpoint() {
         let (buf, lsns) = build(&sample_log());
-        let sc = LogScanner::from_bytes(buf);
-        let mark = sc.last_complete_checkpoint().unwrap();
+        let (window, _) = scan(&buf);
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.ckpt, CheckpointId(1), "ckpt 2 has no end marker");
         assert_eq!(mark.begin_lsn, lsns[2]);
         assert_eq!(mark.active, vec![TxnId(1)]);
@@ -510,10 +438,10 @@ mod tests {
     #[test]
     fn replay_start_extends_to_oldest_active_txn() {
         let (buf, lsns) = build(&sample_log());
-        let sc = LogScanner::from_bytes(buf);
-        let mark = sc.last_complete_checkpoint().unwrap();
+        let (window, _) = scan(&buf);
+        let mark = window.last_complete_checkpoint().unwrap();
         // txn 1 was active at the marker; its begin is record 0
-        assert_eq!(sc.window().checkpoint_mark(mark.ckpt).unwrap().1, lsns[0]);
+        assert_eq!(window.checkpoint_mark(mark.ckpt).unwrap().1, lsns[0]);
     }
 
     #[test]
@@ -529,16 +457,15 @@ mod tests {
             },
         ];
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-        let mark = sc.last_complete_checkpoint().unwrap();
-        assert_eq!(sc.window().checkpoint_mark(mark.ckpt).unwrap().1, lsns[0]);
+        let (window, _) = scan(&buf);
+        let mark = window.last_complete_checkpoint().unwrap();
+        assert_eq!(window.checkpoint_mark(mark.ckpt).unwrap().1, lsns[0]);
     }
 
     #[test]
     fn no_checkpoint_returns_none() {
         let (buf, _) = build(&[LogRecord::Commit { txn: TxnId(1) }]);
-        let sc = LogScanner::from_bytes(buf);
-        assert!(sc.last_complete_checkpoint().is_none());
+        assert!(scan(&buf).0.last_complete_checkpoint().is_none());
     }
 
     #[test]
@@ -549,9 +476,9 @@ mod tests {
         // append a record and tear it
         LogRecord::Commit { txn: TxnId(99) }.encode_into(&mut buf);
         buf.truncate(full + 5);
-        let sc = LogScanner::from_bytes(buf);
-        assert_eq!(sc.valid_len() as usize, full);
-        assert_eq!(sc.forward_from(Lsn::ZERO).count(), recs.len());
+        let (window, frames) = scan(&buf);
+        assert_eq!(window.end_lsn(), Lsn(full as u64));
+        assert_eq!(frames.len(), recs.len());
     }
 
     /// Every kind of frame a log can hold: whole-transaction frames, the
@@ -647,33 +574,95 @@ mod tests {
             .unwrap()
     }
 
+    /// Validates `bytes`, read as a batch whose first byte sits at LSN
+    /// `base`: the window and every frame it accepted.
+    fn scan_at(bytes: &[u8], base: u64) -> (LogWindow, Vec<(Lsn, LogRecord)>) {
+        let mut frames = Vec::new();
+        let mut stream = LogStream::over(Lsn(base), bytes);
+        let window = stream.validate(|lsn, rec, _| frames.push((lsn, rec.clone())));
+        (window.unwrap(), frames)
+    }
+
+    fn scan(bytes: &[u8]) -> (LogWindow, Vec<(Lsn, LogRecord)>) {
+        scan_at(bytes, 0)
+    }
+
+    /// The records of `window` from `from` on, read as the replay pass
+    /// reads them, out of `bytes` read as a batch at `base`.
+    fn replayed(bytes: &[u8], base: u64, window: &LogWindow, from: Lsn) -> Vec<(Lsn, LogRecord)> {
+        let mut frames = Vec::new();
+        let mut stream = LogStream::over(Lsn(base), bytes);
+        assert_eq!(&stream.validate(|_, _, _| {}).unwrap(), window);
+        let (end, stop) = stream
+            .read(from, |lsn, rec, _| {
+                frames.push((lsn, rec));
+                Ok(())
+            })
+            .unwrap();
+        assert!(matches!(stop, Stop::End) && end == window.end_lsn());
+        frames
+    }
+
+    /// The resident reference: a plain `step` loop over the whole of
+    /// `bytes` (read from LSN `base` on). The frames it accepts with where
+    /// each ends, why it stopped, and the window their markers make.
+    fn resident(bytes: &[u8], base: u64) -> (Vec<(Lsn, LogRecord, Lsn)>, Stop, LogWindow) {
+        let (mut frames, mut pos) = (Vec::new(), 0);
+        let (mut window, mut begins) = (LogWindow::default(), HashMap::new());
+        let stop = loop {
+            match step(&bytes[pos..], true) {
+                Ok((rec, used)) => {
+                    let at = Lsn(base + pos as u64);
+                    window.note(&mut begins, at, &rec);
+                    frames.push((at, rec, at.advance(used as u64)));
+                    pos += used;
+                }
+                Err(Stop::Cut) if pos == bytes.len() => break Stop::End,
+                Err(stop) => break stop,
+            }
+        };
+        (window.base, window.end) = (base, base + pos as u64);
+        (frames, stop, window)
+    }
+
     /// Streams `bytes` (readable from `base` on) through a window of
-    /// `window` bytes and holds both passes against the resident scanner.
+    /// `window` bytes, from a device and as a pulled batch, and holds
+    /// every pass against the resident reference.
     fn assert_stream_matches_resident(bytes: &[u8], base: u64, window: usize) {
+        let (frames, resident_stop, resident_window) = resident(&bytes[base as usize..], base);
+        let end = resident_window.end;
+        let longest = (frames.iter())
+            .map(|(lsn, _, end)| (end.raw() - lsn.raw()) as usize)
+            .max()
+            .unwrap_or(0);
+        // the window only ever grows to the one intact frame at its head,
+        // or to the length a new frame that ends the log claims (it has no
+        // trailer to refute that length before it is read)
+        let rest = &bytes[end as usize..];
+        let claimed = match LogRecord::declared_len(rest) {
+            Some(len) if !LogRecord::is_legacy(rest) && len <= rest.len() => len,
+            _ => 0,
+        };
+        let bound = window.max(4).max(longest).max(claimed) as u64;
+
         let mut dev = crate::MemLogDevice::new();
         dev.append(bytes).unwrap();
         dev.truncate_prefix(base).unwrap();
-        let resident = LogScanner::from_device(&mut dev).unwrap();
-        let starts: Vec<_> = (resident.forward_from(Lsn::ZERO))
-            .map(|(lsn, _)| lsn.raw())
-            .chain([resident.end_lsn().raw()])
-            .collect();
-        let longest = starts.windows(2).map(|w| (w[1] - w[0]) as usize).max();
-        let longest = longest.unwrap_or(0);
-
-        let mut stream = LogStream::with_window(&mut dev, window);
-        let found = stream.validate(|_, _, _| {}).unwrap();
-        assert_eq!(&found, resident.window(), "window {window}");
-        let mut starts = vec![resident.base_lsn()];
+        let mut stream = LogStream::with_window(Source::Device(&mut dev), window);
+        let mut seen = Vec::new();
+        let found = stream.validate(|lsn, rec, end| seen.push((lsn, rec.clone(), end)));
+        let found = found.unwrap();
+        assert_eq!(found, resident_window, "window {window}");
+        assert_eq!(seen, frames, "window {window}");
+        let mut starts = vec![found.base_lsn()];
         for (mark, start) in &found.marks {
             // the newest begin of each listed transaction before the
             // marker, unless an outcome of it follows that begin
             let begins = |txn: &TxnId| {
-                let before = resident.forward_from(Lsn::ZERO);
-                let before = before.take_while(|(lsn, _)| *lsn < mark.begin_lsn);
-                before.fold(None, |begin, (lsn, rec)| match rec {
+                let before = frames.iter().take_while(|(lsn, ..)| *lsn < mark.begin_lsn);
+                before.fold(None, |begin, (lsn, rec, _)| match rec {
                     _ if rec.txn() != Some(*txn) => begin,
-                    LogRecord::TxnBegin { .. } | LogRecord::TxnPrepare { .. } => Some(lsn),
+                    LogRecord::TxnBegin { .. } | LogRecord::TxnPrepare { .. } => Some(*lsn),
                     LogRecord::Commit { .. }
                     | LogRecord::Abort { .. }
                     | LogRecord::TxnCommit { .. } => None,
@@ -687,32 +676,37 @@ mod tests {
         }
         for from in starts {
             let mut streamed = Vec::new();
-            stream
-                .replay(&found, from, |lsn, rec, end| {
+            let (at, stop) = stream
+                .read(from, |lsn, rec, end| {
                     streamed.push((lsn, rec, end));
                     Ok(())
                 })
                 .unwrap();
-            let want: Vec<_> = resident.forward_from(from).collect();
-            let ends = want.iter().skip(1).map(|(lsn, _)| *lsn);
-            let want: Vec<_> = (want.iter().cloned().zip(ends.chain([found.end_lsn()])))
-                .map(|((lsn, rec), end)| (lsn, rec, end))
-                .collect();
+            assert!(matches!(stop, Stop::End) && at == found.end_lsn());
+            let want = frames.iter().filter(|(lsn, ..)| *lsn >= from);
+            let want: Vec<_> = want.cloned().collect();
             assert_eq!(streamed, want, "window {window} from {from}");
         }
-        // the window only ever grows to the one intact frame at its head,
-        // or to the length a new frame that ends the log claims (it has no
-        // trailer to refute that length before it is read)
-        let rest = &bytes[(resident.end_lsn().raw() - base) as usize..];
-        let claimed = match LogRecord::declared_len(rest) {
-            Some(len) if !LogRecord::is_legacy(rest) && len <= rest.len() => len,
-            _ => 0,
-        };
-        assert!(
-            stream.window_peak_bytes() as usize <= window.max(4).max(longest).max(claimed),
-            "window {window} grew to {}",
-            stream.window_peak_bytes()
-        );
+        let peak = stream.window_peak_bytes();
+        assert!(peak <= bound, "window {window} grew to {peak}");
+
+        // the same bytes as a pulled batch: the same frames, stopping at
+        // the same place for the same reason
+        let mut batch =
+            LogStream::with_window(Source::Bytes(base, &bytes[base as usize..]), window);
+        let mut pulled = Vec::new();
+        let (at, stop) = batch
+            .read(Lsn::ZERO, |lsn, rec, end| {
+                pulled.push((lsn, rec, end));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(pulled, frames, "window {window}");
+        assert_eq!(at, Lsn(end), "window {window}");
+        let same = std::mem::discriminant(&stop) == std::mem::discriminant(&resident_stop);
+        assert!(same, "window {window}: {stop:?} vs {resident_stop:?}");
+        let peak = batch.window_peak_bytes();
+        assert!(peak <= bound, "window {window} grew to {peak}");
     }
 
     #[test]
@@ -790,10 +784,10 @@ mod tests {
     fn a_branch_frame_opens_replay_and_decided_ids_are_forgotten() {
         let recs = mixed_log();
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-        let (_, start) = sc.window().checkpoint_mark(CheckpointId(6)).unwrap();
+        let (window, _) = scan(&buf);
+        let (_, start) = window.checkpoint_mark(CheckpointId(6)).unwrap();
         assert_eq!(start, lsns[recs.len() - 3], "the TxnPrepare frame");
-        let (_, start) = sc.window().checkpoint_mark(CheckpointId(4)).unwrap();
+        let (_, start) = window.checkpoint_mark(CheckpointId(4)).unwrap();
         assert_eq!(start, lsns[8], "the second begin of id 2");
     }
 
@@ -842,10 +836,10 @@ mod tests {
         for rec in &open {
             rec.encode_into(&mut buf);
         }
-        let mut marks = Marks::default();
+        let (mut window, mut begins) = (LogWindow::default(), HashMap::new());
         let mut pos = 0;
-        while let Step::Frame(rec, used) = step(&buf[pos..], true) {
-            marks.note(Lsn(pos as u64), rec);
+        while let Ok((rec, used)) = step(&buf[pos..], true) {
+            window.note(&mut begins, Lsn(pos as u64), &rec);
             pos += used;
         }
         assert_eq!(pos, buf.len());
@@ -855,7 +849,7 @@ mod tests {
                 .map(|r| r.encoded_len() as u64)
                 .sum::<u64>();
         let want = HashMap::from([(TxnId(1), Lsn(at)), (TxnId(2), Lsn(branch_at))]);
-        assert_eq!(marks.begins, want);
+        assert_eq!(begins, want);
     }
 
     #[test]
@@ -863,13 +857,13 @@ mod tests {
         let (buf, _) = build(&mixed_log());
         let mut dev = crate::MemLogDevice::new();
         dev.append(&buf).unwrap();
-        let mut stream = LogStream::with_window(&mut dev, 140);
+        let mut stream = LogStream::with_window(Source::Device(&mut dev), 140);
         let found = stream.validate(|_, _, _| {}).unwrap();
         // the 150-byte older filler is the one frame longer than the
         // window; growing to it costs one 4-byte look at its trailer
         assert_eq!(stream.window_peak_bytes(), 150);
         assert_eq!(stream.bytes_read(), buf.len() as u64 + 4);
-        stream.replay(&found, Lsn::ZERO, |_, _, _| Ok(())).unwrap();
+        stream.read(found.base_lsn(), |_, _, _| Ok(())).unwrap();
         assert_eq!(stream.bytes_read(), 2 * (buf.len() as u64 + 4));
 
         // a new frame has no trailer to look at: its header alone
@@ -883,7 +877,7 @@ mod tests {
         }
         let mut dev = crate::MemLogDevice::new();
         dev.append(&buf).unwrap();
-        let mut stream = LogStream::with_window(&mut dev, 140);
+        let mut stream = LogStream::with_window(Source::Device(&mut dev), 140);
         let found = stream.validate(|_, _, _| {}).unwrap();
         assert_eq!(found.end_lsn(), Lsn(buf.len() as u64));
         assert_eq!(stream.window_peak_bytes(), 150);
@@ -899,13 +893,16 @@ mod tests {
         buf.resize(buf.len() + 64, 0);
         let mut dev = crate::MemLogDevice::new();
         dev.append(&buf).unwrap();
-        let mut stream = LogStream::with_window(&mut dev, 16);
+        let mut stream = LogStream::with_window(Source::Device(&mut dev), 16);
         assert_eq!(
             stream.validate(|_, _, _| {}).unwrap().end_lsn(),
             Lsn(intact)
         );
         assert!(stream.window_peak_bytes() <= 64);
-        assert!(matches!(step(&buf[intact as usize..], true), Step::Bad(_)));
+        assert!(matches!(
+            step(&buf[intact as usize..], true),
+            Err(Stop::Bad(_))
+        ));
     }
 
     #[test]
@@ -917,45 +914,35 @@ mod tests {
             active: vec![],
         });
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-        assert_eq!(
-            sc.window()
-                .checkpoint_mark(CheckpointId(1))
-                .unwrap()
-                .0
-                .begin_lsn,
-            lsns[6]
-        );
-        assert_eq!(
-            sc.window()
-                .checkpoint_mark(CheckpointId(2))
-                .unwrap()
-                .0
-                .begin_lsn,
-            lsns[5]
-        );
-        assert!(sc.window().checkpoint_mark(CheckpointId(7)).is_none());
+        let (window, _) = scan(&buf);
+        let begin = |ckpt| {
+            window
+                .checkpoint_mark(CheckpointId(ckpt))
+                .map(|(m, _)| m.begin_lsn)
+        };
+        assert_eq!(begin(1), Some(lsns[6]));
+        assert_eq!(begin(2), Some(lsns[5]));
+        assert_eq!(begin(7), None);
     }
 
     #[test]
     fn empty_log() {
-        let sc = LogScanner::from_bytes(Vec::new());
-        assert_eq!(sc.valid_len(), 0);
-        assert_eq!(sc.forward_from(Lsn::ZERO).count(), 0);
-        assert!(sc.last_complete_checkpoint().is_none());
+        let (window, frames) = scan(&[]);
+        assert_eq!(window.end_lsn(), Lsn::ZERO);
+        assert!(frames.is_empty());
+        assert!(window.last_complete_checkpoint().is_none());
     }
 
     #[test]
     fn words_from_measures_replay_bulk() {
         let (buf, lsns) = build(&sample_log());
         let total = buf.len() as u64;
-        let sc = LogScanner::from_bytes(buf);
-        assert_eq!(sc.window().words_from(Lsn::ZERO), total.div_ceil(4));
+        let (window, _) = scan(&buf);
+        assert_eq!(window.words_from(Lsn::ZERO), total.div_ceil(4));
         assert_eq!(
-            sc.window().words_from(lsns[5]),
+            window.words_from(lsns[5]),
             (total - lsns[5].raw()).div_ceil(4)
         );
-        assert_eq!(sc.valid_words(), total.div_ceil(4));
     }
 
     #[test]
@@ -964,23 +951,22 @@ mod tests {
         // told the bytes start at global LSN 1000.
         let recs = sample_log();
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes_at(buf, 1000);
-        assert_eq!(sc.base_lsn(), Lsn(1000));
+        let (window, fwd) = scan_at(&buf, 1000);
+        assert_eq!(window.base_lsn(), Lsn(1000));
 
-        let fwd: Vec<_> = sc.forward_from(Lsn::ZERO).collect();
         assert_eq!(fwd.len(), recs.len());
         for ((lsn, _), want) in fwd.iter().zip(&lsns) {
             assert_eq!(lsn.raw(), want.raw() + 1000);
         }
-        // forward_from with a global LSN lands mid-stream correctly
-        let from_third: Vec<_> = sc.forward_from(Lsn(lsns[3].raw() + 1000)).collect();
+        // replay from a global LSN lands mid-stream correctly
+        let from_third = replayed(&buf, 1000, &window, Lsn(lsns[3].raw() + 1000));
         assert_eq!(from_third.len(), recs.len() - 3);
         // marker location and replay bulk use the global space
-        let mark = sc.last_complete_checkpoint().unwrap();
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.begin_lsn.raw(), lsns[2].raw() + 1000);
         assert_eq!(
-            sc.window().words_from(mark.begin_lsn),
-            (sc.end_lsn().raw() - mark.begin_lsn.raw()).div_ceil(4)
+            window.words_from(mark.begin_lsn),
+            (window.end_lsn().raw() - mark.begin_lsn.raw()).div_ceil(4)
         );
     }
 
@@ -1005,8 +991,8 @@ mod tests {
             },
         ];
         let (buf, lsns) = build(&recs);
-        let sc = LogScanner::from_bytes(buf);
-        let mark = sc.last_complete_checkpoint().unwrap();
+        let (window, _) = scan(&buf);
+        let mark = window.last_complete_checkpoint().unwrap();
         assert_eq!(mark.ckpt, CheckpointId(2));
         assert_eq!(mark.begin_lsn, lsns[2]);
     }

@@ -20,7 +20,7 @@
 //!
 //! All four steps run on the recovering thread, into the `Storage` the
 //! caller holds, through one function: [`recover_observed`] ([`recover`]
-//! and [`dry_run`] are it without telemetry and into scratch storage).
+//! is it without telemetry, [`dry_run_observed`] into scratch storage).
 //!
 //! The paper measures recovery time as pure I/O time: reading the backup
 //! plus reading the relevant portion of the log (§4). [`RecoveryReport`]
@@ -30,7 +30,7 @@
 
 mod replay;
 
-pub use replay::{recover_observed, Resolver};
+pub use replay::{recover_observed, replay_frames, Resolver};
 
 use mmdb_disk::BackupStore;
 use mmdb_log::LogDevice;
@@ -122,20 +122,11 @@ pub fn recover(
 
 /// Dry-run recovery: rebuilds the database into scratch storage from the
 /// backup and log, without touching the live engine state, and returns
-/// the scratch fingerprint plus the report. This is the deep-verification
+/// the scratch fingerprint plus the report, with telemetry routed to
+/// `obs` (see [`recover_observed`]). This is the deep-verification
 /// primitive: under synchronous commit durability, the fingerprint must
 /// equal the live committed state's — any divergence means the backup or
 /// log could not reproduce the database.
-pub fn dry_run(
-    shape: mmdb_types::DbParams,
-    backup: &mut dyn BackupStore,
-    log_device: &mut dyn LogDevice,
-    disk: &DiskParams,
-) -> Result<(u64, RecoveryReport)> {
-    dry_run_observed(shape, backup, log_device, disk, &Obs::disabled())
-}
-
-/// [`dry_run`] with telemetry routed to `obs` (see [`recover_observed`]).
 pub fn dry_run_observed(
     shape: mmdb_types::DbParams,
     backup: &mut dyn BackupStore,

@@ -1,6 +1,6 @@
 //! The one REDO-replay core (paper §3.3; specified in DESIGN.md §6.9.1).
 //!
-//! Two pieces live here and nowhere else:
+//! Three pieces live here and nowhere else:
 //!
 //! * [`Resolver`] — the only commit-resolution state machine. A
 //!   `TxnCommit` installs on sight. A transaction that logs its writes
@@ -13,6 +13,10 @@
 //!   otherwise). Crash recovery drives one over its replay window; the
 //!   standby (`mmdb-repl`) drives one per shard stream and holds its
 //!   persisted progress back to [`Resolver::first_lsn`].
+//! * [`replay_frames`] — the one replay loop, the only code that feeds a
+//!   `Resolver`: frames off a [`LogStream`] in, each commit's writes out
+//!   to a sink. Recovery's sink installs them; a standby's re-executes
+//!   them.
 //! * window and report — the valid log window, the restored checkpoint's
 //!   begin marker, the replay start, and the paper's §4 recovery-time
 //!   terms.
@@ -23,7 +27,7 @@
 
 use crate::{InDoubtTxn, RecoveryReport};
 use mmdb_disk::BackupStore;
-use mmdb_log::{LogDevice, LogRecord, LogStream};
+use mmdb_log::{LogDevice, LogRecord, LogStream, Stop};
 use mmdb_obs::Obs;
 use mmdb_storage::Storage;
 use mmdb_types::{
@@ -58,7 +62,7 @@ impl Resolver {
     /// `TxnCommit` is its own outcome and is never staged; a staged
     /// transaction (a prepared branch included) installs at its own
     /// `Commit` frame and nowhere else.
-    pub fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
+    fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
         let (txn, writes) = match rec {
             LogRecord::TxnCommit { txn, writes } => (txn, writes),
             LogRecord::Commit { txn } => (
@@ -148,6 +152,22 @@ impl Resolver {
     }
 }
 
+/// Feeds `resolver` the frames of `stream` from `from` on, in log order,
+/// and hands `sink` the writes of each commit that has any, with the LSN
+/// its frame ends at: install order is commit order. Returns where and
+/// why the frames stopped (see [`LogStream::read`]).
+pub fn replay_frames(
+    stream: &mut LogStream,
+    from: Lsn,
+    resolver: &mut Resolver,
+    mut sink: impl FnMut(Vec<Write>, Lsn) -> Result<()>,
+) -> Result<(Lsn, Stop)> {
+    stream.read(from, |lsn, rec, end| match resolver.feed(lsn, rec) {
+        writes if writes.is_empty() => Ok(()),
+        writes => sink(writes, end),
+    })
+}
+
 pub(crate) fn log_read_time(disk: &DiskParams, log_words: u64) -> f64 {
     if log_words == 0 {
         0.0
@@ -206,12 +226,13 @@ pub fn recover_observed(
     // transaction's updates at the frame that commits it (shadow-copy
     // install order = commit order).
     let mut resolver = Resolver::default();
-    stream.replay(&window, replay_start, |lsn, rec, end_lsn| {
-        for (record, value) in resolver.feed(lsn, rec) {
+    let install = |writes: Vec<Write>, end_lsn| -> Result<()> {
+        for (record, value) in writes {
             storage.install_record(record, &value, end_lsn, Timestamp::ZERO, meter)?;
         }
         Ok(())
-    })?;
+    };
+    replay_frames(&mut stream, replay_start, &mut resolver, install)?;
     obs.gauge("recovery.log_window_peak_bytes", stream.window_peak_bytes());
     obs.counter("recovery.log_bytes_read", stream.bytes_read());
     let (updates_applied, txns_replayed, max_gid) = (

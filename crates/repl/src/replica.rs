@@ -10,8 +10,9 @@
 //! fingerprint converges to the primary's. Re-applying an after-image
 //! is idempotent, so under-reporting progress is always safe.
 //!
-//! Commit resolution is crash recovery's: each shard stream feeds its
-//! own [`Resolver`], and the after-images it hands back install on that
+//! Commit resolution is crash recovery's, loop and all: each pulled
+//! batch runs through [`replay_frames`] into its shard's own
+//! [`Resolver`], and the after-images it hands back install on that
 //! shard, in commit order. A `TxnCommit` frame installs on sight; a
 //! cross-shard branch installs at its own `Commit` frame on its own
 //! shard — as on the primary and in recovery — so every install lands
@@ -37,7 +38,7 @@
 //! is presumed aborted otherwise.
 
 use crate::primary::MAX_REPL_BATCH_BYTES;
-use mmdb_core::{step, Resolver, Step};
+use mmdb_core::{replay_frames, LogStream, Resolver, Stop};
 use mmdb_shard::{pool_decisions, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedMutex};
 use mmdb_types::{Lsn, MmdbError, RecordId, Result, Word};
@@ -238,33 +239,25 @@ impl Replica {
     ) -> Result<usize> {
         let obs = db.obs();
         let t = obs.timer();
-        let mut off = 0usize;
         let mut txns = 0u64;
+        let mut stream = LogStream::over(Lsn(base), bytes);
         let mut r = self.replay.lock();
-        while off < bytes.len() {
-            let (rec, used) = match step(&bytes[off..], true) {
-                Step::Frame(rec, used) => (rec, used),
-                // this frame is cut short: re-request from `off`
-                Step::Cut => break,
-                // the whole frame is in hand and still does not decode.
-                // Frames applied before it keep their progress; the pull
-                // that starts at it fails.
-                Step::Bad(_) if off > 0 => break,
-                Step::Bad(e) => {
-                    obs.counter("repl.corrupt_frames", 1);
-                    return Err(e);
-                }
-            };
-            // checkpoint markers and compaction fillers resolve to
-            // nothing: the standby checkpoints on its own schedule
-            let writes = r.streams[shard].feed(Lsn(base + off as u64), rec);
-            if !writes.is_empty() {
-                apply_writes(db, shard, &writes)?;
-                txns += 1;
-            }
-            off += used;
-        }
+        // checkpoint markers and compaction fillers resolve to nothing:
+        // the standby checkpoints on its own schedule
+        let apply = |writes: Vec<_>, _| {
+            txns += 1;
+            apply_writes(db, shard, &writes)
+        };
+        let (end, stop) = replay_frames(&mut stream, Lsn(base), &mut r.streams[shard], apply)?;
         drop(r);
+        // A cut frame is re-requested from `end`. A whole frame that does
+        // not decode fails the pull that starts at it; frames applied
+        // before it keep their progress.
+        let off = (end.raw() - base) as usize;
+        if let (0, Stop::Bad(e)) = (off, stop) {
+            obs.counter("repl.corrupt_frames", 1);
+            return Err(e);
+        }
         if off > 0 {
             // the standby's own durability for what it just applied:
             // force this shard's local log before acknowledging
@@ -497,16 +490,11 @@ pub fn pull_shard_loop(replica: &Arc<Replica>, db: &ShardedMmdb, shard: usize) {
                     }
                     match replica.apply_batch(db, shard, applied, &bytes) {
                         Ok(consumed) if consumed > 0 => {
-                            replica.applied[shard]
-                                .fetch_max(applied + consumed as u64, Ordering::SeqCst);
+                            let now = applied + consumed as u64;
+                            replica.applied[shard].fetch_max(now, Ordering::SeqCst);
                             replica.save_state();
-                            db.with_shard(shard, |e| {
-                                e.obs().gauge("repl.applied_lsn", applied + consumed as u64);
-                            });
-                            obs.gauge(
-                                "repl.lag_lsn",
-                                durable.saturating_sub(applied + consumed as u64),
-                            );
+                            db.with_shard(shard, |e| e.obs().gauge("repl.applied_lsn", now));
+                            obs.gauge("repl.lag_lsn", durable.saturating_sub(now));
                         }
                         Ok(_) => {
                             // a non-empty batch with no whole frame: the

@@ -46,9 +46,7 @@
 //! droppable, and filler runs full of zeros make compressed chunks
 //! dramatically smaller.
 
-use mmdb_log::{
-    step, LogDevice, LogRecord, LogStream, Step, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN,
-};
+use mmdb_log::{LogDevice, LogRecord, LogStream, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 use mmdb_obs::Obs;
 use mmdb_types::{MmdbError, RecordId, Result};
 use std::collections::{HashMap, HashSet};
@@ -149,7 +147,7 @@ pub fn compact_device(
         let mut new_drops = 0u64;
         let mut dropped_bytes = 0u64;
         let mut rel = (head.min(end) - chunk.start) as usize;
-        while let Step::Frame(rec, used) = step(&buf[rel..], false) {
+        while let Ok((rec, used)) = LogRecord::decode_verified(&buf[rel..]) {
             let lsn = chunk.start + rel as u64;
             // (writes dropped, dead bytes at the frame's end)
             let (drops, dead_len) = match rec {

@@ -49,12 +49,21 @@ pub fn recover_parallel(
 mod tests {
     use super::*;
     use mmdb_disk::MemBackup;
-    use mmdb_log::{LogManager, LogRecord, LogScanner, MemLogDevice, SegmentedLogDevice};
+    use mmdb_log::{LogManager, LogRecord, LogStream, LogWindow, MemLogDevice, SegmentedLogDevice};
     use mmdb_recovery::recover;
     use mmdb_types::{
-        Algorithm, CkptMode, CostParams, LogMode, Params, RecordId, Timestamp, TxnId,
+        Algorithm, CkptMode, CostParams, LogMode, Lsn, Params, RecordId, Timestamp, TxnId,
     };
     use std::path::PathBuf;
+
+    /// The validated window of `dev`'s log and every frame in it, with
+    /// where each starts and ends.
+    fn scan(dev: &mut dyn LogDevice) -> (LogWindow, Vec<(Lsn, LogRecord, Lsn)>) {
+        let mut frames = Vec::new();
+        let mut stream = LogStream::new(dev);
+        let window = stream.validate(|lsn, rec, end| frames.push((lsn, rec.clone(), end)));
+        (window.unwrap(), frames)
+    }
 
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mmdb-rescale-{name}-{}", std::process::id()));
@@ -226,25 +235,19 @@ mod tests {
         /// byte for byte.
         fn verbatim_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
             let dev = self.log.device_mut();
-            let sc = LogScanner::from_device(dev).unwrap();
-            let frames: Vec<_> = sc.forward_from(sc.base_lsn()).collect();
-            let ends = frames.iter().skip(1).map(|(lsn, _)| *lsn);
-            let spans: Vec<_> = (frames.iter().zip(ends.chain([sc.end_lsn()])))
-                .filter(|((_, rec), _)| {
+            let (_, frames) = scan(dev);
+            frames
+                .into_iter()
+                .filter(|(_, rec, _)| {
                     !matches!(
                         rec,
                         LogRecord::TxnCommit { .. } | LogRecord::Compacted { .. }
                     )
                 })
-                .map(|((lsn, _), end)| (lsn.raw(), (end.raw() - lsn.raw()) as usize))
-                .collect();
-            drop(sc);
-            spans
-                .into_iter()
-                .map(|(lsn, len)| {
-                    let mut bytes = vec![0; len];
-                    dev.read_at(lsn, &mut bytes).unwrap();
-                    (lsn, bytes)
+                .map(|(lsn, _, end)| {
+                    let mut bytes = vec![0; (end.raw() - lsn.raw()) as usize];
+                    dev.read_at(lsn.raw(), &mut bytes).unwrap();
+                    (lsn.raw(), bytes)
                 })
                 .collect()
         }
@@ -358,17 +361,11 @@ mod tests {
             (chunks[1].start, chunks[1].start + chunks[1].len)
         };
         let cut = {
-            let scanner = LogScanner::from_device(dev).unwrap();
-            let marker = scanner
-                .window()
-                .checkpoint_mark(ckpt)
-                .unwrap()
-                .0
-                .begin_lsn
-                .raw();
-            scanner
-                .forward_from(scanner.base_lsn())
-                .map(|(lsn, _)| lsn.raw())
+            let (window, frames) = scan(dev);
+            let marker = window.checkpoint_mark(ckpt).unwrap().0.begin_lsn.raw();
+            frames
+                .into_iter()
+                .map(|(lsn, ..)| lsn.raw())
                 .find(|&l| l > lo && l < hi && l <= marker)
                 .expect("a frame boundary inside the second chunk below the marker")
         };
@@ -424,10 +421,10 @@ mod tests {
         )
         .unwrap();
         // The prepared branch's updates survive compaction verbatim.
-        let scanner = LogScanner::from_device(m.log.device_mut()).unwrap();
-        let kept: usize = scanner
-            .forward_from(scanner.base_lsn())
-            .map(|(_, rec)| match rec {
+        let (_, frames) = scan(m.log.device_mut());
+        let kept: usize = frames
+            .into_iter()
+            .map(|(_, rec, _)| match rec {
                 LogRecord::Update { txn, .. } if txn == prepared => 1,
                 LogRecord::TxnPrepare { txn, writes, .. } if txn == prepared => writes.len(),
                 _ => 0,
@@ -723,10 +720,11 @@ mod tests {
 
         /// `(lsn, frame)` of every `TxnCommit` in the validated log.
         fn txn_commits(&mut self) -> Vec<(u64, LogRecord)> {
-            let sc = LogScanner::from_device(self.log.device_mut()).unwrap();
-            sc.forward_from(sc.base_lsn())
-                .filter(|(_, rec)| matches!(rec, LogRecord::TxnCommit { .. }))
-                .map(|(lsn, rec)| (lsn.raw(), rec))
+            let (_, frames) = scan(self.log.device_mut());
+            frames
+                .into_iter()
+                .filter(|(_, rec, _)| matches!(rec, LogRecord::TxnCommit { .. }))
+                .map(|(lsn, rec, _)| (lsn.raw(), rec))
                 .collect()
         }
     }
@@ -768,9 +766,7 @@ mod tests {
 
         // the log covers the same LSNs, and recovers to the uncompacted
         // twin's state
-        let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
-        assert_eq!(sc.end_lsn(), end_lsn);
-        drop(sc);
+        assert_eq!(scan(m.log.device_mut()).0.end_lsn(), end_lsn);
         assert_eq!(m.recovered(), twin);
 
         // every surviving frame sits at its old LSN under its old id with
@@ -834,16 +830,15 @@ mod tests {
         assert_eq!(report.bytes_reclaimed, first_len + dead);
 
         // the dead run is tiled by fillers, none over the bound
-        let sc = LogScanner::from_device(m.log.device_mut()).unwrap();
-        let spans: Vec<u64> = sc
-            .forward_from(dead_from)
-            .take_while(|(lsn, _)| *lsn < dead_to)
-            .map(|(_, rec)| match rec {
+        let (_, frames) = scan(m.log.device_mut());
+        let spans: Vec<u64> = frames
+            .into_iter()
+            .filter(|(lsn, ..)| (dead_from..dead_to).contains(lsn))
+            .map(|(_, rec, _)| match rec {
                 LogRecord::Compacted { span } => span,
                 other => panic!("live frame in the dead run: {other:?}"),
             })
             .collect();
-        drop(sc);
         assert!(spans.len() > 1, "{spans:?}");
         assert_eq!(spans.iter().sum::<u64>(), dead_to.raw() - dead_from.raw());
         let legal = MIN_COMPACTED_LEN as u64..=MAX_TXN_FRAME_BYTES as u64;
@@ -894,10 +889,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.frames_dropped, 2 + 2, "{report:?}");
-        let sc = LogScanner::from_device(log.device_mut()).unwrap();
-        let frames: Vec<_> = sc.forward_from(sc.base_lsn()).collect();
+        let (_, frames) = scan(log.device_mut());
         let records_at = |lsn| {
-            let (_, rec) = frames.iter().find(|(l, _)| *l == lsn).expect("frame");
+            let (_, rec, _) = frames.iter().find(|(l, ..)| *l == lsn).expect("frame");
             match rec {
                 LogRecord::TxnCommit { writes, .. } => {
                     writes.iter().map(|(r, _)| r.raw()).collect::<Vec<_>>()
@@ -910,7 +904,7 @@ mod tests {
         // the cut frame's freed tail and the dead frame behind it are one
         // filler, so every later frame keeps its LSN
         let cut_len = LogRecord::txn_len(TxnId(1), None, [RecordId(11)], 1) as u64;
-        let (_, filler) = &frames[2];
+        let (_, filler, _) = &frames[2];
         assert_eq!(frames[2].0, two_lost.advance(cut_len));
         let span = frames[3].0.raw() - frames[2].0.raw();
         assert_eq!(filler, &LogRecord::Compacted { span });

@@ -1,11 +1,12 @@
 //! Property-based tests of the log substrate: arbitrary record streams
 //! must round-trip through the frame encoding, read forward identically
-//! when older-envelope frames are mixed in, and survive torn tails.
+//! when older-envelope frames are mixed in, survive torn tails, and read
+//! the same off a device as off a pulled batch.
 
 // Test helpers exercise infallible setup paths; panicking on them is the point.
 #![allow(clippy::unwrap_used)]
 
-use mmdb::log::{LogRecord, LogScanner};
+use mmdb::log::{LogDevice, LogRecord, LogStream, LogWindow, MemLogDevice, Stop};
 use mmdb::types::hash::fnv1a;
 use mmdb::types::{CheckpointId, Lsn, RecordId, Timestamp, TxnId};
 use proptest::prelude::*;
@@ -124,6 +125,29 @@ fn mixed(recs: &[LogRecord], older: &[bool]) -> (Vec<u8>, Vec<usize>) {
     (bytes, ends)
 }
 
+/// What a validation pass over `bytes`, read as a batch at LSN 0,
+/// accepts: the window and every frame.
+fn validated(bytes: &[u8]) -> (LogWindow, Vec<(Lsn, LogRecord)>) {
+    let mut frames = Vec::new();
+    let window = (LogStream::over(Lsn::ZERO, bytes))
+        .validate(|lsn, rec, _| frames.push((lsn, rec.clone())))
+        .unwrap();
+    (window, frames)
+}
+
+/// Every frame one verified pass over `stream`'s input accepts, where it
+/// stopped and why.
+fn read_through(stream: &mut LogStream) -> (Vec<(Lsn, LogRecord)>, Lsn, Stop) {
+    let mut frames = Vec::new();
+    let (end, stop) = stream
+        .read(Lsn::ZERO, |lsn, rec, _| {
+            frames.push((lsn, rec));
+            Ok(())
+        })
+        .unwrap();
+    (frames, end, stop)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -143,9 +167,8 @@ proptest! {
         older in proptest::collection::vec(any::<bool>(), 1..8),
     ) {
         let (bytes, ends) = mixed(&recs, &older);
-        let scanner = LogScanner::from_bytes(bytes);
-        prop_assert_eq!(scanner.valid_len() as usize, ends.last().copied().unwrap_or(0));
-        let forward: Vec<_> = scanner.forward_from(Lsn::ZERO).collect();
+        let (window, forward) = validated(&bytes);
+        prop_assert_eq!(window.end_lsn().raw() as usize, ends.last().copied().unwrap_or(0));
         let starts = std::iter::once(0).chain(ends.iter().copied());
         let want: Vec<_> = (starts.zip(&recs))
             .map(|(at, rec)| (Lsn(at as u64), rec.clone()))
@@ -164,14 +187,13 @@ proptest! {
         boundaries.extend(&ends);
         // tear somewhere inside the last record (or further back)
         let cut = bytes.len().saturating_sub(cut_back.min(bytes.len() - boundaries[boundaries.len() - 2] + 1).max(1));
-        let torn = bytes[..cut].to_vec();
-        let scanner = LogScanner::from_bytes(torn);
+        let (window, frames) = validated(&bytes[..cut]);
         // the validated prefix must end exactly at a record boundary ≤ cut
         let expected_intact = boundaries.iter().rev().find(|&&b| b <= cut).copied().unwrap();
-        prop_assert_eq!(scanner.valid_len() as usize, expected_intact);
+        prop_assert_eq!(window.end_lsn().raw() as usize, expected_intact);
         // and every surviving record decodes to the original
         let survivors = boundaries.iter().filter(|&&b| b < expected_intact).count();
-        let scanned: Vec<_> = scanner.forward_from(Lsn::ZERO).map(|(_, r)| r).collect();
+        let scanned: Vec<_> = frames.into_iter().map(|(_, r)| r).collect();
         prop_assert_eq!(scanned.len(), survivors);
         prop_assert_eq!(&scanned[..], &recs[..survivors]);
     }
@@ -188,9 +210,46 @@ proptest! {
         bytes[i] ^= 1 << flip_bit;
         // scanning corrupt data must terminate cleanly, never panic, and
         // only yield records that decode (prefix property)
-        let scanner = LogScanner::from_bytes(bytes);
-        let n = scanner.forward_from(Lsn::ZERO).count();
-        prop_assert!(n <= recs.len());
-        let _ = scanner.last_complete_checkpoint();
+        let (window, frames) = validated(&bytes);
+        prop_assert!(frames.len() <= recs.len());
+        let _ = window.last_complete_checkpoint();
+    }
+
+    #[test]
+    fn a_device_and_a_pulled_batch_read_the_same_frames(
+        recs in proptest::collection::vec(record_strategy(), 1..20),
+        older in proptest::collection::vec(any::<bool>(), 1..8),
+        base in 1u64..1 << 40,
+        at in any::<usize>(),
+        flip in 0u8..9,
+    ) {
+        // torn at any byte (`flip` 8), or one bit flipped
+        let (mut bytes, ends) = mixed(&recs, &older);
+        let at = at % bytes.len();
+        match flip {
+            8 => bytes.truncate(at),
+            bit => bytes[at] ^= 1 << bit,
+        }
+        let mut device = MemLogDevice::new();
+        device.append(&bytes).unwrap();
+        let (stored, stored_end, stored_stop) = read_through(&mut LogStream::new(&mut device));
+        let (pulled, pulled_end, pulled_stop) = read_through(&mut LogStream::over(Lsn(base), &bytes));
+        let shifted: Vec<_> = (stored.into_iter())
+            .map(|(lsn, rec)| (Lsn(lsn.raw() + base), rec))
+            .collect();
+        prop_assert_eq!(shifted, pulled);
+        prop_assert_eq!(stored_end.raw() + base, pulled_end.raw());
+        prop_assert_eq!(
+            std::mem::discriminant(&stored_stop),
+            std::mem::discriminant(&pulled_stop),
+            "{:?} vs {:?}", stored_stop, pulled_stop
+        );
+        // a tear on a frame boundary is the end of the input; inside a
+        // frame, a cut
+        if flip == 8 {
+            let on_boundary = at == 0 || ends.contains(&at);
+            prop_assert_eq!(matches!(pulled_stop, Stop::End), on_boundary);
+            prop_assert_eq!(matches!(pulled_stop, Stop::Cut), !on_boundary);
+        }
     }
 }
