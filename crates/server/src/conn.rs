@@ -97,7 +97,7 @@ pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, cfg: &ServerC
         let op = req.op_name();
         let is_shutdown = matches!(req, Request::Shutdown);
         // The request scope: every phase recorded on this thread (and
-        // any flusher force it rings) lands in one span tree under the
+        // any shard-loop force it rings) lands in one span tree under the
         // client-supplied trace id, feeding the flight recorder, the
         // slow-request log, the attribution table and `net.request_ns`.
         let (trace_id, parent_span) = trace.map_or((0, 0), |t| (t.trace_id, t.parent_span));

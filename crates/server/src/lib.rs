@@ -12,12 +12,14 @@
 //!   the [`mmdb_shard::ShardedMmdb`] router takes a *shard's* mutex
 //!   only for the duration of one primitive action (a transaction
 //!   step, never a whole interactive transaction),
-//! * one dedicated checkpointer thread **per shard** interleaves
-//!   [`checkpoint_step`](mmdb_core::Mmdb::checkpoint_step) calls with
-//!   the workers' transactions through that shard's mutex — the
-//!   paper's low-priority checkpointer process, replicated per
-//!   partition so checkpoint work on shard *i* never blocks
-//!   transactions on shard *j*.
+//! * each shard's one background loop ([`mmdb_shard::Maintenance`])
+//!   interleaves [`checkpoint_step`](mmdb_core::Mmdb::checkpoint_step)
+//!   calls, log compaction slices and group-commit forces with the
+//!   workers' transactions through that shard's mutex — the paper's
+//!   low-priority checkpointer process, replicated per partition so
+//!   checkpoint work on shard *i* never blocks transactions on shard
+//!   *j*,
+//! * a standby runs one replication pull thread per shard.
 //!
 //! An unsharded server is the 1-shard special case ([`Server::spawn`]
 //! wraps the engine via [`ShardedMmdb::from_single`]); the wire
@@ -26,9 +28,10 @@
 //!
 //! Shutdown is graceful: a client `Shutdown` request (or
 //! [`ServerHandle::stop`]) raises a flag; workers finish their current
-//! request, each checkpointer finishes (or abandons pacing of) its
-//! current checkpoint, and [`ServerHandle::shutdown_join`] returns the
-//! sharded database so callers can fingerprint or close it cleanly.
+//! request, and [`ServerHandle::shutdown_join`] takes the maintenance
+//! duties back from the shard loops first thing (a checkpoint in
+//! progress is left unfinished, as a crash would leave it) and returns
+//! the sharded database so callers can fingerprint or close it cleanly.
 //!
 //! The crate also hosts the closed-loop network load driver ([`load`])
 //! behind `mmdb-cli bench-net` and the CI smoke legs. It measures nothing for the record — the repo's
@@ -39,9 +42,9 @@ pub mod load;
 
 pub use load::{run_load, LoadConfig, LoadReport, WorkloadKind};
 
-use mmdb_core::{Mmdb, StepOutcome};
+use mmdb_core::Mmdb;
 use mmdb_repl::Replica;
-use mmdb_shard::ShardedMmdb;
+use mmdb_shard::{Maintenance, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedCondvar, RankedMutex};
 use std::collections::VecDeque;
 use std::io;
@@ -69,7 +72,7 @@ pub struct ServerConfig {
     /// `None` keeps idle connections forever.
     pub idle_timeout: Option<Duration>,
     /// Pause between background checkpoints. `Some(d)`: each shard's
-    /// checkpointer begins a new checkpoint `d` after its previous one
+    /// loop begins a new checkpoint `d` after its previous one
     /// completes (continuous checkpointing, the paper's normal mode).
     /// `None`: checkpoints run only when a client sends
     /// `Checkpoint`.
@@ -78,14 +81,13 @@ pub struct ServerConfig {
     /// recorded (with their full span tree) in the slow-request log
     /// served by the wire `TraceDump` request. `0` disables the log.
     pub slow_trace_us: u64,
-    /// Pause between background log-maintenance passes. `Some(d)`: a
-    /// dedicated thread rotates each shard's active log chunk and then
-    /// compacts cold chunks (superseded `TxnCommit` writes become filler,
-    /// optionally compressed — see
-    /// [`compact_log`](mmdb_core::Mmdb::compact_log)) every `d`,
-    /// taking each shard's mutex only for the duration of one shard's
-    /// pass. `None` (the default): rotation and compaction run only
-    /// when driven explicitly (e.g. by `mmdb-cli compact` offline).
+    /// Pause between background log-maintenance passes. `Some(d)`: each
+    /// shard's loop rotates its active log chunk and then compacts cold
+    /// chunks (superseded `TxnCommit` writes become filler, optionally
+    /// compressed — see [`compact_log`](mmdb_core::Mmdb::compact_log))
+    /// every `d`, under that shard's mutex only. `None` (the default):
+    /// rotation and compaction run only when driven explicitly (e.g. by
+    /// `mmdb-cli compact` offline).
     pub compact_interval: Option<Duration>,
     /// Replication role (standalone by default).
     pub repl: ReplOptions,
@@ -153,12 +155,6 @@ impl Default for ServerConfig {
 pub(crate) struct Shared {
     pub(crate) db: ShardedMmdb,
     pub(crate) stop: AtomicBool,
-    /// Checkpoints completed by the background checkpointer threads
-    /// (summed across shards).
-    pub(crate) ckpts_completed: AtomicU64,
-    /// Log-maintenance passes completed by the background compaction
-    /// thread (one pass = rotate + compact every shard once).
-    pub(crate) compact_passes: AtomicU64,
     /// Interactive transactions aborted because their connection died.
     pub(crate) txns_aborted_on_disconnect: AtomicU64,
     /// Standby replication state when this server runs as a replica.
@@ -183,23 +179,22 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept_join: Option<JoinHandle<()>>,
     worker_joins: Vec<JoinHandle<()>>,
-    ckpt_joins: Vec<JoinHandle<()>>,
     repl_joins: Vec<JoinHandle<()>>,
-    maint_join: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the listener + worker pool + checkpointer, and
-    /// returns a handle. The engine moves into the server as a 1-shard
-    /// [`ShardedMmdb`]; get it back with
-    /// [`ServerHandle::shutdown_join`].
+    /// Binds, spawns the listener + worker pool, hands the shard loop its
+    /// checkpoint and compaction pacing, and returns a handle. The engine
+    /// moves into the server as a 1-shard [`ShardedMmdb`]; get it back
+    /// with [`ServerHandle::shutdown_join`].
     pub fn spawn(db: Mmdb, config: ServerConfig) -> io::Result<ServerHandle> {
         Self::spawn_sharded(ShardedMmdb::from_single(db), config)
     }
 
-    /// Binds, spawns the listener + worker pool + one checkpointer
-    /// thread per shard, and returns a handle. The database moves into
-    /// the server; get it back with [`ServerHandle::shutdown_join`].
+    /// Binds, spawns the listener + worker pool, hands every shard loop
+    /// its checkpoint and compaction pacing, and returns a handle. The
+    /// database moves into the server; get it back with
+    /// [`ServerHandle::shutdown_join`].
     pub fn spawn_sharded(db: ShardedMmdb, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -222,11 +217,13 @@ impl Server {
             .replica_of
             .as_ref()
             .map(|peer| Replica::new(peer.clone(), &db, config.repl.state_dir.clone()));
+        db.set_maintenance(Some(Maintenance {
+            checkpoint_interval: config.checkpoint_interval,
+            compact_interval: config.compact_interval,
+        }));
         let shared = Arc::new(Shared {
             db,
             stop: AtomicBool::new(false),
-            ckpts_completed: AtomicU64::new(0),
-            compact_passes: AtomicU64::new(0),
             txns_aborted_on_disconnect: AtomicU64::new(0),
             replica,
             on_promote: config.repl.on_promote.clone(),
@@ -252,17 +249,6 @@ impl Server {
             );
         }
 
-        let mut ckpt_joins = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let shared = Arc::clone(&shared);
-            let interval = config.checkpoint_interval;
-            ckpt_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("mmdb-checkpointer-{shard}"))
-                    .spawn(move || checkpointer_loop(&shared, shard, interval))?,
-            );
-        }
-
         let mut repl_joins = Vec::new();
         if let Some(replica) = shared.replica.clone() {
             for shard in 0..shards {
@@ -278,18 +264,6 @@ impl Server {
             }
         }
 
-        let maint_join = match config.compact_interval {
-            Some(interval) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("mmdb-compactor".into())
-                        .spawn(move || maintenance_loop(&shared, interval))?,
-                )
-            }
-            None => None,
-        };
-
         let accept_join = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -303,9 +277,7 @@ impl Server {
             shared,
             accept_join: Some(accept_join),
             worker_joins,
-            ckpt_joins,
             repl_joins,
-            maint_join,
         })
     }
 }
@@ -316,10 +288,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Raises the stop flag; threads exit after their current unit of
-    /// work. Does not wait — pair with [`ServerHandle::shutdown_join`].
+    /// Raises the stop flag and takes the maintenance duties back from
+    /// the shard loops (group commits are still forced); threads exit
+    /// after their current unit of work. Does not wait for them — pair
+    /// with [`ServerHandle::shutdown_join`].
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.db.set_maintenance(None);
     }
 
     /// True once the stop flag is raised (locally via
@@ -328,17 +303,17 @@ impl ServerHandle {
         self.shared.stopping()
     }
 
-    /// Checkpoints completed by the background checkpointers so far,
-    /// summed across every shard.
+    /// Checkpoints completed by the shard loops so far, summed across
+    /// every shard.
     pub fn checkpoints_completed(&self) -> u64 {
-        self.shared.ckpts_completed.load(Ordering::SeqCst)
+        self.shared.db.checkpoints_completed()
     }
 
-    /// Log-maintenance passes (rotate + compact across every shard)
-    /// completed by the background compaction thread so far. Always 0
-    /// unless [`ServerConfig::compact_interval`] is set.
+    /// Log-maintenance passes (rotate + compact on every shard)
+    /// completed by the shard loops so far. Always 0 unless
+    /// [`ServerConfig::compact_interval`] is set.
     pub fn compaction_passes(&self) -> u64 {
-        self.shared.compact_passes.load(Ordering::SeqCst)
+        self.shared.db.compaction_passes()
     }
 
     /// Interactive transactions the server aborted because their
@@ -370,13 +345,7 @@ impl ServerHandle {
         for j in self.worker_joins.drain(..) {
             let _ = j.join();
         }
-        for j in self.ckpt_joins.drain(..) {
-            let _ = j.join();
-        }
         for j in self.repl_joins.drain(..) {
-            let _ = j.join();
-        }
-        if let Some(j) = self.maint_join.take() {
             let _ = j.join();
         }
         let shared = Arc::try_unwrap(self.shared)
@@ -457,14 +426,10 @@ fn accept_loop(shared: &Shared, listener: TcpListener, conns: &Arc<ConnQueue>) {
                 let accepted = telemetry.then(Instant::now);
                 conns.push((stream, accepted));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // transient accept errors (e.g. aborted handshake): keep serving
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // nothing pending, or a transient accept error (e.g. an
+            // aborted handshake): keep serving
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -486,114 +451,6 @@ fn worker_loop(shared: &Shared, conns: &Arc<ConnQueue>, cfg: &ServerConfig) {
                     return;
                 }
             }
-        }
-    }
-}
-
-/// How often an idle request-only checkpointer re-checks for a
-/// client-started checkpoint (bounds both wake-up CPU cost and the
-/// latency before an async `Checkpoint` request starts being driven).
-const IDLE_CHECKPOINTER_POLL: Duration = Duration::from_millis(20);
-
-/// The paper's dedicated checkpointer process, one per shard:
-/// repeatedly begin a checkpoint (per pacing), then drive it step by
-/// step, yielding the shard's mutex between steps so transactions
-/// interleave — the same discipline as the in-process concurrent
-/// driver tests, replicated per partition.
-fn checkpointer_loop(shared: &Shared, shard: usize, interval: Option<Duration>) {
-    let mut next_begin_ok = true; // begin immediately on startup when paced
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        let mut did_work = false;
-        let mut completed = false;
-        shared.db.with_shard(shard, |db| {
-            if !db.is_checkpoint_active() && !db.is_quiescing() {
-                if interval.is_some() && next_begin_ok {
-                    // Quiesce refusals and in-progress races are normal;
-                    // the next iteration retries.
-                    let _ = db.try_begin_checkpoint();
-                    next_begin_ok = false;
-                }
-            } else {
-                match db.checkpoint_step() {
-                    Ok(StepOutcome::Progress { .. }) => did_work = true,
-                    Ok(StepOutcome::WaitingForLog) => {
-                        let _ = db.force_log();
-                        did_work = true;
-                    }
-                    Ok(StepOutcome::Done { .. }) => {
-                        completed = true;
-                        did_work = true;
-                    }
-                    Err(_) => {}
-                }
-            }
-        });
-        if completed {
-            shared.ckpts_completed.fetch_add(1, Ordering::SeqCst);
-            if let Some(d) = interval {
-                // pace: sleep in small slices so stop stays responsive
-                let mut left = d;
-                while !left.is_zero() && !shared.stopping() {
-                    let slice = left.min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    left = left.saturating_sub(slice);
-                }
-                next_begin_ok = true;
-            }
-        } else if !did_work {
-            if interval.is_some() {
-                if !next_begin_ok {
-                    next_begin_ok = true; // begin attempt raced; retry soon
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                // Request-only mode (`checkpoint_interval: None`): there
-                // is nothing to drive until a client sends `Checkpoint`,
-                // so poll coarsely instead of spinning at ~5 kHz for the
-                // lifetime of the server.
-                std::thread::sleep(IDLE_CHECKPOINTER_POLL);
-            }
-        }
-        // after Progress: loop immediately — dropping the guard between
-        // steps is what lets worker transactions interleave
-    }
-}
-
-/// The background log-maintenance thread: every `interval`, rotate each
-/// shard's active log chunk (sealing it so it becomes eligible) and
-/// compact its cold chunks. One shard's mutex is held only for that
-/// shard's rotate+compact — transactions on other shards are never
-/// blocked, matching the per-shard checkpointer discipline. Compaction
-/// honours replication truncation pins internally (a lagging standby
-/// stalls chunk rewrites, it never loses bytes), so this loop needs no
-/// replication awareness of its own.
-fn maintenance_loop(shared: &Shared, interval: Duration) {
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        for shard in 0..shared.db.shards() {
-            if shared.stopping() {
-                return;
-            }
-            shared.db.with_shard(shard, |db| {
-                // Failures here are operational (e.g. a chunk mid-seal
-                // during shutdown), never correctness: the pass simply
-                // retries next interval.
-                let _ = db.rotate_log();
-                let _ = db.compact_log();
-            });
-        }
-        shared.compact_passes.fetch_add(1, Ordering::SeqCst);
-        // pace: sleep in small slices so stop stays responsive
-        let mut left = interval;
-        while !left.is_zero() && !shared.stopping() {
-            let slice = left.min(Duration::from_millis(20));
-            std::thread::sleep(slice);
-            left = left.saturating_sub(slice);
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! [`ShardedMmdb`] splits the record space across `N` independent
 //! [`Mmdb`] engines. Each shard owns its *own* REDO log, its own
-//! ping-pong backup pair, and (in the server) its own dedicated
-//! checkpointer thread — so checkpoint work on shard *i* never blocks
-//! transactions on shard *j*. This is the scale-out reading of the
+//! ping-pong backup pair, and its own background loop (group-commit
+//! forces and, in the server, checkpoints and log compaction) — so
+//! checkpoint work on shard *i* never blocks transactions on shard *j*.
+//! This is the scale-out reading of the
 //! paper's segment model: where a segment is the granule of
 //! *checkpointer* independence inside one engine, a shard is the granule
 //! of *whole-subsystem* independence (log + backups + checkpointer),
@@ -37,13 +38,13 @@
 //!
 //! Under [`CommitDurability::Group`] the router splits every commit into
 //! *append* and *wait*: the engine appends the commit record (no force)
-//! and the router releases the shard mutex, signals the shard's
-//! dedicated log-flusher thread, and parks on the log's durable-LSN
+//! and the router releases the shard mutex, rings the doorbell of the
+//! shard's background loop, and parks on the log's durable-LSN
 //! watermark until a batched force covers the commit's end-LSN. One real
 //! `fsync` thus acks every commit that arrived while the previous force
 //! was in flight — same durability contract as per-commit forcing
 //! (nothing is acked before it is on disk), a fraction of the forces.
-//! The flusher completes each force (modeled latency, watermark publish)
+//! The loop completes each force (modeled latency, watermark publish)
 //! *outside* the engine lock, so committers on other connections run
 //! concurrently with the device write.
 //!
@@ -71,7 +72,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Name of the topology marker file written at the root of a sharded
 /// directory (each shard's own data lives under `shard.<i>/`).
@@ -142,8 +143,8 @@ struct Binding {
     bound: Option<(usize, TxnId)>,
 }
 
-/// The state shared between the router and the per-shard log-flusher
-/// threads: the engines themselves plus each shard's flush signal.
+/// The state shared between the router and the per-shard background
+/// loops: the engines, each shard's doorbell and each loop's counts.
 struct ShardCore {
     /// Shard `i`'s engine gate carries rank `engine(i)`: ascending index
     /// order (the 2PC discipline) is strictly descending rank, so the
@@ -157,12 +158,11 @@ struct ShardCore {
     /// lock-free-read fallbacks, which reach only the engine's
     /// interior-locked state (see `DESIGN.md` §6.10).
     shards: Vec<RankedRwLock<Mmdb>>,
-    /// One flush signal per shard: committers set `pending` and notify;
-    /// the shard's flusher consumes it and forces the log.
-    flush: Vec<FlushSignal>,
-    /// Set by [`FlusherPool::drop`]; flushers run one final drain force
-    /// and exit.
-    stop: AtomicBool,
+    /// One doorbell per shard, the only thing its loop parks on.
+    bells: Vec<Doorbell>,
+    /// What each shard's loop has done, and failed to do, so far: one
+    /// counter per [`LOOP_COUNTS`] name (statistics, hence relaxed).
+    counts: Vec<[AtomicU64; 4]>,
 }
 
 impl ShardCore {
@@ -184,111 +184,118 @@ impl ShardCore {
     fn read(&self, i: usize) -> RankedRwReadGuard<'_, Mmdb> {
         self.shards[i].read()
     }
+
+    /// Loop counter `k`, per shard.
+    fn counted(&self, k: usize) -> impl Iterator<Item = u64> + '_ {
+        self.counts
+            .iter()
+            .map(move |c| c[k].load(Ordering::Relaxed))
+    }
 }
 
-/// A committer-to-flusher doorbell (one per shard). Alongside the
-/// pending bit it carries the trace id of the most recent traced ringer,
-/// so the flusher's batched force can be attributed to the request that
-/// triggered it.
-struct FlushSignal {
-    pending: RankedMutex<(bool, u64)>,
+/// What a server hands each shard loop besides the group-commit force
+/// ([`ShardedMmdb::set_maintenance`]). Each duty runs at once, then
+/// again a pause after the end of each run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Maintenance {
+    /// `Some(d)`: begin a checkpoint `d` after the previous one completes.
+    /// Either way the loop drives checkpoints a client requests.
+    pub checkpoint_interval: Option<Duration>,
+    /// `Some(d)`: rotate and compact the shard's log ([`Mmdb::compact_log`])
+    /// every `d`.
+    pub compact_interval: Option<Duration>,
+}
+
+/// The shard loops' counters, by their `stats` names.
+const LOOP_COUNTS: [&str; 4] = [
+    "maint.checkpoints",
+    "maint.compactions",
+    "maint.checkpoint_errors",
+    "maint.compact_errors",
+];
+const CHECKPOINTS: usize = 0;
+const COMPACTIONS: usize = 1;
+const CHECKPOINT_ERRORS: usize = 2;
+const COMPACT_ERRORS: usize = 3;
+
+/// A shard's doorbell, which also carries its loop's duties. A committer
+/// rings it after appending, opening an accumulation window that the
+/// loop's next force closes, and tags that force with its trace id. A
+/// wake (a client's checkpoint request) sends the loop to its duties.
+struct Doorbell {
+    state: RankedMutex<Bell>,
     cv: RankedCondvar,
 }
 
-impl FlushSignal {
-    fn new(shard: usize) -> FlushSignal {
-        FlushSignal {
-            pending: RankedMutex::new(
-                leak_name(format!("flusher_signal.{shard}")),
-                LockRank::flusher_signal(shard),
-                (false, 0),
-            ),
-            cv: RankedCondvar::new(),
-        }
-    }
+#[derive(Default)]
+struct Bell {
+    /// When the first commit since the last force rang.
+    rung: Option<Instant>,
+    trace_id: u64,
+    duties: Option<Maintenance>,
+    wake: bool,
+    /// The router is dropping: force what is left and exit.
+    stop: bool,
+}
 
+impl Doorbell {
     fn ring(&self, trace_id: u64) {
-        let mut pending = self.pending.lock();
-        pending.0 = true;
+        let mut bell = self.state.lock();
+        bell.rung.get_or_insert_with(Instant::now);
         if trace_id != 0 {
-            pending.1 = trace_id;
+            bell.trace_id = trace_id;
         }
         self.cv.notify_one();
     }
-}
 
-/// The per-shard log-flusher threads (group commit only; inert
-/// otherwise). Dropping the pool stops and joins them — a final drain
-/// force runs first, so no signaled commit is left unforced.
-struct FlusherPool {
-    core: Option<Arc<ShardCore>>,
-    joins: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl FlusherPool {
-    fn inert() -> FlusherPool {
-        FlusherPool {
-            core: None,
-            joins: Vec::new(),
-        }
+    fn wake(&self) {
+        self.state.lock().wake = true;
+        self.cv.notify_one();
     }
 
-    fn spawn(
-        core: &Arc<ShardCore>,
-        watermarks: &[Arc<DurableWatermark>],
-        obs: &Obs,
-    ) -> FlusherPool {
-        let joins = (0..core.shards.len())
-            .map(|shard| {
-                let core = Arc::clone(core);
-                let watermark = Arc::clone(&watermarks[shard]);
-                let obs = obs.clone();
-                std::thread::Builder::new()
-                    .name(format!("mmdb-flush-{shard}"))
-                    .spawn(move || flusher_loop(&core, shard, &watermark, &obs))
-                    .unwrap_or_else(|e| panic!("cannot spawn log flusher: {e}"))
-            })
-            .collect();
-        FlusherPool {
-            core: Some(Arc::clone(core)),
-            joins,
-        }
-    }
-}
-
-impl Drop for FlusherPool {
-    fn drop(&mut self) {
-        if let Some(core) = &self.core {
-            core.stop.store(true, Ordering::SeqCst);
-            for sig in &core.flush {
-                sig.cv.notify_all();
+    /// Parks until a rung window closes (`Some(trace id)`), or until a
+    /// wake, `deadline`, the stop or duties other than `duties`, if one
+    /// comes first (`None`).
+    fn wait(&self, deadline: Option<Instant>, duties: Option<Maintenance>) -> Option<u64> {
+        let mut bell = self.state.lock();
+        loop {
+            let now = Instant::now();
+            let closes = bell.rung.map(|t| t + GROUP_ACCUMULATION_WINDOW);
+            if closes.is_some_and(|t| t <= now) {
+                bell.rung = None;
+                return Some(std::mem::take(&mut bell.trace_id));
             }
+            let passed = deadline.is_some_and(|t| t <= now);
+            if std::mem::take(&mut bell.wake) || passed || bell.stop || bell.duties != duties {
+                return None;
+            }
+            bell = match closes.into_iter().chain(deadline).min() {
+                Some(until) => self.cv.wait_timeout(bell, until - now).0,
+                None => self.cv.wait(bell),
+            };
         }
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-        self.core = None;
     }
 }
 
-/// The flusher's idle tick: a backstop force when no doorbell arrives
-/// (lost wakeups cannot happen with correct signaling; this bounds the
-/// damage if a non-router writer appends without ringing).
+/// The loop's idle tick: the longest it parks with nothing due (then a
+/// backstop force under group commit, for a writer that appended without
+/// ringing) and its pause before it retries a failed duty or looks again
+/// at a quiescing engine.
 const FLUSH_BACKSTOP: Duration = Duration::from_millis(20);
 
 /// How long a group committer waits for its ack before giving up. With a
-/// live flusher the wait is one force (microseconds to milliseconds);
-/// hitting this bound means the flusher died or the device hung.
+/// live shard loop the wait is one force (microseconds to milliseconds);
+/// hitting this bound means the loop died or the device hung.
 const GROUP_ACK_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Accumulation window between the doorbell and the force: commits that
 /// arrive while a force is in flight batch naturally, but on a fast
 /// device the force is too quick for much to gather — most committers
 /// are still parked on the shard mutex or in the network stack when it
-/// completes. Pausing a beat after the first ring lets them append
-/// first, trading a bounded latency bump for a much larger group — the
-/// classic group-commit timer. Small against even a fast fsync, so the
-/// single-committer latency cost stays in the noise.
+/// completes. Holding the group open a beat after the first ring lets
+/// them append first, trading a bounded latency bump for a much larger
+/// group — the classic group-commit timer. Small against even a fast
+/// fsync, so the single-committer latency cost stays in the noise.
 const GROUP_ACCUMULATION_WINDOW: Duration = Duration::from_micros(200);
 
 /// Optimistic-read retry budget before a point read falls back to the
@@ -297,60 +304,146 @@ const GROUP_ACCUMULATION_WINDOW: Duration = Duration::from_micros(200);
 /// mirror gate (the fallback path then reports the real state).
 const LOCKFREE_READ_RETRIES: usize = 8;
 
-/// One shard's group-commit log flusher: park on the doorbell, force the
-/// tail under the engine lock, then *release the lock* and complete the
-/// force (modeled device latency + watermark publish). Commits that
-/// arrive during the completion are batched into the next force.
-fn flusher_loop(core: &Arc<ShardCore>, shard: usize, watermark: &Arc<DurableWatermark>, obs: &Obs) {
-    let mut last_force: Option<std::time::Instant> = None;
+/// A shard loop's duties and when each is next due (all at once when
+/// they are handed over). `step` is `Some` while a checkpoint was active
+/// or quiescing at the last look.
+struct Schedule {
+    duties: Option<Maintenance>,
+    step: Option<Instant>,
+    begin: Option<Instant>,
+    compact: Option<Instant>,
+}
+
+impl Schedule {
+    fn new(duties: Option<Maintenance>, start: Instant) -> Schedule {
+        Schedule {
+            duties,
+            step: duties.map(|_| start),
+            begin: duties.and_then(|m| m.checkpoint_interval).map(|_| start),
+            compact: duties.and_then(|m| m.compact_interval).map(|_| start),
+        }
+    }
+}
+
+/// One shard's only background thread. It parks on the doorbell until
+/// the earliest thing due, then takes the shard's gate once: for the
+/// group-commit force if the doorbell's window closed; otherwise for one
+/// duty of [`maintain`]; with nothing due, for the backstop force.
+/// Transactions interleave between passes, and a committer waiting for
+/// its force waits at most one duty.
+///
+/// The force writes the tail under the gate and completes *outside* it
+/// (modeled device latency + watermark publish); commits that arrive
+/// meanwhile are batched into the next force.
+fn shard_loop(core: &ShardCore, shard: usize, group: bool, obs: &Obs) {
+    let watermark = core.read(shard).log_watermark();
+    let mut s = Schedule::new(None, Instant::now());
+    let mut last_force: Option<Instant> = None;
     loop {
-        let trace_id;
-        {
-            let sig = &core.flush[shard];
-            let mut pending = sig.pending.lock();
-            if !pending.0 && !core.stop.load(Ordering::SeqCst) {
-                let (guard, _) = sig.cv.wait_timeout(pending, FLUSH_BACKSTOP);
-                pending = guard;
-            }
-            pending.0 = false;
-            trace_id = pending.1;
-            pending.1 = 0;
+        // With neither group commit nor duties there is nothing to poll.
+        let deadline = (group || s.duties.is_some()).then(|| {
+            [s.step, s.begin, s.compact]
+                .into_iter()
+                .flatten()
+                .fold(Instant::now() + FLUSH_BACKSTOP, Instant::min)
+        });
+        let rung = core.bells[shard].wait(deadline, s.duties);
+        let mut db = core.lock(shard);
+        // Read under the gate, which `set_maintenance` takes after storing
+        // new duties: no pass runs a duty once it is taken back. The stop
+        // is read before forcing, so the final force covers every ring.
+        let (duties, stopping) = {
+            let bell = core.bells[shard].state.lock();
+            (bell.duties, bell.stop)
+        };
+        if duties != s.duties {
+            s = Schedule::new(duties, Instant::now());
         }
-        // Read the stop flag *before* forcing: anything signaled before
-        // stop is covered by this final drain force.
-        let stopping = core.stop.load(Ordering::SeqCst);
-        if !stopping {
-            std::thread::sleep(GROUP_ACCUMULATION_WINDOW);
-        }
-        let t = obs.timer();
-        match core.lock(shard).force_log_group() {
-            Ok(Some(pending_force)) => {
-                let commits = pending_force.commits();
-                obs.counter("log.group_commit.forces", 1);
-                obs.counter("log.group_commit.commits", commits);
-                obs.observe("log.group_commit.size", commits);
-                if let Some(prev) = last_force {
-                    obs.observe_duration_us("log.group_commit.interval_us", prev.elapsed());
+        let worked = !stopping && rung.is_none() && maintain(&mut db, &mut s, &core.counts[shard]);
+        if group && (rung.is_some() || !worked) {
+            let t = obs.timer();
+            let forced = db.force_log_group();
+            drop(db);
+            match forced {
+                Ok(Some(pending_force)) => {
+                    let commits = pending_force.commits();
+                    obs.counter("log.group_commit.forces", 1);
+                    obs.counter("log.group_commit.commits", commits);
+                    obs.observe("log.group_commit.size", commits);
+                    if let Some(prev) = last_force.replace(Instant::now()) {
+                        obs.observe_duration_us("log.group_commit.interval_us", prev.elapsed());
+                    }
+                    pending_force.complete();
+                    // Tagged with the latest ringer's trace id so `trace
+                    // --remote` can tie the force to the commit behind it.
+                    obs.phase_for_trace("group.force", t, commits, rung.unwrap_or(0));
                 }
-                last_force = Some(std::time::Instant::now());
-                // The engine lock dropped above; the modeled latency and
-                // the watermark publish run here, off the critical path.
-                pending_force.complete();
-                // The batched force on the flusher thread, tagged with
-                // the latest ringer's trace id so `trace --remote` can
-                // tie it back to the commit that triggered it.
-                obs.phase_for_trace("group.force", t, commits, trace_id);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                obs.counter("log.group_commit.force_errors", 1);
-                watermark.fail(format!("group-commit force failed on shard {shard}: {e}"));
+                Ok(None) => {}
+                Err(e) => {
+                    obs.counter("log.group_commit.force_errors", 1);
+                    watermark.fail(format!("group-commit force failed on shard {shard}: {e}"));
+                }
             }
         }
         if stopping {
             return;
         }
     }
+}
+
+/// Runs the one maintenance duty that is due: a step of the active
+/// checkpoint first; otherwise whichever fell due first of a rotate +
+/// compaction slice and a paced checkpoint begin, so neither can starve
+/// the other. Returns false when nothing was due. Failures are counted
+/// and retried after [`FLUSH_BACKSTOP`]; a quiesce is normal.
+fn maintain(db: &mut Mmdb, s: &mut Schedule, counts: &[AtomicU64; 4]) -> bool {
+    let Some(m) = s.duties else { return false };
+    let now = Instant::now();
+    let due = |at: Option<Instant>| at.is_some_and(|t| t <= now);
+    let failed = |errors: &AtomicU64| {
+        errors.fetch_add(1, Ordering::Relaxed);
+        now + FLUSH_BACKSTOP
+    };
+    let busy = db.is_checkpoint_active() || db.is_quiescing();
+    s.step = busy.then(|| s.step.unwrap_or(now));
+    let begin_due = !busy && due(s.begin);
+    if due(s.step) {
+        if !db.is_checkpoint_active() {
+            // Begins by itself when the last open transaction ends.
+            s.step = Some(now + FLUSH_BACKSTOP);
+            return true;
+        }
+        match db.checkpoint_step() {
+            Ok(StepOutcome::Progress { .. }) => {}
+            Ok(StepOutcome::WaitingForLog) => {
+                if db.force_log().is_err() {
+                    s.step = Some(failed(&counts[CHECKPOINT_ERRORS]));
+                }
+            }
+            Ok(StepOutcome::Done { .. }) => {
+                counts[CHECKPOINTS].fetch_add(1, Ordering::Relaxed);
+                s.step = None;
+                s.begin = m.checkpoint_interval.map(|d| now + d);
+            }
+            Err(_) => s.step = Some(failed(&counts[CHECKPOINT_ERRORS])),
+        }
+    } else if due(s.compact) && !(begin_due && s.begin < s.compact) {
+        // Compaction honours replication truncation pins itself: a
+        // lagging standby stalls chunk rewrites, it never loses bytes.
+        if db.rotate_log().and_then(|_| db.compact_log()).is_err() {
+            counts[COMPACT_ERRORS].fetch_add(1, Ordering::Relaxed);
+        }
+        counts[COMPACTIONS].fetch_add(1, Ordering::Relaxed);
+        s.compact = m.compact_interval.map(|d| now + d);
+    } else if begin_due {
+        match db.try_begin_checkpoint() {
+            Ok(_) => s.step = Some(now),
+            Err(_) => s.begin = Some(failed(&counts[CHECKPOINT_ERRORS])),
+        }
+    } else {
+        return false;
+    }
+    true
 }
 
 /// How long a semi-synchronous committer waits for a standby's ack
@@ -446,14 +539,13 @@ pub struct ShardedMmdb {
     /// construction; group committers wait here).
     watermarks: Vec<Arc<DurableWatermark>>,
     /// True when commits take the group path: append, release the shard
-    /// lock, signal the flusher, wait on the watermark. Requires
+    /// lock, ring the doorbell, wait on the watermark. Requires
     /// [`CommitDurability::Group`] *and* a volatile tail (a stable tail
     /// is durable on append — nothing to wait for).
     group: bool,
-    /// Per-shard flusher threads (inert unless `group`). Declared after
-    /// `core` only by convention; its `Drop` joins the threads, after
-    /// which [`ShardedMmdb::into_engines`] can unwrap `core`.
-    flushers: FlusherPool,
+    /// The per-shard background loops, one per shard for the router's
+    /// whole life; its `Drop` joins them.
+    loops: Vec<std::thread::JoinHandle<()>>,
     config: MmdbConfig,
     n_records: u64,
     record_words: usize,
@@ -473,6 +565,20 @@ pub struct ShardedMmdb {
     repl: Arc<ReplGate>,
     /// Runs [`ShardedMmdb::enable_repl_slots`]'s work once.
     repl_slots: Once,
+}
+
+impl Drop for ShardedMmdb {
+    /// Stops and joins the shard loops; under group commit each runs a
+    /// final drain force first, so no rung commit is left unforced.
+    fn drop(&mut self) {
+        for bell in &self.core.bells {
+            bell.state.lock().stop = true;
+            bell.cv.notify_one();
+        }
+        for j in self.loops.drain(..) {
+            let _ = j.join();
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardedMmdb {
@@ -599,8 +705,17 @@ impl ShardedMmdb {
                     RankedRwLock::new(leak_name(format!("engine.{i}")), LockRank::engine(i), e)
                 })
                 .collect(),
-            flush: (0..n).map(FlushSignal::new).collect(),
-            stop: AtomicBool::new(false),
+            bells: (0..n)
+                .map(|i| Doorbell {
+                    state: RankedMutex::new(
+                        leak_name(format!("doorbell.{i}")),
+                        LockRank::doorbell(i),
+                        Bell::default(),
+                    ),
+                    cv: RankedCondvar::new(),
+                })
+                .collect(),
+            counts: (0..n).map(|_| Default::default()).collect(),
         });
         let open_txns = RankedMutex::new("router.txns", LockRank::ROUTER_TXNS, HashMap::new());
         // Contended acquisitions of every router-owned lock surface as
@@ -609,16 +724,21 @@ impl ShardedMmdb {
             for m in &core.shards {
                 m.set_sink(Arc::clone(&sink));
             }
-            for sig in &core.flush {
-                sig.pending.set_sink(Arc::clone(&sink));
+            for bell in &core.bells {
+                bell.state.set_sink(Arc::clone(&sink));
             }
             open_txns.set_sink(sink);
         }
-        let flushers = if group {
-            FlusherPool::spawn(&core, &watermarks, &obs)
-        } else {
-            FlusherPool::inert()
-        };
+        let loops = (0..n)
+            .map(|shard| {
+                let core = Arc::clone(&core);
+                let obs = obs.clone();
+                std::thread::Builder::new()
+                    .name(format!("mmdb-shard-{shard}"))
+                    .spawn(move || shard_loop(&core, shard, group, &obs))
+                    .unwrap_or_else(|e| panic!("cannot spawn shard loop: {e}"))
+            })
+            .collect();
         let db = ShardedMmdb {
             repl: ReplGate::new(n),
             repl_slots: Once::new(),
@@ -626,7 +746,7 @@ impl ShardedMmdb {
             mirrors,
             watermarks,
             group,
-            flushers,
+            loops,
             config,
             n_records,
             record_words,
@@ -755,21 +875,17 @@ impl ShardedMmdb {
         g
     }
 
-    /// Rings shard `i`'s flusher doorbell (group commit only — a no-op
-    /// signal otherwise, but callers gate on `self.group` anyway),
-    /// tagging it with the calling request's trace id so the flusher's
-    /// batched force is attributable to the commit that triggered it.
-    fn signal_flush(&self, i: usize) {
-        self.core.flush[i].ring(mmdb_obs::current_trace_id());
-    }
-
-    /// Parks the calling committer until shard `i`'s durable-LSN
-    /// watermark covers `lsn`. `Lsn::ZERO` is vacuously durable (the
-    /// marker for "this commit was already forced" — e.g. a 2PC branch).
+    /// Rings shard `i`'s doorbell for a group-commit force, then parks
+    /// the calling committer until the shard's durable-LSN watermark
+    /// covers `lsn`. The ring carries the caller's trace id, so the
+    /// loop's batched force is attributable to the commit behind it.
+    /// `Lsn::ZERO` is vacuously durable (the marker for "this commit was
+    /// already forced" — e.g. a 2PC branch).
     fn wait_durable(&self, i: usize, lsn: Lsn) -> Result<()> {
         if lsn == Lsn::ZERO {
             return Ok(());
         }
+        self.core.bells[i].ring(mmdb_obs::current_trace_id());
         let t = self.obs.timer();
         if self.watermarks[i].wait_for(lsn, GROUP_ACK_TIMEOUT)? {
             self.obs
@@ -778,7 +894,7 @@ impl ShardedMmdb {
         } else {
             Err(MmdbError::Invalid(format!(
                 "group-commit ack timed out after {GROUP_ACK_TIMEOUT:?} waiting for {lsn} \
-                 on shard {i} (flusher stalled?)"
+                 on shard {i} (shard loop stalled?)"
             )))
         }
     }
@@ -844,20 +960,44 @@ impl ShardedMmdb {
         self.read_shard(i).read_log_range(from, max_bytes)
     }
 
-    /// Runs `f` with shard `i` locked — the access path for per-shard
-    /// checkpointer threads and maintenance.
+    /// Runs `f` with shard `i` locked — the access path for tests,
+    /// tools and one-off maintenance.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut Mmdb) -> R) -> R {
         f(&mut self.lock(i))
     }
 
+    /// Hands every shard's background loop its maintenance duties
+    /// (`Some`: a server starting), or takes them back (`None`: one
+    /// stopping — the loops then only force group commits). When this
+    /// returns, no duty of the previous setting is in flight.
+    pub fn set_maintenance(&self, duties: Option<Maintenance>) {
+        for (i, bell) in self.core.bells.iter().enumerate() {
+            bell.state.lock().duties = duties;
+            bell.cv.notify_one();
+            // A pass that read the old duties holds the gate until done.
+            drop(self.core.lock(i));
+        }
+    }
+
+    /// Checkpoints the shard loops have completed, summed across shards.
+    pub fn checkpoints_completed(&self) -> u64 {
+        self.core.counted(CHECKPOINTS).sum()
+    }
+
+    /// Log-maintenance passes the shard loops have completed: one pass
+    /// is a rotate + compaction on every shard.
+    pub fn compaction_passes(&self) -> u64 {
+        self.core.counted(COMPACTIONS).min().unwrap_or(0)
+    }
+
     /// Tears the router down and returns the shard engines in index
-    /// order. Flusher threads are stopped and joined first (with a final
+    /// order. The shard loops are stopped and joined first (with a final
     /// drain force), so no `ShardCore` clone outlives the router.
     pub fn into_engines(self) -> Vec<Mmdb> {
-        let ShardedMmdb { core, flushers, .. } = self;
-        drop(flushers);
+        let core = Arc::clone(&self.core);
+        drop(self);
         let core = Arc::try_unwrap(core)
-            .unwrap_or_else(|_| unreachable!("flushers joined; no ShardCore clones remain"));
+            .unwrap_or_else(|_| unreachable!("shard loops joined; no ShardCore clones remain"));
         core.shards
             .into_iter()
             .map(RankedRwLock::into_inner)
@@ -927,7 +1067,7 @@ impl ShardedMmdb {
             let local = by_shard.remove(&shard).unwrap_or_default();
             // Both guards below drop before the watermark wait: under
             // group commit the shard is free for other committers while
-            // this one waits — and the flusher's force takes the gate
+            // this one waits — and the shard loop's force takes the gate
             // exclusively, so waiting with a guard held would deadlock.
             let run = 'exec: {
                 // Shared-mode attempt: disjoint-segment committers run
@@ -951,7 +1091,6 @@ impl ShardedMmdb {
                 run
             };
             if self.group {
-                self.signal_flush(shard);
                 self.wait_durable(shard, run.commit_lsn)?;
             }
             // Semi-sync: the commit is locally durable already; an ack
@@ -1176,11 +1315,9 @@ impl ShardedMmdb {
                     g.commit(local_txn).map(|()| g.last_commit_lsn())
                 };
                 match committed {
-                    Ok(commit_lsn) if self.group => {
-                        self.signal_flush(shard);
-                        self.wait_durable(shard, commit_lsn)
-                            .and_then(|()| self.repl_wait(shard, commit_lsn))
-                    }
+                    Ok(commit_lsn) if self.group => self
+                        .wait_durable(shard, commit_lsn)
+                        .and_then(|()| self.repl_wait(shard, commit_lsn)),
                     Ok(commit_lsn) => self.repl_wait(shard, commit_lsn),
                     Err(e) => Err(e),
                 }
@@ -1264,9 +1401,9 @@ impl ShardedMmdb {
 
     // ----- checkpointing ---------------------------------------------------
 
-    /// Requests a checkpoint on every shard (the server's per-shard
-    /// checkpointer threads normally do this independently; this is the
-    /// router-level surface for the wire `Checkpoint` request). Returns
+    /// Requests a checkpoint on every shard (the shard loops normally
+    /// pace their own; this is the router-level surface for the wire
+    /// `Checkpoint` request) and wakes each loop to drive it. Returns
     /// `Quiescing` if any shard is draining, `Started` if any began;
     /// errors only if *every* shard refused.
     pub fn try_begin_checkpoint(&self) -> Result<CheckpointStart> {
@@ -1279,6 +1416,7 @@ impl ShardedMmdb {
                 Ok(CheckpointStart::Quiescing) => quiescing = true,
                 Err(e) => last_err = Some(e),
             }
+            self.core.bells[i].wake();
         }
         if quiescing {
             Ok(CheckpointStart::Quiescing)
@@ -1376,6 +1514,9 @@ impl ShardedMmdb {
         let shard_snaps = self.shard_snapshots();
         let mut merged = MetricsSnapshot::capture(&self.obs);
         merged.put_gauge("shard.count", self.shards() as u64);
+        for (k, name) in LOOP_COUNTS.iter().enumerate() {
+            merged.put_counter(name, self.core.counted(k).sum());
+        }
         let single = merged.counter("router.txns_single").unwrap_or(0);
         let cross = merged.counter("router.txns_cross").unwrap_or(0);
         if let Some(permille) = (cross * 1000).checked_div(single + cross) {
@@ -1881,6 +2022,88 @@ mod tests {
             fill(w, 8)
         );
         engines.clear();
+    }
+
+    #[test]
+    fn back_to_back_checkpoints_never_starve_group_committers() {
+        // COU steps never force the log: between checkpoint begins only
+        // the loop's group force acks these commits.
+        let mut config = group_cfg();
+        config.algorithm = Algorithm::CouCopy;
+        let db = ShardedMmdb::open_in_memory(config, 1).expect("open");
+        db.set_maintenance(Some(Maintenance {
+            checkpoint_interval: Some(Duration::ZERO),
+            compact_interval: None,
+        }));
+        let w = db.record_words();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        // Each committer keeps going until two checkpoints completed
+        // under its load, so every ack below raced the checkpointer.
+        let slowest = std::thread::scope(|scope| {
+            let committers: Vec<_> = (0..4u64)
+                .map(|tid| {
+                    let db = &db;
+                    scope.spawn(move || {
+                        let mut slowest = Duration::ZERO;
+                        let mut round = 0u32;
+                        while round < 20 || db.checkpoints_completed() < 2 {
+                            assert!(Instant::now() < deadline, "checkpoints stalled");
+                            let t = Instant::now();
+                            db.run_txn(&[(RecordId(tid), fill(w, (tid as u32) << 16 | round))])
+                                .expect("group txn");
+                            slowest = slowest.max(t.elapsed());
+                            round += 1;
+                        }
+                        slowest
+                    })
+                })
+                .collect();
+            committers
+                .into_iter()
+                .map(|c| c.join().expect("committer thread"))
+                .max()
+        });
+        let slowest = slowest.expect("four committers");
+        assert!(
+            slowest < GROUP_ACK_TIMEOUT / 30,
+            "a commit waited {slowest:?} for its ack behind the checkpointer"
+        );
+        assert!(db.checkpoints_completed() >= 2);
+        let fp = db.fingerprint();
+        db.with_shard(0, |e| e.crash().and_then(|()| e.recover()))
+            .expect("crash and recover");
+        assert_eq!(
+            db.fingerprint(),
+            fp,
+            "every acked commit survives the crash"
+        );
+    }
+
+    #[test]
+    fn failed_background_duties_are_counted() {
+        let config = cfg();
+        let (device, control) = mmdb_core::FlakyLogDevice::new();
+        let engine =
+            Mmdb::open_with_log_device(shard_config(&config, 1), Box::new(device)).expect("engine");
+        let db = ShardedMmdb::from_engines(config, vec![engine]).expect("router");
+        let w = db.record_words();
+        db.run_txn(&[(RecordId(0), fill(w, 1))]).expect("seed");
+        control.fail_after_next(0);
+        db.set_maintenance(Some(Maintenance {
+            checkpoint_interval: Some(Duration::ZERO),
+            compact_interval: Some(Duration::ZERO),
+        }));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let errors = loop {
+            let snap = db.metrics_snapshot();
+            match snap.counter("maint.checkpoint_errors") {
+                Some(n) if n > 0 => break snap,
+                _ => assert!(Instant::now() < deadline, "no checkpoint error counted"),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(errors.counter("maint.checkpoints"), Some(0));
+        assert!(errors.counter("maint.compactions").unwrap_or(0) >= 1);
     }
 
     #[test]

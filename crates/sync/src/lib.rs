@@ -2,7 +2,7 @@
 //!
 //! The engine is deliberately single-threaded; every thread that exists
 //! in this workspace exists to move work *around* it (shard routers,
-//! group-commit flushers, server workers, checkpointers). Those threads
+//! per-shard background loops, server workers). Those threads
 //! share a small set of locks whose nesting discipline is what keeps the
 //! system deadlock-free — most critically the cross-shard two-phase
 //! commit, which is only safe because shard locks are always acquired in
@@ -62,7 +62,7 @@ mod detect;
 /// | 600 000 − *j* | [`LockRank::segment`] — segment *j*'s write latch |
 /// | 130 000 | [`LockRank::ENGINE_TXNS`] — engine transaction table |
 /// | 120 000 | [`LockRank::ENGINE_LOG`] — engine log manager |
-/// | 100 000 − *i* | [`LockRank::flusher_signal`] — shard *i*'s doorbell |
+/// | 100 000 − *i* | [`LockRank::doorbell`] — shard *i*'s loop doorbell |
 /// | 10 000 | [`LockRank::WATERMARK`] — durable-LSN watermark |
 /// | 5 000 | [`LockRank::AUDIT`] — audit event recorder |
 /// | 40 | [`LockRank::OBS_SLOW`] — slow-request log |
@@ -95,7 +95,7 @@ impl LockRank {
     /// The engine's log manager — the commit pipeline's single
     /// serialization point: shared-mode committers append their whole
     /// REDO group under it. Below the segment latches and the
-    /// transaction table, above the flusher doorbell.
+    /// transaction table, above the shard-loop doorbell.
     pub const ENGINE_LOG: LockRank = LockRank(Some(120_000));
     /// Per-shard durable-LSN watermark state (taken under the engine
     /// lock by the force path; alone by parked committers and
@@ -122,7 +122,7 @@ impl LockRank {
 
     const ENGINE_BASE: u32 = 900_000;
     const SEGMENT_BASE: u32 = 600_000;
-    const FLUSHER_BASE: u32 = 100_000;
+    const DOORBELL_BASE: u32 = 100_000;
     /// Widest supported shard topology (matches `mmdb_shard::MAX_SHARDS`).
     pub const MAX_SHARD_INDEX: usize = 100_000 - 10_001;
     /// Widest supported segment space for per-segment write latches:
@@ -154,14 +154,14 @@ impl LockRank {
         LockRank(Some(Self::SEGMENT_BASE - segment as u32))
     }
 
-    /// Shard `i`'s group-commit flusher doorbell: below every engine
-    /// lock, above the watermark.
-    pub fn flusher_signal(shard: usize) -> LockRank {
+    /// Shard `i`'s background-loop doorbell: below every engine lock,
+    /// above the watermark.
+    pub fn doorbell(shard: usize) -> LockRank {
         assert!(
             shard <= Self::MAX_SHARD_INDEX,
             "shard index out of rank range"
         );
-        LockRank(Some(Self::FLUSHER_BASE - shard as u32))
+        LockRank(Some(Self::DOORBELL_BASE - shard as u32))
     }
 
     /// The numeric rank, if ranked.
@@ -171,7 +171,7 @@ impl LockRank {
 
     /// The named fixed ranks, outermost first — the machine-readable
     /// half of the `DESIGN.md` §6.6 catalog (per-shard ranks are the
-    /// parameterized [`LockRank::engine`] / [`LockRank::flusher_signal`]
+    /// parameterized [`LockRank::engine`] / [`LockRank::doorbell`]
     /// families between `ROUTER_TXNS` and `WATERMARK`).
     pub fn catalog() -> &'static [(&'static str, u32)] {
         &[
@@ -182,7 +182,7 @@ impl LockRank {
             ("segment[j] = 600_000 - j", 600_000),
             ("engine-txns", 130_000),
             ("engine-log", 120_000),
-            ("flusher-signal[i] = 100_000 - i", 100_000),
+            ("doorbell[i] = 100_000 - i", 100_000),
             ("watermark", 10_000),
             ("audit", 5_000),
             ("obs-slow", 40),
@@ -857,9 +857,7 @@ mod tests {
         assert!(seg_first < engine);
         assert!(seg_last > LockRank::ENGINE_TXNS.value().unwrap());
         assert!(LockRank::ENGINE_TXNS.value().unwrap() > LockRank::ENGINE_LOG.value().unwrap());
-        assert!(
-            LockRank::ENGINE_LOG.value().unwrap() > LockRank::flusher_signal(0).value().unwrap()
-        );
+        assert!(LockRank::ENGINE_LOG.value().unwrap() > LockRank::doorbell(0).value().unwrap());
         // ascending segment order is strictly descending rank
         assert!(LockRank::segment(0).value() > LockRank::segment(1).value());
     }
