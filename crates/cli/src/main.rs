@@ -18,7 +18,7 @@
 //! mmdb-cli <dir> fsck [--compare DIR-OR-ADDR]  # cross-check fingerprints
 //! mmdb-cli <dir> dump <archive-file>
 //! mmdb-cli <dir> restore <archive-file> [--algorithm A]   # dir must be fresh
-//! mmdb-cli <dir> serve [--addr A] [--workers N] [--ckpt-ms D] [--idle-ms D] [--shards N]
+//! mmdb-cli <dir> serve [--addr A] [--workers N] [--ckpt-ms D] [--idle-ms D]
 //!                      [--slow-us U]                          # slow-request trace threshold
 //!                      [--compact-ms D]                       # log maintenance
 //!                      [--replica-of ADDR] [--repl-primary] [--repl-sync]  # replication role (persisted)
@@ -34,10 +34,15 @@
 //! batched force covers them), so anything a command reports as
 //! committed survives the next invocation.
 //!
-//! A database created with `init --shards N` (N > 1) is hash-partitioned
-//! across N independent engines (`<dir>/shard.<i>/`, topology pinned by
-//! the `<dir>/shards` marker); `serve`, `bench-net` and `fsck` detect
-//! the marker and operate on the whole topology. `bench-net` is a
+//! Every database is hash-partitioned across N ≥ 1 independent engines
+//! (`init --shards N`, default 1), each with its own log and backup
+//! pair; the directory's topology marker pins N, and every command
+//! opens the whole topology. `mmdb-shard` owns the directory layout,
+//! including the one-time move of a directory from before the marker,
+//! whose single engine sat at the root. `stats` and `audit` report
+//! shard by shard, under a `-- shard <i>` header when N > 1; `trace`
+//! prints one dump of the whole topology; `dump` archives a 1-shard
+//! database only. `bench-net` is a
 //! closed-loop load driver for smoke tests and live servers: it prints
 //! two summary lines and exits non-zero on any non-transient error. The
 //! repo's benchmark is `benchmark/`.
@@ -62,7 +67,7 @@ use mmdb_core::{Algorithm, CommitDurability, LogMode, Mmdb, MmdbConfig, RecordId
 use mmdb_lint::check_workspace;
 use mmdb_log::{LogDevice, LogRecord, LogStream, SegmentedLogDevice};
 use mmdb_server::{run_load, LoadConfig, ReplOptions, Server, ServerConfig, WorkloadKind};
-use mmdb_shard::{shard_config, ShardedMmdb};
+use mmdb_shard::{settle_layout, shard_config, shard_dir, ShardedMmdb, TOPOLOGY_FILE};
 use mmdb_wire::Client;
 use mmdb_workload::{UniformWorkload, Workload};
 use std::path::{Path, PathBuf};
@@ -256,7 +261,6 @@ const COMMANDS: &[Command] = &[
             "--workers N",
             "--ckpt-ms D",
             "--idle-ms D",
-            "--shards N",
             "--slow-us U",
             "--compact-ms D",
             "--replica-of ADDR",
@@ -303,45 +307,11 @@ fn flag_value(rest: &[String], flag: &str) -> Option<String> {
         .and_then(|i| rest.get(i + 1).cloned())
 }
 
-fn open(dir: &Path) -> Result<Mmdb, String> {
-    open_with(persist::load(dir)?, dir)
-}
-
-fn open_with(config: MmdbConfig, dir: &Path) -> Result<Mmdb, String> {
-    let (db, recovered) = Mmdb::open_dir(config, dir).map_err(|e| e.to_string())?;
-    if let Some(r) = recovered {
-        eprintln!(
-            "(recovered from checkpoint {}: {} segments, {} log words, {} txns replayed)",
-            r.ckpt.raw(),
-            r.segments_loaded,
-            r.log_words,
-            r.txns_replayed
-        );
-    }
-    Ok(db)
-}
-
-/// Reads the sharded-topology marker (`<dir>/shards`) if present.
-/// `None` means an unsharded (plain engine) directory.
-fn marker_shards(dir: &Path) -> Result<Option<usize>, String> {
-    match std::fs::read_to_string(dir.join("shards")) {
-        Ok(text) => {
-            let n = text
-                .trim()
-                .strip_prefix("shards=")
-                .ok_or_else(|| format!("malformed topology marker in {}", dir.display()))?
-                .parse::<usize>()
-                .map_err(|e| format!("topology marker: {e}"))?;
-            Ok(Some(n))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(format!("reading topology marker: {e}")),
-    }
-}
-
-/// Opens a sharded database, reporting recovery the way `open_with`
-/// does for a single engine.
-fn open_sharded(config: MmdbConfig, dir: &Path, shards: usize) -> Result<ShardedMmdb, String> {
+/// Opens the database in `dir`, an N-shard topology whose N the
+/// directory's marker pins (`shards`, when given, must match it; a fresh
+/// directory takes it), and reports any recovery.
+fn open(dir: &Path, config: MmdbConfig, shards: Option<usize>) -> Result<ShardedMmdb, String> {
+    let shards = settle_layout(dir, shards).map_err(|e| e.to_string())?;
     let (db, recovery) = ShardedMmdb::open_dir(config, dir, shards).map_err(|e| e.to_string())?;
     let recovered: Vec<&mmdb_core::RecoveryReport> = recovery.shards.iter().flatten().collect();
     if !recovered.is_empty() {
@@ -357,6 +327,14 @@ fn open_sharded(config: MmdbConfig, dir: &Path, shards: usize) -> Result<Sharded
         );
     }
     Ok(db)
+}
+
+/// Heads shard `i`'s part of a per-shard report; a 1-shard database's
+/// report has no headers.
+fn shard_header(db: &ShardedMmdb, i: usize) {
+    if db.shards() > 1 {
+        println!("-- shard {i}");
+    }
 }
 
 fn cmd_init(dir: &Path, rest: &[String]) -> Result<(), String> {
@@ -403,51 +381,21 @@ fn cmd_init(dir: &Path, rest: &[String]) -> Result<(), String> {
     config.validate()?;
     persist::save(&config, dir).map_err(|e| e.to_string())?;
 
-    if shards > 1 {
-        // sharded topology: per-shard engine directories plus the
-        // topology marker, each shard seeded with two checkpoints
-        let db = open_sharded(config, dir, shards)?;
-        db.checkpoint_all().map_err(|e| e.to_string())?;
-        db.checkpoint_all().map_err(|e| e.to_string())?;
-        println!(
-            "initialized {}: {} records × {} words across {} shards, algorithm {}",
-            dir.display(),
-            db.n_records(),
-            db.record_words(),
-            db.shards(),
-            algorithm
-        );
-        return Ok(());
-    }
-
-    // create the device files and take the seeding checkpoints so the
-    // database is recoverable from its very first moment
-    let (mut db, _) = Mmdb::open_dir(config, dir).map_err(|e| e.to_string())?;
-    db.checkpoint().map_err(|e| e.to_string())?;
-    db.checkpoint().map_err(|e| e.to_string())?;
+    // each shard is seeded with two checkpoints, so the database is
+    // recoverable from its very first moment
+    let db = open(dir, config, Some(shards))?;
+    db.checkpoint_all().map_err(|e| e.to_string())?;
+    db.checkpoint_all().map_err(|e| e.to_string())?;
     println!(
-        "initialized {}: {} records × {} words, {} segments, algorithm {}",
+        "initialized {}: {} records × {} words, {} segments across {} shard(s), algorithm {}",
         dir.display(),
         db.n_records(),
         db.record_words(),
-        db.n_segments(),
+        shard_config(&config, shards).params.db.n_segments() * shards as u64,
+        db.shards(),
         algorithm
     );
     Ok(())
-}
-
-/// Opens a directory routed through its topology: sharded directories
-/// (the `<dir>/shards` marker) come up as the full shard set, plain
-/// ones as a 1-shard wrapper. Offline `put`/`get` go through this so
-/// they hit the same files `serve` and `fsck` use — a plain-engine
-/// open of a sharded directory would silently address a stray layout
-/// at the directory root.
-fn open_routed(dir: &Path) -> Result<ShardedMmdb, String> {
-    let config = persist::load(dir)?;
-    match marker_shards(dir)? {
-        Some(n) => open_sharded(config, dir, n),
-        None => Ok(ShardedMmdb::from_single(open_with(config, dir)?)),
-    }
 }
 
 fn cmd_put(dir: &Path, rest: &[String]) -> Result<(), String> {
@@ -461,18 +409,11 @@ fn cmd_put(dir: &Path, rest: &[String]) -> Result<(), String> {
         .ok_or("put needs <record> <fill>")?
         .parse()
         .map_err(|e| format!("fill: {e}"))?;
-    let db = open_routed(dir)?;
+    let db = open(dir, persist::load(dir)?, None)?;
     let value = vec![fill; db.record_words()];
     let run = db
         .run_txn(&[(RecordId(record), value)])
         .map_err(|e| e.to_string())?;
-    // Direct engine use: under group durability nobody waits on the
-    // watermark here, so force before exit to keep the CLI contract
-    // that anything reported committed survives the next invocation.
-    for i in 0..db.shards() {
-        db.with_shard(i, |e| e.force_log())
-            .map_err(|e| e.to_string())?;
-    }
     println!(
         "committed record {record} = {fill} (txn {}, {} run(s))",
         run.txn.raw(),
@@ -487,7 +428,7 @@ fn cmd_get(dir: &Path, rest: &[String]) -> Result<(), String> {
         .ok_or("get needs <record>")?
         .parse()
         .map_err(|e| format!("record: {e}"))?;
-    let db = open_routed(dir)?;
+    let db = open(dir, persist::load(dir)?, None)?;
     let value = db
         .read_committed(RecordId(record))
         .map_err(|e| e.to_string())?;
@@ -515,7 +456,12 @@ fn cmd_workload(dir: &Path, rest: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(5);
 
-    let mut db = open(dir)?;
+    let mut config = persist::load(dir)?;
+    // One committer has nobody to share a group force with: each commit
+    // forces its own log tail instead of waiting out the accumulation
+    // window alone. Either way a commit is acked only once durable.
+    config.commit_durability = CommitDurability::Force;
+    let db = open(dir, config, None)?;
     let words = db.record_words();
     let mut wl = UniformWorkload::new(db.n_records(), updates, seed);
     let start = std::time::Instant::now();
@@ -527,9 +473,6 @@ fn cmd_workload(dir: &Path, rest: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         reruns += (run.runs - 1) as u64;
     }
-    // As in `put`: a direct engine never waits on the watermark, so
-    // drain the tail before reporting the workload as committed.
-    db.force_log().map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     println!(
         "committed {n} transactions ({updates} updates each) in {:.3}s ({:.0} txn/s), {reruns} reruns",
@@ -540,16 +483,19 @@ fn cmd_workload(dir: &Path, rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_checkpoint(dir: &Path, _rest: &[String]) -> Result<(), String> {
-    let mut db = open(dir)?;
-    let report = db.checkpoint().map_err(|e| e.to_string())?;
-    println!(
-        "checkpoint {} -> copy {}: {} segments flushed, {} skipped, {} from COU old copies",
-        report.ckpt.raw(),
-        report.copy,
-        report.segments_flushed,
-        report.segments_skipped,
-        report.old_copies_flushed
-    );
+    let db = open(dir, persist::load(dir)?, None)?;
+    let reports = db.checkpoint_all().map_err(|e| e.to_string())?;
+    for (i, report) in reports.iter().enumerate() {
+        shard_header(&db, i);
+        println!(
+            "checkpoint {} -> copy {}: {} segments flushed, {} skipped, {} from COU old copies",
+            report.ckpt.raw(),
+            report.copy,
+            report.segments_flushed,
+            report.segments_skipped,
+            report.old_copies_flushed
+        );
+    }
     Ok(())
 }
 
@@ -566,10 +512,7 @@ fn cmd_compact(dir: &Path, rest: &[String]) -> Result<(), String> {
     if rest.iter().any(|a| a == "--compress") {
         config.compress_log_chunks = true;
     }
-    let db = match marker_shards(dir)? {
-        Some(n) => open_sharded(config, dir, n)?,
-        None => ShardedMmdb::from_single(open_with(config, dir)?),
-    };
+    let db = open(dir, config, None)?;
     let rotated = db.rotate_logs().map_err(|e| e.to_string())?;
     let reports = db.compact_logs().map_err(|e| e.to_string())?;
     let sum = |f: fn(&mmdb_core::CompactReport) -> u64| reports.iter().map(f).sum::<u64>();
@@ -611,15 +554,37 @@ fn cmd_stats(dir: &Path, rest: &[String]) -> Result<(), String> {
     // carries latency histograms for whatever this invocation did
     // (including a recovery, if one ran).
     config.telemetry = true;
-    let db = open_with(config, dir)?;
+    let db = open(dir, config, None)?;
     if json {
         println!("{}", db.metrics_snapshot().to_json_pretty());
         return Ok(());
     }
     if prom {
-        print!("{}", db.metrics_snapshot().to_prometheus());
+        print!("{}", db.prometheus());
         return Ok(());
     }
+    for i in 0..db.shards() {
+        shard_header(&db, i);
+        db.with_shard(i, |e| print_engine_stats(e, &config, dir));
+        let dev = SegmentedLogDevice::open(
+            &shard_dir(dir, i).join("log"),
+            config.log_chunk_bytes,
+            false,
+        )
+        .map_err(|e| e.to_string())?;
+        println!(
+            "log disk:   {} chunks, {} bytes on disk, window [{}, {})",
+            dev.chunk_count(),
+            dev.disk_bytes(),
+            dev.start_offset(),
+            dev.len()
+        );
+    }
+    Ok(())
+}
+
+/// `stats`' text lines for one shard engine.
+fn print_engine_stats(db: &Mmdb, config: &MmdbConfig, dir: &Path) {
     let t = db.txn_stats();
     let c = db.ckpt_stats();
     let l = db.log_stats();
@@ -648,16 +613,6 @@ fn cmd_stats(dir: &Path, rest: &[String]) -> Result<(), String> {
         "segments:   {} total, dirty vs copy0/copy1 = {}/{}, {} white, {} holding COU old copies",
         seg.total, seg.dirty_copy0, seg.dirty_copy1, seg.white, seg.with_old_copy
     );
-    let dev = SegmentedLogDevice::open(&dir.join("log"), config.log_chunk_bytes, false)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "log disk:   {} chunks, {} bytes on disk, window [{}, {})",
-        dev.chunk_count(),
-        dev.disk_bytes(),
-        dev.start_offset(),
-        dev.len()
-    );
-    Ok(())
 }
 
 /// Prints request span trees in the flight-recorder dump format. Two
@@ -666,10 +621,9 @@ fn cmd_stats(dir: &Path, rest: &[String]) -> Result<(), String> {
 /// * `--remote ADDR` fetches a live server's flight recorder and slow
 ///   -request log over the wire (`TraceDump`) — no workload is run and
 ///   `<dir>` is not opened.
-/// * Otherwise a telemetry-instrumented workload runs locally — seeded
-///   transactions (each under its own request scope) interleaved with
-///   stepped checkpoints, a final full checkpoint and a dry-run
-///   recoverability check — and its own recorder is dumped.
+/// * Otherwise a telemetry-instrumented workload ([`stress_engine`])
+///   runs locally on each shard engine in turn, and the topology's
+///   recorders are dumped as one document.
 ///
 /// Both paths render via [`mmdb_core::TraceDumpDoc`], so the local view
 /// and the remote view of "what did this request spend its time on"
@@ -714,40 +668,19 @@ fn cmd_trace(dir: &Path, rest: &[String]) -> Result<(), String> {
 
     let mut config = persist::load(dir)?;
     config.telemetry = true;
-    let mut db = open_with(config, dir)?;
+    let db = open(dir, config, None)?;
     if let Some(us) = slow_us {
         db.obs().set_slow_threshold_us(us);
     }
-
-    let words = db.record_words();
-    let mut wl = UniformWorkload::new(db.n_records(), updates, seed);
-    for i in 0..txns {
-        if i == txns / 3 && !db.is_checkpoint_active() {
-            db.try_begin_checkpoint().map_err(|e| e.to_string())?;
-        }
-        if db.is_checkpoint_active() && i % 2 == 0 {
-            step_checkpoint(&mut db)?;
-        }
-        let spec = wl.next_txn();
-        // Each transaction runs under its own request scope, exactly as
-        // the server wraps a wire request: every engine phase it touches
-        // (lock waits, txn.exec-equivalent commits, log forces) lands in
-        // one span tree, feeding the same slow-request log and
-        // attribution table a live server would populate.
-        let scope = db
-            .obs()
-            .request_scope("net.request", "net.request_ns", "txn", 0, 0);
-        let run = db.run_txn(&spec.materialize(words));
-        scope.finish();
-        run.map_err(|e| e.to_string())?;
+    for i in 0..db.shards() {
+        db.with_shard(i, |e| {
+            if let Some(us) = slow_us {
+                e.obs().set_slow_threshold_us(us);
+            }
+            stress_engine(e, txns, seed, updates)
+        })?;
     }
-    while db.is_checkpoint_active() {
-        step_checkpoint(&mut db)?;
-    }
-    db.checkpoint().map_err(|e| e.to_string())?;
-    db.verify_recoverability().map_err(|e| e.to_string())?;
-
-    let doc = mmdb_core::TraceDumpDoc::capture(db.obs(), limit);
+    let doc = db.trace_dump(limit);
     if as_json {
         print!("{}", doc.to_json());
     } else {
@@ -757,10 +690,43 @@ fn cmd_trace(dir: &Path, rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs an audited stress pass over the database: a workload interleaved
-/// with stepped checkpoints (plus a final full checkpoint and a dry-run
-/// recoverability check), with every protocol invariant checked online.
-/// Prints the coverage/violation summary; a violation fails the command.
+/// Drives one shard engine through a seeded workload interleaved with a
+/// stepped checkpoint (begun a third of the way in, so transactions and
+/// the sweep genuinely interleave: two-color aborts, COU saves), then a
+/// final full checkpoint and a dry-run recoverability check. Each
+/// transaction runs under its own request scope, exactly as the server
+/// wraps a wire request: every engine phase it touches (lock waits,
+/// commits, log forces) lands in one span tree, feeding the same
+/// slow-request log and attribution table a live server would populate.
+fn stress_engine(db: &mut Mmdb, txns: u64, seed: u64, updates: u32) -> Result<(), String> {
+    let words = db.record_words();
+    let mut wl = UniformWorkload::new(db.n_records(), updates, seed);
+    for i in 0..txns {
+        if i == txns / 3 && !db.is_checkpoint_active() {
+            db.try_begin_checkpoint().map_err(|e| e.to_string())?;
+        }
+        if db.is_checkpoint_active() && i % 2 == 0 {
+            step_checkpoint(db)?;
+        }
+        let spec = wl.next_txn();
+        let scope = db
+            .obs()
+            .request_scope("net.request", "net.request_ns", "txn", 0, 0);
+        let run = db.run_txn(&spec.materialize(words));
+        scope.finish();
+        run.map_err(|e| e.to_string())?;
+    }
+    while db.is_checkpoint_active() {
+        step_checkpoint(db)?;
+    }
+    db.checkpoint().map_err(|e| e.to_string())?;
+    db.verify_recoverability().map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+/// Runs an audited stress pass ([`stress_engine`]) over each shard
+/// engine in turn, with every protocol invariant checked online. Prints
+/// the coverage/violation summary; a violation fails the command.
 fn cmd_audit(dir: &Path, rest: &[String]) -> Result<(), String> {
     let txns: u64 = flag_value(rest, "--txns")
         .map(|v| v.parse().map_err(|e| format!("--txns: {e}")))
@@ -780,52 +746,29 @@ fn cmd_audit(dir: &Path, rest: &[String]) -> Result<(), String> {
     // Telemetry rides along: a violation dumps the flight recorder, so
     // the span trees around the offending interleaving are preserved.
     config.telemetry = true;
-    let (mut db, recovered) = Mmdb::open_dir(config, dir).map_err(|e| e.to_string())?;
-    if let Some(r) = recovered {
-        eprintln!(
-            "(recovered from checkpoint {}: {} segments, {} log words, {} txns replayed)",
-            r.ckpt.raw(),
-            r.segments_loaded,
-            r.log_words,
-            r.txns_replayed
-        );
+    let db = open(dir, config, None)?;
+    for i in 0..db.shards() {
+        shard_header(&db, i);
+        db.with_shard(i, |e| -> Result<(), String> {
+            stress_engine(e, txns, seed, updates)?;
+            let report = e.audit_report().ok_or("auditing unexpectedly disabled")?;
+            print!("{report}");
+            if report.is_clean() {
+                println!(
+                    "audit: clean ({txns} txns, checkpoints interleaved, recoverability verified)"
+                );
+                return Ok(());
+            }
+            if let Ok(Some(path)) = mmdb_core::write_flightrec(e.obs(), &shard_dir(dir, i)) {
+                println!("flight recorder dumped to {}", path.display());
+            }
+            Err(format!(
+                "audit: {} protocol violation(s) detected",
+                report.violations.len()
+            ))
+        })?;
     }
-
-    let words = db.record_words();
-    let mut wl = UniformWorkload::new(db.n_records(), updates, seed);
-    for i in 0..txns {
-        // Begin a checkpoint a third of the way in, so transactions and
-        // the sweep genuinely interleave (two-color aborts, COU saves).
-        if i == txns / 3 && !db.is_checkpoint_active() {
-            db.try_begin_checkpoint().map_err(|e| e.to_string())?;
-        }
-        if db.is_checkpoint_active() && i % 2 == 0 {
-            step_checkpoint(&mut db)?;
-        }
-        let spec = wl.next_txn();
-        db.run_txn(&spec.materialize(words))
-            .map_err(|e| e.to_string())?;
-    }
-    while db.is_checkpoint_active() {
-        step_checkpoint(&mut db)?;
-    }
-    db.checkpoint().map_err(|e| e.to_string())?;
-    db.verify_recoverability().map_err(|e| e.to_string())?;
-
-    let report = db.audit_report().ok_or("auditing unexpectedly disabled")?;
-    print!("{report}");
-    if report.is_clean() {
-        println!("audit: clean ({txns} txns, checkpoints interleaved, recoverability verified)");
-        Ok(())
-    } else {
-        if let Ok(Some(path)) = mmdb_core::write_flightrec(db.obs(), dir) {
-            println!("flight recorder dumped to {}", path.display());
-        }
-        Err(format!(
-            "audit: {} protocol violation(s) detected",
-            report.violations.len()
-        ))
-    }
+    Ok(())
 }
 
 /// Runs the concurrency-discipline lint over the source tree rooted at
@@ -886,12 +829,6 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
 
     let mut config = persist::load(dir)?;
     config.telemetry = true; // request spans must show up in `stats --json`
-    let marker = marker_shards(dir)?;
-    let shards: usize = flag_value(rest, "--shards")
-        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
-        .transpose()?
-        .or(marker)
-        .unwrap_or(1);
 
     // Replication role: flags override and persist; otherwise the role
     // recorded in mmdb.conf resumes (standalone for every directory
@@ -953,17 +890,10 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
         repl,
         ..ServerConfig::default()
     };
-    // An existing unsharded directory stays on the plain-engine path:
-    // only a topology marker or an explicit --shards > 1 selects the
-    // sharded layout.
-    let handle = if shards > 1 || marker.is_some() {
-        let db = open_sharded(config, dir, shards)?;
-        Server::spawn_sharded(db, server_config)
-    } else {
-        let db = open_with(config, dir)?;
-        Server::spawn(db, server_config)
-    }
-    .map_err(|e| format!("cannot start server: {e}"))?;
+    let db = open(dir, config, None)?;
+    let shards = db.shards();
+    let handle = Server::spawn_sharded(db, server_config)
+        .map_err(|e| format!("cannot start server: {e}"))?;
     println!("listening on {}", handle.local_addr());
     eprintln!(
         "serving {} ({} workers, {} shard(s), checkpoints {}{}{}); stop with the wire Shutdown op",
@@ -1038,36 +968,28 @@ fn cmd_bench_net(dir: &Path, rest: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(0.0);
 
+    // `--shards` routes the load; a self-hosted server's directory must
+    // have that many (it has its marker's count when the flag is absent)
+    let shards_flag: Option<usize> = flag_value(rest, "--shards")
+        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
+        .transpose()?;
+    let mut shards = shards_flag.unwrap_or(1);
     // self-host unless pointed at an external server
     let external_addr = flag_value(rest, "--addr");
-    let marker = if external_addr.is_some() {
-        None
-    } else {
-        marker_shards(dir)?
-    };
-    let shards: usize = flag_value(rest, "--shards")
-        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
-        .transpose()?
-        .or(marker)
-        .unwrap_or(1);
     let handle = match &external_addr {
         Some(_) => None,
         None => {
             let mut config = persist::load(dir)?;
             config.telemetry = true;
+            let db = open(dir, config, shards_flag)?;
+            shards = db.shards();
             let server_config = ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 workers: connections + 2,
                 checkpoint_interval: Some(std::time::Duration::from_millis(5)),
                 ..ServerConfig::default()
             };
-            let spawned = if shards > 1 || marker.is_some() {
-                let db = open_sharded(config, dir, shards)?;
-                Server::spawn_sharded(db, server_config)
-            } else {
-                let db = open_with(config, dir)?;
-                Server::spawn(db, server_config)
-            };
+            let spawned = Server::spawn_sharded(db, server_config);
             Some(spawned.map_err(|e| format!("cannot serve: {e}"))?)
         }
     };
@@ -1183,13 +1105,10 @@ fn cmd_promote(dir: &Path, rest: &[String]) -> Result<(), String> {
     }
 }
 
-/// Computes the storage fingerprint of the database in `dir` (sharded
-/// or not, created with `config`), offline.
+/// Computes the storage fingerprint of the database in `dir` (created
+/// with `config`), offline.
 fn dir_fingerprint(config: MmdbConfig, dir: &Path) -> Result<u64, String> {
-    match marker_shards(dir)? {
-        Some(shards) => Ok(open_sharded(config, dir, shards)?.fingerprint()),
-        None => Ok(ShardedMmdb::from_single(open_with(config, dir)?).fingerprint()),
-    }
+    Ok(open(dir, config, None)?.fingerprint())
 }
 
 /// Reads `ckpt.completed` from a server's wire stats snapshot.
@@ -1241,22 +1160,18 @@ fn cmd_fsck(dir: &Path, rest: &[String]) -> Result<(), String> {
         }
     }
 
-    match marker_shards(dir)? {
-        Some(shards) => {
-            // sharded topology: every shard is a standalone engine
-            // directory checked with the per-shard parameter shape
-            println!(
-                "topology: {shards} shards (marker {})",
-                dir.join("shards").display()
-            );
-            let scfg = shard_config(&config, shards);
-            for i in 0..shards {
-                let shard_dir = dir.join(format!("shard.{i}"));
-                println!("-- shard {i} ({})", shard_dir.display());
-                problems += fsck_engine_dir(&shard_dir, scfg)?;
-            }
-        }
-        None => problems += fsck_engine_dir(dir, config)?,
+    // every shard is a standalone engine directory, checked with the
+    // per-shard parameter shape
+    let shards = settle_layout(dir, None).map_err(|e| e.to_string())?;
+    println!(
+        "topology: {shards} shards (marker {})",
+        dir.join(TOPOLOGY_FILE).display()
+    );
+    let scfg = shard_config(&config, shards);
+    for i in 0..shards {
+        let shard_dir = shard_dir(dir, i);
+        println!("-- shard {i} ({})", shard_dir.display());
+        problems += fsck_engine_dir(&shard_dir, scfg)?;
     }
 
     if problems == 0 {
@@ -1344,8 +1259,8 @@ fn fsck_engine_dir(dir: &Path, config: MmdbConfig) -> Result<u64, String> {
     // failure and can be dumped next to the evidence.
     let mut deep_config = config;
     deep_config.telemetry = true;
-    match open_with(deep_config, dir) {
-        Ok(mut db) => {
+    match Mmdb::open_dir(deep_config, dir) {
+        Ok((mut db, _)) => {
             // what the cold open just above cost in log reads and memory
             let stream = db.obs().with_registry(|r| {
                 let peak = r.gauge_value("recovery.log_window_peak_bytes")?;
@@ -1449,8 +1364,11 @@ impl Composition {
 
 fn cmd_dump(dir: &Path, rest: &[String]) -> Result<(), String> {
     let out: PathBuf = rest.first().ok_or("dump needs <archive-file>")?.into();
-    let mut db = open(dir)?;
-    let info = db.dump_archive(&out).map_err(|e| e.to_string())?;
+    let db = open(dir, persist::load(dir)?, Some(1))
+        .map_err(|e| format!("dump archives a 1-shard database only: {e}"))?;
+    let info = db
+        .with_shard(0, |e| e.dump_archive(&out))
+        .map_err(|e| e.to_string())?;
     println!(
         "archived checkpoint {} image plus {} log bytes to {}",
         info.ckpt.raw(),
@@ -1480,8 +1398,11 @@ fn cmd_restore(dir: &Path, rest: &[String]) -> Result<(), String> {
         config.params.log_mode = LogMode::StableTail;
     }
     config.validate()?;
-    let (db, report) =
-        Mmdb::restore_archive_dir(config, dir, &archive).map_err(|e| e.to_string())?;
+    // the archive becomes shard 0 of a 1-shard topology
+    let (db, report) = Mmdb::restore_archive_dir(config, &shard_dir(dir, 0), &archive)
+        .map_err(|e| e.to_string())?;
+    drop(db);
+    settle_layout(dir, Some(1)).map_err(|e| e.to_string())?;
     persist::save(&config, dir).map_err(|e| e.to_string())?;
     println!(
         "restored {} from checkpoint {}: {} segments, {} log words, {} txns replayed",
@@ -1491,7 +1412,6 @@ fn cmd_restore(dir: &Path, rest: &[String]) -> Result<(), String> {
         report.log_words,
         report.txns_replayed
     );
-    drop(db);
     Ok(())
 }
 

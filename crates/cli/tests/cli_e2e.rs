@@ -526,3 +526,146 @@ fn serve_announces_its_port_and_shuts_down_over_the_wire() {
     assert!(out.contains("record 1 = 77"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The storage fingerprint `dir` opens to (`fsck --compare` against
+/// itself).
+fn fingerprint(dir: &Path) -> String {
+    let out = ok(dir, &["fsck", "--compare", &dir.to_string_lossy()]);
+    let line = (out.lines())
+        .find_map(|l| l.strip_prefix("compare: fingerprints match ("))
+        .unwrap_or_else(|| panic!("no fingerprint in {out}"));
+    line.trim_end_matches(')').to_string()
+}
+
+/// Asserts no engine file sits at the root of `dir`: every engine lives
+/// in its shard directory.
+fn assert_no_root_engine(dir: &Path, after: &str) {
+    for file in ["log", "backup.0", "backup.1"] {
+        assert!(!dir.join(file).exists(), "{after} left {file} at the root");
+    }
+}
+
+#[test]
+fn every_command_on_a_sharded_directory_works_on_its_shards() {
+    let dir = tmpdir("no-stray-engine");
+    ok(&dir, &["init", "--shards", "2"]);
+    let before = fingerprint(&dir);
+
+    ok(&dir, &["workload", "10"]);
+    assert_no_root_engine(&dir, "workload");
+    assert_ne!(
+        fingerprint(&dir),
+        before,
+        "workload's commits must reach the shards"
+    );
+    ok(&dir, &["checkpoint"]);
+    assert_no_root_engine(&dir, "checkpoint");
+    let out = ok(&dir, &["stats", "--json"]);
+    let snap = mmdb_obs::MetricsSnapshot::from_json(&out).expect("stats --json must parse");
+    assert_eq!(snap.gauge("shard.count"), Some(2), "{out}");
+    assert_no_root_engine(&dir, "stats");
+    let out = ok(&dir, &["trace", "--txns", "10", "--json"]);
+    let doc = mmdb_obs::TraceDumpDoc::from_json(&out).expect("one trace document");
+    assert!(
+        doc.recent.iter().any(|s| s.name == "ckpt.pass"),
+        "the dump carries the shards' checkpoint passes"
+    );
+    assert_no_root_engine(&dir, "trace");
+    let out = ok(&dir, &["audit", "--txns", "10"]);
+    assert_eq!(out.matches("audit: clean").count(), 2, "{out}");
+    assert_no_root_engine(&dir, "audit");
+
+    let archive = dir.join("archive.mmdb");
+    let out = cli(&dir, &["dump", &archive.to_string_lossy()]);
+    assert!(
+        !out.status.success(),
+        "dump of a 2-shard database must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("sharded 2 ways"), "{stderr}");
+    assert!(!archive.exists(), "no archive written");
+    assert_no_root_engine(&dir, "dump");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_net_refuses_a_shard_count_the_directory_does_not_pin() {
+    let dir = tmpdir("bench-net-shards");
+    ok(&dir, &["init"]);
+    ok(&dir, &["put", "5", "77"]);
+    let out = cli(&dir, &["bench-net", "--shards", "2", "--txns", "1"]);
+    assert!(!out.status.success(), "a 1-shard directory served as 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("refusing to open with 2"), "{stderr}");
+    let out = ok(&dir, &["get", "5"]);
+    assert!(out.contains("record 5 = 77"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file and directory under `dir`, with file contents.
+fn tree(dir: &Path) -> std::collections::BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut all = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            all.extend(tree(&path));
+            all.insert(path, None);
+        } else {
+            all.insert(path.clone(), Some(std::fs::read(&path).expect("read file")));
+        }
+    }
+    all
+}
+
+#[test]
+fn a_directory_from_before_the_marker_moves_into_shard_0_once() {
+    let dir = tmpdir("pre-marker");
+    ok(&dir, &["init"]);
+    ok(&dir, &["put", "5", "77"]);
+    let fp = fingerprint(&dir);
+    // the layout an unsharded directory had: one engine at the root
+    let shard0 = mmdb_shard::shard_dir(&dir, 0);
+    for entry in std::fs::read_dir(&shard0).expect("shard 0").flatten() {
+        std::fs::rename(entry.path(), dir.join(entry.file_name())).expect("move to root");
+    }
+    std::fs::remove_dir(&shard0).expect("empty shard 0");
+    std::fs::remove_file(dir.join(mmdb_shard::TOPOLOGY_FILE)).expect("marker");
+    assert!(dir.join("log").is_dir() && dir.join("backup.0").is_file());
+    let interrupted = tmpdir("pre-marker-interrupted");
+    copy_dir(&dir, &interrupted);
+    let refused = tmpdir("pre-marker-refused");
+    copy_dir(&dir, &refused);
+
+    let out = ok(&dir, &["get", "5"]);
+    assert!(out.contains("record 5 = 77"), "{out}");
+    assert_eq!(fingerprint(&dir), fp);
+    assert_no_root_engine(&dir, "the move");
+    for file in ["log", "backup.0", "backup.1"] {
+        assert!(shard0.join(file).exists(), "{file} moved into shard 0");
+    }
+    assert_eq!(mmdb_shard::settle_layout(&dir, None).expect("marker"), 1);
+
+    // a move cut short after the log: the next open finishes it
+    let shard0 = mmdb_shard::shard_dir(&interrupted, 0);
+    std::fs::create_dir(&shard0).expect("shard 0");
+    std::fs::rename(interrupted.join("log"), shard0.join("log")).expect("move log");
+    let out = ok(&interrupted, &["get", "5"]);
+    assert!(out.contains("record 5 = 77"), "{out}");
+    assert_no_root_engine(&interrupted, "the finished move");
+    assert_eq!(fingerprint(&interrupted), fp);
+
+    // opened as 2 shards, the directory is refused and left untouched
+    let before = tree(&refused);
+    let out = cli(&refused, &["bench-net", "--shards", "2", "--txns", "1"]);
+    assert!(!out.status.success(), "a 1-shard directory served as 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("refusing to open it with 2 shards"),
+        "{stderr}"
+    );
+    assert!(before == tree(&refused), "the refused open changed files");
+
+    for d in [&dir, &interrupted, &refused] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}

@@ -98,7 +98,7 @@ fn composition_sums_to_window(fsck: &str) {
 /// Whether shard `i`'s readable log starts with an older frame and ends
 /// with a new one.
 fn log_is_mixed(dir: &Path, i: usize) -> bool {
-    let log = dir.join(format!("shard.{i}/log"));
+    let log = mmdb_shard::shard_dir(dir, i).join("log");
     let mut dev = SegmentedLogDevice::open(&log, mmdb_log::DEFAULT_CHUNK_BYTES, false)
         .expect("open shard log");
     let mut last = None;

@@ -209,11 +209,15 @@ fn kill_nine_mid_load_recovers_exactly_the_acked_state() {
         "fsck failed after kill -9:\n{fsck_out}"
     );
     assert!(fsck_out.contains("fsck: clean"), "{fsck_out}");
-    // a clean fsck must not leave a crash dump behind
-    assert!(
-        !dir.join("flightrec.json").exists(),
-        "clean fsck wrote flightrec.json"
-    );
+    // a clean fsck must not leave a crash dump behind (fsck dumps next
+    // to the shard's evidence)
+    for at in [dir.clone(), mmdb_shard::shard_dir(&dir, 0)] {
+        assert!(
+            !at.join("flightrec.json").exists(),
+            "clean fsck wrote {}",
+            at.join("flightrec.json").display()
+        );
+    }
 
     // re-serve the recovered database and audit every tracked record
     // over the wire: last acked fill, or the one in-flight write
@@ -306,10 +310,12 @@ fn failing_fsck_after_kill_nine_dumps_the_flight_recorder() {
     // find the stale copy: recovery loads the newest complete backup,
     // so corrupting the *older* one leaves the engine able to open
     let config = mmdb_core::MmdbConfig::small(mmdb_types::Algorithm::CouCopy);
+    let engine_dir = mmdb_shard::shard_dir(&dir, 0);
     let stale: usize = {
         use mmdb_disk::BackupStore;
-        let mut backup = mmdb_disk::FileBackup::open(&dir.join("backup"), config.params.db, false)
-            .expect("backup");
+        let mut backup =
+            mmdb_disk::FileBackup::open(&engine_dir.join("backup"), config.params.db, false)
+                .expect("backup");
         let c0 = backup
             .copy_status(0)
             .expect("copy 0 status")
@@ -324,7 +330,7 @@ fn failing_fsck_after_kill_nine_dumps_the_flight_recorder() {
             _ => 0,
         }
     };
-    let stale_path = dir.join(format!("backup.{stale}"));
+    let stale_path = engine_dir.join(format!("backup.{stale}"));
     let mut bytes = std::fs::read(&stale_path).expect("read stale copy");
     assert!(bytes.len() > 4096, "backup copy implausibly small");
     // flip bytes across the middle of the file so at least one segment
@@ -349,7 +355,7 @@ fn failing_fsck_after_kill_nine_dumps_the_flight_recorder() {
     assert!(fsck_out.contains("CORRUPT"), "{fsck_out}");
     assert!(fsck_out.contains("flight recorder dumped to"), "{fsck_out}");
 
-    let dump = std::fs::read_to_string(dir.join("flightrec.json")).expect("flightrec.json");
+    let dump = std::fs::read_to_string(engine_dir.join("flightrec.json")).expect("flightrec.json");
     let doc = mmdb_core::TraceDumpDoc::from_json(&dump).expect("dump parses");
     assert!(doc.recorded > 0, "empty flight recorder dumped");
     let names: Vec<&str> = doc.recent.iter().map(|s| s.name.as_str()).collect();
@@ -492,7 +498,7 @@ fn kill_nine_mid_compaction_discards_torn_rewrites_and_recovers_clean() {
 
     // plant the torn rewrite: a `.tmp` twin of a real chunk, full of
     // garbage — the state an interrupted rename-in-flight leaves behind
-    let log_dir = dir.join("log");
+    let log_dir = mmdb_shard::shard_dir(&dir, 0).join("log");
     let chunk_stem = std::fs::read_dir(&log_dir)
         .expect("read log dir")
         .filter_map(|e| e.ok())

@@ -60,11 +60,6 @@ pub struct MmdbConfig {
     /// Chunk size for the segmented on-disk log used by
     /// [`Mmdb::open_dir`](crate::Mmdb::open_dir).
     pub log_chunk_bytes: u64,
-    /// Bound on the volatile log tail: appends past this size force the
-    /// tail (group commit's backstop). `None` leaves flushing entirely to
-    /// commit forces / explicit [`Mmdb::force_log`](crate::Mmdb::force_log)
-    /// calls.
-    pub log_tail_flush_bytes: Option<u64>,
     /// Run the online protocol-invariant audit: the engine, checkpointer,
     /// log manager and backup store emit a typed event stream that five
     /// checker state machines validate as it happens (WAL gate, paint
@@ -107,7 +102,6 @@ impl MmdbConfig {
             log_force_latency_us: 0,
             auto_truncate_log: true,
             log_chunk_bytes: mmdb_log::DEFAULT_CHUNK_BYTES,
-            log_tail_flush_bytes: Some(1 << 20),
             recovery_workers: 1,
             compress_backups: false,
             compress_log_chunks: false,

@@ -21,6 +21,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Bound on the volatile log tail: an append past this many bytes
+/// forces the tail (group commit's backstop).
+const LOG_TAIL_FLUSH_BYTES: u64 = 1 << 20;
+
 /// Outcome of [`Mmdb::try_begin_checkpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointStart {
@@ -205,7 +209,7 @@ impl Mmdb {
         backup: Box<dyn BackupStore>,
         meters: Meters,
     ) -> Mmdb {
-        log.set_tail_threshold(config.log_tail_flush_bytes);
+        log.set_tail_threshold(Some(LOG_TAIL_FLUSH_BYTES));
         log.set_force_latency(
             (config.log_force_latency_us > 0)
                 .then(|| std::time::Duration::from_micros(u64::from(config.log_force_latency_us))),

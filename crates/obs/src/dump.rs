@@ -97,25 +97,49 @@ impl TraceDumpDoc {
     /// Snapshot `obs` into a dump: up to `limit` slow requests and
     /// `limit` recent flight spans.
     pub fn capture(obs: &Obs, limit: usize) -> TraceDumpDoc {
-        let (slow, slow_recorded) = obs.slow_requests(limit);
-        let (recent, recorded, dropped) = obs.flight_spans(limit);
-        TraceDumpDoc {
-            slow_threshold_us: obs.slow_threshold_us(),
-            recorded,
-            dropped,
-            slow_recorded,
-            slow: slow
-                .iter()
-                .map(|t| SlowEntry {
-                    trace_id: t.trace_id,
-                    op: t.op.to_string(),
-                    start_ns: t.start_ns,
-                    total_ns: t.total_ns,
-                    spans: t.spans.iter().map(DumpSpan::from).collect(),
-                })
-                .collect(),
-            recent: recent.iter().map(DumpSpan::from).collect(),
+        TraceDumpDoc::capture_all(&[obs], limit)
+    }
+
+    /// One dump of several handles (a router's and its shard engines'):
+    /// the newest `limit` slow requests and `limit` flight spans across
+    /// all of them, on the one timeline and span-id space every handle
+    /// shares, with their counts summed. The slow threshold is the
+    /// first handle's.
+    pub fn capture_all(handles: &[&Obs], limit: usize) -> TraceDumpDoc {
+        let mut doc = TraceDumpDoc {
+            slow_threshold_us: handles.first().map_or(0, |o| o.slow_threshold_us()),
+            ..TraceDumpDoc::default()
+        };
+        let mut slow = Vec::new();
+        let mut recent = Vec::new();
+        for obs in handles {
+            let (s, slow_recorded) = obs.slow_requests(limit);
+            let (r, recorded, dropped) = obs.flight_spans(limit);
+            slow.extend(s);
+            recent.extend(r);
+            doc.slow_recorded += slow_recorded;
+            doc.recorded += recorded;
+            doc.dropped += dropped;
         }
+        // the slow log is kept in finishing order, the flight view in
+        // start order
+        slow.sort_by_key(|t| t.start_ns + t.total_ns);
+        recent.sort_by_key(|e| (e.start_ns, e.span_id));
+        doc.slow = slow[slow.len().saturating_sub(limit)..]
+            .iter()
+            .map(|t| SlowEntry {
+                trace_id: t.trace_id,
+                op: t.op.to_string(),
+                start_ns: t.start_ns,
+                total_ns: t.total_ns,
+                spans: t.spans.iter().map(DumpSpan::from).collect(),
+            })
+            .collect();
+        doc.recent = recent[recent.len().saturating_sub(limit)..]
+            .iter()
+            .map(DumpSpan::from)
+            .collect();
+        doc
     }
 
     /// Build the JSON document model.
@@ -424,6 +448,35 @@ mod tests {
         let text = render_tree(&spans);
         assert!(text.contains(" x"), "{text}");
         assert!(!text.contains("   x "), "no stray indent: {text}");
+    }
+
+    #[test]
+    fn capture_all_merges_handles_onto_one_timeline() {
+        let router = Obs::enabled();
+        let engine = Obs::enabled();
+        router.set_slow_threshold_us(0);
+        engine.phase_detail("ckpt.step", engine.timer(), 1);
+        let scope = router.request_scope("net.request", "net.request_ns", "put", 0, 0);
+        engine.phase_detail("log.force", engine.timer(), 2);
+        scope.finish();
+        engine.phase_detail("ckpt.step", engine.timer(), 3);
+
+        let doc = TraceDumpDoc::capture_all(&[&router, &engine], 100);
+        assert_eq!(doc.recorded, 4);
+        assert_eq!(doc.slow_threshold_us, 0, "the first handle's threshold");
+        let labels: Vec<&str> = doc.recent.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["system detail=1", "put", "put detail=2", "system detail=3"],
+            "one start-ordered view across both recorders"
+        );
+        let mut ids: Vec<u64> = doc.recent.iter().map(|s| s.span_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "span ids are unique across recorders");
+        let newest = TraceDumpDoc::capture_all(&[&router, &engine], 1);
+        assert_eq!(newest.recent.len(), 1);
+        assert_eq!(newest.recent[0].label, "system detail=3");
     }
 
     #[test]

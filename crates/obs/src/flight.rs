@@ -135,8 +135,11 @@ impl ThreadRing {
 /// never alias across recorders (Arc addresses can be reused).
 static RECORDER_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// The per-`Obs` flight recorder: a registry of per-thread rings plus
-/// the process-unique span-id allocator.
+/// The span-id allocator, shared by every recorder so that dumps merged
+/// from several recorders never see one id twice.
+static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
+
+/// The per-`Obs` flight recorder: a registry of per-thread rings.
 #[derive(Debug)]
 pub(crate) struct FlightRecorder {
     id: u64,
@@ -144,7 +147,6 @@ pub(crate) struct FlightRecorder {
     /// All rings ever registered (threads are never unregistered; a
     /// ring is a few KiB and thread counts are bounded in this system).
     rings: RankedMutex<Vec<Arc<ThreadRing>>>,
-    next_span: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -158,13 +160,12 @@ impl FlightRecorder {
                 LockRank::OBS_FLIGHT,
                 Vec::new(),
             ),
-            next_span: AtomicU64::new(1),
         }
     }
 
-    /// Allocate a fresh span id (lock-free).
+    /// Allocate a fresh, process-unique span id (lock-free).
     pub(crate) fn next_span_id(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
+        NEXT_SPAN.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The calling thread's ring for this recorder, creating and

@@ -217,6 +217,30 @@ pub struct HistSummary {
     pub p999: u64,
 }
 
+impl HistSummary {
+    /// Folds in `other`, the same metric from another shard. Count, sum,
+    /// min and max stay exact; each quantile becomes the larger of the
+    /// two, an upper bound on the combined population's.
+    pub fn merge(&mut self, other: &HistSummary) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.mean = self.sum as f64 / self.count as f64;
+        self.p50 = self.p50.max(other.p50);
+        self.p90 = self.p90.max(other.p90);
+        self.p99 = self.p99.max(other.p99);
+        self.p999 = self.p999.max(other.p999);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

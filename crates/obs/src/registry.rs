@@ -13,7 +13,7 @@ use mmdb_sync::{ContentionSink, LockRank, RankedMutex};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default slow-request threshold: a request slower than this gets its
@@ -47,7 +47,7 @@ pub struct RequestTrace {
     pub trace_id: u64,
     /// Wire opcode (or local pseudo-opcode) of the request.
     pub op: &'static str,
-    /// Root-span start offset in ns since the handle's epoch.
+    /// Root-span start offset in ns since the process's telemetry epoch.
     pub start_ns: u64,
     /// End-to-end duration in ns.
     pub total_ns: u64,
@@ -127,7 +127,6 @@ pub struct AttributionEntry {
 }
 
 struct ObsInner {
-    epoch: Instant,
     // The registry locks sit at the very bottom of the lock hierarchy
     // (DESIGN.md §6.6): every subsystem records telemetry while holding
     // its own locks, so nothing may be acquired below these. They carry
@@ -144,8 +143,8 @@ struct ObsInner {
 /// The thread-local request scope. It carries the owning handle's inner
 /// alongside the request identity so phase events recorded through *any*
 /// enabled handle (a per-shard engine's, the log manager's) route to the
-/// scope owner's recorder and attribution table, on the owner's epoch —
-/// one coherent timeline per request no matter which subsystem recorded.
+/// scope owner's recorder and attribution table — one coherent timeline
+/// per request no matter which subsystem recorded.
 struct ScopeState {
     ctx: CurrentCtx,
     inner: Arc<ObsInner>,
@@ -184,7 +183,7 @@ fn record_flight(
             trace_id: ctx.map_or(0, |c| c.trace_id),
             name,
             op: ctx.map_or(SYSTEM_OP, |c| c.op),
-            start_ns: rel_ns(started, target.epoch),
+            start_ns: rel_ns(started),
             dur_ns,
             detail,
         };
@@ -227,9 +226,9 @@ pub struct Obs {
 impl Obs {
     /// A live handle.
     pub fn enabled() -> Obs {
+        epoch();
         Obs {
             inner: Some(Arc::new(ObsInner {
-                epoch: Instant::now(),
                 metrics: RankedMutex::new(
                     "obs.metrics",
                     LockRank::OBS_METRICS,
@@ -351,7 +350,7 @@ impl Obs {
                 trace_id,
                 name,
                 op: SYSTEM_OP,
-                start_ns: rel_ns(started, inner.epoch),
+                start_ns: rel_ns(started),
                 dur_ns,
                 detail,
             });
@@ -543,7 +542,7 @@ impl RequestScope {
         // Restore the previous scope first: the bookkeeping below must
         // not attribute to the request that just ended.
         SCOPE.with(|s| *s.borrow_mut() = a.prev);
-        let start_ns = rel_ns(a.started, a.inner.epoch);
+        let start_ns = rel_ns(a.started);
         a.inner.flight.record(FlightEvent {
             span_id: a.root_span,
             parent_span: a.parent_span,
@@ -635,9 +634,17 @@ fn elapsed_ns(started: Instant) -> u64 {
     started.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Offset of `t` from `epoch` in ns (0 when `t` predates the epoch).
-fn rel_ns(t: Instant, epoch: Instant) -> u64 {
-    t.saturating_duration_since(epoch)
+/// The process's telemetry epoch, fixed when the first handle is
+/// enabled. Every handle shares it, so spans from different recorders
+/// lie on one timeline.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Offset of `t` from the telemetry epoch in ns (0 when `t` predates it).
+fn rel_ns(t: Instant) -> u64 {
+    t.saturating_duration_since(epoch())
         .as_nanos()
         .min(u64::MAX as u128) as u64
 }

@@ -40,6 +40,27 @@ pub struct PaperOverhead {
     pub ckpt_overhead_per_txn: f64,
 }
 
+impl PaperOverhead {
+    /// Folds in `other`, the same accounting from another shard: totals
+    /// add, and the per-transaction figures are recomputed over the
+    /// combined commits.
+    pub fn merge(&mut self, other: &PaperOverhead) {
+        self.committed += other.committed;
+        self.sync_ckpt_total += other.sync_ckpt_total;
+        self.async_ckpt_total += other.async_ckpt_total;
+        self.logging_total += other.logging_total;
+        self.base_total += other.base_total;
+        let per_txn = |total: u64| match self.committed {
+            0 => 0.0,
+            n => total as f64 / n as f64,
+        };
+        self.sync_ckpt_per_txn = per_txn(self.sync_ckpt_total);
+        self.async_ckpt_per_txn = per_txn(self.async_ckpt_total);
+        self.logging_per_txn = per_txn(self.logging_total);
+        self.ckpt_overhead_per_txn = self.sync_ckpt_per_txn + self.async_ckpt_per_txn;
+    }
+}
+
 /// A point-in-time dump of the whole telemetry surface.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -78,6 +99,44 @@ impl MetricsSnapshot {
     /// Add or overwrite a gauge, keeping name order.
     pub fn put_gauge(&mut self, name: &str, value: u64) {
         upsert(&mut self.gauges, name, value);
+    }
+
+    /// Add or overwrite a histogram digest, keeping name order.
+    pub fn put_hist(&mut self, name: &str, value: HistSummary) {
+        upsert(&mut self.hists, name, value);
+    }
+
+    /// Folds another handle's attribution rows (a shard engine's) into
+    /// this snapshot's: requests, totals and per-phase counts add by
+    /// opcode and phase, keeping both in name order.
+    pub fn merge_attribution(&mut self, rows: &[AttributionEntry]) {
+        for row in rows {
+            let i = match self.attribution.binary_search_by(|e| e.op.cmp(&row.op)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.attribution.insert(
+                        i,
+                        AttributionEntry {
+                            op: row.op.clone(),
+                            ..AttributionEntry::default()
+                        },
+                    );
+                    i
+                }
+            };
+            let into = &mut self.attribution[i];
+            into.requests += row.requests;
+            into.total_ns += row.total_ns;
+            for (phase, count, total_ns) in &row.phases {
+                match into.phases.binary_search_by(|(p, ..)| p.cmp(phase)) {
+                    Ok(j) => {
+                        into.phases[j].1 += count;
+                        into.phases[j].2 += total_ns;
+                    }
+                    Err(j) => into.phases.insert(j, (phase.clone(), *count, *total_ns)),
+                }
+            }
+        }
     }
 
     /// Look up a counter by name.
@@ -302,7 +361,7 @@ fn lookup<'a, T>(v: &'a [(String, T)], name: &str) -> Option<&'a T> {
         .map(|i| &v[i].1)
 }
 
-fn upsert(v: &mut Vec<(String, u64)>, name: &str, value: u64) {
+fn upsert<T>(v: &mut Vec<(String, T)>, name: &str, value: T) {
     match v.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
         Ok(i) => v[i].1 = value,
         Err(i) => v.insert(i, (name.to_string(), value)),
@@ -734,6 +793,40 @@ mod tests {
         // attribution total reconciles with the request histogram
         let row = &snap.attribution[0];
         assert_eq!(row.total_ns, snap.hist("net.request_ns").unwrap().sum);
+    }
+
+    #[test]
+    fn merge_attribution_adds_by_opcode_and_phase() {
+        let row = |op: &str, requests, phases: &[(&str, u64, u64)]| AttributionEntry {
+            op: op.into(),
+            requests,
+            total_ns: requests * 10,
+            phases: phases
+                .iter()
+                .map(|(p, c, t)| (p.to_string(), *c, *t))
+                .collect(),
+        };
+        let mut s = MetricsSnapshot {
+            attribution: vec![row("put", 2, &[("log.force", 2, 8)])],
+            ..MetricsSnapshot::default()
+        };
+        s.merge_attribution(&[
+            row("get", 1, &[]),
+            row("put", 1, &[("engine.lock_wait", 1, 3), ("log.force", 1, 4)]),
+            row("system", 0, &[("ckpt.step", 5, 50)]),
+        ]);
+        assert_eq!(
+            s.attribution,
+            vec![
+                row("get", 1, &[]),
+                row(
+                    "put",
+                    3,
+                    &[("engine.lock_wait", 1, 3), ("log.force", 3, 12)]
+                ),
+                row("system", 0, &[("ckpt.step", 5, 50)]),
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! was traced) plus per-op counters on the router's registry, so a
 //! `Stats` request over the wire shows the network layer, the router
 //! and every shard engine in one snapshot — and a `TraceDump` request
-//! returns the span trees behind the slowest of them.
+//! returns the span trees behind the slowest of them, with the shard
+//! engines' background spans (recovery, checkpoint passes) alongside.
 
 use crate::{ServerConfig, Shared};
 use mmdb_core::CheckpointStart;
@@ -256,7 +257,7 @@ fn dispatch(shared: &Shared, req: &Request, open_txns: &mut HashSet<TxnId>) -> R
         },
         Request::Info => Response::Info(server_info(db)),
         Request::TraceDump { limit } => Response::TraceDump {
-            json: db.trace_dump_json(*limit as usize),
+            json: db.trace_dump(*limit as usize).to_json(),
         },
         Request::ReplHello { ver_min, ver_max } => {
             match mmdb_repl::serve_hello(db, *ver_min, *ver_max) {

@@ -21,9 +21,8 @@
 //!   *j*,
 //! * a standby runs one replication pull thread per shard.
 //!
-//! An unsharded server is the 1-shard special case ([`Server::spawn`]
-//! wraps the engine via [`ShardedMmdb::from_single`]); the wire
-//! protocol is identical either way, so clients are oblivious to the
+//! Every server runs a [`ShardedMmdb`] of N ≥ 1 shards, and the wire
+//! protocol is the same for every N, so clients are oblivious to the
 //! topology.
 //!
 //! Shutdown is graceful: a client `Shutdown` request (or
@@ -42,7 +41,6 @@ pub mod load;
 
 pub use load::{run_load, LoadConfig, LoadReport, WorkloadKind};
 
-use mmdb_core::Mmdb;
 use mmdb_repl::Replica;
 use mmdb_shard::{Maintenance, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedCondvar, RankedMutex};
@@ -54,7 +52,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`Server::spawn`].
+/// Tuning knobs for [`Server::spawn_sharded`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind, e.g. `"127.0.0.1:0"` (port 0 picks a free one).
@@ -169,8 +167,7 @@ impl Shared {
     }
 }
 
-/// The running server: spawn with [`Server::spawn`] (one engine) or
-/// [`Server::spawn_sharded`] (a sharded topology).
+/// The running server: spawn with [`Server::spawn_sharded`].
 pub struct Server;
 
 /// Handle to a running server: address, stop control, and joins.
@@ -183,14 +180,6 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds, spawns the listener + worker pool, hands the shard loop its
-    /// checkpoint and compaction pacing, and returns a handle. The engine
-    /// moves into the server as a 1-shard [`ShardedMmdb`]; get it back
-    /// with [`ServerHandle::shutdown_join`].
-    pub fn spawn(db: Mmdb, config: ServerConfig) -> io::Result<ServerHandle> {
-        Self::spawn_sharded(ShardedMmdb::from_single(db), config)
-    }
-
     /// Binds, spawns the listener + worker pool, hands every shard loop
     /// its checkpoint and compaction pacing, and returns a handle. The
     /// database moves into the server; get it back with

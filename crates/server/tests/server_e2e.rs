@@ -2,21 +2,22 @@
 
 #![allow(clippy::unwrap_used)]
 
-use mmdb_core::{Algorithm, Mmdb, MmdbConfig};
+use mmdb_core::{Algorithm, MmdbConfig};
 use mmdb_obs::MetricsSnapshot;
 use mmdb_server::{run_load, LoadConfig, Server, ServerConfig, ServerHandle, WorkloadKind};
+use mmdb_shard::ShardedMmdb;
 use mmdb_types::RecordId;
 use mmdb_wire::{read_frame, write_frame, Client, ErrorCode, Request, Response, WireError};
 use std::time::{Duration, Instant};
 
 fn spawn_server(algorithm: Algorithm, ckpt_interval: Option<Duration>) -> ServerHandle {
-    let db = Mmdb::open_in_memory(MmdbConfig::small(algorithm)).unwrap();
+    let db = ShardedMmdb::open_in_memory(MmdbConfig::small(algorithm), 1).unwrap();
     let config = ServerConfig {
         poll_interval: Duration::from_millis(10),
         checkpoint_interval: ckpt_interval,
         ..ServerConfig::default()
     };
-    Server::spawn(db, config).unwrap()
+    Server::spawn_sharded(db, config).unwrap()
 }
 
 #[test]
@@ -298,8 +299,7 @@ fn out_of_range_and_bad_size_map_to_typed_errors() {
 
 #[test]
 fn sharded_server_serves_affine_and_cross_shard_load() {
-    let db = mmdb_shard::ShardedMmdb::open_in_memory(MmdbConfig::small(Algorithm::FuzzyCopy), 4)
-        .unwrap();
+    let db = ShardedMmdb::open_in_memory(MmdbConfig::small(Algorithm::FuzzyCopy), 4).unwrap();
     let config = ServerConfig {
         poll_interval: Duration::from_millis(10),
         checkpoint_interval: Some(Duration::from_millis(1)),
@@ -359,14 +359,14 @@ fn slow_traced_request_shows_log_force_dominating_via_trace_dump() {
     // (threshold 1ms) with `log.force` as the dominant phase.
     let mut config = MmdbConfig::small(Algorithm::FuzzyCopy);
     config.log_force_latency_us = 5_000;
-    let db = Mmdb::open_in_memory(config).unwrap();
+    let db = ShardedMmdb::open_in_memory(config, 1).unwrap();
     let server_cfg = ServerConfig {
         poll_interval: Duration::from_millis(10),
         checkpoint_interval: None,
         slow_trace_us: 1_000,
         ..ServerConfig::default()
     };
-    let handle = Server::spawn(db, server_cfg).unwrap();
+    let handle = Server::spawn_sharded(db, server_cfg).unwrap();
     let mut c = Client::connect(handle.local_addr()).unwrap();
     c.set_tracing(true);
 
@@ -461,6 +461,23 @@ fn attribution_reconciles_with_the_request_histogram() {
         (lo..=hi).contains(&attr_total),
         "attribution {attr_total} ns vs histogram {} ns",
         hist.sum
+    );
+    // The shard loop's checkpoint passes record on the engine's own
+    // handle; the wire surfaces still show them as background work.
+    let system = snap
+        .attribution
+        .iter()
+        .find(|r| r.op == mmdb_obs::SYSTEM_OP)
+        .expect("system row");
+    assert!(
+        system.phases.iter().any(|(n, ..)| n == "ckpt.pass"),
+        "system phases: {:?}",
+        system.phases
+    );
+    let doc = mmdb_obs::TraceDumpDoc::from_json(&c.trace_dump(4096).unwrap()).unwrap();
+    assert!(
+        doc.recent.iter().any(|s| s.name.starts_with("ckpt.")),
+        "no checkpoint span in the wire trace dump"
     );
     handle.shutdown_join();
 }

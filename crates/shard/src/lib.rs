@@ -11,6 +11,15 @@
 //! of *whole-subsystem* independence (log + backups + checkpointer),
 //! with the same partial-checkpoint logic running per shard.
 //!
+//! ## Layout
+//!
+//! Every database directory is an `N`-shard topology, `N ≥ 1`: a
+//! [`TOPOLOGY_FILE`] marker pins `N`, and shard `i`'s engine lives in
+//! [`shard_dir`]. One shard is the unsharded database — the same layout
+//! and the same router. [`settle_layout`] is the one place the layout is
+//! read, written, and moved into from a directory that predates the
+//! marker.
+//!
 //! ## Partitioning
 //!
 //! Records hash by id: global record `r` lives on shard `r % N`, at
@@ -62,21 +71,25 @@ use mmdb_core::{
     CheckpointStart, CkptReport, CommitDurability, CompactReport, DurableWatermark, LogMode, Mmdb,
     MmdbConfig, ReadMirror, RecoveryReport, StepOutcome, TxnRun,
 };
-use mmdb_obs::{to_prometheus_sharded, MetricsSnapshot, Obs};
+use mmdb_obs::{to_prometheus_sharded, HistSummary, MetricsSnapshot, Obs, PaperOverhead};
 use mmdb_sync::{
     leak_name, LockRank, RankedCondvar, RankedGuard, RankedMutex, RankedRwLock, RankedRwReadGuard,
     RankedRwWriteGuard,
 };
 use mmdb_types::{DbParams, Lsn, MmdbError, RecordId, Result, TxnId, Word};
 use std::collections::{BTreeMap, HashMap};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
-/// Name of the topology marker file written at the root of a sharded
-/// directory (each shard's own data lives under `shard.<i>/`).
+/// Name of the topology marker at the root of every database directory:
+/// `shards=<N>`, with shard `i`'s engine under [`shard_dir`]`(dir, i)`.
 pub const TOPOLOGY_FILE: &str = "shards";
+
+/// The engine files a directory from before the marker keeps at its
+/// root: one engine's log and its ping-pong backup pair.
+const ROOT_ENGINE_FILES: [&str; 3] = ["log", "backup.0", "backup.1"];
 
 /// Upper bound on the shard count — a sanity rail, not a real limit.
 pub const MAX_SHARDS: usize = 1024;
@@ -615,15 +628,14 @@ impl ShardedMmdb {
         shards: usize,
     ) -> Result<(ShardedMmdb, ShardedRecovery)> {
         validate_shards(&config, shards)?;
-        std::fs::create_dir_all(dir)?;
-        check_topology_marker(dir, shards)?;
+        settle_layout(dir, Some(shards))?;
 
         let scfg = shard_config(&config, shards);
         let mut opened: Vec<Result<(Mmdb, Option<RecoveryReport>)>> = Vec::new();
         std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(shards);
             for i in 0..shards {
-                let shard_dir = dir.join(format!("shard.{i}"));
+                let shard_dir = shard_dir(dir, i);
                 joins.push(scope.spawn(move || Mmdb::open_dir(scfg, &shard_dir)));
             }
             for j in joins {
@@ -643,19 +655,6 @@ impl ShardedMmdb {
         let db = Self::assemble(config, engines);
         let recovery = db.resolve_in_doubt(reports)?;
         Ok((db, recovery))
-    }
-
-    /// Wraps one existing engine as a 1-shard database. Global and local
-    /// record ids coincide, and the router reuses the engine's audit and
-    /// telemetry handles, so an unsharded server keeps its exact
-    /// pre-sharding observability surface.
-    pub fn from_single(db: Mmdb) -> ShardedMmdb {
-        let config = *db.config();
-        let audit = db.audit().clone();
-        let obs = db.obs().clone();
-        let n_records = db.n_records();
-        let record_words = db.record_words();
-        Self::build(config, vec![db], audit, obs, n_records, record_words)
     }
 
     /// Wraps caller-constructed engines (one per shard, each shaped by
@@ -678,19 +677,6 @@ impl ShardedMmdb {
         } else {
             Obs::disabled()
         };
-        let n_records = config.params.db.n_records();
-        let record_words = config.params.db.s_rec as usize;
-        Self::build(config, engines, audit, obs, n_records, record_words)
-    }
-
-    fn build(
-        config: MmdbConfig,
-        engines: Vec<Mmdb>,
-        audit: Audit,
-        obs: Obs,
-        n_records: u64,
-        record_words: usize,
-    ) -> ShardedMmdb {
         let group = config.commit_durability == CommitDurability::Group
             && config.params.log_mode == LogMode::VolatileTail;
         let watermarks: Vec<Arc<DurableWatermark>> =
@@ -747,9 +733,9 @@ impl ShardedMmdb {
             watermarks,
             group,
             loops,
+            n_records: config.params.db.n_records(),
+            record_words: config.params.db.s_rec as usize,
             config,
-            n_records,
-            record_words,
             next_gid: AtomicU64::new(1),
             next_txn: AtomicU64::new(1),
             open_txns,
@@ -824,8 +810,7 @@ impl ShardedMmdb {
     }
 
     /// The router's telemetry handle (the engine handles live per
-    /// shard; a 1-shard [`ShardedMmdb::from_single`] shares this with
-    /// its engine).
+    /// shard).
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -1506,10 +1491,12 @@ impl ShardedMmdb {
             .collect()
     }
 
-    /// One merged snapshot of the whole topology: router counters,
-    /// engine counters/gauges aggregated (summed) under their original
-    /// names, and every shard's metrics again under a `shard.<i>.`
-    /// prefix — the shard topology readable in a single `Stats` call.
+    /// One merged snapshot of the whole topology: router metrics, the
+    /// engines' metrics aggregated under their original names (counters
+    /// and gauges summed, histograms, attribution rows and the paper
+    /// section merged), and
+    /// every shard's metrics again under a `shard.<i>.` prefix — the
+    /// shard topology readable in a single `Stats` call.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let shard_snaps = self.shard_snapshots();
         let mut merged = MetricsSnapshot::capture(&self.obs);
@@ -1525,6 +1512,7 @@ impl ShardedMmdb {
 
         let mut agg_counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut agg_gauges: BTreeMap<String, u64> = BTreeMap::new();
+        let mut agg_hists: BTreeMap<String, HistSummary> = BTreeMap::new();
         for (i, snap) in shard_snaps.iter().enumerate() {
             for (name, v) in &snap.counters {
                 *agg_counters.entry(name.clone()).or_insert(0) += *v;
@@ -1535,7 +1523,8 @@ impl ShardedMmdb {
                 merged.put_gauge(&format!("shard.{i}.{name}"), *v);
             }
             for (name, h) in &snap.hists {
-                merged.hists.push((format!("shard.{i}.{name}"), *h));
+                agg_hists.entry(name.clone()).or_default().merge(h);
+                merged.put_hist(&format!("shard.{i}.{name}"), *h);
             }
         }
         for (name, v) in agg_counters {
@@ -1544,50 +1533,53 @@ impl ShardedMmdb {
         for (name, v) in agg_gauges {
             merged.put_gauge(&name, v);
         }
-        merged.hists.sort_by(|a, b| a.0.cmp(&b.0));
-        merged.hists.dedup_by(|a, b| a.0 == b.0);
+        for (name, h) in agg_hists {
+            merged.put_hist(&name, h);
+        }
+        for snap in &shard_snaps {
+            merged.merge_attribution(&snap.attribution);
+        }
+        merged.paper = merged_paper(&shard_snaps);
         merged
     }
 
-    /// The router's span-tree trace dump (slow-request log plus recent
-    /// flight-recorder spans) as JSON — the document served to the wire
-    /// `TraceDump` request and rendered by `mmdb-cli trace`.
-    pub fn trace_dump_json(&self, limit: usize) -> String {
-        mmdb_obs::TraceDumpDoc::capture(&self.obs, limit).to_json()
+    /// The topology's span-tree trace dump — the document served to the
+    /// wire `TraceDump` request and rendered by `mmdb-cli trace`: the
+    /// slow-request logs and recent flight-recorder spans of the router
+    /// and of every shard engine (recovery, checkpoint passes and other
+    /// background work record on the engine's handle) in one document,
+    /// the router's slow threshold heading it.
+    pub fn trace_dump(&self, limit: usize) -> mmdb_obs::TraceDumpDoc {
+        let engines: Vec<Obs> = (0..self.shards())
+            .map(|i| self.core.read(i).obs().clone())
+            .collect();
+        let handles: Vec<&Obs> = std::iter::once(&self.obs).chain(&engines).collect();
+        mmdb_obs::TraceDumpDoc::capture_all(&handles, limit)
     }
 
     /// Prometheus exposition for the whole topology: per-shard families
     /// carry a `shard="<i>"` label (one `# TYPE` line per family), and
-    /// router-only families follow unlabeled. Families the shards
-    /// already expose are filtered from the router section so the
-    /// document never carries a duplicate `# TYPE` line — the 1-shard
-    /// [`ShardedMmdb::from_single`] case shares one registry between
-    /// router and engine, where naive concatenation would duplicate
-    /// every family.
+    /// the router's own families plus the merged paper section follow
+    /// unlabeled.
     pub fn prometheus(&self) -> String {
         let shard_snaps = self.shard_snapshots();
-        let mut text = to_prometheus_sharded(&shard_snaps);
-
-        let mut shard_names: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        for snap in &shard_snaps {
-            shard_names.extend(snap.counters.iter().map(|(n, _)| n.as_str()));
-            shard_names.extend(snap.gauges.iter().map(|(n, _)| n.as_str()));
-            shard_names.extend(snap.hists.iter().map(|(n, _)| n.as_str()));
-        }
         let mut router = MetricsSnapshot::capture(&self.obs);
-        router
-            .counters
-            .retain(|(n, _)| !shard_names.contains(n.as_str()));
-        router
-            .gauges
-            .retain(|(n, _)| !shard_names.contains(n.as_str()));
-        router
-            .hists
-            .retain(|(n, _)| !shard_names.contains(n.as_str()));
-        router.paper = None;
+        router.paper = merged_paper(&shard_snaps);
+        let mut text = to_prometheus_sharded(&shard_snaps);
         text.push_str(&router.to_prometheus());
         text
     }
+}
+
+/// The shards' paper sections folded into one.
+fn merged_paper(shard_snaps: &[MetricsSnapshot]) -> Option<PaperOverhead> {
+    shard_snaps
+        .iter()
+        .filter_map(|s| s.paper)
+        .reduce(|mut all, p| {
+            all.merge(&p);
+            all
+        })
 }
 
 fn validate_shards(config: &MmdbConfig, shards: usize) -> Result<()> {
@@ -1605,30 +1597,57 @@ fn validate_shards(config: &MmdbConfig, shards: usize) -> Result<()> {
     Ok(())
 }
 
-/// Reads or writes the topology marker: a sharded directory remembers
-/// its shard count, and reopening with a different count is refused
-/// (records would silently land on the wrong shards).
-fn check_topology_marker(dir: &Path, shards: usize) -> Result<()> {
-    let path = dir.join(TOPOLOGY_FILE);
-    match std::fs::read_to_string(&path) {
+/// Shard `i`'s engine directory inside the database directory `dir`.
+pub fn shard_dir(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("shard.{i}"))
+}
+
+/// Brings `dir` into the N-shard layout and returns N: the count its
+/// topology marker pins, which `shards` (when given) must match, since
+/// records would otherwise land on the wrong shards. A directory without
+/// a marker is one shard — fresh, or from before the marker with its
+/// engine at the root. That engine moves into `shard.0/` and the marker
+/// is written last, so a move cut short finishes on the next open;
+/// asked for more than one shard, such a directory is refused unchanged.
+pub fn settle_layout(dir: &Path, shards: Option<usize>) -> Result<usize> {
+    let marker = dir.join(TOPOLOGY_FILE);
+    match std::fs::read_to_string(&marker) {
         Ok(text) => {
-            let existing: usize = text
+            let pinned: usize = text
                 .trim()
                 .strip_prefix("shards=")
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| {
-                    MmdbError::Invalid(format!("malformed topology marker {}", path.display()))
+                    MmdbError::Invalid(format!("malformed topology marker {}", marker.display()))
                 })?;
-            if existing != shards {
-                return Err(MmdbError::Invalid(format!(
-                    "directory is sharded {existing} ways; refusing to open with {shards}"
-                )));
+            match shards {
+                Some(n) if n != pinned => Err(MmdbError::Invalid(format!(
+                    "directory is sharded {pinned} ways; refusing to open with {n}"
+                ))),
+                _ => Ok(pinned),
             }
-            Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(&path, format!("shards={shards}\n"))?;
-            Ok(())
+            let shards = shards.unwrap_or(1);
+            let shard0 = shard_dir(dir, 0);
+            let at_root: Vec<&str> = ROOT_ENGINE_FILES
+                .into_iter()
+                .filter(|f| dir.join(f).exists())
+                .collect();
+            if shards != 1 && (!at_root.is_empty() || shard0.exists()) {
+                return Err(MmdbError::Invalid(format!(
+                    "{} holds a 1-shard database without a topology marker; \
+                     refusing to open it with {shards} shards",
+                    dir.display()
+                )));
+            }
+            std::fs::create_dir_all(dir)?;
+            for f in at_root {
+                std::fs::create_dir_all(&shard0)?;
+                std::fs::rename(dir.join(f), shard0.join(f))?;
+            }
+            std::fs::write(&marker, format!("shards={shards}\n"))?;
+            Ok(shards)
         }
         Err(e) => Err(e.into()),
     }
@@ -1880,6 +1899,17 @@ mod tests {
         assert_eq!(total, per_shard);
         assert!(total >= 10, "8 singles + 2 cross branches, got {total}");
         assert!(snap.gauge("router.cross_permille").is_some());
+        // histograms and the paper section merge the same way
+        let commit = snap.hist("txn.commit_ns").expect("merged histogram");
+        let per_shard: Vec<_> = (0..4)
+            .filter_map(|i| snap.hist(&format!("shard.{i}.txn.commit_ns")))
+            .collect();
+        assert_eq!(commit.count, per_shard.iter().map(|h| h.count).sum::<u64>());
+        assert_eq!(
+            commit.max,
+            per_shard.iter().map(|h| h.max).max().unwrap_or(0)
+        );
+        assert_eq!(snap.paper.map(|p| p.committed), Some(total));
 
         let text = db.prometheus();
         validate_prometheus(&text).expect("valid exposition");
@@ -1887,9 +1917,8 @@ mod tests {
     }
 
     #[test]
-    fn from_single_preserves_the_unsharded_surface() {
-        let db = Mmdb::open_in_memory(cfg()).expect("open");
-        let sharded = ShardedMmdb::from_single(db);
+    fn one_shard_preserves_the_unsharded_surface() {
+        let sharded = ShardedMmdb::open_in_memory(cfg(), 1).expect("open");
         let w = sharded.record_words();
         sharded
             .run_txn(&[(RecordId(0), fill(w, 1)), (RecordId(1), fill(w, 2))])
@@ -1904,8 +1933,41 @@ mod tests {
         let snap = sharded.metrics_snapshot();
         assert_eq!(snap.counter("router.txns_cross").unwrap_or(0), 0);
         assert_eq!(snap.gauge("shard.count"), Some(1));
+        // the engine's own surface reads back under its original names
+        let engine = sharded.shard_snapshots().remove(0);
+        assert!(engine.paper.is_some());
+        assert_eq!(snap.paper, engine.paper);
+        for (name, h) in &engine.hists {
+            assert_eq!(snap.hist(name), Some(h), "{name}");
+        }
         validate_prometheus(&sharded.prometheus()).expect("no duplicate families");
         assert!(sharded.audit_violations().is_empty());
+    }
+
+    #[test]
+    fn engine_background_spans_reach_the_topology_dump_and_attribution() {
+        let mut config = cfg();
+        config.telemetry = true;
+        for shards in [1, 2] {
+            let db = ShardedMmdb::open_in_memory(config, shards).expect("open");
+            let w = db.record_words();
+            db.run_txn(&[(RecordId(0), fill(w, 1))]).expect("txn");
+            // a checkpoint outside any request scope records on each
+            // engine's own handle, attributed to the system op
+            db.checkpoint_all().expect("checkpoint");
+
+            let doc = db.trace_dump(4096);
+            let passes = doc.recent.iter().filter(|s| s.name == "ckpt.pass").count();
+            assert_eq!(passes, shards, "one pass span a shard in the dump");
+            let snap = db.metrics_snapshot();
+            let system = snap
+                .attribution
+                .iter()
+                .find(|r| r.op == mmdb_obs::SYSTEM_OP)
+                .expect("system attribution row");
+            let pass_row = system.phases.iter().find(|(p, ..)| p == "ckpt.pass");
+            assert_eq!(pass_row.map(|(_, n, _)| *n), Some(shards as u64));
+        }
     }
 
     #[test]
@@ -2184,7 +2246,7 @@ mod tests {
         assert_eq!(row.requests, 1);
         assert!(row.phases.iter().any(|(n, _, _)| n == "2pc.prepare"));
         // And the dump document parses back with the trace id intact.
-        let doc = mmdb_obs::TraceDumpDoc::from_json(&db.trace_dump_json(64)).expect("dump");
+        let doc = mmdb_obs::TraceDumpDoc::from_json(&db.trace_dump(64).to_json()).expect("dump");
         assert!(doc.recent.iter().any(|s| s.trace_id == 0x51ab));
     }
 
