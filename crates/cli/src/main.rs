@@ -888,11 +888,10 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
         slow_trace_us: slow_us,
         compact_interval: (compact_ms > 0).then(|| std::time::Duration::from_millis(compact_ms)),
         repl,
-        ..ServerConfig::default()
     };
     let db = open(dir, config, None)?;
     let shards = db.shards();
-    let handle = Server::spawn_sharded(db, server_config)
+    let mut handle = Server::spawn_sharded(db, server_config)
         .map_err(|e| format!("cannot start server: {e}"))?;
     println!("listening on {}", handle.local_addr());
     eprintln!(
@@ -923,9 +922,7 @@ fn cmd_serve(dir: &Path, rest: &[String]) -> Result<(), String> {
             persist::ReplRole::Replica(peer) => format!(", replica of {peer}"),
         }
     );
-    while !handle.is_stopped() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    handle.wait();
     let ckpts = handle.checkpoints_completed();
     let db = handle.shutdown_join();
     println!(

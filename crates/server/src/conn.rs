@@ -7,6 +7,12 @@
 //! interleaves with other connections and with checkpoint steps — the
 //! paper's concurrency model, with the shard mutexes as processors.
 //!
+//! A connection's life: the worker blocks in [`read_frame`] until a
+//! request arrives, the peer closes, the read times out
+//! ([`ServerConfig::idle_timeout`](crate::ServerConfig::idle_timeout),
+//! a per-gap bound) or a server stop shuts the read half. A reply write
+//! that makes no progress for [`WRITE_STALL`] closes the connection.
+//!
 //! Connection-owned state is the set of open interactive transactions:
 //! if the connection drops (or times out) with transactions still open,
 //! the worker aborts them so they cannot pin the two-color checkpoint's
@@ -20,25 +26,25 @@
 //! returns the span trees behind the slowest of them, with the shard
 //! engines' background spans (recovery, checkpoint passes) alongside.
 
-use crate::{ServerConfig, Shared};
+use crate::{ServerConfig, Shared, WRITE_STALL};
 use mmdb_core::CheckpointStart;
 use mmdb_shard::ShardedMmdb;
 use mmdb_types::{Lsn, MmdbError, TxnId};
 use mmdb_wire::{
-    write_frame, CkptStartState, CkptSummary, ErrorCode, FrameReader, PollFrame, Request, Response,
+    read_frame, write_frame, CkptStartState, CkptSummary, ErrorCode, FrameError, Request, Response,
     ServerInfo,
 };
 use std::collections::HashSet;
-use std::io::BufWriter;
+use std::io::{self, BufWriter};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// Serves one connection to completion (peer close, idle timeout,
-/// protocol error, or server shutdown).
+/// write stall, protocol error, or server shutdown).
 pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, cfg: &ServerConfig) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
+    let _ = stream.set_read_timeout(cfg.idle_timeout);
+    let _ = stream.set_write_timeout(Some(WRITE_STALL));
     let mut writer = match stream.try_clone() {
         Ok(s) => BufWriter::new(s),
         Err(_) => return,
@@ -47,40 +53,21 @@ pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, cfg: &ServerC
 
     let obs = shared.db.obs().clone();
     let mut open_txns: HashSet<TxnId> = HashSet::new();
-    let mut last_activity = Instant::now();
-    // Resumable reader: the 50ms poll timeout routinely fires in the
-    // middle of a frame (large Batch payloads, slow links); partial
-    // bytes stay buffered here instead of being discarded, so a frame
-    // that straddles poll intervals reassembles instead of
-    // desynchronizing the connection.
-    let mut framer = FrameReader::new();
 
     loop {
-        let payload = match framer.poll(&mut reader) {
-            Ok(PollFrame::Frame(p)) => p,
-            Ok(PollFrame::Closed) => break, // clean close
-            Ok(PollFrame::Pending { progressed }) => {
-                if progressed {
-                    // a frame is trickling in: activity, not idleness
-                    last_activity = Instant::now();
-                }
-                if shared.stopping() {
-                    break;
-                }
-                if let Some(idle) = cfg.idle_timeout {
-                    if last_activity.elapsed() >= idle {
-                        obs.counter("net.conn.idle_closed", 1);
-                        break;
-                    }
-                }
-                continue;
+        let payload = match read_frame(&mut reader) {
+            Ok(Some(p)) => p,
+            // clean close, or a server stop shut the read half
+            Ok(None) => break,
+            Err(FrameError::Io(e)) if timed_out(&e) => {
+                obs.counter("net.conn.idle_closed", 1);
+                break;
             }
             Err(_) => {
                 obs.counter("net.conn.transport_errors", 1);
                 break;
             }
         };
-        last_activity = Instant::now();
 
         let (req, trace) = match Request::decode_with_trace(&payload) {
             Ok(r) => r,
@@ -111,22 +98,28 @@ pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, cfg: &ServerC
             obs.counter("net.request_errors", 1);
         }
 
-        if write_frame(&mut writer, &resp.encode()).is_err() {
-            obs.counter("net.conn.transport_errors", 1);
+        if let Err(e) = write_frame(&mut writer, &resp.encode()) {
+            let counter = if timed_out(&e) {
+                "net.conn.write_stalls"
+            } else {
+                "net.conn.transport_errors"
+            };
+            obs.counter(counter, 1);
             break;
         }
         if is_shutdown {
-            shared.stop.store(true, Ordering::SeqCst);
-            break;
+            shared.stop();
         }
         if shared.stopping() {
             // The response (typically a ShuttingDown error frame) is
             // flushed; close now so a client that keeps sending cannot
-            // hold graceful shutdown hostage — without this, the loop
-            // never reaches the Pending arm's stop check.
+            // hold graceful shutdown hostage.
             break;
         }
     }
+    // Every reply that went out was flushed; what a failed or stalled
+    // write left buffered is dropped here, not flushed again on drop.
+    let _ = writer.into_parts();
 
     if !open_txns.is_empty() {
         for txn in open_txns.drain() {
@@ -138,6 +131,14 @@ pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, cfg: &ServerC
             }
         }
     }
+}
+
+/// Both kinds a socket timeout surfaces as, depending on platform.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Executes one request against the sharded database, mapping engine

@@ -25,11 +25,22 @@
 //! protocol is the same for every N, so clients are oblivious to the
 //! topology.
 //!
-//! Shutdown is graceful: a client `Shutdown` request (or
-//! [`ServerHandle::stop`]) raises a flag; workers finish their current
-//! request, and [`ServerHandle::shutdown_join`] takes the maintenance
-//! duties back from the shard loops first thing (a checkpoint in
-//! progress is left unfinished, as a crash would leave it) and returns
+//! No server thread polls a stop flag: each blocks until it has work,
+//! and shutdown wakes it. A connection's read timeout is
+//! [`ServerConfig::idle_timeout`] and nothing else, and a reply write
+//! that makes no progress for [`WRITE_STALL`] closes the connection.
+//!
+//! Shutdown is graceful and wakes rather than waits: a client
+//! `Shutdown` request and [`ServerHandle::stop`] both raise a flag, take
+//! the maintenance duties back from the shard loops (a checkpoint in
+//! progress is left unfinished, as a crash would leave it), shut the
+//! read half of every served connection, wake the parked workers and
+//! connect once to the listener to wake its blocking `accept`. A request
+//! already in flight still finishes and its reply is written. Shutdown
+//! does not wake a reply write: it ends when the reply is out or when
+//! the peer makes no progress for [`WRITE_STALL`], so a peer that keeps
+//! reading a few bytes at a time holds its worker until it stops.
+//! [`ServerHandle::shutdown_join`] then joins every thread and returns
 //! the sharded database so callers can fingerprint or close it cleanly.
 //!
 //! The crate also hosts the closed-loop network load driver ([`load`])
@@ -46,7 +57,7 @@ use mmdb_shard::{Maintenance, ShardedMmdb};
 use mmdb_sync::{LockRank, RankedCondvar, RankedMutex};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,12 +73,10 @@ pub struct ServerConfig {
     /// connections: a closed-loop client parked in the accept queue
     /// behind long-lived connections makes no progress.
     pub workers: usize,
-    /// How long a worker blocks in a read before re-checking the stop
-    /// flag. Small values make shutdown snappy; it is not a client
-    /// deadline.
-    pub poll_interval: Duration,
-    /// Drop a connection that has sent no request for this long.
-    /// `None` keeps idle connections forever.
+    /// The read timeout of every served connection: one that sends
+    /// nothing for this long — between requests or between two bytes of
+    /// one — is closed (`net.conn.idle_closed`). `None` keeps idle
+    /// connections forever; a zero duration is refused at spawn.
     pub idle_timeout: Option<Duration>,
     /// Pause between background checkpoints. `Some(d)`: each shard's
     /// loop begins a new checkpoint `d` after its previous one
@@ -139,7 +148,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 16,
-            poll_interval: Duration::from_millis(50),
             idle_timeout: None,
             checkpoint_interval: Some(Duration::from_millis(10)),
             slow_trace_us: mmdb_obs::DEFAULT_SLOW_THRESHOLD_US,
@@ -149,10 +157,21 @@ impl Default for ServerConfig {
     }
 }
 
+/// A reply write that makes no progress for this long closes its
+/// connection (`net.conn.write_stalls`), so a client that stops reading
+/// its replies frees its worker, and shutdown, within this bound. It
+/// bounds progress, not the whole reply: every send that moves a few
+/// bytes restarts it.
+pub const WRITE_STALL: Duration = Duration::from_secs(5);
+
 /// Shared server state visible to every thread.
 pub(crate) struct Shared {
     pub(crate) db: ShardedMmdb,
-    pub(crate) stop: AtomicBool,
+    stop: AtomicBool,
+    conns: ConnQueue,
+    /// The listener's address, with an unspecified IP replaced by
+    /// loopback: [`Shared::stop`] connects here to wake `accept`.
+    wake_addr: SocketAddr,
     /// Interactive transactions aborted because their connection died.
     pub(crate) txns_aborted_on_disconnect: AtomicU64,
     /// Standby replication state when this server runs as a replica.
@@ -164,6 +183,22 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
+    }
+
+    /// The one shutdown path (a wire `Shutdown` and
+    /// [`ServerHandle::stop`]): raises the flag, hands the maintenance
+    /// duties back, then wakes every server thread blocked in a read,
+    /// the queue or `accept` — served reads see EOF, parked workers
+    /// re-check the queue, and `accept` returns with this call's own
+    /// connection. A reply write is not woken (see [`WRITE_STALL`]).
+    /// Idempotent.
+    pub(crate) fn stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.db.set_maintenance(None);
+        self.conns.wake_all();
+        let _ = TcpStream::connect(self.wake_addr);
     }
 }
 
@@ -185,9 +220,19 @@ impl Server {
     /// database moves into the server; get it back with
     /// [`ServerHandle::shutdown_join`].
     pub fn spawn_sharded(db: ShardedMmdb, config: ServerConfig) -> io::Result<ServerHandle> {
+        if config.idle_timeout == Some(Duration::ZERO) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "idle_timeout must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
 
         let shards = db.shards();
         db.obs().set_slow_threshold_us(config.slow_trace_us);
@@ -210,31 +255,29 @@ impl Server {
             checkpoint_interval: config.checkpoint_interval,
             compact_interval: config.compact_interval,
         }));
+        let workers = config.workers.max(1);
+        let conns = ConnQueue::new(workers);
+        if let Some(sink) = db.obs().contention_sink() {
+            conns.state.set_sink(sink);
+        }
         let shared = Arc::new(Shared {
             db,
             stop: AtomicBool::new(false),
+            conns,
+            wake_addr: SocketAddr::new(wake_ip, addr.port()),
             txns_aborted_on_disconnect: AtomicU64::new(0),
             replica,
             on_promote: config.repl.on_promote.clone(),
         });
 
-        // Each accepted stream carries its accept timestamp so the
-        // worker that dequeues it can attribute the hand-off delay to a
-        // `net.queue` phase (None when telemetry is off — no clock read).
-        let conns = Arc::new(ConnQueue::new());
-        if let Some(sink) = shared.db.obs().contention_sink() {
-            conns.queue.set_sink(sink);
-        }
-
-        let mut worker_joins = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
+        let mut worker_joins = Vec::with_capacity(workers);
+        for i in 0..workers {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
             let cfg = config.clone();
             worker_joins.push(
                 std::thread::Builder::new()
                     .name(format!("mmdb-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &conns, &cfg))?,
+                    .spawn(move || worker_loop(&shared, i, &cfg))?,
             );
         }
 
@@ -255,10 +298,9 @@ impl Server {
 
         let accept_join = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("mmdb-accept".into())
-                .spawn(move || accept_loop(&shared, listener, &conns))?
+                .spawn(move || accept_loop(&shared, listener))?
         };
 
         Ok(ServerHandle {
@@ -277,19 +319,24 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Raises the stop flag and takes the maintenance duties back from
-    /// the shard loops (group commits are still forced); threads exit
-    /// after their current unit of work. Does not wait for them — pair
-    /// with [`ServerHandle::shutdown_join`].
+    /// Raises the stop flag, takes the maintenance duties back from
+    /// the shard loops (group commits are still forced) and wakes every
+    /// server thread blocked in a read, the queue or `accept`; each
+    /// exits after its current request, whose reply write is bounded by
+    /// [`WRITE_STALL`] only.
+    /// Does not wait for them — pair with [`ServerHandle::shutdown_join`].
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.db.set_maintenance(None);
+        self.shared.stop();
     }
 
-    /// True once the stop flag is raised (locally via
-    /// [`ServerHandle::stop`] or remotely via a wire `Shutdown`).
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stopping()
+    /// Blocks until the server stops (locally via [`ServerHandle::stop`]
+    /// or remotely via a wire `Shutdown`): joins the accept thread,
+    /// which exits only once the stop flag is up. Follow with
+    /// [`ServerHandle::shutdown_join`].
+    pub fn wait(&mut self) {
+        if let Some(j) = self.accept_join.take() {
+            let _ = j.join();
+        }
     }
 
     /// Checkpoints completed by the shard loops so far, summed across
@@ -328,9 +375,7 @@ impl ServerHandle {
         if let Some(r) = &self.shared.replica {
             r.request_stop();
         }
-        if let Some(j) = self.accept_join.take() {
-            let _ = j.join();
-        }
+        self.wait();
         for j in self.worker_joins.drain(..) {
             let _ = j.join();
         }
@@ -345,101 +390,114 @@ impl ServerHandle {
 
 /// A connection queued for a worker: the stream plus its accept time
 /// (`None` when telemetry is off, so idle queues never read the clock).
+/// The worker that dequeues it attributes the hand-off delay to a
+/// `net.queue` phase.
 type QueuedConn = (TcpStream, Option<Instant>);
 
 /// The accept-to-worker hand-off: a deque under a ranked mutex plus a
-/// condvar doorbell. The listener pushes and rings; idle workers park on
-/// the doorbell, which *releases the queue mutex while they wait* — so
-/// an arriving connection is dispatched the moment any worker is free,
-/// instead of waiting out whichever single worker happened to be holding
-/// the lock inside a bounded `recv_timeout` poll (the old design's
-/// up-to-`poll_interval` hand-off stall, and its `lint.baseline` L1
-/// entry, are both gone).
+/// condvar doorbell, and a handle on each worker's connection. The
+/// listener pushes and rings; idle workers park on the doorbell, which
+/// releases the queue mutex while they wait, so an arriving connection
+/// is dispatched the moment any worker is free.
 struct ConnQueue {
     /// Ranked above every shard lock: a worker holds the queue mutex
-    /// only to pop, never across a connection's lifetime, and everything
-    /// else nests strictly below.
-    queue: RankedMutex<VecDeque<QueuedConn>>,
+    /// only to take or return a connection, never across serving it,
+    /// and everything else nests strictly below.
+    state: RankedMutex<Conns>,
     cv: RankedCondvar,
 }
 
+struct Conns {
+    /// Accepted connections no worker has taken yet.
+    queued: VecDeque<QueuedConn>,
+    /// A clone of the stream each worker serves, indexed by worker:
+    /// [`ConnQueue::wake_all`] shuts its read half to end a blocked read.
+    serving: Vec<Option<TcpStream>>,
+}
+
 impl ConnQueue {
-    fn new() -> ConnQueue {
+    fn new(workers: usize) -> ConnQueue {
+        let conns = Conns {
+            queued: VecDeque::new(),
+            serving: (0..workers).map(|_| None).collect(),
+        };
         ConnQueue {
-            queue: RankedMutex::new("server.conn_queue", LockRank::CONN_QUEUE, VecDeque::new()),
+            state: RankedMutex::new("server.conn_queue", LockRank::CONN_QUEUE, conns),
             cv: RankedCondvar::new(),
         }
     }
 
     /// Enqueues an accepted connection and wakes one parked worker.
     fn push(&self, conn: QueuedConn) {
-        self.queue.lock().push_back(conn);
+        self.state.lock().queued.push_back(conn);
         self.cv.notify_one();
     }
 
-    /// Dequeues the next connection, parking on the doorbell for at most
-    /// `timeout`. Returns `None` on timeout so callers can re-check the
-    /// stop flag; spurious wakes re-check the queue in the loop.
-    fn pop(&self, timeout: Duration) -> Option<QueuedConn> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(conn) = q.pop_front() {
-                return Some(conn);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _timed_out) = self.cv.wait_timeout(q, left);
-            q = guard;
+    /// Parks until a connection is queued or `stop` is up; dequeues the
+    /// next one and files a clone of it as `worker`'s. `None` once the
+    /// queue is empty and `stop` is up. The flag is read under the lock
+    /// [`ConnQueue::wake_all`] takes after raising it, so a connection
+    /// taken after a stop has its read half shut here instead.
+    fn take(&self, worker: usize, stop: &AtomicBool) -> Option<QueuedConn> {
+        let mut conns = self.state.lock();
+        while conns.queued.is_empty() && !stop.load(Ordering::SeqCst) {
+            conns = self.cv.wait(conns);
         }
+        let conn = conns.queued.pop_front()?;
+        match conn.0.try_clone() {
+            Ok(clone) if !stop.load(Ordering::SeqCst) => conns.serving[worker] = Some(clone),
+            // stopped, or no handle to wake it with: serve only what the
+            // client has already sent
+            _ => {
+                let _ = conn.0.shutdown(Shutdown::Read);
+            }
+        }
+        Some(conn)
     }
 
-    /// Wakes every parked worker (shutdown: they re-check the stop flag
-    /// immediately instead of waiting out their poll interval).
+    /// Drops `worker`'s handle once its connection has ended.
+    fn done(&self, worker: usize) {
+        self.state.lock().serving[worker] = None;
+    }
+
+    /// Shuts the read half of every served connection and wakes every
+    /// parked worker (shutdown: the stop flag is already up).
     fn wake_all(&self) {
+        let conns = self.state.lock();
+        for stream in conns.serving.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
         self.cv.notify_all();
     }
 }
 
-fn accept_loop(shared: &Shared, listener: TcpListener, conns: &Arc<ConnQueue>) {
+fn accept_loop(shared: &Shared, listener: TcpListener) {
     let telemetry = shared.db.obs().is_enabled();
     loop {
+        let accepted = listener.accept();
         if shared.stopping() {
-            conns.wake_all(); // parked workers re-check the stop flag now
-            return;
+            return; // `Shared::stop`'s wake-up connection, or a late one: closed unserved
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let accepted = telemetry.then(Instant::now);
-                conns.push((stream, accepted));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // nothing pending, or a transient accept error (e.g. an
-            // aborted handshake): keep serving
+        match accepted {
+            Ok((stream, _peer)) => shared.conns.push((stream, telemetry.then(Instant::now))),
+            // A failed accept costs only that connection. Fd exhaustion
+            // fails again at once until a worker's close frees a
+            // descriptor, so back off rather than spin a core the workers
+            // need: an error back-off, not a stop-flag poll.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-fn worker_loop(shared: &Shared, conns: &Arc<ConnQueue>, cfg: &ServerConfig) {
-    loop {
-        match conns.pop(cfg.poll_interval) {
-            Some((stream, accepted)) => {
-                if let Some(t0) = accepted {
-                    // Accept-to-dispatch hand-off delay: the connection
-                    // sat in the queue behind busy workers. No request
-                    // scope exists yet, so this lands as a system phase.
-                    shared.db.obs().phase_from("net.queue", t0, 0);
-                }
-                conn::serve_connection(shared, stream, cfg)
-            }
-            None => {
-                if shared.stopping() {
-                    return;
-                }
-            }
+fn worker_loop(shared: &Shared, worker: usize, cfg: &ServerConfig) {
+    while let Some((stream, accepted)) = shared.conns.take(worker, &shared.stop) {
+        if let Some(t0) = accepted {
+            // Accept-to-dispatch hand-off delay: the connection sat in
+            // the queue behind busy workers. No request scope exists
+            // yet, so this lands as a system phase.
+            shared.db.obs().phase_from("net.queue", t0, 0);
         }
+        conn::serve_connection(shared, stream, cfg);
+        shared.conns.done(worker);
     }
 }

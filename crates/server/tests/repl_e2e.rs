@@ -18,7 +18,6 @@ fn spawn(repl: ReplOptions, repl_sync: bool) -> ServerHandle {
     let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
     let db = ShardedMmdb::open_in_memory(cfg, SHARDS).unwrap();
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(10),
         checkpoint_interval: Some(Duration::from_millis(5)),
         repl: ReplOptions { repl_sync, ..repl },
         ..ServerConfig::default()
@@ -295,7 +294,6 @@ fn background_compaction_respects_standby_pin_and_causes_no_bootstrap_gaps() {
     let primary = Server::spawn_sharded(
         db,
         ServerConfig {
-            poll_interval: Duration::from_millis(10),
             checkpoint_interval: Some(Duration::from_millis(5)),
             compact_interval: Some(Duration::from_millis(5)),
             repl: ReplOptions {
@@ -333,7 +331,6 @@ fn background_compaction_respects_standby_pin_and_causes_no_bootstrap_gaps() {
     let standby = Server::spawn_sharded(
         standby_db,
         ServerConfig {
-            poll_interval: Duration::from_millis(10),
             checkpoint_interval: Some(Duration::from_millis(5)),
             repl: ReplOptions {
                 replica_of: Some(primary_addr.clone()),

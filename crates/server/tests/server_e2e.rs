@@ -4,16 +4,20 @@
 
 use mmdb_core::{Algorithm, MmdbConfig};
 use mmdb_obs::MetricsSnapshot;
-use mmdb_server::{run_load, LoadConfig, Server, ServerConfig, ServerHandle, WorkloadKind};
+use mmdb_server::{
+    run_load, LoadConfig, Server, ServerConfig, ServerHandle, WorkloadKind, WRITE_STALL,
+};
 use mmdb_shard::ShardedMmdb;
 use mmdb_types::RecordId;
 use mmdb_wire::{read_frame, write_frame, Client, ErrorCode, Request, Response, WireError};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn spawn_server(algorithm: Algorithm, ckpt_interval: Option<Duration>) -> ServerHandle {
     let db = ShardedMmdb::open_in_memory(MmdbConfig::small(algorithm), 1).unwrap();
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(10),
         checkpoint_interval: ckpt_interval,
         ..ServerConfig::default()
     };
@@ -228,9 +232,8 @@ fn request_only_checkpointer_drives_async_checkpoints() {
 
 #[test]
 fn frame_straddling_poll_timeouts_is_not_torn() {
-    // Regression: the server polls reads with a short SO_RCVTIMEO; a
-    // frame arriving slower than the poll interval must reassemble,
-    // not lose its already-received bytes and desynchronize.
+    // A frame that arrives a byte at a time must reassemble, not lose
+    // its already-received bytes and desynchronize the connection.
     let handle = spawn_server(Algorithm::FuzzyCopy, None);
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -238,8 +241,8 @@ fn frame_straddling_poll_timeouts_is_not_torn() {
     let payload = Request::Ping.encode();
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&payload);
-    // dribble one byte at a time, pausing past the server's 10ms poll
-    // interval so its read timeout fires repeatedly mid-frame
+    // dribble one byte at a time, pausing between bytes so each of the
+    // server's reads returns a fragment of the frame
     for b in frame {
         use std::io::Write;
         stream.write_all(&[b]).unwrap();
@@ -301,7 +304,6 @@ fn out_of_range_and_bad_size_map_to_typed_errors() {
 fn sharded_server_serves_affine_and_cross_shard_load() {
     let db = ShardedMmdb::open_in_memory(MmdbConfig::small(Algorithm::FuzzyCopy), 4).unwrap();
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(10),
         checkpoint_interval: Some(Duration::from_millis(1)),
         ..ServerConfig::default()
     };
@@ -361,7 +363,6 @@ fn slow_traced_request_shows_log_force_dominating_via_trace_dump() {
     config.log_force_latency_us = 5_000;
     let db = ShardedMmdb::open_in_memory(config, 1).unwrap();
     let server_cfg = ServerConfig {
-        poll_interval: Duration::from_millis(10),
         checkpoint_interval: None,
         slow_trace_us: 1_000,
         ..ServerConfig::default()
@@ -428,8 +429,33 @@ fn attribution_reconciles_with_the_request_histogram() {
     let report = run_load(&cfg).unwrap();
     assert_eq!(report.errors, 0);
 
+    // A batch takes the exclusive path (`txn.exec`) only when it meets
+    // an active checkpoint, and the load can run whole between two.
+    // Until one has, pipeline a checkpoint begin and a batch: the worker
+    // reads the batch the moment the checkpoint has begun.
     let mut c = Client::connect(&addr).unwrap();
-    let snap = MetricsSnapshot::from_json(&c.stats_json().unwrap()).unwrap();
+    let updates = vec![(
+        RecordId(0),
+        vec![1; c.info().unwrap().record_words as usize],
+    )];
+    let mut pair = frame_bytes(&Request::Checkpoint { sync: false });
+    pair.extend(frame_bytes(&Request::Batch { updates }));
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let snap = loop {
+        let snap = MetricsSnapshot::from_json(&c.stats_json().unwrap()).unwrap();
+        if snap.counter("router.txns_single_shared") < snap.counter("router.txns_single") {
+            break snap;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no batch met an active checkpoint"
+        );
+        raw.write_all(&pair).unwrap();
+        for _ in 0..2 {
+            read_frame(&mut raw).unwrap().expect("a reply per request");
+        }
+    };
     let hist = snap.hist("net.request_ns").expect("request histogram");
     assert!(!snap.attribution.is_empty(), "attribution section present");
     let batch = snap
@@ -480,4 +506,154 @@ fn attribution_reconciles_with_the_request_histogram() {
         "no checkpoint span in the wire trace dump"
     );
     handle.shutdown_join();
+}
+
+/// One request as it travels on the wire: length prefix + payload.
+fn frame_bytes(req: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &req.encode()).unwrap();
+    frame
+}
+
+#[test]
+fn a_client_that_never_reads_its_replies_cannot_pin_its_worker() {
+    // Regression: a worker blocked writing replies nobody reads stayed
+    // blocked until the client disconnected, and shutdown_join with it.
+    let handle = spawn_server(Algorithm::FuzzyCopy, None);
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    // Pipeline Stats requests for at least 1 s and until the server
+    // stops taking them: far more than the socket buffers hold replies
+    // for. Writes resume at the byte offset the last one reached, so a
+    // timed-out write never tears a frame.
+    let burst = frame_bytes(&Request::Stats).repeat(1024);
+    // A write that trickles a few bytes restarts its timeout, so a
+    // stall can take a few WRITE_STALLs to surface.
+    let deadline = Instant::now() + 4 * WRITE_STALL + Duration::from_secs(10);
+    let t0 = Instant::now();
+    let (mut sent, mut refused) = (0usize, false);
+    while t0.elapsed() < Duration::from_secs(1) || !refused {
+        assert!(
+            Instant::now() < deadline,
+            "the server never stopped reading"
+        );
+        match stream.write(&burst[sent % burst.len()..]) {
+            Ok(n) => sent += n,
+            Err(_) => refused = true,
+        }
+    }
+
+    // The worker blocks writing a reply, gives up and closes.
+    let mut probe = Client::connect(handle.local_addr()).unwrap();
+    loop {
+        let snap = MetricsSnapshot::from_json(&probe.stats_json().unwrap()).unwrap();
+        if snap.counter("net.conn.write_stalls").unwrap_or(0) >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stalled reply write never timed out"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    drop(probe);
+
+    let (tx, rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        handle.stop();
+        let _ = tx.send(handle.shutdown_join());
+    });
+    let db = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown_join returns while the client still holds its connection");
+    stopper.join().unwrap();
+    assert_eq!(
+        db.metrics_snapshot().counter("net.conn.write_stalls"),
+        Some(1)
+    );
+    drop(stream);
+}
+
+#[test]
+fn idle_timeout_bounds_each_gap_not_each_frame() {
+    let db = ShardedMmdb::open_in_memory(MmdbConfig::small(Algorithm::FuzzyCopy), 1).unwrap();
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        checkpoint_interval: None,
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn_sharded(db, config).unwrap();
+
+    // A client that sends nothing is closed.
+    let mut silent = TcpStream::connect(handle.local_addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        silent
+            .read(&mut byte)
+            .expect("EOF within 5 s, not a timeout"),
+        0
+    );
+
+    // A frame whose every gap is under the bound is answered, although
+    // the whole frame takes longer than the bound.
+    let mut slow = TcpStream::connect(handle.local_addr()).unwrap();
+    slow.set_nodelay(true).unwrap();
+    let t0 = Instant::now();
+    for b in frame_bytes(&Request::Ping) {
+        slow.write_all(&[b]).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert!(t0.elapsed() > Duration::from_millis(300));
+    let resp = read_frame(&mut slow).unwrap().expect("response frame");
+    assert!(matches!(Response::decode(&resp).unwrap(), Response::Pong));
+
+    let snap = handle.shutdown_join().metrics_snapshot();
+    assert!(snap.counter("net.conn.idle_closed").unwrap_or(0) >= 1);
+}
+
+#[test]
+fn a_wire_shutdown_wakes_idle_connections_and_the_accept_loop() {
+    let mut handle = spawn_server(Algorithm::FuzzyCopy, None);
+    let addr = handle.local_addr();
+    let mut idle: Vec<Client> = (0..4)
+        .map(|_| {
+            let mut c = Client::connect(addr).unwrap();
+            c.ping().unwrap(); // a worker now blocks reading this connection
+            c
+        })
+        .collect();
+
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        handle.wait();
+        let _ = tx.send("wait");
+        drop(handle.shutdown_join());
+        let _ = tx.send("shutdown_join");
+    });
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    for step in ["wait", "shutdown_join"] {
+        let done = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(done, Ok(step), "{step} returns within 5 s");
+    }
+    waiter.join().unwrap();
+
+    for c in &mut idle {
+        c.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        match c.ping() {
+            Err(WireError::Io(e)) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "a transport error, not a timeout: {e}"
+            ),
+            Err(WireError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
 }

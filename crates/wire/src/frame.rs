@@ -11,6 +11,11 @@
 //! delimiting it. A hard payload cap ([`MAX_FRAME_BYTES`]) guards both
 //! sides against hostile or corrupt lengths — a server must never
 //! allocate gigabytes because four bytes on the wire said so.
+//!
+//! Both ends read with the one blocking [`read_frame`]: the client, the
+//! server's connection workers and the benchmark. A socket timeout that
+//! fires inside a frame loses its bytes, so every caller treats a read
+//! error as the end of the connection.
 
 use std::io::{self, Read, Write};
 
@@ -84,18 +89,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one complete frame payload. Returns `Ok(None)` on a clean EOF
 /// *at a frame boundary* (the peer closed an idle connection); EOF in
 /// the middle of a frame is an [`io::ErrorKind::UnexpectedEof`] error.
+/// A small frame already in the socket buffer costs two reads: the
+/// length prefix, then the payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len_buf = [0u8; 4];
-    // the first byte distinguishes clean close from torn frame
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            return read_frame(r);
+    // the first read distinguishes clean close from torn frame
+    let got = loop {
+        match r.read(&mut len_buf) {
+            Ok(0) => return Ok(None),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
         }
-        Err(e) => return Err(FrameError::Io(e)),
-    }
-    r.read_exact(&mut len_buf[1..])?;
+    };
+    r.read_exact(&mut len_buf[got..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge {
@@ -106,134 +113,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// Outcome of one [`FrameReader::poll`] call.
-#[derive(Debug, PartialEq)]
-pub enum PollFrame {
-    /// One complete frame payload.
-    Frame(Vec<u8>),
-    /// The peer closed cleanly at a frame boundary.
-    Closed,
-    /// The read would block (a `SO_RCVTIMEO` read timeout expired, or
-    /// the stream is non-blocking) before the frame completed. Any
-    /// bytes already received stay buffered in the reader — call
-    /// [`FrameReader::poll`] again to resume exactly where it left off.
-    Pending {
-        /// True if any bytes of an in-flight frame arrived during this
-        /// call (i.e. the peer is actively sending, just slowly) —
-        /// distinguishes a trickling frame from a genuinely idle
-        /// connection for idle-timeout accounting.
-        progressed: bool,
-    },
-}
-
-/// Incremental frame reader for streams with a read timeout.
-///
-/// [`read_frame`] assumes a fully blocking stream: if a read timeout
-/// fires after it has consumed part of the length prefix or payload,
-/// those bytes are lost and the connection is permanently
-/// desynchronized. `FrameReader` instead buffers partial state across
-/// [`poll`](FrameReader::poll) calls, so a poll-style server loop
-/// (short `SO_RCVTIMEO` to stay responsive to shutdown) never tears a
-/// frame that merely straddles a poll interval — large frames and slow
-/// links reassemble across as many polls as they need.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    /// Length-prefix bytes received so far.
-    header: [u8; 4],
-    header_filled: usize,
-    /// Allocated once the full prefix is in (and cap-checked).
-    payload: Option<Vec<u8>>,
-    payload_filled: usize,
-}
-
-impl FrameReader {
-    /// A reader at a frame boundary with nothing buffered.
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    /// True when bytes of an unfinished frame are buffered (a clean
-    /// peer close right now would be a torn frame, not an idle close).
-    pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0
-    }
-
-    /// Reads as much of the current frame as the stream will give.
-    ///
-    /// Returns [`PollFrame::Frame`] once a frame completes (the reader
-    /// resets to the next boundary), [`PollFrame::Closed`] on clean EOF
-    /// at a boundary, and [`PollFrame::Pending`] when the stream would
-    /// block mid-read. EOF inside a frame is an
-    /// [`io::ErrorKind::UnexpectedEof`] error; a length prefix over
-    /// [`MAX_FRAME_BYTES`] is [`FrameError::TooLarge`].
-    pub fn poll(&mut self, r: &mut impl Read) -> Result<PollFrame, FrameError> {
-        let mut progressed = false;
-        loop {
-            if self.header_filled < self.header.len() {
-                match r.read(&mut self.header[self.header_filled..]) {
-                    Ok(0) if self.header_filled == 0 => return Ok(PollFrame::Closed),
-                    Ok(0) => {
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "peer closed inside a frame length prefix",
-                        )))
-                    }
-                    Ok(n) => {
-                        self.header_filled += n;
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if is_would_block(&e) => return Ok(PollFrame::Pending { progressed }),
-                    Err(e) => return Err(FrameError::Io(e)),
-                }
-                continue;
-            }
-            if self.payload.is_none() {
-                let len = u32::from_le_bytes(self.header) as usize;
-                if len > MAX_FRAME_BYTES {
-                    return Err(FrameError::TooLarge {
-                        len,
-                        max: MAX_FRAME_BYTES,
-                    });
-                }
-                self.payload = Some(vec![0u8; len]);
-                self.payload_filled = 0;
-            }
-            let buf = self.payload.as_mut().expect("allocated above");
-            if self.payload_filled < buf.len() {
-                match r.read(&mut buf[self.payload_filled..]) {
-                    Ok(0) => {
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "peer closed inside a frame payload",
-                        )))
-                    }
-                    Ok(n) => {
-                        self.payload_filled += n;
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if is_would_block(&e) => return Ok(PollFrame::Pending { progressed }),
-                    Err(e) => return Err(FrameError::Io(e)),
-                }
-                continue;
-            }
-            let payload = self.payload.take().expect("frame complete");
-            self.header_filled = 0;
-            self.payload_filled = 0;
-            return Ok(PollFrame::Frame(payload));
-        }
-    }
-}
-
-/// Both kinds a read timeout surfaces as, depending on platform.
-fn is_would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 #[cfg(test)]
@@ -255,6 +134,23 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("read"), Some(vec![7u8; 1000]),);
         // clean EOF at a frame boundary
         assert!(read_frame(&mut r).expect("eof").is_none());
+    }
+
+    #[test]
+    fn a_buffered_frame_costs_two_reads() {
+        struct Counting<'a>(&'a [u8], usize);
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &[3u8; 40]).expect("write");
+        let mut r = Counting(&buf, 0);
+        assert_eq!(read_frame(&mut r).expect("read"), Some(vec![3u8; 40]));
+        // on a socket, one read per request waits: the length prefix's
+        assert_eq!(r.1, 2, "the length prefix, then the payload");
     }
 
     #[test]
@@ -299,114 +195,5 @@ mod tests {
         assert!(buf.is_empty(), "nothing may reach the wire");
         // exactly at the cap is fine
         write_frame(&mut io::sink(), &huge[..MAX_FRAME_BYTES]).expect("at-cap frame");
-    }
-
-    /// A stream that interleaves data with timeout-style blocks, the
-    /// way a socket with `SO_RCVTIMEO` behaves under a slow sender.
-    struct StutterReader {
-        events: std::collections::VecDeque<StutterEvent>,
-    }
-
-    enum StutterEvent {
-        Data(Vec<u8>),
-        Block,
-    }
-
-    impl Read for StutterReader {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match self.events.front_mut() {
-                None => Ok(0), // EOF
-                Some(StutterEvent::Block) => {
-                    self.events.pop_front();
-                    Err(io::ErrorKind::WouldBlock.into())
-                }
-                Some(StutterEvent::Data(d)) => {
-                    let n = d.len().min(buf.len());
-                    buf[..n].copy_from_slice(&d[..n]);
-                    d.drain(..n);
-                    if d.is_empty() {
-                        self.events.pop_front();
-                    }
-                    Ok(n)
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frame_reader_resumes_across_timeouts_at_every_split_point() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"straddling frame").expect("write");
-        // tear the byte stream at every position, with a timeout in the
-        // gap: no split may lose bytes or desynchronize
-        for split in 0..=wire.len() {
-            let mut r = StutterReader {
-                events: [
-                    StutterEvent::Data(wire[..split].to_vec()),
-                    StutterEvent::Block,
-                    StutterEvent::Data(wire[split..].to_vec()),
-                ]
-                .into_iter()
-                // an empty Data chunk would read as Ok(0) = EOF
-                .filter(|e| !matches!(e, StutterEvent::Data(d) if d.is_empty()))
-                .collect(),
-            };
-            let mut fr = FrameReader::new();
-            let first = fr.poll(&mut r).expect("first poll");
-            match first {
-                PollFrame::Frame(p) => {
-                    // split == wire.len(): whole frame before the block
-                    assert_eq!(split, wire.len());
-                    assert_eq!(p, b"straddling frame");
-                    continue;
-                }
-                PollFrame::Pending { progressed } => {
-                    assert_eq!(progressed, split > 0, "split at {split}");
-                    assert_eq!(fr.mid_frame(), split > 0);
-                }
-                PollFrame::Closed => panic!("unexpected close at split {split}"),
-            }
-            match fr.poll(&mut r).expect("resumed poll") {
-                PollFrame::Frame(p) => assert_eq!(p, b"straddling frame", "split at {split}"),
-                other => panic!("expected completed frame at split {split}, got {other:?}"),
-            }
-            // and the reader is back at a boundary
-            assert!(!fr.mid_frame());
-            assert_eq!(fr.poll(&mut r).expect("eof"), PollFrame::Closed);
-        }
-    }
-
-    #[test]
-    fn frame_reader_reads_back_to_back_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"one").expect("write");
-        write_frame(&mut wire, b"").expect("write");
-        write_frame(&mut wire, b"three").expect("write");
-        let mut r = &wire[..];
-        let mut fr = FrameReader::new();
-        assert_eq!(fr.poll(&mut r).unwrap(), PollFrame::Frame(b"one".to_vec()));
-        assert_eq!(fr.poll(&mut r).unwrap(), PollFrame::Frame(Vec::new()));
-        assert_eq!(
-            fr.poll(&mut r).unwrap(),
-            PollFrame::Frame(b"three".to_vec())
-        );
-        assert_eq!(fr.poll(&mut r).unwrap(), PollFrame::Closed);
-    }
-
-    #[test]
-    fn frame_reader_rejects_oversized_and_torn_frames() {
-        let mut fr = FrameReader::new();
-        let mut r = &(u32::MAX).to_le_bytes()[..];
-        assert!(matches!(fr.poll(&mut r), Err(FrameError::TooLarge { .. })));
-
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"whole").expect("write");
-        wire.truncate(wire.len() - 2); // EOF inside the payload
-        let mut fr = FrameReader::new();
-        let mut r = &wire[..];
-        match fr.poll(&mut r) {
-            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
-            other => panic!("expected UnexpectedEof, got {other:?}"),
-        }
     }
 }

@@ -7,7 +7,9 @@
 //! ([`message`]). The same crate carries both directions — the typed
 //! [`Request`]/[`Response`] enums with exact encode/decode round-trips
 //! (property-tested) — plus the blocking [`Client`] used by the load
-//! driver, the CLI and tests.
+//! driver, the CLI and tests. Both ends read frames with the one
+//! blocking [`read_frame`]; a socket's read timeout is a deadline on
+//! the peer, never a poll, so no frame is ever resumed.
 //!
 //! The protocol surface mirrors the engine's transaction interface
 //! (paper §2.4: primitive actions are record reads and writes):
@@ -35,9 +37,7 @@ pub mod frame;
 pub mod message;
 
 pub use client::Client;
-pub use frame::{
-    read_frame, write_frame, FrameError, FrameReader, PollFrame, MAX_FRAME_BYTES, PROTOCOL_VERSION,
-};
+pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use message::{
     CkptStartState, CkptSummary, ErrorCode, ReplWelcome, Request, Response, ScanRecords,
     ServerInfo, TraceContext, FLAG_TRACED, REPL_VERSION,
