@@ -1261,8 +1261,9 @@ impl Mmdb {
             .fetch_max(commit_lsn.raw(), Ordering::SeqCst);
 
         // Publish while still latched (the latch is what serializes
-        // publishes per record); the segment metadata catches up at the
-        // next exclusive acquisition via `sync_pending`.
+        // publishes per segment, whose records share one seqlock
+        // counter); the segment metadata catches up at the next
+        // exclusive acquisition via `sync_pending`.
         let mirror = self.storage.mirror();
         for (rid, value) in updates {
             mirror.publish(*rid, value.as_ref());

@@ -313,8 +313,9 @@ const GROUP_ACCUMULATION_WINDOW: Duration = Duration::from_micros(200);
 
 /// Optimistic-read retry budget before a point read falls back to the
 /// exclusive-locked path. A failed attempt means a writer was mid-copy
-/// on that exact record (nanoseconds) or crash/recovery closed the
-/// mirror gate (the fallback path then reports the real state).
+/// on a record of the same segment (nanoseconds) or crash/recovery
+/// closed the mirror gate (the fallback path then reports the real
+/// state).
 const LOCKFREE_READ_RETRIES: usize = 8;
 
 /// A shard loop's duties and when each is next due (all at once when

@@ -82,7 +82,7 @@ pub struct Capture<D> {
 pub struct ResidentBytes {
     /// The record words — the database itself, held once.
     pub records: u64,
-    /// The per-record seqlock sequence counters.
+    /// The seqlock sequence counters, one per segment.
     pub seq_counters: u64,
     /// COU old copies held right now.
     pub cou_old_copies: u64,
@@ -942,7 +942,7 @@ mod tests {
         let db_bytes = 32 * 2048 * 4;
         let r = s.resident_bytes();
         assert_eq!(r.records, db_bytes);
-        assert_eq!(r.seq_counters, 2048 * 8);
+        assert_eq!(r.seq_counters, s.db.n_segments() * 8);
         assert_eq!(r.capture_scratch, 2048 * 4);
         assert_eq!((r.cou_old_copies, r.cou_old_copies_peak), (0, 0));
         s.cou_save_old(SegmentId(1), &m).unwrap();

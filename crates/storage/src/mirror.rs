@@ -4,7 +4,8 @@
 //! so lock-free readers on other threads and the engine's exclusive
 //! paths work on the same memory:
 //!
-//! * each record has a **sequence counter** (odd = a writer is mid-copy);
+//! * each segment has one **sequence counter** (odd = a writer is
+//!   mid-copy into one of its records), shared by the segment's records;
 //! * record words are `AtomicU32` (`Word` is `u32`), written with the
 //!   classic seqlock writer protocol (odd → relaxed word stores behind a
 //!   release fence → even with release) and read with the matching
@@ -14,8 +15,12 @@
 //!   recovery take the store out of lock-free service, so no reader is
 //!   served a pre-crash, zeroed or half-replayed value during a rebuild.
 //!
-//! Writers to any one record must be serialized externally (the engine's
-//! per-segment latches or `&mut Storage` provide this); the seqlock only protects readers from writers. A holder of
+//! Writers to any one segment must be serialized externally: a shared
+//! committer publishes only under the latches of its write set's
+//! segments, and a holder of `&mut Storage` is alone in the engine. The
+//! seqlock only protects readers from writers, and a reader loses its
+//! race to a writer on any record of its segment, not only its own
+//! (it retries, and never returns a torn value). A holder of
 //! `&mut Storage` under the engine's exclusive gate has no concurrent
 //! writer at all — every earlier publish happens-before the gate's
 //! acquisition — so it reads with plain `Relaxed` loads and no sequence
@@ -52,10 +57,12 @@ pub struct PendingInstall {
 pub struct ReadMirror {
     n_records: u64,
     s_rec: usize,
+    records_per_segment: u64,
     /// Flat record data: record `r` occupies words `[r*s_rec, (r+1)*s_rec)`,
     /// so segment `j` occupies `[j*s_seg, (j+1)*s_seg)`.
     words: Box<[AtomicU32]>,
-    /// Per-record sequence counters; odd while a writer is copying.
+    /// Per-segment sequence counters; odd while a writer is copying
+    /// into one of the segment's records.
     seqs: Box<[AtomicU64]>,
     /// Store-global gate; odd while crash/recovery has lock-free reads off.
     gate: AtomicU64,
@@ -70,8 +77,9 @@ impl ReadMirror {
         ReadMirror {
             n_records,
             s_rec,
+            records_per_segment: db.records_per_segment(),
             words: (0..total).map(|_| AtomicU32::new(0)).collect(),
-            seqs: (0..n_records).map(|_| AtomicU64::new(0)).collect(),
+            seqs: (0..db.n_segments()).map(|_| AtomicU64::new(0)).collect(),
             gate: AtomicU64::new(0),
             pending: Mutex::new(Vec::new()),
         }
@@ -92,10 +100,15 @@ impl ReadMirror {
         i..i + self.s_rec
     }
 
+    /// The sequence counter of `rid`'s segment.
+    fn seq(&self, rid: RecordId) -> &AtomicU64 {
+        &self.seqs[(rid.raw() / self.records_per_segment) as usize]
+    }
+
     /// One pass of the seqlock reader protocol over record `rid`; `false`
-    /// when a writer was, or came, mid-publish.
+    /// when a writer was, or came, mid-publish in `rid`'s segment.
     fn read_once(&self, rid: RecordId, out: &mut [Word]) -> bool {
-        let seq = &self.seqs[rid.raw() as usize];
+        let seq = self.seq(rid);
         let seq0 = seq.load(Ordering::Acquire);
         if seq0 & 1 == 1 {
             return false;
@@ -131,15 +144,16 @@ impl ReadMirror {
     }
 
     /// Publishes a record value — the only way a record changes. The
-    /// caller must hold whatever serializes writers to this record
-    /// (segment latch or `&mut Storage`): concurrent
-    /// publishes to the *same* record are a protocol violation.
+    /// caller must hold whatever serializes writers to this record's
+    /// *segment* (its latch or `&mut Storage`): concurrent publishes to
+    /// any two records of one segment are a protocol violation, because
+    /// they share one sequence counter.
     pub fn publish(&self, rid: RecordId, value: &[Word]) {
         debug_assert!(rid.raw() < self.n_records);
         debug_assert_eq!(value.len(), self.s_rec);
-        let seq = &self.seqs[rid.raw() as usize];
+        let seq = self.seq(rid);
         let seq0 = seq.load(Ordering::Relaxed);
-        debug_assert_eq!(seq0 & 1, 0, "concurrent publish to one record");
+        debug_assert_eq!(seq0 & 1, 0, "concurrent publish to one segment");
         seq.store(seq0 + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         for (w, v) in self.words[self.span(rid)].iter().zip(value) {
@@ -233,14 +247,17 @@ impl ReadMirror {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
+
+    /// 256 records of 16 words, in 16 segments of 16 records.
+    const DB: DbParams = DbParams {
+        s_db: 4096,
+        s_rec: 16,
+        s_seg: 256,
+    };
 
     fn mirror() -> Arc<ReadMirror> {
-        Arc::new(ReadMirror::new(&DbParams {
-            s_db: 4096,
-            s_rec: 16,
-            s_seg: 256,
-        }))
+        Arc::new(ReadMirror::new(&DB))
     }
 
     /// The raw seqlock under fire: two writers on disjoint record halves
@@ -299,6 +316,96 @@ mod tests {
             let ok = r.join().unwrap();
             assert!(ok > 0, "reader starved — every optimistic read failed");
         }
+    }
+
+    /// The per-segment writer contract under fire: two writers publish to
+    /// different records of one segment, each under a mutex that stands
+    /// for the segment latch, while two readers race them on that
+    /// segment. Both writers move the one counter the readers check, so
+    /// a reader loses to either; it must still never see a torn value.
+    #[test]
+    fn latched_writers_sharing_a_segment_never_tear_a_read() {
+        let m = mirror();
+        let s_rec = m.s_rec();
+        let rps = DB.records_per_segment();
+        let first = 3 * rps; // segment 3
+        let latch = Arc::new(Mutex::new(()));
+        let start = Arc::new(Barrier::new(2));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (m, latch) = (Arc::clone(&m), Arc::clone(&latch));
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait(); // the two writers overlap
+                    for i in 0..200_000u32 {
+                        let r = first + w + 2 * (u64::from(i) % (rps / 2));
+                        let _held = latch.lock().unwrap_or_else(PoisonError::into_inner);
+                        m.publish(RecordId(r), &vec![i | 1; s_rec]);
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2u64)
+            .map(|r| {
+                let m = Arc::clone(&m);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let (mut ok, mut k) = (0u64, r);
+                    let mut out = vec![0; s_rec];
+                    while !stop.load(Ordering::Relaxed) || ok == 0 {
+                        k = (k + 5) % rps;
+                        if m.try_read(RecordId(first + k), &mut out) {
+                            assert!(out.iter().all(|&w| w == out[0]), "torn read: {out:?}");
+                            ok += 1;
+                        }
+                    }
+                    ok
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        // With the writers gone the counter must be even again; two
+        // unserialized publishes could leave it odd and starve every
+        // reader for good.
+        let mut out = vec![0; s_rec];
+        for k in 0..rps {
+            assert!(
+                m.try_read(RecordId(first + k), &mut out),
+                "counter left odd"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            let ok = r.join().unwrap();
+            assert!(ok > 0, "reader starved — every optimistic read failed");
+        }
+    }
+
+    /// A record's counter is its segment's: one per segment, and a
+    /// publish advances its own segment's counter by 2 and no other.
+    #[test]
+    fn a_publish_advances_only_its_segments_counter() {
+        let m = mirror();
+        let (s_rec, rps) = (m.s_rec(), DB.records_per_segment());
+        assert_eq!(
+            m.seqs.len() as u64,
+            DB.n_segments(),
+            "one counter per segment"
+        );
+        let seqs = |m: &ReadMirror| -> Vec<u64> {
+            m.seqs.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
+        let j = 5;
+        let mut want = seqs(&m);
+        m.publish(RecordId((j + 1) * rps - 1), &vec![7; s_rec]);
+        want[j as usize] += 2;
+        assert_eq!(seqs(&m), want, "last record of segment {j}");
+        m.publish(RecordId((j + 1) * rps), &vec![8; s_rec]);
+        want[j as usize + 1] += 2;
+        assert_eq!(seqs(&m), want, "first record of segment {}", j + 1);
     }
 
     #[test]

@@ -56,9 +56,10 @@ fn a_filled_checkpointed_engine_peaks_near_one_database() {
     assert!(report.is_some());
     assert_eq!(db.fingerprint(), fingerprint);
 
-    // Measured on the 2-vCPU CI-shaped host: 20-21 MiB with one copy
-    // (records 16 + sequence counters 1 + process 3-4), 36-37 MiB with
-    // the plain segment array still beside the store.
+    // Measured on the 2-vCPU CI-shaped host: 19-20 MiB with one copy
+    // (records 16 + sequence counters 0.004, one per segment + process
+    // 3-4), 36-37 MiB with the plain segment array still beside the
+    // store.
     let peak = peak_rss_bytes();
     let bound = DB_BYTES * 135 / 100 + 8 * MIB;
     assert!(
