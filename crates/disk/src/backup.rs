@@ -17,9 +17,13 @@
 //! complete copy with the highest checkpoint id. A torn checkpoint leaves
 //! its target copy in-progress and therefore ineligible.
 
-use mmdb_types::{hash::Fnv1a, CheckpointId, DbParams, MmdbError, Result, SegmentId, Word};
+use mmdb_types::{
+    hash::{crc32c, fnv1a, Fnv1a},
+    CheckpointId, DbParams, MmdbError, Result, SegmentId, Word, WORD_BYTES,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Durable status of one backup copy.
@@ -234,18 +238,26 @@ impl BackupStore for MemBackup {
 const MAGIC: u64 = 0x4d4d_4442_424b_5550; // "MMDBBKUP"
 const HEADER_LEN: u64 = 4096;
 const FORMAT_VERSION: u32 = 1;
-/// Per-segment trailer: fnv checksum (8) + reserved (8).
+/// Per-segment trailer: checksum (8) + kind word (8). The kind word's
+/// low byte is the slot codec, the rest of it the checksum kind.
 const SEG_TRAILER: u64 = 16;
 
 const STATE_EMPTY: u32 = 0;
 const STATE_IN_PROGRESS: u32 = 1;
 const STATE_COMPLETE: u32 = 2;
 
-/// Per-slot codec ids, stored in the low byte of the reserved trailer
+/// Per-slot codec ids, stored in the low byte of the trailer's kind
 /// word. Raw is 0 so every slot written before compression existed
 /// decodes unchanged.
 const SLOT_RAW: u64 = 0;
 const SLOT_LZ: u64 = 1;
+
+/// Checksum kinds, stored in the trailer's kind word above the codec.
+/// FNV-1a is 0 so every slot written before CRC-32C slots existed
+/// verifies unchanged; new slots are written CRC-32C.
+const SUM_FNV1A: u64 = 0;
+const SUM_CRC32C: u64 = 1 << 8;
+const CODEC_MASK: u64 = 0xFF;
 
 /// A file-backed backup store: one file per ping-pong copy, each laid out
 /// as a 4 KiB header followed by fixed-size checksummed segment slots.
@@ -256,6 +268,9 @@ pub struct FileBackup {
     paths: [PathBuf; 2],
     sync: bool,
     compress: bool,
+    /// One slot (image and trailer), reused by every segment write and
+    /// read.
+    slot: Vec<u8>,
 }
 
 impl FileBackup {
@@ -276,12 +291,14 @@ impl FileBackup {
             Ok(file)
         };
         let files = [open_one(&paths[0])?, open_one(&paths[1])?];
+        let slot_len = db.s_seg as usize * WORD_BYTES + SEG_TRAILER as usize;
         let mut store = FileBackup {
             db,
             files,
             paths,
             sync,
             compress: false,
+            slot: vec![0; slot_len],
         };
         for copy in 0..2 {
             if store.read_header(copy).is_err() {
@@ -306,12 +323,8 @@ impl FileBackup {
         self.compress = on;
     }
 
-    fn slot_len(&self) -> u64 {
-        self.db.s_seg * mmdb_types::WORD_BYTES as u64 + SEG_TRAILER
-    }
-
     fn seg_offset(&self, sid: SegmentId) -> u64 {
-        HEADER_LEN + sid.raw() as u64 * self.slot_len()
+        HEADER_LEN + sid.raw() as u64 * self.slot.len() as u64
     }
 
     fn write_header(&mut self, copy: usize, state: u32, ckpt: CheckpointId) -> Result<()> {
@@ -386,44 +399,30 @@ impl BackupStore for FileBackup {
         check_copy(copy)?;
         check_shape(&self.db, sid, data.len())?;
         let offset = self.seg_offset(sid);
-        let data_bytes = (self.db.s_seg as usize) * mmdb_types::WORD_BYTES;
-        let mut raw = Vec::with_capacity(data_bytes);
-        for w in data {
-            raw.extend_from_slice(&w.to_le_bytes());
+        let (image, trailer) = self.slot.split_at_mut(data.len() * WORD_BYTES);
+        for (bytes, w) in image.chunks_exact_mut(WORD_BYTES).zip(data) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
-        let mut h = Fnv1a::new();
-        h.update(&raw);
-        let sum = h.finish();
         // The trailer checksum always covers the *raw* image, whatever
         // the slot codec — a decoder bug can never masquerade as a clean
         // read.
-        let mut buf;
-        let codec;
-        if self.compress {
-            let block = mmdb_types::lz::encode_block(&raw);
-            if block.len() <= data_bytes {
-                // write only the block; the rest of the slot stays a hole
-                codec = SLOT_LZ;
-                buf = block;
-            } else {
-                codec = SLOT_RAW;
-                buf = raw;
+        let sum = u64::from(crc32c(image));
+        let block = self
+            .compress
+            .then(|| mmdb_types::lz::encode_block(image))
+            .filter(|block| block.len() <= image.len());
+        let codec = if block.is_some() { SLOT_LZ } else { SLOT_RAW };
+        trailer[..8].copy_from_slice(&sum.to_le_bytes());
+        trailer[8..].copy_from_slice(&(SUM_CRC32C | codec).to_le_bytes());
+        let f = &self.files[copy];
+        match block {
+            // write only the block; the rest of the slot stays a hole
+            Some(block) => {
+                f.write_all_at(&block, offset)?;
+                f.write_all_at(trailer, offset + image.len() as u64)?;
             }
-        } else {
-            codec = SLOT_RAW;
-            buf = raw;
+            None => f.write_all_at(&self.slot, offset)?,
         }
-        let payload_len = buf.len();
-        let f = &mut self.files[copy];
-        f.seek(SeekFrom::Start(offset))?;
-        f.write_all(&buf)?;
-        if payload_len < data_bytes {
-            f.seek(SeekFrom::Start(offset + data_bytes as u64))?;
-        }
-        buf = Vec::with_capacity(SEG_TRAILER as usize);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf.extend_from_slice(&codec.to_le_bytes());
-        f.write_all(&buf)?;
         if self.sync {
             f.sync_data()?;
         }
@@ -457,33 +456,34 @@ impl BackupStore for FileBackup {
         check_copy(copy)?;
         check_shape(&self.db, sid, buf.len())?;
         let offset = self.seg_offset(sid);
-        let mut raw = vec![0u8; self.slot_len() as usize];
-        let f = &mut self.files[copy];
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(&mut raw)
+        self.files[copy]
+            .read_exact_at(&mut self.slot, offset)
             .map_err(|_| MmdbError::Corrupt(format!("{sid}: short read from backup")))?;
-        let data_bytes = (self.db.s_seg as usize) * mmdb_types::WORD_BYTES;
-        let stored = u64::from_le_bytes(
-            raw[data_bytes..data_bytes + 8]
-                .try_into()
-                .expect("fixed-size slice"),
-        );
-        let codec = u64::from_le_bytes(
-            raw[data_bytes + 8..data_bytes + 16]
-                .try_into()
-                .expect("fixed-size slice"),
-        );
+        let (slot, trailer) = self.slot.split_at(buf.len() * WORD_BYTES);
+        let stored = u64::from_le_bytes(trailer[..8].try_into().expect("fixed-size slice"));
+        let kind = u64::from_le_bytes(trailer[8..].try_into().expect("fixed-size slice"));
+        let checksum: fn(&[u8]) -> u64 = match kind & !CODEC_MASK {
+            SUM_FNV1A => fnv1a,
+            SUM_CRC32C => |bytes| u64::from(crc32c(bytes)),
+            k => {
+                return Err(MmdbError::Corrupt(format!(
+                    "{sid} in copy {copy}: unknown slot checksum kind {:#x}",
+                    k >> 8
+                )))
+            }
+        };
         let image: Vec<u8>;
-        let bytes: &[u8] = match codec {
-            SLOT_RAW => &raw[..data_bytes],
+        let bytes: &[u8] = match kind & CODEC_MASK {
+            SLOT_RAW => slot,
             SLOT_LZ => {
-                image = mmdb_types::lz::decode_block(&raw[..data_bytes]).map_err(|e| {
+                image = mmdb_types::lz::decode_block(slot).map_err(|e| {
                     MmdbError::Corrupt(format!("{sid} in copy {copy}: bad compressed slot: {e}"))
                 })?;
-                if image.len() != data_bytes {
+                if image.len() != slot.len() {
                     return Err(MmdbError::Corrupt(format!(
-                        "{sid} in copy {copy}: compressed slot decoded to {} bytes, expected {data_bytes}",
-                        image.len()
+                        "{sid} in copy {copy}: compressed slot decoded to {} bytes, expected {}",
+                        image.len(),
+                        slot.len()
                     )));
                 }
                 &image
@@ -494,19 +494,13 @@ impl BackupStore for FileBackup {
                 )))
             }
         };
-        let mut h = Fnv1a::new();
-        h.update(bytes);
-        if h.finish() != stored {
+        if checksum(bytes) != stored {
             return Err(MmdbError::Corrupt(format!(
                 "{sid} in copy {copy}: checksum mismatch"
             )));
         }
-        for (i, w) in buf.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(
-                bytes[i * 4..i * 4 + 4]
-                    .try_into()
-                    .expect("fixed-size slice"),
-            );
+        for (w, bytes) in buf.iter_mut().zip(bytes.chunks_exact(WORD_BYTES)) {
+            *w = Word::from_le_bytes(bytes.try_into().expect("one word"));
         }
         Ok(())
     }
@@ -715,6 +709,135 @@ mod tests {
         let mut buf = seg_data(0);
         assert!(store.read_segment(0, SegmentId(4), &mut buf).is_err());
         store.read_segment(0, SegmentId(5), &mut buf).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The byte offset of segment `sid`'s slot in a backup file.
+    fn slot_offset(sid: u32) -> u64 {
+        HEADER_LEN + u64::from(sid) * (db().s_seg * WORD_BYTES as u64 + SEG_TRAILER)
+    }
+
+    /// Overwrites `bytes` at `offset` of `path`.
+    fn patch(path: &Path, offset: u64, bytes: &[u8]) {
+        let f = OpenOptions::new().write(true).open(path).unwrap();
+        f.write_all_at(bytes, offset).unwrap();
+    }
+
+    /// Flips the low bit of the byte at `offset` of `path`.
+    fn flip(path: &Path, offset: u64) {
+        let f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap();
+        let mut byte = [0];
+        f.read_exact_at(&mut byte, offset).unwrap();
+        f.write_all_at(&[byte[0] ^ 1], offset).unwrap();
+    }
+
+    /// The trailer's kind word of segment `sid` in `path`.
+    fn slot_kind(path: &Path, sid: u32) -> u64 {
+        let f = File::open(path).unwrap();
+        let mut kind = [0; 8];
+        let image_len = db().s_seg * WORD_BYTES as u64;
+        f.read_exact_at(&mut kind, slot_offset(sid) + image_len + 8)
+            .unwrap();
+        u64::from_le_bytes(kind)
+    }
+
+    fn corrupt_message(store: &mut FileBackup, sid: u32) -> String {
+        match store.read_segment(0, SegmentId(sid), &mut seg_data(0)) {
+            Err(MmdbError::Corrupt(msg)) => msg,
+            other => panic!("{sid}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn file_backup_reads_a_slot_in_the_fnv1a_layout() {
+        let dir = std::env::temp_dir().join(format!("mmdb-bk8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("backup");
+        let mut store = FileBackup::open(&base, db(), false).unwrap();
+        full_checkpoint(&mut store, 0, 1, 0x11);
+        assert_eq!(slot_kind(&base.with_extension("0"), 6), SUM_CRC32C);
+        // segment 6 as a build before CRC-32C slots wrote it: the image,
+        // its FNV-1a sum, and a kind word holding only the raw codec
+        let words: Vec<Word> = (0..db().s_seg as u32).map(|i| i * 7 + 1).collect();
+        let mut slot: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut h = Fnv1a::new();
+        h.update(&slot);
+        slot.extend(h.finish().to_le_bytes());
+        slot.extend(SLOT_RAW.to_le_bytes());
+        patch(&base.with_extension("0"), slot_offset(6), &slot);
+        let mut buf = seg_data(0);
+        store.read_segment(0, SegmentId(6), &mut buf).unwrap();
+        assert_eq!(buf, words);
+        // the legacy sum is still checked
+        flip(&base.with_extension("0"), slot_offset(6) + 9);
+        assert!(corrupt_message(&mut store, 6).contains("checksum mismatch"));
+        store.read_segment(0, SegmentId(5), &mut buf).unwrap();
+        assert_eq!(buf, seg_data(0x11));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_backup_flipped_byte_is_a_checksum_mismatch() {
+        let dir = std::env::temp_dir().join(format!("mmdb-bk9-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("backup");
+        let mut store = FileBackup::open(&base, db(), false).unwrap();
+        full_checkpoint(&mut store, 0, 1, 0xA5);
+        // one bit of an image byte, of its last byte and of the stored
+        // sum, each flipped and then restored
+        let path = base.with_extension("0");
+        let image_len = db().s_seg * WORD_BYTES as u64;
+        for at in [1234, image_len - 1, image_len] {
+            flip(&path, slot_offset(4) + at);
+            let msg = corrupt_message(&mut store, 4);
+            assert!(msg.contains("checksum mismatch"), "{at}: {msg}");
+            flip(&path, slot_offset(4) + at);
+        }
+        let mut buf = seg_data(0);
+        store.read_segment(0, SegmentId(4), &mut buf).unwrap();
+        assert_eq!(buf, seg_data(0xA5));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_backup_lz_slot_carries_the_crc_kind() {
+        let dir = std::env::temp_dir().join(format!("mmdb-bk10-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("backup");
+        let mut store = FileBackup::open(&base, db(), false).unwrap();
+        store.set_compress(true);
+        full_checkpoint(&mut store, 0, 1, 0x3C);
+        assert_eq!(
+            slot_kind(&base.with_extension("0"), 9),
+            SUM_CRC32C | SLOT_LZ
+        );
+        let mut buf = seg_data(0);
+        store.read_segment(0, SegmentId(9), &mut buf).unwrap();
+        assert_eq!(buf, seg_data(0x3C));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_backup_unknown_checksum_kind_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("mmdb-bk11-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("backup");
+        let mut store = FileBackup::open(&base, db(), false).unwrap();
+        full_checkpoint(&mut store, 0, 1, 0x42);
+        let path = base.with_extension("0");
+        let kind_at = slot_offset(2) + db().s_seg * WORD_BYTES as u64 + 8;
+        patch(&path, kind_at, &(SUM_CRC32C << 1).to_le_bytes());
+        let msg = corrupt_message(&mut store, 2);
+        assert!(msg.contains("unknown slot checksum kind"), "{msg}");
+        // the image and its sum are intact: only the kind is refused
+        patch(&path, kind_at, &SUM_CRC32C.to_le_bytes());
+        store
+            .read_segment(0, SegmentId(2), &mut seg_data(0))
+            .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -42,7 +42,7 @@
 
 use mmdb_types::{
     hash::{crc32c, crc32c_append, fnv1a},
-    CheckpointId, MmdbError, RecordId, Result, Timestamp, TxnId, Word,
+    CheckpointId, MmdbError, RecordId, Result, Timestamp, TxnId, Word, WORD_BYTES,
 };
 
 /// A single log record.
@@ -266,8 +266,10 @@ impl LogRecord {
                     image.len(),
                     "images of one transaction differ in length"
                 );
-                for w in image {
-                    out.extend_from_slice(&w.to_le_bytes());
+                let start = out.len();
+                out.resize(start + image.len() * WORD_BYTES, 0);
+                for (bytes, w) in out[start..].chunks_exact_mut(WORD_BYTES).zip(image) {
+                    bytes.copy_from_slice(&w.to_le_bytes());
                 }
             }
         });

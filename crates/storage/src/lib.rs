@@ -543,6 +543,7 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mirror::tests::{race_reads, StopOnDrop};
     use mmdb_types::{CostCategory, CostParams, Params};
 
     fn small() -> Storage {
@@ -988,15 +989,13 @@ mod tests {
                 .map(|r| {
                     let (mirror, stop) = (&mirror, &stop);
                     scope.spawn(move || {
-                        let (mut out, mut ok, mut rid) = (vec![0; 32], 0u64, r);
-                        while !stop.load(relaxed) || ok == 0 {
+                        let (mut out, mut rid) = (vec![0; 32], r);
+                        race_reads(stop, || {
                             rid = (rid + 7919) % mine;
-                            if mirror.try_read(RecordId(rid), &mut out) {
-                                assert!(out.iter().all(|&w| w == out[0]), "torn: {out:?}");
-                                ok += 1;
-                            }
-                        }
-                        ok
+                            let ok = mirror.try_read(RecordId(rid), &mut out);
+                            assert!(!ok || out.iter().all(|&w| w == out[0]), "torn: {out:?}");
+                            ok
+                        })
                     })
                 })
                 .collect();
@@ -1008,6 +1007,8 @@ mod tests {
                     mirror.publish(RecordId(rid), &[k; 32]);
                 }
             });
+            // stops the publisher and the readers even if this thread panics
+            let stopping = StopOnDrop(&stop);
             for k in 1..=3_000u32 {
                 let sid = SegmentId(k % 16);
                 let rid = RecordId(u64::from(sid.raw()) * 64 + u64::from(k) % 64);
@@ -1031,8 +1032,16 @@ mod tests {
                     s.fingerprint(); // whole-store read beside the publisher
                 }
             }
-            stop.store(true, relaxed);
+            drop(stopping);
             publisher.join().unwrap();
+            // every writer has stopped: each record reads at once
+            let mut out = vec![0; 32];
+            for rid in 0..2 * mine {
+                assert!(
+                    mirror.try_read(RecordId(rid), &mut out),
+                    "{rid}: counter left odd"
+                );
+            }
             for r in readers {
                 assert!(r.join().unwrap() > 0, "reader starved");
             }
@@ -1053,18 +1062,19 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });
             let mut out = vec![0; 32];
-            let mut hits = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) || hits == 0 {
-                if mirror.try_read(RecordId(3), &mut out) {
-                    hits += 1;
-                    assert!(
-                        out.iter().all(|&w| w == out[0]),
-                        "torn read: {:?}",
-                        &out[..4]
-                    );
-                }
-            }
+            let hits = race_reads(&stop, || {
+                let ok = mirror.try_read(RecordId(3), &mut out);
+                assert!(
+                    !ok || out.iter().all(|&w| w == out[0]),
+                    "torn read: {:?}",
+                    &out[..4]
+                );
+                ok
+            });
             writer.join().unwrap();
+            // the writer is done: the record reads at once, at its last value
+            assert!(mirror.try_read(RecordId(3), &mut out), "counter left odd");
+            assert_eq!(out, [20_000; 32]);
             assert!(hits > 0);
         });
     }

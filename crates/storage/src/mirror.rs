@@ -244,10 +244,38 @@ impl ReadMirror {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Barrier};
+
+    /// Sets its flag when dropped: a test thread that panics still stops
+    /// the threads racing it, so the scope that joins them ends.
+    pub(crate) struct StopOnDrop<'a>(pub(crate) &'a AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    /// Runs a racing reader's `attempt` until `stop` is set, and after
+    /// that until one attempt has succeeded or a thousand more have
+    /// failed: a reader starved by a counter left odd returns, and its
+    /// caller's `ok > 0` check fails, instead of spinning for ever.
+    /// Returns the number of successful attempts.
+    pub(crate) fn race_reads(stop: &AtomicBool, mut attempt: impl FnMut() -> bool) -> u64 {
+        let (mut ok, mut late) = (0u64, 0u32);
+        loop {
+            if stop.load(Ordering::Acquire) {
+                if ok > 0 || late == 1_000 {
+                    return ok;
+                }
+                late += 1;
+            }
+            ok += u64::from(attempt());
+        }
+    }
 
     /// 256 records of 16 words, in 16 segments of 16 records.
     const DB: DbParams = DbParams {
@@ -293,25 +321,31 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut x = 0x243F_6A88_85A3_08D3u64 ^ (r + 1);
-                    let mut ok = 0u64;
                     let mut out = vec![0; s_rec];
-                    while !stop.load(Ordering::Relaxed) || ok == 0 {
+                    race_reads(&stop, || {
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;
-                        if m.try_read(RecordId(x % n), &mut out) {
-                            assert!(out.iter().all(|&w| w == out[0]), "torn read: {out:?}");
-                            ok += 1;
-                        }
-                    }
-                    ok
+                        let ok = m.try_read(RecordId(x % n), &mut out);
+                        assert!(
+                            !ok || out.iter().all(|&w| w == out[0]),
+                            "torn read: {out:?}"
+                        );
+                        ok
+                    })
                 })
             })
             .collect();
         for w in writers {
             w.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
+        // With the writers gone every counter is even: each record reads
+        // at once.
+        let mut out = vec![0; s_rec];
+        for r in 0..n {
+            assert!(m.try_read(RecordId(r), &mut out), "counter left odd");
+        }
         for r in readers {
             let ok = r.join().unwrap();
             assert!(ok > 0, "reader starved — every optimistic read failed");
@@ -351,22 +385,24 @@ mod tests {
                 let m = Arc::clone(&m);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let (mut ok, mut k) = (0u64, r);
+                    let mut k = r;
                     let mut out = vec![0; s_rec];
-                    while !stop.load(Ordering::Relaxed) || ok == 0 {
+                    race_reads(&stop, || {
                         k = (k + 5) % rps;
-                        if m.try_read(RecordId(first + k), &mut out) {
-                            assert!(out.iter().all(|&w| w == out[0]), "torn read: {out:?}");
-                            ok += 1;
-                        }
-                    }
-                    ok
+                        let ok = m.try_read(RecordId(first + k), &mut out);
+                        assert!(
+                            !ok || out.iter().all(|&w| w == out[0]),
+                            "torn read: {out:?}"
+                        );
+                        ok
+                    })
                 })
             })
             .collect();
         for w in writers {
             w.join().unwrap();
         }
+        stop.store(true, Ordering::Release);
         // With the writers gone the counter must be even again; two
         // unserialized publishes could leave it odd and starve every
         // reader for good.
@@ -377,7 +413,6 @@ mod tests {
                 "counter left odd"
             );
         }
-        stop.store(true, Ordering::Relaxed);
         for r in readers {
             let ok = r.join().unwrap();
             assert!(ok > 0, "reader starved — every optimistic read failed");
