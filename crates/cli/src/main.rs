@@ -1307,13 +1307,14 @@ struct Composition {
 }
 
 impl Composition {
-    const KINDS: [&'static str; 10] = [
+    const KINDS: [&'static str; 11] = [
         "begin",
         "update",
         "commit",
         "abort",
         "txn-commit",
         "txn-prepare",
+        "txn-decide",
         "prepare",
         "decide",
         "ckpt",
@@ -1330,15 +1331,20 @@ impl Composition {
             LogRecord::Abort { .. } => 3,
             LogRecord::TxnCommit { .. } => 4,
             LogRecord::TxnPrepare { .. } => 5,
-            LogRecord::Prepare { .. } => 6,
-            LogRecord::Decide { .. } => 7,
-            LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 8,
-            LogRecord::Compacted { .. } => 9,
+            LogRecord::TxnDecide { .. } => 6,
+            LogRecord::Prepare { .. } => 7,
+            LogRecord::Decide { .. } => 8,
+            LogRecord::BeginCheckpoint { .. } | LogRecord::EndCheckpoint { .. } => 9,
+            LogRecord::Compacted { .. } => 10,
         };
         self.tally[kind].0 += 1;
         self.tally[kind].1 += len;
-        // a transaction is committed by its `Commit` or `TxnCommit` frame
-        if matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. }) {
+        // a transaction (a branch) is committed by its `Commit`,
+        // `TxnCommit` or `TxnDecide` frame
+        if matches!(
+            rec,
+            LogRecord::Commit { .. } | LogRecord::TxnCommit { .. } | LogRecord::TxnDecide { .. }
+        ) {
             self.committed += 1;
         }
     }

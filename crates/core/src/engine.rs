@@ -7,7 +7,8 @@ use mmdb_audit::{Audit, AuditEvent, AuditReport, AuditViolation, PaintColor};
 use mmdb_checkpoint::{BeginReport, Checkpointer, CkptReport, CkptStats, StepOutcome};
 use mmdb_disk::{summarize, AuditedBackup, BackupStore, FileBackup, MemBackup, ObservedBackup};
 use mmdb_log::{
-    LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice, MAX_TXN_FRAME_BYTES,
+    LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice, TxnFrame,
+    MAX_TXN_FRAME_BYTES,
 };
 use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, Timer};
 use mmdb_recovery::{InDoubtTxn, RecoveryReport};
@@ -619,7 +620,8 @@ impl Mmdb {
     }
 
     /// Refuses a write set whose `TxnCommit` frame — or, for a branch of
-    /// global transaction `gid`, whose `TxnPrepare` frame — could not
+    /// global transaction `gid`, whose `TxnPrepare` or `TxnDecide` frame
+    /// (one length) — could not
     /// cross the wire to a standby. Checked before anything is appended,
     /// and before a shared commit has its id: the widest id stands in for
     /// it.
@@ -691,6 +693,12 @@ impl Mmdb {
     /// [`CommitDurability::Force`]), then installs the updates into the
     /// primary database (running the COU hook first).
     pub fn commit(&mut self, txn: TxnId) -> Result<()> {
+        self.commit_frame(txn, TxnFrame::Commit)
+    }
+
+    /// [`commit`](Self::commit) of `txn` in its one `kind` frame: a
+    /// `TxnCommit`, or the coordinator's `TxnDecide`.
+    fn commit_frame(&mut self, txn: TxnId, kind: TxnFrame) -> Result<()> {
         self.ensure_alive()?;
         if self.txns.get_mut().get(txn)?.prepared.is_some() {
             return Err(MmdbError::Invalid(format!(
@@ -701,15 +709,26 @@ impl Mmdb {
         self.revalidate_colors(txn)?;
         let words = self.record_words();
         let writes = &self.txns.get_mut().get(txn)?.writes;
-        Mmdb::check_frame_bound(words, None, writes.iter().map(|w| w.record))?;
+        Mmdb::check_frame_bound(words, kind.gid(), writes.iter().map(|w| w.record))?;
 
         // The whole transaction is one frame, encoded from the staged
         // images; every install waits on that frame's end for the WAL gate.
         let writes = &self.txns.get_mut().get(txn)?.writes;
         let log = self.log.get_mut();
-        log.append_txn(txn, None, writes.iter().map(|w| (w.record, &w.value[..])));
+        log.append_txn(txn, kind, writes.iter().map(|w| (w.record, &w.value[..])));
         let commit_lsn = log.next_lsn();
-        if self.config.commit_durability == CommitDurability::Force {
+        if let TxnFrame::Decide(_) = kind {
+            // The commit point is forced under either durability. A force
+            // that fails leaves the frame's fate unknown — the device may
+            // hold it yet — so the engine fail-stops: the crash drops the
+            // unforced tail, and the next open decides from what reached
+            // the device.
+            if let Err(e) = log.force() {
+                let _ = self.crash();
+                return Err(e);
+            }
+            self.obs.counter("txn.decisions_logged", 1);
+        } else if self.config.commit_durability == CommitDurability::Force {
             // Group: append only — the caller releases the engine lock and
             // waits on the durable-LSN watermark for a batched force to
             // cover `last_commit_lsn` before acking.
@@ -804,15 +823,17 @@ impl Mmdb {
 
     // ----- sharded two-phase commit ----------------------------------------
     //
-    // The sharded engine (`mmdb-shard`) runs cross-shard transactions as
-    // one participant branch per shard. Phase one (`prepare_txn`) makes a
-    // branch durable-but-undecided; the coordinator's forced `Decide`
-    // record (`log_decision`) is the commit point; phase two
-    // (`commit_prepared`/`abort_prepared`) finishes each branch. A
-    // prepared branch stays in the active-transaction table, so it keeps
-    // pinning the checkpoint replay floor and blocking COU quiesce until
-    // the decision lands — exactly the window recovery must be able to
-    // replay.
+    // The sharded engine (`mmdb-shard`) runs a cross-shard transaction as
+    // one branch per shard, the lowest shard's being the coordinator's
+    // (the last agent). Phase one (`prepare_txn`) makes every other
+    // branch durable-but-undecided; the coordinator's branch never
+    // prepares: once every participant is prepared, `commit_decide`
+    // forces it as one `TxnDecide` frame, which commits it and *is* the
+    // commit point; phase two (`commit_prepared`/`abort_prepared`)
+    // finishes each participant. A prepared branch stays in the
+    // active-transaction table, so it keeps pinning the checkpoint replay
+    // floor and blocking COU quiesce until the decision lands — exactly
+    // the window recovery must be able to replay.
 
     /// Phase one: re-validates two-color consistency, logs the branch as
     /// one forced `TxnPrepare` frame holding every staged update, and
@@ -832,7 +853,7 @@ impl Mmdb {
 
         let log = self.log.get_mut();
         let images = t.writes.iter().map(|w| (w.record, &w.value[..]));
-        t.begin_lsn = log.append_txn(txn, Some(gid), images);
+        t.begin_lsn = log.append_txn(txn, TxnFrame::Prepare(gid), images);
         if let Err(e) = log.force() {
             // the branch's frame is in the log: close it, so the caller's
             // `abort` of the still-unprepared transaction need not
@@ -844,21 +865,29 @@ impl Mmdb {
         Ok(())
     }
 
-    /// Durably logs the coordinator's decision for global transaction
-    /// `gid` (forced — this is the cross-shard commit point).
-    pub fn log_decision(&mut self, gid: u64, commit: bool) -> Result<()> {
-        self.ensure_alive()?;
-        self.log
-            .get_mut()
-            .append_forced(&LogRecord::Decide { gid, commit })?;
-        self.obs.counter("txn.decisions_logged", 1);
-        Ok(())
+    /// The commit point of global transaction `gid`: commits the
+    /// coordinator's branch `txn` — staged like any transaction, never
+    /// prepared — as one forced `TxnDecide` frame that holds its writes
+    /// and is the decision to commit every participant branch. Call it
+    /// once every participant is prepared. Recovery installs the frame
+    /// like a `TxnCommit` and pools it as that decision; without it,
+    /// every participant is presumed aborted.
+    ///
+    /// An error before the force (a two-color violation, a frame over the
+    /// bound) claims nothing: the participants may be aborted. A failed
+    /// force claims no outcome either way — the frame may still reach the
+    /// device — so the engine fail-stops ([`is_crashed`](Self::is_crashed)
+    /// turns true) and the participants must stay prepared for the next
+    /// open to resolve; the caller fail-stops their engines too, so no
+    /// write commits over a prepared record in between.
+    pub fn commit_decide(&mut self, txn: TxnId, gid: u64) -> Result<()> {
+        self.commit_frame(txn, TxnFrame::Decide(gid))
     }
 
     /// Phase two, commit side: writes a *forced* commit record and
     /// installs the branch's updates. The force is deliberate even under
     /// group durability: once the branch's own log carries the commit, a
-    /// later truncation of the coordinator's `Decide` record can never
+    /// later truncation of the coordinator's `TxnDecide` frame can never
     /// orphan it.
     pub fn commit_prepared(&mut self, txn: TxnId) -> Result<()> {
         self.ensure_alive()?;
@@ -1060,13 +1089,14 @@ impl Mmdb {
         let mirror = self.storage.mirror();
         mirror.gate_close();
         mirror.take_pending();
-        self.log.get_mut().crash()?;
+        // a stable tail that fails to drain still leaves a crashed engine
+        let drained = self.log.get_mut().crash();
         self.txns.get_mut().crash();
         self.ckpt.crash(&mut self.storage);
         self.quiesce_pending = false;
         self.pending_floor = None;
         self.crashed = true;
-        Ok(())
+        drained.map(|_| ())
     }
 
     /// Recovers from a crash: rebuilds the primary database from the most
@@ -1251,7 +1281,11 @@ impl Mmdb {
 
         let commit_lsn = {
             let mut log = self.log.lock();
-            log.append_txn(txn, None, updates.iter().map(|(rid, v)| (*rid, v.as_ref())));
+            log.append_txn(
+                txn,
+                TxnFrame::Commit,
+                updates.iter().map(|(rid, v)| (*rid, v.as_ref())),
+            );
             if self.config.commit_durability == CommitDurability::Force {
                 log.force()?;
             }

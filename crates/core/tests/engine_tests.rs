@@ -8,6 +8,7 @@ use mmdb_core::{
 };
 use mmdb_disk::{BackupStore, FileBackup};
 use mmdb_storage::Storage;
+use mmdb_types::hash::{crc32c, crc32c_append};
 use mmdb_types::{CostMeter, DbParams};
 
 fn small(algorithm: Algorithm) -> MmdbConfig {
@@ -806,7 +807,10 @@ fn prepared_branch_open_at_the_marker_extends_replay_to_its_begin() {
     let CheckpointStart::Started(begin) = db.try_begin_checkpoint().unwrap() else {
         panic!("fuzzy checkpoints do not quiesce");
     };
-    db.log_decision(9, true).unwrap();
+    // the coordinator's branch, committed as the decision's frame
+    let coordinator = db.begin_txn().unwrap();
+    db.write(coordinator, RecordId(61), &val(&db, 7)).unwrap();
+    db.commit_decide(coordinator, 9).unwrap();
     db.commit_prepared(branch).unwrap();
     db.abort(bystander).unwrap();
     while db.is_checkpoint_active() {
@@ -840,6 +844,126 @@ fn prepared_branch_open_at_the_marker_extends_replay_to_its_begin() {
     assert!(report.in_doubt.is_empty());
     assert_eq!(db.fingerprint(), before);
     assert_eq!(db.read_committed(RecordId(60)).unwrap(), val(&db, 6));
+    assert_eq!(db.read_committed(RecordId(61)).unwrap(), val(&db, 7));
+    assert_eq!(report.decisions, [(9, true)]);
+}
+
+#[test]
+fn the_commit_point_is_one_forced_frame_under_either_durability() {
+    for durability in [CommitDurability::Force, CommitDurability::Group] {
+        let mut cfg = small(Algorithm::FuzzyCopy);
+        cfg.commit_durability = durability;
+        let mut db = Mmdb::open_in_memory(cfg).unwrap();
+        let before = db.log_stats();
+        let t = db.begin_txn().unwrap();
+        db.write(t, RecordId(3), &val(&db, 3)).unwrap();
+        db.write(t, RecordId(4), &val(&db, 4)).unwrap();
+        db.commit_decide(t, 77).unwrap();
+        let after = db.log_stats();
+        assert_eq!(after.forces - before.forces, 1, "{durability:?}");
+        assert_eq!(after.records - before.records, 1, "{durability:?}");
+        assert_eq!(db.log_durable_lsn(), db.last_commit_lsn(), "{durability:?}");
+        assert_eq!(db.read_committed(RecordId(4)).unwrap(), val(&db, 4));
+        let frames = log_frames(&mut db);
+        let writes = vec![(RecordId(3), val(&db, 3)), (RecordId(4), val(&db, 4))];
+        let decide = LogRecord::TxnDecide {
+            txn: t,
+            gid: 77,
+            writes,
+        };
+        assert_eq!(frames.last().map(|(_, rec)| rec), Some(&decide));
+        // a prepared branch is no coordinator's
+        let branch = db.begin_txn().unwrap();
+        db.write(branch, RecordId(5), &val(&db, 5)).unwrap();
+        db.prepare_txn(branch, 78).unwrap();
+        assert!(db.commit_decide(branch, 78).is_err());
+    }
+}
+
+#[test]
+fn a_failed_commit_point_force_fail_stops_the_engine() {
+    let (device, control) = mmdb_core::FlakyLogDevice::new();
+    let mut db = Mmdb::open_with_log_device(small(Algorithm::FuzzyCopy), Box::new(device)).unwrap();
+    db.run_txn(&[(RecordId(1), val(&db, 1))]).unwrap();
+    db.checkpoint().unwrap();
+    let fingerprint = db.fingerprint();
+    let t = db.begin_txn().unwrap();
+    db.write(t, RecordId(2), &val(&db, 2)).unwrap();
+    control.fail_after_next(0);
+    assert!(db.commit_decide(t, 5).is_err());
+    // nothing claimed: the engine stopped, and serves nothing until the
+    // log decides
+    assert!(db.is_crashed());
+    assert!(db.begin_txn().is_err());
+    control.heal();
+    let report = db.recover().unwrap();
+    assert!(
+        report.decisions.is_empty(),
+        "the frame never reached the device"
+    );
+    assert_eq!(db.fingerprint(), fingerprint);
+    assert_eq!(db.read_committed(RecordId(2)).unwrap(), val(&db, 0));
+}
+
+/// A whole frame that checksums but does not decode was written by a
+/// newer build: the open fails with that error and cuts nothing, where
+/// cutting it as a torn tail would drop every commit behind it.
+#[test]
+fn a_frame_from_a_newer_format_fails_the_open_and_cuts_nothing() {
+    let dir = std::env::temp_dir().join(format!("mmdb-core-newer-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = small(Algorithm::CouCopy);
+    let words;
+    {
+        let (mut db, _) = Mmdb::open_dir(config, &dir).unwrap();
+        words = db.record_words();
+        db.run_txn(&[(RecordId(1), val(&db, 1))]).unwrap();
+        db.checkpoint().unwrap();
+        db.run_txn(&[(RecordId(2), val(&db, 2))]).unwrap();
+        db.force_log().unwrap();
+    }
+    // tag 0xEE, checksummed the way this envelope is, then a commit
+    let mut newer = vec![0u8; 8];
+    newer.extend([0xEE, 1, 2, 3]);
+    let len = newer.len() as u32 | 1 << 31;
+    newer[..4].copy_from_slice(&len.to_le_bytes());
+    let sum = crc32c_append(crc32c(&newer[..4]), &newer[8..]);
+    newer[4..8].copy_from_slice(&sum.to_le_bytes());
+    let behind = LogRecord::TxnCommit {
+        txn: TxnId(1 << 20),
+        writes: vec![(RecordId(3), vec![3; words])],
+    };
+    newer.extend(behind.encode());
+    let log = dir.join("log");
+    let mut chunks: Vec<_> = std::fs::read_dir(&log)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    chunks.sort();
+    let last = chunks.last().unwrap();
+    let mut bytes = std::fs::read(last).unwrap();
+    bytes.extend(&newer);
+    std::fs::write(last, bytes).unwrap();
+    let files = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut all: Vec<_> = std::fs::read_dir(&log)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+            .collect();
+        all.sort();
+        all
+    };
+    let before = files();
+
+    let err = Mmdb::open_dir(config, &dir).unwrap_err();
+    assert!(matches!(err, MmdbError::NewerFormat(_)), "{err:?}");
+    assert!(
+        err.to_string().contains("frame from a newer log format"),
+        "{err}"
+    );
+    assert_eq!(files(), before, "every chunk byte-identical");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -200,6 +200,8 @@ pub struct FlakyControl {
     appends: std::sync::atomic::AtomicU64,
     /// Appends at or past this count fail; `u64::MAX` = never.
     fail_at: std::sync::atomic::AtomicU64,
+    /// A failing append still lands its bytes (a lost acknowledgement).
+    land_failed: std::sync::atomic::AtomicBool,
 }
 
 impl FlakyControl {
@@ -211,8 +213,19 @@ impl FlakyControl {
     /// Lets the next `n` appends succeed, then fails every one after
     /// until [`heal`](Self::heal) is called.
     pub fn fail_after_next(&self, n: u64) {
+        self.land_failed
+            .store(false, std::sync::atomic::Ordering::SeqCst);
         self.fail_at
             .store(self.appends() + n, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// Like [`fail_after_next`](Self::fail_after_next), but each failing
+    /// append still lands its bytes on the device: the write reached it
+    /// and only its acknowledgement was lost.
+    pub fn fail_after_next_landing(&self, n: u64) {
+        self.fail_after_next(n);
+        self.land_failed
+            .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Stops injecting failures.
@@ -242,6 +255,7 @@ impl FlakyLogDevice {
         let control = std::sync::Arc::new(FlakyControl {
             appends: std::sync::atomic::AtomicU64::new(0),
             fail_at: std::sync::atomic::AtomicU64::new(u64::MAX),
+            land_failed: std::sync::atomic::AtomicBool::new(false),
         });
         (
             FlakyLogDevice {
@@ -260,6 +274,13 @@ impl LogDevice for FlakyLogDevice {
             .appends
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         if self.control.should_fail(index) {
+            if self
+                .control
+                .land_failed
+                .load(std::sync::atomic::Ordering::SeqCst)
+            {
+                self.inner.append(bytes)?;
+            }
             return Err(MmdbError::Io(std::io::Error::other(
                 "injected log-device failure",
             )));

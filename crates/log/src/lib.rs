@@ -36,7 +36,7 @@ mod watermark;
 
 pub use device::{ChunkInfo, FlakyControl, FlakyLogDevice, LogDevice, MemLogDevice};
 pub use manager::{LogManager, LogStats, PendingForce};
-pub use record::{LogRecord, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
+pub use record::{LogRecord, TxnFrame, FRAME_OVERHEAD, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 pub use scan::{CheckpointMark, LogScanner, LogStream, LogWindow, Stop};
 pub use segmented::{SegmentedLogDevice, DEFAULT_CHUNK_BYTES};
 pub use watermark::DurableWatermark;

@@ -10,7 +10,7 @@
 //! update the image contains.
 
 use crate::device::LogDevice;
-use crate::record::{LogRecord, MAX_TXN_FRAME_BYTES};
+use crate::record::{LogRecord, TxnFrame, MAX_TXN_FRAME_BYTES};
 use crate::watermark::DurableWatermark;
 use mmdb_audit::{Audit, AuditEvent};
 use mmdb_obs::{Obs, Timer};
@@ -266,21 +266,24 @@ impl LogManager {
     /// the next explicit force or commit — never silently dropped (the
     /// device keeps its durable length consistent either way).
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
-        let commit = matches!(rec, LogRecord::Commit { .. } | LogRecord::TxnCommit { .. });
+        let commit = matches!(
+            rec,
+            LogRecord::Commit { .. } | LogRecord::TxnCommit { .. } | LogRecord::TxnDecide { .. }
+        );
         self.append_frame(commit, |tail| rec.encode_into(tail))
     }
 
-    /// [`append`](Self::append) of the [`LogRecord::TxnCommit`] frame of
-    /// `txn` — with a `gid`, the [`LogRecord::TxnPrepare`] frame — encoded
+    /// [`append`](Self::append) of the `kind` frame of `txn`, encoded
     /// straight from the transaction's staged images.
     pub fn append_txn<'a>(
         &mut self,
         txn: TxnId,
-        gid: Option<u64>,
+        kind: TxnFrame,
         writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
     ) -> Lsn {
-        let commit = gid.is_none();
-        self.append_frame(commit, |tail| LogRecord::encode_txn(txn, gid, writes, tail))
+        self.append_frame(kind.commits(), |tail| {
+            LogRecord::encode_txn(txn, kind, writes, tail)
+        })
     }
 
     fn append_frame(&mut self, commit: bool, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
@@ -773,7 +776,7 @@ mod tests {
         let mut m = mgr(LogMode::VolatileTail);
         let image = [7 as Word; 32];
         let writes = [(RecordId(1), &image[..]), (RecordId(2), &image[..])];
-        let lsn = m.append_txn(TxnId(5), None, writes.iter().copied());
+        let lsn = m.append_txn(TxnId(5), TxnFrame::Commit, writes.iter().copied());
         assert_eq!(lsn, Lsn::ZERO);
         assert_eq!(m.next_lsn(), Lsn(269));
         assert_eq!(m.stats().bytes, 269);
@@ -797,7 +800,11 @@ mod tests {
     fn read_range_aligned_grows_to_the_transaction_frame_it_starts_at() {
         let mut m = mgr(LogMode::VolatileTail);
         let image = [1 as Word; 64];
-        let big = m.append_txn(TxnId(1), None, [(RecordId(0), &image[..])].into_iter());
+        let big = m.append_txn(
+            TxnId(1),
+            TxnFrame::Commit,
+            [(RecordId(0), &image[..])].into_iter(),
+        );
         let small = m.append(&commit(2));
         m.append(&commit(3));
         m.force().unwrap();

@@ -9,11 +9,18 @@
 //!   replay idempotent, which is what lets a fuzzy backup be repaired by
 //!   replaying from the begin-checkpoint marker). The transaction is
 //!   committed because the frame exists and checksums;
-//! * one forced `TxnPrepare` frame per branch of a cross-shard
-//!   transaction, whose outcome is decided elsewhere, then commit or
-//!   abort at the decision. Older logs hold a branch as begin, updates
-//!   and `Prepare` (and, before `TxnCommit`, every transaction as begin,
-//!   updates and commit): those still decode, but are never written;
+//! * one forced `TxnPrepare` frame per participant branch of a
+//!   cross-shard transaction, whose outcome is decided elsewhere, then
+//!   commit or abort at the decision. Older logs hold a branch as begin,
+//!   updates and `Prepare` (and, before `TxnCommit`, every transaction as
+//!   begin, updates and commit): those still decode, but are never
+//!   written;
+//! * one forced `TxnDecide` frame per cross-shard transaction, on the
+//!   coordinator's log: the coordinator's own branch, installed on sight
+//!   like a `TxnCommit`, and the commit decision for its gid (the last
+//!   agent). Older logs hold the decision as a separate `Decide` frame
+//!   after a prepared coordinator branch: it still decodes, but is never
+//!   written;
 //! * begin-checkpoint markers carrying the checkpoint's id, timestamp
 //!   `τ(CH)` and the list of prepared branches open at the marker (used
 //!   by fuzzy recovery to extend the replay window, §3.3),
@@ -26,9 +33,10 @@
 //! len u32 (bit 31 set) · crc32c u32 · tag u8 · payload
 //! TxnCommit payload:     txn varint · n varint · n × record varint · n × image
 //! TxnPrepare payload:    txn varint · gid varint · n varint · n × record varint · n × image
+//! TxnDecide payload:     txn varint · gid varint · n varint · n × record varint · n × image
 //! ```
 //!
-//! Written: `TxnCommit`, `TxnPrepare`, control frames. The CRC-32C covers `len`, the tag and the payload (a `Compacted`
+//! Written: `TxnCommit`, `TxnPrepare`, `TxnDecide`, control frames. The CRC-32C covers `len`, the tag and the payload (a `Compacted`
 //! filler's, `len` and the tag: its padding is never trusted), and lets
 //! recovery stop cleanly at a torn final record. Varints are canonical
 //! LEB128; an image's length is the rest of the payload split evenly.
@@ -37,8 +45,11 @@
 //! gid below 2¹⁴ is 146. With bit 31 clear a frame has the older
 //! envelope, `len · tag · payload · fnv64 · len`, a fixed-width
 //! `TxnCommit` and an 8-byte filler span: it still decodes, but is never
-//! written. An older binary ends its log at the first new frame, so
-//! **downgrade is unsupported** (replication version 3).
+//! written. A frame whose checksum verifies but which does not decode
+//! came from a newer build: it fails with [`MmdbError::NewerFormat`], and
+//! recovery stops there rather than cut it off as a torn tail. A binary
+//! older than `TxnDecide` cuts its log at the first such frame, so
+//! **downgrade is unsupported** (replication version 4).
 
 use mmdb_types::{
     hash::{crc32c, crc32c_append, fnv1a},
@@ -102,9 +113,9 @@ pub enum LogRecord {
         gid: u64,
     },
     /// The coordinator's durable commit/abort decision for a global
-    /// transaction (written forced to the coordinator shard's log only).
-    /// Recovery resolves prepared branches by looking for this record;
-    /// absent a decision, presumed abort applies.
+    /// transaction (older logs only: [`LogRecord::TxnDecide`] replaces
+    /// it). Recovery resolves prepared branches by looking for a
+    /// decision; absent one, presumed abort applies.
     Decide {
         /// The global transaction id being decided.
         gid: u64,
@@ -151,6 +162,57 @@ pub enum LogRecord {
         /// Its after-images in program order, all of one length.
         writes: Vec<(RecordId, Vec<Word>)>,
     },
+    /// The coordinator's branch of a cross-shard transaction, forced once
+    /// every participant branch is prepared: it *is* the commit point.
+    /// Replay installs its images on sight, like a `TxnCommit`, and counts
+    /// it as the decision `Decide{gid, commit: true}`.
+    TxnDecide {
+        /// The coordinator's local transaction.
+        txn: TxnId,
+        /// The global transaction id shared by every participant branch.
+        gid: u64,
+        /// Its after-images in program order, all of one length.
+        writes: Vec<(RecordId, Vec<Word>)>,
+    },
+}
+
+/// Which frame [`LogRecord::encode_txn`] writes for a transaction's
+/// images: they differ only in their tag and whether a gid follows the
+/// transaction id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxnFrame {
+    /// [`LogRecord::TxnCommit`]: a whole committed transaction.
+    Commit,
+    /// [`LogRecord::TxnPrepare`]: a participant branch of global
+    /// transaction `gid`.
+    Prepare(u64),
+    /// [`LogRecord::TxnDecide`]: the coordinator's branch of global
+    /// transaction `gid`, and its commit point.
+    Decide(u64),
+}
+
+impl TxnFrame {
+    /// The global transaction id the frame carries, if any.
+    pub fn gid(self) -> Option<u64> {
+        match self {
+            TxnFrame::Commit => None,
+            TxnFrame::Prepare(gid) | TxnFrame::Decide(gid) => Some(gid),
+        }
+    }
+
+    /// Whether the frame commits its images: every kind but a prepared
+    /// branch.
+    pub fn commits(self) -> bool {
+        !matches!(self, TxnFrame::Prepare(_))
+    }
+
+    fn tag(self) -> u8 {
+        match self {
+            TxnFrame::Commit => TAG_TXN_COMMIT,
+            TxnFrame::Prepare(_) => TAG_TXN_PREPARE,
+            TxnFrame::Decide(_) => TAG_TXN_DECIDE,
+        }
+    }
 }
 
 const TAG_TXN_BEGIN: u8 = 1;
@@ -164,6 +226,7 @@ const TAG_DECIDE: u8 = 8;
 const TAG_COMPACTED: u8 = 9;
 const TAG_TXN_COMMIT: u8 = 10;
 const TAG_TXN_PREPARE: u8 = 11;
+const TAG_TXN_DECIDE: u8 = 12;
 
 /// Bit 31 of a frame's `len`: set on every frame this build writes.
 const ENVELOPE_BIT: u32 = 1 << 31;
@@ -209,7 +272,8 @@ impl LogRecord {
             | LogRecord::Abort { txn }
             | LogRecord::Prepare { txn, .. }
             | LogRecord::TxnCommit { txn, .. }
-            | LogRecord::TxnPrepare { txn, .. } => Some(*txn),
+            | LogRecord::TxnPrepare { txn, .. }
+            | LogRecord::TxnDecide { txn, .. } => Some(*txn),
             _ => None,
         }
     }
@@ -236,8 +300,8 @@ impl LogRecord {
             + n * 4 * words_per_image
     }
 
-    /// Appends the `TxnCommit` frame of `txn` to `out` — with a `gid`, the
-    /// `TxnPrepare` frame — encoded straight from borrowed images.
+    /// Appends the `kind` frame of `txn` to `out`, encoded straight from
+    /// borrowed images.
     ///
     /// # Panics
     ///
@@ -245,14 +309,14 @@ impl LogRecord {
     /// length from its size.
     pub fn encode_txn<'a>(
         txn: TxnId,
-        gid: Option<u64>,
+        kind: TxnFrame,
         writes: impl ExactSizeIterator<Item = (RecordId, &'a [Word])> + Clone,
         out: &mut Vec<u8>,
     ) {
         write_frame(out, |out| {
-            out.push(gid.map_or(TAG_TXN_COMMIT, |_| TAG_TXN_PREPARE));
+            out.push(kind.tag());
             put_varint(out, txn.raw());
-            if let Some(gid) = gid {
+            if let Some(gid) = kind.gid() {
                 put_varint(out, gid);
             }
             put_varint(out, writes.len() as u64);
@@ -291,7 +355,8 @@ impl LogRecord {
             LogRecord::Decide { .. } => 8 + 1,
             LogRecord::Compacted { span } => (*span as usize).saturating_sub(FRAME_OVERHEAD),
             LogRecord::TxnCommit { txn, writes } => txn_len(*txn, None, writes),
-            LogRecord::TxnPrepare { txn, gid, writes } => txn_len(*txn, Some(*gid), writes),
+            LogRecord::TxnPrepare { txn, gid, writes }
+            | LogRecord::TxnDecide { txn, gid, writes } => txn_len(*txn, Some(*gid), writes),
         }
     }
 
@@ -305,16 +370,17 @@ impl LogRecord {
 
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (txn, gid, writes) = match self {
-            LogRecord::TxnCommit { txn, writes } => (*txn, None, writes),
-            LogRecord::TxnPrepare { txn, gid, writes } => (*txn, Some(*gid), writes),
+        let (txn, kind, writes) = match self {
+            LogRecord::TxnCommit { txn, writes } => (*txn, TxnFrame::Commit, writes),
+            LogRecord::TxnPrepare { txn, gid, writes } => (*txn, TxnFrame::Prepare(*gid), writes),
+            LogRecord::TxnDecide { txn, gid, writes } => (*txn, TxnFrame::Decide(*gid), writes),
             _ => return self.encode_other(out),
         };
         let images = writes.iter().map(|(r, image)| (*r, image.as_slice()));
-        LogRecord::encode_txn(txn, gid, images, out);
+        LogRecord::encode_txn(txn, kind, images, out);
     }
 
-    /// Appends the frame of any record but a `TxnCommit` or `TxnPrepare`.
+    /// Appends the frame of any record but a transaction frame.
     fn encode_other(&self, out: &mut Vec<u8>) {
         write_frame(out, |out| match self {
             LogRecord::TxnBegin { txn, tau } => {
@@ -367,9 +433,9 @@ impl LogRecord {
                 out.push(TAG_COMPACTED);
                 out.resize(out.len() + *span as usize - MIN_COMPACTED_LEN, 0);
             }
-            LogRecord::TxnCommit { .. } | LogRecord::TxnPrepare { .. } => {
-                unreachable!("encode_txn")
-            }
+            LogRecord::TxnCommit { .. }
+            | LogRecord::TxnPrepare { .. }
+            | LogRecord::TxnDecide { .. } => unreachable!("encode_txn"),
         });
     }
 
@@ -432,7 +498,19 @@ impl LogRecord {
             }
             &frame[8..]
         };
+        // A whole CRC-32C frame that checksums but does not decode was
+        // written by a newer build, not torn by a crash (no newer build
+        // writes the older envelope).
+        LogRecord::decode_body(body, total, legacy).map_err(|e| match e {
+            MmdbError::Corrupt(msg) if !legacy => MmdbError::NewerFormat(msg),
+            e => e,
+        })
+    }
 
+    /// Decodes the tag and payload `body` of a `total`-byte frame whose
+    /// envelope checked out.
+    fn decode_body(body: &[u8], total: usize, legacy: bool) -> Result<(LogRecord, usize)> {
+        let corrupt = |msg: &str| MmdbError::Corrupt(format!("log record: {msg}"));
         let mut r = Reader { buf: body, pos: 1 };
         let rec = match body[0] {
             TAG_COMPACTED => {
@@ -500,9 +578,9 @@ impl LogRecord {
                 }
                 LogRecord::TxnCommit { txn, writes }
             }
-            tag @ (TAG_TXN_COMMIT | TAG_TXN_PREPARE) if !legacy => {
+            tag @ (TAG_TXN_COMMIT | TAG_TXN_PREPARE | TAG_TXN_DECIDE) if !legacy => {
                 let txn = TxnId(r.varint()?);
-                let gid = (tag == TAG_TXN_PREPARE).then(|| r.varint()).transpose()?;
+                let gid = (tag != TAG_TXN_COMMIT).then(|| r.varint()).transpose()?;
                 let n = r.varint()?;
                 // every id takes a byte: bound the allocation by the
                 // payload actually in hand
@@ -521,9 +599,10 @@ impl LogRecord {
                 let writes = (records.into_iter())
                     .map(|record| Ok((record, r.words(words)?)))
                     .collect::<Result<_>>()?;
-                match gid {
-                    None => LogRecord::TxnCommit { txn, writes },
-                    Some(gid) => LogRecord::TxnPrepare { txn, gid, writes },
+                match (tag, gid) {
+                    (TAG_TXN_DECIDE, Some(gid)) => LogRecord::TxnDecide { txn, gid, writes },
+                    (_, Some(gid)) => LogRecord::TxnPrepare { txn, gid, writes },
+                    (_, None) => LogRecord::TxnCommit { txn, writes },
                 }
             }
             t => return Err(corrupt(&format!("unknown tag {t}"))),
@@ -692,8 +771,13 @@ pub(crate) mod tests {
     /// A new-envelope frame around `body` (tag + payload), whatever it says.
     fn seal(body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, |out| out.extend_from_slice(body));
+        sealed(&mut out, body);
         out
+    }
+
+    /// Appends [`seal`]`(body)` to `out`.
+    pub(crate) fn sealed(out: &mut Vec<u8>, body: &[u8]) {
+        write_frame(out, |out| out.extend_from_slice(body));
     }
 
     fn samples() -> Vec<LogRecord> {
@@ -752,7 +836,21 @@ pub(crate) mod tests {
                 gid: u64::MAX,
                 writes: vec![],
             },
+            txn_decide(2, 4),
+            LogRecord::TxnDecide {
+                txn: TxnId(0),
+                gid: u64::MAX,
+                writes: vec![],
+            },
         ]
+    }
+
+    /// A `TxnDecide` of `n` distinct images of `words` words.
+    fn txn_decide(n: u64, words: usize) -> LogRecord {
+        let LogRecord::TxnPrepare { txn, gid, writes } = txn_prepare(n, words) else {
+            unreachable!()
+        };
+        LogRecord::TxnDecide { txn, gid, writes }
     }
 
     /// A `TxnPrepare` of `n` distinct images of `words` words.
@@ -816,6 +914,14 @@ pub(crate) mod tests {
         assert_eq!(branch.encode().len(), 146);
         assert_eq!(LogRecord::txn_len(txn, Some(1 << 13), records, 32), 146);
         assert_eq!(branch.txn(), Some(txn));
+        // the coordinator's commit point is the size of the branch frame
+        let LogRecord::TxnPrepare { txn, gid, writes } = branch else {
+            unreachable!()
+        };
+        let decide = LogRecord::TxnDecide { txn, gid, writes };
+        assert_eq!(decide.encoded_len(), 146);
+        assert_eq!(decide.encode().len(), 146);
+        assert_eq!(decide.txn(), Some(txn));
     }
 
     #[test]
@@ -837,6 +943,50 @@ pub(crate) mod tests {
             writes: vec![(RecordId(300), vec![7])],
         };
         assert_eq!(rec.encode()[8..], [11, 5, 9, 1, 0xAC, 0x02, 7, 0, 0, 0]);
+        // and the coordinator's commit point: the same under its own tag
+        let LogRecord::TxnPrepare { txn, gid, writes } = rec else {
+            unreachable!()
+        };
+        let rec = LogRecord::TxnDecide { txn, gid, writes };
+        assert_eq!(rec.encode()[8..], [12, 5, 9, 1, 0xAC, 0x02, 7, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_whole_frame_that_does_not_decode_is_from_a_newer_format() {
+        let newer = |rec: Result<(LogRecord, usize)>| matches!(rec, Err(MmdbError::NewerFormat(_)));
+        // a tag this build does not know, checksummed: a newer writer's
+        let unknown = seal(&[0xEE, 1, 2, 3]);
+        let err = LogRecord::decode(&unknown).unwrap_err();
+        assert!(
+            err.to_string().contains("frame from a newer log format"),
+            "{err}"
+        );
+        assert!(newer(LogRecord::decode_verified(&unknown)));
+        // so is a known tag whose checksummed payload does not parse
+        let mut body = LogRecord::Commit { txn: TxnId(3) }.encode()[8..].to_vec();
+        body.extend([0xAB; 4]);
+        assert!(newer(LogRecord::decode(&seal(&body))));
+        // a torn or flipped frame is corrupt, as before
+        let mut flipped = unknown.clone();
+        flipped[9] ^= 1;
+        assert!(matches!(
+            LogRecord::decode(&flipped),
+            Err(MmdbError::Corrupt(_))
+        ));
+        assert!(matches!(
+            LogRecord::decode(&unknown[..unknown.len() - 1]),
+            Err(MmdbError::Corrupt(_))
+        ));
+        // no newer build writes the older envelope: its frames stay corrupt
+        let mut old = legacy(&LogRecord::Commit { txn: TxnId(1) });
+        old[4] = 0xEE;
+        let len = old.len();
+        let sum = fnv1a(&old[4..len - 12]);
+        old[len - 12..len - 4].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            LogRecord::decode(&old),
+            Err(MmdbError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -864,8 +1014,12 @@ pub(crate) mod tests {
             LogRecord::Compacted { span: 4096 },
         ]);
         // no older binary wrote a branch as one frame
-        let (branches, older): (Vec<_>, Vec<_>) =
-            (older.into_iter()).partition(|rec| matches!(rec, LogRecord::TxnPrepare { .. }));
+        let (branches, older): (Vec<_>, Vec<_>) = (older.into_iter()).partition(|rec| {
+            matches!(
+                rec,
+                LogRecord::TxnPrepare { .. } | LogRecord::TxnDecide { .. }
+            )
+        });
         for rec in branches {
             assert!(LogRecord::decode(&legacy(&rec)).is_err(), "{rec:?}");
         }
@@ -886,6 +1040,7 @@ pub(crate) mod tests {
         for enc in [
             txn_commit(3, 4).encode(),
             txn_prepare(1, 32).encode(),
+            txn_decide(1, 32).encode(),
             LogRecord::Compacted { span: 9 }.encode(),
             legacy(&txn_commit(2, 3)),
         ] {
@@ -1062,6 +1217,7 @@ pub(crate) mod tests {
         };
         assert_eq!(decide.txn(), None);
         assert_eq!(txn_prepare(1, 1).txn(), Some(TxnId(42)));
+        assert_eq!(txn_decide(1, 1).txn(), Some(TxnId(42)));
         assert_eq!(LogRecord::Compacted { span: 64 }.txn(), None);
     }
 

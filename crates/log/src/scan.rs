@@ -8,8 +8,12 @@
 //! first remembers, at each marker, where its replay would start.
 //!
 //! Scanning tolerates a torn final flush: the log is walked forward and
-//! the first undecodable frame is the end of the durable log. Everything
-//! before it is intact (each frame is checksummed). [`LogStream`] is the
+//! the first torn or corrupt frame is the end of the durable log.
+//! Everything before it is intact (each frame is checksummed). A whole
+//! frame that checksums but does not decode is not an end: a newer build
+//! wrote it, and every pass fails there with
+//! [`MmdbError::NewerFormat`] rather than drop it and the commits after
+//! it. [`LogStream`] is the
 //! one reader: of a device, or of a standby's pulled batch at its base
 //! LSN, through one reused window, so a pass costs a window of memory
 //! however long the log is. Recovery reads a device twice:
@@ -50,7 +54,9 @@ pub enum Stop {
     /// Inside a frame the input ends before: a device's torn tail, or a
     /// frame the next pulled batch completes.
     Cut,
-    /// At a whole frame that does not decode: the log ends here.
+    /// At a whole frame that fails its checks: the log ends here. (A
+    /// whole frame that checksums but does not decode ends no log: the
+    /// pass fails with [`MmdbError::NewerFormat`] instead.)
     Bad(MmdbError),
 }
 
@@ -131,7 +137,8 @@ impl LogWindow {
             }
             LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
-            | LogRecord::TxnCommit { txn, .. } => {
+            | LogRecord::TxnCommit { txn, .. }
+            | LogRecord::TxnDecide { txn, .. } => {
                 begins.remove(txn);
             }
             LogRecord::BeginCheckpoint { ckpt, tau, active } => {
@@ -272,6 +279,11 @@ impl<'a> LogStream<'a> {
                     continue;
                 }
                 Err(Stop::Cut) => {}
+                // whole and checksummed: the log does not end here
+                Err(Stop::Bad(MmdbError::NewerFormat(msg))) => {
+                    let at = at + pos as u64;
+                    return Err(MmdbError::NewerFormat(format!("log frame at {at}: {msg}")));
+                }
                 Err(stop) => break (at + pos as u64, stop),
             }
             // carry the cut frame's head to the front, read on
@@ -363,14 +375,16 @@ mod tests {
 
     /// The frames of `records`, every other one in the older envelope: a
     /// log an older binary began and this one carried on. A `TxnPrepare`
-    /// has only the new one.
+    /// or `TxnDecide` has only the new one.
     fn build(records: &[LogRecord]) -> (Vec<u8>, Vec<Lsn>) {
         let mut buf = Vec::new();
         let mut lsns = Vec::new();
         for (i, r) in records.iter().enumerate() {
             lsns.push(Lsn(buf.len() as u64));
             match (i % 2, r) {
-                (0, _) | (_, LogRecord::TxnPrepare { .. }) => r.encode_into(&mut buf),
+                (0, _) | (_, LogRecord::TxnPrepare { .. } | LogRecord::TxnDecide { .. }) => {
+                    r.encode_into(&mut buf)
+                }
                 _ => buf.extend_from_slice(&legacy(r)),
             }
         }
@@ -665,7 +679,8 @@ mod tests {
                     LogRecord::TxnBegin { .. } | LogRecord::TxnPrepare { .. } => Some(*lsn),
                     LogRecord::Commit { .. }
                     | LogRecord::Abort { .. }
-                    | LogRecord::TxnCommit { .. } => None,
+                    | LogRecord::TxnCommit { .. }
+                    | LogRecord::TxnDecide { .. } => None,
                     _ => begin,
                 })
             };
@@ -903,6 +918,58 @@ mod tests {
             step(&buf[intact as usize..], true),
             Err(Stop::Bad(_))
         ));
+    }
+
+    #[test]
+    fn a_newer_frame_fails_every_pass_instead_of_ending_the_log() {
+        let (mut buf, _) = build(&sample_log());
+        let at = buf.len();
+        // a frame of a tag this build does not know, checksummed as a
+        // newer writer would, then one more commit behind it
+        crate::record::tests::sealed(&mut buf, &[0xEE, 1, 2, 3]);
+        LogRecord::Commit { txn: TxnId(1) }.encode_into(&mut buf);
+        let mut dev = crate::MemLogDevice::new();
+        dev.append(&buf).unwrap();
+        for window in [7, 64, STREAM_WINDOW_BYTES] {
+            let mut stream = LogStream::with_window(Source::Device(&mut dev), window);
+            let err = stream.validate(|_, _, _| {}).unwrap_err();
+            assert!(matches!(err, MmdbError::NewerFormat(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("log frame at {at}")),
+                "{err}"
+            );
+            let err = stream.read(Lsn::ZERO, |_, _, _| Ok(())).unwrap_err();
+            assert!(matches!(err, MmdbError::NewerFormat(_)), "{err}");
+        }
+        let mut batch = LogStream::over(Lsn::ZERO, &buf);
+        assert!(matches!(
+            batch.read(Lsn::ZERO, |_, _, _| Ok(())),
+            Err(MmdbError::NewerFormat(_))
+        ));
+    }
+
+    #[test]
+    fn a_commit_point_frame_is_an_outcome_of_its_id() {
+        let recs = vec![
+            LogRecord::TxnBegin {
+                txn: TxnId(3),
+                tau: Timestamp(1),
+            },
+            LogRecord::TxnDecide {
+                txn: TxnId(3),
+                gid: 8,
+                writes: vec![(RecordId(1), vec![5])],
+            },
+            LogRecord::BeginCheckpoint {
+                ckpt: CheckpointId(1),
+                tau: Timestamp(2),
+                active: vec![TxnId(3)],
+            },
+        ];
+        let (buf, lsns) = build(&recs);
+        let (window, frames) = scan(&buf);
+        assert_eq!(frames.len(), 3);
+        assert_eq!(window.checkpoint_mark(CheckpointId(1)).unwrap().1, lsns[2]);
     }
 
     #[test]

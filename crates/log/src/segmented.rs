@@ -33,6 +33,7 @@ use crate::device::{ChunkInfo, LogDevice};
 use mmdb_types::{lz, MmdbError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Default chunk size: 1 MiB.
@@ -286,8 +287,8 @@ impl LogDevice for SegmentedLogDevice {
             let (now, rest) = bytes.split_at(take);
             let last = self.chunks.last_mut().expect("active chunk exists");
             let file = self.active.as_mut().expect("active file open");
-            file.seek(SeekFrom::Start(last.len))?;
-            file.write_all(now)?;
+            // one positional write: no seek syscall ahead of it
+            file.write_all_at(now, last.len)?;
             if self.sync_on_append {
                 file.sync_data()?;
             }

@@ -38,15 +38,16 @@ use mmdb_obs::Obs;
 use mmdb_storage::Storage;
 use mmdb_types::{CheckpointId, CostMeter, DiskParams, Lsn, RecordId, Result, TxnId, Word};
 
-/// A transaction branch left *in doubt* by the crash: its updates and its
-/// `Prepare` record are durable in the log, but neither a `Commit` nor an
-/// `Abort` follows. Under the sharded engine's two-phase commit the
-/// outcome belongs to the coordinator shard's log (`Decide` record);
+/// A transaction branch left *in doubt* by the crash: its `TxnPrepare`
+/// frame (an older log's updates and `Prepare`) is durable in the log,
+/// but neither a `Commit` nor an `Abort` follows. Under the sharded
+/// engine's two-phase commit the outcome belongs to the coordinator
+/// shard's log (its `TxnDecide` frame, or an older log's `Decide`);
 /// recovery surfaces the branch so the coordinator can resolve it —
 /// presumed abort when no commit decision exists anywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InDoubtTxn {
-    /// The global transaction id from the `Prepare` record.
+    /// The global transaction id from the branch's `TxnPrepare` frame.
     pub gid: u64,
     /// The local (per-shard) transaction id.
     pub txn: TxnId,
@@ -94,7 +95,7 @@ pub struct RecoveryReport {
     /// `(gid, commit)` pairs.
     pub decisions: Vec<(u64, bool)>,
     /// Highest global transaction id seen in the replayed window (from
-    /// `Prepare` and `Decide` records); the sharded engine seeds its gid
+    /// branch and decision frames); the sharded engine seeds its gid
     /// counter above this so resurrected gids can never collide.
     pub max_gid: u64,
 }
@@ -548,6 +549,51 @@ mod tests {
         assert!(report.in_doubt.is_empty());
         assert_eq!(report.decisions, vec![(7, true)]);
         assert_eq!(report.max_gid, 7);
+    }
+
+    #[test]
+    fn a_commit_point_frame_installs_on_sight_and_is_the_decision() {
+        let mut m = Mini::new(Algorithm::FuzzyCopy);
+        m.txn(&[0], 1);
+        m.checkpoint();
+        let consistent = m.storage.fingerprint();
+
+        // a participant branch prepared on this log, then the
+        // coordinator's own branch as the commit point of the same gid
+        let (branch, coordinator) = (TxnId(8890), TxnId(8891));
+        m.log
+            .append_forced(&LogRecord::TxnPrepare {
+                txn: branch,
+                gid: 12,
+                writes: vec![(RecordId(302), vec![4u32; 32])],
+            })
+            .unwrap();
+        let tau = m.tau();
+        let value = vec![9u32; 32];
+        m.log.append(&LogRecord::TxnDecide {
+            txn: coordinator,
+            gid: 12,
+            writes: vec![(RecordId(303), value.clone())],
+        });
+        let end = m.log.next_lsn();
+        m.log.force().unwrap();
+        m.storage
+            .install_record(RecordId(303), &value, end, tau, &m.meter)
+            .unwrap();
+        assert_ne!(m.storage.fingerprint(), consistent);
+
+        let pre_crash = m.storage.fingerprint();
+        let (report, recovered) = m.crash_and_recover();
+        assert_eq!(recovered.fingerprint(), pre_crash, "installed on sight");
+        assert_eq!(report.txns_replayed, 1);
+        assert_eq!(report.decisions, vec![(12, true)]);
+        assert_eq!(report.max_gid, 12);
+        // the participant waits for the pooled decision, not installed
+        assert_eq!(report.in_doubt.len(), 1);
+        assert_eq!(
+            (report.in_doubt[0].gid, report.in_doubt[0].txn),
+            (12, branch)
+        );
     }
 
     #[test]

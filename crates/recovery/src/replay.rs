@@ -3,14 +3,16 @@
 //! Three pieces live here and nowhere else:
 //!
 //! * [`Resolver`] — the only commit-resolution state machine. A
-//!   `TxnCommit` installs on sight. A transaction that logs its writes
-//!   ahead of its outcome (a prepared branch; every transaction of a log
-//!   older than `TxnCommit`) is staged under the LSN it was first seen at
-//!   and installs at its own `Commit` frame, or drops at its `Abort`.
-//!   `TxnPrepare` (an older log's `Prepare`) parks a branch, `Decide` is
-//!   remembered, and whatever is still parked at the end of the stream is
-//!   *in doubt* (presumed abort unless a coordinator decision says
-//!   otherwise). Crash recovery drives one over its replay window; the
+//!   `TxnCommit` installs on sight, and so does a `TxnDecide`: the
+//!   coordinator's branch of a cross-shard transaction, whose frame is
+//!   also that transaction's commit decision. A transaction that logs its
+//!   writes ahead of its outcome (a participant branch; every transaction
+//!   of a log older than `TxnCommit`) is staged under the LSN it was
+//!   first seen at and installs at its own `Commit` frame, or drops at
+//!   its `Abort`. `TxnPrepare` (an older log's `Prepare`) parks a branch,
+//!   decisions (`TxnDecide`, an older log's `Decide`) are remembered, and
+//!   whatever is still parked at the end of the stream is *in doubt*
+//!   (presumed abort unless a coordinator decision says otherwise). Crash recovery drives one over its replay window; the
 //!   standby (`mmdb-repl`) drives one per shard stream and holds its
 //!   persisted progress back to [`Resolver::first_lsn`].
 //! * [`replay_frames`] — the one replay loop, the only code that feeds a
@@ -59,12 +61,17 @@ pub struct Resolver {
 impl Resolver {
     /// Feeds the record at `lsn`. A commit returns the transaction's
     /// writes, to be installed now: install order is commit order. A
-    /// `TxnCommit` is its own outcome and is never staged; a staged
+    /// `TxnCommit` or `TxnDecide` is its own outcome and is never staged
+    /// (a `TxnDecide` is also the decision for its gid); a staged
     /// transaction (a prepared branch included) installs at its own
     /// `Commit` frame and nowhere else.
     fn feed(&mut self, lsn: Lsn, rec: LogRecord) -> Vec<Write> {
         let (txn, writes) = match rec {
             LogRecord::TxnCommit { txn, writes } => (txn, writes),
+            LogRecord::TxnDecide { txn, gid, writes } => {
+                self.decide(gid, true);
+                (txn, writes)
+            }
             LogRecord::Commit { txn } => (
                 txn,
                 self.staged.remove(&txn).map_or_else(Vec::new, |(_, w)| w),
@@ -106,12 +113,14 @@ impl Resolver {
                 self.park(txn, gid);
             }
             LogRecord::Prepare { txn, gid } => self.park(txn, gid),
-            LogRecord::Decide { gid, commit } => {
-                self.decided.insert(gid, commit);
-                self.max_gid = self.max_gid.max(gid);
-            }
+            LogRecord::Decide { gid, commit } => self.decide(gid, commit),
             _ => {}
         }
+    }
+
+    fn decide(&mut self, gid: u64, commit: bool) {
+        self.decided.insert(gid, commit);
+        self.max_gid = self.max_gid.max(gid);
     }
 
     fn park(&mut self, txn: TxnId, gid: u64) {

@@ -74,6 +74,7 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
                     LogRecord::Commit { .. }
                         | LogRecord::Abort { .. }
                         | LogRecord::TxnCommit { .. }
+                        | LogRecord::TxnDecide { .. }
                 )
             };
             let ours = recs[..=last].iter().enumerate().rev();
@@ -87,7 +88,8 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
     let window = &recs[start..];
 
     // per transaction: the updates since its last begin or outcome, and
-    // its parking; a `TxnCommit` is a commit of exactly its own writes
+    // its parking; a `TxnCommit` is a commit of exactly its own writes,
+    // and so is a `TxnDecide`, which is also the decision for its gid
     let mut image = backup_image(db);
     let mut commits: Vec<(u64, Vec<(RecordId, Vec<Word>)>)> = Vec::new();
     let mut open: BTreeMap<TxnId, Vec<(RecordId, Vec<Word>)>> = BTreeMap::new();
@@ -99,6 +101,12 @@ fn reference(db: &DbParams, log: &[u8]) -> Option<Expected> {
             LogRecord::TxnCommit { txn, writes } => {
                 commits.push((*lsn, writes.clone()));
                 parked.remove(txn);
+            }
+            LogRecord::TxnDecide { txn, gid, writes } => {
+                commits.push((*lsn, writes.clone()));
+                parked.remove(txn);
+                decisions.insert(*gid, true);
+                max_gid = max_gid.max(*gid);
             }
             LogRecord::TxnBegin { txn, .. } => {
                 open.insert(*txn, Vec::new());
@@ -206,6 +214,9 @@ enum Step {
     Txn(u64, Vec<(u64, Word)>),
     /// A whole prepared branch in one `TxnPrepare` frame: txn, gid, writes.
     Branch(u64, u64, Vec<(u64, Word)>),
+    /// A coordinator's branch in one `TxnDecide` frame, the commit point
+    /// of its gid: txn, gid, writes.
+    Point(u64, u64, Vec<(u64, Word)>),
     Begin(u64),
     Update(u64, u64, Word),
     Commit(u64),
@@ -228,6 +239,11 @@ fn encode(steps: &[Step], out: &mut Vec<u8>) {
                 writes: images(writes),
             },
             Step::Branch(t, gid, ref writes) => LogRecord::TxnPrepare {
+                txn: TxnId(t),
+                gid,
+                writes: images(writes),
+            },
+            Step::Point(t, gid, ref writes) => LogRecord::TxnDecide {
                 txn: TxnId(t),
                 gid,
                 writes: images(writes),
@@ -428,6 +444,37 @@ fn branches_of_both_shapes_reuse_ids_and_stay_in_doubt() {
 }
 
 #[test]
+fn a_commit_point_installs_its_writes_and_decides_its_gid() {
+    // A participant branch of gid 4 prepares before the marker, which
+    // lists it; the coordinator's commit point of gid 4 follows, then the
+    // participant's own commit. A second branch of gid 5 has a commit
+    // point but no commit of its own: it stays in doubt for the pool,
+    // which finds the decision beside it. A third, gid 6, has an older
+    // log's explicit abort decision and no outcome.
+    let before = [Step::Branch(1, 4, vec![(20, 1)])];
+    let after = [
+        Step::Point(2, 4, vec![(21, 2), (22, 2)]),
+        Step::Commit(1),
+        Step::Branch(3, 5, vec![(23, 3)]),
+        Step::Point(4, 5, vec![(24, 4)]),
+        Step::Branch(0, 6, vec![(25, 5)]),
+        Step::Decide(6, false),
+    ];
+    let (log, _) = crashed_log(&before, &[1], &after);
+    let want = check(&log).unwrap();
+    assert_eq!(want.replay_start, Lsn::ZERO, "the participant opens replay");
+    assert_eq!((want.txns_replayed, want.txns_discarded), (3, 0));
+    assert_eq!(want.decisions, [(4, true), (5, true), (6, false)]);
+    assert_eq!(want.max_gid, 6);
+    let in_doubt: Vec<_> = (want.in_doubt.iter()).map(|t| (t.gid, t.txn)).collect();
+    assert_eq!(in_doubt, [(5, TxnId(3)), (6, TxnId(0))]);
+    let (_, storage) = recover(Params::small().db, &log).unwrap();
+    for (rid, fill) in [(20, 1), (21, 2), (22, 2), (24, 4)] {
+        assert_eq!(storage.read_record(RecordId(rid)).unwrap()[0], fill);
+    }
+}
+
+#[test]
 fn torn_txn_commit_is_no_transaction_at_all() {
     // every cut inside the frame: the transaction before it survives, no
     // part of the torn one is installed or counted
@@ -454,7 +501,9 @@ fn open_ids(before: &[Step]) -> Vec<u64> {
     for step in before {
         match *step {
             Step::Begin(t) | Step::Branch(t, ..) => open.insert(t, true),
-            Step::Txn(t, _) | Step::Commit(t) | Step::Abort(t) => open.insert(t, false),
+            Step::Txn(t, _) | Step::Point(t, ..) | Step::Commit(t) | Step::Abort(t) => {
+                open.insert(t, false)
+            }
             _ => None,
         };
     }
@@ -487,6 +536,7 @@ fn nearest_begin(before: &[Step], active: &[u64]) -> Lsn {
 fn step_strategy() -> impl Strategy<Value = Step> {
     let n_records = Params::small().db.n_records();
     let write = (0..n_records, any::<Word>());
+    let write_point = write.clone();
     prop_oneof![
         4 => (0u64..5, proptest::collection::vec(write.clone(), 0..4)).prop_map(|(t, w)| Step::Txn(t, w)),
         // a one-frame branch, under an id an older-shape one may hold
@@ -500,6 +550,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => (0u64..5).prop_map(Step::Abort),
         2 => (0u64..5, 1u64..4).prop_map(|(t, g)| Step::Prepare(t, g)),
         1 => (1u64..4, any::<bool>()).prop_map(|(g, c)| Step::Decide(g, c)),
+        // the coordinator's commit point of a gid a branch may hold
+        2 => (0u64..5, 1u64..4, proptest::collection::vec(write_point, 0..4))
+            .prop_map(|(t, g, w)| Step::Point(t, g, w)),
     ]
 }
 
@@ -507,8 +560,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Arbitrary interleavings — well-formed or not — of `TxnCommit`
-    /// transactions, old-frame transactions and prepared branches of
-    /// both shapes around
+    /// transactions, old-frame transactions, prepared branches of both
+    /// shapes and commit points of both shapes (`TxnDecide`, `Decide`)
+    /// around
     /// a marker with an arbitrary active list, optionally damaged past
     /// the marker.
     #[test]

@@ -47,11 +47,13 @@ const MAX_REPL_SCAN_IDS: u64 = 64 * 1024;
 /// `(start, durable)` log LSNs.
 pub fn serve_hello(db: &ShardedMmdb, ver_min: u8, ver_max: u8) -> Result<ReplWelcome> {
     // A version-1 standby reads this primary's CRC-32C frames as corrupt,
-    // a version-2 one its `TxnPrepare` frames: it speaks only the newest.
+    // a version-2 one its `TxnPrepare` frames, a version-3 one its
+    // `TxnDecide` frames: it speaks only the newest.
     if !(ver_min..=ver_max).contains(&REPL_VERSION) {
         return Err(MmdbError::Invalid(format!(
             "no common replication version: standby speaks {ver_min}..={ver_max}, this \
-             primary only {REPL_VERSION} (it ships TxnPrepare frames, CRC-32C log frame format)"
+             primary only {REPL_VERSION} (it ships TxnDecide commit-point frames, TxnPrepare \
+             frames, CRC-32C log frame format)"
         )));
     }
     db.enable_repl_slots();
@@ -196,6 +198,10 @@ mod tests {
         // corrupt and stall there
         let two = serve_hello(&db, 1, 2).expect_err("version 2 refused");
         assert!(two.to_string().contains("TxnPrepare"), "{two}");
+        // a version-3 standby would stop at the first commit point, a
+        // frame it cannot decode
+        let three = serve_hello(&db, 1, 3).expect_err("version 3 refused");
+        assert!(three.to_string().contains("TxnDecide"), "{three}");
         assert!(!db.repl_gate().is_engaged(), "a refusal engages nothing");
     }
 

@@ -13,11 +13,11 @@
 //! Commit resolution is crash recovery's, loop and all: each pulled
 //! batch runs through [`replay_frames`] into its shard's own
 //! [`Resolver`], and the after-images it hands back install on that
-//! shard, in commit order. A `TxnCommit` frame installs on sight; a
-//! cross-shard branch installs at its own `Commit` frame on its own
-//! shard — as on the primary and in recovery — so every install lands
-//! on the shard being pulled, and that batch's force covers it before
-//! the watermark moves.
+//! shard, in commit order. A `TxnCommit` frame installs on sight, and so
+//! does the coordinator's `TxnDecide` frame; a participant branch
+//! installs at its own `Commit` frame on its own shard — as on the
+//! primary and in recovery — so every install lands on the shard being
+//! pulled, and that batch's force covers it before the watermark moves.
 //!
 //! The applied positions live in the *primary's* LSN space and are
 //! persisted (with the coordinator decisions seen so far) to
@@ -29,8 +29,10 @@
 //! resolver's [`first_lsn`](Resolver::first_lsn): a branch logs its
 //! after-images ahead of its outcome, and until then they exist only in
 //! this process, so a restart re-pulls the frames that rebuild them. The
-//! decision, which the primary forces on a *different* shard's log, is
-//! replayed from the persisted map instead.
+//! decision — the coordinator's `TxnDecide` frame (an older primary's
+//! `Decide`), which the primary forces on a *different* shard's log and
+//! which installs on sight, so it holds nothing back — is replayed from
+//! the persisted map instead.
 //!
 //! [`promote`] finishes every shard's resolver the way sharded crash
 //! recovery finishes its reports: a branch still prepared commits if any
@@ -69,7 +71,7 @@ struct Replay {
     /// One resolver per shard stream.
     streams: Vec<Resolver>,
     /// `gid` → decided outcome, as `repl.state` held it at start: a
-    /// restarted stream may never carry these `Decide`s again (the
+    /// restarted stream may never carry these decisions again (the
     /// watermark that persisted them is past them).
     loaded: HashMap<u64, bool>,
 }
@@ -679,7 +681,7 @@ mod tests {
                 .run_txn(&[(RecordId(i % primary.n_records()), vec![i as u32; words])])
                 .expect("txn");
         }
-        // a cross-shard transaction exercises Prepare/Decide replay
+        // a cross-shard transaction exercises TxnPrepare/TxnDecide replay
         primary
             .run_txn(&[
                 (RecordId(0), vec![0xAAAA; words]),
@@ -978,19 +980,36 @@ mod tests {
 
     /// A 2-shard standby whose shard 1 stream ends with a prepared
     /// branch writing local record 3 (global 7) and no `Commit`; shard 0
-    /// carries `decision` for it, if any; with `older` the branch has an
-    /// older primary's shape. Returns global record 7 after [`promote`].
+    /// carries `decision` for it, if any: a commit as the coordinator's
+    /// `TxnDecide` frame writing local record 4 (global 8), which
+    /// installs on sight; with `older` the decision is a `Decide` frame
+    /// and the branch has an older primary's shape. Returns global record
+    /// 7 after [`promote`].
     fn promote_over_a_prepared_branch(older: bool, decision: Option<bool>) -> Vec<Word> {
         use mmdb_core::LogRecord;
+        use mmdb_types::TxnId;
         let cfg = MmdbConfig::small(Algorithm::FuzzyCopy);
         let standby = ShardedMmdb::open_in_memory(cfg, 2).expect("standby");
         let words = standby.record_words();
         let replica = Replica::new("unused".into(), &standby, None);
         if let Some(commit) = decision {
-            let decide = frames(&[LogRecord::Decide { gid: 5, commit }]);
+            let decide = match (commit, older) {
+                (true, false) => LogRecord::TxnDecide {
+                    txn: TxnId(1),
+                    gid: 5,
+                    writes: vec![(RecordId(4), vec![9; words])],
+                },
+                _ => LogRecord::Decide { gid: 5, commit },
+            };
+            let point = matches!(decide, LogRecord::TxnDecide { .. });
             replica
-                .apply_batch(&standby, 0, 0, &decide)
+                .apply_batch(&standby, 0, 0, &frames(&[decide]))
                 .expect("decide");
+            assert_eq!(
+                standby.read_committed(RecordId(8)).expect("read") == vec![9; words],
+                point,
+                "the commit point installs on sight"
+            );
         }
         let branch = prepared_branch(older, 2, 5, RecordId(3), vec![8; words]);
         replica

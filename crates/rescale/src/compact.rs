@@ -22,12 +22,14 @@
 //! Every other frame survives verbatim: control frames (checkpoint
 //! markers, prepare/decide), cross-shard branches — their `TxnPrepare`
 //! frames, or an older log's begin/update/prepare runs, and their
-//! commit/abort, whether committed, aborted or in doubt — the
-//! transactions of logs written before `TxnCommit` existed, and any frame
-//! that crosses a chunk boundary (filler never spans chunks — chunk
-//! rewrites are atomic per chunk). A branch's writes never count as
-//! superseding a `TxnCommit` write, so whichever of the two commits last
-//! still replays last.
+//! commit/abort, whether committed, aborted or in doubt — a coordinator's
+//! `TxnDecide` frame, which is also the decision its participants'
+//! recovery needs, the transactions of logs written before `TxnCommit`
+//! existed, and any frame that crosses a chunk boundary (filler never
+//! spans chunks — chunk rewrites are atomic per chunk). A branch's
+//! writes, a `TxnDecide`'s included, never count as superseding a
+//! `TxnCommit` write, so whichever of the two commits last still replays
+//! last.
 //!
 //! **Eligibility:** only *cold* chunks (not the active tail) that lie
 //! entirely below every pin — the replication truncation pins of
@@ -46,7 +48,7 @@
 //! droppable, and filler runs full of zeros make compressed chunks
 //! dramatically smaller.
 
-use mmdb_log::{LogDevice, LogRecord, LogStream, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
+use mmdb_log::{LogDevice, LogRecord, LogStream, TxnFrame, MAX_TXN_FRAME_BYTES, MIN_COMPACTED_LEN};
 use mmdb_obs::Obs;
 use mmdb_types::{MmdbError, RecordId, Result};
 use std::collections::{HashMap, HashSet};
@@ -167,7 +169,7 @@ pub fn compact_device(
                         // winning writes — when the bytes it frees make
                         // a filler
                         frame.clear();
-                        LogRecord::encode_txn(txn, None, kept.into_iter(), &mut frame);
+                        LogRecord::encode_txn(txn, TxnFrame::Commit, kept.into_iter(), &mut frame);
                         match used - frame.len() {
                             freed if freed >= MIN_COMPACTED_LEN => {
                                 buf[rel..rel + frame.len()].copy_from_slice(&frame);

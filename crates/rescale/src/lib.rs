@@ -49,7 +49,9 @@ pub fn recover_parallel(
 mod tests {
     use super::*;
     use mmdb_disk::MemBackup;
-    use mmdb_log::{LogManager, LogRecord, LogStream, LogWindow, MemLogDevice, SegmentedLogDevice};
+    use mmdb_log::{
+        LogManager, LogRecord, LogStream, LogWindow, MemLogDevice, SegmentedLogDevice, TxnFrame,
+    };
     use mmdb_recovery::recover;
     use mmdb_types::{
         Algorithm, CkptMode, CostParams, LogMode, Lsn, Params, RecordId, Timestamp, TxnId,
@@ -178,7 +180,7 @@ mod tests {
             if !older {
                 let image = vec![fill; s_rec];
                 let writes = records.iter().map(|&rid| (RecordId(rid), &image[..]));
-                self.log.append_txn(txn, Some(gid), writes);
+                self.log.append_txn(txn, TxnFrame::Prepare(gid), writes);
                 self.log.force().unwrap();
                 return txn;
             }
@@ -662,10 +664,10 @@ mod tests {
         let image = &[7u32; 32][..];
         let writes = |t: u64| (0..16u32).map(move |k| (RecordId(t % 4 * 16 + u64::from(k)), image));
         for t in 0..1_500 {
-            log.append_txn(TxnId(t + 1), None, writes(t));
+            log.append_txn(TxnId(t + 1), TxnFrame::Commit, writes(t));
         }
         log.rotate().unwrap();
-        log.append_txn(TxnId(9_999), None, writes(0));
+        log.append_txn(TxnId(9_999), TxnFrame::Commit, writes(0));
         log.force().unwrap();
         let log_len = log.device_mut().len();
         assert!(log_len > 2 << 20, "a {log_len}-byte log is too short");
@@ -703,7 +705,7 @@ mod tests {
             let frame = writes.iter().zip(&images);
             self.log.append_txn(
                 TxnId(self.next_txn),
-                None,
+                TxnFrame::Commit,
                 frame.map(|(&(rid, _), image)| (RecordId(rid), &image[..])),
             );
             self.log.force().unwrap();
@@ -872,7 +874,7 @@ mod tests {
         let image = [9u32];
         let frame = |log: &mut LogManager, records: &[u64]| {
             let writes = records.iter().map(|&r| (RecordId(r), &image[..]));
-            log.append_txn(TxnId(1), None, writes)
+            log.append_txn(TxnId(1), TxnFrame::Commit, writes)
         };
         let one_lost = frame(&mut log, &[1, 10]);
         let two_lost = frame(&mut log, &[1, 2, 11]);

@@ -339,7 +339,9 @@ fn error_response(e: &MmdbError) -> Response {
         MmdbError::RecordOutOfRange { .. } | MmdbError::SegmentOutOfRange { .. } => {
             ErrorCode::OutOfRange
         }
-        MmdbError::Corrupt(_) | MmdbError::NoCompleteBackup => ErrorCode::Corrupt,
+        MmdbError::Corrupt(_) | MmdbError::NewerFormat(_) | MmdbError::NoCompleteBackup => {
+            ErrorCode::Corrupt
+        }
         MmdbError::Io(_) => ErrorCode::Io,
         MmdbError::NoSuchTxn(_)
         | MmdbError::BadRecordSize { .. }

@@ -245,6 +245,19 @@ fn version_negotiation_is_in_protocol_and_picks_the_newest_common() {
         }
         other => panic!("a version-2 standby must be refused, got {other:?}"),
     }
+    // ... and so is a version-3 one, which would stop at the first
+    // `TxnDecide` frame
+    let version_three = Request::ReplHello {
+        ver_min: 1,
+        ver_max: 3,
+    };
+    match c.request(&version_three) {
+        Err(WireError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Invalid);
+            assert!(message.contains("TxnDecide"), "{message}");
+        }
+        other => panic!("a version-3 standby must be refused, got {other:?}"),
+    }
     // ... and an inverted range is malformed, same structured refusal
     let inverted = Request::ReplHello {
         ver_min: REPL_VERSION,

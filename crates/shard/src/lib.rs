@@ -36,12 +36,15 @@
 //!   transaction on it. Shards never interact.
 //! * **cross-shard**: acquire the participating shard locks in
 //!   ascending index order (deadlock-free), then run two-phase commit
-//!   over the per-shard logs: prepare every branch (one forced
-//!   `TxnPrepare` frame), force a `Decide` record on the lowest participating shard
-//!   (the commit point), commit every prepared branch, release the
-//!   locks in reverse order. No torn cross-shard state is ever logged:
-//!   until the decision is durable, every branch is in-doubt and
-//!   recovery resolves it by presumed abort.
+//!   over the per-shard logs with the lowest participating shard as the
+//!   coordinator and last agent: prepare every other branch (one forced
+//!   `TxnPrepare` frame each), force the coordinator's own branch as one
+//!   `TxnDecide` frame (the commit point: its writes and the decision in
+//!   one force), commit every prepared branch, release the locks in
+//!   reverse order — three forces for two shards. No torn cross-shard
+//!   state is ever logged: until the commit point is durable, every
+//!   prepared branch is in doubt and recovery resolves it by presumed
+//!   abort.
 //!
 //! ## Group commit
 //!
@@ -60,9 +63,10 @@
 //! ## Recovery
 //!
 //! [`ShardedMmdb::open_dir`] replays all shard logs in parallel (one
-//! thread per shard), pools the `Decide` records every shard saw, and
-//! resolves each in-doubt prepared branch: commit if *any* shard's log
-//! window carries `Decide{gid, commit: true}`, otherwise presumed
+//! thread per shard), pools the decisions every shard saw (each
+//! coordinator's `TxnDecide` frame, an older log's `Decide` records),
+//! and resolves each in-doubt prepared branch: commit if *any* shard's
+//! log window carries a commit decision for its gid, otherwise presumed
 //! abort. Resolution re-installs the branch's after-images as a fresh
 //! committed transaction, which is idempotent across repeated crashes.
 
@@ -124,8 +128,9 @@ pub fn shard_config(global: &MmdbConfig, shards: usize) -> MmdbConfig {
 }
 
 /// Pools two-phase-commit decisions read from several shard logs: a gid
-/// is committed if any log carries `Decide{gid, commit: true}`. A branch
-/// whose gid maps to `false`, or is absent, is presumed aborted.
+/// is committed if any log carries its commit point (a `TxnDecide`
+/// frame, or an older log's `Decide{gid, commit: true}`). A branch whose
+/// gid maps to `false`, or is absent, is presumed aborted.
 pub fn pool_decisions(decisions: impl IntoIterator<Item = (u64, bool)>) -> HashMap<u64, bool> {
     let mut pooled = HashMap::new();
     for (gid, commit) in decisions {
@@ -141,8 +146,8 @@ pub struct ShardedRecovery {
     /// Per-shard engine recovery reports (`None` for a freshly created
     /// shard with no backup yet).
     pub shards: Vec<Option<RecoveryReport>>,
-    /// In-doubt prepared branches resolved as committed (a `Decide`
-    /// record with `commit: true` was found on some shard's log).
+    /// In-doubt prepared branches resolved as committed (some shard's log
+    /// carried a commit decision for the branch's gid).
     pub in_doubt_committed: u64,
     /// In-doubt prepared branches resolved by presumed abort.
     pub in_doubt_aborted: u64,
@@ -564,7 +569,7 @@ pub struct ShardedMmdb {
     n_records: u64,
     record_words: usize,
     /// Global-transaction-id source for cross-shard 2PC (`gid` in the
-    /// log's `TxnPrepare`/`Decide` records). Seeded past every gid seen in
+    /// log's `TxnPrepare`/`TxnDecide` frames). Seeded past every gid seen in
     /// any shard's recovery window, so decisions are never confused
     /// across incarnations.
     next_gid: AtomicU64,
@@ -749,8 +754,8 @@ impl ShardedMmdb {
 
     /// Pools decision records across every shard's recovery window and
     /// finishes each in-doubt prepared branch under its own id, forced,
-    /// before the shard serves: committed if some shard saw
-    /// `Decide{gid, commit: true}`, otherwise presumed aborted
+    /// before the shard serves: committed if some shard saw a commit
+    /// decision for its gid, otherwise presumed aborted
     /// ([`Mmdb::resolve_in_doubt`]). The logged outcome is what keeps a
     /// second recovery over the same window from finding the branch in
     /// doubt again.
@@ -1104,7 +1109,7 @@ impl ShardedMmdb {
                 )));
             }
             // A fresh gid per attempt: an aborted attempt's TxnPrepare
-            // frames must never alias a later attempt's decision.
+            // frames must never alias a later attempt's commit point.
             let gid = self.next_gid.fetch_add(1, Ordering::SeqCst);
             match self.try_cross_once(gid, by_shard) {
                 Ok(txn) => {
@@ -1120,8 +1125,9 @@ impl ShardedMmdb {
                             self.repl_wait(shard, lsn)?;
                         }
                     }
-                    // 2PC branches force their TxnPrepare and Decide records
-                    // inline — already durable, nothing to wait for.
+                    // 2PC branches force their TxnPrepare, TxnDecide and
+                    // Commit frames inline — already durable, nothing to
+                    // wait for.
                     return Ok(TxnRun {
                         txn,
                         runs,
@@ -1146,11 +1152,13 @@ impl ShardedMmdb {
         }
     }
 
-    /// One cross-shard attempt: lock ascending, prepare every branch,
-    /// force the decision on the lowest shard, commit every branch,
-    /// unlock descending. Any failure before the decision aborts every
-    /// prepared branch (presumed abort — consistent with what recovery
-    /// would conclude from the logs).
+    /// One cross-shard attempt: lock ascending, stage every branch,
+    /// prepare every participant (every shard but the lowest), force the
+    /// coordinator's branch on the lowest shard as the commit point,
+    /// commit every participant, unlock descending. Any failure before
+    /// the commit point's force aborts every branch (presumed abort —
+    /// consistent with what recovery would conclude from the logs); a
+    /// failed force decides nothing and aborts nothing.
     fn try_cross_once(
         &self,
         gid: u64,
@@ -1165,9 +1173,10 @@ impl ShardedMmdb {
             guards.push((shard, g));
         }
 
-        // Phase one: stage and prepare a branch on every shard.
+        // Phase one: stage a branch on every shard and prepare each
+        // participant's; the coordinator's (position 0) stays unprepared.
         let t_prepare = self.obs.timer();
-        let mut prepared: Vec<(usize, TxnId)> = Vec::with_capacity(guards.len());
+        let mut branches: Vec<TxnId> = Vec::with_capacity(guards.len());
         let mut failure: Option<MmdbError> = None;
         'prepare: for (pos, (shard, g)) in guards.iter_mut().enumerate() {
             let txn = match g.begin_txn() {
@@ -1187,53 +1196,76 @@ impl ShardedMmdb {
                     break 'prepare;
                 }
             }
-            match g.prepare_txn(txn, gid) {
-                Ok(()) => prepared.push((pos, txn)),
-                Err(e) => {
+            if pos > 0 {
+                if let Err(e) = g.prepare_txn(txn, gid) {
                     let _ = g.abort(txn);
                     failure = Some(e);
                     break 'prepare;
                 }
             }
+            branches.push(txn);
         }
-        self.obs
-            .phase_detail("2pc.prepare", t_prepare, prepared.len() as u64);
+        self.obs.phase_detail(
+            "2pc.prepare",
+            t_prepare,
+            branches.len().saturating_sub(1) as u64,
+        );
         if failure.is_none() {
-            // Commit point: the decision is forced on the coordinator
-            // (lowest participating shard index).
+            // Commit point (the last agent): the coordinator's branch and
+            // the decision, one forced frame on the lowest shard.
             let t_decide = self.obs.timer();
-            if let Err(e) = guards[0].1.log_decision(gid, true) {
-                failure = Some(e);
-            }
+            let decided = guards[0].1.commit_decide(branches[0], gid);
             self.obs
                 .phase_detail("2pc.decide", t_decide, guards[0].0 as u64);
+            if let Err(e) = decided {
+                if guards[0].1.is_crashed() {
+                    // The force failed: the frame may be durable, so no
+                    // participant may abort. The coordinator shard has
+                    // fail-stopped; every participant fail-stops too,
+                    // while its guard is held, so nothing commits over a
+                    // prepared image that the next open may yet commit.
+                    // Each branch stays prepared in its log, and the
+                    // next open decides from what reached the devices.
+                    for (_, g) in &mut guards[1..] {
+                        let _ = g.crash();
+                    }
+                    self.release_all(guards, gid);
+                    return Err(e);
+                }
+                failure = Some(e);
+            }
         }
         if let Some(e) = failure {
-            for &(pos, txn) in &prepared {
-                let _ = guards[pos].1.abort_prepared(txn);
+            // (a two-color violation consumed its branch already)
+            for (pos, &txn) in branches.iter().enumerate() {
+                let g = &mut guards[pos].1;
+                let _ = if pos == 0 {
+                    g.abort(txn)
+                } else {
+                    g.abort_prepared(txn)
+                };
             }
             self.release_all(guards, gid);
             return Err(e);
         }
 
-        // Phase two: the decision is durable — the transaction IS
-        // committed, no matter what happens below. A branch whose
+        // Phase two: the commit point is durable — the transaction IS
+        // committed, no matter what happens below. A participant whose
         // `commit_prepared` fails stays prepared in memory; the durable
-        // `Decide` record recommits it at the next recovery, exactly as
-        // if the crash had landed here. Propagating the error instead
+        // `TxnDecide` frame recommits it at the next recovery, exactly
+        // as if the crash had landed here. Propagating the error instead
         // would skip the lock releases (a dangling acquisition in the
         // audit's LIFO checker), strand the remaining branches in-doubt
         // until a restart, and hand the caller an `Err` for a committed
         // transaction — an invitation to retry and double-apply.
-        let coordinator_txn = prepared[0].1;
-        for &(pos, txn) in &prepared {
+        for (pos, &txn) in branches.iter().enumerate().skip(1) {
             if guards[pos].1.commit_prepared(txn).is_err() {
                 // Reported via counter; the decision stands regardless.
                 self.obs.counter("router.phase2_branch_failures", 1);
             }
         }
         self.release_all(guards, gid);
-        Ok(coordinator_txn)
+        Ok(branches[0])
     }
 
     /// Releases shard locks in reverse acquisition order (the audited
@@ -1797,22 +1829,27 @@ mod tests {
             w = db.record_words();
             db.checkpoint_all().expect("seed backups");
             spend_txn_ids(&db);
-            for shard in [0usize, 1] {
-                db.with_shard(shard, |e| -> Result<()> {
-                    let t = e.begin_txn()?;
-                    e.write(t, RecordId(0), &fill(w, 0xbeef))?;
-                    e.prepare_txn(t, 99)
-                })
-                .expect("prepare branch");
-            }
-            // The coordinator's forced decision is the commit point; the
-            // crash lands before any commit_prepared.
-            db.with_shard(0, |e| e.log_decision(99, true))
-                .expect("decide");
+            // The participant prepares; the coordinator's forced branch is
+            // the commit point; the crash lands before commit_prepared.
+            db.with_shard(1, |e| -> Result<()> {
+                let t = e.begin_txn()?;
+                e.write(t, RecordId(0), &fill(w, 0xbeef))?;
+                e.prepare_txn(t, 99)
+            })
+            .expect("prepare the participant");
+            db.with_shard(0, |e| -> Result<()> {
+                let t = e.begin_txn()?;
+                e.write(t, RecordId(0), &fill(w, 0xbeef))?;
+                e.commit_decide(t, 99)
+            })
+            .expect("commit point");
         }
         {
             let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
-            assert_eq!(rec.in_doubt_committed, 2, "decision commits both branches");
+            assert_eq!(
+                rec.in_doubt_committed, 1,
+                "the decision commits the participant"
+            );
             assert_eq!(rec.in_doubt_aborted, 0);
             // Global rids 0 and 1 are local rid 0 on shards 0 and 1.
             for rid in [0u64, 1] {
@@ -1822,23 +1859,74 @@ mod tests {
             assert!(db.audit_violations().is_empty());
             // An acked commit over a resolved record, then a second crash
             // inside the same replay window.
-            db.run_txn(&[(RecordId(0), fill(w, 0xf00d))]).expect("txn");
+            db.run_txn(&[(RecordId(1), fill(w, 0xf00d))]).expect("txn");
         }
         let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("second reopen");
         assert_eq!(
             (rec.in_doubt_committed, rec.in_doubt_aborted),
             (0, 0),
-            "each branch was finished under its own id"
+            "the branch was finished under its own id"
         );
         assert_eq!(
-            db.read_committed(RecordId(0)).expect("read"),
+            db.read_committed(RecordId(1)).expect("read"),
             fill(w, 0xf00d),
             "the resolved branch is not re-applied over the later commit"
         );
         assert_eq!(
-            db.read_committed(RecordId(1)).expect("read"),
+            db.read_committed(RecordId(0)).expect("read"),
             fill(w, 0xbeef)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log an older build wrote: every branch prepared, the coordinator's
+    /// included, and the decision a `Decide` frame of its own on the
+    /// lowest shard, written here straight into that shard's log.
+    #[test]
+    fn an_older_logs_decide_frame_still_commits_every_branch() {
+        let dir = tmpdir("older-decide");
+        let w;
+        {
+            let (db, _) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("open");
+            w = db.record_words();
+            db.checkpoint_all().expect("seed backups");
+            spend_txn_ids(&db);
+            for shard in [0usize, 1] {
+                db.with_shard(shard, |e| -> Result<()> {
+                    let t = e.begin_txn()?;
+                    e.write(t, RecordId(0), &fill(w, 0xbeef))?;
+                    e.prepare_txn(t, 99)
+                })
+                .expect("prepare branch");
+            }
+        }
+        let log = shard_dir(&dir, 0).join("log");
+        let mut chunks: Vec<PathBuf> = std::fs::read_dir(&log)
+            .expect("log dir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .collect();
+        chunks.sort();
+        let last = chunks.last().expect("a chunk");
+        let mut bytes = std::fs::read(last).expect("read chunk");
+        let decide = mmdb_core::LogRecord::Decide {
+            gid: 99,
+            commit: true,
+        };
+        bytes.extend(decide.encode());
+        std::fs::write(last, bytes).expect("write chunk");
+
+        let (db, rec) = ShardedMmdb::open_dir(cfg(), &dir, 2).expect("reopen");
+        assert_eq!(
+            rec.in_doubt_committed, 2,
+            "the decision commits both branches"
+        );
+        assert_eq!(rec.in_doubt_aborted, 0);
+        for rid in [0u64, 1] {
+            let v = db.read_committed(RecordId(rid)).expect("read");
+            assert_eq!(v, fill(w, 0xbeef), "rid {rid} shows the decided write");
+        }
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2197,7 +2285,7 @@ mod tests {
 
         // Shard 0's branch committed; shard 1's branch is stranded
         // prepared in memory (its commit force failed) — the durable
-        // Decide record recommits it at the next recovery.
+        // TxnDecide frame recommits it at the next recovery.
         assert_eq!(db.read_committed(RecordId(0)).expect("read"), fill(w, 11));
         assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 2));
         let snap = db.metrics_snapshot();
@@ -2205,6 +2293,182 @@ mod tests {
         // Every acquired shard lock was released in LIFO order — the
         // audit's shard checker sees a balanced event stream.
         assert!(db.audit_violations().is_empty());
+    }
+
+    /// Two in-memory shards, each over a fault-injecting log device, with
+    /// rids 0 and 1 (local rid 0 on shards 0 and 1) seeded to 1 and 2
+    /// and a complete backup on each.
+    fn flaky_pair() -> (ShardedMmdb, [Arc<mmdb_core::FlakyControl>; 2]) {
+        let config = cfg();
+        let scfg = shard_config(&config, 2);
+        let mut engines = Vec::new();
+        let mut controls = Vec::new();
+        for _ in 0..2 {
+            let (device, control) = mmdb_core::FlakyLogDevice::new();
+            engines.push(Mmdb::open_with_log_device(scfg, Box::new(device)).expect("shard"));
+            controls.push(control);
+        }
+        let db = ShardedMmdb::from_engines(config, engines).expect("router");
+        let w = db.record_words();
+        db.run_txn(&[(RecordId(0), fill(w, 1))]).expect("seed 0");
+        db.run_txn(&[(RecordId(1), fill(w, 2))]).expect("seed 1");
+        db.checkpoint_all().expect("backups");
+        let [c0, c1]: [_; 2] = controls.try_into().expect("two controls");
+        (db, [c0, c1])
+    }
+
+    /// Crashes every shard at once and reopens the topology the way
+    /// `open_dir` does: each shard recovers, then the pooled decisions
+    /// finish every branch left in doubt.
+    fn crash_all(
+        db: ShardedMmdb,
+        controls: &[Arc<mmdb_core::FlakyControl>],
+    ) -> (ShardedMmdb, ShardedRecovery) {
+        let config = *db.config();
+        let mut engines = db.into_engines();
+        for e in &mut engines {
+            let _ = e.crash();
+        }
+        controls.iter().for_each(|c| c.heal());
+        let reports = engines
+            .iter_mut()
+            .map(|e| e.recover().map(Some))
+            .collect::<Result<Vec<_>>>()
+            .expect("recover every shard");
+        let db = ShardedMmdb::assemble(config, engines);
+        let rec = db.resolve_in_doubt(reports).expect("resolve");
+        (db, rec)
+    }
+
+    /// The crash matrix of one two-branch request (rid 0 on shard 0, the
+    /// coordinator; rid 1 on shard 1): a crash after each of its three
+    /// forces — shard 1's `TxnPrepare`, shard 0's `TxnDecide`, shard 1's
+    /// `Commit` — and before the first. The force after the crash point
+    /// fails, so the device holds exactly the forces before it. Every
+    /// case recovers all or nothing.
+    #[test]
+    fn a_cross_shard_request_recovers_all_or_nothing_after_every_force() {
+        for forces in 0..=3u32 {
+            let (db, [c0, c1]) = flaky_pair();
+            let w = db.record_words();
+            match forces {
+                0 => c1.fail_after_next(0),
+                1 => c0.fail_after_next(0),
+                2 => c1.fail_after_next(1),
+                _ => {}
+            }
+            let run = db.run_txn(&[(RecordId(0), fill(w, 11)), (RecordId(1), fill(w, 12))]);
+            // acked exactly when the commit point reached the device
+            assert_eq!(run.is_ok(), forces >= 2, "after {forces} forces: {run:?}");
+            assert!(db.audit_violations().is_empty(), "after {forces} forces");
+            let (db, rec) = crash_all(db, &[c0, c1]);
+            let committed = forces >= 2;
+            let want = |rid: u64, new: u32| fill(w, if committed { new } else { rid as u32 + 1 });
+            assert_eq!(db.read_committed(RecordId(0)).expect("read"), want(0, 11));
+            assert_eq!(db.read_committed(RecordId(1)).expect("read"), want(1, 12));
+            // the participant is in doubt exactly when it prepared but its
+            // own commit never reached its log; the pooled commit point
+            // decides it
+            assert_eq!(
+                (rec.in_doubt_committed, rec.in_doubt_aborted),
+                (u64::from(forces == 2), u64::from(forces == 1)),
+                "after {forces} forces"
+            );
+            // and a second crash finds nothing left in doubt
+            let fp = db.fingerprint();
+            let (db, rec) = crash_all(db, &[]);
+            assert_eq!((rec.in_doubt_committed, rec.in_doubt_aborted), (0, 0));
+            assert_eq!(db.fingerprint(), fp, "after {forces} forces");
+        }
+    }
+
+    /// A failed commit-point force decides nothing: the router aborts no
+    /// participant (the frame might be durable), every shard of the
+    /// request fail-stops, so no later write commits over a prepared
+    /// image, and the next open decides from what reached the
+    /// coordinator's device.
+    #[test]
+    fn a_failed_commit_point_force_aborts_no_participant() {
+        let (db, [c0, c1]) = flaky_pair();
+        let w = db.record_words();
+        c0.fail_after_next(0);
+        let err = db
+            .run_txn(&[(RecordId(0), fill(w, 11)), (RecordId(1), fill(w, 12))])
+            .expect_err("the commit point failed");
+        assert!(matches!(err, MmdbError::Io(_)), "{err}");
+        for shard in 0..2 {
+            assert!(
+                db.with_shard(shard, |e| e.is_crashed()),
+                "shard {shard} fail-stops"
+            );
+        }
+        assert!(db.audit_violations().is_empty());
+        // the participant's prepared record takes no write until the next
+        // open has decided its branch
+        db.run_txn(&[(RecordId(1), fill(w, 21))])
+            .expect_err("shard 1 refuses writes until the next open");
+        // nothing reached shard 0's device: presumed abort
+        let (db, rec) = crash_all(db, &[c0, c1]);
+        assert_eq!((rec.in_doubt_committed, rec.in_doubt_aborted), (0, 1));
+        assert_eq!(db.read_committed(RecordId(0)).expect("read"), fill(w, 1));
+        assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 2));
+        db.run_txn(&[(RecordId(1), fill(w, 21))])
+            .expect("the decided record takes writes again");
+        assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 21));
+    }
+
+    /// When the failed commit-point force reached the device anyway, the
+    /// next open commits the participant's branch: no write acknowledged
+    /// in between can be overwritten by it, for the participant refused
+    /// every write until then.
+    #[test]
+    fn a_commit_point_that_reached_the_device_commits_at_the_next_open() {
+        let (db, [c0, c1]) = flaky_pair();
+        let w = db.record_words();
+        c0.fail_after_next_landing(0);
+        db.run_txn(&[(RecordId(0), fill(w, 11)), (RecordId(1), fill(w, 12))])
+            .expect_err("the commit point reported failure");
+        db.run_txn(&[(RecordId(1), fill(w, 21))])
+            .expect_err("shard 1 refuses writes until the next open");
+        let (db, rec) = crash_all(db, &[c0, c1]);
+        assert_eq!((rec.in_doubt_committed, rec.in_doubt_aborted), (1, 0));
+        assert_eq!(db.read_committed(RecordId(0)).expect("read"), fill(w, 11));
+        assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 12));
+    }
+
+    /// One two-branch request, one record a branch, no background work:
+    /// three forces across both logs (a participant's `TxnPrepare` and
+    /// `Commit`, the coordinator's `TxnDecide`), and 35 bytes fewer than
+    /// the five-force protocol, whose coordinator also wrote a
+    /// `TxnPrepare` in place of the `TxnDecide`, an 18-byte `Decide` and
+    /// a 17-byte `Commit`.
+    #[test]
+    fn a_two_branch_request_makes_three_forces() {
+        let db = ShardedMmdb::open_in_memory(cfg(), 2).expect("open");
+        let w = db.record_words();
+        let stats = |db: &ShardedMmdb| {
+            (0..2).fold((0, 0), |(forces, bytes), i| {
+                let s = db.with_shard(i, |e| e.log_stats());
+                (forces + s.forces, bytes + s.bytes)
+            })
+        };
+        let (forces, bytes) = stats(&db);
+        let run = db
+            .run_txn(&[(RecordId(0), fill(w, 5)), (RecordId(1), fill(w, 6))])
+            .expect("cross");
+        let (forces_after, bytes_after) = stats(&db);
+        assert_eq!(forces_after - forces, 3);
+        let txn = run.txn;
+        let branch = mmdb_core::LogRecord::txn_len(txn, Some(1), [RecordId(0)], w) as u64;
+        let commit = mmdb_core::LogRecord::Commit { txn }.encoded_len() as u64;
+        let decide = mmdb_core::LogRecord::Decide {
+            gid: 1,
+            commit: true,
+        }
+        .encoded_len() as u64;
+        assert_eq!((commit, decide), (17, 18));
+        assert_eq!(bytes_after - bytes, 2 * branch + commit);
+        assert_eq!(bytes_after - bytes, 2 * branch + decide + 2 * commit - 35);
     }
 
     #[test]

@@ -34,10 +34,21 @@
 //! is ever acquired while it is held, so it sits outside the ranked
 //! hierarchy by construction.
 
-use mmdb_types::{DbParams, Lsn, RecordId, Timestamp, Word};
+use mmdb_types::{DbParams, Lsn, MmdbError, RecordId, Result, Timestamp, Word};
 use std::mem::size_of_val;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Failed seqlock passes a blocking read spins through before it starts
+/// yielding its core to the writer it waits on.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// How long a blocking read waits out a writer before it fails: far
+/// beyond any publish (a copy of one record's words), so only a counter
+/// left odd — a writer that died mid-publish, or a broken writer
+/// discipline — ever reaches it.
+pub(crate) const STUCK_READ_AFTER: Duration = Duration::from_secs(1);
 
 /// The metadata of one shared-mode install (its data is already in the
 /// store), awaiting [`crate::Storage::sync_pending`].
@@ -135,12 +146,42 @@ impl ReadMirror {
     /// Reads a record's committed value, waiting out a writer that is
     /// mid-publish. Ignores the gate: this is the path of callers inside
     /// the engine (`&Storage`), who may share it with latched committers
-    /// but never with a crash or a recovery.
-    pub(crate) fn read(&self, rid: RecordId, out: &mut [Word]) {
+    /// but never with a crash or a recovery. Fails with
+    /// [`MmdbError::Corrupt`] — a server-side fault, not the caller's —
+    /// naming the record and its segment, once its segment's counter has
+    /// stayed odd for [`STUCK_READ_AFTER`].
+    pub(crate) fn read(&self, rid: RecordId, out: &mut [Word]) -> Result<()> {
         assert_eq!(out.len(), self.s_rec, "record buffer of the wrong width");
-        while !self.read_once(rid, out) {
-            std::hint::spin_loop();
+        if self.read_once(rid, out) {
+            return Ok(());
         }
+        self.read_contended(rid, out)
+    }
+
+    /// [`read`](Self::read) once its first pass lost to a writer: spin a
+    /// little, then yield, and read the clock only from then on.
+    #[cold]
+    fn read_contended(&self, rid: RecordId, out: &mut [Word]) -> Result<()> {
+        let mut spins = 0;
+        let mut waiting_since = None;
+        while !self.read_once(rid, out) {
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            let since = *waiting_since.get_or_insert_with(Instant::now);
+            if since.elapsed() > STUCK_READ_AFTER {
+                let segment = rid.raw() / self.records_per_segment;
+                return Err(MmdbError::Corrupt(format!(
+                    "in-memory record {} of segment {segment}: the segment's sequence counter \
+                     stayed odd for over {STUCK_READ_AFTER:?}, longer than any publish takes",
+                    rid.raw()
+                )));
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
     }
 
     /// Publishes a record value — the only way a record changes. The
@@ -240,6 +281,13 @@ impl ReadMirror {
     /// Number of queued installs (diagnostics).
     pub fn pending_len(&self) -> usize {
         self.pending_lock().len()
+    }
+
+    /// Leaves `rid`'s segment counter odd, as a writer that died
+    /// mid-publish would.
+    #[cfg(test)]
+    pub(crate) fn wedge(&self, rid: RecordId) {
+        self.seq(rid).fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -441,6 +489,30 @@ pub(crate) mod tests {
         m.publish(RecordId((j + 1) * rps), &vec![8; s_rec]);
         want[j as usize + 1] += 2;
         assert_eq!(seqs(&m), want, "first record of segment {}", j + 1);
+    }
+
+    #[test]
+    fn a_counter_left_odd_fails_a_blocking_read_within_the_bound() {
+        let m = mirror();
+        let s_rec = m.s_rec();
+        let rps = DB.records_per_segment();
+        m.publish(RecordId(rps + 1), &vec![4; s_rec]);
+        m.wedge(RecordId(2 * rps - 1));
+        let mut out = vec![0; s_rec];
+        let t = Instant::now();
+        let err = m.read(RecordId(rps + 1), &mut out).unwrap_err();
+        let waited = t.elapsed();
+        assert!(matches!(err, MmdbError::Corrupt(_)), "{err}");
+        assert!(waited >= STUCK_READ_AFTER, "gave up after {waited:?}");
+        assert!(waited < STUCK_READ_AFTER * 5, "hung for {waited:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("record {} of segment 1", rps + 1)),
+            "{msg}"
+        );
+        // another segment's records still read at once
+        m.read(RecordId(0), &mut out).unwrap();
+        assert!(!m.try_read(RecordId(rps), &mut out));
     }
 
     #[test]

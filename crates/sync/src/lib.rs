@@ -83,7 +83,7 @@ impl LockRank {
     /// The shard router's interactive-transaction binding map (always
     /// taken before any shard engine lock).
     pub const ROUTER_TXNS: LockRank = LockRank(Some(1_000_000));
-    /// The replica replay resolver (cross-stream Prepare/Decide pooling):
+    /// The replica replay resolver (cross-stream branch and decision pooling):
     /// held while the replayer applies a committed transaction into a
     /// shard engine, so it sits *above* every engine lock.
     pub const REPL_RESOLVER: LockRank = LockRank(Some(950_000));

@@ -55,9 +55,15 @@ pub enum MmdbError {
     Quiesced,
     /// Recovery found no complete backup to restore from.
     NoCompleteBackup,
-    /// On-disk data failed validation (bad magic, checksum, or torn
-    /// write detected).
+    /// Data failed validation: on disk (bad magic, checksum, or torn
+    /// write detected), or in memory (a record's segment stuck
+    /// mid-publish).
     Corrupt(String),
+    /// A log frame whose checksum verifies but which does not decode: a
+    /// newer build wrote it, so it is whole, not torn. Recovery stops
+    /// here with this error instead of cutting the log (and every commit
+    /// after it) off as a torn tail.
+    NewerFormat(String),
     /// Invalid parameters or usage.
     Invalid(String),
     /// An underlying I/O error from the host filesystem.
@@ -98,7 +104,8 @@ impl fmt::Display for MmdbError {
             MmdbError::NoCompleteBackup => {
                 write!(f, "recovery found no complete backup database copy")
             }
-            MmdbError::Corrupt(msg) => write!(f, "corrupt on-disk data: {msg}"),
+            MmdbError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
+            MmdbError::NewerFormat(msg) => write!(f, "frame from a newer log format: {msg}"),
             MmdbError::Invalid(msg) => write!(f, "invalid: {msg}"),
             MmdbError::Io(e) => write!(f, "I/O error: {e}"),
         }

@@ -98,32 +98,61 @@ fn archive_carries_one_frame_branches() {
     let dst_dir = tmp("dst3");
     let archive = tmp("file3.mmdbarch");
     let config = MmdbConfig::small(Algorithm::FuzzyCopy);
-    let fingerprint = {
+    {
         let (mut db, _) = Mmdb::open_dir(config, &src_dir).unwrap();
         let words = db.record_words();
         db.checkpoint().unwrap();
         // two cross-shard branches, each one `TxnPrepare` frame in the
-        // slice: one committed by its coordinator, one aborted
+        // slice: one committed by its coordinator's `TxnDecide` frame (the
+        // commit point, on this same log), one aborted
         for (gid, commit) in [(5, true), (6, false)] {
             let branch = db.begin_txn().unwrap();
             db.write(branch, RecordId(gid), &vec![gid as u32; words])
                 .unwrap();
             db.prepare_txn(branch, gid).unwrap();
-            db.log_decision(gid, commit).unwrap();
-            match commit {
-                true => db.commit_prepared(branch).unwrap(),
-                false => db.abort_prepared(branch).unwrap(),
+            if commit {
+                let coordinator = db.begin_txn().unwrap();
+                db.write(coordinator, RecordId(gid + 10), &vec![gid as u32; words])
+                    .unwrap();
+                db.commit_decide(coordinator, gid).unwrap();
+                db.commit_prepared(branch).unwrap();
+            } else {
+                db.abort_prepared(branch).unwrap();
             }
         }
+        db.force_log().unwrap();
+    }
+    // An explicit abort decision, as an older coordinator logged it: the
+    // engine no longer writes `Decide` frames, so it goes on the chunk.
+    let mut chunks: Vec<_> = std::fs::read_dir(src_dir.join("log"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    chunks.sort();
+    let last = chunks.last().unwrap();
+    let mut bytes = std::fs::read(last).unwrap();
+    bytes.extend(
+        mmdb::log::LogRecord::Decide {
+            gid: 6,
+            commit: false,
+        }
+        .encode(),
+    );
+    std::fs::write(last, bytes).unwrap();
+    let fingerprint = {
+        let (mut db, _) = Mmdb::open_dir(config, &src_dir).unwrap();
         db.dump_archive(&archive).unwrap();
         db.fingerprint()
     };
 
     let (db, report) = Mmdb::restore_archive_dir(config, &dst_dir, &archive).unwrap();
-    assert_eq!(report.txns_replayed, 1);
+    // the commit point and the committed branch
+    assert_eq!(report.txns_replayed, 2);
     assert_eq!(report.decisions, vec![(5, true), (6, false)]);
     assert_eq!(db.fingerprint(), fingerprint, "bit-identical restore");
     assert_eq!(db.read_committed(RecordId(5)).unwrap()[0], 5);
+    assert_eq!(db.read_committed(RecordId(15)).unwrap()[0], 5);
     assert_ne!(db.read_committed(RecordId(6)).unwrap()[0], 6);
 
     for p in [&src_dir, &dst_dir] {
