@@ -613,6 +613,14 @@ fn print_engine_stats(db: &Mmdb, config: &MmdbConfig, dir: &Path) {
         "segments:   {} total, dirty vs copy0/copy1 = {}/{}, {} white, {} holding COU old copies",
         seg.total, seg.dirty_copy0, seg.dirty_copy1, seg.white, seg.with_old_copy
     );
+    println!(
+        "checksums:  CRC-32C on {}",
+        if mmdb_types::hash::crc32c_hw() {
+            "the CPU's crc32 instruction"
+        } else {
+            "the portable slicing-by-8 kernel (no crc32 instruction)"
+        }
+    );
 }
 
 /// Prints request span trees in the flight-recorder dump format. Two

@@ -58,6 +58,7 @@ fn full_lifecycle_across_processes() {
     let out = ok(&dir, &["stats"]);
     assert!(out.contains("COUCOPY"), "{out}");
     assert!(out.contains("log disk"), "{out}");
+    assert!(out.contains("checksums:  CRC-32C on"), "{out}");
 
     let out = ok(&dir, &["fsck"]);
     assert!(out.contains("fsck: clean"), "{out}");
@@ -222,6 +223,10 @@ fn stats_json_round_trips_through_the_snapshot_parser() {
     assert!(snap.counter("ckpt.completed").is_some(), "{out}");
     assert_eq!(snap.counter("recovery.runs"), Some(1), "{out}");
     assert!(snap.gauge("seg.total").unwrap_or(0) > 0, "{out}");
+    // which CRC-32C kernel ran: the instruction one exactly when the
+    // CPU has it, so a silent fallback shows
+    let hw = u64::from(mmdb_types::hash::crc32c_hw());
+    assert_eq!(snap.gauge("hash.crc32c_hw"), Some(hw), "{out}");
     assert!(
         snap.hist("recovery.backup_load_ns").is_some(),
         "recovery phase histogram missing:\n{out}"
@@ -240,6 +245,7 @@ fn stats_prom_is_valid_exposition_format() {
     mmdb_obs::validate_prometheus(&out).expect("stats --prom must validate");
     assert!(out.contains("mmdb_ckpt_completed"), "{out}");
     assert!(out.contains("mmdb_paper_ckpt_overhead_per_txn"), "{out}");
+    assert!(out.contains("mmdb_hash_crc32c_hw"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

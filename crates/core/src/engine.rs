@@ -14,7 +14,7 @@ use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, Timer};
 use mmdb_recovery::{InDoubtTxn, RecoveryReport};
 use mmdb_storage::{Color, PendingInstall, ReadMirror, Storage};
 use mmdb_sync::{LockRank, RankedMutex};
-use mmdb_txn::{SeenColor, StagedWrite, TxnStats, TxnTable};
+use mmdb_txn::{SeenColor, TxnStats, TxnTable};
 use mmdb_types::{
     CheckpointId, CostMeter, Lsn, MmdbError, RecordId, Result, SegmentId, Timestamp, TxnId, Word,
 };
@@ -417,6 +417,9 @@ impl Mmdb {
         snap.put_gauge("mem.cou_old_copy_bytes", m.cou_old_copies);
         snap.put_gauge("mem.cou_old_copy_peak_bytes", m.cou_old_copies_peak);
         snap.put_gauge("ckpt.copy_buffer_bytes", self.ckpt.copy_buffer_bytes());
+        // which CRC-32C kernel every log frame and backup slot runs on: 1
+        // for the CPU's `crc32` instruction, 0 for the portable fallback
+        snap.put_gauge("hash.crc32c_hw", u64::from(mmdb_types::hash::crc32c_hw()));
 
         // What a crash right now would cost: the durable log past the
         // replay floor of the newest complete ping-pong copy, through
@@ -560,8 +563,8 @@ impl Mmdb {
         self.check_color(txn, sid)?;
         // read-your-writes: latest staged value wins
         let t = self.txns.get_mut().get(txn)?;
-        if let Some(w) = t.writes.iter().rev().find(|w| w.record == rid) {
-            return Ok(w.value.clone());
+        if let Some((_, image)) = t.staged().rev().find(|(w, _)| w.record == rid) {
+            return Ok(image.to_vec());
         }
         self.storage.read_record(rid)
     }
@@ -577,10 +580,12 @@ impl Mmdb {
             });
         }
         let sid = self.storage.segment_of(rid)?;
-        self.check_color(txn, sid)?;
-        self.txns
-            .get_mut()
-            .stage_write(txn, rid, sid, value.to_vec())
+        if self.ckpt.two_color_active() {
+            self.check_color(txn, sid)?;
+        }
+        // the image goes straight into the transaction's one buffer; the
+        // table lookup doubles as the check that `txn` is active
+        self.txns.get_mut().stage_write(txn, rid, sid, value)
     }
 
     /// Observes the segment's color for the transaction if a two-color
@@ -655,7 +660,7 @@ impl Mmdb {
             .algorithm
             .needs_lsn_gating(self.config.params.log_mode);
         let t = self.txns.get_mut().finish_commit(txn)?;
-        for w in &t.writes {
+        for (w, image) in t.staged() {
             if self.audit.is_enabled() && self.ckpt.two_color_active() {
                 let color = match self.storage.color(w.segment)? {
                     Color::White => PaintColor::White,
@@ -669,13 +674,8 @@ impl Mmdb {
             }
             self.ckpt
                 .on_before_install(&mut self.storage, w.record, &self.meters.sync_ckpt)?;
-            self.storage.install_record(
-                w.record,
-                &w.value,
-                commit_lsn,
-                t.tau,
-                &self.meters.base,
-            )?;
+            self.storage
+                .install_record(w.record, image, commit_lsn, t.tau, &self.meters.base)?;
             if gating {
                 // The transaction maintains the segment's LSN for the
                 // checkpointer's write-ahead gate (C_lsn per update, §2.1).
@@ -708,14 +708,13 @@ impl Mmdb {
         let commit_timer = self.obs.timer();
         self.revalidate_colors(txn)?;
         let words = self.record_words();
-        let writes = &self.txns.get_mut().get(txn)?.writes;
-        Mmdb::check_frame_bound(words, kind.gid(), writes.iter().map(|w| w.record))?;
+        let t = self.txns.get_mut().get(txn)?;
+        Mmdb::check_frame_bound(words, kind.gid(), t.writes.iter().map(|w| w.record))?;
 
         // The whole transaction is one frame, encoded from the staged
         // images; every install waits on that frame's end for the WAL gate.
-        let writes = &self.txns.get_mut().get(txn)?.writes;
         let log = self.log.get_mut();
-        log.append_txn(txn, kind, writes.iter().map(|w| (w.record, &w.value[..])));
+        log.append_txn(txn, kind, t.staged().map(|(w, image)| (w.record, image)));
         let commit_lsn = log.next_lsn();
         if let TxnFrame::Decide(_) = kind {
             // The commit point is forced under either durability. A force
@@ -814,6 +813,11 @@ impl Mmdb {
         updates: &[(RecordId, V)],
     ) -> Result<TxnId> {
         let txn = self.begin_txn_run(run)?;
+        let words = self.record_words();
+        self.txns
+            .get_mut()
+            .get_mut(txn)?
+            .reserve(updates.len(), words);
         for (rid, value) in updates {
             self.write(txn, *rid, value.as_ref())?;
         }
@@ -852,7 +856,7 @@ impl Mmdb {
         Mmdb::check_frame_bound(words, Some(gid), t.writes.iter().map(|w| w.record))?;
 
         let log = self.log.get_mut();
-        let images = t.writes.iter().map(|w| (w.record, &w.value[..]));
+        let images = t.staged().map(|(w, image)| (w.record, image));
         t.begin_lsn = log.append_txn(txn, TxnFrame::Prepare(gid), images);
         if let Err(e) = log.force() {
             // the branch's frame is in the log: close it, so the caller's
@@ -928,18 +932,26 @@ impl Mmdb {
     /// earlier incarnation.
     pub fn resolve_in_doubt(&mut self, branch: &InDoubtTxn, commit: bool) -> Result<()> {
         self.ensure_alive()?;
-        let mut writes = Vec::with_capacity(branch.writes.len());
+        let s_rec = self.record_words();
+        let mut segments = Vec::with_capacity(branch.writes.len());
         for (record, value) in &branch.writes {
-            writes.push(StagedWrite {
-                record: *record,
-                segment: self.storage.segment_of(*record)?,
-                value: value.clone(),
-            });
+            if value.len() != s_rec {
+                return Err(MmdbError::BadRecordSize {
+                    expected: s_rec as u64,
+                    got: value.len() as u64,
+                });
+            }
+            segments.push(self.storage.segment_of(*record)?);
         }
         let tau = self.next_tau();
-        self.txns
+        let t = self
+            .txns
             .get_mut()
-            .adopt_prepared(branch.txn, branch.gid, tau, writes);
+            .adopt_prepared(branch.txn, branch.gid, tau);
+        t.reserve(branch.writes.len(), s_rec);
+        for ((record, value), segment) in branch.writes.iter().zip(segments) {
+            t.stage(*record, segment, value)?;
+        }
         if commit {
             self.commit_prepared(branch.txn)
         } else {

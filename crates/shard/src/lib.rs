@@ -1158,7 +1158,9 @@ impl ShardedMmdb {
     /// commit every participant, unlock descending. Any failure before
     /// the commit point's force aborts every branch (presumed abort —
     /// consistent with what recovery would conclude from the logs); a
-    /// failed force decides nothing and aborts nothing.
+    /// failed force decides nothing and aborts nothing. A failed force —
+    /// of the commit point or of a participant's `Commit` — fail-stops
+    /// every shard of the request.
     fn try_cross_once(
         &self,
         gid: u64,
@@ -1251,17 +1253,24 @@ impl ShardedMmdb {
 
         // Phase two: the commit point is durable — the transaction IS
         // committed, no matter what happens below. A participant whose
-        // `commit_prepared` fails stays prepared in memory; the durable
-        // `TxnDecide` frame recommits it at the next recovery, exactly
-        // as if the crash had landed here. Propagating the error instead
-        // would skip the lock releases (a dangling acquisition in the
-        // audit's LIFO checker), strand the remaining branches in-doubt
-        // until a restart, and hand the caller an `Err` for a committed
-        // transaction — an invitation to retry and double-apply.
+        // `commit_prepared` fails would stay prepared in memory: its
+        // shard would serve the pre-transaction values of an acknowledged
+        // commit, and two checkpoints on the coordinator would carry its
+        // `TxnDecide` frame out of every replay window, so the next open
+        // would presume the branch aborted. Instead every shard of the
+        // request fail-stops, while its guard is held, as on a failed
+        // commit point: the next open finds the durable decision and
+        // recommits the branch. The transaction still returns `Ok` —
+        // an `Err` for a committed transaction invites a retry that
+        // double-applies.
         for (pos, &txn) in branches.iter().enumerate().skip(1) {
             if guards[pos].1.commit_prepared(txn).is_err() {
                 // Reported via counter; the decision stands regardless.
                 self.obs.counter("router.phase2_branch_failures", 1);
+                for (_, g) in &mut guards {
+                    let _ = g.crash();
+                }
+                break;
             }
         }
         self.release_all(guards, gid);
@@ -1566,6 +1575,8 @@ impl ShardedMmdb {
         for (name, v) in agg_gauges {
             merged.put_gauge(&name, v);
         }
+        // a property of the process, not a sum over its shards
+        merged.put_gauge("hash.crc32c_hw", u64::from(mmdb_types::hash::crc32c_hw()));
         for (name, h) in agg_hists {
             merged.put_hist(&name, h);
         }
@@ -2283,11 +2294,18 @@ mod tests {
             .expect("the decision is durable: the transaction is committed");
         assert_eq!(run.runs, 1);
 
-        // Shard 0's branch committed; shard 1's branch is stranded
-        // prepared in memory (its commit force failed) — the durable
-        // TxnDecide frame recommits it at the next recovery.
-        assert_eq!(db.read_committed(RecordId(0)).expect("read"), fill(w, 11));
-        assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 2));
+        // Shard 1's commit force failed, so every shard of the request
+        // fail-stopped: no shard serves the pre-transaction value of the
+        // acknowledged write (rid 1 would read 2, not 12) — the durable
+        // TxnDecide frame recommits the branch at the next recovery.
+        for shard in 0..2 {
+            assert!(
+                db.with_shard(shard, |e| e.is_crashed()),
+                "shard {shard} fail-stops"
+            );
+        }
+        db.read_committed(RecordId(1))
+            .expect_err("the stranded participant serves no read");
         let snap = db.metrics_snapshot();
         assert_eq!(snap.counter("router.phase2_branch_failures"), Some(1));
         // Every acquired shard lock was released in LIFO order — the
@@ -2338,6 +2356,27 @@ mod tests {
         let db = ShardedMmdb::assemble(config, engines);
         let rec = db.resolve_in_doubt(reports).expect("resolve");
         (db, rec)
+    }
+
+    /// A participant whose `Commit` force fails takes the coordinator
+    /// down with it: a coordinator left serving could checkpoint its
+    /// `TxnDecide` frame out of every replay window, and the next open
+    /// would presume the stranded branch aborted under a committed
+    /// coordinator branch.
+    #[test]
+    fn a_failed_participant_commit_keeps_the_decision_in_the_coordinators_window() {
+        let (db, [c0, c1]) = flaky_pair();
+        let w = db.record_words();
+        c1.fail_after_next(1);
+        db.run_txn(&[(RecordId(0), fill(w, 11)), (RecordId(1), fill(w, 12))])
+            .expect("the decision is durable: the transaction is committed");
+        db.with_shard(0, |e| e.checkpoint())
+            .expect_err("the coordinator checkpoints nothing until the next open");
+        let (db, rec) = crash_all(db, &[c0, c1]);
+        assert_eq!(db.read_committed(RecordId(0)).expect("read"), fill(w, 11));
+        assert_eq!(db.read_committed(RecordId(1)).expect("read"), fill(w, 12));
+        assert_eq!((rec.in_doubt_committed, rec.in_doubt_aborted), (1, 0));
+        assert!(db.audit_violations().is_empty());
     }
 
     /// The crash matrix of one two-branch request (rid 0 on shard 0, the

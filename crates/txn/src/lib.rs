@@ -5,7 +5,8 @@
 //!
 //! * updates are stored in a buffer local to the updating transaction
 //!   until commit (*shadow-copy* scheme, as in IMS/Fastpath) — this crate
-//!   holds those buffers as [`StagedWrite`]s;
+//!   holds each transaction's buffer as one run of after-images with a
+//!   [`StagedWrite`] per image;
 //! * at commit the engine installs the staged writes into the primary
 //!   database and writes REDO log records — installation is orchestrated
 //!   by `mmdb-core`, which owns the storage and log;
@@ -33,15 +34,14 @@ pub enum SeenColor {
     Black,
 }
 
-/// A buffered (pre-commit) update: the after-image of one record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A buffered (pre-commit) update of one record; its after-image is in
+/// the transaction's [`ActiveTxn::images`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagedWrite {
     /// The record to be overwritten at commit.
     pub record: RecordId,
     /// The segment containing it (cached for commit-time color checks).
     pub segment: SegmentId,
-    /// The new value (full record image, `S_rec` words).
-    pub value: Vec<Word>,
 }
 
 /// An active transaction.
@@ -58,6 +58,10 @@ pub struct ActiveTxn {
     pub begin_lsn: Lsn,
     /// Buffered updates, in program order.
     pub writes: Vec<StagedWrite>,
+    /// Their after-images, end to end in the same order: write `i`'s
+    /// (full record, `S_rec` words) is `images[i * S_rec..(i + 1) * S_rec]`.
+    /// One buffer per transaction, however many records it writes.
+    pub images: Vec<Word>,
     /// The color this transaction has observed during the current
     /// two-color checkpoint, if any.
     pub color_seen: Option<SeenColor>,
@@ -91,7 +95,44 @@ impl ActiveTxn {
 
     /// Total words buffered in the shadow copy.
     pub fn staged_words(&self) -> u64 {
-        self.writes.iter().map(|w| w.value.len() as u64).sum()
+        self.images.len() as u64
+    }
+
+    /// Words per after-image (0 while nothing is staged).
+    fn image_words(&self) -> usize {
+        self.images
+            .len()
+            .checked_div(self.writes.len())
+            .unwrap_or(0)
+    }
+
+    /// Every staged write with its after-image, in program order.
+    pub fn staged(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&StagedWrite, &[Word])> + ExactSizeIterator + Clone {
+        let images = self.images.chunks_exact(self.image_words().max(1));
+        self.writes.iter().zip(images)
+    }
+
+    /// Makes room for `writes` more writes of `image_words` words each,
+    /// so that staging them allocates nothing.
+    pub fn reserve(&mut self, writes: usize, image_words: usize) {
+        self.writes.reserve_exact(writes);
+        self.images.reserve_exact(writes * image_words);
+    }
+
+    /// Buffers an update: `value` (a whole record, as long as every other
+    /// image of the transaction) is copied onto the end of [`images`](Self::images).
+    pub fn stage(&mut self, record: RecordId, segment: SegmentId, value: &[Word]) -> Result<()> {
+        if value.is_empty() || (!self.writes.is_empty() && value.len() != self.image_words()) {
+            return Err(MmdbError::BadRecordSize {
+                expected: self.image_words() as u64,
+                got: value.len() as u64,
+            });
+        }
+        self.writes.push(StagedWrite { record, segment });
+        self.images.extend_from_slice(value);
+        Ok(())
     }
 }
 
@@ -147,6 +188,7 @@ impl TxnTable {
                 tau,
                 begin_lsn,
                 writes: Vec::new(),
+                images: Vec::new(),
                 color_seen: None,
                 run,
                 prepared: None,
@@ -159,29 +201,24 @@ impl TxnTable {
     /// Re-enters a prepared branch of global transaction `gid` that
     /// recovery found in doubt, under the id an earlier incarnation gave
     /// it, so that it can be finished like any prepared branch (and is
-    /// counted as begun, like one). The caller finishes it before
-    /// beginning anything else: `id` is not reserved against
-    /// [`TxnTable::begin`].
-    pub fn adopt_prepared(
-        &mut self,
-        id: TxnId,
-        gid: u64,
-        tau: Timestamp,
-        writes: Vec<StagedWrite>,
-    ) {
-        self.active.insert(
-            id,
-            ActiveTxn {
-                id,
-                tau,
-                begin_lsn: Lsn::ZERO,
-                writes,
-                color_seen: None,
-                run: 1,
-                prepared: Some(gid),
-            },
-        );
+    /// counted as begun, like one); returns it with nothing staged, for
+    /// the caller to [`stage`](ActiveTxn::stage) its after-images. The
+    /// caller finishes it before beginning anything else: `id` is not
+    /// reserved against [`TxnTable::begin`].
+    pub fn adopt_prepared(&mut self, id: TxnId, gid: u64, tau: Timestamp) -> &mut ActiveTxn {
         self.stats.begun += 1;
+        let txn = ActiveTxn {
+            id,
+            tau,
+            begin_lsn: Lsn::ZERO,
+            writes: Vec::new(),
+            images: Vec::new(),
+            color_seen: None,
+            run: 1,
+            prepared: Some(gid),
+        };
+        self.active.insert(id, txn);
+        self.active.get_mut(&id).expect("just inserted")
     }
 
     /// The active transaction with the given id.
@@ -194,21 +231,16 @@ impl TxnTable {
         self.active.get_mut(&id).ok_or(MmdbError::NoSuchTxn(id))
     }
 
-    /// Buffers an update in the transaction's shadow copy.
+    /// Buffers an update in the transaction's shadow copy (see
+    /// [`ActiveTxn::stage`]).
     pub fn stage_write(
         &mut self,
         id: TxnId,
         record: RecordId,
         segment: SegmentId,
-        value: Vec<Word>,
+        value: &[Word],
     ) -> Result<()> {
-        let txn = self.get_mut(id)?;
-        txn.writes.push(StagedWrite {
-            record,
-            segment,
-            value,
-        });
-        Ok(())
+        self.get_mut(id)?.stage(record, segment, value)
     }
 
     /// Removes the transaction for commit, returning its state. The
@@ -296,18 +328,60 @@ mod tests {
     fn stage_and_commit_returns_writes_in_order() {
         let mut t = table();
         let id = t.begin(Timestamp(1), Lsn(0), 1);
-        t.stage_write(id, RecordId(5), SegmentId(0), vec![1, 2])
+        t.stage_write(id, RecordId(5), SegmentId(0), &[1, 2])
             .unwrap();
-        t.stage_write(id, RecordId(9), SegmentId(1), vec![3, 4])
+        t.stage_write(id, RecordId(9), SegmentId(1), &[3, 4])
             .unwrap();
         let txn = t.finish_commit(id).unwrap();
         assert_eq!(txn.writes.len(), 2);
         assert_eq!(txn.writes[0].record, RecordId(5));
         assert_eq!(txn.writes[1].record, RecordId(9));
+        let staged: Vec<_> = txn.staged().map(|(w, v)| (w.record, v.to_vec())).collect();
+        assert_eq!(
+            staged,
+            [(RecordId(5), vec![1, 2]), (RecordId(9), vec![3, 4])]
+        );
         assert_eq!(txn.staged_words(), 4);
         assert!(t.is_quiescent());
         assert_eq!(t.stats().committed, 1);
         assert!(t.get(id).is_err());
+    }
+
+    #[test]
+    fn every_image_of_a_transaction_has_one_length() {
+        let mut t = table();
+        let id = t.begin(Timestamp(1), Lsn(0), 1);
+        assert!(t.stage_write(id, RecordId(1), SegmentId(0), &[]).is_err());
+        t.stage_write(id, RecordId(1), SegmentId(0), &[7, 8, 9])
+            .unwrap();
+        let err = t
+            .stage_write(id, RecordId(2), SegmentId(0), &[1, 2])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MmdbError::BadRecordSize {
+                expected: 3,
+                got: 2
+            }
+        ));
+        let staged: Vec<_> = t
+            .get(id)
+            .unwrap()
+            .staged()
+            .map(|(_, v)| v.to_vec())
+            .collect();
+        assert_eq!(staged, [vec![7, 8, 9]]);
+    }
+
+    #[test]
+    fn an_adopted_branch_is_prepared_and_takes_its_images() {
+        let mut t = table();
+        let txn = t.adopt_prepared(TxnId(40), 9, Timestamp(3));
+        txn.stage(RecordId(4), SegmentId(1), &[5, 6]).unwrap();
+        assert_eq!(t.get(TxnId(40)).unwrap().prepared, Some(9));
+        let (w, image) = t.get(TxnId(40)).unwrap().staged().next().unwrap();
+        assert_eq!((w.record, image), (RecordId(4), &[5, 6][..]));
+        assert_eq!(t.stats().begun, 1);
     }
 
     #[test]
@@ -394,7 +468,7 @@ mod tests {
         let ghost = TxnId(99);
         assert!(t.get(ghost).is_err());
         assert!(t
-            .stage_write(ghost, RecordId(0), SegmentId(0), vec![])
+            .stage_write(ghost, RecordId(0), SegmentId(0), &[1])
             .is_err());
         assert!(t.finish_commit(ghost).is_err());
         assert!(t.finish_abort(ghost, true).is_err());

@@ -2,8 +2,10 @@
 //!
 //! Crash recovery must detect torn writes: a segment image or log record
 //! that was only partially written when the system failed. Log frames and
-//! backup segment slots carry a CRC-32C (Castagnoli), computed in portable
-//! code four interleaved lanes at a time. Backup slots and log frames
+//! backup segment slots carry a CRC-32C (Castagnoli), computed four
+//! interleaved lanes at a time, on the CPU's `crc32` instruction where
+//! the CPU has one and in portable code elsewhere (the same value either
+//! way). Backup slots and log frames
 //! written before that, backup headers, LZ blocks, archives and the
 //! storage fingerprint carry 64-bit FNV-1a. Neither is cryptographic;
 //! both tell a torn or stale image from a complete one.
@@ -144,13 +146,64 @@ fn crc32c_skip_block(c: u32) -> u32 {
 /// Extends `crc`, the CRC-32C (Castagnoli) of some bytes (0 for none),
 /// over `bytes`.
 ///
-/// Long inputs go in rounds of `CRC_LANES` consecutive blocks: each
-/// lane runs its own register slicing-by-8, so the lanes' table lookups
-/// overlap instead of waiting on one another, and the round joins them
-/// in order. The register is linear, so a block fed from `c` yields
-/// `crc32c_skip_block(c)` XOR the block fed from 0. What no round takes
-/// goes slicing-by-8 in one lane, then byte by byte.
+/// Runs the kernel on the CPU's `crc32` instruction when the CPU has
+/// one ([`crc32c_hw`]), else the portable slicing-by-8 kernel; both
+/// return the same value for every input.
 pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crc32c_hw() {
+        // The one unsafe call of the crate: a `target_feature` fn may be
+        // called only where the feature is known present.
+        #[allow(unsafe_code)]
+        // SAFETY: `crc32c_hw` just reported SSE4.2, the only feature
+        // `crc32c_append_sse42` enables.
+        return unsafe { crc32c_append_sse42(crc, bytes) };
+    }
+    crc32c_append_sw(crc, bytes)
+}
+
+/// Whether [`crc32c_append`] runs on the CPU's `crc32` instruction
+/// (SSE4.2 on x86-64) rather than the portable kernel. Always false on
+/// other targets and under Miri.
+pub fn crc32c_hw() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        std::arch::is_x86_feature_detected!("sse4.2")
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        false
+    }
+}
+
+/// [`crc32c_append`] slicing-by-8 in portable code.
+fn crc32c_append_sw(crc: u32, bytes: &[u8]) -> u32 {
+    crc32c_lanes(crc, bytes, crc32c_step8)
+}
+
+/// [`crc32c_append`] on the `crc32` instruction, eight bytes a step.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_append_sse42(crc: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    crc32c_lanes(crc, bytes, |c, chunk| {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        // the instruction's register is the reflected, uninverted one
+        _mm_crc32_u64(u64::from(c), x) as u32
+    })
+}
+
+/// The kernel both [`crc32c_append`] variants share; `step8` advances
+/// a register over one 8-byte chunk.
+///
+/// Long inputs go in rounds of `CRC_LANES` consecutive blocks: each
+/// lane runs its own register, so the lanes' steps overlap instead of
+/// waiting on one another, and the round joins them in order. The
+/// register is linear, so a block fed from `c` yields
+/// `crc32c_skip_block(c)` XOR the block fed from 0. What no round takes
+/// goes eight bytes a step in one lane, then byte by byte.
+#[inline(always)]
+fn crc32c_lanes(crc: u32, bytes: &[u8], step8: impl Fn(u32, &[u8]) -> u32) -> u32 {
     let mut c = !crc;
     let mut rounds = bytes.chunks_exact(CRC_LANES * CRC_BLOCK);
     for round in &mut rounds {
@@ -159,7 +212,7 @@ pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
         lanes[0] = c;
         for i in (0..CRC_BLOCK).step_by(8) {
             for (l, lane) in lanes.iter_mut().enumerate() {
-                *lane = crc32c_step8(*lane, &round[l * CRC_BLOCK + i..][..8]);
+                *lane = step8(*lane, &round[l * CRC_BLOCK + i..][..8]);
             }
         }
         c = lanes[1..]
@@ -168,7 +221,7 @@ pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
     }
     let mut chunks = rounds.remainder().chunks_exact(8);
     for chunk in &mut chunks {
-        c = crc32c_step8(c, chunk);
+        c = step8(c, chunk);
     }
     for &b in chunks.remainder() {
         c = (c >> 8) ^ CRC32C_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize];
@@ -234,10 +287,24 @@ mod tests {
         !c
     }
 
+    /// A CRC-32C kernel: [`crc32c_append`]'s signature.
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// The kernels this CPU can run: the portable one always, the
+    /// instruction one (through the dispatch) when the CPU has it.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("software", crc32c_append_sw)];
+        if crc32c_hw() {
+            kernels.push(("hardware", crc32c_append));
+        }
+        kernels
+    }
+
     #[test]
     fn crc32c_slicing_equals_bytewise_at_every_split() {
         // Two multi-lane rounds and a tail that takes both the 8-byte and
-        // the byte-at-a-time loop. Miri checks a sample of the same cases.
+        // the byte-at-a-time loop, over every kernel the CPU can run. Miri
+        // checks a sample of the same cases on the portable kernel.
         let round = CRC_LANES * CRC_BLOCK;
         let bytes: Vec<u8> = (0..2 * round as u32 + 17)
             .map(|i| (i.wrapping_mul(37) ^ (i >> 7)).wrapping_add(11) as u8)
@@ -251,13 +318,48 @@ mod tests {
             }))
             .collect();
         assert_eq!(prefix[bytes.len()], crc32c_bitwise(0, &bytes));
-        for len in (0..=bytes.len()).step_by(stride) {
-            assert_eq!(crc32c(&bytes[..len]), prefix[len], "length {len}");
-        }
         let whole = prefix[bytes.len()];
-        for split in (0..=bytes.len()).step_by(stride) {
-            let crc = crc32c_append(crc32c(&bytes[..split]), &bytes[split..]);
-            assert_eq!(crc, whole, "split at {split}");
+        for (name, kernel) in kernels() {
+            for len in (0..=bytes.len()).step_by(stride) {
+                assert_eq!(
+                    kernel(0, &bytes[..len]),
+                    prefix[len],
+                    "{name}, length {len}"
+                );
+            }
+            for split in (0..=bytes.len()).step_by(stride) {
+                let crc = kernel(kernel(0, &bytes[..split]), &bytes[split..]);
+                assert_eq!(crc, whole, "{name}, split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_from_every_unaligned_start_equals_bytewise() {
+        // Inputs that begin 1 to 7 bytes past an 8-byte boundary, at
+        // lengths across a round, the 8-byte loop and the byte tail.
+        let round = CRC_LANES * CRC_BLOCK;
+        let bytes: Vec<u8> = (0..(2 * round as u64 + 72) / 8)
+            .flat_map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes())
+            .collect();
+        let aligned = bytes.as_ptr().align_offset(8);
+        assert!(aligned < 8, "no 8-byte boundary in the buffer");
+        let stride = if cfg!(miri) { 97 } else { 7 };
+        for (name, kernel) in kernels() {
+            for offset in 1..8 {
+                let input = &bytes[aligned + offset..];
+                let mut want = 0;
+                let mut done = 0;
+                for len in (0..=input.len()).step_by(stride) {
+                    want = crc32c_bitwise(want, &input[done..len]);
+                    done = len;
+                    assert_eq!(
+                        kernel(0, &input[..len]),
+                        want,
+                        "{name}, offset {offset}, length {len}"
+                    );
+                }
+            }
         }
     }
 
